@@ -9,7 +9,7 @@ BENCH_NEW      ?= bench-new.txt
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25
 
-.PHONY: all build test test-race vet chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
+.PHONY: all build test test-race vet loc chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
 
 all: check
 
@@ -28,6 +28,14 @@ test-race:
 ## vet: static analysis
 vet:
 	$(GO) vet ./...
+
+## loc: non-test Go code lines (blank and comment-only lines skipped) per
+## package and in total, bench/ excluded — the ruler for "same behaviour from
+## less code" deltas in CHANGES.md, deaf to comment edits in either direction
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort | \
+		xargs awk '!/^[ \t]*(\/\/|$$)/ { d = FILENAME; sub("/[^/]*$$", "", d); n[d]++; t++ } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 ## chaos: sweep the deterministic fault-injection harness over SEEDS seeds
 ## (schemes rotate per seed); any failing seed prints a one-line repro

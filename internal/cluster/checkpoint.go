@@ -287,10 +287,15 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 
 	c.refreshBases(n, recs, committed, redoOf)
 
-	// Truncation floor: global redo capped by the retention floors.
+	// Truncation floor: global redo capped by the retention floors. The
+	// coordinator history on this log matters only while an election may
+	// read it here — on the seated leader and on the anchor; anywhere else
+	// it predates the anchor's term-opening snapshot.
 	floor := ck.Redo
-	if mf := masterRetentionFloor(recs); mf < floor {
-		floor = mf
+	if m := c.Master; m.rep != nil && (n == m.Node || n == m.rep.anchor) {
+		if mf := masterRetentionFloor(recs); mf < floor {
+			floor = mf
+		}
 	}
 	if wf := wrapperRetentionFloor(recs); wf < floor {
 		floor = wf

@@ -28,15 +28,16 @@ type Config struct {
 	LockTimeout time.Duration
 	// VectorSize is the record batch size for remote operators.
 	VectorSize int
-	// MasterReplicas, when positive, replicates the coordinator state
-	// machine to nodes 1..MasterReplicas (see replication.go). Zero keeps
-	// the legacy stable-metadata master.
+	// MasterReplicas, when positive, makes the coordinator a replicated
+	// state machine (see replication.go) whose records ship on the seated
+	// leader's log stream — so it implies log shipping with at least that
+	// many followers per node. Zero keeps the legacy stable-metadata master.
 	MasterReplicas int
-	// DataReplicas, when positive, ships every node's data WAL frames to
-	// that many follower nodes (see datarep.go): forced commits need one
-	// durable follower, a wiped disk rebuilds from the replica set, and
-	// read-only snapshot reads can be served by followers. Zero keeps the
-	// legacy stable-flushed-bytes durability model.
+	// DataReplicas, when positive, ships every node's WAL frames to that
+	// many follower nodes (see datarep.go): forced commits need one durable
+	// follower, a wiped disk rebuilds from the replica set, and read-only
+	// snapshot reads can be served by followers. With both zero the legacy
+	// stable-flushed-bytes durability model stays.
 	DataReplicas int
 }
 
@@ -94,11 +95,12 @@ func New(env *sim.Env, cfg Config) *Cluster {
 	}
 	c.Nodes[0].HW.ForceActive()
 	c.Master = newMaster(c)
-	if cfg.MasterReplicas > 0 {
-		c.EnableMasterReplication(cfg.MasterReplicas)
+	// Shipping first: the coordinator's bootstrap records need the append hook.
+	if replicas := max(cfg.DataReplicas, cfg.MasterReplicas); replicas > 0 {
+		c.EnableDataReplication(replicas)
 	}
-	if cfg.DataReplicas > 0 {
-		c.EnableDataReplication(cfg.DataReplicas)
+	if cfg.MasterReplicas > 0 {
+		c.EnableMasterReplication()
 	}
 	var hwNodes []*hw.Node
 	for _, n := range c.Nodes {
@@ -150,6 +152,7 @@ type DataNode struct {
 
 	// Crash/restart bookkeeping (see crash.go).
 	crashed   bool                        // power-failed, not yet restarted
+	reviving  bool                        // inside RestartNode, durable log already recovered or rebuilt
 	lostParts []*table.Partition          // partitions to rebuild on restart, in ID order
 	bases     map[table.PartID][]basePair // recovery bases (bulk-load and adopted images)
 

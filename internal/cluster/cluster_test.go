@@ -501,3 +501,46 @@ func TestDeterministicClusterRuns(t *testing.T) {
 }
 
 var _ = bytes.Compare // silence unused import if assertions change
+
+// TestMovedRangeServesCappedSnapshots pins the dual-pointer lifetime against
+// snapshot capping: while a commit is unsettled (parked across its node's
+// outage, say), every new snapshot begins just below it — possibly far below
+// the clock. A range moved during that time must keep its old location
+// reachable even when no transaction is active at the instant the move ends,
+// because the destination holds only the newest version of each key.
+func TestMovedRangeServesCappedSnapshots(t *testing.T) {
+	const n = 200
+	tc := newTestCluster(t, table.Physiological, 3, n)
+	defer tc.env.Close()
+	m := tc.c.Master
+	put := func(p *sim.Proc, val string) {
+		s := m.Begin(p, cc.SnapshotIsolation, tc.c.Nodes[0])
+		payload, _ := kvSchema().EncodeRow(table.Row{int64(10), val})
+		if err := s.Put(p, "kv", ik(10), payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc.run(t, func(p *sim.Proc) {
+		put(p, "below-the-cap")
+		parked := m.Oracle.Begin(cc.SnapshotIsolation)
+		m.Oracle.CommitTS(parked) // unsettled from here: new snapshots begin below it
+		put(p, "above-the-cap")
+		if err := m.MigrateRange(p, "kv", ik(0), ik(n/2), tc.c.Nodes[2]); err != nil {
+			t.Fatalf("migrate: %v", err)
+		}
+		p.Sleep(3 * time.Second) // the cleanup processes had their chance
+		s := m.Begin(p, cc.SnapshotIsolation, tc.c.Nodes[0])
+		v, ok, err := s.Get(p, "kv", ik(10))
+		if err != nil || !ok {
+			t.Fatalf("capped snapshot %d lost key 10 after the move: ok=%v err=%v", s.Txn.Begin, ok, err)
+		}
+		if row, _ := kvSchema().DecodeRow(v); row[1].(string) != "below-the-cap" {
+			t.Errorf("capped snapshot read %q, want %q", row[1], "below-the-cap")
+		}
+		s.Abort(p)
+		m.Oracle.Abort(parked) // release the cap so the cleanup can finish
+	})
+}

@@ -29,9 +29,10 @@ import (
 // and then replays the node's durable WAL over it (REDO winners, UNDO
 // losers). The master's catalog, timestamp oracle, and decision map are a
 // replicated state machine (see replication.go): crashing the seated
-// leader fences the coordinator until a follower replays its shipped
-// master WAL and takes over, resuming the oracle above the replicated
-// lease ceiling with in-doubt resolution intact.
+// leader fences the coordinator until a member of its ship set replays the
+// master records it holds of the leader's stream and takes over, resuming
+// the oracle above the replicated lease ceiling with in-doubt resolution
+// intact.
 //
 // Commit atomicity. A failure may land at ANY instant of a commit — there
 // is no critical-section deferral. Distributed transactions survive because
@@ -141,14 +142,10 @@ func (c *Cluster) doCrash(n *DataNode, tear, flip int) int {
 	n.Pool.SetWALFlush(func(p *sim.Proc, lsn uint64) { n.Log.Flush(p, lsn) })
 	n.Locks = cc.NewLockManager(c.Env)
 	// Replicated coordinator: losing the leader fences the master until a
-	// follower is elected; losing a follower drops it from the current set
-	// (it rejoins through catch-up on restart).
-	if r := c.Master.rep; r != nil {
-		if n == c.Master.Node {
-			c.Master.leaderDown()
-		} else if r.current[n.ID] {
-			r.current[n.ID] = false
-		}
+	// successor is elected. (Losing one of its followers is the ship
+	// stream's business: crashShipState marked it stale above.)
+	if c.Master.rep != nil && n == c.Master.Node {
+		c.Master.leaderDown()
 	}
 	return torn
 }
@@ -199,12 +196,13 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// replay of the reconstructed history — which is exactly right, since
 	// the rebuilt bases are the shipped originals, not refreshed ones.
 	ck := n.Log.LastCheckpoint()
-	// A reviving replica-group member may complete a stalled election: its
-	// durable log (just recovered) is valid election input even though the
-	// node is still mid-restart.
-	if r := c.Master.rep; r != nil && r.member(n.ID) && c.Master.down {
-		c.Master.tryElect(n)
-	}
+	// A reviving node may complete a stalled election: its durable log (just
+	// recovered or rebuilt) is valid election input even though the node is
+	// still mid-restart — and stays so while the in-doubt resolution below
+	// waits for a coordinator that only a later restart can seat.
+	n.reviving = true
+	defer func() { n.reviving = false }()
+	c.Master.tryElect()
 
 	// Rebuild replacements. Partition IDs are reused so the WAL's partition
 	// references resolve; bounds are the bounds at crash time (adoption had
@@ -312,7 +310,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	}
 	n.lostParts = nil
 	n.crashed = false
-	if r := c.Master.rep; r != nil {
+	if c.Master.rep != nil {
 		// Drain decisions still charged to this node whose branches its
 		// durable log shows resolved — the ack was in flight (or unforced
 		// and lost) when a leader died, and the rebuilt decision map still
@@ -322,14 +320,18 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 				c.Master.AckInDoubt(id, n.ID)
 			}
 		}
-		// A restarted group member rejoins through full-state catch-up.
-		if r.member(n.ID) && !c.Master.down && n != c.Master.Node && !r.current[n.ID] {
-			c.Master.catchUp(p, n)
+		// A follower of the seated leader is about to be resynced: give it —
+		// and the leader's own log — a fresh coordinator snapshot, so the
+		// catalog record that pins the leader's log (masterRetentionFloor)
+		// is never older than its ship set's last restart.
+		if m := c.Master; !m.down && !m.Node.Down() && m.Node.ship.stale[n.ID] {
+			m.logSnapshot()
 		}
 	}
-	// Data replication epilogue: restore any base records the crash's lost
-	// tail ate, then re-seed this node's replicas of live origins and push
-	// resyncs to followers that went stale while it was down. Only then does
+	// Replication epilogue: restore any base records the crash's lost tail
+	// ate, then re-seed this node's replicas of live origins (the seated
+	// leader's coordinator history among them) and push resyncs to followers
+	// that went stale while it was down. Only then does
 	// a rebuilt node shed its disk-lost mark — until its wrapper copies of
 	// the streams it follows are re-seeded, it is not stable storage for
 	// anyone else's rebuild.

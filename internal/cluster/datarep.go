@@ -11,12 +11,13 @@ import (
 	"wattdb/internal/wal"
 )
 
-// Data replication: every node streams its shippable WAL frames (DML,
-// commits, prepare images, recovery-base images — see wal.Shippable) to a
-// fixed set of follower nodes, which append them wrapped in RecShip records
-// to their own logs (durability rides the followers' group commits) and
-// apply them to in-memory replica stores. The replicated history serves
-// three purposes:
+// Log replication: every node streams its shippable WAL frames (DML, commits,
+// prepare images, recovery-base images, and — on whichever node is seated as
+// coordinator — the replicated master records; see wal.Shippable) to a fixed
+// set of follower nodes, which append them wrapped in RecShip records to
+// their own logs (durability rides the followers' group commits) and apply
+// them to in-memory replica stores. This is the cluster's one replicated log;
+// the replicated history serves four purposes:
 //
 //   - Durability beyond one disk: a forced commit is acknowledged only once
 //     its frames are durable on at least one follower (forceShip), so a node
@@ -29,18 +30,19 @@ import (
 //   - Read scaling: read-only snapshot gets/scans below a follower's applied
 //     horizon are served from its replica store without touching the origin
 //     (session.go followerGet/followerScanPart).
+//   - Coordinator failover: the leader's forced records use the same ship pass
+//     and the same durability predicate (replication.go logMaster), and an
+//     election replays the wrappers the dead leader's followers hold.
 //
 // The origin/follower assignment is positional — followersOf(n) is the next
 // DataReplicas node IDs cyclically — so every node plays both roles. A
 // follower that misses deliveries (it was down, or its own disk was wiped)
 // is marked stale and stops counting for durability until a wholesale resync
 // (reset wrapper + every retained shippable frame) re-seeds it; resyncs run
-// from RestartNode in both directions. The master's records replicate
-// through the coordinator's own protocol (replication.go) and are excluded
-// from this stream.
+// from RestartNode in both directions.
 
-// shipRetryDelay paces forceShip's wait for a usable follower (mirrors the
-// coordinator's decisionRetryDelay).
+// shipRetryDelay paces every wait for a usable follower: forceShip's, and a
+// commit decision's while the coordinator is fenced or cut off.
 const shipRetryDelay = 50 * time.Millisecond
 
 // shipWireOverhead is the per-frame wire framing cost of a shipped frame
@@ -348,7 +350,7 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 		}
 		node.stores = make(map[int]*repStore)
 		node.Log.SetAppendHook(func(rec *wal.Record, frame []byte) {
-			if !wal.Shippable(rec.Type) {
+			if !wal.Shippable(rec) {
 				return
 			}
 			sh := node.ship
@@ -457,10 +459,11 @@ func (c *Cluster) releaseDrain(origin *DataNode) {
 }
 
 // shipQueued delivers origin's queued frames to every live, in-sync
-// follower; with forced, each receiving follower's log is flushed through
-// the delivered wrappers and the durable watermark advances. Followers that
-// cannot receive are marked stale (resync re-seeds them). Returns false only
-// when origin died mid-drain.
+// follower; with forced, followers' logs are flushed through the delivered
+// wrappers, in order, until one of them is durable. A follower's durable
+// watermark advances whenever a pass finds its log flushed that far.
+// Followers that cannot receive are marked stale (resync re-seeds them).
+// Returns false only when origin died mid-drain.
 //
 // Only the origin-flushed prefix of the queue ships: a frame the origin has
 // not made locally durable could die with its unflushed tail, yet survive in
@@ -485,13 +488,18 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	for _, it := range items {
 		batchBytes += int64(len(it.frame)) + shipWireOverhead
 	}
-	delivered := len(items) == 0
+	delivered, acked := len(items) == 0, false
 	for _, f := range c.followersOf(origin.ID) {
 		if f.crashed || sh.stale[f.ID] {
 			if len(items) > 0 {
 				sh.stale[f.ID] = true
 			}
 			continue
+		}
+		// Whatever this follower flushed on its own since the last pass
+		// counts: a follower no forced pass flushes still advances.
+		if f.Log.FlushedLSN() >= sh.wrapLSN[f.ID] {
+			sh.durable[f.ID] = sh.sent[f.ID]
 		}
 		if len(items) > 0 {
 			c.Net.Transfer(p, origin.ID, f.ID, batchBytes)
@@ -511,17 +519,18 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 			}
 			delivered = true
 		}
-		if forced {
-			wl := sh.wrapLSN[f.ID]
-			if wl > 0 && f.Log.FlushedLSN() < wl {
-				f.Log.Flush(p, wl)
-				if origin.crashed {
-					return false
-				}
+		// One durable follower is what a forced pass owes its waiters; the
+		// others' wrappers ride their next group commit.
+		wl := sh.wrapLSN[f.ID]
+		if forced && !acked && f.Log.FlushedLSN() < wl {
+			f.Log.Flush(p, wl)
+			if origin.crashed {
+				return false
 			}
-			if !f.crashed && !sh.stale[f.ID] && f.Log.FlushedLSN() >= wl {
-				sh.durable[f.ID] = sh.sent[f.ID]
-			}
+		}
+		if !f.crashed && !sh.stale[f.ID] && f.Log.FlushedLSN() >= wl {
+			sh.durable[f.ID] = sh.sent[f.ID]
+			acked = true
 		}
 	}
 	if delivered {
@@ -533,6 +542,19 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	// delivery once a follower is back in sync.
 	sh.updatePin(origin.Log)
 	return true
+}
+
+// replicaDurable reports whether at least one in-sync follower of origin holds
+// every frame up to target durably — the one predicate behind every forced
+// ack, data or coordinator.
+func (c *Cluster) replicaDurable(origin *DataNode, target uint64) bool {
+	sh := origin.ship
+	for _, f := range c.followersOf(origin.ID) {
+		if !sh.stale[f.ID] && sh.durable[f.ID] >= target {
+			return true
+		}
+	}
+	return false
 }
 
 // forceShip blocks until every shippable frame origin has appended so far is
@@ -554,18 +576,14 @@ func (c *Cluster) forceShip(p *sim.Proc, origin *DataNode) bool {
 		if origin.crashed {
 			return false
 		}
-		for _, f := range c.followersOf(origin.ID) {
-			if !sh.stale[f.ID] && sh.durable[f.ID] >= target {
-				return true
-			}
+		if c.replicaDurable(origin, target) {
+			return true
 		}
 		if !c.shipQueued(p, origin, true) {
 			return false
 		}
-		for _, f := range c.followersOf(origin.ID) {
-			if !sh.stale[f.ID] && sh.durable[f.ID] >= target {
-				return true
-			}
+		if c.replicaDurable(origin, target) {
+			return true
 		}
 		if origin.crashed {
 			return false
@@ -624,17 +642,11 @@ func (c *Cluster) forceShipDecided(p *sim.Proc, origin *DataNode, target, gen ui
 			return sh.rebuiltFromGen == gen && target <= sh.rebuiltThrough
 		}
 		if !origin.crashed {
-			for _, f := range c.followersOf(origin.ID) {
-				if !sh.stale[f.ID] && sh.durable[f.ID] >= target {
-					return true
-				}
+			if c.replicaDurable(origin, target) {
+				return true
 			}
-			if c.shipQueued(p, origin, true) && sh.rebuildGen == gen {
-				for _, f := range c.followersOf(origin.ID) {
-					if !sh.stale[f.ID] && sh.durable[f.ID] >= target {
-						return true
-					}
-				}
+			if c.shipQueued(p, origin, true) && sh.rebuildGen == gen && c.replicaDurable(origin, target) {
+				return true
 			}
 			if !origin.crashed && sh.rebuildGen == gen {
 				c.healStaleFollowers(p, origin)
@@ -668,27 +680,27 @@ func (c *Cluster) SetupReplicationDrain() {
 		return
 	}
 	for _, n := range c.Nodes {
-		n.Log.SetupFlush()
+		c.setupDrain(n)
 	}
-	for _, n := range c.Nodes {
-		sh := n.ship
-		for _, f := range c.followersOf(n.ID) {
-			for _, it := range sh.queue {
-				c.applyToFollower(f, n, it.lsn, it.frame)
-				sh.sent[f.ID] = it.lsn
-			}
+}
+
+// setupDrain is SetupReplicationDrain for one origin: its appended tail
+// becomes durable, its queue lands on every follower, and the wrappers are
+// durable there too — synchronously and free of charge. Setup-time forced
+// coordinator records (bootstrap lease, table creation) use it directly.
+func (c *Cluster) setupDrain(n *DataNode) {
+	sh := n.ship
+	n.Log.SetupFlush()
+	for _, f := range c.followersOf(n.ID) {
+		for _, it := range sh.queue {
+			c.applyToFollower(f, n, it.lsn, it.frame)
+			sh.sent[f.ID] = it.lsn
 		}
-		sh.queue = nil
-		sh.updatePin(n.Log)
+		f.Log.SetupFlush()
+		sh.durable[f.ID] = sh.sent[f.ID]
 	}
-	for _, n := range c.Nodes {
-		n.Log.SetupFlush() // the wrappers just appended
-	}
-	for _, n := range c.Nodes {
-		for _, f := range c.followersOf(n.ID) {
-			n.ship.durable[f.ID] = n.ship.sent[f.ID]
-		}
-	}
+	sh.queue = nil
+	sh.updatePin(n.Log)
 }
 
 // resyncFollower wholesale-rebuilds follower f's replica of origin: a reset
@@ -719,7 +731,7 @@ func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 		if rec.LSN > flushed {
 			return false
 		}
-		if !wal.Shippable(rec.Type) {
+		if !wal.Shippable(rec) {
 			return true
 		}
 		frames = append(frames, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame)})
@@ -869,35 +881,6 @@ func (c *Cluster) RotEligible(n *DataNode) func(lsn uint64) bool {
 	return func(lsn uint64) bool { return covered[lsn] }
 }
 
-// durableMasterSeq returns the highest master-state sequence in the durable
-// prefix of m's log, tolerating damage: a crashed member's disk is readable
-// stable storage, but may still hold the torn tail or rotted frame its own
-// restart has not truncated yet, so the scan is per-frame and gated on the
-// flushed boundary rather than using the stop-on-error iterator.
-func durableMasterSeq(m *DataNode) uint64 {
-	var max uint64
-	flushed := m.Log.FlushedLSN()
-	m.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		if rec.LSN > flushed {
-			return false
-		}
-		switch rec.Type {
-		case wal.RecMState, wal.RecMLease, wal.RecMAck:
-		case wal.RecDecision:
-			if rec.After == nil {
-				return true
-			}
-		default:
-			return true
-		}
-		if rec.Part > max {
-			max = rec.Part
-		}
-		return true
-	})
-	return max
-}
-
 // ownSalvage is the pre-Restart per-frame read of a crashed node's own
 // damaged log: every durable frame that still decodes, captured before
 // Restart's byte scan truncates at the first damaged frame. Rot on the
@@ -908,11 +891,6 @@ func durableMasterSeq(m *DataNode) uint64 {
 type ownSalvage struct {
 	frames map[uint64][]byte // shippable frames by LSN (current numbering)
 	max    uint64
-	// Replicated coordinator records (log order) and their highest sequence:
-	// a master-group member's own log may hold a longer master history than
-	// any other member's (it was the leader), and it reads for free.
-	masterRecs []wal.Record
-	masterSeq  uint64
 }
 
 // salvageOwnFrames reads n's crashed, possibly damaged log frame by frame
@@ -928,17 +906,10 @@ func salvageOwnFrames(n *DataNode) *ownSalvage {
 		if rec.LSN > flushed {
 			return false
 		}
-		switch {
-		case wal.Shippable(rec.Type):
+		if wal.Shippable(rec) {
 			sv.frames[rec.LSN] = bytes.Clone(frame)
 			if rec.LSN > sv.max {
 				sv.max = rec.LSN
-			}
-		case rec.Type == wal.RecMState || rec.Type == wal.RecMLease || rec.Type == wal.RecMAck,
-			rec.Type == wal.RecDecision && rec.After != nil:
-			sv.masterRecs = append(sv.masterRecs, *rec)
-			if rec.Part > sv.masterSeq {
-				sv.masterSeq = rec.Part
 			}
 		}
 		return true
@@ -950,12 +921,12 @@ func salvageOwnFrames(n *DataNode) *ownSalvage {
 // durable state (a wiped disk, or bit rot that ate into acked history): the
 // node's own salvaged frames and the follower holding the longest durable
 // prefix of the shipped stream together supply the frames, which are
-// re-appended — renumbered — to the freshly wiped log, together with the
-// coordinator's replicated records when the node is a master-group member
-// (those replicate through the master protocol and are absent from the data
-// stream, but elections read this node's log). Runs inside RestartNode,
-// right after Log.Restart and before any recovery pass; sv is the
-// pre-Restart salvage (empty after a wiped disk).
+// re-appended — renumbered — to the freshly wiped log. Replicated coordinator
+// records are part of the stream, so a node that ever led gets them back here
+// too, their master sequence (Record.Part) untouched by the renumbering — the
+// election below RestartNode reads them. Runs inside RestartNode, right after
+// Log.Restart and before any recovery pass; sv is the pre-Restart salvage
+// (empty after a wiped disk).
 func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv *ownSalvage) {
 	// Pick the follower with the newest generation, longest durable prefix.
 	// Within a generation each follower's durable shipped set is a prefix of
@@ -1009,55 +980,6 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv *ownSalvage) 
 			best = nil
 		}
 	}
-	// Master-group members additionally restore the replicated coordinator
-	// records from the member with the highest durable master sequence, so
-	// the election and reconciliation passes below RestartNode see them. A
-	// down member's disk is stable storage just like in durableShippedFrames
-	// — only a wiped one is unreadable — and every acked forced record is
-	// flushed on all current followers, so the best durable prefix available
-	// covers everything a coordinator ack promised.
-	var masterRecs []wal.Record
-	if r := c.Master.rep; r != nil && r.member(n.ID) {
-		var src *DataNode
-		var bestSeq uint64
-		for _, id := range r.group {
-			m := c.Nodes[id]
-			if m == n || m.diskLost {
-				continue
-			}
-			if s := durableMasterSeq(m); src == nil || s > bestSeq {
-				src, bestSeq = m, s
-			}
-		}
-		if sv != nil && len(sv.masterRecs) > 0 && sv.masterSeq >= bestSeq {
-			// This node's own salvaged master history is at least as long as
-			// any other member's durable prefix — use it, wire-free.
-			masterRecs = sv.masterRecs
-			src = nil
-		}
-		if src != nil {
-			var total int64
-			flushed := src.Log.FlushedLSN()
-			src.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-				if rec.LSN > flushed {
-					return false
-				}
-				switch rec.Type {
-				case wal.RecMState, wal.RecMLease, wal.RecMAck:
-				case wal.RecDecision:
-					if rec.After == nil {
-						return true // coordinator-local form, not the replicated one
-					}
-				default:
-					return true
-				}
-				masterRecs = append(masterRecs, *rec)
-				total += int64(len(frame)) + shipWireOverhead
-				return true
-			})
-			c.Net.Transfer(p, src.ID, n.ID, total)
-		}
-	}
 	n.Log.WipeDisk() // renumber from LSN 1: the shipped stream has gaps
 	// forceShip targets are LSNs of the OLD numbering; re-anchor at zero and
 	// let the append hook re-advance as frames are re-appended below.
@@ -1073,9 +995,6 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv *ownSalvage) 
 	// log IS the new base truth, and stale in-memory pairs would re-append as
 	// phantom tail bases on the next repairBaseLog pass.
 	n.bases = make(map[table.PartID][]basePair)
-	for i := range masterRecs {
-		n.Log.Append(masterRecs[i])
-	}
 	if len(frames) > 0 {
 		if best != nil && fromBestBytes > 0 {
 			// Read the follower's contribution from its disk, ship it over.
@@ -1161,11 +1080,7 @@ func (c *Cluster) restartResync(p *sim.Proc, n *DataNode) {
 			c.resyncFollower(p, o, n)
 		}
 	}
-	for _, f := range c.followersOf(n.ID) {
-		if !f.crashed && n.ship.stale[f.ID] {
-			c.resyncFollower(p, n, f)
-		}
-	}
+	c.healStaleFollowers(p, n)
 }
 
 // crashShipState is doCrash's replication teardown: the origin-side queue

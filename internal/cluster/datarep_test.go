@@ -9,6 +9,7 @@ import (
 	"wattdb/internal/keycodec"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
+	"wattdb/internal/wal"
 )
 
 // newRepCluster is newTestCluster with per-node WAL shipping enabled: every
@@ -342,4 +343,50 @@ func TestDiskLossDuringMigration(t *testing.T) {
 		oracle[int64(n/2)] = "moved-then-rebuilt"
 	})
 	tc.verifyOracle(t, oracle)
+}
+
+// TestScrubRepairsCoordinatorFrame bit-rots a replicated master record on the
+// leader's log. The record is an ordinary frame of the leader's shipped
+// stream, so a follower holds a durable copy (it is rot-eligible) and the
+// scrubber patches it like any data frame.
+func TestScrubRepairsCoordinatorFrame(t *testing.T) {
+	w := newFailoverWorld(t, 300)
+	defer w.env.Close()
+	c, leader := w.c, w.c.Nodes[0]
+	w.runCommits(t, 5)
+
+	var target uint64
+	leader.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+		if wal.MasterRecord(rec) && rec.LSN <= leader.Log.FlushedLSN() {
+			target = rec.LSN
+		}
+		return true
+	})
+	if target == 0 {
+		t.Fatal("leader log holds no durable master record")
+	}
+	if !c.RotEligible(leader)(target) {
+		t.Fatalf("master frame at LSN %d has no durable follower copy", target)
+	}
+	_, seqBefore, _ := c.Master.masterCopy(leader)
+	if got := leader.Log.FlipFlushedBit(7, func(lsn uint64) bool { return lsn == target }); got != target {
+		t.Fatalf("rot landed on LSN %d, want %d", got, target)
+	}
+	if bad := leader.Log.CheckFlushed(); len(bad) != 1 || bad[0] != target {
+		t.Fatalf("damaged frames = %v, want [%d]", bad, target)
+	}
+	w.env.Spawn("scrub", func(p *sim.Proc) {
+		if repaired := c.ScrubPass(p); repaired != 1 {
+			t.Errorf("scrub repaired %d frames, want 1", repaired)
+		}
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if bad := leader.Log.CheckFlushed(); len(bad) != 0 {
+		t.Fatalf("frames %v still damaged after the scrub", bad)
+	}
+	if _, seq, _ := c.Master.masterCopy(leader); seq != seqBefore {
+		t.Fatalf("master history ends at sequence %d after repair, want %d", seq, seqBefore)
+	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // failoverWorld is a replicated-coordinator cluster: node 0 is the seated
-// leader, nodes 1 and 2 are master replicas, node 3 owns all data. Crashing
-// node 0 never touches a data partition, so every observed effect is pure
-// coordinator failover.
+// leader, nodes 1 and 2 are its ship set (MasterReplicas implies log
+// shipping with that many followers per node), node 3 owns all data.
+// Crashing node 0 never touches a data partition, so every observed effect
+// is pure coordinator failover.
 type failoverWorld struct {
 	env  *sim.Env
 	c    *Cluster
@@ -165,11 +166,9 @@ func TestFailoverLeaseExhaustion(t *testing.T) {
 }
 
 // TestFailoverDoubleCrash kills the first elected successor too: after the
-// original leader rejoined as a follower (catch-up), a second election must
-// seat another replica and timestamps must still never regress across
-// either handoff. (Without the restart the second leader would have no live
-// follower: forced records could never replicate and the coordinator would
-// stay correctly write-fenced.)
+// original leader restarted (its followers and origins resync it), a second
+// election must seat another member of the successor's ship set and
+// timestamps must still never regress across either handoff.
 func TestFailoverDoubleCrash(t *testing.T) {
 	const leaseChunk = 300
 	w := newFailoverWorld(t, leaseChunk)
@@ -200,5 +199,63 @@ func TestFailoverDoubleCrash(t *testing.T) {
 	}
 	if got := w.c.Master.Failovers(); got != 2 {
 		t.Fatalf("failovers = %d, want 2", got)
+	}
+}
+
+// TestFailoverFromRebuiltLeaderLog loses the leader's whole disk while both
+// of its followers are down, so nobody can be elected until the leader is
+// back — and its log then exists only because rebuildFromReplicas re-appended
+// the shipped stream, coordinator records included, from the followers'
+// disks. The election must replay that rebuilt log (master sequences survive
+// the renumbering), and after the followers resync the rebuilt stream a
+// crash of the re-seated leader must fail over once more.
+func TestFailoverFromRebuiltLeaderLog(t *testing.T) {
+	w := newFailoverWorld(t, 300)
+	defer w.env.Close()
+	c := w.c
+	restart := func(ids ...int) {
+		t.Helper()
+		w.env.Spawn("restart", func(p *sim.Proc) {
+			for _, id := range ids {
+				if _, _, err := c.RestartNode(p, c.Nodes[id]); err != nil {
+					t.Errorf("restart node %d: %v", id, err)
+				}
+			}
+		})
+		if err := w.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	all := w.runCommits(t, 20)
+	c.CrashNode(c.Nodes[1])
+	c.CrashNode(c.Nodes[2])
+	c.DestroyDisk(c.Nodes[0])
+	restart(0)
+	if rebuilds, _, _, _ := c.ReplicationStats(); rebuilds != 1 {
+		t.Fatalf("rebuilds = %d, want 1", rebuilds)
+	}
+	if c.Master.Fenced() || c.Master.LeaderID() != 0 || c.Master.Failovers() != 1 {
+		t.Fatalf("after the rebuilt leader restarted: fenced=%v leader=%d failovers=%d, want node 0 re-seated by one election",
+			c.Master.Fenced(), c.Master.LeaderID(), c.Master.Failovers())
+	}
+	restart(1, 2)
+	all = append(all, w.runCommits(t, 20)...)
+
+	c.CrashNode(c.Master.Node)
+	all = append(all, w.runCommits(t, 20)...)
+	if len(all) != 60 {
+		t.Fatalf("%d of 60 commits acked", len(all))
+	}
+	for j := 1; j < len(all); j++ {
+		if all[j] <= all[j-1] {
+			t.Fatalf("ts %d at commit %d not above predecessor %d", all[j], j, all[j-1])
+		}
+	}
+	if got := c.Master.Failovers(); got != 2 {
+		t.Fatalf("failovers = %d, want 2", got)
+	}
+	if c.Master.LeaderID() == 0 {
+		t.Fatal("crashed node 0 still seated as leader")
 	}
 }

@@ -365,3 +365,127 @@ func TestInDoubtRollbackPresumedAbort(t *testing.T) {
 		t.Fatal("rollback not closed in the durable log (second restart would query the coordinator again)")
 	}
 }
+
+// TestCommitAfterParticipantPresumedAbort pins the window between a
+// participant's prepare vote and the coordinator's decision when that window
+// is long: the committing session parks in the second participant's phase-1
+// replication wait (both of its followers are down), and meanwhile the first
+// participant — already prepared — power-fails, restarts, finds no decision
+// and presumes abort. When the wait finally ends the session must notice
+// that a branch is gone and fail; deciding commit would acknowledge a
+// transaction one half of which is durably rolled back. (The coordinator is
+// unreplicated here, so the restart's in-doubt query needs no grace wait.)
+func TestCommitAfterParticipantPresumedAbort(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cfg := DefaultConfig()
+	cfg.Nodes = 5
+	cfg.DataReplicas = 2
+	c := New(env, cfg)
+	for _, node := range c.Nodes[1:] {
+		node.HW.ForceActive()
+	}
+	a, b := c.Nodes[1], c.Nodes[2] // ship sets {2,3} and {3,4}
+	mid := ik(int64(idKeys / 2))
+	if _, err := c.Master.CreateTable(kvSchema(), table.Physiological, []RangeSpec{
+		{Low: nil, High: mid, Owner: a},
+		{Low: mid, High: nil, Owner: b},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	env.Spawn("load", func(p *sim.Proc) {
+		i := 0
+		err := c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
+			if i >= idKeys {
+				return nil, nil, false
+			}
+			row := table.Row{int64(i), fmt.Sprintf(idOldVal, i)}
+			key, _ := kvSchema().Key(row)
+			payload, _ := kvSchema().EncodeRow(row)
+			i++
+			return key, payload, true
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.SetupReplicationDrain()
+
+	// Both followers of b are down: its prepare cannot become replica-durable.
+	c.CrashNode(c.Nodes[3])
+	c.CrashNode(c.Nodes[4])
+
+	var commitErr error
+	returned := false
+	env.Spawn("commit", func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		p1, _ := kvSchema().EncodeRow(table.Row{idLeft, "new"})
+		p2, _ := kvSchema().EncodeRow(table.Row{idRight, "new"})
+		if err := s.Put(p, "kv", ik(idLeft), p1); err != nil {
+			t.Errorf("put left: %v", err)
+			return
+		}
+		if err := s.Put(p, "kv", ik(idRight), p2); err != nil {
+			t.Errorf("put right: %v", err)
+			return
+		}
+		commitErr = s.Commit(p)
+		returned = true
+		if commitErr != nil {
+			s.Abort(p)
+		}
+	})
+	env.Spawn("faults", func(p *sim.Proc) {
+		p.Sleep(time.Second)
+		if returned {
+			t.Error("commit returned while the second participant had no live follower")
+		}
+		if !hasInDoubtTrace(a) {
+			t.Error("first participant holds no durable prepare vote yet")
+		}
+		c.CrashNode(a)
+		if _, _, err := c.RestartNode(p, a); err != nil {
+			t.Errorf("restart participant: %v", err)
+		}
+		if hasInDoubtTrace(a) {
+			t.Error("restarted participant left its branch in doubt")
+		}
+		// A follower of b comes back: the parked prepare completes.
+		if _, _, err := c.RestartNode(p, c.Nodes[3]); err != nil {
+			t.Errorf("restart follower: %v", err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !returned {
+		t.Fatal("commit never returned")
+	}
+	if commitErr == nil {
+		t.Fatal("commit acknowledged although a prepared branch had presumed abort")
+	}
+	if n := c.Master.InDoubtDecisionCount(); n != 0 {
+		t.Fatalf("%d coordinator decisions recorded for a transaction that must abort", n)
+	}
+	env.Spawn("verify", func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		for _, k := range []int64{idLeft, idRight} {
+			v, ok, err := s.Get(p, "kv", ik(k))
+			if err != nil || !ok {
+				t.Errorf("key %d: %v %v", k, ok, err)
+				continue
+			}
+			row, _ := kvSchema().DecodeRow(v)
+			if want := fmt.Sprintf(idOldVal, k); row[1].(string) != want {
+				t.Errorf("key %d = %q, want %q: a branch of the refused commit is visible", k, row[1], want)
+			}
+		}
+		s.Abort(p)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -204,10 +204,15 @@ func (m *Master) recordDecision(p *sim.Proc, txn *cc.Txn, commitTS cc.Timestamp,
 		After: wal.EncodeMasterParticipants(nil, nodes)}
 	m.decisions[txn.ID] = d
 	for {
-		if !m.down && !m.Node.Down() && m.logMaster(p, rec, true) {
-			break
+		if !m.down && !m.Node.Down() {
+			if m.logMaster(p, rec, true) {
+				break
+			}
+			// No follower took it, and unlike Begin this caller cannot walk
+			// away: heal a live-but-stale ship set, as forceShip's loop does.
+			m.cluster.healStaleFollowers(p, m.Node)
 		}
-		p.Sleep(decisionRetryDelay)
+		p.Sleep(shipRetryDelay)
 	}
 	// Elections during the loop keep this very object in the map (electFrom
 	// never replaces a known decision), so acks that landed meanwhile are
@@ -465,8 +470,14 @@ func (m *Master) RecordCount(p *sim.Proc, tableName string) (int, error) {
 // a record the group commit covered before the cut WILL be replayed by
 // restart recovery — reporting it non-durable would acknowledge an abort for
 // a transaction that then resurfaces. Only a record the crash caught above
-// the boundary is genuinely gone (restart rolls its transaction back).
+// the boundary is genuinely gone (restart rolls its transaction back) — as
+// is one issued after the power failure (the install before it can return
+// cleanly across a crash in its last key's read I/O): a down log drops the
+// append and hands back its flushed boundary, which is not "covered".
 func appendCommitRecord(p *sim.Proc, node *DataNode, txn *cc.Txn) (uint64, bool) {
+	if node.Down() {
+		return 0, false
+	}
 	lsn := node.Log.Append(wal.Record{Txn: txn.ID, Type: wal.RecCommit})
 	node.Log.Flush(p, lsn)
 	return lsn, node.Log.FlushedLSN() >= lsn

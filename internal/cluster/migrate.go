@@ -410,17 +410,25 @@ func retryConflict(p *sim.Proc, err error) error {
 	return err
 }
 
+// snapshotsPast reports whether every snapshot, present or future, begins
+// above horizon — the old copies of a moved range are then unreachable. With
+// nothing active the watermark equals the oracle's clock, which can sit
+// exactly at the horizon forever on a quiesced cluster, yet any future
+// snapshot begins above it. Not so while a commit is unsettled: Begin caps
+// new snapshots below it, and a commit parked across its node's outage keeps
+// handing out snapshots at or below the horizon for as long as it parks.
+func (m *Master) snapshotsPast(horizon cc.Timestamp) bool {
+	o := m.Oracle
+	return o.ActiveCount() == 0 && o.UnsettledCount() == 0 || o.Watermark() > horizon
+}
+
 // scheduleOldPointerCleanup drops the dual pointer and vacuums the source
 // once every snapshot that could see the old copies has finished.
 func (m *Master) scheduleOldPointerCleanup(tm *TableMeta, e *RangeEntry) {
 	horizon := m.Oracle.Begin(cc.SnapshotIsolation)
 	m.Oracle.Abort(horizon) // only needed its timestamp
 	m.cluster.Env.Spawn("old-pointer-cleanup", func(p *sim.Proc) {
-		// With no transaction active the watermark equals the oracle's
-		// clock, which can sit exactly at the horizon forever on a
-		// quiesced cluster — and any future snapshot begins above it, so
-		// the old copies are unreachable either way.
-		for m.Oracle.ActiveCount() > 0 && m.Oracle.Watermark() <= horizon.Begin {
+		for !m.snapshotsPast(horizon.Begin) {
 			p.Sleep(time.Second)
 		}
 		// Read the source through the entry at fire time: a source-node
@@ -436,9 +444,7 @@ func (m *Master) scheduleOldPointerCleanup(tm *TableMeta, e *RangeEntry) {
 			// lost cleanup snapshot only resurrects a read-safe dual
 			// pointer).
 			m.clearOldPointer(tm.Schema.Name, e.Low, e.High)
-			if !m.down {
-				m.shipTable(p, tm.Schema.Name, false)
-			}
+			m.shipTable(p, tm.Schema.Name, false)
 		}
 		if src != nil {
 			src.Vacuum(p, m.Oracle.Watermark())
@@ -603,9 +609,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 		mover.Abort(p)
 		// Replicate the revert unforced; losing it resurrects read-safe
 		// dual pointers, nothing worse.
-		if m.rep != nil && !m.down {
-			m.shipTable(p, tm.Schema.Name, false)
-		}
+		m.shipTable(p, tm.Schema.Name, false)
 		return cause
 	}
 
@@ -702,18 +706,14 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// checkpoint already taken.
 	segID := h.Seg.ID
 	m.cluster.Env.Spawn("ghost-drop", func(gp *sim.Proc) {
-		// See old-pointer-cleanup: an idle oracle pins the watermark at the
-		// horizon, and no future snapshot can need the ghost.
-		for m.Oracle.ActiveCount() > 0 && m.Oracle.Watermark() <= horizon.Begin {
+		for !m.snapshotsPast(horizon.Begin) {
 			gp.Sleep(time.Second)
 		}
 		e.OldPart = nil
 		e.OldOwner = nil
 		if m.rep != nil {
 			m.clearOldPointer(tm.Schema.Name, e.Low, e.High)
-			if !m.down {
-				m.shipTable(gp, tm.Schema.Name, false)
-			}
+			m.shipTable(gp, tm.Schema.Name, false)
 		}
 		src.DropGhost(gp, segID)
 	})
@@ -721,9 +721,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// ghost: replicate the post-adoption state (unforced; a failover that
 	// misses it re-serves through the step-1 dual pointers, whose fallback
 	// still answers every key).
-	if m.rep != nil && !m.down {
-		m.shipTable(p, tm.Schema.Name, false)
-	}
+	m.shipTable(p, tm.Schema.Name, false)
 	return nil
 }
 

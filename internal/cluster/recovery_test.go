@@ -244,3 +244,25 @@ func TestRecoveredPartitionFencesOldSnapshots(t *testing.T) {
 }
 
 var _ = keycodec.Int64Key
+
+// TestCommitRecordOnDeadLogIsNotDurable pins appendCommitRecord's verdict
+// for a node that power-failed before the record was issued (the install
+// before it can return cleanly across a crash landing in its read I/O): the
+// dead log drops the append and returns its flushed boundary, which must not
+// be mistaken for a covered commit record — the session would park in the
+// replication wait, see the restart re-anchor the watermarks, and acknowledge
+// a transaction no log ever held.
+func TestCommitRecordOnDeadLogIsNotDurable(t *testing.T) {
+	tc := newTestCluster(t, table.Physiological, 2, 20)
+	defer tc.env.Close()
+	n := tc.c.Nodes[1]
+	tc.run(t, func(p *sim.Proc) {
+		n.Log.Flush(p, n.Log.Append(wal.Record{Type: wal.RecCheckpoint}))
+		txn := tc.c.Master.Oracle.Begin(cc.SnapshotIsolation)
+		tc.c.CrashNode(n)
+		if _, durable := appendCommitRecord(p, n, txn); durable {
+			t.Error("commit record issued against a power-failed log reported durable")
+		}
+		tc.c.Master.Oracle.Abort(txn)
+	})
+}

@@ -15,32 +15,41 @@ import (
 // Coordinator replication. With MasterReplicas > 0 the master stops being a
 // stable-metadata fiction: every coordinator mutation — catalog creation,
 // partition-table updates (including migration boundary advances), timestamp
-// leases, and commit decisions — is encoded as a master-state record,
-// appended to the leader's WAL, and synchronously shipped to the follower
-// replicas before it takes effect. A leader power failure fences the
-// coordinator, a follower replays its shipped log and takes over, and the
-// timestamp oracle resumes strictly above the replicated lease ceiling.
+// leases, and commit decisions — is encoded as a master-state record and
+// appended to the seated leader's own WAL. There it is just another shippable
+// frame of that node's replicated stream (datarep.go): it reaches the leader's
+// ship set through shipQueued, followers hold it inside ordinary RecShip
+// wrappers, a stale follower is healed by resyncFollower, a destroyed leader
+// disk gets it back from rebuildFromReplicas, and the scrubber repairs it
+// like any data frame. What stays here is what is coordinator-specific:
+// lease fencing, table-snapshot encode/apply, the epoch and grace window, the
+// election, and reconcile.
 //
-// Ack rule. Nothing is acknowledged on leader durability alone: a forced
-// master record counts as replicated only when at least one follower holds
-// it durably. A commit decision that cannot be replicated is retried —
-// across the failover if need be — so "ack iff decision durable" survives
-// the leader dying between the decision force and the participant acks.
+// Ack rule. A forced master record takes effect only once it is durable on
+// the leader AND on at least one in-sync follower (logMaster). A commit
+// decision that cannot be replicated is retried — across the failover if need
+// be — so "ack iff decision durable" survives the leader dying between the
+// decision force and the participant acks. Unforced records (acks, cleanup
+// snapshots) ride the ship queue; losing them is resurrection-safe.
 //
 // Sequence numbers. Master records carry a monotonically increasing
-// sequence in the Part field (replicas replay in sequence order, not local
-// LSN order — catch-up snapshots interleave with live ships). Elections
-// leave a gap above the highest replayed sequence so a record shipped by
-// the dying leader, racing the election onto one follower, sorts strictly
-// before everything the new leader writes.
+// sequence in the Part field, independent of LSNs: it survives a rebuild's
+// renumbering, so copies of a stream rank by it across generations, and
+// election replay orders by it. Elections leave a gap above the highest
+// replayed sequence so anything the dying leader wrote sorts strictly before
+// everything the new leader writes.
+//
+// Terms. A new leader opens its term by appending a full-state snapshot to
+// its own log, unforced; log flushes and ship batches are prefix-ordered, so
+// the first forced record of the term makes the snapshot durable with it —
+// and the oracle issues nothing before that first force (the lease grant).
+// Until then the term is not established: the previous established leader
+// stays the anchor, and its stream and ship set stay what an election reads.
 
 const (
 	// electionDelay models failure detection: how long after the leader's
 	// power failure a follower takes over.
 	electionDelay = 150 * time.Millisecond
-	// decisionRetryDelay paces a committing session's replication retries
-	// while the coordinator is fenced.
-	decisionRetryDelay = 50 * time.Millisecond
 	// coordWaitDelay paces restart-time coordinator queries against a
 	// fenced master.
 	coordWaitDelay = 250 * time.Millisecond
@@ -75,44 +84,32 @@ func (ErrMasterDown) Error() string {
 
 // masterRep is the replication state of the coordinator role.
 type masterRep struct {
-	group []int // replica-set node IDs, ascending; the leader is one of them
-	// current marks group members holding every replicated record; only
-	// they can receive ships, count toward durability, or win the fast
-	// election path. A crashed or ship-failed member drops out until the
-	// leader re-ships the full state (catchUp).
-	current map[int]bool
-	seq     uint64 // last master-state sequence number issued
+	seq uint64 // last master-state sequence number issued
+	// anchor is the last leader whose term was established (a forced record
+	// acked). It and its ship set hold every acknowledged coordinator record,
+	// so they are the electorate.
+	anchor *DataNode
 }
 
-func (r *masterRep) member(id int) bool {
-	for _, g := range r.group {
-		if g == id {
-			return true
-		}
-	}
-	return false
+// electorate returns the nodes whose disks can hold acknowledged coordinator
+// history: the anchor and its ship set.
+func (m *Master) electorate() []*DataNode {
+	a := m.rep.anchor
+	return append([]*DataNode{a}, m.cluster.followersOf(a.ID)...)
 }
 
 // EnableMasterReplication turns the coordinator into a replicated state
-// machine with the given number of follower replicas (nodes 1..replicas;
-// they are forced active — a replica must keep power). Setup-only: call
-// before the simulation starts and before tables are created, so the
-// bootstrap records replicate without charging virtual time.
-func (c *Cluster) EnableMasterReplication(replicas int) {
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(c.Nodes)-1 {
-		replicas = len(c.Nodes) - 1
-	}
+// machine whose records ship on the leader's data-replication stream (which
+// must be enabled first). Node 0 and its ship set are forced active — a
+// replica must keep power. Setup-only: call before the simulation starts and
+// before tables are created, so the bootstrap records replicate without
+// charging virtual time.
+func (c *Cluster) EnableMasterReplication() {
 	m := c.Master
-	r := &masterRep{current: make(map[int]bool)}
-	for id := 0; id <= replicas; id++ {
-		r.group = append(r.group, id)
-		r.current[id] = true
-		c.Nodes[id].HW.ForceActive()
+	m.rep = &masterRep{anchor: m.Node}
+	for _, n := range m.electorate() {
+		n.HW.ForceActive()
 	}
-	m.rep = r
 	if err := m.ensureLease(nil); err != nil {
 		panic(fmt.Sprintf("cluster: bootstrap lease replication failed: %v", err))
 	}
@@ -148,73 +145,44 @@ func (m *Master) SetLeaseChunk(n int) {
 	}
 }
 
-// logMaster appends rec to the leader's WAL and ships it to every current
-// follower, assigning the next state-machine sequence number. With force,
-// each follower's log is flushed and the leader's own log is forced too; the
-// record counts as replicated (return true) only if at least one follower
-// holds it durably. Without force the append is best-effort: the bytes ride
-// along with the follower's next group commit (a prefix-ordered log flush
-// covers them), and loss is tolerated because unforced records are
+// logMaster appends rec to the leader's WAL under the next state-machine
+// sequence number. Without force that is all: the frame rides the leader's
+// ship queue, and loss is tolerated because unforced records are
 // resurrection-safe (acks re-derive from participant logs, cleanup snapshots
-// merely retire read-safe dual pointers).
+// merely retire read-safe dual pointers). With force the record is flushed
+// locally, one forced ship pass delivers it, and it counts as replicated
+// (return true) only if an in-sync follower then holds it durably. Unlike
+// forceShip the call never waits for a follower to come back: Begin and
+// commitGate turn an unreachable ship set into ErrMasterDown, not a queue.
 //
-// p == nil is the setup path (cluster construction, table creation): no
-// simulation process exists yet, so transfers charge nothing and forces use
-// SetupFlush. A leader epoch change while a blocking call was in flight
-// aborts the ship — the caller is working for a coordinator seat that has
-// been re-elected.
+// p == nil with force is the setup path (cluster construction, table
+// creation): no simulation process exists yet, so delivery is synchronous
+// and free. A leader epoch change while a blocking call was in flight aborts
+// the ship — the caller works for a seat that has been re-elected.
 func (m *Master) logMaster(p *sim.Proc, rec wal.Record, force bool) bool {
 	r := m.rep
-	epoch := m.epoch
 	r.seq++
 	rec.Part = r.seq
 	leader := m.Node
 	lsn := leader.Log.Append(rec)
-	durable := 0
-	for _, id := range r.group {
-		n := m.cluster.Nodes[id]
-		if n == leader || n.Down() || !r.current[id] {
-			continue
-		}
-		if p != nil {
-			m.cluster.Net.Transfer(p, leader.ID, n.ID, rec.FrameSize())
-			if m.epoch != epoch {
-				return false
-			}
-			if n.Down() {
-				continue
-			}
-		}
-		flsn := n.Log.Append(rec)
-		if !force {
-			durable++
-			continue
-		}
-		if p != nil {
-			n.Log.Flush(p, flsn)
-			if m.epoch != epoch {
-				return false
-			}
-		} else {
-			n.Log.SetupFlush()
-		}
-		if !n.Down() && n.Log.FlushedLSN() >= flsn {
-			durable++
-		} else {
-			r.current[id] = false
+	if !force {
+		return true
+	}
+	c := m.cluster
+	if p == nil {
+		c.setupDrain(leader)
+	} else {
+		epoch := m.epoch
+		leader.Log.Flush(p, lsn)
+		if m.epoch != epoch || !c.shipQueued(p, leader, true) || m.epoch != epoch {
+			return false
 		}
 	}
-	if force {
-		if p != nil {
-			leader.Log.Flush(p, lsn)
-			if m.epoch != epoch {
-				return false
-			}
-		} else {
-			leader.Log.SetupFlush()
-		}
+	if !c.replicaDurable(leader, lsn) {
+		return false
 	}
-	return durable >= 1
+	r.anchor = leader
+	return true
 }
 
 // ensureLease keeps the oracle's replicated lease ahead of consumption:
@@ -245,9 +213,10 @@ func (m *Master) ensureLease(p *sim.Proc) error {
 	return nil
 }
 
-// commitGate is checked before a commit timestamp is issued: the coordinator
-// must be seated and hold lease headroom. Failing here is safe — nothing of
-// the transaction is visible yet, so the caller aborts cleanly.
+// commitGate is checked before the oracle issues a begin or a commit
+// timestamp: the coordinator must be seated and hold lease headroom. Failing
+// here is safe — nothing of the transaction is visible yet, so the caller
+// aborts cleanly.
 func (m *Master) commitGate(p *sim.Proc) error {
 	if m.rep == nil {
 		return nil
@@ -306,12 +275,13 @@ func (m *Master) tableRecord(name string) wal.Record {
 }
 
 // shipTable replicates a table's current snapshot. No-op without
-// replication; returns false when a forced ship reached no follower.
+// replication; returns false when the coordinator is fenced or a forced ship
+// reached no follower.
 func (m *Master) shipTable(p *sim.Proc, name string, force bool) bool {
 	if m.rep == nil {
 		return true
 	}
-	return m.logMaster(p, m.tableRecord(name), force)
+	return !m.down && m.logMaster(p, m.tableRecord(name), force)
 }
 
 // clearOldPointer retires the old-location pointer of the current entry
@@ -403,104 +373,97 @@ func (m *Master) leaderDown() {
 	m.epoch++
 	m.cluster.Env.Spawn("master-election", func(p *sim.Proc) {
 		p.Sleep(electionDelay)
-		if m.down {
-			m.tryElect(nil)
-		}
+		m.tryElect()
 	})
 }
 
-// tryElect seats a new leader if a safe candidate exists. reviving, when
-// non-nil, is a group member currently inside RestartNode (its crashed flag
-// still set, its durable log already recovered) — it counts as live.
-// Preference order: the lowest-ID live current follower (guaranteed to hold
-// every replicated record, appended synchronously and — for forced records
-// — flushed). With no current follower alive, a strict majority of the
-// replica group may elect the live member with the highest durable
-// sequence: every acknowledged record is durable on at least one follower,
-// members only rejoin through full-state catch-up, so durable sequence
-// order implies state completeness. Without a majority the coordinator
-// stays fenced. Non-blocking; charges nothing (like restart-time log
-// analysis).
-func (m *Master) tryElect(reviving *DataNode) {
+// masterCopy reads the replicated coordinator records of the anchor's stream
+// that n's disk holds — n's own log if it is the anchor, else the durable
+// wrappers it keeps as the anchor's follower — and their highest sequence.
+// held is false when n holds no part of the stream at all. The scans are
+// per-frame, so a rotted frame the scrubber has not reached yet cannot hide
+// the records behind it.
+func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held bool) {
+	add := func(rec *wal.Record) {
+		if wal.MasterRecord(rec) {
+			recs = append(recs, *rec)
+			maxSeq = max(maxSeq, rec.Part)
+		}
+	}
+	if n == m.rep.anchor {
+		n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+			add(rec)
+			return true
+		})
+		return recs, maxSeq, true
+	}
+	frames, _, _ := durableShippedFrames(n, m.rep.anchor.ID)
+	for _, frame := range frames {
+		if rec, err := wal.DecodeFrame(frame); err == nil {
+			add(&rec)
+		}
+	}
+	return recs, maxSeq, len(frames) > 0
+}
+
+// tryElect seats a new leader if the coordinator is fenced and a safe
+// candidate exists. A node inside RestartNode whose durable log is already
+// recovered or rebuilt (reviving) counts as live.
+//
+// The electorate is the anchor and its ship set, and their copies of the
+// anchor's stream are all an election reads: the stream opens each of the
+// anchor's terms with a full snapshot, and a later, never established term
+// acknowledged nothing. Every acknowledged record is durable on the anchor
+// (it flushes locally before it ships) and on at least one follower, whose
+// durable copy is a prefix of the stream. So the live copies include a
+// complete one when the anchor is among them or every follower is, and the
+// one with the highest sequence is it. A follower counts only if it holds
+// part of the stream: one wiped and not yet resynced could otherwise stand
+// in for the follower that held the record. Failing that the coordinator
+// stays fenced until more of the electorate restarts. Non-blocking; charges
+// nothing (like restart-time log analysis).
+func (m *Master) tryElect() {
 	r := m.rep
 	if r == nil || !m.down {
 		return
 	}
-	alive := func(n *DataNode) bool { return n == reviving || !n.Down() }
-	for _, id := range r.group {
-		if n := m.cluster.Nodes[id]; r.current[id] && alive(n) {
-			m.electFrom(n)
-			return
+	group := m.electorate()
+	var best *DataNode
+	var bestRecs []wal.Record
+	var bestSeq uint64
+	copies := 0 // live follower copies; the anchor's own stands for all of them
+	for _, n := range group {
+		if n.crashed && !n.reviving {
+			continue
+		}
+		recs, seq, held := m.masterCopy(n)
+		if !held {
+			continue
+		}
+		if copies++; n == r.anchor {
+			copies = len(group)
+		}
+		if best == nil || seq > bestSeq {
+			best, bestRecs, bestSeq = n, recs, seq
 		}
 	}
-	var live []*DataNode
-	for _, id := range r.group {
-		if n := m.cluster.Nodes[id]; alive(n) {
-			live = append(live, n)
-		}
+	if copies < len(group)-1 {
+		return
 	}
-	if len(live)*2 <= len(r.group) {
-		return // no majority: stay fenced until more replicas restart
-	}
-	best, bestSeq := live[0], maxMasterSeq(live[0])
-	for _, n := range live[1:] {
-		if s := maxMasterSeq(n); s > bestSeq {
-			best, bestSeq = n, s
-		}
-	}
-	m.electFrom(best)
+	m.electFrom(best, bestRecs, bestSeq)
 }
 
-// maxMasterSeq returns the highest master-state sequence in n's log
-// (election comparison; a crashed candidate has been through Log.Restart,
-// so the scan covers exactly its durable records). The scan is per-frame
-// so a rotted acked data frame the scrubber has not reached yet cannot
-// hide the master records appended after it.
-func maxMasterSeq(n *DataNode) uint64 {
-	var max uint64
-	n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		switch rec.Type {
-		case wal.RecMState, wal.RecMLease, wal.RecMAck:
-		case wal.RecDecision:
-			if rec.After == nil {
-				return true
-			}
-		default:
-			return true
-		}
-		if rec.Part > max {
-			max = rec.Part
-		}
-		return true
-	})
-	return max
-}
-
-// electFrom rebuilds the coordinator state machine from candidate's log and
-// seats it as leader, in place: the Master object and its Oracle pointer
-// stay stable (sessions, node dependencies, and harnesses hold them). The
-// catalog and partition tables are replayed from the replicated snapshots
+// electFrom rebuilds the coordinator state machine from recs — candidate's
+// copy of the replicated history, whose highest sequence is maxSeq — and
+// seats candidate as leader, in place: the Master object and its Oracle
+// pointer stay stable (sessions, node dependencies, and harnesses hold them).
+// The catalog and partition tables are replayed from the replicated snapshots
 // in sequence order, the decision map from decision/ack records, and the
 // oracle resumes at the replicated lease ceiling — strictly above anything
 // the old leader issued. Non-blocking: routing flips in one instant.
-func (m *Master) electFrom(candidate *DataNode) {
+func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64) {
 	r := m.rep
-	var recs []wal.Record
-	// Per-frame scan: a live candidate may carry a bit-rotted acked data
-	// frame the scrubber has not repaired yet; the master records past it
-	// must still be replayed.
-	candidate.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		switch rec.Type {
-		case wal.RecMState, wal.RecMLease, wal.RecMAck:
-			recs = append(recs, *rec)
-		case wal.RecDecision:
-			if rec.After != nil { // replicated decisions carry participants
-				recs = append(recs, *rec)
-			}
-		}
-		return true
-	})
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Part < recs[j].Part })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Part < recs[j].Part })
 	m.tables = make(map[string]*TableMeta)
 	// The decision map is NOT reset: every in-memory ack corresponds to a
 	// participant branch durably closed (commit record or roll-forward
@@ -510,12 +473,8 @@ func (m *Master) electFrom(candidate *DataNode) {
 	// and restarting participants must be told to roll forward, not to
 	// presume abort. Replay below only adds decisions this Master never saw.
 	var lease cc.Timestamp
-	var maxSeq uint64
 	for i := range recs {
 		rec := &recs[i]
-		if rec.Part > maxSeq {
-			maxSeq = rec.Part
-		}
 		switch rec.Type {
 		case wal.RecMState:
 			if st, err := wal.DecodeMasterTable(rec.After); err == nil {
@@ -547,22 +506,17 @@ func (m *Master) electFrom(candidate *DataNode) {
 			}
 		}
 	}
-	r.seq = maxSeq + seqEpochGap
-	// Live current followers hold everything the candidate holds (ships
-	// append to all of them synchronously); down members must catch up.
-	cur := map[int]bool{candidate.ID: true}
-	for _, id := range r.group {
-		if r.current[id] && !m.cluster.Nodes[id].Down() {
-			cur[id] = true
-		}
-	}
-	r.current = cur
+	// Never below what this seat already issued: a never-established term
+	// left records on its leader's log that no copy of the anchor's stream
+	// shows, and sequences must stay unique.
+	r.seq = max(r.seq, maxSeq) + seqEpochGap
 	m.Node = candidate
 	m.Oracle.Failover(lease)
 	m.down = false
 	m.epoch++
 	m.failovers++
 	m.graceUntil = m.cluster.Env.Now() + failoverGrace
+	m.logSnapshot()
 	m.reconcile()
 }
 
@@ -668,18 +622,12 @@ func (m *Master) outstandingDecisionsFor(node int) []cc.TxnID {
 	return out
 }
 
-// catchUp re-ships the full coordinator state to a stale follower: fresh
-// snapshot records under new sequence numbers, appended to the leader's log
-// too (a future election must see them on whichever replica serves it).
-// The follower is marked current the instant the appends land — log flushes
-// are prefix-ordered, so any later forced record makes this prefix durable
-// before it can count as replicated.
-func (m *Master) catchUp(p *sim.Proc, n *DataNode) {
-	r := m.rep
-	if r == nil || n == m.Node {
-		return
-	}
-	epoch := m.epoch
+// logSnapshot opens a term: it appends the coordinator's full current state
+// to the new leader's log, unforced — one snapshot per table, every
+// remembered decision with its outstanding participants, and the lease
+// ceiling, in deterministic order. It is one non-blocking burst of appends,
+// so every flush and every ship batch carries it whole or not at all.
+func (m *Master) logSnapshot() {
 	names := make([]string, 0, len(m.tables))
 	for name := range m.tables {
 		names = append(names, name)
@@ -705,24 +653,7 @@ func (m *Master) catchUp(p *sim.Proc, n *DataNode) {
 			After: wal.EncodeMasterParticipants(nil, nodes)})
 	}
 	recs = append(recs, wal.Record{Type: wal.RecMLease, TS: m.Oracle.Leased()})
-	leader := m.Node
-	var leaderLSN, followerLSN uint64
-	var bytes int64
-	for i := range recs {
-		r.seq++
-		recs[i].Part = r.seq
-		leaderLSN = leader.Log.Append(recs[i])
-		followerLSN = n.Log.Append(recs[i])
-		bytes += recs[i].FrameSize()
+	for _, rec := range recs {
+		m.logMaster(nil, rec, false)
 	}
-	r.current[n.ID] = true
-	m.cluster.Net.Transfer(p, leader.ID, n.ID, bytes)
-	if m.epoch != epoch || n.Down() {
-		return
-	}
-	n.Log.Flush(p, followerLSN)
-	if m.epoch != epoch || leader.Down() {
-		return
-	}
-	leader.Log.Flush(p, leaderLSN)
 }

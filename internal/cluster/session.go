@@ -50,14 +50,12 @@ type Session struct {
 // or lock, keeping transaction setup map-free (TestSessionSetupAllocs pins
 // this).
 func (m *Master) Begin(p *sim.Proc, mode cc.Mode, home *DataNode) *Session {
-	if m.rep != nil {
-		// A fenced coordinator (or one whose lease cannot replicate) admits
-		// no new transactions: the session is born aborted and the caller
-		// sees ErrMasterDown on every operation — the modeled unavailability
-		// window of a master failover.
-		if m.down || m.Node.Down() || m.ensureLease(p) != nil {
-			return &Session{m: m, Txn: &cc.Txn{Mode: mode, State: cc.TxnAborted}, Home: home, fenced: true}
-		}
+	// A fenced coordinator (or one whose lease cannot replicate) admits no
+	// new transactions: the session is born aborted and the caller sees
+	// ErrMasterDown on every operation — the modeled unavailability window
+	// of a master failover.
+	if m.commitGate(p) != nil {
+		return &Session{m: m, Txn: &cc.Txn{Mode: mode, State: cc.TxnAborted}, Home: home, fenced: true}
 	}
 	if home != m.Node {
 		m.cluster.Net.Transfer(p, home.ID, m.Node.ID, 32)
@@ -529,6 +527,19 @@ func (s *Session) Commit(p *sim.Proc) error {
 	// aborts, and prepared branches roll back on restart.
 	if err := s.m.commitGate(p); err != nil {
 		return err
+	}
+	// Phase 1 and the gate can park for a long time (a prepare's forceShip
+	// waits out follower outages). A participant that crashed AND restarted
+	// meanwhile found its prepared branch undecided and presumed abort, so
+	// deciding commit now would acknowledge a transaction one branch of which
+	// is durably rolled back. No decision exists yet — aborting is still
+	// legal — and nothing blocks between this check and recordDecision.
+	for _, node := range ordered {
+		for _, pt := range nodes[node] {
+			if pt.Failed() {
+				return table.ErrPartitionDown{Part: pt.ID}
+			}
+		}
 	}
 	commitTS := s.m.Oracle.CommitTS(s.Txn)
 	// The commit timestamp exists but its frames are not yet on replicas:

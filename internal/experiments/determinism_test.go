@@ -53,3 +53,20 @@ func TestFig1Deterministic(t *testing.T) {
 		t.Errorf("fig1 differs between same-seed runs:\nrun1: %+v\nrun2: %+v", r1, r2)
 	}
 }
+
+// TestFig3Deterministic pins the MVCC-vs-locking study, locking-mode column
+// included: identical seeds must reproduce the exact throughput and storage
+// numbers.
+func TestFig3Deterministic(t *testing.T) {
+	r1, err := Fig3(150, []int{0, 100}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Fig3(150, []int{0, 100}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Errorf("fig3 differs between same-seed runs:\nrun1: %+v\nrun2: %+v", r1, r2)
+	}
+}

@@ -532,20 +532,6 @@ func (l *Log) CheckFlushed() []uint64 {
 	return bad
 }
 
-// FrameBytes returns a copy of the raw frame stored at lsn (nil when the
-// record is not retained). The replication layer ships exactly these bytes.
-func (l *Log) FrameBytes(lsn uint64) []byte {
-	s, idx := l.locate(lsn)
-	if s == nil {
-		return nil
-	}
-	start := 0
-	if idx > 0 {
-		start = s.ends[idx-1]
-	}
-	return append([]byte{}, s.buf[start:s.ends[idx]]...)
-}
-
 // PatchFrame overwrites the frame stored at lsn with frame — the scrubber's
 // repair path, fed with the replica's copy of the original bytes. The patch
 // is refused unless frame is exactly the right length and decodes to a valid
@@ -573,12 +559,12 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 // FlipFlushedBit flips one bit inside the payload of a durable, shippable
 // frame (chaos fault injection: bit rot in acked history, not the unflushed
 // tail Crash already damages). pick deterministically selects the victim
-// frame and the bit. Master-state and ship-wrapper frames are skipped — rot
-// there is equivalent to rot on a replica's copy of data history, which the
-// data-frame case already exercises. A non-nil eligible predicate further
-// restricts the candidates (the chaos harness limits rot to frames with a
-// surviving replica copy, since rotting the last copy models unrecoverable
-// media loss beyond the redundancy budget, not scrubber-repairable decay).
+// frame and the bit. Ship-wrapper and checkpoint frames are skipped — no
+// replica holds a copy to repair them from. A non-nil eligible predicate
+// further restricts the candidates (the chaos harness limits rot to frames
+// with a surviving replica copy, since rotting the last copy models
+// unrecoverable media loss beyond the redundancy budget, not
+// scrubber-repairable decay).
 // Returns the damaged LSN, or 0 when the log holds no candidate.
 func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 	type cand struct {
@@ -599,7 +585,7 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 				break
 			}
 			rec, _, err := decodeFrame(frame)
-			if err != nil || !Shippable(rec.Type) {
+			if err != nil || !Shippable(&rec) {
 				continue // already damaged, or a frame no replica holds
 			}
 			if eligible != nil && !eligible(lsn) {
@@ -656,20 +642,29 @@ func (l *Log) locate(lsn uint64) (*logSegment, int) {
 	return nil, 0
 }
 
-// Shippable reports whether a record type belongs to the node's replicated
-// data stream. Master-state records replicate through the coordinator's own
-// protocol, ship wrappers are follower-local bookkeeping — forwarding either
-// would nest the streams — and checkpoint records (begin/end) describe this
-// log's local truncation state: a replica rebuilds from the full shipped
-// history and never needs them, and shipping them would let a rebuilt log
-// carry checkpoint payloads whose LSNs dangle after renumbering.
-func Shippable(t RecType) bool {
-	switch t {
-	case RecMState, RecMLease, RecMAck, RecDecision, RecShip,
-		RecCkptBegin, RecCkptEnd:
+// MasterRecord reports whether rec is a replicated coordinator record: Part
+// carries a master-state sequence number and election replay applies it. A
+// decision without a participant list is the unreplicated coordinator's local
+// form, whose verdicts live in stable metadata.
+func MasterRecord(rec *Record) bool {
+	switch rec.Type {
+	case RecMState, RecMLease, RecMAck:
+		return true
+	}
+	return rec.Type == RecDecision && rec.After != nil
+}
+
+// Shippable reports whether rec belongs to the node's replicated stream.
+// Ship wrappers are follower-local bookkeeping (forwarding them would nest
+// the streams) and checkpoint records describe this log's local truncation
+// state: a rebuilt log replays full history, and their LSNs would dangle
+// after renumbering.
+func Shippable(rec *Record) bool {
+	switch rec.Type {
+	case RecShip, RecCkptBegin, RecCkptEnd:
 		return false
 	}
-	return true
+	return rec.Type != RecDecision || MasterRecord(rec)
 }
 
 // Down reports whether the log's node is power-failed.
