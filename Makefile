@@ -9,7 +9,10 @@ BENCH_NEW      ?= bench-new.txt
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25
 
-.PHONY: all build test test-race vet loc chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
+# Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
+PAIRS ?= 10
+
+.PHONY: all build test test-race vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
 
 all: check
 
@@ -36,6 +39,16 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort | \
 		xargs awk '!/^[ \t]*(\/\/|$$)/ { d = FILENAME; sub("/[^/]*$$", "", d); n[d]++; t++ } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+## ledger-pair: measure the working tree against PARENT (any git revision)
+## with the benchmark ledger — PAIRS alternating pairs of `bash bench/run.sh
+## -repeat 1` on the two trees (PARENT lives in a git worktree under
+## .bench_build/parent for the duration), then per workload and metric each
+## side's median and quartiles, pairs won, and the ledger's -compare verdicts.
+## Result files stay in .bench_build/pair/. About 3 minutes per pair.
+ledger-pair:
+	@test -n "$(PARENT)" || { echo "usage: make ledger-pair PARENT=<rev> [PAIRS=10]"; exit 2; }
+	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -pairs $(PAIRS)
 
 ## chaos: sweep the deterministic fault-injection harness over SEEDS seeds
 ## (schemes rotate per seed); any failing seed prints a one-line repro

@@ -154,6 +154,17 @@ func (o *Oracle) CommitTS(t *Txn) Timestamp {
 	return t.Commit
 }
 
+// EndReadOnly ends a transaction that wrote nothing and holds no locks: it
+// leaves the active set (the GC watermark stops protecting its snapshot) and
+// counts as committed at its own snapshot. No timestamp is issued — there is
+// no version for one to stamp — so the call needs neither the lease nor a
+// seated coordinator.
+func (o *Oracle) EndReadOnly(t *Txn) {
+	t.Commit = t.Begin
+	t.State = TxnCommitted
+	delete(o.active, t.ID)
+}
+
 // SettleCommit seals t's fate as durably committed: its commit record (and,
 // under replication, a replica copy) can no longer be lost to a crash, so new
 // snapshots may cover its commit timestamp. Callers invoke it exactly at

@@ -1,0 +1,436 @@
+package cluster
+
+import (
+	"errors"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"wattdb/internal/cc"
+	"wattdb/internal/sim"
+	"wattdb/internal/table"
+	"wattdb/internal/wal"
+)
+
+// remoteCommitTime runs the indoubtWorld transaction (one key on node 1, one
+// on node 2) from node 0 — both participants remote, nothing replicated —
+// with the given extra service time on each participant's log disk, and
+// returns how long Commit took.
+func remoteCommitTime(t *testing.T, stall1, stall2 time.Duration) time.Duration {
+	t.Helper()
+	w := newIndoubtWorld(t)
+	defer w.env.Close()
+	w.n1.HW.LogDisk().SetStall(stall1)
+	w.n2.HW.LogDisk().SetStall(stall2)
+	var took time.Duration
+	w.env.Spawn("commit", func(p *sim.Proc) {
+		s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.c.Nodes[0])
+		for _, k := range []int64{idLeft, idRight} {
+			payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+			if err := s.Put(p, "kv", ik(k), payload); err != nil {
+				t.Errorf("put %d: %v", k, err)
+				return
+			}
+		}
+		start := p.Now()
+		if err := s.Commit(p); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+		took = p.Now() - start
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return took
+}
+
+// TestTwoPhaseBranchesOverlap pins the concurrent participant legs of a
+// distributed commit: with two remote participants each phase costs its
+// slower leg, not the sum of both.
+func TestTwoPhaseBranchesOverlap(t *testing.T) {
+	// What the same commit took when both phases walked the participants one
+	// after the other (measured at the commit before the legs went parallel).
+	const serial = 12765928 * time.Nanosecond
+	plain := remoteCommitTime(t, 0, 0)
+	if limit := serial * 65 / 100; plain > limit {
+		t.Fatalf("commit over two remote participants took %v, want <= %v (0.65 x the serial %v)", plain, limit, serial)
+	}
+	// Slow down the log disk of one participant, of the other, of both: the
+	// slowed legs overlap, so slowing both costs no more than slowing one.
+	const stall = 2 * time.Millisecond
+	slow1 := remoteCommitTime(t, stall, 0)
+	slow2 := remoteCommitTime(t, 0, stall)
+	both := remoteCommitTime(t, stall, stall)
+	if slow1 <= plain || slow2 <= plain {
+		t.Fatalf("a slower participant did not slow the commit: plain %v, node 1 slow %v, node 2 slow %v", plain, slow1, slow2)
+	}
+	slower := slow1
+	if slow2 > slower {
+		slower = slow2
+	}
+	if both != slower {
+		t.Fatalf("both participants slow: commit took %v, want the slower leg's %v (the sum would be %v)",
+			both, slower, slow1+slow2-plain)
+	}
+}
+
+// shippedAt polls follower f's log every 10 us and returns when its tail
+// first moved past from — the instant a shipped batch landed there.
+func shippedAt(env *sim.Env, f *DataNode, from uint64, at *time.Duration) {
+	env.Spawn("watch", func(p *sim.Proc) {
+		for i := 0; i < 10000 && *at == 0; i++ {
+			if f.Log.TailLSN() > from {
+				*at = p.Now()
+				return
+			}
+			p.Sleep(10 * time.Microsecond)
+		}
+	})
+}
+
+// TestForcedShipLandsOnAllFollowersAtOnce pins the one-to-many delivery of a
+// forced pass: both live followers hold the batch at the same simulated
+// instant, one propagation delay after the copies left the origin's uplink,
+// and exactly one follower log is force-flushed.
+func TestForcedShipLandsOnAllFollowersAtOnce(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	var at1, at2 time.Duration
+	tc.run(t, func(p *sim.Proc) {
+		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		origin.Log.Flush(p, lsn)
+		flushes1, flushes2 := f1.Log.Flushes, f2.Log.Flushes
+		shippedAt(tc.env, f1, f1.Log.TailLSN(), &at1)
+		shippedAt(tc.env, f2, f2.Log.TailLSN(), &at2)
+		start := p.Now()
+		if !c.shipQueued(p, origin, true) {
+			t.Fatal("origin reported dead")
+		}
+		if f1.stores[0].maxLSN != lsn || f2.stores[0].maxLSN != lsn {
+			t.Fatalf("applied through %d and %d, want %d on both followers", f1.stores[0].maxLSN, f2.stores[0].maxLSN, lsn)
+		}
+		if got1, got2 := f1.Log.Flushes-flushes1, f2.Log.Flushes-flushes2; got1 != 1 || got2 != 0 {
+			t.Fatalf("forced pass flushed follower 1 %d times and follower 2 %d times, want 1 and 0", got1, got2)
+		}
+		if !c.replicaDurable(origin, lsn) || origin.ship.durable[f1.ID] < lsn {
+			t.Fatalf("frame %d not replica-durable after the forced pass", lsn)
+		}
+		if len(origin.ship.queue) != 0 {
+			t.Fatalf("%d frames still queued", len(origin.ship.queue))
+		}
+		// Two copies on the uplink, one latency: well under two transfers.
+		if sent := at1 - start; sent >= 2*c.Cal.NetLatency {
+			t.Fatalf("batch landed %v after the pass began: paid a latency per follower", sent)
+		}
+	})
+	if at1 == 0 || at1 != at2 {
+		t.Fatalf("batch landed on follower 1 at %v and on follower 2 at %v, want one instant", at1, at2)
+	}
+}
+
+// TestForcedShipFollowerCrashMidSend: a follower that power-fails while the
+// batch is on the wire is marked stale; its sibling receives, flushes and
+// acks, so the forced pass still makes the frames replica-durable.
+func TestForcedShipFollowerCrashMidSend(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	tc.run(t, func(p *sim.Proc) {
+		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		origin.Log.Flush(p, lsn)
+		flushes2 := f2.Log.Flushes
+		tc.env.After(c.Cal.NetLatency/2, func() { c.CrashNode(f1) })
+		if !c.shipQueued(p, origin, true) {
+			t.Fatal("origin reported dead")
+		}
+		if !origin.ship.stale[f1.ID] {
+			t.Fatal("follower that crashed during the send is not marked stale")
+		}
+		if origin.ship.stale[f2.ID] || origin.ship.durable[f2.ID] < lsn || f2.Log.Flushes != flushes2+1 {
+			t.Fatalf("surviving follower: stale=%v durable=%d (want >= %d) flushes=+%d (want +1)",
+				origin.ship.stale[f2.ID], origin.ship.durable[f2.ID], lsn, f2.Log.Flushes-flushes2)
+		}
+		if !c.replicaDurable(origin, lsn) {
+			t.Fatal("frame not replica-durable although one follower acked")
+		}
+	})
+}
+
+// TestForceShipTargetOnUnshippedFrame: a forced waiter's target is the
+// origin's flushed boundary whenever other transactions have appended above
+// it, and the record sitting at the boundary may be one that never ships (here
+// a wrapper of the stream this node follows). The pass that delivers
+// everything below the boundary must satisfy the waiter — it used to leave the
+// follower's watermark one frame short of the target and cost a retry sleep.
+func TestForceShipTargetOnUnshippedFrame(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin := c.Nodes[1]      // follows node 0
+	done := false
+	tc.env.Spawn("test", func(p *sim.Proc) {
+		own := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		// Node 0 ships a frame to node 1: a RecShip wrapper lands on node 1's
+		// log above its own frame and is flushed with it.
+		l0 := c.Nodes[0].Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
+		c.Nodes[0].Log.Flush(p, l0)
+		if !c.shipQueued(p, c.Nodes[0], true) {
+			t.Error("node 0 reported dead")
+			return
+		}
+		// Someone else's frame, appended and not flushed: it lifts
+		// lastShippable above the boundary, so the boundary is the target.
+		other := origin.Log.Append(wal.Record{Txn: 1 << 42, Type: wal.RecAbort})
+		if fl := origin.Log.FlushedLSN(); fl <= own || fl >= other {
+			t.Errorf("setup: flushed boundary %d is not between the node's frames %d and %d", fl, own, other)
+			return
+		}
+		start := p.Now()
+		if !c.forceShip(p, origin) {
+			t.Error("origin reported dead")
+		}
+		if took := p.Now() - start; took >= shipRetryDelay {
+			t.Errorf("forceShip took %v: the pass did not satisfy a target on an unshipped frame", took)
+		}
+		if !c.replicaDurable(origin, own) {
+			t.Errorf("the node's own frame %d is not replica-durable", own)
+		}
+		done = true
+	})
+	// Bounded: the one-frame-short watermark made this wait retry forever.
+	if err := tc.env.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("forceShip still waiting after 1 s")
+	}
+}
+
+// TestFollowerForPrefersHomeCopy pins the cheapest-eligible-copy rule for
+// snapshot reads. Node 0 owns the low keys; its replica set is nodes 1 and 2.
+func TestFollowerForPrefersHomeCopy(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	tc.run(t, func(p *sim.Proc) {
+		e, err := tc.tm.Route(ik(10))
+		if err != nil || e.Owner != c.Nodes[0] {
+			t.Fatalf("route: owner %v err %v", e.Owner, err)
+		}
+		picks := func(home *DataNode, prefer bool) []int {
+			s := c.Master.Begin(p, cc.SnapshotIsolation, home)
+			defer s.Abort(p)
+			s.PreferFollower = prefer
+			var out []int
+			for i := 0; i < 6; i++ {
+				if f := s.followerFor(e); f != nil {
+					out = append(out, f.ID)
+				} else {
+					out = append(out, -1) // the owner
+				}
+			}
+			return out
+		}
+		for _, tt := range []struct {
+			name   string
+			home   int
+			prefer bool
+			want   []int
+		}{
+			{"owner at home: never a replica", 0, false, []int{-1, -1, -1, -1, -1, -1}},
+			{"owner at home, follower hint: a replica, none is local", 0, true, []int{1, 1, 1, 1, 1, 1}},
+			{"replica at home: always that replica", 2, false, []int{2, 2, 2, 2, 2, 2}},
+			{"replica at home, follower hint: the home store first", 2, true, []int{2, 2, 2, 2, 2, 2}},
+			{"every copy remote: replica and owner alternate", 3, false, []int{1, -1, 1, -1, 1, -1}},
+			{"every copy remote, follower hint: always a replica", 3, true, []int{1, 1, 1, 1, 1, 1}},
+		} {
+			if got := picks(c.Nodes[tt.home], tt.prefer); !equalInts(got, tt.want) {
+				t.Errorf("%s: home %d picked %v, want %v", tt.name, tt.home, got, tt.want)
+			}
+		}
+		// The safety gates outrank locality: a commit in flight below the
+		// snapshot sends even the home replica's reader to the owner.
+		c.drep.addInflight(0, cc.TxnID(1<<30), 1)
+		if got := picks(c.Nodes[2], false); !equalInts(got, []int{-1, -1, -1, -1, -1, -1}) {
+			t.Errorf("inflight commit below the snapshot: home replica picked %v, want the owner every time", got)
+		}
+		c.drep.delInflight(0, cc.TxnID(1<<30))
+		// A read served by the home store sends nothing.
+		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[2])
+		msgs, reads := c.Net.Messages(2), c.drep.FollowerReads
+		if _, ok, err := s.Get(p, "kv", ik(10)); err != nil || !ok {
+			t.Fatalf("get: ok=%v err=%v", ok, err)
+		}
+		if c.drep.FollowerReads != reads+1 || c.Net.Messages(2) != msgs {
+			t.Errorf("home-replica read: follower reads +%d, messages +%d; want +1 and +0",
+				c.drep.FollowerReads-reads, c.Net.Messages(2)-msgs)
+		}
+		s.Abort(p)
+	})
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReadOnlyCommitStaysLocal: a snapshot transaction that wrote nothing and
+// locked nothing ends at its home node — no message to the master, no commit
+// timestamp — and one that began before the coordinator was fenced still
+// commits during the fence: its reads succeeded, nothing is left to refuse.
+func TestReadOnlyCommitStaysLocal(t *testing.T) {
+	w := newFailoverWorld(t, 300)
+	defer w.env.Close()
+	c := w.c
+	leader := c.Nodes[0]
+	w.env.Spawn("reader", func(p *sim.Proc) {
+		// OrderStatus / StockLevel shape: a few gets and a scan, then commit.
+		read := func(s *Session) {
+			if _, _, err := s.Get(p, "kv", ik(1)); err != nil {
+				t.Errorf("get: %v", err)
+			}
+			if err := s.Scan(p, "kv", ik(0), ik(50), func(k, v []byte) bool { return true }); err != nil {
+				t.Errorf("scan: %v", err)
+			}
+		}
+		s := c.Master.Begin(p, cc.SnapshotIsolation, w.data)
+		read(s)
+		var before int64
+		for _, n := range c.Nodes {
+			before += c.Net.Messages(n.ID)
+		}
+		clock, active := c.Master.Oracle.Clock(), c.Master.Oracle.ActiveCount()
+		start := p.Now()
+		if err := s.Commit(p); err != nil {
+			t.Fatalf("read-only commit: %v", err)
+		}
+		var after int64
+		for _, n := range c.Nodes {
+			after += c.Net.Messages(n.ID)
+		}
+		if after != before || p.Now() != start {
+			t.Errorf("read-only commit sent %d messages and took %v, want none and no time", after-before, p.Now()-start)
+		}
+		if c.Master.Oracle.Clock() != clock {
+			t.Errorf("read-only commit burnt a timestamp: clock %d -> %d", clock, c.Master.Oracle.Clock())
+		}
+		if c.Master.Oracle.ActiveCount() != active-1 || s.Txn.State != cc.TxnCommitted {
+			t.Errorf("read-only commit left the transaction registered: active %d -> %d, state %v",
+				active, c.Master.Oracle.ActiveCount(), s.Txn.State)
+		}
+		if err := s.Commit(p); !errors.Is(err, cc.ErrTxnNotActive) {
+			t.Errorf("second commit: %v, want ErrTxnNotActive", err)
+		}
+
+		// Begun before the leader dies, committed while the seat is empty.
+		s = c.Master.Begin(p, cc.SnapshotIsolation, w.data)
+		read(s)
+		c.CrashNode(leader)
+		if !c.Master.Fenced() {
+			t.Fatal("setup: crashing the leader did not fence the coordinator")
+		}
+		if err := s.Commit(p); err != nil {
+			t.Errorf("read-only commit during the fence: %v", err)
+		}
+		// A writer in the same position is refused.
+		if fenced := c.Master.Begin(p, cc.SnapshotIsolation, w.data); fenced.Txn.Active() {
+			t.Error("a transaction begun during the fence is active")
+		}
+	})
+	if err := w.env.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSingleOwnerCommitAllocs pins the one-participant commit path (every
+// touched partition on one node — the common case): no participant map, no
+// node list, no sort closures — the commit's own bookkeeping is the branch, its
+// partition list and the lock-release list. A begin / put / commit cycle cost
+// 37 allocations here when participants were grouped through a map and four
+// sort.Slice calls.
+func TestSingleOwnerCommitAllocs(t *testing.T) {
+	tc := newTestCluster(t, table.Physiological, 2, 100)
+	defer tc.env.Close()
+	master := tc.c.Master
+	payload, _ := kvSchema().EncodeRow(table.Row{int64(7), "updated"})
+	key := ik(7)
+	tc.run(t, func(p *sim.Proc) {
+		cycle := func() {
+			s := master.Begin(p, cc.SnapshotIsolation, master.Node)
+			if err := s.Put(p, "kv", key, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			cycle() // warm maps, pools and the log's segment buffer
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs > 32 {
+			t.Fatalf("begin/put/commit on one owner allocates %.1f objects, want <= 32", allocs)
+		}
+	})
+}
+
+// TestReplicaPartKeysStaySorted: a replica store appends new keys and sorts
+// them in on the next scan; whatever the arrival order and however scans and
+// installs interleave, a scan sees every key once, in key order.
+func TestReplicaPartKeysStaySorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rp := &replicaPart{vers: make(map[string][]cc.Version)}
+	var want []string
+	seen := map[string]bool{}
+	for round := 0; round < 50; round++ {
+		for i := rng.Intn(20); i > 0; i-- {
+			k := ik(int64(rng.Intn(400)))
+			rp.install(k, cc.Version{TS: cc.Timestamp(round + 1), Val: []byte("v")})
+			if !seen[string(k)] {
+				seen[string(k)] = true
+				want = append(want, string(k))
+			}
+		}
+		sort.Strings(want)
+		var got []string
+		rp.scan(nil, nil, cc.Timestamp(round+1), func(k, v []byte) bool {
+			got = append(got, string(k))
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("round %d: scan saw %d keys, want %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: key %d out of order", round, i)
+			}
+		}
+		lo, hi := ik(100), ik(200)
+		n := 0
+		rp.scan(lo, hi, cc.Timestamp(round+1), func(k, v []byte) bool {
+			if string(k) < string(lo) || string(k) >= string(hi) {
+				t.Fatalf("round %d: bounded scan returned a key outside [lo, hi)", round)
+			}
+			n++
+			return true
+		})
+		wantN := sort.SearchStrings(want, string(hi)) - sort.SearchStrings(want, string(lo))
+		if n != wantN {
+			t.Fatalf("round %d: bounded scan saw %d keys, want %d", round, n, wantN)
+		}
+	}
+}

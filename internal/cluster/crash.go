@@ -246,30 +246,21 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	a := wal.NewAnalysis(recs, decisions)
 	stats := make([]wal.ReplayStats, len(n.lostParts))
 	errs := make([]error, len(n.lostParts))
-	remaining := len(n.lostParts)
-	joined := sim.NewSignal(c.Env)
+	froms := make([]uint64, len(n.lostParts))
 	var minRedo uint64
 	var rst wal.ReplayStats
 	for i, old := range n.lostParts {
-		i, id, tgt := i, uint64(old.ID), replaced[old]
-		var from uint64
 		if ck != nil {
-			from = ck.PartRedo(id)
+			froms[i] = ck.PartRedo(uint64(old.ID))
 		}
-		if i == 0 || from < minRedo {
-			minRedo = from
+		if i == 0 || froms[i] < minRedo {
+			minRedo = froms[i]
 		}
-		c.Env.Spawn(fmt.Sprintf("recover-%d-%d", n.ID, id), func(rp *sim.Proc) {
-			stats[i], errs[i] = a.ReplayPartition(rp, id, from, tgt)
-			remaining--
-			if remaining == 0 {
-				joined.Fire()
-			}
-		})
 	}
-	for remaining > 0 {
-		joined.Wait(p)
-	}
+	p.Fork("recover", len(n.lostParts), func(rp *sim.Proc, i int) {
+		old := n.lostParts[i]
+		stats[i], errs[i] = a.ReplayPartition(rp, uint64(old.ID), froms[i], replaced[old])
+	})
 	for i := range stats {
 		if errs[i] != nil && err == nil {
 			err = errs[i]

@@ -133,7 +133,7 @@ type shipState struct {
 	stale map[int]bool
 
 	// Per-follower watermarks, all in origin LSNs except wrapLSN:
-	sent    map[int]uint64 // newest frame delivered (applied + appended there)
+	sent    map[int]uint64 // every shippable frame at or below is delivered (applied + appended there)
 	durable map[int]uint64 // newest frame covered by a flush of the follower's log
 	wrapLSN map[int]uint64 // follower-local LSN of the last wrapper appended
 
@@ -260,12 +260,18 @@ func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 	// deciding commit re-ships ordinary DML with the final values.
 }
 
-// replicaPart mirrors one partition's full committed version history: a
-// sorted key list and per-key newest-first version chains. Nothing is ever
-// pruned — old snapshots routed here must resolve exactly as at the origin.
+// replicaPart mirrors one partition's full committed version history: a key
+// list and per-key newest-first version chains. Nothing is ever pruned — old
+// snapshots routed here must resolve exactly as at the origin.
 type replicaPart struct {
-	keys []string // sorted
-	vers map[string][]cc.Version
+	// keys[:sorted] is in key order; keys[sorted:] are the keys first seen
+	// since the last scan, in arrival order. Installs outnumber scans by
+	// orders of magnitude, so a new key is appended and the next scan folds
+	// the tail in (sortedKeys) — inserting in place moved half the list per
+	// new key, which made applying a stream quadratic in its length.
+	keys   []string
+	sorted int
+	vers   map[string][]cc.Version
 }
 
 // install adds v as key's version at v.TS (replacing an equal-TS install —
@@ -274,10 +280,7 @@ func (rp *replicaPart) install(key []byte, v cc.Version) {
 	ks := string(key)
 	vs, known := rp.vers[ks]
 	if !known {
-		i := sort.SearchStrings(rp.keys, ks)
-		rp.keys = append(rp.keys, "")
-		copy(rp.keys[i+1:], rp.keys[i:])
-		rp.keys[i] = ks
+		rp.keys = append(rp.keys, ks)
 	}
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS <= v.TS })
 	if i < len(vs) && vs[i].TS == v.TS {
@@ -288,6 +291,29 @@ func (rp *replicaPart) install(key []byte, v cc.Version) {
 		vs[i] = v
 	}
 	rp.vers[ks] = vs
+}
+
+// sortedKeys returns every key in key order, merging in the ones installed
+// since the last call (in place, from the back, over a copy of the new keys).
+func (rp *replicaPart) sortedKeys() []string {
+	if rp.sorted == len(rp.keys) {
+		return rp.keys
+	}
+	tail := rp.keys[rp.sorted:]
+	sort.Strings(tail)
+	if h := rp.sorted; h > 0 && tail[0] < rp.keys[h-1] {
+		tail = append([]string(nil), tail...)
+		for w := len(rp.keys) - 1; len(tail) > 0; w-- {
+			if t := tail[len(tail)-1]; h == 0 || rp.keys[h-1] < t {
+				rp.keys[w], tail = t, tail[:len(tail)-1]
+			} else {
+				rp.keys[w] = rp.keys[h-1]
+				h--
+			}
+		}
+	}
+	rp.sorted = len(rp.keys)
+	return rp.keys
 }
 
 // get resolves key at snapshot snap: the newest version with TS <= snap
@@ -305,11 +331,11 @@ func (rp *replicaPart) get(key []byte, snap cc.Timestamp) (cc.Version, bool) {
 // scan visits live versions of keys in [lo, hi) at snapshot snap, in key
 // order; fn returning false stops the scan.
 func (rp *replicaPart) scan(lo, hi []byte, snap cc.Timestamp, fn func(k, v []byte) bool) {
-	start := 0
+	keys := rp.sortedKeys()
 	if lo != nil {
-		start = sort.SearchStrings(rp.keys, string(lo))
+		keys = keys[sort.SearchStrings(keys, string(lo)):]
 	}
-	for _, ks := range rp.keys[start:] {
+	for _, ks := range keys {
 		if hi != nil && ks >= string(hi) {
 			return
 		}
@@ -378,6 +404,12 @@ func (c *Cluster) followersOf(id int) []*DataNode {
 		out = append(out, c.Nodes[(id+i)%len(c.Nodes)])
 	}
 	return out
+}
+
+// follows reports whether node f is in origin's replica set.
+func (c *Cluster) follows(f, origin int) bool {
+	d := (f - origin + len(c.Nodes)) % len(c.Nodes)
+	return d >= 1 && d <= c.drep.replicas
 }
 
 // originsOf returns the node IDs that replicate TO node id (the inverse of
@@ -458,12 +490,17 @@ func (c *Cluster) releaseDrain(origin *DataNode) {
 	origin.ship.drained.Fire()
 }
 
-// shipQueued delivers origin's queued frames to every live, in-sync
-// follower; with forced, followers' logs are flushed through the delivered
-// wrappers, in order, until one of them is durable. A follower's durable
-// watermark advances whenever a pass finds its log flushed that far.
-// Followers that cannot receive are marked stale (resync re-seeds them).
-// Returns false only when origin died mid-drain.
+// shipQueued delivers origin's queued frames to every live, in-sync follower
+// in one send: each copy of the batch serialises on the origin's uplink, and
+// all of them land at the same instant, one propagation delay later. With
+// forced, the receivers' logs are then flushed through the delivered wrappers,
+// in follower order, until one of them is durable — what a forced pass owes
+// its waiters; the other wrappers ride their log's next group commit, and a
+// follower's durable watermark advances whenever a pass finds its log flushed
+// that far. Followers that cannot receive (down, already stale, or crashed
+// while the batch was on the wire) are marked stale; a resync re-seeds them.
+// The whole pass runs under the origin's drain lock. Returns false only when
+// origin died mid-drain.
 //
 // Only the origin-flushed prefix of the queue ships: a frame the origin has
 // not made locally durable could die with its unflushed tail, yet survive in
@@ -471,7 +508,8 @@ func (c *Cluster) releaseDrain(origin *DataNode) {
 // renumber over and a rebuild would resurrect. Holding frames until the
 // origin's own flush covers them makes every shipped frame permanent at the
 // origin, so followers' retained wrappers never diverge from a restarted
-// origin's log.
+// origin's log. (This is also why the local force and the ship cannot
+// overlap: that would need followers able to truncate what they flushed.)
 func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	if !c.acquireDrain(p, origin) {
 		return false
@@ -488,8 +526,9 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	for _, it := range items {
 		batchBytes += int64(len(it.frame)) + shipWireOverhead
 	}
-	delivered, acked := len(items) == 0, false
-	for _, f := range c.followersOf(origin.ID) {
+	followers := c.followersOf(origin.ID)
+	receivers := followers[:0]
+	for _, f := range followers {
 		if f.crashed || sh.stale[f.ID] {
 			if len(items) > 0 {
 				sh.stale[f.ID] = true
@@ -501,26 +540,40 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 		if f.Log.FlushedLSN() >= sh.wrapLSN[f.ID] {
 			sh.durable[f.ID] = sh.sent[f.ID]
 		}
-		if len(items) > 0 {
-			c.Net.Transfer(p, origin.ID, f.ID, batchBytes)
-			if origin.crashed {
-				return false
-			}
+		receivers = append(receivers, f)
+	}
+	if len(items) > 0 && len(receivers) > 0 {
+		to := make([]int, len(receivers))
+		for i, f := range receivers {
+			to[i] = f.ID
+		}
+		c.Net.Multicast(p, origin.ID, to, batchBytes)
+		if origin.crashed {
+			return false
+		}
+		live := receivers[:0]
+		for _, f := range receivers {
 			if f.crashed || sh.stale[f.ID] {
 				sh.stale[f.ID] = true
 				continue
 			}
+			have := sh.sent[f.ID]
 			for _, it := range items {
-				if it.lsn <= sh.sent[f.ID] {
-					continue
+				if it.lsn > have {
+					c.applyToFollower(f, origin, it.lsn, it.frame)
 				}
-				c.applyToFollower(f, origin, it.lsn, it.frame)
-				sh.sent[f.ID] = it.lsn
 			}
-			delivered = true
+			live = append(live, f)
 		}
-		// One durable follower is what a forced pass owes its waiters; the
-		// others' wrappers ride their next group commit.
+		receivers = live
+	}
+	acked := false
+	for _, f := range receivers {
+		// The receiver now holds every shippable frame up to the origin's
+		// flushed boundary, whatever kind of record sits at the boundary
+		// itself: a forced waiter's target is that boundary, and it may be a
+		// frame that never ships (a wrapper of another origin's stream).
+		sh.sent[f.ID] = flushed
 		wl := sh.wrapLSN[f.ID]
 		if forced && !acked && f.Log.FlushedLSN() < wl {
 			f.Log.Flush(p, wl)
@@ -533,10 +586,10 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 			acked = true
 		}
 	}
-	if delivered {
+	if len(receivers) > 0 {
 		sh.queue = sh.queue[len(items):]
 	}
-	// Not delivered: every follower is stale or down. The queue is kept —
+	// No receiver: every follower is stale or down. The queue is kept —
 	// a restarting follower's resync covers only the origin-flushed prefix,
 	// so frames still volatile at the origin must stay queued for ordinary
 	// delivery once a follower is back in sync.

@@ -489,3 +489,166 @@ func TestCommitAfterParticipantPresumedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// remoteCommit runs the indoubtWorld transaction from node 0, so both
+// participants are a network hop away and start each phase together. during
+// runs once both writes are staged, just before Commit; the returned error
+// is Commit's (the session is left for the caller to abort).
+func (w *indoubtWorld) remoteCommit(t *testing.T, during func(p *sim.Proc, s *Session)) (s *Session, err error) {
+	t.Helper()
+	w.env.Spawn("commit", func(p *sim.Proc) {
+		s = w.c.Master.Begin(p, cc.SnapshotIsolation, w.c.Nodes[0])
+		for _, k := range []int64{idLeft, idRight} {
+			payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+			if perr := s.Put(p, "kv", ik(k), payload); perr != nil {
+				t.Errorf("put %d: %v", k, perr)
+				return
+			}
+		}
+		during(p, s)
+		err = s.Commit(p)
+	})
+	if rerr := w.env.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	return s, err
+}
+
+// expectValues restarts every crashed node and checks both keys.
+func (w *indoubtWorld) expectValues(t *testing.T, want func(k int64) string) {
+	t.Helper()
+	w.env.Spawn("verify", func(p *sim.Proc) {
+		p.Sleep(50 * time.Millisecond)
+		for _, n := range w.c.Nodes {
+			if n.Down() {
+				if _, _, err := w.c.RestartNode(p, n); err != nil {
+					t.Errorf("restart node %d: %v", n.ID, err)
+				}
+			}
+		}
+		s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.c.Nodes[0])
+		defer s.Abort(p)
+		for _, k := range []int64{idLeft, idRight} {
+			v, ok, err := s.Get(p, "kv", ik(k))
+			if err != nil || !ok {
+				t.Errorf("key %d: ok=%v err=%v", k, ok, err)
+				continue
+			}
+			if row, _ := kvSchema().DecodeRow(v); row[1].(string) != want(k) {
+				t.Errorf("key %d = %q, want %q", k, row[1], want(k))
+			}
+		}
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// midLeg is a point inside a remote participant's leg of either phase: the
+// request/response trip is over and the leg's log force is in flight.
+func (w *indoubtWorld) midLeg() time.Duration {
+	return 2*w.c.Net.TransferTime(64) + 200*time.Microsecond
+}
+
+// TestConcurrentPrepareFailure: the participants prepare side by side, so
+// when the lower-numbered one power-fails mid-prepare the other is already
+// voting. The transaction aborts with the lowest-numbered failing node's
+// error whichever died first, no decision exists, and the surviving branch —
+// prepared, durably — rolls back: by the caller's abort, and under presumed
+// abort if it then loses power before the abort record is forced.
+func TestConcurrentPrepareFailure(t *testing.T) {
+	oldVal := func(k int64) string { return fmt.Sprintf(idOldVal, k) }
+
+	t.Run("survivor has voted", func(t *testing.T) {
+		w := newIndoubtWorld(t)
+		defer w.env.Close()
+		s, err := w.remoteCommit(t, func(p *sim.Proc, _ *Session) {
+			w.env.After(w.midLeg(), func() { w.c.CrashNode(w.n1) })
+		})
+		if want := (ErrNodeDown{1}); err != want {
+			t.Fatalf("commit error %v, want %v", err, want)
+		}
+		if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+			t.Fatalf("%d decisions recorded for a transaction that failed prepare", n)
+		}
+		// Node 2 prepared while node 1 was dying: its vote is durable.
+		if w.n2.Down() || !hasInDoubtTrace(w.n2) {
+			t.Fatal("the surviving participant holds no durable prepare vote: it did not prepare alongside the failing one")
+		}
+		w.env.Spawn("abort", func(p *sim.Proc) { s.Abort(p) })
+		if err := w.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Its abort record is still volatile; lose it. The restart finds a
+		// vote without a decision and presumes abort.
+		w.c.CrashNode(w.n2)
+		w.expectValues(t, oldVal)
+		if hasInDoubtTrace(w.n2) {
+			t.Fatal("rollback of the surviving branch not closed in its durable log")
+		}
+	})
+
+	t.Run("lowest failing node wins", func(t *testing.T) {
+		w := newIndoubtWorld(t)
+		defer w.env.Close()
+		s, err := w.remoteCommit(t, func(p *sim.Proc, _ *Session) {
+			w.env.After(w.midLeg(), func() { w.c.CrashNode(w.n2) })
+			w.env.After(w.midLeg()+100*time.Microsecond, func() { w.c.CrashNode(w.n1) })
+		})
+		if want := (ErrNodeDown{1}); err != want {
+			t.Fatalf("commit error %v, want %v although node 2 failed first", err, want)
+		}
+		w.env.Spawn("abort", func(p *sim.Proc) { s.Abort(p) })
+		if err := w.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		w.expectValues(t, oldVal)
+		if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+			t.Fatalf("%d decisions outstanding", n)
+		}
+	})
+}
+
+// TestParticipantDiesWhileSiblingCommits: both participants install side by
+// side in phase 2. One power-fails mid-leg; its sibling finishes, the commit
+// is acknowledged with the dead branch still charged to the decision, and the
+// restart rolls that branch forward and drains the decision.
+func TestParticipantDiesWhileSiblingCommits(t *testing.T) {
+	w := newIndoubtWorld(t)
+	defer w.env.Close()
+	e, err := w.c.Master.tables["kv"].route(ik(idRight))
+	if err != nil {
+		t.Fatal(err)
+	}
+	right := e.Part
+	var inFlight bool
+	_, err = w.remoteCommit(t, func(_ *sim.Proc, s *Session) {
+		// Phase 2 opens the instant the decision is recorded.
+		w.env.Spawn("crash", func(p *sim.Proc) {
+			for w.c.Master.InDoubtDecisionCount() == 0 {
+				p.Sleep(10 * time.Microsecond)
+			}
+			p.Sleep(w.midLeg())
+			// Node 2's install consumed its staged writes already: its leg
+			// runs beside node 1's, not after it.
+			inFlight = !right.HasPending(s.Txn) && w.c.Master.InDoubtDecisionCount() == 1
+			w.c.CrashNode(w.n2)
+		})
+	})
+	if err != nil {
+		t.Fatalf("commit not acknowledged after the decision: %v", err)
+	}
+	if !inFlight {
+		t.Fatal("node 2 had not started its phase-2 leg while node 1 was in its own")
+	}
+	if n := w.c.Master.InDoubtDecisionCount(); n != 1 {
+		t.Fatalf("%d decisions outstanding after the ack, want 1 (node 2's branch is in doubt)", n)
+	}
+	if !hasInDoubtTrace(w.n2) {
+		t.Fatal("crashed participant has no prepared-but-undecided trace in its durable log")
+	}
+	w.expectValues(t, func(int64) string { return "new" })
+	if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+		t.Fatalf("%d decisions outstanding after the restart", n)
+	}
+}

@@ -185,14 +185,13 @@ func newMaster(c *Cluster) *Master {
 // mid-replication must be told commit, which is safe exactly because this
 // loop guarantees the verdict eventually replicates) and re-installed after
 // (a failover during the loop rebuilt the map without it).
-func (m *Master) recordDecision(p *sim.Proc, txn *cc.Txn, commitTS cc.Timestamp, participants []*DataNode) {
+func (m *Master) recordDecision(p *sim.Proc, txn *cc.Txn, commitTS cc.Timestamp, participants []branch) {
 	out := make(map[int]bool, len(participants))
-	nodes := make([]int, 0, len(participants))
-	for _, n := range participants {
-		out[n.ID] = true
-		nodes = append(nodes, n.ID)
+	nodes := make([]int, 0, len(participants)) // ascending, as participants are
+	for _, b := range participants {
+		out[b.node.ID] = true
+		nodes = append(nodes, b.node.ID)
 	}
-	sort.Ints(nodes)
 	d := &txnDecision{ts: commitTS, outstanding: out}
 	if m.rep == nil {
 		lsn := m.Node.Log.Append(wal.Record{Txn: txn.ID, Type: wal.RecDecision, TS: commitTS})

@@ -30,17 +30,18 @@ type Session struct {
 	// coordinator was unavailable: its transaction is born aborted and
 	// every operation returns ErrMasterDown.
 	fenced bool
-	// reads counts read operations, alternating them between the owner and
-	// an eligible replica under data replication (so both paths stay
-	// exercised and the owner keeps roughly half the load).
+	// reads counts the snapshot reads of partitions owned away from home,
+	// alternating them between the owner and an eligible replica under data
+	// replication (see followerFor).
 	reads int
 
 	// PreferFollower is the analytics offloading hint: a read-only snapshot
 	// session that sets it skips the owner/replica alternation and serves
-	// every eligible read from a follower store, keeping scans off the
-	// primaries entirely. Only the load-balancing heuristic is bypassed —
-	// all safety gates (snapshot coverage, in-flight commits, sync state)
-	// still apply, and ineligible reads fall back to the owner as usual.
+	// every eligible read from a follower store — the one hosted at home
+	// first — keeping scans off the primaries entirely, a home primary
+	// included. Only the load-balancing heuristic is bypassed — all safety
+	// gates (snapshot coverage, in-flight commits, sync state) still apply,
+	// and ineligible reads fall back to the owner as usual.
 	PreferFollower bool
 }
 
@@ -103,27 +104,37 @@ func (s *Session) rpc(p *sim.Proc, owner *DataNode, reqBytes, respBytes int64) {
 // snapshot reads of e's partition, or nil to read at the owner. Eligibility
 // is a conjunction of safety gates: the store mirrors every committed version
 // visible at the session's snapshot only if the owner has nothing queued or
-// in flight at or below it and the follower is fully in sync. Every other
-// read goes to the owner regardless, so both paths stay exercised.
+// in flight at or below it and the follower is fully in sync.
+//
+// Among the eligible copies the cheapest wins. A copy on the session's home
+// node costs no network trip, so it is always taken: the owner itself when it
+// is home, else an eligible replica store hosted there. Only when every copy
+// is remote do reads alternate between the owner and a replica, so both paths
+// stay exercised and the owner keeps roughly half the load.
 func (s *Session) followerFor(e *RangeEntry) *DataNode {
 	c := s.m.cluster
 	if c.drep == nil || s.Txn.Mode != cc.SnapshotIsolation || len(s.touched) != 0 {
 		return nil
 	}
+	origin := e.Owner
+	if origin == s.Home && !s.PreferFollower {
+		return nil // the owner's copy is local
+	}
 	s.reads++
 	if e.OldPart != nil {
 		return nil // a migration is in flight (dual copies)
 	}
-	if s.reads%2 == 0 && !s.PreferFollower {
-		return nil // owner's turn
+	ownerTurn := s.reads%2 == 0 && !s.PreferFollower
+	if ownerTurn && !c.follows(s.Home.ID, origin.ID) {
+		return nil // every replica is as far away as the owner
 	}
-	origin := e.Owner
 	if origin.Down() || origin.ship.visibleBelow(s.Txn.Begin) {
 		return nil // an undelivered frame holds a version below the snapshot
 	}
 	if c.drep.inflightBelow(origin.ID, s.Txn.Begin) {
 		return nil // a commit at or below the snapshot is not yet replicated
 	}
+	var remote *DataNode
 	for _, f := range c.followersOf(origin.ID) {
 		if f.Down() || origin.ship.stale[f.ID] {
 			continue
@@ -132,10 +143,18 @@ func (s *Session) followerFor(e *RangeEntry) *DataNode {
 		// a snapshot down there must resolve at the owner (which applies its
 		// own recovery-horizon fence).
 		if st := f.stores[origin.ID]; st != nil && st.parts[e.Part.ID] != nil && st.floor <= s.Txn.Begin {
-			return f
+			if f == s.Home {
+				return f
+			}
+			if remote == nil {
+				remote = f
+			}
 		}
 	}
-	return nil
+	if ownerTurn {
+		return nil
+	}
+	return remote
 }
 
 type loc struct {
@@ -425,14 +444,34 @@ func (s *Session) mergedScan(p *sim.Proc, e *RangeEntry, lo, hi []byte, fn func(
 	return nil
 }
 
-// Commit finishes the transaction: single-node fast path, or two-phase
-// commit when multiple nodes hold writes (the master acts as coordinator).
+// Commit finishes the transaction. A read-only snapshot transaction ends at
+// its home node; a transaction whose writes all sit on one node commits
+// there in one phase; one that wrote on several runs two-phase commit with
+// the master as coordinator.
+//
+// The branches of a two-phase commit run side by side, one simulated process
+// per participant (spawned in node-ID order, joined before the coordinator
+// moves on), so a phase costs its slowest leg rather than the sum of its
+// legs. What stays strictly ordered, and why:
+//
+//   - every prepare vote is durable (locally and, under data replication, on
+//     a replica) before the coordinator asks for a commit timestamp: the
+//     decision may only be taken over branches that can all roll forward;
+//   - commitGate, the partition re-check, CommitTS and the forced decision
+//     record run on the coordinator alone, in that order, between the two
+//     joins: no participant installs before the decision is durable;
+//   - the acknowledgment waits for the phase-2 join: every live branch has
+//     forced its commit record and acked the decision by then, so a drained
+//     system holds no in-doubt decisions (InDoubtDecisionCount() == 0).
+//
 // A power failure may land at any instant of the commit window:
 //
 //   - Before the coordinator's decision is durable, the transaction aborts
-//     (presumed abort): the caller gets an error, no acknowledgment is
-//     given, and any branch left prepared on a durable log rolls back on
-//     restart because the coordinator has no decision for it.
+//     (presumed abort): the caller gets the error of the lowest-numbered
+//     failing participant, no acknowledgment is given, and any branch left
+//     prepared on a durable log rolls back — by the caller's Abort if its
+//     node survived, on restart otherwise, because the coordinator has no
+//     decision for it.
 //   - After the decision is durable, the commit is acknowledged even if
 //     participants crash mid-install: each crashed branch is fully durable
 //     (prepare-time DML images forced with its vote), and RestartNode rolls
@@ -445,81 +484,36 @@ func (s *Session) Commit(p *sim.Proc) error {
 	if !s.Txn.Active() {
 		return cc.ErrTxnNotActive
 	}
-	// A touched partition that power-failed loses the staged writes with
-	// its node's DRAM — including the pending bookkeeping, which would
-	// otherwise make this transaction look read-only and produce a false
-	// acknowledgment. Fail the commit instead (ordered check for
-	// deterministic error selection). Read-only transactions skip the
-	// whole participant build (no map, no sort boxing) — they still pass
-	// the commit point below for their timestamp transition.
-	var ordered []*DataNode
-	var nodes map[*DataNode][]*table.Partition
-	if len(s.touched) > 0 {
-		touched := make([]*table.Partition, 0, len(s.touched))
-		for pt := range s.touched {
-			touched = append(touched, pt)
-		}
-		sort.Slice(touched, func(i, j int) bool { return touched[i].ID < touched[j].ID })
-		for _, pt := range touched {
-			if pt.Failed() {
-				return table.ErrPartitionDown{Part: pt.ID}
-			}
-			if s.touched[pt].Down() {
-				return ErrNodeDown{s.touched[pt].ID}
-			}
-		}
-		nodes = make(map[*DataNode][]*table.Partition, 4)
-		for pt, owner := range s.touched {
-			if pt.HasPending(s.Txn) || s.Txn.Mode == cc.Locking {
-				nodes[owner] = append(nodes[owner], pt)
-			}
-		}
-		// Deterministic participant and install order: both phases perform
-		// network and log I/O, so map-iteration order would perturb the
-		// virtual clock between otherwise identical runs.
-		ordered = make([]*DataNode, 0, len(nodes))
-		for node := range nodes {
-			ordered = append(ordered, node)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-		for _, node := range ordered {
-			parts := nodes[node]
-			sort.Slice(parts, func(i, j int) bool { return parts[i].ID < parts[j].ID })
-		}
+	if len(s.touched) == 0 && len(s.lockNodes) == 0 {
+		// A read-only snapshot transaction holds nothing anywhere: no staged
+		// write, no lock, no version of its own. It ends where it ran — no
+		// trip to the master, no gate (a fenced coordinator cannot fail
+		// reads that already succeeded), no commit timestamp burnt.
+		s.m.Oracle.EndReadOnly(s.Txn)
+		return nil
 	}
-
-	distributed := len(ordered) > 1
+	branches, err := s.participants()
+	if err != nil {
+		return err
+	}
+	c := s.m.cluster
+	distributed := len(branches) > 1
 	if distributed {
-		// Phase 1 (node order): prepare every participant. The redo images
-		// of the branch's staged writes are logged first, then the prepare
-		// vote — one force covers both, so a prepared branch is fully
-		// durable before the coordinator may decide. A participant that
-		// power-fails before its vote is durable aborts the transaction.
-		for _, node := range ordered {
-			if node.Down() {
-				return ErrNodeDown{node.ID}
-			}
-			s.rpc(p, node, 32, 32)
-			for _, pt := range nodes[node] {
-				pt.LogPrepare(s.Txn)
-			}
-			lsn := node.Log.Append(wal.Record{Txn: s.Txn.ID, Type: wal.RecPrepare})
-			node.Log.Flush(p, lsn)
-			if node.Down() { // power-failed during the prepare force
-				return ErrNodeDown{node.ID}
-			}
-			// Under data replication a prepared branch must also be durable
-			// on a replica before the coordinator may decide: losing the
-			// branch's entire disk would otherwise lose a voted prepare.
-			if s.m.cluster.drep != nil && !s.m.cluster.forceShip(p, node) {
-				return ErrNodeDown{node.ID}
+		// Phase 1: every participant prepares, all at once.
+		errs := make([]error, len(branches))
+		p.Fork("2pc-prepare", len(branches), func(bp *sim.Proc, i int) {
+			errs[i] = s.prepareBranch(bp, branches[i])
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err // the lowest-numbered failing participant's
 			}
 		}
 	}
 	// Commit point: timestamp from the master's oracle.
 	if s.Home != s.m.Node {
-		s.m.cluster.Net.Transfer(p, s.Home.ID, s.m.Node.ID, 32)
-		s.m.cluster.Net.Transfer(p, s.m.Node.ID, s.Home.ID, 32)
+		c.Net.Transfer(p, s.Home.ID, s.m.Node.ID, 32)
+		c.Net.Transfer(p, s.m.Node.ID, s.Home.ID, 32)
 	}
 	// Under replication the coordinator must be seated with lease headroom
 	// before the commit timestamp exists. Failing here is still the
@@ -534,8 +528,8 @@ func (s *Session) Commit(p *sim.Proc) error {
 	// deciding commit now would acknowledge a transaction one branch of which
 	// is durably rolled back. No decision exists yet — aborting is still
 	// legal — and nothing blocks between this check and recordDecision.
-	for _, node := range ordered {
-		for _, pt := range nodes[node] {
+	for _, b := range branches {
+		for _, pt := range b.parts {
 			if pt.Failed() {
 				return table.ErrPartitionDown{Part: pt.ID}
 			}
@@ -544,107 +538,204 @@ func (s *Session) Commit(p *sim.Proc) error {
 	commitTS := s.m.Oracle.CommitTS(s.Txn)
 	// The commit timestamp exists but its frames are not yet on replicas:
 	// register it so follower reads at snapshots covering it fall back to
-	// the owner until phase 2 ships everything (deregistered per node below;
-	// a participant crash clears its entries wholesale at restart).
-	if s.m.cluster.drep != nil {
-		for _, node := range ordered {
-			s.m.cluster.drep.addInflight(node.ID, s.Txn.ID, commitTS)
+	// the owner until phase 2 ships everything (deregistered per branch; a
+	// participant crash clears its entries wholesale at restart).
+	if c.drep != nil {
+		for _, b := range branches {
+			c.drep.addInflight(b.node.ID, s.Txn.ID, commitTS)
 		}
 	}
-	if distributed {
+	if !distributed {
+		// Fast path: install and force on the one participant, in this
+		// process. Its fate seals only when the commit record is durable and,
+		// under replication, a replica holds the branch: settling any earlier
+		// would let a snapshot observe a commit that a power failure during
+		// the force still rolls back at restart.
+		for _, b := range branches {
+			if err := s.commitBranch(p, b, commitTS, false); err != nil {
+				return err
+			}
+		}
+		s.m.Oracle.SettleCommit(s.Txn)
+	} else {
 		// The coordinator forces its decision record before any participant
 		// installs: from here the transaction commits everywhere, no matter
 		// which nodes fail when. That seals the durability fate — prepared
 		// branches roll forward from their forced prepare images — so the
 		// commit timestamp settles here and new snapshots may cover it.
-		s.m.recordDecision(p, s.Txn, commitTS, ordered)
+		s.m.recordDecision(p, s.Txn, commitTS, branches)
 		s.m.Oracle.SettleCommit(s.Txn)
-	}
-
-	// Phase 2 / fast path: install writes and force commit records, in
-	// deterministic node order. A participant power failure anywhere in
-	// here leaves that branch in doubt; its restart queries the coordinator
-	// and rolls forward from the prepare-time log. Any other install
-	// failure is an engine invariant violation (the movement protocols are
-	// responsible for never detaching a range with in-flight writers), so
-	// it fails loudly rather than losing updates.
-	for _, node := range ordered {
-		if node.Down() {
-			if distributed {
-				continue // in-doubt branch: resolved on restart
-			}
-			return ErrNodeDown{node.ID}
-		}
-		s.rpc(p, node, 32, 32)
-		var nodeErr error
-		for _, pt := range nodes[node] {
-			if err := pt.Commit(p, s.Txn, commitTS); err != nil {
-				nodeErr = err
-				break
-			}
-		}
-		if nodeErr != nil {
-			if !isPowerFailure(nodeErr) {
-				panic(fmt.Sprintf("cluster: commit installation failed after commit point: txn %d node %d: %v",
-					s.Txn.ID, node.ID, nodeErr))
-			}
-			if distributed {
-				continue // the branch died mid-install; roll forward on restart
-			}
-			// Single node: nothing is durable (the commit record never made
-			// it), so the restart rolls the transaction back. Withhold the
-			// acknowledgment.
-			return nodeErr
-		}
-		var shipGen uint64
-		if s.m.cluster.drep != nil {
-			// Captured in the same instant the commit record gets its LSN:
-			// the pair identifies the record across any renumbering rebuild.
-			shipGen = node.ship.rebuildGen
-		}
-		commitLSN, durable := appendCommitRecord(p, node, s.Txn)
-		if !durable {
-			// The power failure caught the commit record above the flushed
-			// boundary: it is gone from the platter, so restart recovery is
-			// guaranteed to roll this branch back.
-			if !distributed {
-				return ErrNodeDown{node.ID}
-			}
-			continue // in-doubt: the decision record drives roll-forward
-		}
-		// Replication half of the force: the branch's frames (DML + commit)
-		// must be durable on a replica before the ack, or a disk loss at
-		// this node would lose an acknowledged commit. A distributed branch
-		// whose node dies here is in doubt like any other; its inflight
-		// entry clears when it restarts. A single-node transaction's commit
-		// record is already durable — its fate is decided — so the wait
-		// parks across any origin outage and resolves to what recovery
-		// actually did: ack if the commit survived (plain restart, or a
-		// rebuild whose replica prefix covered it), error only if it is
-		// durably gone everywhere.
-		if s.m.cluster.drep != nil {
-			if distributed {
-				if !s.m.cluster.forceShip(p, node) {
-					continue
-				}
-			} else if !s.m.cluster.forceShipDecided(p, node, commitLSN, shipGen) {
-				return ErrNodeDown{node.ID}
-			}
-			s.m.cluster.drep.delInflight(node.ID, s.Txn.ID)
-		}
-		if distributed {
-			s.m.ackDecision(s.Txn.ID, node.ID)
-		}
-	}
-	if !distributed {
-		// Single-node fate seals only now: the commit record is durable and,
-		// under replication, a replica holds the branch. Settling any earlier
-		// would let a snapshot observe a commit that a power failure during
-		// the force still rolls back at restart.
-		s.m.Oracle.SettleCommit(s.Txn)
+		// Phase 2: every participant installs, all at once. A branch that
+		// fails now is in doubt, not failed: its restart queries the
+		// coordinator and rolls forward from the prepare-time log.
+		p.Fork("2pc-commit", len(branches), func(bp *sim.Proc, i int) {
+			_ = s.commitBranch(bp, branches[i], commitTS, true)
+		})
 	}
 	s.releaseLocks()
 	s.Txn.DropUndo()
+	return nil
+}
+
+// branch is one participant of a commit: a node and the partitions on it that
+// hold staged writes of the transaction, in partition-ID order.
+type branch struct {
+	node  *DataNode
+	parts []*table.Partition
+}
+
+// participants groups the touched partitions that have something to install
+// by owning node, nodes and partitions both in ascending ID order: the
+// phases perform network and log I/O, so map-iteration order would perturb
+// the virtual clock between otherwise identical runs. A touched partition
+// that power-failed lost the staged writes with its node's DRAM — including
+// the pending bookkeeping, which would otherwise make this transaction look
+// read-only and produce a false acknowledgment — so it fails the commit
+// (lowest partition ID first). One owner for everything touched is the common
+// case and gets its branch without any grouping.
+func (s *Session) participants() ([]branch, error) {
+	parts := make([]*table.Partition, 0, len(s.touched))
+	var only *DataNode
+	single := true
+	for pt, owner := range s.touched {
+		i := len(parts)
+		parts = append(parts, pt)
+		for ; i > 0 && parts[i-1].ID > pt.ID; i-- {
+			parts[i] = parts[i-1]
+		}
+		parts[i] = pt
+		if only == nil {
+			only = owner
+		} else if owner != only {
+			single = false
+		}
+	}
+	for _, pt := range parts {
+		if pt.Failed() {
+			return nil, table.ErrPartitionDown{Part: pt.ID}
+		}
+		if owner := s.touched[pt]; owner.Down() {
+			return nil, ErrNodeDown{owner.ID}
+		}
+	}
+	live := parts[:0]
+	for _, pt := range parts {
+		if pt.HasPending(s.Txn) || s.Txn.Mode == cc.Locking {
+			live = append(live, pt)
+		}
+	}
+	if len(live) == 0 {
+		return nil, nil
+	}
+	if single {
+		return []branch{{only, live}}, nil
+	}
+	var out []branch
+	for _, pt := range live {
+		owner := s.touched[pt]
+		i := 0
+		for i < len(out) && out[i].node.ID < owner.ID {
+			i++
+		}
+		if i == len(out) || out[i].node != owner {
+			out = append(out, branch{})
+			copy(out[i+1:], out[i:])
+			out[i] = branch{node: owner}
+		}
+		out[i].parts = append(out[i].parts, pt)
+	}
+	return out, nil
+}
+
+// prepareBranch is one participant's phase 1: the redo images of the branch's
+// staged writes are logged first, then the prepare vote — one force covers
+// both, so a prepared branch is fully durable before the coordinator may
+// decide. A participant that power-fails before its vote is durable aborts
+// the transaction.
+func (s *Session) prepareBranch(p *sim.Proc, b branch) error {
+	node := b.node
+	if node.Down() {
+		return ErrNodeDown{node.ID}
+	}
+	s.rpc(p, node, 32, 32)
+	for _, pt := range b.parts {
+		pt.LogPrepare(s.Txn)
+	}
+	lsn := node.Log.Append(wal.Record{Txn: s.Txn.ID, Type: wal.RecPrepare})
+	node.Log.Flush(p, lsn)
+	if node.Down() { // power-failed during the prepare force
+		return ErrNodeDown{node.ID}
+	}
+	// Under data replication a prepared branch must also be durable on a
+	// replica before the coordinator may decide: losing the branch's entire
+	// disk would otherwise lose a voted prepare.
+	if s.m.cluster.drep != nil && !s.m.cluster.forceShip(p, node) {
+		return ErrNodeDown{node.ID}
+	}
+	return nil
+}
+
+// commitBranch is one participant's install: its staged writes go into the
+// trees at commitTS, then its commit record is forced locally and, under data
+// replication, onto a replica. An error means the branch did not get there
+// because its node lost power. For the one branch of a single-node commit
+// that fails the transaction: nothing of it is durable, the restart rolls it
+// back, and the acknowledgment is withheld. A distributed branch is merely in
+// doubt — the decision record drives its roll-forward on restart — and the
+// caller drops the error. Any other install failure is an engine invariant
+// violation (the movement protocols are responsible for never detaching a
+// range with in-flight writers), so it fails loudly rather than losing
+// updates.
+func (s *Session) commitBranch(p *sim.Proc, b branch, commitTS cc.Timestamp, distributed bool) error {
+	node, c := b.node, s.m.cluster
+	if node.Down() {
+		return ErrNodeDown{node.ID}
+	}
+	s.rpc(p, node, 32, 32)
+	for _, pt := range b.parts {
+		if err := pt.Commit(p, s.Txn, commitTS); err != nil {
+			if !isPowerFailure(err) {
+				panic(fmt.Sprintf("cluster: commit installation failed after commit point: txn %d node %d: %v",
+					s.Txn.ID, node.ID, err))
+			}
+			return err
+		}
+	}
+	var shipGen uint64
+	if c.drep != nil {
+		// Captured in the same instant the commit record gets its LSN: the
+		// pair identifies the record across any renumbering rebuild.
+		shipGen = node.ship.rebuildGen
+	}
+	commitLSN, durable := appendCommitRecord(p, node, s.Txn)
+	if !durable {
+		// The power failure caught the commit record above the flushed
+		// boundary: it is gone from the platter, so restart recovery is
+		// guaranteed to roll a single-node transaction back.
+		return ErrNodeDown{node.ID}
+	}
+	// Replication half of the force: the branch's frames (DML + commit) must
+	// be durable on a replica before the ack, or a disk loss at this node
+	// would lose an acknowledged commit. A distributed branch whose node dies
+	// here is in doubt like any other; its inflight entry clears when it
+	// restarts. A single-node transaction's commit record is already durable
+	// — its fate is decided — so the wait parks across any origin outage and
+	// resolves to what recovery actually did: ack if the commit survived
+	// (plain restart, or a rebuild whose replica prefix covered it), error
+	// only if it is durably gone everywhere.
+	if c.drep != nil {
+		if distributed {
+			if !c.forceShip(p, node) {
+				return ErrNodeDown{node.ID}
+			}
+		} else if !c.forceShipDecided(p, node, commitLSN, shipGen) {
+			return ErrNodeDown{node.ID}
+		}
+		c.drep.delInflight(node.ID, s.Txn.ID)
+	}
+	if distributed {
+		s.m.ackDecision(s.Txn.ID, node.ID)
+	}
 	return nil
 }
 
@@ -693,26 +784,32 @@ func (s *Session) Abort(p *sim.Proc) {
 
 // lockNodeList returns the nodes holding lock state for this transaction in
 // ID order (lock release wakes waiters, so the order must be deterministic).
+// The list is a handful of nodes at most — usually one — so it is kept sorted
+// and duplicate-free by insertion.
 func (s *Session) lockNodeList() []*DataNode {
 	if len(s.lockNodes) == 0 && len(s.touched) == 0 {
 		return nil // read-only MVCC transaction: nothing locked anywhere
 	}
-	seen := make(map[*DataNode]bool, len(s.lockNodes)+len(s.touched))
 	out := make([]*DataNode, 0, len(s.lockNodes)+len(s.touched))
-	for node := range s.lockNodes {
-		if !seen[node] {
-			seen[node] = true
-			out = append(out, node)
+	add := func(n *DataNode) {
+		i := len(out)
+		for i > 0 && out[i-1].ID > n.ID {
+			i--
 		}
+		if i > 0 && out[i-1] == n {
+			return
+		}
+		out = append(out, nil)
+		copy(out[i+1:], out[i:])
+		out[i] = n
+	}
+	for node := range s.lockNodes {
+		add(node)
 	}
 	// MVCC writers also took segment IX locks on owners.
 	for _, owner := range s.touched {
-		if !seen[owner] {
-			seen[owner] = true
-			out = append(out, owner)
-		}
+		add(owner)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

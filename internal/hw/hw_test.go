@@ -103,6 +103,44 @@ func TestNetworkLocalTransferIsFree(t *testing.T) {
 	}
 }
 
+// TestNetworkMulticast pins the one-to-many send: k destinations cost k wire
+// times on the sender's uplink and one propagation latency, every copy is a
+// message charged in full, and a destination equal to the sender is free.
+func TestNetworkMulticast(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cal := DefaultCalibration()
+	net := NewNetwork(env, cal)
+	for i := 1; i <= 4; i++ {
+		net.AddNode(i)
+	}
+	const bytes = 1 << 20
+	wire := net.TransferTime(bytes) - cal.NetLatency
+	env.Spawn("send", func(p *sim.Proc) {
+		net.Multicast(p, 1, []int{2, 1, 3, 4}, bytes)
+		if want := 3*wire + cal.NetLatency; p.Now() != want {
+			t.Errorf("send to 3 remote nodes took %v, want 3 x wire + latency = %v", p.Now(), want)
+		}
+		if net.Messages(1) != 3 || net.BytesSent(1) != 3*bytes {
+			t.Errorf("charged %d messages, %d bytes; want 3 and %d", net.Messages(1), net.BytesSent(1), 3*bytes)
+		}
+		at := p.Now()
+		net.Multicast(p, 1, []int{1}, bytes)
+		net.Multicast(p, 1, nil, bytes)
+		if p.Now() != at || net.Messages(1) != 3 {
+			t.Errorf("a send to the sender alone took %v and %d messages", p.Now()-at, net.Messages(1)-3)
+		}
+		// One destination is a plain transfer.
+		net.Multicast(p, 1, []int{2}, bytes)
+		if got := p.Now() - at; got != net.TransferTime(bytes) {
+			t.Errorf("send to one node took %v, want a transfer's %v", got, net.TransferTime(bytes))
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNetworkUplinkContention(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()

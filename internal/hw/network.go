@@ -8,7 +8,8 @@ import (
 
 // Network models the cluster interconnect: one switch with a dedicated
 // full-duplex link per node. A transfer serialises on the sender's uplink
-// for its transmission time and then pays one propagation/stack latency.
+// for its transmission time and then pays one propagation/stack latency; a
+// send to several nodes serialises every copy and pays the latency once.
 // Switch fabric contention is not modelled (the paper's switch is
 // non-blocking for 10 GbE-class aggregate traffic).
 type Network struct {
@@ -53,18 +54,45 @@ func (n *Network) Transfer(p *sim.Proc, from, to int, bytes int64) {
 	if from == to {
 		return
 	}
+	n.mustHaveLink(to)
+	n.send(p, from, 1, bytes)
+}
+
+// Multicast ships one copy of bytes from node from to every node in to and
+// returns when all of them hold it. The sender's uplink carries the copies
+// one after another — each is a message of its own, charged in full — and
+// they then cross the switch side by side, so k destinations cost k wire
+// times and a single propagation latency. A destination equal to the sender
+// is free, as in Transfer.
+func (n *Network) Multicast(p *sim.Proc, from int, to []int, bytes int64) {
+	copies := 0
+	for _, t := range to {
+		if t != from {
+			n.mustHaveLink(t)
+			copies++
+		}
+	}
+	if copies > 0 {
+		n.send(p, from, copies, bytes)
+	}
+}
+
+func (n *Network) mustHaveLink(to int) {
+	if _, ok := n.links[to]; !ok {
+		panic("hw: transfer to unknown node")
+	}
+}
+
+func (n *Network) send(p *sim.Proc, from, copies int, bytes int64) {
 	defer p.Meter(sim.CatNetworkIO)()
 	l, ok := n.links[from]
 	if !ok {
 		panic("hw: transfer from unknown node")
 	}
-	if _, ok := n.links[to]; !ok {
-		panic("hw: transfer to unknown node")
-	}
 	wire := time.Duration(float64(bytes+int64(n.cal.NetFrameSize)) / n.cal.NetBandwidth * float64(time.Second))
-	l.tx.Use(p, 1, func() { p.Sleep(wire) })
-	l.bytesSent += bytes
-	l.messages++
+	l.tx.Use(p, 1, func() { p.Sleep(time.Duration(copies) * wire) })
+	l.bytesSent += int64(copies) * bytes
+	l.messages += int64(copies)
 	p.Sleep(n.cal.NetLatency + n.extraDelay)
 }
 

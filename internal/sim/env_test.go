@@ -197,3 +197,77 @@ func TestMeterAccumulatesWaits(t *testing.T) {
 		t.Fatalf("total = %v", b.Total())
 	}
 }
+
+// TestForkJoinsSlowestAndFoldsItsBreakdown pins Proc.Fork: the caller waits
+// for the slowest child, not for the sum; children meter into breakdowns of
+// their own; and only the last finisher's categories are folded into the
+// caller's, so the caller's breakdown never exceeds its elapsed time.
+func TestForkJoinsSlowestAndFoldsItsBreakdown(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	sleeps := []time.Duration{3 * time.Millisecond, 7 * time.Millisecond, 5 * time.Millisecond}
+	cats := []Category{CatDiskIO, CatLogging, CatNetworkIO}
+	var elapsed time.Duration
+	var order []int
+	parent := &Breakdown{}
+	seen := map[*Breakdown]bool{parent: true}
+	env.Spawn("parent", func(p *Proc) {
+		p.Breakdown = parent
+		p.Fork("none", 0, func(*Proc, int) { t.Error("body ran for n = 0") })
+		if p.Now() != 0 {
+			t.Errorf("empty fork advanced the clock to %v", p.Now())
+		}
+		start := p.Now()
+		p.Fork("child", len(sleeps), func(c *Proc, i int) {
+			if c.Breakdown == nil || seen[c.Breakdown] {
+				t.Errorf("child %d: breakdown %p is missing or shared", i, c.Breakdown)
+			}
+			seen[c.Breakdown] = true
+			stop := c.Meter(cats[i])
+			c.Sleep(sleeps[i])
+			stop()
+			order = append(order, i)
+		})
+		elapsed = p.Now() - start
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed != 7*time.Millisecond {
+		t.Fatalf("fork took %v, want the slowest child's 7ms", elapsed)
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 2 || order[2] != 1 {
+		t.Fatalf("finish order %v, want [0 2 1]", order)
+	}
+	if got := parent.Get(CatLogging); got != 7*time.Millisecond {
+		t.Fatalf("last finisher's logging time folded as %v, want 7ms", got)
+	}
+	if parent.Total() != elapsed {
+		t.Fatalf("caller's breakdown sums to %v over %v elapsed: a concurrent wait was counted twice", parent.Total(), elapsed)
+	}
+	if env.Live() != 0 {
+		t.Fatalf("%d processes still live after the join", env.Live())
+	}
+}
+
+// TestForkWithoutBreakdown: children of an unmetered caller stay unmetered.
+func TestForkWithoutBreakdown(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	ran := 0
+	env.Spawn("parent", func(p *Proc) {
+		p.Fork("child", 2, func(c *Proc, i int) {
+			if c.Breakdown != nil {
+				t.Errorf("child %d got a breakdown from an unmetered caller", i)
+			}
+			c.Sleep(time.Millisecond)
+			ran++
+		})
+		if ran != 2 {
+			t.Errorf("join returned after %d of 2 children", ran)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -108,6 +108,42 @@ func (p *Proc) Sleep(d time.Duration) {
 // the process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
+// Fork runs body(c, 0) … body(c, n-1) as n child processes named name,
+// spawned in index order at the current instant, and parks p until every
+// one of them has returned. The children overlap in virtual time, so p waits
+// for the slowest of them, not for their sum.
+//
+// When p carries a Breakdown each child meters into one of its own, and the
+// last child to finish — the one p actually waited for — has its categories
+// folded into p's: the caller's breakdown keeps splitting its elapsed time
+// without counting overlapping waits twice.
+func (p *Proc) Fork(name string, n int, body func(c *Proc, i int)) {
+	if n <= 0 {
+		return
+	}
+	remaining := n
+	var last *Breakdown
+	for i := 0; i < n; i++ {
+		var bd *Breakdown
+		if p.Breakdown != nil {
+			bd = &Breakdown{}
+		}
+		p.env.Spawn(name, func(c *Proc) {
+			c.Breakdown = bd
+			body(c, i)
+			remaining--
+			if remaining == 0 {
+				last = bd
+				p.env.scheduleResume(p.env.now, p, wakeSignaled)
+			}
+		})
+	}
+	p.block()
+	if last != nil {
+		p.Breakdown.AddAll(last)
+	}
+}
+
 // Meter starts measuring virtual time against category cat and returns a
 // function that stops the measurement. Usage:
 //
