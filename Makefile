@@ -12,7 +12,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
+.PHONY: all build test test-race test-bench vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
 
 all: check
 
@@ -27,6 +27,12 @@ test:
 ## test-race: the full suite under the race detector
 test-race:
 	$(GO) test -race ./...
+
+## test-bench: the benchmark ledger's own tests — smoke runs of all four
+## workloads, the metric arithmetic and the BENCHMARK.json drift check (~4 s).
+## bench/ is a module of its own, so `go test ./...` at the root never sees them
+test-bench:
+	cd bench && $(GO) test ./...
 
 ## vet: static analysis
 vet:
@@ -101,8 +107,9 @@ chaos-quick:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -htap 4
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
-## tests + a short crash-anywhere chaos sweep of both workloads)
-check: build vet test-race chaos-quick
+## tests + the ledger's tests + a short crash-anywhere chaos sweep of both
+## workloads)
+check: build vet test-race test-bench chaos-quick
 
 ## bench-quick: regenerate every paper figure once at CI scale
 bench-quick:

@@ -219,9 +219,30 @@ func (bp *Pool) Pin(p *sim.Proc, id storage.PageID) (*Frame, error) {
 
 // PinNew installs a freshly allocated (zeroed, dirty) page without a backend
 // read. The caller must have allocated id in its segment already.
+//
+// A clean, unpinned frame already resident under id is a copy from before the
+// page was last freed: a reader parked in Pin while its tree freed the page
+// reloads it on waking, sees the tree changed and walks away, leaving the copy
+// behind. It is dropped (after any load still in flight). A pinned or dirty
+// one has a live user, which is a double allocation.
 func (bp *Pool) PinNew(p *sim.Proc, id storage.PageID) (*Frame, error) {
-	if _, ok := bp.frames[id]; ok {
-		return nil, fmt.Errorf("buffer: PinNew of resident page %v", id)
+	for {
+		stale, ok := bp.frames[id]
+		if !ok {
+			break
+		}
+		if stale.state != frameIdle {
+			bp.stats.LatchWaits++
+			stop := p.Meter(sim.CatLatching)
+			stale.cond.Wait(p)
+			stop()
+			continue
+		}
+		if stale.pins > 0 || stale.dirty {
+			return nil, fmt.Errorf("buffer: PinNew of resident page %v", id)
+		}
+		bp.drop(stale)
+		stale.cond.Fire()
 	}
 	f := bp.getFrame(id)
 	f.pins = 1

@@ -515,3 +515,54 @@ func TestPinHitZeroAlloc(t *testing.T) {
 		}
 	})
 }
+
+// TestPinNewOverStaleCopyOfFreedPage: a reader parked in Pin on a page whose
+// tree frees it meanwhile reloads the page when it wakes, notices the tree
+// changed and walks away — leaving a clean, unpinned copy of a freed page in
+// the pool. When the segment hands that page number out again, PinNew must
+// take it over (waiting out a reload still in flight), not fail the
+// allocation; a copy somebody still pins or has dirtied is a double
+// allocation and still fails.
+func TestPinNewOverStaleCopyOfFreedPage(t *testing.T) {
+	be := newMemBackend()
+	be.addSegment(1, 256, 8)
+	no := preparePage(t, be, 1, "stale")
+	be.latency = 10 * time.Millisecond
+	env := sim.NewEnv(1)
+	defer env.Close()
+	pool := NewPool(env, be, 256, 8)
+	sp := SegPager{Pool: pool, Seg: 1, Allocator: be}
+	id := storage.PageID{Seg: 1, Page: no}
+	env.Spawn("reader", func(p *sim.Proc) { // the stale reader: loads, looks, leaves
+		f, err := pool.Pin(p, id)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pool.Unpin(f, false)
+	})
+	env.Spawn("writer", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond) // the reader's load is in flight
+		be.segs[1].FreePage(no)
+		got, pg, rel, err := sp.Alloc(p)
+		if err != nil {
+			t.Errorf("alloc over a stale copy: %v", err)
+			return
+		}
+		if got != no || pg.NumSlots() != 0 {
+			t.Errorf("alloc returned page %d with %d slots, want the freed page %d, zeroed", got, pg.NumSlots(), no)
+		}
+		if p.Now() < 10*time.Millisecond {
+			t.Errorf("alloc returned at %v, before the stale load finished", p.Now())
+		}
+		// The fresh frame is pinned and dirty: a second allocation of the
+		// same page is refused.
+		if _, err := pool.PinNew(p, id); err == nil {
+			t.Error("PinNew over a pinned, dirty frame succeeded")
+		}
+		rel()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -434,3 +434,216 @@ func TestReplicaPartKeysStaySorted(t *testing.T) {
 		}
 	}
 }
+
+// TestForcedShipPassesPipeline pins what the drain lock covers: the send, not
+// the follower's disk. Four committers on one origin, each appending its frame
+// just after the one before it, so each gets a local force of its own; the
+// forced follower's log disk is slower than the origin's (a 5 ms stall per
+// write), which makes its force the long pole. The second committer's batch
+// must reach the follower while the first committer's force is still in
+// flight there, the follower's log must group-commit the waiters (fewer device
+// writes than committers), and the last ack must arrive one local force, one
+// send and two follower forces after the start — not four sends and forces end
+// to end, which is what holding the lock across the force cost.
+func TestForcedShipPassesPipeline(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1 := c.Nodes[0], c.Nodes[1]
+	f1.HW.LogDisk().SetStall(5 * time.Millisecond)
+	const committers = 4
+	var lsn [committers]uint64
+	var local, acked [committers]time.Duration // local force done, replica-durable ack
+	var sent2 time.Duration                    // the second committer's frame is on the follower
+	start := tc.env.Now()
+	flushes := f1.Log.Flushes
+	for i := 0; i < committers; i++ {
+		i := i
+		tc.env.Spawn("committer", func(p *sim.Proc) {
+			// Appended just after the previous committer's local force began:
+			// the origin's group commit cannot cover it in that write.
+			p.Sleep(time.Duration(i) * 1800 * time.Microsecond)
+			lsn[i] = origin.Log.Append(wal.Record{Txn: cc.TxnID(1<<40 + i), Type: wal.RecAbort})
+			origin.Log.Flush(p, lsn[i])
+			local[i] = p.Now() - start
+			if !c.forceShip(p, origin) {
+				t.Errorf("committer %d: origin reported dead", i)
+			}
+			if !c.replicaDurable(origin, lsn[i]) {
+				t.Errorf("committer %d acked without a durable follower", i)
+			}
+			acked[i] = p.Now() - start
+		})
+	}
+	tc.env.Spawn("watch", func(p *sim.Proc) {
+		for i := 0; i < 10000 && sent2 == 0; i++ {
+			if lsn[1] != 0 && origin.ship.sent[f1.ID] >= lsn[1] {
+				sent2 = p.Now() - start
+				return
+			}
+			p.Sleep(10 * time.Microsecond)
+		}
+	})
+	if err := tc.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.drep.ShipRetries != 0 {
+		t.Fatalf("%d retry sleeps in a fault-free run", c.drep.ShipRetries)
+	}
+	if sent2 == 0 || sent2 >= acked[0] {
+		t.Fatalf("second committer's batch reached the follower at %v, the first committer's follower force returned at %v: the send waited for the force",
+			sent2, acked[0])
+	}
+	if got := f1.Log.Flushes - flushes; got >= committers {
+		t.Fatalf("follower log issued %d device writes for %d committers: no group commit", got, committers)
+	}
+	last := acked[0]
+	for _, a := range acked {
+		if a > last {
+			last = a
+		}
+	}
+	// The first committer's ship is one send and one follower force.
+	ship := acked[0] - local[0]
+	if limit := local[0] + 2*ship + ship/10; last > limit {
+		t.Fatalf("last ack at %v, want <= %v (local force %v + send + 2 follower forces, ship %v each); %d serial ships would be %v",
+			last, limit, local[0], ship, committers, local[0]+committers*ship)
+	}
+}
+
+// atMidForce runs fault at the instant a forced pass of origin is flushing
+// follower f's log: 500 us — well inside the 1.75 ms force — after the next
+// shipped batch lands there. By then the pass must have released the origin's
+// drain lock.
+func atMidForce(t *testing.T, env *sim.Env, origin, f *DataNode, fault func(p *sim.Proc)) {
+	var landed time.Duration
+	shippedAt(env, f, f.Log.TailLSN(), &landed)
+	env.Spawn("fault", func(p *sim.Proc) {
+		for landed == 0 {
+			p.Sleep(10 * time.Microsecond)
+		}
+		p.Sleep(500 * time.Microsecond)
+		if origin.ship.draining {
+			t.Error("the origin's drain lock is held while the follower's log is being forced")
+		}
+		if f.Log.FlushedLSN() >= origin.ship.wrapLSN[f.ID] {
+			t.Errorf("setup: the follower's force finished before the fault (flushed %d of %d)",
+				f.Log.FlushedLSN(), origin.ship.wrapLSN[f.ID])
+		}
+		fault(p)
+	})
+}
+
+// TestForcedShipFollowerCrashMidForce: a follower that power-fails while a
+// forced pass is flushing its log — the origin's drain lock long released — is
+// not counted durable and is stale afterwards; the pass moves on to the
+// sibling, whose force acks the commit.
+func TestForcedShipFollowerCrashMidForce(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	tc.run(t, func(p *sim.Proc) {
+		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		origin.Log.Flush(p, lsn)
+		flushes1, flushes2 := f1.Log.Flushes, f2.Log.Flushes
+		before := origin.ship.durable[f1.ID]
+		crashed := false
+		atMidForce(t, tc.env, origin, f1, func(*sim.Proc) {
+			c.CrashNode(f1)
+			crashed = true
+		})
+		if !c.forceShip(p, origin) {
+			t.Error("origin reported dead")
+			return
+		}
+		if !crashed {
+			t.Error("setup: the commit acked before the fault landed")
+			return
+		}
+		if !origin.ship.stale[f1.ID] || origin.ship.durable[f1.ID] != before || f1.Log.Flushes != flushes1 {
+			t.Errorf("follower that died mid-force: stale=%v durable %d -> %d flushes +%d; want stale, unchanged, +0",
+				origin.ship.stale[f1.ID], before, origin.ship.durable[f1.ID], f1.Log.Flushes-flushes1)
+		}
+		if origin.ship.stale[f2.ID] || origin.ship.durable[f2.ID] < lsn || f2.Log.Flushes != flushes2+1 {
+			t.Errorf("sibling: stale=%v durable=%d (want >= %d) flushes=+%d (want +1)",
+				origin.ship.stale[f2.ID], origin.ship.durable[f2.ID], lsn, f2.Log.Flushes-flushes2)
+		}
+		if c.drep.ShipRetries != 0 {
+			t.Errorf("the commit slept %d retry delays instead of acking through the sibling", c.drep.ShipRetries)
+			return
+		}
+	})
+}
+
+// TestNoShipRetryFaultFree: eight closed-loop clients committing single-owner
+// and two-owner transactions on a fully replicated cluster never take a
+// shipRetryDelay sleep — every forced pass leaves its own waiter satisfied,
+// and so does every pass that found its frames already sent by another.
+func TestNoShipRetryFaultFree(t *testing.T) {
+	const n = 400
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cfg := DefaultConfig()
+	cfg.Nodes = 4
+	cfg.DataReplicas = 2
+	cfg.MasterReplicas = 2
+	c := New(env, cfg)
+	for _, node := range c.Nodes[1:] {
+		node.HW.ForceActive()
+	}
+	mid := ik(n / 2)
+	if _, err := c.Master.CreateTable(kvSchema(), table.Physiological, []RangeSpec{
+		{Low: nil, High: mid, Owner: c.Nodes[0]},
+		{Low: mid, High: nil, Owner: c.Nodes[1]},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetupReplicationDrain()
+	commits := 0
+	for cl := 0; cl < 8; cl++ {
+		cl := cl
+		env.Spawn("client", func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(int64(cl)))
+			for p.Now() < 500*time.Millisecond {
+				s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[cl%2])
+				keys := []int64{int64(cl*50 + rng.Intn(50))}
+				if rng.Intn(4) == 0 { // a two-owner commit
+					keys = append(keys, (keys[0]+n/2)%n)
+				}
+				var err error
+				for _, k := range keys {
+					payload, _ := kvSchema().EncodeRow(table.Row{k, "v"})
+					if err = s.Put(p, "kv", ik(k), payload); err != nil {
+						break
+					}
+				}
+				if err == nil {
+					err = s.Commit(p)
+				}
+				if err != nil {
+					s.Abort(p)
+					continue
+				}
+				commits++
+			}
+		})
+	}
+	env.Spawn("shipper", func(p *sim.Proc) {
+		for p.Now() < 500*time.Millisecond {
+			p.Sleep(20 * time.Millisecond)
+			c.DrainShipQueues(p)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if commits < 200 {
+		t.Fatalf("only %d commits in 500 ms: the run did not exercise the commit path", commits)
+	}
+	if c.drep.ShipRetries != 0 {
+		t.Fatalf("%d shipRetryDelay sleeps over %d fault-free commits", c.drep.ShipRetries, commits)
+	}
+}

@@ -45,6 +45,12 @@ import (
 // commit decision's while the coordinator is fenced or cut off.
 const shipRetryDelay = 50 * time.Millisecond
 
+// shipRetry parks a forced waiter for one shipRetryDelay.
+func (c *Cluster) shipRetry(p *sim.Proc) {
+	c.drep.ShipRetries++
+	p.Sleep(shipRetryDelay)
+}
+
 // shipWireOverhead is the per-frame wire framing cost of a shipped frame
 // (ship header + request framing), matching the RPC overhead used elsewhere.
 const shipWireOverhead = 32
@@ -52,6 +58,12 @@ const shipWireOverhead = 32
 // dataRep is the cluster-wide data-replication state.
 type dataRep struct {
 	replicas int // followers per origin node
+
+	// The ship sets, fixed at construction and indexed by node ID: followers[o]
+	// is origin o's replica set in ring order (the next replicas node IDs,
+	// cyclically), origins[f] the nodes that ship to f, ascending by ID.
+	followers [][]*DataNode
+	origins   [][]*DataNode
 
 	// inflight: commit timestamps issued whose frames may not yet be
 	// replica-durable, keyed by origin node then transaction. A follower
@@ -64,6 +76,10 @@ type dataRep struct {
 	ScrubRepairs  int // bit-rotted frames patched from a follower copy
 	FollowerReads int // gets/scans served by a replica store
 	DiskLosses    int // DestroyDisk invocations
+
+	// ShipRetries counts shipRetryDelay sleeps: forced waiters that found no
+	// usable follower. A fault-free run takes none.
+	ShipRetries int
 }
 
 func (d *dataRep) addInflight(node int, id cc.TxnID, ts cc.Timestamp) {
@@ -137,6 +153,13 @@ type shipState struct {
 	durable map[int]uint64 // newest frame covered by a flush of the follower's log
 	wrapLSN map[int]uint64 // follower-local LSN of the last wrapper appended
 
+	// resyncs counts, per follower, the resyncs that brought it back in sync.
+	// A ship pass confirms follower durability after it released the drain
+	// lock (confirmShipped), from marks taken under it; a resync in between
+	// re-anchors sent and durable — after a rebuild in a new numbering — so a
+	// mark from before it is void.
+	resyncs map[int]uint64
+
 	// rebuildGen counts rebuildFromReplicas passes — it is the generation
 	// stamped on every shipped frame, so followers' retained wrappers can be
 	// told apart across renumberings. rebuiltThrough and rebuiltFromGen
@@ -156,10 +179,32 @@ type shipState struct {
 	// resync is cut short.
 	syncedGen map[int]uint64
 
-	// draining serializes queue drains (the background shipper vs. forced
-	// commits vs. resyncs); contenders wait on drained.
+	// draining is the drain lock: it serializes everything that reads or
+	// moves the queue and the sent/wrapLSN watermarks — the send stage of a
+	// ship pass (background shipper or forced commit) and a whole resync;
+	// contenders wait on drained. It is never held across a flush of a
+	// follower's log by a ship pass: the confirm stage runs after release.
 	draining bool
 	drained  *sim.Signal
+
+	// Scratch of the send stage, reused under the drain lock: the pass's
+	// receivers and their node IDs. freeMarks recycles the mark lists passes
+	// carry into their confirm stage, where several can be live at once.
+	recv      []*DataNode
+	dest      []int
+	freeMarks [][]shipMark
+	wrapBuf   []byte // applyToFollower's wrapper payload
+}
+
+// shipMark is what a ship pass remembers about one receiver when it releases
+// the drain lock: once f's log is flushed through wrap, every shippable frame
+// of the origin at or below through is durable there — unless f was resynced
+// since (resyncs moved on).
+type shipMark struct {
+	f       *DataNode
+	wrap    uint64 // f-local LSN of the last wrapper this pass knows of
+	through uint64 // the origin boundary it stands for (origin LSN)
+	resyncs uint64
 }
 
 // visibleBelow reports whether any queued (undelivered) frame carries a
@@ -272,6 +317,7 @@ type replicaPart struct {
 	keys   []string
 	sorted int
 	vers   map[string][]cc.Version
+	kbuf   []byte // scan's key buffer, kept between scans
 }
 
 // install adds v as key's version at v.TS (replacing an equal-TS install —
@@ -320,7 +366,12 @@ func (rp *replicaPart) sortedKeys() []string {
 // (tombstones included — ok distinguishes "no version" from a visible
 // tombstone, matching cc.VersionStore.VisibleVersion).
 func (rp *replicaPart) get(key []byte, snap cc.Timestamp) (cc.Version, bool) {
-	for _, v := range rp.vers[string(key)] {
+	return visibleAt(rp.vers[string(key)], snap)
+}
+
+// visibleAt resolves a newest-first version chain at snapshot snap.
+func visibleAt(vs []cc.Version, snap cc.Timestamp) (cc.Version, bool) {
+	for _, v := range vs {
 		if v.TS <= snap {
 			return v, true
 		}
@@ -329,24 +380,32 @@ func (rp *replicaPart) get(key []byte, snap cc.Timestamp) (cc.Version, bool) {
 }
 
 // scan visits live versions of keys in [lo, hi) at snapshot snap, in key
-// order; fn returning false stops the scan.
+// order; fn returning false stops the scan. The key fn receives is a buffer
+// reused from row to row, valid for the callback only — the contract of an
+// owner's scan, whose keys alias a pinned page.
 func (rp *replicaPart) scan(lo, hi []byte, snap cc.Timestamp, fn func(k, v []byte) bool) {
 	keys := rp.sortedKeys()
 	if lo != nil {
-		keys = keys[sort.SearchStrings(keys, string(lo)):]
+		keys = keys[sort.Search(len(keys), func(i int) bool { return keys[i] >= string(lo) }):]
 	}
+	// Taken for the duration: a callback that scans this part again gets a
+	// buffer of its own.
+	kbuf := rp.kbuf
+	rp.kbuf = nil
 	for _, ks := range keys {
 		if hi != nil && ks >= string(hi) {
-			return
+			break
 		}
-		v, ok := rp.get([]byte(ks), snap)
+		v, ok := visibleAt(rp.vers[ks], snap)
 		if !ok || v.Deleted {
 			continue
 		}
-		if !fn([]byte(ks), v.Val) {
-			return
+		kbuf = append(kbuf[:0], ks...)
+		if !fn(kbuf, v.Val) {
+			break
 		}
 	}
+	rp.kbuf = kbuf
 }
 
 // EnableDataReplication turns on per-node WAL shipping with the given number
@@ -361,8 +420,18 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 		replicas = len(c.Nodes) - 1
 	}
 	c.drep = &dataRep{
-		replicas: replicas,
-		inflight: make(map[int]map[cc.TxnID]cc.Timestamp),
+		replicas:  replicas,
+		inflight:  make(map[int]map[cc.TxnID]cc.Timestamp),
+		followers: make([][]*DataNode, len(c.Nodes)),
+		origins:   make([][]*DataNode, len(c.Nodes)),
+	}
+	// Walking origins in ascending ID leaves every origins[f] ascending.
+	for id, o := range c.Nodes {
+		for i := 1; i <= replicas; i++ {
+			f := c.Nodes[(id+i)%len(c.Nodes)]
+			c.drep.followers[id] = append(c.drep.followers[id], f)
+			c.drep.origins[f.ID] = append(c.drep.origins[f.ID], o)
+		}
 	}
 	for _, n := range c.Nodes {
 		node := n
@@ -371,6 +440,7 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 			sent:      make(map[int]uint64),
 			durable:   make(map[int]uint64),
 			wrapLSN:   make(map[int]uint64),
+			resyncs:   make(map[int]uint64),
 			syncedGen: make(map[int]uint64),
 			drained:   sim.NewSignal(c.Env),
 		}
@@ -397,14 +467,8 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 }
 
 // followersOf returns origin id's replica set: the next DataReplicas node
-// IDs, cyclically.
-func (c *Cluster) followersOf(id int) []*DataNode {
-	out := make([]*DataNode, 0, c.drep.replicas)
-	for i := 1; i <= c.drep.replicas; i++ {
-		out = append(out, c.Nodes[(id+i)%len(c.Nodes)])
-	}
-	return out
-}
+// IDs, cyclically. The slice is the stored table — read-only.
+func (c *Cluster) followersOf(id int) []*DataNode { return c.drep.followers[id] }
 
 // follows reports whether node f is in origin's replica set.
 func (c *Cluster) follows(f, origin int) bool {
@@ -412,16 +476,9 @@ func (c *Cluster) follows(f, origin int) bool {
 	return d >= 1 && d <= c.drep.replicas
 }
 
-// originsOf returns the node IDs that replicate TO node id (the inverse of
-// followersOf), ascending.
-func (c *Cluster) originsOf(id int) []*DataNode {
-	out := make([]*DataNode, 0, c.drep.replicas)
-	for i := 1; i <= c.drep.replicas; i++ {
-		out = append(out, c.Nodes[(id-i+len(c.Nodes))%len(c.Nodes)])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// originsOf returns the nodes that replicate TO node id (the inverse of
+// followersOf), ascending by ID. The slice is the stored table — read-only.
+func (c *Cluster) originsOf(id int) []*DataNode { return c.drep.origins[id] }
 
 // updatePin advances the log's truncation fence: everything unshipped (or
 // everything, while any follower awaits a resync from the retained log) is
@@ -444,10 +501,12 @@ func (sh *shipState) updatePin(l *wal.Log) {
 // on f's log (Part carries the origin ID) and an immediate replica-store
 // apply. frame must be a stable copy.
 func (c *Cluster) applyToFollower(f, origin *DataNode, lsn uint64, frame []byte) {
-	payload := wal.EncodeShipFrame(nil, &wal.ShipFrame{
-		Origin: uint32(origin.ID), LSN: lsn, Gen: origin.ship.rebuildGen, Frame: frame})
-	wl := f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: payload})
-	origin.ship.wrapLSN[f.ID] = wl
+	sh := origin.ship
+	// Append copies the payload into f's log segment, so one buffer serves
+	// every wrapper this origin ships.
+	sh.wrapBuf = wal.EncodeShipFrame(sh.wrapBuf[:0], &wal.ShipFrame{
+		Origin: uint32(origin.ID), LSN: lsn, Gen: sh.rebuildGen, Frame: frame})
+	sh.wrapLSN[f.ID] = f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: sh.wrapBuf})
 	st := f.stores[origin.ID]
 	if st == nil {
 		st = newRepStore()
@@ -490,17 +549,38 @@ func (c *Cluster) releaseDrain(origin *DataNode) {
 	origin.ship.drained.Fire()
 }
 
-// shipQueued delivers origin's queued frames to every live, in-sync follower
-// in one send: each copy of the batch serialises on the origin's uplink, and
-// all of them land at the same instant, one propagation delay later. With
-// forced, the receivers' logs are then flushed through the delivered wrappers,
-// in follower order, until one of them is durable — what a forced pass owes
-// its waiters; the other wrappers ride their log's next group commit, and a
-// follower's durable watermark advances whenever a pass finds its log flushed
-// that far. Followers that cannot receive (down, already stale, or crashed
-// while the batch was on the wire) are marked stale; a resync re-seeds them.
-// The whole pass runs under the origin's drain lock. Returns false only when
-// origin died mid-drain.
+// shipQueued is one ship pass over origin's queue, in two stages. The send
+// stage (sendQueued) runs under the origin's drain lock and ends with every
+// live in-sync follower holding the origin-flushed prefix of the queue; the
+// confirm stage (confirmShipped) runs after the lock is released and turns
+// follower log flushes into durable watermarks — with forced, by flushing the
+// receivers' logs itself until one of them is durable, which is what a forced
+// pass owes its waiters. So the next pass's batch travels while this one's is
+// being forced, and the forces of concurrent passes meet in the follower's
+// group commit instead of queueing on the origin's lock. Returns false only
+// when origin died during the pass.
+func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
+	marks, ok := c.sendQueued(p, origin)
+	if !ok {
+		return false
+	}
+	c.confirmShipped(p, origin, marks, forced)
+	origin.ship.freeMarks = append(origin.ship.freeMarks, marks[:0])
+	return !origin.crashed
+}
+
+// sendQueued is the send stage of a ship pass: origin's queued frames go to
+// every live, in-sync follower in one send — each copy of the batch serialises
+// on the origin's uplink, and all of them land at the same instant, one
+// propagation delay later — as wrappers on the follower's log and installs in
+// its replica store. Followers that cannot receive (down, already stale, or
+// crashed while the batch was on the wire) are marked stale; a resync re-seeds
+// them. The drain lock is held throughout, because it is what keeps the queue
+// and the sent / wrapLSN watermarks in step: between cutting the batch and
+// popping it nobody else may deliver, resync or trim, or a follower could see
+// a frame twice, out of order, or never. It covers the send and nothing after
+// it. Returns one mark per receiver for the confirm stage, and false when
+// origin died waiting for the lock or during the send.
 //
 // Only the origin-flushed prefix of the queue ships: a frame the origin has
 // not made locally durable could die with its unflushed tail, yet survive in
@@ -510,9 +590,9 @@ func (c *Cluster) releaseDrain(origin *DataNode) {
 // origin, so followers' retained wrappers never diverge from a restarted
 // origin's log. (This is also why the local force and the ship cannot
 // overlap: that would need followers able to truncate what they flushed.)
-func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
+func (c *Cluster) sendQueued(p *sim.Proc, origin *DataNode) ([]shipMark, bool) {
 	if !c.acquireDrain(p, origin) {
-		return false
+		return nil, false
 	}
 	defer c.releaseDrain(origin)
 	sh := origin.ship
@@ -526,9 +606,8 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	for _, it := range items {
 		batchBytes += int64(len(it.frame)) + shipWireOverhead
 	}
-	followers := c.followersOf(origin.ID)
-	receivers := followers[:0]
-	for _, f := range followers {
+	recv := sh.recv[:0]
+	for _, f := range c.followersOf(origin.ID) {
 		if f.crashed || sh.stale[f.ID] {
 			if len(items) > 0 {
 				sh.stale[f.ID] = true
@@ -540,19 +619,21 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 		if f.Log.FlushedLSN() >= sh.wrapLSN[f.ID] {
 			sh.durable[f.ID] = sh.sent[f.ID]
 		}
-		receivers = append(receivers, f)
+		recv = append(recv, f)
 	}
-	if len(items) > 0 && len(receivers) > 0 {
-		to := make([]int, len(receivers))
-		for i, f := range receivers {
-			to[i] = f.ID
+	sh.recv = recv
+	if len(items) > 0 && len(recv) > 0 {
+		dest := sh.dest[:0]
+		for _, f := range recv {
+			dest = append(dest, f.ID)
 		}
-		c.Net.Multicast(p, origin.ID, to, batchBytes)
+		sh.dest = dest
+		c.Net.Multicast(p, origin.ID, dest, batchBytes)
 		if origin.crashed {
-			return false
+			return nil, false
 		}
-		live := receivers[:0]
-		for _, f := range receivers {
+		live := recv[:0]
+		for _, f := range recv {
 			if f.crashed || sh.stale[f.ID] {
 				sh.stale[f.ID] = true
 				continue
@@ -565,28 +646,21 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 			}
 			live = append(live, f)
 		}
-		receivers = live
+		recv = live
 	}
-	acked := false
-	for _, f := range receivers {
+	var marks []shipMark
+	if n := len(sh.freeMarks); n > 0 {
+		marks, sh.freeMarks = sh.freeMarks[n-1], sh.freeMarks[:n-1]
+	}
+	for _, f := range recv {
 		// The receiver now holds every shippable frame up to the origin's
 		// flushed boundary, whatever kind of record sits at the boundary
 		// itself: a forced waiter's target is that boundary, and it may be a
 		// frame that never ships (a wrapper of another origin's stream).
 		sh.sent[f.ID] = flushed
-		wl := sh.wrapLSN[f.ID]
-		if forced && !acked && f.Log.FlushedLSN() < wl {
-			f.Log.Flush(p, wl)
-			if origin.crashed {
-				return false
-			}
-		}
-		if !f.crashed && !sh.stale[f.ID] && f.Log.FlushedLSN() >= wl {
-			sh.durable[f.ID] = sh.sent[f.ID]
-			acked = true
-		}
+		marks = append(marks, shipMark{f: f, wrap: sh.wrapLSN[f.ID], through: flushed, resyncs: sh.resyncs[f.ID]})
 	}
-	if len(receivers) > 0 {
+	if len(recv) > 0 {
 		sh.queue = sh.queue[len(items):]
 	}
 	// No receiver: every follower is stale or down. The queue is kept —
@@ -594,7 +668,44 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	// so frames still volatile at the origin must stay queued for ordinary
 	// delivery once a follower is back in sync.
 	sh.updatePin(origin.Log)
-	return true
+	return marks, true
+}
+
+// confirmShipped is the confirm stage of a ship pass, run without the drain
+// lock: a receiver whose log is flushed through its mark's wrapper holds the
+// origin's frames up to the mark's boundary durably. With forced, receivers
+// not flushed that far are flushed, in follower order, until one of them is
+// durable; the other wrappers ride their log's next group commit, and their
+// watermark advances whenever a later pass finds the log flushed that far.
+//
+// What this stage may assume is what the marks say and no more. Other passes
+// have sent, and confirmed, since the lock was released — they finish in any
+// order, so the durable watermark only ever moves up to a mark's boundary,
+// never down to it. And anything may have failed meanwhile: a follower that
+// crashed, or the origin crashing (which marks its whole ship set stale), is
+// caught by the stale flag for as long as it lasts and by the resync counter
+// once a resync has cleared it — after a rebuild that resync re-anchors the
+// watermarks in a new numbering, where an old boundary means nothing. A void
+// mark is dropped; its waiter finds no durable follower and ships again.
+func (c *Cluster) confirmShipped(p *sim.Proc, origin *DataNode, marks []shipMark, forced bool) {
+	sh := origin.ship
+	acked := false
+	for _, m := range marks {
+		id := m.f.ID
+		if forced && !acked && m.f.Log.FlushedLSN() < m.wrap {
+			m.f.Log.Flush(p, m.wrap)
+			if origin.crashed {
+				return
+			}
+		}
+		if m.f.Log.FlushedLSN() < m.wrap || sh.stale[id] || sh.resyncs[id] != m.resyncs {
+			continue
+		}
+		if sh.durable[id] < m.through {
+			sh.durable[id] = m.through
+		}
+		acked = true
+	}
 }
 
 // replicaDurable reports whether at least one in-sync follower of origin holds
@@ -645,7 +756,7 @@ func (c *Cluster) forceShip(p *sim.Proc, origin *DataNode) bool {
 		if origin.crashed {
 			return false
 		}
-		p.Sleep(shipRetryDelay)
+		c.shipRetry(p)
 	}
 }
 
@@ -705,7 +816,7 @@ func (c *Cluster) forceShipDecided(p *sim.Proc, origin *DataNode, target, gen ui
 				c.healStaleFollowers(p, origin)
 			}
 		}
-		p.Sleep(shipRetryDelay)
+		c.shipRetry(p)
 	}
 }
 
@@ -777,6 +888,12 @@ func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 	}
 	defer c.releaseDrain(origin)
 	sh := origin.ship
+	if !sh.stale[f.ID] {
+		// Someone else's resync of f held the lock this call waited for (a
+		// forced commit's heal and a restart epilogue race for the same pair):
+		// f is in sync, and shipping the whole retained log again buys nothing.
+		return
+	}
 	flushed := origin.Log.FlushedLSN()
 	var frames []shipItem
 	var total int64
@@ -840,6 +957,7 @@ func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 	if !f.crashed && f.Log.FlushedLSN() >= wl {
 		sh.durable[f.ID] = flushed
 		sh.stale[f.ID] = false
+		sh.resyncs[f.ID]++
 	}
 	// The resynced prefix no longer needs queue delivery to THIS follower —
 	// but the queue is shared across the replica set, so only frames every

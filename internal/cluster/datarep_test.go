@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -388,5 +389,197 @@ func TestScrubRepairsCoordinatorFrame(t *testing.T) {
 	}
 	if _, seq, _ := c.Master.masterCopy(leader); seq != seqBefore {
 		t.Fatalf("master history ends at sequence %d after repair, want %d", seq, seqBefore)
+	}
+}
+
+// TestShipConfirmOutOfOrder: passes confirm after releasing the drain lock, so
+// a later pass can finish first. The durable watermark is the larger of the
+// boundaries confirmed, whatever the order.
+func TestShipConfirmOutOfOrder(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1 := c.Nodes[0], c.Nodes[1]
+	tc.run(t, func(p *sim.Proc) {
+		send := func(txn cc.TxnID) (uint64, []shipMark) {
+			lsn := origin.Log.Append(wal.Record{Txn: txn, Type: wal.RecAbort})
+			origin.Log.Flush(p, lsn)
+			marks, ok := c.sendQueued(p, origin)
+			if !ok || len(marks) == 0 || marks[0].f != f1 || marks[0].through != lsn {
+				t.Errorf("send stage: ok=%v marks=%+v, want follower 1 first, through %d", ok, marks, lsn)
+			}
+			return lsn, marks
+		}
+		before := origin.ship.durable[f1.ID]
+		first, early := send(1 << 40)
+		second, late := send(1 << 41)
+		if origin.ship.durable[f1.ID] != before {
+			t.Errorf("durable moved %d -> %d before the follower flushed anything", before, origin.ship.durable[f1.ID])
+			return
+		}
+		c.confirmShipped(p, origin, late, true) // forces the follower through both batches
+		if got := origin.ship.durable[f1.ID]; got != second {
+			t.Errorf("after the later pass confirmed: durable %d, want %d", got, second)
+			return
+		}
+		flushes := f1.Log.Flushes
+		c.confirmShipped(p, origin, early, true)
+		if got := origin.ship.durable[f1.ID]; got != second || f1.Log.Flushes != flushes {
+			t.Errorf("the earlier pass confirming last: durable %d (want %d, not %d), follower flushes +%d (want +0)",
+				got, second, first, f1.Log.Flushes-flushes)
+		}
+	})
+}
+
+// TestLogMasterRidesEarlierPass: a forced coordinator record whose frame was
+// shipped — popped from the queue — by a committer's pass that is still forcing
+// the follower's log. logMaster's own pass finds nothing to send, and must
+// still answer true only once a follower holds the record durably: it joins
+// the force in flight instead of reporting on the send.
+func TestLogMasterRidesEarlierPass(t *testing.T) {
+	w := newFailoverWorld(t, 300)
+	defer w.env.Close()
+	c, m := w.c, w.c.Master
+	leader, f1 := c.Nodes[0], c.Nodes[1]
+	var busy, committerDone, masterDone time.Duration
+	var masterLSN uint64
+	replicated := false
+	// Someone's local force is in flight when the other two append, so theirs
+	// is the next group commit: the committer, first in line, becomes its
+	// flusher and resumes ahead of the coordinator when it completes.
+	w.env.Spawn("busy", func(p *sim.Proc) {
+		leader.Log.Flush(p, leader.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort}))
+		busy = p.Now()
+	})
+	w.env.Spawn("committer", func(p *sim.Proc) {
+		p.Sleep(100 * time.Microsecond)
+		leader.Log.Flush(p, leader.Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort}))
+		if !c.forceShip(p, leader) {
+			t.Error("leader reported dead")
+		}
+		committerDone = p.Now()
+	})
+	w.env.Spawn("coordinator", func(p *sim.Proc) {
+		p.Sleep(200 * time.Microsecond)
+		msgs, flushes := c.Net.Messages(leader.ID), f1.Log.Flushes
+		replicated = m.logMaster(p, wal.Record{Type: wal.RecMLease, TS: m.Oracle.Leased()}, true)
+		masterDone = p.Now()
+		masterLSN = leader.Log.TailLSN() - 1
+		if sent := c.Net.Messages(leader.ID) - msgs; sent != 2 {
+			t.Errorf("%d messages left the leader, want the committer's one batch to two followers", sent)
+		}
+		if got := f1.Log.Flushes - flushes; got != 1 {
+			t.Errorf("follower log forced %d times, want the one force both waiters share", got)
+		}
+		frames, _, _ := durableShippedFrames(f1, leader.ID)
+		if !replicated || frames[masterLSN] == nil {
+			t.Errorf("logMaster returned %v with the record durable on the follower: %v", replicated, frames[masterLSN] != nil)
+		}
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if busy == 0 || masterDone != committerDone {
+		t.Fatalf("coordinator answered at %v, the committer's follower force returned at %v: want the same instant", masterDone, committerDone)
+	}
+}
+
+// TestShipPassAllocs: ship sets are tables built once and a pass works in
+// scratch its shipState owns, so a forced pass that finds nothing queued and
+// its follower durable — what a committer runs when another's pass carried its
+// frames — allocates nothing.
+func TestShipPassAllocs(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin := c.Nodes[0]
+	tc.run(t, func(p *sim.Proc) {
+		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		origin.Log.Flush(p, lsn)
+		pass := func() {
+			if !c.shipQueued(p, origin, true) || !c.replicaDurable(origin, lsn) {
+				t.Error("forced pass left the frame short of a durable follower")
+				return
+			}
+		}
+		pass() // ships the frame, forces the follower, sizes the scratch
+		if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+			t.Errorf("a forced pass over an empty queue allocates %.1f objects, want 0", allocs)
+			return
+		}
+		if &c.followersOf(0)[0] != &c.followersOf(0)[0] || &c.originsOf(0)[0] != &c.originsOf(0)[0] {
+			t.Error("ship sets are rebuilt per call")
+			return
+		}
+	})
+}
+
+// TestReplicaScanAllocs: a replica-store scan resolves each version chain from
+// the stored key and hands the callback one reused key buffer — no allocation
+// per row.
+func TestReplicaScanAllocs(t *testing.T) {
+	const n = 1000
+	rp := &replicaPart{vers: make(map[string][]cc.Version)}
+	for i := n - 1; i >= 0; i-- {
+		rp.install(ik(int64(i)), cc.Version{TS: 1, Val: []byte("v")})
+	}
+	rows := 0
+	var prev []byte
+	visit := func(k, v []byte) bool {
+		if bytes.Compare(prev, k) >= 0 {
+			t.Fatalf("row %d: keys out of order", rows)
+		}
+		prev = append(prev[:0], k...)
+		rows++
+		return true
+	}
+	rp.scan(nil, nil, 1, visit) // folds the key tail in, sizes the key buffer
+	if rows != n {
+		t.Fatalf("scan saw %d rows, want %d", rows, n)
+	}
+	lo, hi := ik(100), ik(900)
+	if allocs := testing.AllocsPerRun(20, func() {
+		prev = prev[:0]
+		rp.scan(nil, nil, 1, visit)
+		prev = prev[:0]
+		rp.scan(lo, hi, 1, visit)
+	}); allocs != 0 {
+		t.Fatalf("two scans over %d keys allocate %.1f objects, want 0", n, allocs)
+	}
+}
+
+// TestConcurrentResyncShipsOnce: a forced commit's heal and a restart epilogue
+// can both decide to resync the same stale follower; the one that waited for
+// the drain lock finds the follower in sync when it gets it and must not ship
+// the whole retained log a second time.
+func TestConcurrentResyncShipsOnce(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 200)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f := c.Nodes[0], c.Nodes[1]
+	origin.ship.stale[f.ID] = true
+	f.stores[origin.ID] = newRepStore()
+	sent, tail := c.Net.BytesSent(origin.ID), f.Log.TailLSN()
+	var once int64
+	for i := 0; i < 2; i++ {
+		tc.env.Spawn("resync", func(p *sim.Proc) {
+			c.resyncFollower(p, origin, f)
+			if once == 0 {
+				once = c.Net.BytesSent(origin.ID) - sent
+			}
+		})
+	}
+	if err := tc.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if origin.ship.stale[f.ID] || origin.ship.resyncs[f.ID] != 1 {
+		t.Fatalf("after two concurrent resyncs: stale=%v, %d completed; want in sync after exactly one",
+			origin.ship.stale[f.ID], origin.ship.resyncs[f.ID])
+	}
+	if got := c.Net.BytesSent(origin.ID) - sent; got != once || f.Log.TailLSN() == tail {
+		t.Fatalf("origin sent %d bytes for two concurrent resyncs, the first alone sent %d", got, once)
 	}
 }

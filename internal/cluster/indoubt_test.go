@@ -652,3 +652,139 @@ func TestParticipantDiesWhileSiblingCommits(t *testing.T) {
 		t.Fatalf("%d decisions outstanding after the restart", n)
 	}
 }
+
+// originDiesMidForce commits one single-owner update (key 10 on node 0 ->
+// "new") on a fully shipped replicated cluster and lets fault run at the
+// instant the commit's forced pass is flushing follower 1's log — after the
+// pass released the origin's drain lock. It returns the cluster, the commit's
+// outcome, and the value a fresh snapshot reads once everything fault started
+// has finished.
+func originDiesMidForce(t *testing.T, fault func(p *sim.Proc, c *Cluster)) (tc *testCluster, commitErr error, got string) {
+	t.Helper()
+	tc = newRepCluster(t, table.Physiological, 4, 100)
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1 := c.Nodes[0], c.Nodes[1]
+	atMidForce(t, tc.env, origin, f1, func(p *sim.Proc) { fault(p, c) })
+	committed := false
+	tc.env.Spawn("commit", func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, origin)
+		payload, _ := kvSchema().EncodeRow(table.Row{int64(10), "new"})
+		if err := s.Put(p, "kv", ik(10), payload); err != nil {
+			t.Errorf("put: %v", err)
+			return
+		}
+		commitErr = s.Commit(p)
+		committed = true
+	})
+	if err := tc.env.RunUntil(tc.env.Now() + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !committed {
+		t.Fatal("the commit never resolved")
+	}
+	tc.run(t, func(p *sim.Proc) {
+		// A locking read: it sees the newest committed version, whereas a fresh
+		// snapshot could sit below the restarted partition's recovery horizon.
+		s := c.Master.Begin(p, cc.Locking, origin)
+		defer s.Abort(p)
+		v, ok, err := s.Get(p, "kv", ik(10))
+		if err != nil || !ok {
+			t.Errorf("get: ok=%v err=%v", ok, err)
+			return
+		}
+		row, _ := kvSchema().DecodeRow(v)
+		got = row[1].(string)
+	})
+	return tc, commitErr, got
+}
+
+// TestOriginDiesDuringOffLockForce: the origin power-fails while its commit's
+// forced pass is in the confirm stage. The commit record is locally durable,
+// so the waiter parks across the outage and resolves to what recovery did.
+func TestOriginDiesDuringOffLockForce(t *testing.T) {
+	t.Run("plain restart acks", func(t *testing.T) {
+		tc, err, got := originDiesMidForce(t, func(p *sim.Proc, c *Cluster) {
+			c.CrashNode(c.Nodes[0])
+			p.Sleep(2 * time.Second)
+			if _, _, err := c.RestartNode(p, c.Nodes[0]); err != nil {
+				t.Errorf("restart: %v", err)
+			}
+		})
+		defer tc.env.Close()
+		if err != nil || got != "new" {
+			t.Fatalf("commit: %v, key reads %q; want an ack and the new value (the commit record was durable at the origin)", err, got)
+		}
+	})
+	t.Run("rebuild below the replica prefix fails", func(t *testing.T) {
+		// The origin's disk is destroyed and the follower being forced loses
+		// power in the same instant: the commit's wrappers are durable nowhere,
+		// so the rebuilt log ends below it.
+		tc, err, got := originDiesMidForce(t, func(p *sim.Proc, c *Cluster) {
+			c.DestroyDisk(c.Nodes[0])
+			c.CrashNode(c.Nodes[1])
+			p.Sleep(2 * time.Second)
+			if _, _, err := c.RestartNode(p, c.Nodes[0]); err != nil {
+				t.Errorf("restart origin: %v", err)
+			}
+			if _, _, err := c.RestartNode(p, c.Nodes[1]); err != nil {
+				t.Errorf("restart follower: %v", err)
+			}
+		})
+		defer tc.env.Close()
+		if err == nil || got != fmt.Sprintf(idOldVal, 10) {
+			t.Fatalf("commit: %v, key reads %q; want an error and the old value (the commit is gone everywhere)", err, got)
+		}
+	})
+}
+
+// TestStaleShipMarkCannotRaiseDurable: a ship pass's marks are taken under the
+// drain lock and redeemed after it; if the origin is destroyed and rebuilt in
+// between, its log is renumbered and every follower resynced, and a mark from
+// before — a boundary in the old numbering, far above the rebuilt log's tail —
+// must not touch the durable watermark, however far the follower's log has
+// been flushed since.
+func TestStaleShipMarkCannotRaiseDurable(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	tc.run(t, func(p *sim.Proc) {
+		var lsn uint64
+		for i := 0; i < 200; i++ { // push the old numbering well past the rebuilt tail
+			lsn = origin.Log.Append(wal.Record{Txn: cc.TxnID(1<<40 + i), Type: wal.RecAbort})
+		}
+		origin.Log.Flush(p, lsn)
+		marks, ok := c.sendQueued(p, origin)
+		if !ok || len(marks) != 2 || marks[0].through != lsn {
+			t.Errorf("send stage: ok=%v marks=%+v, want one per follower through %d", ok, marks, lsn)
+			return
+		}
+		// The followers flush nothing: the 200 frames are durable on the
+		// origin alone, and die with its disk.
+		c.DestroyDisk(origin)
+		p.Sleep(2 * time.Second)
+		if _, _, err := c.RestartNode(p, origin); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		sh := origin.ship
+		if sh.stale[f1.ID] || sh.stale[f2.ID] {
+			t.Error("setup: the restart did not resync the followers")
+			return
+		}
+		d1, d2 := sh.durable[f1.ID], sh.durable[f2.ID]
+		if d1 >= lsn || origin.Log.TailLSN() > lsn {
+			t.Errorf("setup: rebuilt log (tail %d, follower durable %d) is not below the old boundary %d", origin.Log.TailLSN(), d1, lsn)
+			return
+		}
+		f1.Log.Flush(p, f1.Log.TailLSN()-1)
+		f2.Log.Flush(p, f2.Log.TailLSN()-1)
+		c.confirmShipped(p, origin, marks, true)
+		if sh.durable[f1.ID] != d1 || sh.durable[f2.ID] != d2 || c.replicaDurable(origin, lsn) {
+			t.Errorf("a mark from before the rebuild moved the durable watermarks: %d -> %d, %d -> %d",
+				d1, sh.durable[f1.ID], d2, sh.durable[f2.ID])
+		}
+	})
+}

@@ -211,7 +211,7 @@ func (m *Master) recordDecision(p *sim.Proc, txn *cc.Txn, commitTS cc.Timestamp,
 			// away: heal a live-but-stale ship set, as forceShip's loop does.
 			m.cluster.healStaleFollowers(p, m.Node)
 		}
-		p.Sleep(shipRetryDelay)
+		m.cluster.shipRetry(p)
 	}
 	// Elections during the loop keep this very object in the map (electFrom
 	// never replaces a known decision), so acks that landed meanwhile are
