@@ -48,7 +48,7 @@ loc:
 
 ## ledger-pair: measure the working tree against PARENT (any git revision)
 ## with the benchmark ledger — PAIRS alternating pairs of `bash bench/run.sh
-## -repeat 1` on the two trees (PARENT lives in a git worktree under
+## -repeat 1` on the two trees (PARENT is unpacked with git archive under
 ## .bench_build/parent for the duration), then per workload and metric each
 ## side's median and quartiles, pairs won, and the ledger's -compare verdicts.
 ## Result files stay in .bench_build/pair/. About 3 minutes per pair.

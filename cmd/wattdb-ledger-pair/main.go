@@ -5,8 +5,9 @@
 //
 //	wattdb-ledger-pair -parent HEAD~1 -pairs 10     (make ledger-pair PARENT=HEAD~1)
 //
-// The parent is materialised as a git worktree under .bench_build/parent and
-// removed afterwards; the change is the working tree. Each side of each pair
+// The parent's committed files are unpacked under .bench_build/parent (git
+// archive | tar: no worktree metadata, so it works where worktrees are refused)
+// and removed afterwards; the change is the working tree. Each side of each pair
 // is one `bash bench/run.sh -repeat 1 -out …` in its own tree (odd pairs run
 // the change first, so drift in the host's speed favours neither side). The
 // per-run files and the two merged result files stay in .bench_build/pair/.
@@ -74,17 +75,21 @@ func run(parent string, pairs int) (err error) {
 		return err
 	}
 	tree := filepath.Join(root, ".bench_build", "parent")
-	// A tree left behind by an interrupted run is in the way; a missing one
-	// makes this fail, which is fine.
-	_ = command(root, "git", "worktree", "remove", "--force", tree).Run()
-	if err := show(command(root, "git", "worktree", "add", "--detach", tree, parent)); err != nil {
+	// A tree left behind by an interrupted run is in the way.
+	if err := os.RemoveAll(tree); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(tree, 0o755); err != nil {
 		return err
 	}
 	defer func() {
-		if rerr := show(command(root, "git", "worktree", "remove", "--force", tree)); err == nil {
+		if rerr := os.RemoveAll(tree); err == nil {
 			err = rerr
 		}
 	}()
+	if err := show(command(root, "bash", "-o", "pipefail", "-c", `git archive "$0" | tar -x -C "$1"`, parent, tree)); err != nil {
+		return err
+	}
 
 	type side struct{ name, dir string }
 	sides := []side{{"parent", tree}, {"change", root}}

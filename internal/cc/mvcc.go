@@ -25,7 +25,7 @@ type mvccEntry struct {
 	writer     *Txn
 	pending    Version
 	hasPending bool
-	history    []Version // committed versions, newest first
+	history    []Version // committed versions the tree leaf superseded, oldest first
 	lastCommit Timestamp
 	released   *sim.Signal
 }
@@ -162,8 +162,8 @@ func (vs *VersionStore) VisibleVersion(txn *Txn, key string, leaf *Version) (Ver
 		return *leaf, true
 	}
 	if e != nil {
-		for _, v := range e.history {
-			if v.TS <= txn.Begin {
+		for i := len(e.history) - 1; i >= 0; i-- {
+			if v := e.history[i]; v.TS <= txn.Begin {
 				return v, true
 			}
 		}
@@ -321,7 +321,7 @@ func (vs *VersionStore) FinishCommitKey(txn *Txn, key string, oldLeaf *Version, 
 		panic("cc: first-committer-wins violation: overwriting a version newer than the snapshot")
 	}
 	if oldLeaf != nil {
-		e.history = append([]Version{*oldLeaf}, e.history...)
+		e.history = append(e.history, *oldLeaf)
 		vs.versionBytes += oldLeaf.Bytes()
 	}
 	e.lastCommit = commitTS
@@ -363,17 +363,19 @@ func (vs *VersionStore) GC(watermark Timestamp) int64 {
 		if len(e.history) > 0 {
 			// Keep versions needed by snapshots >= watermark: drop all
 			// versions strictly older than the newest one <= watermark.
-			keep := len(e.history)
-			for i, v := range e.history {
-				if v.TS <= watermark {
-					keep = i + 1
+			drop := 0
+			for i := len(e.history) - 1; i > 0; i-- {
+				if e.history[i].TS <= watermark {
+					drop = i
 					break
 				}
 			}
-			for _, v := range e.history[keep:] {
+			for _, v := range e.history[:drop] {
 				freed += v.Bytes()
 			}
-			e.history = e.history[:keep:keep]
+			n := copy(e.history, e.history[drop:])
+			clear(e.history[n:])
+			e.history = e.history[:n]
 			// The tree's leaf version supersedes any history version
 			// fully below the watermark.
 			if len(e.history) > 0 && e.lastCommit <= watermark {

@@ -144,6 +144,10 @@ type Report struct {
 	// included in Crashes.
 	TornCrashes int
 	BitFlips    int
+	// AheadCrashes counts the crashes that caught a node with its own log
+	// force behind a follower's: the follower's disk holds frames the node
+	// lost, which no recovery path may use (included in Crashes).
+	AheadCrashes int
 	// LeaderCrashes counts crashes that hit the acting coordinator;
 	// Failovers counts the leader elections the master went through.
 	LeaderCrashes int

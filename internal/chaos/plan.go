@@ -265,8 +265,10 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 				p.Sleep(wait)
 			}
 			switch ev.kind {
-			case faultCrash, faultCrashTorn, faultCrashFlip, faultCrashCoord:
+			case faultCrash, faultCrashCoord:
 				fr.execCrash(ev)
+			case faultCrashTorn, faultCrashFlip:
+				fr.crashShippedAhead(ev)
 			case faultDiskStall:
 				n := fr.c.Nodes[ev.node]
 				d := n.HW.Disks[ev.disk]
@@ -317,6 +319,29 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 	})
 }
 
+// crashShippedAhead executes a log-damage crash at the first instant, within
+// two seconds of its planned time, at which a follower durably holds frames of
+// the node's stream that the node itself has not flushed — so the frame the
+// power failure tears is one a follower has whole, and the restart must number
+// over a suffix that survives on another disk. Commits open that window for a
+// millisecond at a time; the planned instant itself almost never falls inside
+// one. Without data replication, or with no window in reach, the crash lands
+// where it was planned or at the deadline.
+func (fr *faultRunner) crashShippedAhead(ev faultEvent) {
+	const poll, reach = 100 * time.Microsecond, 2 * time.Second
+	n := fr.c.Nodes[ev.node]
+	if !fr.c.DataReplicated() {
+		fr.execCrash(ev)
+		return
+	}
+	fr.env.Spawn(fmt.Sprintf("chaos-crash-ahead-%d", ev.node), func(p *sim.Proc) {
+		for deadline := p.Now() + reach; p.Now() < deadline && !n.Down() && !fr.c.ShippedAhead(n); {
+			p.Sleep(poll)
+		}
+		fr.execCrash(ev)
+	})
+}
+
 // execCrash power-fails a node — at any instant, including mid-commit —
 // and schedules its restart. Torn/flip variants additionally damage the log
 // medium: part of the frame the device was writing survives on the platter
@@ -338,23 +363,28 @@ func (fr *faultRunner) execCrash(ev faultEvent) {
 		return
 	}
 	wasLeader := n == fr.c.Master.Node
+	ahead := ""
+	if fr.c.ShippedAhead(n) {
+		fr.rep.AheadCrashes++
+		ahead = "a follower's disk is ahead of its log; "
+	}
 	switch ev.kind {
 	case faultCrashTorn:
 		torn := fr.c.CrashNodeTorn(n, ev.tear, -1)
 		if torn > 0 { // an empty unflushed tail degrades to a plain crash
 			fr.rep.TornCrashes++
 		}
-		fr.logFault("crash node %d with torn log tail (%d bytes survive; restart after %v)", ev.node, torn, ev.dur)
+		fr.logFault("crash node %d with torn log tail (%d bytes survive; %srestart after %v)", ev.node, torn, ahead, ev.dur)
 	case faultCrashFlip:
 		torn := fr.c.CrashNodeTorn(n, ev.tear, ev.flip)
 		if torn > 0 {
 			fr.rep.BitFlips++
 		}
-		fr.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; restart after %v)",
-			ev.node, torn, ev.flip, ev.dur)
+		fr.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; %srestart after %v)",
+			ev.node, torn, ev.flip, ahead, ev.dur)
 	default:
 		fr.c.CrashNode(n)
-		fr.logFault("crash node %d (restart after %v)", ev.node, ev.dur)
+		fr.logFault("crash node %d (%srestart after %v)", ev.node, ahead, ev.dur)
 	}
 	fr.rep.Crashes++
 	if fr.c.MasterReplicated() && wasLeader {

@@ -467,10 +467,10 @@ func wrapperRetentionFloor(recs []wal.Record) uint64 {
 
 // replicaDurableFloor returns the lowest LSN the origin must retain for its
 // follower resyncs: one past the weakest follower's replica-durable
-// watermark. Frames below every follower's durable watermark are permanent on
-// each of their wrapper logs (the same-generation resync path seeds from
-// those), but a frame above any follower's watermark may still have to be
-// re-shipped to it from this log. A stale follower resyncs from the whole
+// watermark. Frames this log has flushed below every follower's durable
+// watermark are permanent on each of their wrapper logs (a resync keeps and
+// seeds from those), but a frame above any follower's watermark may still have
+// to be re-shipped to it from this log. A stale follower resyncs from the whole
 // retained log, so it floors retention completely (the ship pin does too —
 // this keeps the checkpoint honest even about the request it hands down).
 func (c *Cluster) replicaDurableFloor(n *DataNode) uint64 {

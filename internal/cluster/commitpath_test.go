@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -110,8 +111,8 @@ func TestForcedShipLandsOnAllFollowersAtOnce(t *testing.T) {
 		if !c.shipQueued(p, origin, true) {
 			t.Fatal("origin reported dead")
 		}
-		if f1.stores[0].maxLSN != lsn || f2.stores[0].maxLSN != lsn {
-			t.Fatalf("applied through %d and %d, want %d on both followers", f1.stores[0].maxLSN, f2.stores[0].maxLSN, lsn)
+		if f1.stores[0].frames.max() != lsn || f2.stores[0].frames.max() != lsn {
+			t.Fatalf("applied through %d and %d, want %d on both followers", f1.stores[0].frames.max(), f2.stores[0].frames.max(), lsn)
 		}
 		if got1, got2 := f1.Log.Flushes-flushes1, f2.Log.Flushes-flushes2; got1 != 1 || got2 != 0 {
 			t.Fatalf("forced pass flushed follower 1 %d times and follower 2 %d times, want 1 and 0", got1, got2)
@@ -162,54 +163,87 @@ func TestForcedShipFollowerCrashMidSend(t *testing.T) {
 	})
 }
 
-// TestForceShipTargetOnUnshippedFrame: a forced waiter's target is the
-// origin's flushed boundary whenever other transactions have appended above
-// it, and the record sitting at the boundary may be one that never ships (here
-// a wrapper of the stream this node follows). The pass that delivers
-// everything below the boundary must satisfy the waiter — it used to leave the
-// follower's watermark one frame short of the target and cost a retry sleep.
+// TestForceShipTargetOnUnshippedFrame: a forced waiter's target is its own
+// frame, and its pass ships that frame while the origin's force of it is still
+// in flight — with everything else queued, flushed at the origin or not. The
+// records around the target may be ones that never ship (here a wrapper of the
+// stream this node follows, above it): the pass's boundary is the log's tail,
+// so one pass satisfies the waiter, without a retry sleep. The old rule — only
+// the origin-flushed prefix ships — is gone; what replaces it is that no reader
+// uses such a frame once the origin has lost it: after a crash that cuts the
+// origin's force short and a restart, the follower's disk still holds the
+// frame, and shippedCopy, which every reader goes through, does not return it.
 func TestForceShipTargetOnUnshippedFrame(t *testing.T) {
 	tc := newRepCluster(t, table.Physiological, 4, 100)
 	defer tc.env.Close()
 	c := tc.c
-	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
-	origin := c.Nodes[1]      // follows node 0
+	c.SetupReplicationDrain()           // the bulk-loaded base images are on every follower
+	origin, f := c.Nodes[1], c.Nodes[2] // node 1 follows node 0 and ships to node 2
+	origin.HW.LogDisk().SetStall(20 * time.Millisecond)
+	var own uint64
 	done := false
 	tc.env.Spawn("test", func(p *sim.Proc) {
-		own := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
-		// Node 0 ships a frame to node 1: a RecShip wrapper lands on node 1's
-		// log above its own frame and is flushed with it.
+		// Node 0 ships a frame to node 1: a RecShip wrapper on node 1's log.
 		l0 := c.Nodes[0].Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
-		c.Nodes[0].Log.Flush(p, l0)
-		if !c.shipQueued(p, c.Nodes[0], true) {
+		if !c.forceShip(p, c.Nodes[0], l0, 0, false) {
 			t.Error("node 0 reported dead")
 			return
 		}
-		// Someone else's frame, appended and not flushed: it lifts
-		// lastShippable above the boundary, so the boundary is the target.
-		other := origin.Log.Append(wal.Record{Txn: 1 << 42, Type: wal.RecAbort})
-		if fl := origin.Log.FlushedLSN(); fl <= own || fl >= other {
-			t.Errorf("setup: flushed boundary %d is not between the node's frames %d and %d", fl, own, other)
+		origin.Log.Flush(p, origin.Log.TailLSN()-1)
+		// The waiter's frame, then a wrapper above it: neither is flushed.
+		own = origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		l0 = c.Nodes[0].Log.Append(wal.Record{Txn: 1 << 42, Type: wal.RecAbort})
+		if !c.shipQueued(p, c.Nodes[0], false) || origin.Log.TailLSN()-1 == own {
+			t.Error("setup: no wrapper landed above the waiter's frame")
 			return
 		}
 		start := p.Now()
-		if !c.forceShip(p, origin) {
+		shipped := false
+		tc.env.After(5*time.Millisecond, func() {
+			// Long before the origin's 21.75 ms force returns, the follower
+			// holds the frame durably.
+			held, _ := durableShippedFrames(f, origin.ID)
+			shipped = held.get(own) != nil && origin.Log.FlushedLSN() < own
+		})
+		if !c.forceShip(p, origin, own, 0, false) {
 			t.Error("origin reported dead")
 		}
-		if took := p.Now() - start; took >= shipRetryDelay {
-			t.Errorf("forceShip took %v: the pass did not satisfy a target on an unshipped frame", took)
+		if !shipped {
+			t.Error("5 ms into the wait the follower did not hold the frame durably ahead of the origin")
 		}
-		if !c.replicaDurable(origin, own) {
-			t.Errorf("the node's own frame %d is not replica-durable", own)
+		if took := p.Now() - start; took >= shipRetryDelay || c.drep.ShipRetries != 0 {
+			t.Errorf("forceShip took %v and %d retry sleeps: one pass should have satisfied it", took, c.drep.ShipRetries)
+		}
+		if !c.replicaDurable(origin, own) || origin.Log.FlushedLSN() < own {
+			t.Errorf("acked with the frame at %d not durable in both places (flushed %d)", own, origin.Log.FlushedLSN())
+		}
+		// Again, and this time the origin loses power before its force is done.
+		lost := origin.Log.Append(wal.Record{Txn: 1 << 43, Type: wal.RecAbort})
+		tc.env.After(5*time.Millisecond, func() { c.CrashNode(origin) })
+		if c.forceShip(p, origin, lost, 0, false) {
+			t.Error("a wait without park survived the origin's power failure")
+		}
+		if held, _ := durableShippedFrames(f, origin.ID); held.get(lost) == nil || origin.Log.FlushedLSN() >= lost {
+			t.Error("setup: the crash did not leave the follower holding a frame the origin lost")
+		}
+		p.Sleep(time.Second)
+		if _, _, err := c.RestartNode(p, origin); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		for _, g := range c.followersOf(origin.ID) {
+			if fs := c.shippedCopy(g, origin); fs.get(lost) != nil || fs.get(own) == nil {
+				t.Errorf("follower %d after the restart: lost frame readable=%v, surviving frame readable=%v; want false and true",
+					g.ID, fs.get(lost) != nil, fs.get(own) != nil)
+			}
 		}
 		done = true
 	})
-	// Bounded: the one-frame-short watermark made this wait retry forever.
-	if err := tc.env.RunUntil(time.Second); err != nil {
+	if err := tc.env.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if !done {
-		t.Fatal("forceShip still waiting after 1 s")
+		t.Fatal("the test body did not finish")
 	}
 }
 
@@ -393,7 +427,7 @@ func TestSingleOwnerCommitAllocs(t *testing.T) {
 // installs interleave, a scan sees every key once, in key order.
 func TestReplicaPartKeysStaySorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	rp := &replicaPart{vers: make(map[string][]cc.Version)}
+	rp := newReplicaPart()
 	var want []string
 	seen := map[string]bool{}
 	for round := 0; round < 50; round++ {
@@ -442,9 +476,10 @@ func TestReplicaPartKeysStaySorted(t *testing.T) {
 // write), which makes its force the long pole. The second committer's batch
 // must reach the follower while the first committer's force is still in
 // flight there, the follower's log must group-commit the waiters (fewer device
-// writes than committers), and the last ack must arrive one local force, one
-// send and two follower forces after the start — not four sends and forces end
-// to end, which is what holding the lock across the force cost.
+// writes than committers), and the last ack must arrive one send and two
+// follower forces after the start — not four sends and forces end to end, which
+// is what holding the lock across the force cost, and not behind a local force
+// either: that runs beside the ship.
 func TestForcedShipPassesPipeline(t *testing.T) {
 	tc := newRepCluster(t, table.Physiological, 4, 100)
 	defer tc.env.Close()
@@ -454,10 +489,10 @@ func TestForcedShipPassesPipeline(t *testing.T) {
 	f1.HW.LogDisk().SetStall(5 * time.Millisecond)
 	const committers = 4
 	var lsn [committers]uint64
-	var local, acked [committers]time.Duration // local force done, replica-durable ack
-	var sent2 time.Duration                    // the second committer's frame is on the follower
+	var acked [committers]time.Duration // durable at the origin and on a follower
+	var sent2 time.Duration             // the second committer's frame is on the follower
 	start := tc.env.Now()
-	flushes := f1.Log.Flushes
+	flushes, local := f1.Log.Flushes, origin.Log.Flushes
 	for i := 0; i < committers; i++ {
 		i := i
 		tc.env.Spawn("committer", func(p *sim.Proc) {
@@ -465,13 +500,11 @@ func TestForcedShipPassesPipeline(t *testing.T) {
 			// the origin's group commit cannot cover it in that write.
 			p.Sleep(time.Duration(i) * 1800 * time.Microsecond)
 			lsn[i] = origin.Log.Append(wal.Record{Txn: cc.TxnID(1<<40 + i), Type: wal.RecAbort})
-			origin.Log.Flush(p, lsn[i])
-			local[i] = p.Now() - start
-			if !c.forceShip(p, origin) {
+			if !c.forceShip(p, origin, lsn[i], 0, false) {
 				t.Errorf("committer %d: origin reported dead", i)
 			}
-			if !c.replicaDurable(origin, lsn[i]) {
-				t.Errorf("committer %d acked without a durable follower", i)
+			if !c.replicaDurable(origin, lsn[i]) || origin.Log.FlushedLSN() < lsn[i] {
+				t.Errorf("committer %d acked without both forces done", i)
 			}
 			acked[i] = p.Now() - start
 		})
@@ -495,8 +528,10 @@ func TestForcedShipPassesPipeline(t *testing.T) {
 		t.Fatalf("second committer's batch reached the follower at %v, the first committer's follower force returned at %v: the send waited for the force",
 			sent2, acked[0])
 	}
-	if got := f1.Log.Flushes - flushes; got >= committers {
-		t.Fatalf("follower log issued %d device writes for %d committers: no group commit", got, committers)
+	// What the same four committers cost when each flushed locally and then
+	// shipped: four device writes on the origin's log, two on the follower's.
+	if got, gotLocal := f1.Log.Flushes-flushes, origin.Log.Flushes-local; got > 2 || gotLocal > 4 {
+		t.Fatalf("%d device writes on the follower's log and %d on the origin's, want <= 2 and <= 4", got, gotLocal)
 	}
 	last := acked[0]
 	for _, a := range acked {
@@ -504,11 +539,12 @@ func TestForcedShipPassesPipeline(t *testing.T) {
 			last = a
 		}
 	}
-	// The first committer's ship is one send and one follower force.
-	ship := acked[0] - local[0]
-	if limit := local[0] + 2*ship + ship/10; last > limit {
-		t.Fatalf("last ack at %v, want <= %v (local force %v + send + 2 follower forces, ship %v each); %d serial ships would be %v",
-			last, limit, local[0], ship, committers, local[0]+committers*ship)
+	// The first committer's wait is one send and one follower force — its
+	// local force is over long before — so two of those cover everyone. The
+	// serial path's last ack came at 15.76 ms: a local force later.
+	if limit := 2*acked[0] + acked[0]/10; last > limit || last >= 15*time.Millisecond {
+		t.Fatalf("last ack at %v, want <= %v (two waits of %v: send + follower force) and under the serial path's 15.76 ms",
+			last, limit, acked[0])
 	}
 }
 
@@ -547,7 +583,6 @@ func TestForcedShipFollowerCrashMidForce(t *testing.T) {
 	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
 	tc.run(t, func(p *sim.Proc) {
 		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
-		origin.Log.Flush(p, lsn)
 		flushes1, flushes2 := f1.Log.Flushes, f2.Log.Flushes
 		before := origin.ship.durable[f1.ID]
 		crashed := false
@@ -555,7 +590,7 @@ func TestForcedShipFollowerCrashMidForce(t *testing.T) {
 			c.CrashNode(f1)
 			crashed = true
 		})
-		if !c.forceShip(p, origin) {
+		if !c.forceShip(p, origin, lsn, 0, false) {
 			t.Error("origin reported dead")
 			return
 		}
@@ -645,5 +680,172 @@ func TestNoShipRetryFaultFree(t *testing.T) {
 	}
 	if c.drep.ShipRetries != 0 {
 		t.Fatalf("%d shipRetryDelay sleeps over %d fault-free commits", c.drep.ShipRetries, commits)
+	}
+}
+
+// forceTimes measures one forced wait on a fully shipped, otherwise idle
+// replicated cluster whose origin and first follower take the given extra time
+// per log write: the local force and the forced ship pass run one after the
+// other (what the commit path used to do), and — on an identical cluster — the
+// wait forceShip performs.
+func forceTimes(t *testing.T, stallOrigin, stallFollower time.Duration) (local, ship, wait time.Duration) {
+	t.Helper()
+	for _, overlapped := range []bool{false, true} {
+		tc := newRepCluster(t, table.Physiological, 4, 100)
+		c := tc.c
+		c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+		origin := c.Nodes[0]
+		origin.HW.LogDisk().SetStall(stallOrigin)
+		c.Nodes[1].HW.LogDisk().SetStall(stallFollower)
+		tc.run(t, func(p *sim.Proc) {
+			lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+			start := p.Now()
+			if overlapped {
+				if !c.forceShip(p, origin, lsn, 0, false) {
+					t.Error("origin reported dead")
+				}
+				wait = p.Now() - start
+				return
+			}
+			origin.Log.Flush(p, lsn)
+			local = p.Now() - start
+			if !c.shipQueued(p, origin, true) || !c.replicaDurable(origin, lsn) {
+				t.Error("the forced pass left the frame short of a durable follower")
+			}
+			ship = p.Now() - start - local
+		})
+		tc.env.Close()
+	}
+	return local, ship, wait
+}
+
+// TestCommitForcesOverlap: a forced wait costs the slower of its two forces —
+// the origin's own, or the send plus the follower's — not their sum, whichever
+// of the two is the slower one.
+func TestCommitForcesOverlap(t *testing.T) {
+	for _, tt := range []struct {
+		name             string
+		origin, follower time.Duration
+	}{
+		{"idle disks", 0, 0},
+		{"slow origin", 4 * time.Millisecond, 0},
+		{"slow follower", 0, 4 * time.Millisecond},
+	} {
+		local, ship, wait := forceTimes(t, tt.origin, tt.follower)
+		if local == 0 || ship == 0 {
+			t.Fatalf("%s: degenerate stages: local force %v, ship %v", tt.name, local, ship)
+		}
+		if want := max(local, ship); wait != want {
+			t.Errorf("%s: the wait took %v, want %v = max(local force %v, send + follower force %v); their sum is %v",
+				tt.name, wait, want, local, ship, local+ship)
+		}
+	}
+}
+
+// TestParkedWaiterAcrossTwoRestarts: a single-node commit's waiter that sleeps
+// through two restarts of its origin must follow its frame through both — the
+// answer is an ack iff the frame was at or below what EACH restart came back
+// with, and comparing against the newest boundary alone gets it wrong in both
+// directions. Booting takes a millisecond here, so both restarts fit inside
+// one of the waiter's retry sleeps.
+func TestParkedWaiterAcrossTwoRestarts(t *testing.T) {
+	restart := func(p *sim.Proc, c *Cluster, n *DataNode) {
+		if _, _, err := c.RestartNode(p, n); err != nil {
+			t.Errorf("restart node %d: %v", n.ID, err)
+		}
+	}
+	for _, tt := range []struct {
+		name  string
+		slow  int // whose log disk is slow: the force still in flight at the first crash
+		first func(c *Cluster)
+		then  func(p *sim.Proc, c *Cluster, origin *DataNode)
+		ack   bool
+	}{
+		{"below both boundaries: ack", 1, func(*Cluster) {}, func(p *sim.Proc, c *Cluster, origin *DataNode) {
+			c.CrashNode(origin)
+			restart(p, c, origin)
+		}, true},
+		{"above the first, below the second: error", 0, func(*Cluster) {}, func(p *sim.Proc, c *Cluster, origin *DataNode) {
+			// The origin's second life numbers over the lost frame and flushes
+			// past it: the second restart's boundary is above the frame's LSN.
+			var lsn uint64
+			for i := 0; i < 8; i++ {
+				lsn = origin.Log.Append(wal.Record{Txn: cc.TxnID(1<<41 + i), Type: wal.RecAbort})
+			}
+			origin.Log.Flush(p, lsn)
+			c.CrashNode(origin)
+			restart(p, c, origin)
+		}, false},
+		{"below the first, above the second (a rebuild from shorter copies): error", 1, func(c *Cluster) {
+			// Follower 1's force is cut short and follower 2 was never forced:
+			// neither disk holds the frame, and with both down the origin's
+			// first restart resyncs nobody.
+			c.CrashNode(c.Nodes[1])
+			c.CrashNode(c.Nodes[2])
+		}, func(p *sim.Proc, c *Cluster, origin *DataNode) {
+			c.DestroyDisk(origin)
+			restart(p, c, origin)
+			restart(p, c, c.Nodes[1])
+			restart(p, c, c.Nodes[2])
+		}, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := newRepClusterWith(t, table.Physiological, 4, 100, func(cfg *Config) { cfg.Cal.BootTime = time.Millisecond })
+			defer tc.env.Close()
+			c := tc.c
+			c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+			origin := c.Nodes[0]
+			c.Nodes[tt.slow].HW.LogDisk().SetStall(5 * time.Millisecond)
+			var commitErr error
+			committed := false
+			tc.env.Spawn("commit", func(p *sim.Proc) {
+				s := c.Master.Begin(p, cc.SnapshotIsolation, origin)
+				payload, _ := kvSchema().EncodeRow(table.Row{int64(10), "new"})
+				if err := s.Put(p, "kv", ik(10), payload); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+				commitErr = s.Commit(p)
+				committed = true
+			})
+			tc.env.Spawn("faults", func(p *sim.Proc) {
+				p.Sleep(4 * time.Millisecond) // the faster force is done, the slow one in flight
+				commit := origin.Log.TailLSN() - 1
+				if local := origin.Log.FlushedLSN() >= commit; local != (tt.slow != origin.ID) {
+					t.Errorf("setup: origin's force done = %v at the first crash", local)
+				}
+				c.CrashNode(origin)
+				tt.first(c)
+				p.Sleep(4 * time.Millisecond) // the slow write has returned: the waiter is in its retry sleep
+				c.Nodes[tt.slow].HW.LogDisk().SetStall(0)
+				sleeps := c.drep.ShipRetries
+				restart(p, c, origin)
+				tt.then(p, c, origin)
+				// Every run of the parked waiter ends in an answer or another
+				// sleep: neither happened since before the first restart.
+				if committed || origin.ship.gen != 2 || sleeps != 1 || c.drep.ShipRetries != 1 {
+					t.Errorf("setup: after the second restart committed=%v gen=%d retry sleeps %d -> %d; want the waiter asleep through both",
+						committed, origin.ship.gen, sleeps, c.drep.ShipRetries)
+				}
+			})
+			if err := tc.env.RunUntil(tc.env.Now() + time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if !committed {
+				t.Fatal("the commit never resolved")
+			}
+			var got string
+			tc.run(t, func(p *sim.Proc) {
+				s := c.Master.Begin(p, cc.Locking, origin)
+				defer s.Abort(p)
+				if v, ok, err := s.Get(p, "kv", ik(10)); err == nil && ok {
+					row, _ := kvSchema().DecodeRow(v)
+					got = row[1].(string)
+				}
+			})
+			if want := map[bool]string{true: "new", false: fmt.Sprintf(idOldVal, 10)}[tt.ack]; (commitErr == nil) != tt.ack || got != want {
+				t.Fatalf("commit: %v, key reads %q; want ack=%v and %q", commitErr, got, tt.ack, want)
+			}
+		})
 	}
 }

@@ -170,7 +170,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// Salvage the damaged log's readable frames before Restart's byte scan
 	// truncates at the first bad frame: if the restart turns into a rebuild,
 	// the node's own surviving frames merge with the replica copies.
-	var sv *ownSalvage
+	var sv frameSet
 	if c.drep != nil {
 		sv = salvageOwnFrames(n)
 	}
@@ -179,10 +179,17 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// history (Restart found fewer valid frames than were flushed). The log
 	// is rebuilt from the replica set before anything reads it: the election
 	// below and every recovery pass must see the reconstructed history.
+	// Either way the node's shipped stream enters a new generation here: after
+	// a plain restart everything up to the flushed boundary the log came back
+	// with is still in it, and whatever followers were shipped above that is
+	// not — from this instant no reader of their wrappers goes past it.
 	rebuilt := false
-	if c.drep != nil && (n.diskLost || n.Log.LostDurable()) {
-		c.rebuildFromReplicas(p, n, sv)
-		rebuilt = true
+	if c.drep != nil {
+		if rebuilt = n.diskLost || n.Log.LostDurable(); rebuilt {
+			c.rebuildFromReplicas(p, n, sv)
+		} else {
+			n.ship.openGen(n.ship.gen, n.Log.FlushedLSN(), false)
+		}
 	}
 	// The durable boundary as restored from disk (or rebuilt), BEFORE this
 	// restart appends anything: base pairs carrying a higher LSN lost their
@@ -301,16 +308,17 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	}
 	n.lostParts = nil
 	n.crashed = false
-	if c.Master.rep != nil {
-		// Drain decisions still charged to this node whose branches its
-		// durable log shows resolved — the ack was in flight (or unforced
-		// and lost) when a leader died, and the rebuilt decision map still
-		// lists them.
-		for _, id := range c.Master.outstandingDecisionsFor(n.ID) {
-			if branchResolvedIn(recs, id) {
-				c.Master.AckInDoubt(id, n.ID)
-			}
+	// Drain decisions still charged to this node whose branches its durable
+	// log shows resolved: the node died between its commit record's force and
+	// the ack (a replicated branch waits for a follower in between), or the
+	// ack was in flight — or unforced and lost — when a leader died, and the
+	// rebuilt decision map still lists them.
+	for _, id := range c.Master.outstandingDecisionsFor(n.ID) {
+		if branchResolvedIn(recs, id) {
+			c.Master.AckInDoubt(id, n.ID)
 		}
+	}
+	if c.Master.rep != nil {
 		// A follower of the seated leader is about to be resynced: give it —
 		// and the leader's own log — a fresh coordinator snapshot, so the
 		// catalog record that pins the leader's log (masterRetentionFloor)

@@ -37,9 +37,18 @@ import (
 // The origin/follower assignment is positional — followersOf(n) is the next
 // DataReplicas node IDs cyclically — so every node plays both roles. A
 // follower that misses deliveries (it was down, or its own disk was wiped)
-// is marked stale and stops counting for durability until a wholesale resync
-// (reset wrapper + every retained shippable frame) re-seeds it; resyncs run
-// from RestartNode in both directions.
+// is marked stale and stops counting for durability until a resync (every
+// retained shippable frame, behind a reset marker if the origin restarted
+// meanwhile) re-seeds it; resyncs run from RestartNode in both directions.
+//
+// A frame ships the moment it is appended, not once the origin has flushed it
+// (a commit's two forces run side by side), so a follower may durably hold a
+// suffix of the stream that the origin loses with its volatile tail. The one
+// invariant that makes this safe: no reader of a follower's wrappers ever uses
+// a frame the origin lost. Every restart opens a new generation and records
+// what survived it (shipState.lineage); followers learn it from the reset
+// marker of their next resync, and until then shippedCopy cuts their copy at
+// the same boundary.
 
 // shipRetryDelay paces every wait for a usable follower: forceShip's, and a
 // commit decision's while the coordinator is fenced or cut off.
@@ -120,6 +129,24 @@ func (c *Cluster) ReplicationStats() (rebuilds, scrubRepairs, followerReads, dis
 // DataReplicated reports whether per-node WAL shipping is enabled.
 func (c *Cluster) DataReplicated() bool { return c.drep != nil }
 
+// ShippedAhead reports whether some in-sync follower durably holds frames of
+// n's stream that n's own log has not flushed: a power failure of n right now
+// leaves a follower with a suffix its origin lost. The window is a commit's
+// overlapped forces, follower's done and origin's in flight — rarely hit by a
+// random instant (1 of 369 crashes of a 100-seed chaos sweep), so the chaos
+// harness looks for it.
+func (c *Cluster) ShippedAhead(n *DataNode) bool {
+	if c.drep == nil || n.crashed {
+		return false
+	}
+	for _, f := range c.followersOf(n.ID) {
+		if !n.ship.stale[f.ID] && n.ship.durable[f.ID] > n.Log.FlushedLSN() {
+			return true
+		}
+	}
+	return false
+}
+
 // DiskLost reports whether the node's log medium is destroyed (DestroyDisk)
 // and not yet rebuilt.
 func (n *DataNode) DiskLost() bool { return n.diskLost }
@@ -134,18 +161,18 @@ type shipItem struct {
 	// reader's snapshot: an undelivered frame whose version timestamp
 	// exceeds the snapshot cannot hold anything visible at it.
 	vis cc.Timestamp
+	// flushFirst marks the one kind of frame that waits for the origin's own
+	// flush before it ships: a replicated coordinator record other than an ack
+	// (sendQueued).
+	flushFirst bool
 }
 
 // shipState is a node's origin-side replication state.
 type shipState struct {
 	queue []shipItem // appended frames not yet delivered to live followers
 
-	// lastShippable is the LSN of the newest shippable frame appended —
-	// forceShip's durability target.
-	lastShippable uint64
-
 	// stale marks followers that missed deliveries (down, or wiped) and
-	// must be wholesale-resynced before they count for anything again.
+	// must be resynced before they count for anything again.
 	stale map[int]bool
 
 	// Per-follower watermarks, all in origin LSNs except wrapLSN:
@@ -160,23 +187,19 @@ type shipState struct {
 	// mark from before it is void.
 	resyncs map[int]uint64
 
-	// rebuildGen counts rebuildFromReplicas passes — it is the generation
-	// stamped on every shipped frame, so followers' retained wrappers can be
-	// told apart across renumberings. rebuiltThrough and rebuiltFromGen
-	// describe the last rebuild: frames of generation rebuiltFromGen at or
-	// below rebuiltThrough survived into the rebuilt log. A commit waiter
-	// parked across the outage uses them to learn its frame's post-recovery
-	// fate (forceShipDecided).
-	rebuildGen     uint64
-	rebuiltThrough uint64
-	rebuiltFromGen uint64
+	// gen is the node's restart epoch, stamped on every shipped frame: every
+	// restart — plain or rebuild — opens a new generation, and lineage[g] says
+	// how generation g began, i.e. which frames of which older generation are
+	// still frames of g. Followers' retained wrappers are read against it
+	// (keepFrom), and a commit waiter parked across an outage learns its
+	// frame's fate from it (follow).
+	gen     uint64
+	lineage []genStep
 
-	// syncedGen tracks, per follower, the generation current when that
-	// follower's replica state was last reset. A resync within the same
-	// generation skips the reset: the follower's retained wrappers are
-	// byte-identical prefixes of the same numbering, and destroying them
-	// would risk trading a complete durable history for a partial one if the
-	// resync is cut short.
+	// syncedGen is, per follower, the generation of its last completed resync
+	// — the generation whatever it holds beyond that was shipped in. A resync
+	// in a newer one opens with a reset marker telling the follower how much
+	// of it the restarts in between left standing.
 	syncedGen map[int]uint64
 
 	// draining is the drain lock: it serializes everything that reads or
@@ -194,6 +217,60 @@ type shipState struct {
 	dest      []int
 	freeMarks [][]shipMark
 	wrapBuf   []byte // applyToFollower's wrapper payload
+}
+
+// genStep is how one generation began: the frames of generation from at or
+// below through survived the restart into it — at their old LSNs after a plain
+// restart (through is the flushed boundary the log came back with), renumbered
+// after a rebuild (through is the end of the replica prefix it was rebuilt
+// from).
+type genStep struct {
+	from, through uint64
+	renumbered    bool
+}
+
+// openGen records a restart of the node.
+func (sh *shipState) openGen(from, through uint64, renumbered bool) {
+	sh.gen++
+	sh.lineage = append(sh.lineage, genStep{from: from, through: through, renumbered: renumbered})
+}
+
+// keepFrom returns the LSN through which frames shipped in generation g are
+// frames of the current generation too: the lowest boundary of the restarts
+// since (noFloor if there were none), 0 once a rebuild renumbered the log.
+func (sh *shipState) keepFrom(g uint64) uint64 {
+	keep := uint64(noFloor)
+	for h := g + 1; h <= sh.gen; h++ {
+		if st := sh.lineage[h]; st.renumbered {
+			return 0
+		} else if st.through < keep {
+			keep = st.through
+		}
+	}
+	return keep
+}
+
+// follow traces the frame appended at lsn in generation g through the
+// restarts since. A plain restart that kept it extends the run of generations
+// it sits in, unchanged and at the same LSN; a rebuild from a copy of any of
+// those generations that reached it adopts it — renumbered, flushed with the
+// rebuilt log and read from a replica's durable wrappers, so durable in both
+// places. follow returns the newest generation the frame is part of and
+// whether a rebuild adopted it on the way; without adopted, a result other
+// than the current generation means a restart lost the frame.
+func (sh *shipState) follow(g, lsn uint64) (reached uint64, adopted bool) {
+	first := g
+	for h := g + 1; h <= sh.gen; h++ {
+		st := sh.lineage[h]
+		if st.from < first || st.from > g || lsn > st.through {
+			continue
+		}
+		if st.renumbered {
+			return h, true
+		}
+		g = h
+	}
+	return g, false
 }
 
 // shipMark is what a ship pass remembers about one receiver when it releases
@@ -231,13 +308,62 @@ type stagedRep struct {
 	ver  cc.Version
 }
 
+// frameSet is a copy of (part of) one origin's shipped stream: raw frames in
+// ascending origin-LSN order. Streams arrive in that order, so building one is
+// appends; a resync's overlap with what is already held replaces in place.
+type frameSet struct {
+	lsns   []uint64
+	frames [][]byte
+}
+
+func (fs *frameSet) len() int { return len(fs.lsns) }
+
+// max returns the highest LSN held, 0 when empty.
+func (fs *frameSet) max() uint64 {
+	if len(fs.lsns) == 0 {
+		return 0
+	}
+	return fs.lsns[len(fs.lsns)-1]
+}
+
+// put stores frame at lsn.
+func (fs *frameSet) put(lsn uint64, frame []byte) {
+	if lsn > fs.max() {
+		fs.lsns, fs.frames = append(fs.lsns, lsn), append(fs.frames, frame)
+		return
+	}
+	i := sort.Search(len(fs.lsns), func(i int) bool { return fs.lsns[i] >= lsn })
+	if fs.lsns[i] != lsn {
+		fs.lsns, fs.frames = append(fs.lsns, 0), append(fs.frames, nil)
+		copy(fs.lsns[i+1:], fs.lsns[i:])
+		copy(fs.frames[i+1:], fs.frames[i:])
+		fs.lsns[i] = lsn
+	}
+	fs.frames[i] = frame
+}
+
+// get returns the frame held at lsn, or nil.
+func (fs *frameSet) get(lsn uint64) []byte {
+	i := sort.Search(len(fs.lsns), func(i int) bool { return fs.lsns[i] >= lsn })
+	if i == len(fs.lsns) || fs.lsns[i] != lsn {
+		return nil
+	}
+	return fs.frames[i]
+}
+
+// keepThrough drops every frame above lsn.
+func (fs *frameSet) keepThrough(lsn uint64) {
+	n := sort.Search(len(fs.lsns), func(i int) bool { return fs.lsns[i] > lsn })
+	fs.lsns, fs.frames = fs.lsns[:n], fs.frames[:n]
+}
+
 // repStore is a follower's in-memory replica of one origin's partitions,
 // built by applying the origin's shipped frames in log order. It is wiped by
 // a crash (DRAM) and re-seeded by resync.
 type repStore struct {
-	maxLSN  uint64            // newest applied origin LSN (dedupe; reset clears)
-	frames  map[uint64][]byte // raw frame retention: scrub repair + rebuild source
+	frames  frameSet // raw frame retention, through the newest applied: scrub repair source
 	pending map[cc.TxnID][]stagedRep
+	spare   [][]stagedRep // emptied staging lists, reused by later transactions
 	parts   map[table.PartID]*replicaPart
 	// floor is the store's snapshot-serving horizon: base-image frames carry
 	// only the newest committed version of each key (superseded history is
@@ -249,7 +375,6 @@ type repStore struct {
 
 func newRepStore() *repStore {
 	return &repStore{
-		frames:  make(map[uint64][]byte),
 		pending: make(map[cc.TxnID][]stagedRep),
 		parts:   make(map[table.PartID]*replicaPart),
 	}
@@ -258,7 +383,7 @@ func newRepStore() *repStore {
 func (st *repStore) part(id table.PartID) *replicaPart {
 	rp := st.parts[id]
 	if rp == nil {
-		rp = &replicaPart{vers: make(map[string][]cc.Version)}
+		rp = newReplicaPart()
 		st.parts[id] = rp
 	}
 	return rp
@@ -267,17 +392,17 @@ func (st *repStore) part(id table.PartID) *replicaPart {
 // applyFrame processes one shipped origin frame: retain the raw bytes, buffer
 // DML under its transaction, promote on commit, drop on abort, and install
 // base images immediately (they are logged before any DML on their keys).
-// The frame must be a stable copy — it is retained verbatim.
+// The frame must be a stable copy — it is retained verbatim, and everything
+// the store keeps of the decoded record points into it.
 func (st *repStore) applyFrame(lsn uint64, frame []byte) {
-	if lsn <= st.maxLSN {
+	if lsn <= st.frames.max() {
 		return // duplicate delivery (resync overlap)
 	}
-	rec, err := wal.DecodeFrame(frame)
+	rec, err := wal.DecodeFrameAlias(frame)
 	if err != nil {
 		return // never shipped: drains and resyncs skip damaged frames
 	}
-	st.maxLSN = lsn
-	st.frames[lsn] = frame
+	st.frames.put(lsn, frame)
 	switch rec.Type {
 	case wal.RecBase:
 		if v, err := table.DecodeValue(rec.After); err == nil {
@@ -288,16 +413,26 @@ func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 		}
 	case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
 		if v, err := table.DecodeValue(rec.After); err == nil {
-			st.pending[rec.Txn] = append(st.pending[rec.Txn],
+			staged, open := st.pending[rec.Txn]
+			if n := len(st.spare); !open && n > 0 {
+				staged, st.spare = st.spare[n-1], st.spare[:n-1]
+			}
+			st.pending[rec.Txn] = append(staged,
 				stagedRep{part: table.PartID(rec.Part), key: rec.Key, ver: v})
 		}
-	case wal.RecCommit:
-		for _, sv := range st.pending[rec.Txn] {
-			st.part(sv.part).install(sv.key, sv.ver)
+	case wal.RecCommit, wal.RecAbort:
+		staged, open := st.pending[rec.Txn]
+		if !open {
+			break
+		}
+		if rec.Type == wal.RecCommit {
+			for _, sv := range staged {
+				st.part(sv.part).install(sv.key, sv.ver)
+			}
 		}
 		delete(st.pending, rec.Txn)
-	case wal.RecAbort:
-		delete(st.pending, rec.Txn)
+		clear(staged)
+		st.spare = append(st.spare, staged[:0])
 	}
 	// Prepare images (RecPrepDML/RecPrepDel) carry raw payloads without a
 	// commit timestamp: they are retained for rebuild (where the normal
@@ -306,7 +441,7 @@ func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 }
 
 // replicaPart mirrors one partition's full committed version history: a key
-// list and per-key newest-first version chains. Nothing is ever pruned — old
+// list and per-key version chains, oldest first. Nothing is ever pruned — old
 // snapshots routed here must resolve exactly as at the origin.
 type replicaPart struct {
 	// keys[:sorted] is in key order; keys[sorted:] are the keys first seen
@@ -316,27 +451,37 @@ type replicaPart struct {
 	// new key, which made applying a stream quadratic in its length.
 	keys   []string
 	sorted int
-	vers   map[string][]cc.Version
-	kbuf   []byte // scan's key buffer, kept between scans
+	vers   map[string]*[]cc.Version // by pointer: an install on a known key only looks up
+	kbuf   []byte                   // scan's key buffer, kept between scans
+}
+
+func newReplicaPart() *replicaPart {
+	return &replicaPart{vers: make(map[string]*[]cc.Version)}
 }
 
 // install adds v as key's version at v.TS (replacing an equal-TS install —
-// re-applied history is idempotent).
+// re-applied history is idempotent). Installs arrive in timestamp order, so
+// the common case appends to the chain; a resync's overlap sorts in.
 func (rp *replicaPart) install(key []byte, v cc.Version) {
-	ks := string(key)
-	vs, known := rp.vers[ks]
-	if !known {
+	vp := rp.vers[string(key)]
+	if vp == nil {
+		ks := string(key)
 		rp.keys = append(rp.keys, ks)
+		vp = new([]cc.Version)
+		rp.vers[ks] = vp
 	}
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS <= v.TS })
-	if i < len(vs) && vs[i].TS == v.TS {
-		vs[i] = v
-	} else {
+	vs := *vp
+	if n := len(vs); n == 0 || vs[n-1].TS < v.TS {
+		*vp = append(vs, v)
+		return
+	}
+	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS >= v.TS })
+	if vs[i].TS != v.TS {
 		vs = append(vs, cc.Version{})
 		copy(vs[i+1:], vs[i:])
-		vs[i] = v
+		*vp = vs
 	}
-	rp.vers[ks] = vs
+	vs[i] = v
 }
 
 // sortedKeys returns every key in key order, merging in the ones installed
@@ -366,14 +511,17 @@ func (rp *replicaPart) sortedKeys() []string {
 // (tombstones included — ok distinguishes "no version" from a visible
 // tombstone, matching cc.VersionStore.VisibleVersion).
 func (rp *replicaPart) get(key []byte, snap cc.Timestamp) (cc.Version, bool) {
-	return visibleAt(rp.vers[string(key)], snap)
+	if vp := rp.vers[string(key)]; vp != nil {
+		return visibleAt(*vp, snap)
+	}
+	return cc.Version{}, false
 }
 
-// visibleAt resolves a newest-first version chain at snapshot snap.
+// visibleAt resolves an oldest-first version chain at snapshot snap.
 func visibleAt(vs []cc.Version, snap cc.Timestamp) (cc.Version, bool) {
-	for _, v := range vs {
-		if v.TS <= snap {
-			return v, true
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].TS <= snap {
+			return vs[i], true
 		}
 	}
 	return cc.Version{}, false
@@ -396,7 +544,7 @@ func (rp *replicaPart) scan(lo, hi []byte, snap cc.Timestamp, fn func(k, v []byt
 		if hi != nil && ks >= string(hi) {
 			break
 		}
-		v, ok := visibleAt(rp.vers[ks], snap)
+		v, ok := visibleAt(*rp.vers[ks], snap)
 		if !ok || v.Deleted {
 			continue
 		}
@@ -441,6 +589,7 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 			durable:   make(map[int]uint64),
 			wrapLSN:   make(map[int]uint64),
 			resyncs:   make(map[int]uint64),
+			lineage:   make([]genStep, 1), // generation 0 began with nothing
 			syncedGen: make(map[int]uint64),
 			drained:   sim.NewSignal(c.Env),
 		}
@@ -450,7 +599,6 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 				return
 			}
 			sh := node.ship
-			sh.lastShippable = rec.LSN
 			var vis cc.Timestamp
 			switch rec.Type {
 			case wal.RecInsert, wal.RecUpdate, wal.RecDelete, wal.RecBase:
@@ -458,7 +606,8 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 					vis = v.TS
 				}
 			}
-			sh.queue = append(sh.queue, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame), vis: vis})
+			sh.queue = append(sh.queue, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame), vis: vis,
+				flushFirst: wal.MasterRecord(rec) && rec.Type != wal.RecMAck})
 			if len(sh.queue) == 1 {
 				sh.updatePin(node.Log)
 			}
@@ -505,7 +654,7 @@ func (c *Cluster) applyToFollower(f, origin *DataNode, lsn uint64, frame []byte)
 	// Append copies the payload into f's log segment, so one buffer serves
 	// every wrapper this origin ships.
 	sh.wrapBuf = wal.EncodeShipFrame(sh.wrapBuf[:0], &wal.ShipFrame{
-		Origin: uint32(origin.ID), LSN: lsn, Gen: sh.rebuildGen, Frame: frame})
+		Origin: uint32(origin.ID), LSN: lsn, Gen: sh.gen, Frame: frame})
 	sh.wrapLSN[f.ID] = f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: sh.wrapBuf})
 	st := f.stores[origin.ID]
 	if st == nil {
@@ -515,14 +664,13 @@ func (c *Cluster) applyToFollower(f, origin *DataNode, lsn uint64, frame []byte)
 	st.applyFrame(lsn, frame)
 }
 
-// applyReset opens a wholesale resync of origin's stream at follower f: a
-// reset wrapper on f's log, and a fresh replica store.
-func (c *Cluster) applyReset(f, origin *DataNode) {
+// applyReset opens follower f's first resync in origin's current generation:
+// a reset marker on f's log saying that, of everything f holds of the stream,
+// the frames at or below keep are still the origin's and the rest is not.
+func (c *Cluster) applyReset(f, origin *DataNode, keep uint64) {
 	payload := wal.EncodeShipFrame(nil, &wal.ShipFrame{
-		Origin: uint32(origin.ID), Gen: origin.ship.rebuildGen, Reset: true})
-	wl := f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: payload})
-	origin.ship.wrapLSN[f.ID] = wl
-	f.stores[origin.ID] = newRepStore()
+		Origin: uint32(origin.ID), Gen: origin.ship.gen, Reset: true, Keep: keep})
+	origin.ship.wrapLSN[f.ID] = f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: payload})
 }
 
 // acquireDrain serializes queue drains for origin; returns false if origin
@@ -551,14 +699,14 @@ func (c *Cluster) releaseDrain(origin *DataNode) {
 
 // shipQueued is one ship pass over origin's queue, in two stages. The send
 // stage (sendQueued) runs under the origin's drain lock and ends with every
-// live in-sync follower holding the origin-flushed prefix of the queue; the
-// confirm stage (confirmShipped) runs after the lock is released and turns
-// follower log flushes into durable watermarks — with forced, by flushing the
-// receivers' logs itself until one of them is durable, which is what a forced
-// pass owes its waiters. So the next pass's batch travels while this one's is
-// being forced, and the forces of concurrent passes meet in the follower's
-// group commit instead of queueing on the origin's lock. Returns false only
-// when origin died during the pass.
+// live in-sync follower holding what was queued; the confirm stage
+// (confirmShipped) runs after the lock is released and turns follower log
+// flushes into durable watermarks — with forced, by flushing the receivers'
+// logs itself until one of them is durable, which is what a forced pass owes
+// its waiters. So the next pass's batch travels while this one's is being
+// forced, and the forces of concurrent passes meet in the follower's group
+// commit instead of queueing on the origin's lock. Returns false only when
+// origin died during the pass.
 func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 	marks, ok := c.sendQueued(p, origin)
 	if !ok {
@@ -582,25 +730,32 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 // it. Returns one mark per receiver for the confirm stage, and false when
 // origin died waiting for the lock or during the send.
 //
-// Only the origin-flushed prefix of the queue ships: a frame the origin has
-// not made locally durable could die with its unflushed tail, yet survive in
-// a follower's durably-flushed wrapper — a ghost the origin's restart would
-// renumber over and a rebuild would resurrect. Holding frames until the
-// origin's own flush covers them makes every shipped frame permanent at the
-// origin, so followers' retained wrappers never diverge from a restarted
-// origin's log. (This is also why the local force and the ship cannot
-// overlap: that would need followers able to truncate what they flushed.)
+// The batch is everything appended, flushed at the origin or not: a forced
+// waiter starts its pass the instant it starts its local force, and the two
+// run side by side. A follower may therefore durably hold frames the origin
+// then loses with its volatile tail; what keeps those from ever being used is
+// not this function but the readers of follower wrappers, which stop at the
+// boundary each origin restart records (shipState.lineage, shippedCopy) until
+// the follower's next resync writes it into its log as a reset marker.
+//
+// One kind of frame still waits for the origin's flush: a replicated
+// coordinator record that is not an ack, and with it — the stream is delivered
+// in order — whatever is queued behind it. An election reads followers' copies
+// of the anchor's stream on the premise that every catalog snapshot, lease and
+// decision in them is durable on the anchor too (tryElect); logMaster flushes
+// before it ships for the same reason. An ack is exempt because it decides
+// nothing: it states that a participant's log holds its branch closed, which
+// stays true whether or not the leader's disk kept the record — and acks are
+// unforced, so holding them back would leave every commit on the leader's node
+// that starts before the next flush covers one (a third of them, in the
+// ledger's TPC-C) to ship in a second pass, after its local force.
 func (c *Cluster) sendQueued(p *sim.Proc, origin *DataNode) ([]shipMark, bool) {
 	if !c.acquireDrain(p, origin) {
 		return nil, false
 	}
 	defer c.releaseDrain(origin)
 	sh := origin.ship
-	flushed := origin.Log.FlushedLSN()
-	cut := 0
-	for cut < len(sh.queue) && sh.queue[cut].lsn <= flushed {
-		cut++
-	}
+	cut, through := sh.shippable(origin.Log)
 	items := sh.queue[:cut:cut]
 	var batchBytes int64
 	for _, it := range items {
@@ -653,22 +808,32 @@ func (c *Cluster) sendQueued(p *sim.Proc, origin *DataNode) ([]shipMark, bool) {
 		marks, sh.freeMarks = sh.freeMarks[n-1], sh.freeMarks[:n-1]
 	}
 	for _, f := range recv {
-		// The receiver now holds every shippable frame up to the origin's
-		// flushed boundary, whatever kind of record sits at the boundary
-		// itself: a forced waiter's target is that boundary, and it may be a
-		// frame that never ships (a wrapper of another origin's stream).
-		sh.sent[f.ID] = flushed
-		marks = append(marks, shipMark{f: f, wrap: sh.wrapLSN[f.ID], through: flushed, resyncs: sh.resyncs[f.ID]})
+		// The receiver now holds every shippable frame up to the boundary,
+		// whatever kind of record sits at the boundary itself (it may be one
+		// that never ships, a wrapper of another origin's stream).
+		sh.sent[f.ID] = through
+		marks = append(marks, shipMark{f: f, wrap: sh.wrapLSN[f.ID], through: through, resyncs: sh.resyncs[f.ID]})
 	}
 	if len(recv) > 0 {
 		sh.queue = sh.queue[len(items):]
 	}
-	// No receiver: every follower is stale or down. The queue is kept —
-	// a restarting follower's resync covers only the origin-flushed prefix,
-	// so frames still volatile at the origin must stay queued for ordinary
-	// delivery once a follower is back in sync.
+	// No receiver: every follower is stale or down. The queue is kept for
+	// whoever comes back in sync first.
 	sh.updatePin(origin.Log)
 	return marks, true
+}
+
+// shippable returns how far origin's stream may ship right now — through the
+// log's tail, or the frame before the first flush-first record its log has not
+// flushed (such a record is still queued, with everything behind it) — and how
+// many queued items that covers.
+func (sh *shipState) shippable(l *wal.Log) (cut int, through uint64) {
+	for i, it := range sh.queue {
+		if it.flushFirst && it.lsn > l.FlushedLSN() {
+			return i, it.lsn - 1
+		}
+	}
+	return len(sh.queue), l.TailLSN() - 1
 }
 
 // confirmShipped is the confirm stage of a ship pass, run without the drain
@@ -721,43 +886,86 @@ func (c *Cluster) replicaDurable(origin *DataNode, target uint64) bool {
 	return false
 }
 
-// forceShip blocks until every shippable frame origin has appended so far is
-// durable on at least one follower — the replication half of a forced
-// commit. It retries through follower outages (a restarting follower resyncs
-// and satisfies the target); it returns false only when origin itself dies.
-func (c *Cluster) forceShip(p *sim.Proc, origin *DataNode) bool {
+// forceShip is the forced wait of the data path: it blocks until the frame
+// origin appended at lsn in generation gen (both read in the instant of the
+// append) — and with it everything below — is durable on origin's own log AND
+// on at least one in-sync follower, whichever lands last. The local force is
+// started here and not waited for: the ship pass runs beside it, and the
+// caller joins whichever write is still in flight when the pass returns. It
+// retries through follower outages (a restarting follower resyncs and
+// satisfies the target).
+//
+// Without park it gives up, false, when it finds origin down or the frame
+// lost: a prepare vote or a distributed branch, whose fate the coordinator's
+// decision settles either way. With park it is the wait of a single-node commit, whose
+// commit record IS the decision: the answer must be the commit's actual fate,
+// so the waiter sleeps across the outage and follows its frame through every
+// restart since (shipState.follow):
+//
+//   - the frame survived into the current generation (it was below the flushed
+//     boundary each plain restart came back with): the wait goes on there —
+//     the restart's resyncs re-anchor the durable watermarks above it — and
+//     ends in true;
+//   - a rebuild adopted it (disk lost, or acked history rotted beyond repair,
+//     and the replica prefix the log was rebuilt from reached it): true;
+//   - a restart lost it — it sat in the volatile tail, or above the replica
+//     prefix of a rebuild. A follower may still hold it durably, and a rebuild
+//     before that follower is resynced would bring it back, so the answer
+//     waits until the loss is sealed: a follower resynced in a newer
+//     generation holds the marker that drops the frame, and a rebuild prefers
+//     the newest generation. Then false.
+//
+// This keeps the harness oracle's strict contract: an error return means the
+// transaction is durably absent from the origin and from every copy a rebuild
+// could choose, a true return means it is durable at the origin and on a
+// replica.
+func (c *Cluster) forceShip(p *sim.Proc, origin *DataNode, lsn, gen uint64, park bool) bool {
 	sh := origin.ship
-	target := sh.lastShippable
-	// The caller locally forced its own frames before calling, so they sit at
-	// or below the flushed boundary. Anything above it was appended by OTHER
-	// in-flight transactions — they have their own waiters, and chasing them
-	// would hang this commit on a group-commit flush that may never come
-	// (an end-of-workload straggler).
-	if fl := origin.Log.FlushedLSN(); fl < target {
-		target = fl
-	}
+	origin.Log.Kick()
 	for {
-		if origin.crashed {
-			return false
-		}
-		if c.replicaDurable(origin, target) {
+		at, adopted := sh.follow(gen, lsn)
+		if adopted {
 			return true
 		}
-		if !c.shipQueued(p, origin, true) {
-			return false
-		}
-		if c.replicaDurable(origin, target) {
-			return true
-		}
-		if origin.crashed {
-			return false
-		}
-		c.healStaleFollowers(p, origin)
-		if origin.crashed {
-			return false
+		if at != sh.gen || origin.crashed {
+			if !park || at != sh.gen && c.lossSealed(origin, at) {
+				return false
+			}
+		} else {
+			local := origin.Log.FlushedLSN() >= lsn
+			if local && c.replicaDurable(origin, lsn) {
+				return true
+			}
+			if c.shipQueued(p, origin, true) {
+				origin.Log.Flush(p, lsn)
+			}
+			if !local || sh.gen != at || origin.crashed {
+				// The local force ended during this pass, or origin died: look
+				// again. A pass that held the frame back behind a coordinator
+				// record finds it flushed now and ships it the second time.
+				continue
+			}
+			if c.replicaDurable(origin, lsn) {
+				return true
+			}
+			c.healStaleFollowers(p, origin)
 		}
 		c.shipRetry(p)
 	}
+}
+
+// lossSealed reports whether what origin's generation g held above the
+// boundary it was restarted at can no longer come back: some follower
+// completed a resync in a newer generation, so its durable log carries that
+// generation's reset marker, and a rebuild takes the newest generation on
+// offer before the longest copy.
+func (c *Cluster) lossSealed(origin *DataNode, g uint64) bool {
+	for _, f := range c.followersOf(origin.ID) {
+		if origin.ship.syncedGen[f.ID] > g {
+			return true
+		}
+	}
+	return false
 }
 
 // healStaleFollowers resyncs any live-but-stale follower of origin. Restart
@@ -775,48 +983,6 @@ func (c *Cluster) healStaleFollowers(p *sim.Proc, origin *DataNode) {
 		if !f.crashed && sh.stale[f.ID] {
 			c.resyncFollower(p, origin, f)
 		}
-	}
-}
-
-// forceShipDecided is the phase-2 replication wait of a single-node commit
-// whose commit record is ALREADY locally durable at LSN target (generation
-// gen, captured when the record was appended): the transaction's fate is
-// decided on this node's log, so an origin crash must not fail the commit —
-// a plain restart replays it and the ack must follow. The waiter parks across
-// the outage and resolves to the commit's actual post-recovery fate:
-//
-//   - origin alive: ship forced until a follower holds the target durably;
-//   - origin down: sleep until its restart resyncs a follower (durable
-//     watermarks re-anchor at the restored flushed boundary, which covers the
-//     locally-durable commit) — then true;
-//   - the restart was a rebuild (disk lost, or acked history rotted beyond
-//     repair): true iff the commit's frame was inside the replica set's
-//     durable prefix of its generation and thus survived into the rebuilt
-//     log; otherwise the commit is gone from the origin AND every replica
-//     (the rebuilt generation supersedes the stale wrappers), so false is
-//     consistent — nothing can surface.
-//
-// This keeps the harness oracle's strict contract: an error return means the
-// transaction is durably absent everywhere, a true return means it is durable
-// at the origin and recoverable from the replica set.
-func (c *Cluster) forceShipDecided(p *sim.Proc, origin *DataNode, target, gen uint64) bool {
-	sh := origin.ship
-	for {
-		if sh.rebuildGen != gen {
-			return sh.rebuiltFromGen == gen && target <= sh.rebuiltThrough
-		}
-		if !origin.crashed {
-			if c.replicaDurable(origin, target) {
-				return true
-			}
-			if c.shipQueued(p, origin, true) && sh.rebuildGen == gen && c.replicaDurable(origin, target) {
-				return true
-			}
-			if !origin.crashed && sh.rebuildGen == gen {
-				c.healStaleFollowers(p, origin)
-			}
-		}
-		c.shipRetry(p)
 	}
 }
 
@@ -867,11 +1033,11 @@ func (c *Cluster) setupDrain(n *DataNode) {
 	sh.updatePin(n.Log)
 }
 
-// resyncFollower wholesale-rebuilds follower f's replica of origin: a reset
-// wrapper, then every durable shippable frame of origin's log, appended to
-// f's log and flushed — after which f is in sync (stale cleared) and counts
-// for durability again. Tolerates either side dying mid-resync (stale
-// stays set; a later restart retries).
+// resyncFollower brings follower f's replica of origin back in sync: a reset
+// marker if origin restarted since f last was, then every shippable frame of
+// origin's retained log, appended to f's log and flushed — after
+// which f counts for durability again (stale cleared). Tolerates either side
+// dying mid-resync (stale stays set; a later restart retries).
 func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 	if origin.crashed || f.crashed {
 		return
@@ -894,11 +1060,15 @@ func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 		// f is in sync, and shipping the whole retained log again buys nothing.
 		return
 	}
-	flushed := origin.Log.FlushedLSN()
+	// Everything a pass would ship: the frames popped from the queue while f
+	// was away were popped the moment they were appended, so a resync that
+	// stopped at the origin's flushed boundary would leave f without those
+	// still above it, for good.
+	_, through := sh.shippable(origin.Log)
 	var frames []shipItem
 	var total int64
 	origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		if rec.LSN > flushed {
+		if rec.LSN > through {
 			return false
 		}
 		if !wal.Shippable(rec) {
@@ -912,61 +1082,48 @@ func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 	if origin.crashed || f.crashed {
 		return
 	}
-	// Reset only across a renumbering rebuild: the follower's retained
-	// wrappers of an older generation are unrelated records at colliding
-	// LSNs and must be superseded. Within one generation the retained
-	// wrappers are byte-identical to what ships below, so re-applying over
-	// them is idempotent — and skipping the reset means a resync cut short
-	// by a crash can only add duplicates, never trade the follower's
-	// complete durable history for a partial one.
-	if sh.syncedGen[f.ID] != sh.rebuildGen {
-		c.applyReset(f, origin)
-		sh.syncedGen[f.ID] = sh.rebuildGen
-	} else {
-		// Same generation: keep the retained wrappers and seed the fresh
-		// in-memory store from the follower's own durable copies first (a
-		// crashed follower's store died with DRAM; a live stale one may have
-		// missed deliveries). Seeding matters since fuzzy checkpoints: the
-		// origin's retained log may be truncated below the replica-durable
-		// boundary, so the frames collected above cover only the retained
-		// suffix — the follower's durable wrappers are the authoritative
-		// source for the prefix it already holds.
-		st := newRepStore()
-		own, _, gen := durableShippedFrames(f, origin.ID)
-		if gen == sh.rebuildGen {
-			lsns := make([]uint64, 0, len(own))
-			for lsn := range own {
-				lsns = append(lsns, lsn)
-			}
-			sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-			for _, lsn := range lsns {
-				st.applyFrame(lsn, own[lsn])
-			}
-		}
-		f.stores[origin.ID] = st
+	// What f holds was shipped in the generation it last synced in, and may
+	// run past what origin's restarts since came back with — frames origin
+	// lost and has numbered over (none of them after a rebuild, which
+	// renumbers everything). The marker says where f's copy stops being true;
+	// it is written by every attempt until one completes, and never asks f to
+	// give up the prefix that did survive: origin's retained log may be
+	// truncated below the replica-durable boundary, so f's own durable
+	// wrappers are the only source for that prefix — which is also why the
+	// fresh in-memory store (a crashed follower's died with its DRAM, a live
+	// stale one may have missed deliveries) is seeded from them first.
+	if keep := sh.keepFrom(sh.syncedGen[f.ID]); keep != noFloor {
+		c.applyReset(f, origin, keep)
 	}
+	st := newRepStore()
+	own := c.shippedCopy(f, origin)
+	for i, lsn := range own.lsns {
+		st.applyFrame(lsn, own.frames[i])
+	}
+	f.stores[origin.ID] = st
 	for _, it := range frames {
 		c.applyToFollower(f, origin, it.lsn, it.frame)
 	}
-	sh.sent[f.ID] = flushed
+	sh.sent[f.ID] = through
 	wl := sh.wrapLSN[f.ID]
 	f.Log.Flush(p, wl)
 	if origin.crashed {
 		return
 	}
 	if !f.crashed && f.Log.FlushedLSN() >= wl {
-		sh.durable[f.ID] = flushed
+		sh.durable[f.ID] = through
 		sh.stale[f.ID] = false
 		sh.resyncs[f.ID]++
+		sh.syncedGen[f.ID] = sh.gen
 	}
 	// The resynced prefix no longer needs queue delivery to THIS follower —
 	// but the queue is shared across the replica set, so only frames every
 	// non-stale follower already holds (sent covers them; stale followers
 	// re-ship from the retained log) may be dropped. Trimming to this
-	// follower's flushed boundary alone would discard frames a sibling
-	// synced at an older boundary never received, leaving a permanent gap
-	// in its replica store.
-	limit := flushed
+	// follower's boundary alone would discard frames a sibling synced at an
+	// older boundary never received, leaving a permanent gap in its replica
+	// store.
+	limit := through
 	for _, g := range c.followersOf(origin.ID) {
 		if !sh.stale[g.ID] && sh.sent[g.ID] < limit {
 			limit = sh.sent[g.ID]
@@ -982,17 +1139,15 @@ func (c *Cluster) resyncFollower(p *sim.Proc, origin, f *DataNode) {
 }
 
 // durableShippedFrames reads follower f's durable wrapper log directly —
-// even while f is down; its disk is stable storage — and reconstructs
-// origin's shipped stream: raw frames keyed by origin LSN, after processing
-// reset markers in log order and keeping only the newest generation present
-// (older generations use a numbering the origin has since renumbered over —
-// their frames are unrelated records at colliding LSNs). Returns the frames,
-// the highest LSN among them, and the generation they belong to. Used by
-// rebuildFromReplicas, which must not wait for followers to restart (two
-// destroyed nodes could be mutual followers), and by the scrubber.
-func durableShippedFrames(f *DataNode, origin int) (map[uint64][]byte, uint64, uint64) {
-	frames := make(map[uint64][]byte)
-	var max, gen uint64
+// even while f is down; its disk is stable storage — and reconstructs the copy
+// it holds of origin's shipped stream, applying the reset markers in log
+// order: a marker drops what f held above its keep-through (everything, after
+// a rebuild — older numberings hold unrelated records at colliding LSNs) and
+// opens its generation. Returns the frames and the generation they are a copy
+// of. The copy is true as of that generation only; against a newer one it may
+// end in a suffix the origin lost — everyone but the rebuild, which ranks whole
+// copies, reads it through shippedCopy.
+func durableShippedFrames(f *DataNode, origin int) (fs frameSet, gen uint64) {
 	flushed := f.Log.FlushedLSN()
 	f.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
 		if rec.LSN > flushed {
@@ -1002,86 +1157,80 @@ func durableShippedFrames(f *DataNode, origin int) (map[uint64][]byte, uint64, u
 			return true
 		}
 		sf, err := wal.DecodeShipFrame(rec.After)
-		if err != nil {
-			return true
+		if err != nil || sf.Gen < gen {
+			return true // damaged, or a straggler from before a restart
 		}
-		if sf.Gen < gen {
-			return true // stale straggler from before a renumbering
+		switch {
+		case sf.Reset:
+			fs.keepThrough(sf.Keep)
+		case sf.Gen > gen:
+			fs.keepThrough(0) // the marker that opened this generation is gone
 		}
-		if sf.Gen > gen || sf.Reset {
-			frames = make(map[uint64][]byte)
-			max = 0
-			gen = sf.Gen
+		gen = sf.Gen
+		if !sf.Reset {
+			fs.put(sf.LSN, sf.Frame)
 		}
-		if sf.Reset {
-			return true
-		}
-		if sf.LSN > max {
-			max = sf.LSN
-		}
-		frames[sf.LSN] = sf.Frame
 		return true
 	})
-	return frames, max, gen
+	return fs, gen
+}
+
+// shippedCopy is follower f's durable copy of origin's stream as far as it is
+// still true in origin's current generation: durableShippedFrames, cut at the
+// lowest boundary of the origin restarts f has not been resynced past. No
+// frame above it may be used for anything — it is a record the origin lost,
+// at an LSN the origin has since given to another.
+func (c *Cluster) shippedCopy(f, origin *DataNode) frameSet {
+	fs, gen := durableShippedFrames(f, origin.ID)
+	fs.keepThrough(origin.ship.keepFrom(gen))
+	return fs
 }
 
 // RotEligible returns a predicate over origin n's acked frames marking those
 // a chaos bit-rot fault may damage without exceeding the redundancy budget:
-// only frames with a durable current-generation copy on a follower whose disk
-// medium is intact qualify. In-memory repair sources (the origin's ship
+// only frames with a durable, still-true copy on a follower whose disk medium
+// is intact qualify. In-memory repair sources (the origin's ship
 // queue, follower replica stores) are deliberately excluded — a crash
 // schedule can erase every one of them before the scrubber runs, and rotting
 // a frame whose last durable copy is the origin's own models unrecoverable
 // media loss, not repairable decay.
 func (c *Cluster) RotEligible(n *DataNode) func(lsn uint64) bool {
-	covered := make(map[uint64]bool)
+	var copies []frameSet
 	if c.drep != nil {
 		for _, f := range c.followersOf(n.ID) {
-			if f.diskLost {
-				continue
-			}
-			frames, _, gen := durableShippedFrames(f, n.ID)
-			if gen != n.ship.rebuildGen {
-				continue
-			}
-			for lsn := range frames {
-				covered[lsn] = true
+			if !f.diskLost {
+				copies = append(copies, c.shippedCopy(f, n))
 			}
 		}
 	}
-	return func(lsn uint64) bool { return covered[lsn] }
+	return func(lsn uint64) bool {
+		for i := range copies {
+			if copies[i].get(lsn) != nil {
+				return true
+			}
+		}
+		return false
+	}
 }
 
-// ownSalvage is the pre-Restart per-frame read of a crashed node's own
-// damaged log: every durable frame that still decodes, captured before
-// Restart's byte scan truncates at the first damaged frame. Rot on the
-// origin and a destroyed follower disk can each eat a DIFFERENT part of the
-// replicated history; the origin's own readable frames are the one source
-// guaranteed to cover everything it ever acked locally, so a rebuild merges
-// them with the best follower copy instead of discarding them.
-type ownSalvage struct {
-	frames map[uint64][]byte // shippable frames by LSN (current numbering)
-	max    uint64
-}
-
-// salvageOwnFrames reads n's crashed, possibly damaged log frame by frame
-// (the in-memory offset map survives the power failure model, mirroring the
-// scrubber's CheckFlushed walk) and keeps whatever still decodes inside the
-// durable boundary. Must run before Log.Restart — the restart scan
-// physically truncates at the first damaged frame, destroying every
-// readable frame behind it.
-func salvageOwnFrames(n *DataNode) *ownSalvage {
-	sv := &ownSalvage{frames: make(map[uint64][]byte)}
+// salvageOwnFrames is the pre-Restart per-frame read of a crashed node's own,
+// possibly damaged log (the in-memory offset map survives the power failure
+// model, mirroring the scrubber's CheckFlushed walk): every durable shippable
+// frame that still decodes, in the log's current numbering, captured before
+// Restart's byte scan truncates at the first damaged frame and destroys every
+// readable frame behind it. Rot on the origin and a destroyed follower disk can
+// each eat a DIFFERENT part of the replicated history; the origin's own
+// readable frames are the one source guaranteed to cover everything it ever
+// acked locally, so a rebuild merges them with the best follower copy instead
+// of discarding them.
+func salvageOwnFrames(n *DataNode) (sv frameSet) {
 	flushed := n.Log.FlushedLSN()
 	n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
 		if rec.LSN > flushed {
 			return false
 		}
 		if wal.Shippable(rec) {
-			sv.frames[rec.LSN] = bytes.Clone(frame)
-			if rec.LSN > sv.max {
-				sv.max = rec.LSN
-			}
+			sv.put(rec.LSN, bytes.Clone(frame))
 		}
 		return true
 	})
@@ -1090,107 +1239,97 @@ func salvageOwnFrames(n *DataNode) *ownSalvage {
 
 // rebuildFromReplicas reconstructs a node's log after total loss of its
 // durable state (a wiped disk, or bit rot that ate into acked history): the
-// node's own salvaged frames and the follower holding the longest durable
-// prefix of the shipped stream together supply the frames, which are
-// re-appended — renumbered — to the freshly wiped log. Replicated coordinator
-// records are part of the stream, so a node that ever led gets them back here
-// too, their master sequence (Record.Part) untouched by the renumbering — the
-// election below RestartNode reads them. Runs inside RestartNode, right after
-// Log.Restart and before any recovery pass; sv is the pre-Restart salvage
-// (empty after a wiped disk).
-func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv *ownSalvage) {
-	// Pick the follower with the newest generation, longest durable prefix.
-	// Within a generation each follower's durable shipped set is a prefix of
-	// the origin's stream (in-order flushed-only delivery, resync on any
-	// gap), so the longest prefix of the newest generation covers every
-	// frame any forced commit had acked against since the last renumbering.
-	var best *DataNode
-	var bestFrames map[uint64][]byte
-	var bestMax, bestGen uint64
+// node's own salvaged frames and its followers' durable copies of the shipped
+// stream together supply the frames, which are re-appended — renumbered — to
+// the freshly wiped log. Replicated coordinator records are part of the stream,
+// so a node that ever led gets them back here too, their master sequence
+// (Record.Part) untouched by the renumbering — the election below RestartNode
+// reads them. Runs inside RestartNode, right after Log.Restart and before any
+// recovery pass; sv is the pre-Restart salvage (empty after a wiped disk).
+func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
+	// Every follower disk still readable holds a copy of the stream as of some
+	// generation. As far as a copy is still true in the current generation
+	// (keepFrom) it is history, byte-identical in every copy that has it, and
+	// all of it is wanted: a frame a forced commit was acked against is in that
+	// part of the copy of whichever follower was in sync at the time — not
+	// necessarily the newest copy, which may be a resync cut short.
+	//
+	// Beyond that a copy ends in a suffix the origin lost at a restart. With
+	// salvage, the node's own log says what came after and no suffix is wanted.
+	// After a wiped disk one copy is taken whole: of the newest generation on
+	// offer, and among those the longest. Newest first, because an older
+	// copy's suffix — however long — is exactly what a resynced sibling's
+	// marker sealed as lost for the waiters (forceShip); when no sibling was
+	// resynced since, nobody has been told anything about the suffix yet, and
+	// it comes back.
+	sh := n.ship
+	type held struct {
+		f   *DataNode
+		fs  frameSet
+		gen uint64
+	}
+	var copies []held
+	whole := -1
 	for _, f := range c.followersOf(n.ID) {
 		if f.diskLost {
 			continue // wiped too: no stable storage to read
 		}
-		frames, max, gen := durableShippedFrames(f, n.ID)
-		if best == nil || gen > bestGen || (gen == bestGen && max > bestMax) {
-			best, bestFrames, bestMax, bestGen = f, frames, max, gen
+		fs, gen := durableShippedFrames(f, n.ID)
+		if sv.len() == 0 && (whole < 0 || gen > copies[whole].gen || gen == copies[whole].gen && fs.max() > copies[whole].fs.max()) {
+			whole = len(copies)
 		}
+		copies = append(copies, held{f, fs, gen})
 	}
-	// Merge the sources. The salvage (when non-empty) is in the log's current
-	// numbering and covers everything this node acked locally — including
-	// slices whose only follower copy died with a destroyed disk; the best
-	// follower's copy fills the salvage's rot holes and is the sole source
-	// after a wiped disk. They merge when the follower holds the current
-	// generation (same numbering, byte-identical frames where both present);
-	// an older-generation follower copy uses a numbering this log has since
-	// renumbered over and cannot extend the salvage.
-	curGen := n.ship.rebuildGen
-	frames := bestFrames
-	rebuiltFromGen, rebuiltThrough := bestGen, bestMax
-	var fromBestBytes int64
-	if best != nil {
-		for _, fr := range bestFrames {
-			fromBestBytes += int64(len(fr)) + shipWireOverhead
+	// The salvage (when non-empty) is in the log's current numbering and covers
+	// everything this node acked locally — including slices whose only follower
+	// copy died with a destroyed disk; the followers' copies fill its rot holes.
+	frames, from := sv, sh.gen
+	if whole >= 0 {
+		from = copies[whole].gen
+		copies[0], copies[whole] = copies[whole], copies[0] // merged first
+	}
+	contributed := make([]int64, len(copies))
+	for i, cp := range copies {
+		if whole < 0 || i > 0 {
+			cp.fs.keepThrough(sh.keepFrom(cp.gen))
 		}
-	}
-	if sv != nil && len(sv.frames) > 0 {
-		frames = sv.frames
-		rebuiltFromGen, rebuiltThrough = curGen, sv.max
-		if best != nil && bestGen == curGen {
-			fromBestBytes = 0
-			for lsn, fr := range bestFrames {
-				if _, ok := frames[lsn]; !ok {
-					frames[lsn] = fr
-					fromBestBytes += int64(len(fr)) + shipWireOverhead
-				}
+		for j, lsn := range cp.fs.lsns {
+			if frames.get(lsn) == nil {
+				frames.put(lsn, cp.fs.frames[j])
+				contributed[i] += int64(len(cp.fs.frames[j])) + shipWireOverhead
 			}
-			if bestMax > rebuiltThrough {
-				rebuiltThrough = bestMax
-			}
-		} else {
-			best = nil
 		}
 	}
 	n.Log.WipeDisk() // renumber from LSN 1: the shipped stream has gaps
-	// forceShip targets are LSNs of the OLD numbering; re-anchor at zero and
-	// let the append hook re-advance as frames are re-appended below.
-	n.ship.lastShippable = 0
-	// Parked commit waiters resolve against the rebuild outcome: frames of
-	// generation rebuiltFromGen at or below rebuiltThrough survive (in that
-	// generation's numbering); everything else is gone everywhere once the
-	// resyncs supersede the stale wrappers.
-	n.ship.rebuiltThrough = rebuiltThrough
-	n.ship.rebuiltFromGen = rebuiltFromGen
-	n.ship.rebuildGen++
+	// A new generation, in a new numbering: frames of generation from at or
+	// below the end of the merged copy are in it, everything else is gone once
+	// the resyncs reset the followers. Parked commit waiters resolve against
+	// exactly that (shipState.follow).
+	sh.openGen(from, frames.max(), true)
 	// The recovery bases are re-derived from the rebuilt log alone: the wiped
 	// log IS the new base truth, and stale in-memory pairs would re-append as
 	// phantom tail bases on the next repairBaseLog pass.
 	n.bases = make(map[table.PartID][]basePair)
-	if len(frames) > 0 {
-		if best != nil && fromBestBytes > 0 {
+	for i, bytes := range contributed {
+		if bytes > 0 {
 			// Read the follower's contribution from its disk, ship it over.
-			best.HW.LogDisk().ReadSeq(p, fromBestBytes)
-			c.Net.Transfer(p, best.ID, n.ID, fromBestBytes)
+			copies[i].f.HW.LogDisk().ReadSeq(p, bytes)
+			c.Net.Transfer(p, copies[i].f.ID, n.ID, bytes)
 		}
-		lsns := make([]uint64, 0, len(frames))
-		for lsn := range frames {
-			lsns = append(lsns, lsn)
+	}
+	for _, frame := range frames.frames {
+		rec, err := wal.DecodeFrame(frame)
+		if err != nil {
+			continue
 		}
-		sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-		for _, lsn := range lsns {
-			rec, err := wal.DecodeFrame(frames[lsn])
-			if err != nil {
-				continue
-			}
-			nl := n.Log.Append(rec) // Append renumbers
-			if rec.Type == wal.RecBase {
-				// A wiped disk also lost the recovery bases; the shipped
-				// base images restore them (Append encoded already, so the
-				// decoded slices can be retained). The pair carries its
-				// renumbered append LSN, so repairBaseLog sees it covered.
-				id := table.PartID(rec.Part)
-				n.bases[id] = append(n.bases[id], basePair{key: rec.Key, val: rec.After, lsn: nl})
-			}
+		nl := n.Log.Append(rec) // Append renumbers
+		if rec.Type == wal.RecBase {
+			// A wiped disk also lost the recovery bases; the shipped
+			// base images restore them (Append encoded already, so the
+			// decoded slices can be retained). The pair carries its
+			// renumbered append LSN, so repairBaseLog sees it covered.
+			id := table.PartID(rec.Part)
+			n.bases[id] = append(n.bases[id], basePair{key: rec.Key, val: rec.After, lsn: nl})
 		}
 	}
 	last := n.Log.TailLSN() - 1
@@ -1263,13 +1402,9 @@ func (c *Cluster) crashShipState(n *DataNode) {
 	sh.queue = nil
 	sh.draining = false
 	sh.drained.Fire()
-	// Appends above the flushed boundary died with the crash: they can never
-	// become replica-durable, and a forceShip target above the durable tail
-	// would wait forever.
-	sh.lastShippable = n.Log.FlushedLSN()
-	// Followers may hold an unflushed shipped suffix the origin is about to
-	// lose — or miss frames whose queue just evaporated. Either way their
-	// replicas diverge from the restarted origin's durable log: resync.
+	// Followers may hold a shipped suffix the origin just lost with its
+	// volatile tail — or miss frames whose queue just evaporated. Either way
+	// their replicas diverge from the restarted origin's durable log: resync.
 	for _, f := range c.followersOf(n.ID) {
 		sh.stale[f.ID] = true
 	}
@@ -1321,8 +1456,9 @@ func (c *Cluster) ScrubPass(p *sim.Proc) int {
 // is pristine and covers flushed-but-unshipped frames), a live in-sync
 // follower's replica store, and finally any follower's durable wrapper log —
 // readable even while that follower is down or stale, since its disk is
-// stable storage. PatchFrame validates the candidate bytes, so a stale
-// wrapper log from before a renumbering rebuild can never patch wrong data.
+// stable storage. A stale follower's copy is read through shippedCopy: above
+// the boundary of an origin restart it holds a different record at the same
+// LSN, one that decodes (PatchFrame checks CRC and LSN, not identity).
 func (c *Cluster) scrubNode(p *sim.Proc, n *DataNode) int {
 	repaired := 0
 	for _, lsn := range n.Log.CheckFlushed() {
@@ -1337,18 +1473,12 @@ func (c *Cluster) scrubNode(p *sim.Proc, n *DataNode) int {
 			for _, f := range c.followersOf(n.ID) {
 				if !f.crashed && !n.ship.stale[f.ID] {
 					if st := f.stores[n.ID]; st != nil {
-						frame = st.frames[lsn]
+						frame = st.frames.get(lsn)
 					}
 				}
 				if frame == nil && !f.diskLost {
-					// Only the current generation's wrappers may patch: an
-					// older generation's frame at the same LSN is a different
-					// record that happens to decode (PatchFrame checks CRC
-					// and LSN, not identity).
-					frames, _, gen := durableShippedFrames(f, n.ID)
-					if gen == n.ship.rebuildGen {
-						frame = frames[lsn]
-					}
+					fs := c.shippedCopy(f, n)
+					frame = fs.get(lsn)
 				}
 				if frame != nil {
 					// Request + frame response from the follower's copy.

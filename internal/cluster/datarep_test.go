@@ -17,10 +17,18 @@ import (
 // node's data frames replicate to its two cyclic followers.
 func newRepCluster(t *testing.T, scheme table.Scheme, nodes, n int) *testCluster {
 	t.Helper()
+	return newRepClusterWith(t, scheme, nodes, n, func(*Config) {})
+}
+
+// newRepClusterWith is newRepCluster with the configuration adjusted by tune
+// first.
+func newRepClusterWith(t *testing.T, scheme table.Scheme, nodes, n int, tune func(*Config)) *testCluster {
+	t.Helper()
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.DataReplicas = 2
+	tune(&cfg)
 	c := New(env, cfg)
 	for _, node := range c.Nodes[1:] {
 		node.HW.ForceActive()
@@ -258,10 +266,10 @@ func TestForcedCommitHealsStaleFollowers(t *testing.T) {
 		if sh.stale[f.ID] {
 			t.Errorf("follower %d still stale after the forced commit", f.ID)
 		}
-		if sh.durable[f.ID] < sh.lastShippable {
-			t.Errorf("follower %d durable=%d < lastShippable=%d", f.ID, sh.durable[f.ID], sh.lastShippable)
+		if fl := origin.Log.FlushedLSN(); sh.durable[f.ID] < fl {
+			t.Errorf("follower %d durable=%d, below the origin's flushed boundary %d", f.ID, sh.durable[f.ID], fl)
 		}
-		if st := f.stores[origin.ID]; st == nil || len(st.frames) == 0 {
+		if st := f.stores[origin.ID]; st == nil || st.frames.len() == 0 {
 			t.Errorf("follower %d replica store not re-seeded by the heal", f.ID)
 		}
 	}
@@ -454,8 +462,9 @@ func TestLogMasterRidesEarlierPass(t *testing.T) {
 	})
 	w.env.Spawn("committer", func(p *sim.Proc) {
 		p.Sleep(100 * time.Microsecond)
-		leader.Log.Flush(p, leader.Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort}))
-		if !c.forceShip(p, leader) {
+		lsn := leader.Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
+		leader.Log.Flush(p, lsn)
+		if !c.forceShip(p, leader, lsn, 0, false) {
 			t.Error("leader reported dead")
 		}
 		committerDone = p.Now()
@@ -472,9 +481,9 @@ func TestLogMasterRidesEarlierPass(t *testing.T) {
 		if got := f1.Log.Flushes - flushes; got != 1 {
 			t.Errorf("follower log forced %d times, want the one force both waiters share", got)
 		}
-		frames, _, _ := durableShippedFrames(f1, leader.ID)
-		if !replicated || frames[masterLSN] == nil {
-			t.Errorf("logMaster returned %v with the record durable on the follower: %v", replicated, frames[masterLSN] != nil)
+		held, _ := durableShippedFrames(f1, leader.ID)
+		if !replicated || held.get(masterLSN) == nil {
+			t.Errorf("logMaster returned %v with the record durable on the follower: %v", replicated, held.get(masterLSN) != nil)
 		}
 	})
 	if err := w.env.Run(); err != nil {
@@ -521,7 +530,7 @@ func TestShipPassAllocs(t *testing.T) {
 // per row.
 func TestReplicaScanAllocs(t *testing.T) {
 	const n = 1000
-	rp := &replicaPart{vers: make(map[string][]cc.Version)}
+	rp := newReplicaPart()
 	for i := n - 1; i >= 0; i-- {
 		rp.install(ik(int64(i)), cc.Version{TS: 1, Val: []byte("v")})
 	}
@@ -582,4 +591,459 @@ func TestConcurrentResyncShipsOnce(t *testing.T) {
 	if got := c.Net.BytesSent(origin.ID) - sent; got != once || f.Log.TailLSN() == tail {
 		t.Fatalf("origin sent %d bytes for two concurrent resyncs, the first alone sent %d", got, once)
 	}
+}
+
+// lostTxn is the first transaction ID shipAndLose stamps its frames with.
+const lostTxn = cc.TxnID(1 << 50)
+
+// shipAndLose makes origin lose n frames a follower keeps: appended while
+// origin's log disk takes 20 ms a write, shipped by a forced pass — which
+// flushes the first live in-sync follower's log — and still in origin's
+// volatile tail when it loses power. It returns the flushed boundary origin
+// will come back with and the LSNs of the lost frames.
+func shipAndLose(t *testing.T, p *sim.Proc, c *Cluster, origin *DataNode, n int) (flushed uint64, lost []uint64) {
+	t.Helper()
+	origin.HW.LogDisk().SetStall(20 * time.Millisecond)
+	for i := 0; i < n; i++ {
+		lost = append(lost, origin.Log.Append(wal.Record{Txn: lostTxn + cc.TxnID(i), Type: wal.RecAbort}))
+	}
+	origin.Log.Kick()
+	if !c.shipQueued(p, origin, true) || !c.replicaDurable(origin, lost[n-1]) {
+		t.Fatal("setup: the forced pass left the frames short of a durable follower")
+	}
+	flushed = origin.Log.FlushedLSN()
+	if flushed >= lost[0] {
+		t.Fatalf("setup: origin flushed through %d, the frames start at %d", flushed, lost[0])
+	}
+	c.CrashNode(origin)
+	origin.HW.LogDisk().SetStall(0)
+	return flushed, lost
+}
+
+func mustRestart(t *testing.T, p *sim.Proc, c *Cluster, nodes ...*DataNode) {
+	t.Helper()
+	for _, n := range nodes {
+		if _, _, err := c.RestartNode(p, n); err != nil {
+			t.Fatalf("restart node %d: %v", n.ID, err)
+		}
+	}
+}
+
+// lastReset returns the newest reset marker follower f's log holds for origin.
+func lastReset(f *DataNode, origin int) (marker *wal.ShipFrame) {
+	f.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+		if rec.Type == wal.RecShip && rec.Part == uint64(origin) {
+			if sf, err := wal.DecodeShipFrame(rec.After); err == nil && sf.Reset {
+				marker = sf
+			}
+		}
+		return true
+	})
+	return marker
+}
+
+// TestFollowerAsleepThroughTwoRestarts: follower 2 holds a suffix its origin
+// lost, durably, and is down across that restart and the next. Its copy is of
+// an old generation and longer than its sibling's, which was resynced in each.
+// A rebuild must rank the sibling's copy first — newest generation before
+// longest — and follower 2's own resync, when it finally comes, must keep its
+// copy through the LOWER of the two boundaries it slept through: the second
+// restart's is above the lost suffix.
+func TestFollowerAsleepThroughTwoRestarts(t *testing.T) {
+	const suffix = 30
+	setup := func(t *testing.T, p *sim.Proc, c *Cluster) (first, second uint64) {
+		origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+		c.CrashNode(f1) // so the forced pass flushes follower 2
+		first, lost := shipAndLose(t, p, c, origin, suffix)
+		c.CrashNode(f2)
+		p.Sleep(time.Second)
+		mustRestart(t, p, c, f1, origin)
+		// The origin's second life: three frames over the lost LSNs, acked
+		// against follower 1, then the next power failure.
+		var lsn uint64
+		for i := 0; i < 3; i++ {
+			lsn = origin.Log.Append(wal.Record{Txn: cc.TxnID(1<<51 + i), Type: wal.RecAbort})
+		}
+		if !c.forceShip(p, origin, lsn, origin.ship.gen, false) {
+			t.Fatal("setup: origin reported dead")
+		}
+		c.CrashNode(origin)
+		p.Sleep(time.Second)
+		mustRestart(t, p, c, origin)
+		second = origin.Log.FlushedLSN()
+		old, oldGen := durableShippedFrames(f2, origin.ID)
+		cur, curGen := durableShippedFrames(f1, origin.ID)
+		if origin.ship.gen != 2 || oldGen != 0 || curGen != 2 || first >= second || second >= lost[suffix-1] || old.max() <= cur.max() {
+			t.Fatalf("setup: origin generation %d, boundaries %d and %d, lost suffix through %d; follower 2 holds generation %d through %d, follower 1 generation %d through %d",
+				origin.ship.gen, first, second, lost[suffix-1], oldGen, old.max(), curGen, cur.max())
+		}
+		return first, second
+	}
+	holdsLost := func(l *wal.Log) (n int) {
+		l.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+			if rec.Type == wal.RecAbort && rec.Txn >= lostTxn && rec.Txn < lostTxn+suffix {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	t.Run("its resync keeps through the lower boundary", func(t *testing.T) {
+		tc := newRepCluster(t, table.Physiological, 4, 100)
+		defer tc.env.Close()
+		c := tc.c
+		c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+		origin, f2 := c.Nodes[0], c.Nodes[2]
+		tc.run(t, func(p *sim.Proc) {
+			first, _ := setup(t, p, c)
+			mustRestart(t, p, c, f2)
+			if m := lastReset(f2, origin.ID); m == nil || m.Gen != 2 || m.Keep != first {
+				t.Fatalf("follower 2's resync wrote marker %+v, want generation 2 keeping through %d", m, first)
+			}
+			// Raw, with only its own markers applied, its disk now holds exactly
+			// the origin's durable stream.
+			held, gen := durableShippedFrames(f2, origin.ID)
+			if gen != 2 || origin.ship.stale[f2.ID] {
+				t.Fatalf("follower 2 after its resync: generation %d, stale=%v", gen, origin.ship.stale[f2.ID])
+			}
+			n := 0
+			origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+				if wal.Shippable(rec) && rec.LSN <= origin.Log.FlushedLSN() {
+					if n++; !bytes.Equal(held.get(rec.LSN), frame) {
+						t.Fatalf("follower 2's copy differs from the origin's log at LSN %d", rec.LSN)
+					}
+				}
+				return true
+			})
+			if held.len() != n {
+				t.Fatalf("follower 2 holds %d frames, the origin's durable stream has %d", held.len(), n)
+			}
+		})
+	})
+	t.Run("a rebuild prefers the sibling's shorter, newer copy", func(t *testing.T) {
+		tc := newRepCluster(t, table.Physiological, 4, 100)
+		defer tc.env.Close()
+		c := tc.c
+		c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+		origin := c.Nodes[0]
+		tc.run(t, func(p *sim.Proc) {
+			setup(t, p, c)
+			c.DestroyDisk(origin)
+			p.Sleep(time.Second)
+			mustRestart(t, p, c, origin)
+			if n := holdsLost(origin.Log); n != 0 {
+				t.Fatalf("the rebuilt log holds %d of the frames the origin lost two generations ago", n)
+			}
+			kept := 0
+			origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+				if rec.Type == wal.RecAbort && rec.Txn >= 1<<51 && rec.Txn < 1<<51+3 {
+					kept++
+				}
+				return true
+			})
+			if kept != 3 {
+				t.Fatalf("the rebuilt log holds %d of the 3 frames acked in the second generation", kept)
+			}
+		})
+	})
+}
+
+// TestReadersStopAtKeepThrough: between an origin's restart and a follower's
+// resync, the follower's disk holds — above the boundary the restart came back
+// with — records the origin lost, at LSNs it has since given to others. They
+// decode, carry the right LSN and here even the right length, so only the
+// boundary keeps them out: RotEligible must not count them as a copy, and the
+// scrubber must not patch the origin's log with them.
+func TestReadersStopAtKeepThrough(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	tc.run(t, func(p *sim.Proc) {
+		flushed, lost := shipAndLose(t, p, c, origin, 8)
+		c.CrashNode(f1)
+		c.CrashNode(f2)
+		p.Sleep(time.Second)
+		mustRestart(t, p, c, origin) // resyncs nobody
+		var lsn uint64
+		for i := range lost {
+			lsn = origin.Log.Append(wal.Record{Txn: cc.TxnID(1<<51 + i), Type: wal.RecAbort})
+		}
+		origin.Log.Flush(p, lsn)
+		// One more power failure: the origin's ship queue, whose append-time
+		// clones would repair those frames, is gone, and the boundary of this
+		// restart is above the lost suffix — the lower one must still hold.
+		c.CrashNode(origin)
+		p.Sleep(time.Second)
+		mustRestart(t, p, c, origin)
+		if len(origin.ship.queue) != 0 || origin.Log.FlushedLSN() < lsn {
+			t.Fatalf("setup: %d frames queued, flushed %d of %d", len(origin.ship.queue), origin.Log.FlushedLSN(), lsn)
+		}
+		raw, _ := durableShippedFrames(f1, origin.ID)
+		target := lost[3]
+		var mine []byte
+		origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+			if rec.LSN == target {
+				mine = bytes.Clone(frame)
+			}
+			return rec.LSN < target
+		})
+		theirs := raw.get(target)
+		if mine == nil || len(theirs) != len(mine) || bytes.Equal(theirs, mine) {
+			t.Fatalf("setup: at LSN %d the origin holds %d bytes and follower 1 %d (equal=%v); want two different records of one length",
+				target, len(mine), len(theirs), bytes.Equal(theirs, mine))
+		}
+		if fs := c.shippedCopy(f1, origin); fs.max() != flushed || fs.get(target) != nil {
+			t.Errorf("shippedCopy reads follower 1 through %d (frame at %d: %v), want through the restart's boundary %d",
+				fs.max(), target, fs.get(target) != nil, flushed)
+		}
+		eligible := c.RotEligible(origin)
+		if eligible(target) || !eligible(flushed) {
+			t.Errorf("rot-eligible: LSN %d (no true copy anywhere) %v, LSN %d (on follower 1's disk) %v; want false, true",
+				target, eligible(target), flushed, eligible(flushed))
+		}
+		if got := origin.Log.FlipFlushedBit(5, func(l uint64) bool { return l == target }); got != target {
+			t.Fatalf("setup: rot landed on LSN %d, want %d", got, target)
+		}
+		if n := c.scrubNode(p, origin); n != 0 {
+			t.Errorf("the scrubber patched %d frames from a follower's copy of a lost suffix", n)
+		}
+		if bad := origin.Log.CheckFlushed(); len(bad) != 1 || bad[0] != target {
+			t.Errorf("damaged frames after the scrub: %v, want [%d] left alone", bad, target)
+		}
+	})
+}
+
+// TestFollowerReadsMissVolatileCommit: a replica store applies a commit record
+// the moment it is shipped, before its origin has flushed it. Until both forces
+// are done no snapshot covering the commit may be served by a follower (the
+// inflight gate), and if the origin then loses the record, the resync leaves
+// nothing of it in the store.
+func TestFollowerReadsMissVolatileCommit(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1 := c.Nodes[0], c.Nodes[1]
+	e, err := tc.tm.Route(ik(10))
+	if err != nil || e.Owner != origin {
+		t.Fatalf("route: %v %v", e, err)
+	}
+	// newest is what follower 1's store holds as key 10's latest version.
+	newest := func() (string, cc.Timestamp) {
+		v, ok := f1.stores[origin.ID].parts[e.Part.ID].get(ik(10), ^cc.Timestamp(0))
+		if !ok {
+			return "", 0
+		}
+		row, _ := kvSchema().DecodeRow(v.Val)
+		return row[1].(string), v.TS
+	}
+	// served reports whether a snapshot at ts, read from follower 1's node,
+	// would be served by its replica store.
+	served := func(ts cc.Timestamp) bool {
+		s := &Session{m: c.Master, Txn: &cc.Txn{Mode: cc.SnapshotIsolation, Begin: ts}, Home: f1}
+		return s.followerFor(e) == f1
+	}
+	origin.HW.LogDisk().SetStall(20 * time.Millisecond)
+	var acked time.Duration
+	tc.env.Spawn("commit", func(p *sim.Proc) {
+		tc.put(t, p, origin, 10, "first")
+		acked = p.Now()
+	})
+	tc.run(t, func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		val, ts := newest()
+		if val != "first" || origin.Log.FlushedLSN() >= origin.Log.TailLSN()-1 || acked != 0 {
+			t.Fatalf("setup: 5 ms in, the store's newest version is %q, origin flushed %d of %d, acked at %v; want the commit applied ahead of the origin's flush",
+				val, origin.Log.FlushedLSN(), origin.Log.TailLSN()-1, acked)
+		}
+		if served(ts) || !served(ts-1) {
+			t.Errorf("with the commit at %d in flight: a snapshot at %d served by the follower=%v, one below it=%v; want false, true",
+				ts, ts, served(ts), served(ts-1))
+		}
+		p.Sleep(40 * time.Millisecond)
+		if acked == 0 || !served(ts) {
+			t.Fatalf("after the ack (at %v): a snapshot covering the commit served by the follower=%v", acked, served(ts))
+		}
+		// Again — and this time the origin loses the record.
+		tc.env.Spawn("lost-commit", func(p *sim.Proc) {
+			s := c.Master.Begin(p, cc.SnapshotIsolation, origin)
+			payload, _ := kvSchema().EncodeRow(table.Row{int64(10), "second"})
+			if err := s.Put(p, "kv", ik(10), payload); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+			if err := s.Commit(p); err == nil {
+				t.Error("the commit the origin lost was acknowledged")
+			}
+		})
+		p.Sleep(5 * time.Millisecond)
+		if val, _ := newest(); val != "second" {
+			t.Fatalf("setup: the store's newest version is %q, want the shipped commit applied", val)
+		}
+		c.CrashNode(origin)
+		origin.HW.LogDisk().SetStall(0)
+		p.Sleep(time.Second)
+		mustRestart(t, p, c, origin)
+		if val, got := newest(); val != "first" || got != ts || origin.ship.stale[f1.ID] {
+			t.Errorf("after the resync the store's newest version is %q at %d (stale=%v), want %q at %d",
+				val, got, origin.ship.stale[f1.ID], "first", ts)
+		}
+	})
+}
+
+// TestElectionIgnoresUnflushedCoordinatorRecord: data frames ship ahead of the
+// leader's flush, and so do acks; catalog snapshots, leases and decisions do not
+// — a pass stops before the first one the leader has not made durable, and
+// holds back what is queued behind it. So when the leader dies inside a commit's
+// overlapped forces, its followers' lost suffix holds nothing an election could
+// adopt that the leader never flushed.
+func TestElectionIgnoresUnflushedCoordinatorRecord(t *testing.T) {
+	w := newFailoverWorld(t, 300)
+	defer w.env.Close()
+	c, m := w.c, w.c.Master
+	leader, f1 := c.Nodes[0], c.Nodes[1]
+	w.runCommits(t, 3)
+	const never = cc.Timestamp(1) << 60 // a lease ceiling no election may adopt
+	leader.HW.LogDisk().SetStall(20 * time.Millisecond)
+	var before, behind uint64
+	w.env.Spawn("committer", func(p *sim.Proc) {
+		leader.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		m.logMaster(nil, wal.Record{Txn: 1 << 40, Type: wal.RecMAck, After: wal.EncodeMasterAck(nil, 3)}, false)
+		before = leader.Log.Append(wal.Record{Txn: 1 << 42, Type: wal.RecAbort})
+		m.logMaster(nil, wal.Record{Type: wal.RecMLease, TS: never}, false)
+		behind = leader.Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
+		if c.forceShip(p, leader, behind, leader.ship.gen, false) {
+			t.Error("the wait survived the leader's power failure")
+		}
+	})
+	w.env.Spawn("crash", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		held, _ := durableShippedFrames(f1, leader.ID)
+		if held.get(before) == nil || held.max() != before || leader.Log.FlushedLSN() >= before {
+			t.Errorf("5 ms in, follower 1 holds the leader's stream through %d (leader flushed %d); want through the data frame at %d — past the ack, short of the lease behind it",
+				held.max(), leader.Log.FlushedLSN(), before)
+		}
+		c.CrashNode(leader)
+		leader.HW.LogDisk().SetStall(0)
+	})
+	if err := w.env.RunUntil(w.env.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if m.Fenced() || m.LeaderID() == leader.ID {
+		t.Fatalf("no election: fenced=%v leader=%d", m.Fenced(), m.LeaderID())
+	}
+	if got := m.Oracle.Leased(); got >= never {
+		t.Fatalf("the new leader resumed at lease ceiling %d: it adopted a record the old leader never flushed", got)
+	}
+	// The old leader comes back; its followers' copies, cut at its restart
+	// boundary, still hold every coordinator record and nothing else new.
+	w.env.Spawn("restart", func(p *sim.Proc) {
+		p.Sleep(time.Second)
+		mustRestart(t, p, c, leader)
+		for _, f := range c.followersOf(leader.ID) {
+			held, _ := durableShippedFrames(f, leader.ID)
+			if held.get(before) != nil || held.get(behind) != nil || c.Nodes[0].ship.stale[f.ID] {
+				t.Errorf("follower %d after its resync: stale=%v, holds the lost data frame=%v, the held-back one=%v",
+					f.ID, leader.ship.stale[f.ID], held.get(before) != nil, held.get(behind) != nil)
+			}
+		}
+	})
+	if err := w.env.RunUntil(w.env.Now() + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if acked := w.runCommits(t, 3); len(acked) != 3 {
+		t.Fatalf("%d of 3 commits acked after the failover", len(acked))
+	}
+}
+
+// TestApplyStreamAllocs: a warm replica store applies a shipped stream without
+// allocating per frame — the frame itself is retained, the decoded record
+// points into it, staging lists are recycled, and an install on a known key
+// appends to its chain. What is left is the amortised growth of the chains and
+// the frame list.
+func TestApplyStreamAllocs(t *testing.T) {
+	const frames, keys = 1000, 40
+	env := sim.NewEnv(1)
+	defer env.Close()
+	var out [][]byte
+	origin := wal.NewLog(env, nil) // never flushed: only its framing is used
+	origin.SetAppendHook(func(rec *wal.Record, frame []byte) { out = append(out, bytes.Clone(frame)) })
+	var ts cc.Timestamp
+	// stream returns the next 1000 frames of the origin's log — transactions of
+	// nine updates and a commit — and the LSN of the first.
+	stream := func() ([][]byte, uint64) {
+		out = nil
+		first := origin.TailLSN()
+		for len(out) < frames {
+			txn := cc.TxnID(origin.TailLSN())
+			ts++
+			for i := 0; i < 9; i++ {
+				k := ik(int64((int(origin.TailLSN()) * 7) % keys))
+				origin.Append(wal.Record{Txn: txn, Type: wal.RecUpdate, Part: 3, Key: k,
+					After: table.EncodeValue(cc.Version{TS: ts, Val: []byte("value-of-some-length")})})
+			}
+			origin.Append(wal.Record{Txn: txn, Type: wal.RecCommit})
+		}
+		return out, first
+	}
+	st := newRepStore()
+	apply := func(batch [][]byte, first uint64) {
+		for i, fr := range batch {
+			st.applyFrame(first+uint64(i), fr)
+		}
+	}
+	apply(stream()) // warm: every key known, staging lists and chains grown
+	apply(stream())
+	batches := make([][][]byte, 0, 6)
+	firsts := make([]uint64, 0, 6)
+	for i := 0; i < 6; i++ {
+		b, f := stream()
+		batches, firsts = append(batches, b), append(firsts, f)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		apply(batches[next], firsts[next])
+		next++
+	})
+	if perFrame := allocs / frames; perFrame > 0.1 {
+		t.Fatalf("applying %d frames to a warm store allocates %.0f objects, %.2f per frame; want amortised growth only (< 0.1)", frames, allocs, perFrame)
+	}
+	if got := st.frames.len(); got != 8*frames {
+		t.Fatalf("store retains %d frames, want %d", got, 8*frames)
+	}
+	if v, ok := st.parts[3].get(ik(7), ts); !ok || v.TS == 0 {
+		t.Fatalf("key 7 unreadable at the newest snapshot: %v %v", v, ok)
+	}
+}
+
+// TestResyncCoversShippedUnflushedFrames: frames leave the queue the moment a
+// pass delivers them to the followers in sync at that instant — before the
+// origin has flushed them. A follower resynced right then gets them from the
+// resync or not at all, so the resync must reach as far as a pass would, not
+// stop at the origin's flushed boundary.
+func TestResyncCoversShippedUnflushedFrames(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	c := tc.c
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+	origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	origin.ship.stale[f1.ID] = true // it missed a delivery
+	origin.HW.LogDisk().SetStall(20 * time.Millisecond)
+	tc.run(t, func(p *sim.Proc) {
+		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+		origin.Log.Kick()
+		if !c.shipQueued(p, origin, false) || f2.stores[origin.ID].frames.get(lsn) == nil || len(origin.ship.queue) != 0 {
+			t.Fatalf("setup: the pass did not deliver the frame to follower 2 and pop it (%d queued)", len(origin.ship.queue))
+		}
+		c.resyncFollower(p, origin, f1)
+		if origin.Log.FlushedLSN() >= lsn {
+			t.Fatal("setup: the origin's flush finished before the resync")
+		}
+		if origin.ship.stale[f1.ID] || f1.stores[origin.ID].frames.get(lsn) == nil || origin.ship.sent[f1.ID] < lsn {
+			t.Fatalf("after its resync follower 1 (stale=%v, sent through %d) lacks the frame at %d that was shipped and popped ahead of the origin's flush",
+				origin.ship.stale[f1.ID], origin.ship.sent[f1.ID], lsn)
+		}
+	})
 }

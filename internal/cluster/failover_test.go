@@ -84,12 +84,15 @@ func (w *failoverWorld) runCommits(t *testing.T, total int) []cc.Timestamp {
 func TestFailoverTimestampMonotonic(t *testing.T) {
 	const (
 		leaseChunk = 300 // just above leaseHeadroom: frequent lease grants
-		commits    = 400 // crosses several lease boundaries
+		commits    = 600 // crosses several lease boundaries
 		sweepN     = 16
+		// The sweep's grid is fixed — sixteen instants evenly spaced over this
+		// span — so that a crash point keeps its subtest name when the commit
+		// path gets faster or slower; the stream only has to outlast it.
+		horizon = 2478965069 * time.Nanosecond
 	)
 
-	// Calibration run, no crash: measure the undisturbed stream's duration
-	// so sweep points land inside it.
+	// Calibration run, no crash: the undisturbed stream must cover the grid.
 	base := newFailoverWorld(t, leaseChunk)
 	baseTS := base.runCommits(t, commits)
 	baseEnd := base.env.Now()
@@ -97,9 +100,12 @@ func TestFailoverTimestampMonotonic(t *testing.T) {
 	if len(baseTS) != commits {
 		t.Fatalf("calibration: %d of %d commits acked", len(baseTS), commits)
 	}
+	if baseEnd < horizon {
+		t.Fatalf("calibration: %d commits take %v, the sweep's last crash points (up to %v) would land after the stream; raise commits", commits, baseEnd, horizon)
+	}
 
 	for i := 0; i < sweepN; i++ {
-		crashAt := baseEnd * time.Duration(i+1) / time.Duration(sweepN+1)
+		crashAt := horizon * time.Duration(i+1) / time.Duration(sweepN+1)
 		t.Run(fmt.Sprintf("crash@%v", crashAt), func(t *testing.T) {
 			w := newFailoverWorld(t, leaseChunk)
 			defer w.env.Close()

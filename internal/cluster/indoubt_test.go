@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -27,11 +28,17 @@ const (
 	idOldVal = "val-%06d"
 )
 
-func newIndoubtWorld(t *testing.T) *indoubtWorld {
+func newIndoubtWorld(t *testing.T) *indoubtWorld { return newIndoubtWorldWith(t, 3, 0) }
+
+// newIndoubtWorldWith is the same table on a cluster of the given size, every
+// node's log shipped to replicas followers (0: no replication). With four nodes
+// and two followers each, node 3 owns nothing and follows both participants.
+func newIndoubtWorldWith(t *testing.T, nodes, replicas int) *indoubtWorld {
 	t.Helper()
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig()
-	cfg.Nodes = 3
+	cfg.Nodes = nodes
+	cfg.DataReplicas = replicas
 	c := New(env, cfg)
 	for _, node := range c.Nodes[1:] {
 		node.HW.ForceActive()
@@ -63,6 +70,7 @@ func newIndoubtWorld(t *testing.T) *indoubtWorld {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
 	return &indoubtWorld{env: env, c: c, n1: c.Nodes[1], n2: c.Nodes[2]}
 }
 
@@ -249,6 +257,120 @@ func TestCommitCrashAnywhere(t *testing.T) {
 	}
 	if rollBack == 0 {
 		t.Fatal("no prepared-but-undecided branch observed (presumed-abort rollback unexercised)")
+	}
+	sweepReplicatedCommit(t)
+}
+
+// sweepReplicatedCommit is the same sweep with every log shipped to two
+// followers, where each forced wait of the commit — the prepare votes, the
+// commit records — runs its local force and its ship side by side: the power
+// failure lands on the origin of a wait or on the follower it is forcing, at
+// every point of the window, for the distributed commit and for a single-node
+// one (whose waiter parks across its origin's outage and must come back with
+// the commit's actual fate). Whatever the caller was told holds after
+// everything has restarted: acknowledged means readable, an error means gone.
+func sweepReplicatedCommit(t *testing.T) {
+	const steps = 30
+	commit := func(w *indoubtWorld, keys []int64, resolved *bool, start, end *time.Duration) *error {
+		var commitErr error
+		w.env.Spawn("commit", func(p *sim.Proc) {
+			p.Sleep(10 * time.Millisecond)
+			s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+			for _, k := range keys {
+				payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+				if err := s.Put(p, "kv", ik(k), payload); err != nil {
+					t.Errorf("put %d: %v", k, err)
+					return
+				}
+			}
+			*start = p.Now()
+			if commitErr = s.Commit(p); commitErr != nil {
+				s.Abort(p)
+			}
+			*end, *resolved = p.Now(), true
+		})
+		return &commitErr
+	}
+	for _, keys := range [][]int64{{idLeft, idRight}, {idLeft}} {
+		var start, end time.Duration
+		var resolved bool
+		w := newIndoubtWorldWith(t, 4, 2)
+		commit(w, keys, &resolved, &start, &end)
+		if err := w.env.Run(); err != nil || !resolved || end <= start {
+			t.Fatalf("undisturbed replicated commit of %v: %v, resolved=%v, window [%v, %v]", keys, err, resolved, start, end)
+		}
+		w.env.Close()
+		acked, failed, parked := 0, 0, 0
+		for _, victim := range []int{1, 3} { // the home participant; the follower its waits force
+			for i := 0; i <= steps; i++ {
+				crashAt := start + (end-start)*time.Duration(i)/steps
+				w := newIndoubtWorldWith(t, 4, 2)
+				target := w.c.Nodes[victim]
+				resolved = false
+				var from, to time.Duration
+				commitErr := commit(w, keys, &resolved, &from, &to)
+				w.env.After(crashAt, func() { w.c.CrashNode(target) })
+				w.env.Spawn("restart", func(p *sim.Proc) {
+					p.Sleep(crashAt + 100*time.Millisecond)
+					if !resolved {
+						parked++
+					}
+					if _, _, err := w.c.RestartNode(p, target); err != nil {
+						t.Errorf("keys %v crashAt=%v victim=%d: restart: %v", keys, crashAt, victim, err)
+					}
+				})
+				if err := w.env.RunUntil(time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if !resolved {
+					t.Fatalf("keys %v crashAt=%v victim=%d: the commit never returned", keys, crashAt, victim)
+				}
+				want := fmt.Sprintf("all %q", "new")
+				if *commitErr != nil {
+					failed++
+					want = "all old"
+				} else {
+					acked++
+				}
+				w.env.Spawn("verify", func(p *sim.Proc) {
+					s := w.c.Master.Begin(p, cc.Locking, w.c.Nodes[0])
+					defer s.Abort(p)
+					for _, k := range keys {
+						v, ok, err := s.Get(p, "kv", ik(k))
+						if err != nil || !ok {
+							t.Errorf("keys %v crashAt=%v victim=%d: key %d unreadable after restart: %v %v", keys, crashAt, victim, k, ok, err)
+							continue
+						}
+						row, _ := kvSchema().DecodeRow(v)
+						if got := row[1].(string); (got == "new") != (*commitErr == nil) {
+							t.Errorf("keys %v crashAt=%v victim=%d commit=%v: key %d = %q, want %s",
+								keys, crashAt, victim, *commitErr, k, got, want)
+						}
+					}
+				})
+				if err := w.env.RunUntil(2 * time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+					t.Errorf("keys %v crashAt=%v victim=%d: %d unresolved coordinator decisions after the restart", keys, crashAt, victim, n)
+				}
+				for _, n := range w.c.Nodes {
+					for _, f := range w.c.followersOf(n.ID) {
+						if n.ship.stale[f.ID] {
+							t.Errorf("keys %v crashAt=%v victim=%d: node %d's follower %d still stale", keys, crashAt, victim, n.ID, f.ID)
+						}
+					}
+				}
+				w.env.Close()
+			}
+		}
+		t.Logf("replicated sweep, keys %v: %d acked, %d failed, %d callers still parked 100 ms after the crash", keys, acked, failed, parked)
+		if acked == 0 || failed == 0 {
+			t.Fatalf("replicated sweep of %v did not cover both outcomes (acked=%d failed=%d)", keys, acked, failed)
+		}
+		if len(keys) == 1 && parked == 0 {
+			t.Fatal("no single-node commit was parked across its origin's outage")
+		}
 	}
 }
 
@@ -654,19 +776,37 @@ func TestParticipantDiesWhileSiblingCommits(t *testing.T) {
 }
 
 // originDiesMidForce commits one single-owner update (key 10 on node 0 ->
-// "new") on a fully shipped replicated cluster and lets fault run at the
-// instant the commit's forced pass is flushing follower 1's log — after the
-// pass released the origin's drain lock. It returns the cluster, the commit's
+// "new") on a fully shipped replicated cluster in which slow's log disk takes
+// an extra 5 ms per write, and lets fault run 3 ms after the commit's batch
+// landed on follower 1: the commit's two forces started together, so by then
+// the faster of the two logs — the origin's own, or follower 1's — holds the
+// commit record durably and the slower one's write is in flight, with the
+// origin's drain lock long released. It returns the cluster, the commit's
 // outcome, and the value a fresh snapshot reads once everything fault started
-// has finished.
-func originDiesMidForce(t *testing.T, fault func(p *sim.Proc, c *Cluster)) (tc *testCluster, commitErr error, got string) {
+// has finished; fault can ask whether the commit has returned yet.
+func originDiesMidForce(t *testing.T, slow int, fault func(p *sim.Proc, c *Cluster, resolved func() bool)) (tc *testCluster, commitErr error, got string) {
 	t.Helper()
 	tc = newRepCluster(t, table.Physiological, 4, 100)
 	c := tc.c
 	c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
 	origin, f1 := c.Nodes[0], c.Nodes[1]
-	atMidForce(t, tc.env, origin, f1, func(p *sim.Proc) { fault(p, c) })
+	c.Nodes[slow].HW.LogDisk().SetStall(5 * time.Millisecond)
+	var landed time.Duration
 	committed := false
+	shippedAt(tc.env, f1, f1.Log.TailLSN(), &landed)
+	tc.env.Spawn("fault", func(p *sim.Proc) {
+		for landed == 0 {
+			p.Sleep(10 * time.Microsecond)
+		}
+		p.Sleep(3 * time.Millisecond)
+		commit := origin.Log.TailLSN() - 1
+		local, remote := origin.Log.FlushedLSN() >= commit, f1.Log.FlushedLSN() >= origin.ship.wrapLSN[f1.ID]
+		if origin.ship.draining || local == remote || local != (slow == f1.ID) {
+			t.Errorf("setup: at the fault the drain lock is held (%v) or the wrong force is done: origin's %v, follower's %v",
+				origin.ship.draining, local, remote)
+		}
+		fault(p, c, func() bool { return committed })
+	})
 	tc.env.Spawn("commit", func(p *sim.Proc) {
 		s := c.Master.Begin(p, cc.SnapshotIsolation, origin)
 		payload, _ := kvSchema().EncodeRow(table.Row{int64(10), "new"})
@@ -700,11 +840,12 @@ func originDiesMidForce(t *testing.T, fault func(p *sim.Proc, c *Cluster)) (tc *
 }
 
 // TestOriginDiesDuringOffLockForce: the origin power-fails while its commit's
-// forced pass is in the confirm stage. The commit record is locally durable,
-// so the waiter parks across the outage and resolves to what recovery did.
+// forced pass is in the confirm stage, its own force of the commit record
+// already done. The waiter parks across the outage and resolves to what
+// recovery did.
 func TestOriginDiesDuringOffLockForce(t *testing.T) {
 	t.Run("plain restart acks", func(t *testing.T) {
-		tc, err, got := originDiesMidForce(t, func(p *sim.Proc, c *Cluster) {
+		tc, err, got := originDiesMidForce(t, 1, func(p *sim.Proc, c *Cluster, _ func() bool) {
 			c.CrashNode(c.Nodes[0])
 			p.Sleep(2 * time.Second)
 			if _, _, err := c.RestartNode(p, c.Nodes[0]); err != nil {
@@ -720,7 +861,7 @@ func TestOriginDiesDuringOffLockForce(t *testing.T) {
 		// The origin's disk is destroyed and the follower being forced loses
 		// power in the same instant: the commit's wrappers are durable nowhere,
 		// so the rebuilt log ends below it.
-		tc, err, got := originDiesMidForce(t, func(p *sim.Proc, c *Cluster) {
+		tc, err, got := originDiesMidForce(t, 1, func(p *sim.Proc, c *Cluster, _ func() bool) {
 			c.DestroyDisk(c.Nodes[0])
 			c.CrashNode(c.Nodes[1])
 			p.Sleep(2 * time.Second)
@@ -734,6 +875,104 @@ func TestOriginDiesDuringOffLockForce(t *testing.T) {
 		defer tc.env.Close()
 		if err == nil || got != fmt.Sprintf(idOldVal, 10) {
 			t.Fatalf("commit: %v, key reads %q; want an error and the old value (the commit is gone everywhere)", err, got)
+		}
+	})
+}
+
+// TestOriginLosesShippedCommit is the window the overlapped forces open: the
+// origin power-fails after a follower's force of the commit record returned and
+// before its own. The record is durable on a follower's disk and nowhere at the
+// origin, and the caller is parked. What it is told must be what becomes of the
+// commit — and it is told nothing while that can still go either way.
+func TestOriginLosesShippedCommit(t *testing.T) {
+	restart := func(p *sim.Proc, c *Cluster, ids ...int) {
+		for _, id := range ids {
+			if _, _, err := c.RestartNode(p, c.Nodes[id]); err != nil {
+				t.Errorf("restart node %d: %v", id, err)
+			}
+		}
+	}
+	// holds reports whether follower f's disk holds frame as origin 0's LSN lsn,
+	// read raw, markers applied and nothing else.
+	holds := func(f *DataNode, lsn uint64, frame []byte) bool {
+		held, _ := durableShippedFrames(f, 0)
+		return bytes.Equal(held.get(lsn), frame)
+	}
+	t.Run("plain restart: an error, once a follower is resynced", func(t *testing.T) {
+		tc, err, got := originDiesMidForce(t, 0, func(p *sim.Proc, c *Cluster, resolved func() bool) {
+			origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+			lost := origin.Log.TailLSN() - 1
+			held, _ := durableShippedFrames(f1, 0)
+			frame := held.get(lost)
+			if rec, err := wal.DecodeFrame(frame); err != nil || rec.Type != wal.RecCommit {
+				t.Errorf("setup: follower 1 does not hold the commit record durably: %v", err)
+			}
+			// Everybody loses power; the origin comes back alone. Its log ends
+			// below the commit record, and nobody has been resynced: a disk
+			// loss now would rebuild from follower 1's copy and bring the
+			// commit back, so the caller must still be waiting.
+			c.CrashNode(origin)
+			c.CrashNode(f1)
+			c.CrashNode(f2)
+			p.Sleep(time.Second)
+			restart(p, c, 0)
+			p.Sleep(time.Second)
+			if resolved() || !holds(f1, lost, frame) || c.lossSealed(origin, 0) {
+				t.Errorf("with no follower resynced: commit returned=%v, follower 1 holds the frame=%v, sealed=%v; want false, true, false",
+					resolved(), holds(f1, lost, frame), c.lossSealed(origin, 0))
+			}
+			// Follower 2 never held the frame durably; its resync in the new
+			// generation is what seals the loss.
+			restart(p, c, 2)
+			p.Sleep(2 * shipRetryDelay)
+			if !resolved() {
+				t.Error("the commit is still waiting although a follower holds the new generation's marker")
+			}
+			restart(p, c, 1)
+			for _, f := range []*DataNode{f1, f2} {
+				if origin.ship.stale[f.ID] || holds(f, lost, frame) {
+					t.Errorf("follower %d after its resync: stale=%v, still holds the lost commit record=%v",
+						f.ID, origin.ship.stale[f.ID], holds(f, lost, frame))
+				}
+			}
+			// And no later rebuild resurrects it.
+			c.DestroyDisk(origin)
+			p.Sleep(time.Second)
+			restart(p, c, 0)
+		})
+		defer tc.env.Close()
+		if err == nil || got != fmt.Sprintf(idOldVal, 10) {
+			t.Fatalf("commit: %v, key reads %q; want an error and the old value", err, got)
+		}
+		if rebuilds, _, _, _ := tc.c.ReplicationStats(); rebuilds != 1 {
+			t.Fatalf("%d rebuilds, want 1", rebuilds)
+		}
+	})
+	t.Run("disk loss before any resync: the rebuild adopts it, an ack", func(t *testing.T) {
+		tc, err, got := originDiesMidForce(t, 0, func(p *sim.Proc, c *Cluster, resolved func() bool) {
+			origin := c.Nodes[0]
+			c.CrashNode(origin)
+			c.CrashNode(c.Nodes[1])
+			c.CrashNode(c.Nodes[2])
+			p.Sleep(time.Second)
+			// A plain restart first: the origin rolls the transaction back and
+			// starts a generation that numbers over its commit record.
+			restart(p, c, 0)
+			if resolved() || origin.ship.gen != 1 {
+				t.Errorf("after the plain restart: commit returned=%v, generation %d", resolved(), origin.ship.gen)
+			}
+			c.DestroyDisk(origin)
+			p.Sleep(time.Second)
+			restart(p, c, 0) // rebuilt from follower 1's disk, which is all that is left
+			p.Sleep(2 * shipRetryDelay)
+			if !resolved() {
+				t.Error("the commit is still waiting although the rebuild adopted its record")
+			}
+			restart(p, c, 1, 2)
+		})
+		defer tc.env.Close()
+		if err != nil || got != "new" {
+			t.Fatalf("commit: %v, key reads %q; want an ack and the new value (the rebuilt log holds the commit)", err, got)
 		}
 	})
 }

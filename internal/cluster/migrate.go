@@ -689,16 +689,11 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// Replicate the adopted history before the dual pointer can drop: the
 	// destination now owns the range, so a later disk loss there must be
 	// recoverable from its replica set — force the adopted base records
-	// durable locally, then ship them to a replica. A destination failure
-	// here still rolls the move forward: its restart repairs the base log
-	// and resyncs its followers.
+	// durable locally and on a replica. A destination failure here still
+	// rolls the move forward: its restart repairs the base log and resyncs
+	// its followers.
 	if m.cluster.drep != nil && !dst.Down() {
-		if last := dst.Log.TailLSN() - 1; last > dst.Log.FlushedLSN() {
-			dst.Log.Flush(p, last)
-		}
-		if !dst.Down() {
-			m.cluster.forceShip(p, dst)
-		}
+		m.cluster.forceShip(p, dst, dst.Log.TailLSN()-1, dst.ship.gen, false)
 	}
 
 	// Drop the ghost and the dual pointer once old snapshots drained; the

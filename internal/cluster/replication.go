@@ -397,13 +397,13 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 		})
 		return recs, maxSeq, true
 	}
-	frames, _, _ := durableShippedFrames(n, m.rep.anchor.ID)
-	for _, frame := range frames {
+	fs := m.cluster.shippedCopy(n, m.rep.anchor)
+	for _, frame := range fs.frames {
 		if rec, err := wal.DecodeFrame(frame); err == nil {
 			add(&rec)
 		}
 	}
-	return recs, maxSeq, len(frames) > 0
+	return recs, maxSeq, fs.len() > 0
 }
 
 // tryElect seats a new leader if the coordinator is fenced and a safe
@@ -414,10 +414,19 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 // anchor's stream are all an election reads: the stream opens each of the
 // anchor's terms with a full snapshot, and a later, never established term
 // acknowledged nothing. Every acknowledged record is durable on the anchor
-// (it flushes locally before it ships) and on at least one follower, whose
-// durable copy is a prefix of the stream. So the live copies include a
-// complete one when the anchor is among them or every follower is, and the
-// one with the highest sequence is it. A follower counts only if it holds
+// and on at least one follower, whose durable copy is a prefix of the stream;
+// and no follower's copy holds a catalog snapshot, lease or decision the
+// anchor's disk does not: data frames ship ahead of the anchor's flush, those
+// never do (logMaster flushes first, and sendQueued stops a batch before the
+// first one not yet flushed). Acks do ship ahead, and the suffix a follower
+// keeps of a stream its anchor lost — until masterCopy cuts it off, once the
+// anchor has restarted — may hold some the anchor never flushed. Adopting one
+// is harmless: it records that a participant's log holds its branch closed, a
+// fact about that log and not about the leader's, and it removes a participant
+// from a decision only after the decision itself, which precedes it in the
+// stream. So the live copies include a complete one when the anchor is among
+// them or every follower is, and the one with the highest sequence is it — a
+// longer prefix of the same stream holds everything a shorter one does. A follower counts only if it holds
 // part of the stream: one wiped and not yet resynced could otherwise stand
 // in for the follower that held the record. Failing that the coordinator
 // stays fenced until more of the electorate restarts. Non-blocking; charges

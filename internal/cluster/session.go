@@ -536,13 +536,21 @@ func (s *Session) Commit(p *sim.Proc) error {
 		}
 	}
 	commitTS := s.m.Oracle.CommitTS(s.Txn)
-	// The commit timestamp exists but its frames are not yet on replicas:
-	// register it so follower reads at snapshots covering it fall back to
-	// the owner until phase 2 ships everything (deregistered per branch; a
-	// participant crash clears its entries wholesale at restart).
+	// The commit timestamp exists but the commit is not yet durable at its
+	// participants and on their replicas: register it so follower reads at
+	// snapshots covering it fall back to the owner until each branch's two
+	// forces are done — a replica store applies a commit record the moment it
+	// is shipped, which is before the origin has flushed it (deregistered per
+	// branch; a participant crash clears its entries wholesale at restart).
+	// Locking-mode versions carry the begin timestamp, so that is what a
+	// snapshot must stay below.
 	if c.drep != nil {
+		ts := commitTS
+		if s.Txn.Mode == cc.Locking {
+			ts = s.Txn.Begin
+		}
 		for _, b := range branches {
-			c.drep.addInflight(b.node.ID, s.Txn.ID, commitTS)
+			c.drep.addInflight(b.node.ID, s.Txn.ID, ts)
 		}
 	}
 	if !distributed {
@@ -662,14 +670,18 @@ func (s *Session) prepareBranch(p *sim.Proc, b branch) error {
 		pt.LogPrepare(s.Txn)
 	}
 	lsn := node.Log.Append(wal.Record{Txn: s.Txn.ID, Type: wal.RecPrepare})
+	if c := s.m.cluster; c.drep != nil {
+		// Under data replication a prepared branch must also be durable on a
+		// replica before the coordinator may decide: losing the branch's
+		// entire disk would otherwise lose a voted prepare. The two forces run
+		// side by side.
+		if !c.forceShip(p, node, lsn, node.ship.gen, false) {
+			return ErrNodeDown{node.ID}
+		}
+		return nil
+	}
 	node.Log.Flush(p, lsn)
 	if node.Down() { // power-failed during the prepare force
-		return ErrNodeDown{node.ID}
-	}
-	// Under data replication a prepared branch must also be durable on a
-	// replica before the coordinator may decide: losing the branch's entire
-	// disk would otherwise lose a voted prepare.
-	if s.m.cluster.drep != nil && !s.m.cluster.forceShip(p, node) {
 		return ErrNodeDown{node.ID}
 	}
 	return nil
@@ -701,34 +713,30 @@ func (s *Session) commitBranch(p *sim.Proc, b branch, commitTS cc.Timestamp, dis
 			return err
 		}
 	}
-	var shipGen uint64
-	if c.drep != nil {
-		// Captured in the same instant the commit record gets its LSN: the
-		// pair identifies the record across any renumbering rebuild.
-		shipGen = node.ship.rebuildGen
-	}
-	commitLSN, durable := appendCommitRecord(p, node, s.Txn)
-	if !durable {
-		// The power failure caught the commit record above the flushed
-		// boundary: it is gone from the platter, so restart recovery is
-		// guaranteed to roll a single-node transaction back.
-		return ErrNodeDown{node.ID}
-	}
-	// Replication half of the force: the branch's frames (DML + commit) must
-	// be durable on a replica before the ack, or a disk loss at this node
-	// would lose an acknowledged commit. A distributed branch whose node dies
-	// here is in doubt like any other; its inflight entry clears when it
-	// restarts. A single-node transaction's commit record is already durable
-	// — its fate is decided — so the wait parks across any origin outage and
-	// resolves to what recovery actually did: ack if the commit survived
-	// (plain restart, or a rebuild whose replica prefix covered it), error
-	// only if it is durably gone everywhere.
-	if c.drep != nil {
-		if distributed {
-			if !c.forceShip(p, node) {
-				return ErrNodeDown{node.ID}
-			}
-		} else if !c.forceShipDecided(p, node, commitLSN, shipGen) {
+	if c.drep == nil {
+		if _, durable := appendCommitRecord(p, node, s.Txn); !durable {
+			// The power failure caught the commit record above the flushed
+			// boundary: it is gone from the platter, so restart recovery is
+			// guaranteed to roll a single-node transaction back.
+			return ErrNodeDown{node.ID}
+		}
+	} else {
+		// The branch's frames (DML + commit) must be durable here AND on a
+		// replica before the ack, or a disk loss at this node would lose an
+		// acknowledged commit; the local force and the ship overlap. A
+		// distributed branch whose node dies in there is in doubt like any
+		// other; its inflight entry clears when it restarts. A single-node
+		// transaction's commit record is its decision, and once appended it
+		// may outlive this node's volatile tail on a follower's disk — so the
+		// wait parks across any origin outage and resolves to what recovery
+		// actually did: ack if the commit survived (below the flushed boundary
+		// of a plain restart, or inside the replica prefix of a rebuild),
+		// error only once it is durably gone everywhere.
+		if node.Down() { // the install returned across a power failure
+			return ErrNodeDown{node.ID}
+		}
+		lsn := node.Log.Append(wal.Record{Txn: s.Txn.ID, Type: wal.RecCommit})
+		if !c.forceShip(p, node, lsn, node.ship.gen, !distributed) {
 			return ErrNodeDown{node.ID}
 		}
 		c.drep.delInflight(node.ID, s.Txn.ID)

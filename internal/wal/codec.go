@@ -64,7 +64,11 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 
 // DecodeRecord parses one record from the front of buf, returning the
 // record and the remaining bytes. Decoded slices are copies, not aliases.
-func DecodeRecord(buf []byte) (Record, []byte, error) {
+func DecodeRecord(buf []byte) (Record, []byte, error) { return decodeRecord(buf, false) }
+
+// decodeRecord is DecodeRecord; with alias the decoded Key, Before and After
+// point into buf instead of being copied out of it.
+func decodeRecord(buf []byte, alias bool) (Record, []byte, error) {
 	if len(buf) < recHeaderSize {
 		return Record{}, nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(buf))
 	}
@@ -91,21 +95,33 @@ func DecodeRecord(buf []byte) (Record, []byte, error) {
 		return Record{}, nil, fmt.Errorf("wal: record body truncated (want %d, have %d)", total, len(body))
 	}
 	if flags&recFlagKey != 0 {
-		r.Key = append([]byte{}, body[:kLen]...)
+		r.Key = body[:kLen:kLen]
 	} else if kLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d key bytes on a record flagged key=nil", kLen)
 	}
 	if flags&recFlagBefore != 0 {
-		r.Before = append([]byte{}, body[kLen:kLen+bLen]...)
+		r.Before = body[kLen : kLen+bLen : kLen+bLen]
 	} else if bLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d before bytes on a record flagged before=nil", bLen)
 	}
 	if flags&recFlagAfter != 0 {
-		r.After = append([]byte{}, body[kLen+bLen:total]...)
+		r.After = body[kLen+bLen : total : total]
 	} else if aLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d after bytes on a record flagged after=nil", aLen)
 	}
+	if !alias {
+		r.Key, r.Before, r.After = cloneField(r.Key), cloneField(r.Before), cloneField(r.After)
+	}
 	return r, body[total:], nil
+}
+
+// cloneField copies a decoded field out of the wire buffer, keeping nil (field
+// absent) distinct from empty.
+func cloneField(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	return append([]byte{}, b...)
 }
 
 // Frame format: every record in a log segment is preceded by an 8-byte
@@ -137,7 +153,9 @@ func appendFrame(dst []byte, r *Record) []byte {
 // record and the number of bytes consumed. A truncated header or payload, a
 // CRC mismatch, or a payload that does not decode to exactly one record all
 // fail — the caller treats the failure point as the end of the valid log.
-func decodeFrame(buf []byte) (Record, int, error) {
+func decodeFrame(buf []byte) (Record, int, error) { return decodeFrameBytes(buf, false) }
+
+func decodeFrameBytes(buf []byte, alias bool) (Record, int, error) {
 	if len(buf) < frameHeaderSize {
 		return Record{}, 0, fmt.Errorf("wal: frame header torn (%d bytes)", len(buf))
 	}
@@ -152,7 +170,7 @@ func decodeFrame(buf []byte) (Record, int, error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[4:8]); got != want {
 		return Record{}, 0, fmt.Errorf("wal: frame CRC mismatch (%#x != %#x)", got, want)
 	}
-	rec, rest, err := DecodeRecord(payload)
+	rec, rest, err := decodeRecord(payload, alias)
 	if err != nil {
 		return Record{}, 0, err
 	}
@@ -164,8 +182,15 @@ func decodeFrame(buf []byte) (Record, int, error) {
 
 // DecodeFrame parses exactly one framed record occupying the whole of buf —
 // the replication layer's entry point for decoding a shipped frame copy.
-func DecodeFrame(buf []byte) (Record, error) {
-	rec, n, err := decodeFrame(buf)
+func DecodeFrame(buf []byte) (Record, error) { return decodeWholeFrame(buf, false) }
+
+// DecodeFrameAlias is DecodeFrame without the copies: the record's Key, Before
+// and After alias buf. For a caller that keeps buf alive and unchanged for as
+// long as it keeps the record — a replica store retains every frame verbatim.
+func DecodeFrameAlias(buf []byte) (Record, error) { return decodeWholeFrame(buf, true) }
+
+func decodeWholeFrame(buf []byte, alias bool) (Record, error) {
+	rec, n, err := decodeFrameBytes(buf, alias)
 	if err != nil {
 		return Record{}, err
 	}

@@ -5,22 +5,60 @@ import (
 	"testing"
 )
 
+// TestShipResetKeepThrough pins the reset marker's keep-through: it round-trips
+// (0, the wholesale reset, in the encoding it always had), and the payloads that
+// would make it ambiguous — a frame on a marker, a keep-through on a frame, a
+// flagged keep-through of zero — do not decode.
+func TestShipResetKeepThrough(t *testing.T) {
+	for _, keep := range []uint64{0, 1, 41, 1 << 40} {
+		in := &ShipFrame{Origin: 3, Gen: 7, Reset: true, Keep: keep}
+		out, err := DecodeShipFrame(EncodeShipFrame(nil, in))
+		if err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		if out.Origin != 3 || out.Gen != 7 || !out.Reset || out.Keep != keep || out.LSN != 0 || out.Frame != nil {
+			t.Fatalf("keep %d: decoded %+v", keep, out)
+		}
+	}
+	wholesale := EncodeShipFrame(nil, &ShipFrame{Origin: 3, Gen: 7, Reset: true})
+	if wholesale[20] != shipFlagReset || len(wholesale) != shipHeaderSize {
+		t.Fatalf("wholesale reset encodes as %x: not the marker older logs hold", wholesale)
+	}
+	for name, bad := range map[string]*ShipFrame{
+		"frame on a reset marker":        {Origin: 1, Gen: 1, Reset: true, Keep: 5, Frame: []byte("f")},
+		"frame on a wholesale reset":     {Origin: 1, Gen: 1, Reset: true, Frame: []byte("f")},
+		"keep-through on a data payload": {Origin: 1, Gen: 1, LSN: 9, Keep: 5, Frame: []byte("f")},
+		"LSN on a reset marker":          {Origin: 1, Gen: 1, Reset: true, LSN: 9},
+	} {
+		if sf, err := DecodeShipFrame(EncodeShipFrame(nil, bad)); err == nil {
+			t.Errorf("%s decoded: %+v", name, sf)
+		}
+	}
+	zeroKeep := EncodeShipFrame(nil, &ShipFrame{Origin: 1, Gen: 1, Reset: true})
+	zeroKeep[20] |= shipFlagKeep
+	if sf, err := DecodeShipFrame(zeroKeep); err == nil {
+		t.Errorf("a flagged keep-through of zero decoded: %+v", sf)
+	}
+}
+
 // FuzzShipRoundTrip checks the replication-stream codec: a ship payload must
-// survive encode/decode exactly — origin, LSN, generation, the reset flag,
-// and the frame bytes including the nil-versus-empty distinction (a nil
-// frame is only legal on a reset marker; an empty non-nil frame is a real,
-// zero-payload frame the follower must still store).
+// survive encode/decode exactly — origin, LSN, generation, the reset flag with
+// its keep-through, and the frame bytes including the nil-versus-empty
+// distinction (a nil frame is only legal on a reset marker; an empty non-nil
+// frame is a real, zero-payload frame the follower must still store).
 func FuzzShipRoundTrip(f *testing.F) {
 	f.Add(uint32(1), uint64(42), uint64(0), false, []byte("frame-bytes"))
 	f.Add(uint32(3), uint64(0), uint64(2), true, []byte(nil))
+	f.Add(uint32(3), uint64(977), uint64(2), true, []byte(nil))
 	f.Add(uint32(0), uint64(1), uint64(1), false, []byte{})
 	f.Fuzz(func(t *testing.T, origin uint32, lsn, gen uint64, reset bool, frame []byte) {
 		in := &ShipFrame{Origin: origin, LSN: lsn, Gen: gen, Reset: reset, Frame: frame}
 		if reset {
-			// A reset marker carries neither frame nor LSN by construction;
-			// the decoder rejects anything else, which the no-panic fuzzer
-			// covers. Round-trip only well-formed inputs here.
-			in.LSN, in.Frame = 0, nil
+			// A reset marker carries a keep-through — here the fuzzed LSN —
+			// and neither frame nor LSN by construction; the decoder rejects
+			// anything else, which the no-panic fuzzer covers. Round-trip only
+			// well-formed inputs here.
+			in.Keep, in.LSN, in.Frame = lsn, 0, nil
 		} else if in.Frame == nil {
 			in.Frame = []byte{}
 		}
@@ -28,7 +66,7 @@ func FuzzShipRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if out.Origin != in.Origin || out.LSN != in.LSN || out.Gen != in.Gen || out.Reset != in.Reset {
+		if out.Origin != in.Origin || out.LSN != in.LSN || out.Gen != in.Gen || out.Reset != in.Reset || out.Keep != in.Keep {
 			t.Fatalf("header mismatch: %+v vs %+v", out, in)
 		}
 		if (out.Frame == nil) != (in.Frame == nil) {
@@ -65,6 +103,10 @@ func FuzzShipDecodeNoPanic(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 2, LSN: 7, Gen: 1, Frame: []byte("payload")}))
 	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 9, Gen: 3, Reset: true}))
+	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 9, Gen: 3, Reset: true, Keep: 1204}))
+	// Not payloads: a marker with a frame, and a frame with a keep-through.
+	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 9, Gen: 3, Reset: true, Keep: 1204, Frame: []byte("payload")}))
+	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 2, LSN: 7, Gen: 1, Keep: 5, Frame: []byte("payload")}))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		sf, err := DecodeShipFrame(buf)
 		if err != nil {
@@ -73,8 +115,8 @@ func FuzzShipDecodeNoPanic(f *testing.F) {
 		if sf.Reset && (sf.Frame != nil || sf.LSN != 0) {
 			t.Fatalf("decoder accepted a reset marker with payload: %+v", sf)
 		}
-		if !sf.Reset && sf.Frame == nil {
-			t.Fatalf("decoder accepted a data payload with no frame: %+v", sf)
+		if !sf.Reset && (sf.Frame == nil || sf.Keep != 0) {
+			t.Fatalf("decoder accepted a data payload with no frame, or with a keep-through: %+v", sf)
 		}
 		if enc := EncodeShipFrame(nil, sf); !bytes.Equal(enc, buf) {
 			t.Fatalf("re-encode differs:\n  in:  %x\n  out: %x", buf, enc)
@@ -100,10 +142,12 @@ func FuzzShipTornTailRecovery(f *testing.F) {
 	w1 := wrap(1, &ShipFrame{Origin: 2, LSN: 31, Gen: 0, Frame: originFrame(31, "a", "v1")})
 	w2 := wrap(2, &ShipFrame{Origin: 2, Gen: 1, Reset: true})
 	w3 := wrap(3, &ShipFrame{Origin: 2, LSN: 1, Gen: 1, Frame: originFrame(1, "b", "v2")})
+	w4 := wrap(4, &ShipFrame{Origin: 2, Gen: 2, Reset: true, Keep: 1})
 
 	f.Add(append(append(bytes.Clone(w1), w2...), w3...), []byte{}, -1)
-	f.Add(bytes.Clone(w1), w3[:9], -1) // torn mid-wrapper
-	f.Add(bytes.Clone(w2), w3, 51)     // bit-flipped shipped frame
+	f.Add(append(bytes.Clone(w3), w4...), w1[:20], 7) // a keep-through marker, then a torn wrapper
+	f.Add(bytes.Clone(w1), w3[:9], -1)                // torn mid-wrapper
+	f.Add(bytes.Clone(w2), w3, 51)                    // bit-flipped shipped frame
 	f.Add([]byte{}, w1, 3)
 
 	f.Fuzz(func(t *testing.T, valid []byte, tail []byte, flip int) {

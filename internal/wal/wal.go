@@ -144,6 +144,10 @@ func (d ShippedDevice) Append(p *sim.Proc, bytes int64) {
 // TruncateBefore recycles whole sealed segments.
 const DefaultSegmentBytes = 32 << 10
 
+// segSlack is the room a new segment's buffer leaves past the seal threshold
+// for the frame that crosses it; a larger frame grows the buffer once.
+const segSlack = 1 << 10
+
 // logSegment is one contiguous run of encoded record frames. firstLSN and
 // ends form the LSN-to-offset mapping: record firstLSN+i occupies
 // buf[ends[i-1]:ends[i]] (ends[-1] = 0). buf may additionally hold torn
@@ -173,6 +177,11 @@ type Log struct {
 	pendingBytes int64 // appended frame bytes not yet durable
 	flushing     bool
 	flushedSig   *sim.Signal
+
+	// The background flusher behind Kick: a process started by the first Kick,
+	// parked on kick whenever nothing at or below kickedTo is left to flush.
+	kickedTo uint64
+	kick     *sim.Signal
 
 	// down marks the owning node power-failed: appends are dropped and
 	// flushes return immediately (there is no device to write to). epoch
@@ -236,7 +245,9 @@ func (l *Log) Append(rec Record) uint64 {
 	if n := len(l.segs); n > 0 && !l.forceNew && len(l.segs[n-1].buf) < l.segBytes {
 		s = l.segs[n-1]
 	} else {
-		s = &logSegment{firstLSN: rec.LSN}
+		// Sized once for its whole life: a segment seals at segBytes plus
+		// whatever the frame crossing the line overshoots by.
+		s = &logSegment{firstLSN: rec.LSN, buf: make([]byte, 0, l.segBytes+segSlack)}
 		l.segs = append(l.segs, s)
 		l.forceNew = false
 	}
@@ -302,6 +313,32 @@ func (l *Log) Flush(p *sim.Proc, upTo uint64) {
 		l.BytesFlushed += bytes
 		l.flushedSig.Fire()
 	}
+}
+
+// Kick starts making everything appended so far durable and returns at once:
+// the write is issued by the log's background flusher, at this instant if the
+// device is idle and as soon as the write in flight completes otherwise. A
+// caller with other work to overlap with its force — a committer shipping to
+// followers — kicks, does that work, and then calls Flush, which finds the
+// write in flight or done. Everyone else just calls Flush.
+func (l *Log) Kick() {
+	if l.down || l.flushedLSN+1 >= l.nextLSN {
+		return
+	}
+	l.kickedTo = l.nextLSN - 1
+	if l.kick == nil {
+		l.kick = sim.NewSignal(l.env)
+		l.env.Spawn("log-flusher", func(p *sim.Proc) {
+			for {
+				for !l.down && l.flushedLSN < l.kickedTo && l.kickedTo < l.nextLSN {
+					l.Flush(p, l.kickedTo)
+				}
+				l.kick.Wait(p)
+			}
+		})
+		return
+	}
+	l.kick.Fire()
 }
 
 // SetupFlush marks the appended tail durable without charging device time.

@@ -72,6 +72,114 @@ func TestFlushMakesDurable(t *testing.T) {
 	}
 }
 
+// TestKickForcesInBackground: Kick starts the device write at once and returns;
+// the caller's later Flush joins it. A kick that finds a write in flight gets
+// the next one the instant that write completes — not when somebody next calls
+// Flush — and a crash in between leaves the flusher parked, ready for the log's
+// next life.
+func TestKickForcesInBackground(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	dev := &countingDevice{delay: 2 * time.Millisecond}
+	l := NewLog(env, dev)
+	env.Spawn("committer", func(p *sim.Proc) {
+		first := l.Append(Record{Type: RecCommit, Txn: 1})
+		l.Kick()
+		if p.Now() != 0 || l.FlushedLSN() != 0 {
+			t.Errorf("Kick blocked until %v (flushed %d)", p.Now(), l.FlushedLSN())
+		}
+		p.Sleep(500 * time.Microsecond) // the work the force overlaps with
+		second := l.Append(Record{Type: RecCommit, Txn: 2})
+		l.Kick() // the first write is in flight and does not cover this one
+		l.Flush(p, first)
+		if p.Now() != 2*time.Millisecond {
+			t.Errorf("first record durable at %v, want the kicked write's 2ms", p.Now())
+		}
+		p.Sleep(1500 * time.Microsecond)
+		if dev.appends != 1 || l.FlushedLSN() != first {
+			t.Errorf("at 3.5ms: %d writes done, flushed %d; want the second write still in flight", dev.appends, l.FlushedLSN())
+		}
+		l.Flush(p, second)
+		if p.Now() != 4*time.Millisecond || dev.appends != 2 {
+			t.Errorf("second record durable at %v after %d writes, want 4ms (back to back with the first) and 2", p.Now(), dev.appends)
+		}
+		l.Kick() // nothing to force
+		lost := l.Append(Record{Type: RecCommit, Txn: 3})
+		l.Kick()
+		p.Sleep(time.Millisecond)
+		l.Crash()
+		l.Flush(p, lost)
+		if l.FlushedLSN() != second {
+			t.Errorf("flushed %d after a crash mid-write, want %d", l.FlushedLSN(), second)
+		}
+		p.Sleep(5 * time.Millisecond)
+		l.Restart()
+		again := l.Append(Record{Type: RecCommit, Txn: 4})
+		l.Kick()
+		l.Flush(p, again)
+		if l.FlushedLSN() != again || dev.appends != 4 {
+			t.Errorf("after the restart: flushed %d (want %d), %d device writes (want 4: the one cut short counts)", l.FlushedLSN(), again, dev.appends)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentBufferAllocatedOnce: a segment's buffer is sized for its whole
+// life when the segment opens, so filling it costs no reallocation — the
+// doubling it replaced copied every segment twice over.
+func TestSegmentBufferAllocatedOnce(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	rec := Record{Type: RecUpdate, Txn: 1, Key: []byte("key-0001"), After: make([]byte, 200)}
+	perSeg := DefaultSegmentBytes/int(rec.FrameSize()) + 1
+	fill := func() {
+		for i := 0; i < perSeg; i++ {
+			l.Append(rec)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		fill()
+	}
+	if len(l.segs) < 8 {
+		t.Fatalf("%d segments after 8 fills, want >= 8", len(l.segs))
+	}
+	for _, s := range l.segs[:len(l.segs)-1] {
+		if cap(s.buf) != DefaultSegmentBytes+segSlack {
+			t.Fatalf("sealed segment holds %d bytes in a %d-byte buffer, want the %d it was opened with",
+				len(s.buf), cap(s.buf), DefaultSegmentBytes+segSlack)
+		}
+	}
+}
+
+// TestDecodeFrameAlias: the aliasing decode returns the same record as the
+// copying one, with its fields pointing into the frame.
+func TestDecodeFrameAlias(t *testing.T) {
+	frame := appendFrame(nil, &Record{LSN: 9, Type: RecUpdate, Txn: 4, Part: 2,
+		Key: []byte("key"), Before: []byte{}, After: []byte("after")})
+	want, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFrameAlias(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LSN != want.LSN || got.Type != want.Type || string(got.Key) != "key" || string(got.After) != "after" ||
+		got.Before == nil || len(got.Before) != 0 {
+		t.Fatalf("aliasing decode: %+v, want %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeFrameAlias(frame) }); allocs != 0 {
+		t.Fatalf("aliasing decode allocates %.0f objects", allocs)
+	}
+	frame[len(frame)-1] ^= 0xff
+	if got.After[4] == want.After[4] {
+		t.Fatal("the aliasing decode copied After out of the frame")
+	}
+}
+
 // TestPhysicalRoundTrip checks that the log stores only encoded bytes and
 // that the iterator decodes them back exactly, across a segment seal.
 func TestPhysicalRoundTrip(t *testing.T) {
