@@ -12,7 +12,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
+.PHONY: all build test test-race test-bench fig3 vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
 
 all: check
 
@@ -33,6 +33,13 @@ test-race:
 ## bench/ is a module of its own, so `go test ./...` at the root never sees them
 test-bench:
 	cd bench && $(GO) test ./...
+
+## fig3: the paper's MVCC-vs-locking figure at benchmark scale, once, with its
+## shape assertions (MVCC out-runs MGL-RX at 0 / 50 / 100 % updates while half
+## the table moves, and pays in storage) — the first figure behind the gate
+## (~1 s); internal/experiments' TestFig3Shape is the same claim at test scale
+fig3:
+	$(GO) test -bench='BenchmarkFig3MVCCvsLocking' -benchtime=1x -run '^$$' .
 
 ## vet: static analysis
 vet:
@@ -107,9 +114,9 @@ chaos-quick:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -htap 4
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
-## tests + the ledger's tests + a short crash-anywhere chaos sweep of both
-## workloads)
-check: build vet test-race test-bench chaos-quick
+## tests + the ledger's tests + the Fig 3 shape gate + a short crash-anywhere
+## chaos sweep of both workloads)
+check: build vet test-race test-bench fig3 chaos-quick
 
 ## bench-quick: regenerate every paper figure once at CI scale
 bench-quick:

@@ -94,10 +94,10 @@ func main() {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s sim=%5.1fs commits=%d aborts=%d failedOps=%d crashes=%d (torn=%d flips=%d ahead=%d leader=%d disk=%d ckpt=%d) restarts=%d failovers=%d rebuilds=%d scrubs=%d freads=%d ckpts=%d bounded=%d replay=%dB rto=%v htapq=%d htaprows=%d\n",
+		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s sim=%5.1fs commits=%d aborts=%d failedOps=%d crashes=%d (torn=%d flips=%d ahead=%d dep=%d leader=%d disk=%d ckpt=%d) restarts=%d failovers=%d rebuilds=%d scrubs=%d freads=%d ckpts=%d bounded=%d replay=%dB rto=%v htapq=%d htaprows=%d depwaits=%d deplost=%d\n",
 			s, scheme, status, rep.StateHash, rep.SimTime.Seconds(),
-			rep.Commits, rep.Aborts, rep.FailedOps, rep.Crashes, rep.TornCrashes, rep.BitFlips, rep.AheadCrashes, rep.LeaderCrashes, rep.DiskLosses, rep.CkptCrashes, rep.Restarts, rep.Failovers,
-			rep.Rebuilds, rep.ScrubRepairs, rep.FollowerReads, rep.Checkpoints, rep.BoundedRestarts, rep.ReplayBytes, rep.RecoveryTime, rep.AnalyticsQueries, rep.AnalyticsRows)
+			rep.Commits, rep.Aborts, rep.FailedOps, rep.Crashes, rep.TornCrashes, rep.BitFlips, rep.AheadCrashes, rep.DepCrashes, rep.LeaderCrashes, rep.DiskLosses, rep.CkptCrashes, rep.Restarts, rep.Failovers,
+			rep.Rebuilds, rep.ScrubRepairs, rep.FollowerReads, rep.Checkpoints, rep.BoundedRestarts, rep.ReplayBytes, rep.RecoveryTime, rep.AnalyticsQueries, rep.AnalyticsRows, rep.DepWaits, rep.DepLost)
 		if *verbose || !rep.Passed() {
 			for _, f := range rep.Faults {
 				fmt.Printf("    %s\n", f)

@@ -40,49 +40,57 @@ func TestOracleWatermark(t *testing.T) {
 	}
 }
 
-// TestOracleUnsettledCapsSnapshots pins the visibility-before-durability
-// guard: a commit timestamp exists from CommitTS, but until SettleCommit (or
-// Abort) seals its fate, new snapshots are capped below it — a reader must
-// never observe a commit that a crash during the commit force would roll
-// back at restart.
+// TestOracleUnsettledCapsSnapshots pins what became of the snapshot cap: a
+// commit timestamp exists from CommitTS, and until SettleCommit (or Abort)
+// seals its fate the commit is unsettled. Begin is the clock all the same —
+// the new snapshot covers the unsettled commit — and the cap lives on as the
+// transaction's safe snapshot, just below the oldest unsettled commit: that is
+// what the active table registers, so the GC watermark protects a reader that
+// falls back to it.
 func TestOracleUnsettledCapsSnapshots(t *testing.T) {
 	o := NewOracle()
 	w := o.Begin(SnapshotIsolation)
 	cts := o.CommitTS(w)
-	if o.UnsettledCount() != 1 {
-		t.Fatalf("unsettled = %d, want 1", o.UnsettledCount())
+	if o.UnsettledCount() != 1 || !w.Unsettled() {
+		t.Fatalf("unsettled = %d (%v), want 1", o.UnsettledCount(), w.Unsettled())
 	}
 	r := o.Begin(SnapshotIsolation)
-	if r.Begin != cts-1 {
-		t.Fatalf("capped snapshot = %d, want %d (just below unsettled commit %d)", r.Begin, cts-1, cts)
+	if r.Begin != o.Clock() || r.Begin <= cts {
+		t.Fatalf("snapshot = %d, want the clock %d, above the unsettled commit %d", r.Begin, o.Clock(), cts)
 	}
-	if got := o.active[r.ID]; got != r.Begin {
-		t.Fatalf("active table holds %d, want the capped begin %d (GC watermark safety)", got, r.Begin)
+	if r.Safe != cts-1 {
+		t.Fatalf("safe snapshot = %d, want %d (just below unsettled commit %d)", r.Safe, cts-1, cts)
+	}
+	if got := o.active[r.ID]; got != r.Safe {
+		t.Fatalf("active table holds %d, want the safe snapshot %d (GC watermark safety)", got, r.Safe)
+	}
+	if wm := o.Watermark(); wm != cts-1 {
+		t.Fatalf("watermark = %d, want %d", wm, cts-1)
 	}
 	o.SettleCommit(w)
-	if o.UnsettledCount() != 0 {
+	if o.UnsettledCount() != 0 || w.Unsettled() || !w.Settled {
 		t.Fatal("settle did not deregister")
 	}
 	late := o.Begin(SnapshotIsolation)
-	if late.Begin <= cts {
-		t.Fatalf("post-settle snapshot = %d, want > %d", late.Begin, cts)
+	if late.Safe != late.Begin || late.Begin <= cts {
+		t.Fatalf("post-settle snapshot = %d (safe %d), want both the clock, above %d", late.Begin, late.Safe, cts)
 	}
 
-	// The cap tracks the OLDEST unsettled commit across several, and an
-	// abort (fate sealed as rolled back) releases it like a settle.
+	// The safe snapshot tracks the OLDEST unsettled commit across several, and
+	// an abort (fate sealed as rolled back) releases it like a settle.
 	w1, w2 := o.Begin(SnapshotIsolation), o.Begin(SnapshotIsolation)
 	c1 := o.CommitTS(w1)
 	c2 := o.CommitTS(w2)
-	if r := o.Begin(SnapshotIsolation); r.Begin != c1-1 {
-		t.Fatalf("snapshot = %d, want %d (below oldest of %d, %d)", r.Begin, c1-1, c1, c2)
+	if r := o.Begin(SnapshotIsolation); r.Safe != c1-1 || r.Begin <= c2 {
+		t.Fatalf("snapshot = %d safe %d, want safe %d (below oldest of %d, %d)", r.Begin, r.Safe, c1-1, c1, c2)
 	}
 	o.Abort(w1)
-	if r := o.Begin(SnapshotIsolation); r.Begin != c2-1 {
-		t.Fatalf("snapshot after abort = %d, want %d", r.Begin, c2-1)
+	if r := o.Begin(SnapshotIsolation); r.Safe != c2-1 {
+		t.Fatalf("safe snapshot after abort = %d, want %d", r.Safe, c2-1)
 	}
 	o.SettleCommit(w2)
-	if r := o.Begin(SnapshotIsolation); r.Begin <= c2 {
-		t.Fatalf("snapshot after all settled = %d, want > %d", r.Begin, c2)
+	if r := o.Begin(SnapshotIsolation); r.Safe != r.Begin {
+		t.Fatalf("safe snapshot after all settled = %d, want the clock %d", r.Safe, r.Begin)
 	}
 }
 
@@ -543,4 +551,145 @@ func TestChangedSinceRecentCommitSet(t *testing.T) {
 		t.Fatal("fresh snapshot sees a change after all commits predate it")
 	}
 	o.Abort(fresh)
+}
+
+// TestReadOfUnsettledCommitTakesDependency: a version whose commit is past its
+// commit point but not yet settled is visible to a snapshot that covers it —
+// the staged value before the install, the leaf after — and whoever resolves
+// to it, by reading, scanning or overwriting, depends on its writer. A writer
+// that began before that commit point still loses first-committer-wins; a
+// reader at its safe snapshot sees the older version and depends on nothing;
+// once settled, nobody takes a dependency.
+func TestReadOfUnsettledCommitTakesDependency(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	o := NewOracle()
+	vs := NewVersionStore(env)
+	vs.Commits = NewCommitTable()
+	env.Spawn("test", func(p *sim.Proc) {
+		leaf := &Version{TS: 1, Val: []byte("v0")}
+		early := o.Begin(SnapshotIsolation) // before the writer's commit point
+		w := o.Begin(SnapshotIsolation)
+		if err := vs.AcquireWriteIntent(p, w, "k", leaf.TS, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		vs.StagePending(w, "k", false, []byte("w"))
+		cts := o.CommitTS(w)
+		vs.Commits.Add(cts, w)
+
+		staged := o.Begin(SnapshotIsolation) // covers the commit, install still pending
+		if v, ok := vs.ReadVisible(staged, "k", leaf); !ok || string(v.Val) != "w" || v.TS != cts {
+			t.Errorf("snapshot %d over the unsettled commit %d read %q@%d, want the staged value", staged.Begin, cts, v.Val, v.TS)
+		}
+		if len(staged.Deps) != 1 || staged.Deps[0] != w {
+			t.Errorf("deps after reading the staged value = %v, want the writer", staged.Deps)
+		}
+		scanned := o.Begin(SnapshotIsolation)
+		if got := vs.CommittedPending(scanned, nil, nil); len(got) != 1 || len(scanned.Deps) != 1 || scanned.Deps[0] != w {
+			t.Errorf("scan merged %d staged writes with deps %v, want one of each", len(got), scanned.Deps)
+		}
+
+		nl := vs.CommitKey(w, "k", leaf, cts) // installed; the force is still out
+		r := o.Begin(SnapshotIsolation)
+		if v, ok := vs.ReadVisible(r, "k", &nl); !ok || string(v.Val) != "w" {
+			t.Errorf("reader over the unsettled commit saw %q, want %q", v.Val, "w")
+		}
+		vs.ReadVisible(r, "k", &nl) // a second read adds nothing
+		if len(r.Deps) != 1 || r.Deps[0] != w {
+			t.Errorf("deps after two reads = %v, want the writer once", r.Deps)
+		}
+		if err := vs.AcquireWriteIntent(p, r, "k", nl.TS, time.Second); err != nil {
+			t.Errorf("writer begun after the commit point: %v, want the intent", err)
+		}
+		vs.AbortKey(r, "k")
+		blind := o.Begin(SnapshotIsolation)
+		if err := vs.AcquireWriteIntent(p, blind, "k", nl.TS, time.Second); err != nil || len(blind.Deps) != 1 {
+			t.Errorf("blind overwrite: err %v deps %v, want the intent and the dependency", err, blind.Deps)
+		}
+		vs.AbortKey(blind, "k")
+		if err := vs.AcquireWriteIntent(p, early, "k", nl.TS, time.Second); err != ErrWriteConflict {
+			t.Errorf("writer begun before the commit point: %v, want ErrWriteConflict", err)
+		}
+
+		safe := o.Begin(SnapshotIsolation)
+		safe.Begin = safe.Safe // what a reader that settles nothing reads at
+		if v, ok := vs.ReadVisible(safe, "k", &nl); !ok || string(v.Val) != "v0" || safe.Deps != nil {
+			t.Errorf("safe snapshot %d read %q with deps %v, want %q and none", safe.Safe, v.Val, safe.Deps, "v0")
+		}
+
+		// A dependent parks until the fate is sealed, either way.
+		var woke []bool
+		for _, dep := range []*Txn{w, blind} {
+			dep := dep
+			env.Spawn("dependent", func(dp *sim.Proc) { woke = append(woke, dep.AwaitSettled(dp)) })
+		}
+		blind.State = TxnCommitted // stands in for a second unsettled commit
+		p.Sleep(time.Millisecond)
+		if len(woke) != 0 {
+			t.Errorf("dependents returned %v before any fate was sealed", woke)
+		}
+		o.SettleCommit(w)
+		o.Abort(blind)
+		vs.Commits.Del(cts)
+		p.Yield()
+		if len(woke) != 2 || !woke[0] || woke[1] {
+			t.Errorf("dependents woke with %v, want [true false]", woke)
+		}
+		late := o.Begin(SnapshotIsolation)
+		if v, ok := vs.ReadVisible(late, "k", &nl); !ok || string(v.Val) != "w" || late.Deps != nil {
+			t.Errorf("after the settle: read %q deps %v, want %q and none", v.Val, late.Deps, "w")
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGCHonoursSafeSnapshotsAndUnsettledWriters: the watermark is bounded by
+// the safe snapshot of every active transaction — which may be far below its
+// Begin — and by every unsettled commit, so the version a safe-snapshot reader
+// needs survives a vacuum, and an entry whose last writer is unsettled is not
+// collected.
+func TestGCHonoursSafeSnapshotsAndUnsettledWriters(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	o := NewOracle()
+	vs := NewVersionStore(env)
+	env.Spawn("test", func(p *sim.Proc) {
+		leaf := Version{TS: 1, Val: []byte("v1")}
+		w := o.Begin(SnapshotIsolation)
+		vs.AcquireWriteIntent(p, w, "k", leaf.TS, time.Second)
+		vs.StagePending(w, "k", false, []byte("v2"))
+		cts := o.CommitTS(w)
+		nl := vs.CommitKey(w, "k", &leaf, cts) // unsettled
+
+		if wm := o.Watermark(); wm != cts-1 {
+			t.Fatalf("watermark with nothing active = %d, want %d (one below the unsettled commit)", wm, cts-1)
+		}
+		vs.GC(o.Watermark())
+		if vs.Entries() != 1 || vs.VersionBytes() == 0 {
+			t.Fatalf("GC collected an entry whose last writer is unsettled: %d entries, %d version bytes", vs.Entries(), vs.VersionBytes())
+		}
+		r := o.Begin(SnapshotIsolation) // Begin covers the commit, Safe does not
+		o.SettleCommit(w)
+		for i := 0; i < 3; i++ {
+			o.Abort(o.Begin(SnapshotIsolation)) // the clock moves on
+		}
+		if wm := o.Watermark(); wm != r.Safe || r.Safe != cts-1 {
+			t.Fatalf("watermark = %d with safe snapshot %d active, want %d", wm, r.Safe, cts-1)
+		}
+		vs.GC(o.Watermark())
+		r.Begin = r.Safe
+		if v, ok := vs.ReadVisible(r, "k", &nl); !ok || string(v.Val) != "v1" {
+			t.Fatalf("safe-snapshot reader lost its version to GC: got %q", v.Val)
+		}
+		o.Abort(r)
+		vs.GC(o.Watermark())
+		if vs.Entries() != 0 || vs.VersionBytes() != 0 {
+			t.Fatalf("with everything settled and nobody active: %d entries, %d version bytes left", vs.Entries(), vs.VersionBytes())
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

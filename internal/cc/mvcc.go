@@ -36,6 +36,12 @@ type VersionStore struct {
 	env     *sim.Env
 	entries map[string]*mvccEntry
 
+	// Commits is the owning node's commit table: every version a transaction
+	// resolves to is looked up there, and one whose commit is unsettled makes
+	// its writer a dependency of the reader (observe). Nil — a store outside
+	// a cluster — tracks none.
+	Commits *CommitTable
+
 	// versionBytes tracks retained old-version bytes (Fig. 3's storage
 	// overhead line).
 	versionBytes int64
@@ -63,6 +69,14 @@ func NewVersionStore(env *sim.Env) *VersionStore {
 		entries:    make(map[string]*mvccEntry),
 		intentKeys: make(map[string]struct{}),
 		recent:     make(map[string]Timestamp),
+	}
+}
+
+// observe records that txn resolved to the version stamped ts: if that
+// commit is still unsettled, txn now depends on it.
+func (vs *VersionStore) observe(txn *Txn, ts Timestamp) {
+	if w := vs.Commits.Unsettled(ts); w != nil && w != txn {
+		txn.dependOn(w)
 	}
 }
 
@@ -108,6 +122,9 @@ func (vs *VersionStore) AcquireWriteIntent(p *sim.Proc, txn *Txn, key string, le
 		// Someone committed this record after we took our snapshot.
 		return ErrWriteConflict
 	}
+	// Overwriting a version is observing it, read or not: this write is
+	// ordered after that commit and must not outlive it.
+	vs.observe(txn, last)
 	e.writer = txn
 	e.hasPending = false
 	vs.intentKeys[key] = struct{}{}
@@ -142,7 +159,19 @@ func (vs *VersionStore) ReadVisible(txn *Txn, key string, leaf *Version) (Versio
 // Deleted=true). Migration routing needs the distinction: a tombstone at a
 // range's new location is an authoritative committed state, not a license
 // to fall back to the old copy.
+//
+// Visible means committed at or below the snapshot, not settled: the version
+// returned may belong to a commit still in its force, and then txn takes a
+// dependency on its writer (observe) instead of being denied the version.
 func (vs *VersionStore) VisibleVersion(txn *Txn, key string, leaf *Version) (Version, bool) {
+	v, ok := vs.resolve(txn, key, leaf)
+	if ok {
+		vs.observe(txn, v.TS)
+	}
+	return v, ok
+}
+
+func (vs *VersionStore) resolve(txn *Txn, key string, leaf *Version) (Version, bool) {
 	e := vs.entries[key]
 	if e != nil && e.writer == txn && e.hasPending {
 		// Own uncommitted write.
@@ -150,10 +179,12 @@ func (vs *VersionStore) VisibleVersion(txn *Txn, key string, leaf *Version) (Ver
 	}
 	if e != nil && e.writer != nil && e.writer != txn && e.hasPending &&
 		e.writer.State == TxnCommitted && e.writer.Commit <= txn.Begin {
-		// The writer has committed (its timestamp is assigned and below our
-		// snapshot) but the tree install is still in flight — this happens
-		// while a distributed commit walks its participants. The staged
-		// value is the authoritative newest version for this snapshot.
+		// The writer is past its commit point (its timestamp is assigned and
+		// below our snapshot) but the tree install is still in flight: a
+		// single-node commit between its timestamp and its install, or a
+		// distributed one anywhere between its timestamp, its durable decision
+		// and the last participant's install. The staged value is the
+		// authoritative newest version for this snapshot.
 		v := e.pending
 		v.TS = e.writer.Commit
 		return v, true
@@ -256,6 +287,7 @@ func (vs *VersionStore) CommittedPending(txn *Txn, lo, hi []byte) []PendingRead 
 		}
 		v := e.pending
 		v.TS = e.writer.Commit
+		vs.observe(txn, v.TS)
 		out = append(out, PendingRead{Key: k, Ver: v})
 	}
 	// The common case is empty: keep it allocation-free (sort.Slice boxes

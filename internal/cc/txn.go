@@ -47,12 +47,42 @@ var (
 // Txn is one transaction. Engine layers attach undo actions while executing;
 // the owning executor drives commit or abort.
 type Txn struct {
-	ID    TxnID
+	ID TxnID
+	// Begin is the snapshot: the oracle's clock when the transaction began. It
+	// covers every commit point passed by then, settled or not; reading a
+	// version whose commit is still unsettled records its writer in Deps.
 	Begin Timestamp
+	// Safe is the newest snapshot at or below Begin that covers no commit
+	// unsettled when the transaction began: everything visible at it is
+	// durable history. It is what the oracle's active table protects, and what
+	// a reader that will never settle dependencies reads at instead of Begin.
+	Safe Timestamp
 	// Commit is set when the transaction commits.
 	Commit Timestamp
 	Mode   Mode
 	State  TxnState
+	// Settled is set once a committed transaction's durability fate is sealed
+	// (Oracle.SettleCommit). Between the commit point and that moment the
+	// commit is unsettled: visible to snapshots that cover it, but a power
+	// failure may still roll it back.
+	Settled bool
+	// Deps are the unsettled commits this transaction observed (read, scanned
+	// or overwrote a version of). The owning executor must not let the
+	// transaction finish before each of them is settled — by waiting for it, or
+	// because this transaction's own forced log record lies above the
+	// dependency's commit record on the same log — and must fail it if one was
+	// rolled back. Nil for a transaction that observed only settled history.
+	Deps []*Txn
+	// CommitNode names the log that seals a committed transaction's fate (the
+	// cluster stores node IDs: the one participant of a single-node commit, the
+	// coordinator of a distributed one), from the commit point on. CommitLSN is
+	// the position of a single-node commit's record on that log once appended,
+	// zero before — and again after the log's node restarted with the commit
+	// still unsettled, when the record may be gone. (A distributed commit's
+	// branches append theirs after its decision settled it, when the position
+	// no longer matters to anyone.)
+	CommitNode int
+	CommitLSN  uint64
 	// System marks a system transaction (record movement housekeeping,
 	// Sect. 3.5); it obeys the same protocols but is not counted as user
 	// work by the metrics layer.
@@ -63,10 +93,45 @@ type Txn struct {
 
 	// undo actions run in reverse order on abort.
 	undo []func(p *sim.Proc)
+	// fate wakes the dependents waiting in AwaitSettled; allocated by the
+	// first of them.
+	fate *sim.Signal
 }
 
 // Active reports whether the transaction can still do work.
 func (t *Txn) Active() bool { return t.State == TxnActive }
+
+// Unsettled reports whether the transaction is past its commit point with its
+// durability fate still open.
+func (t *Txn) Unsettled() bool { return t.State == TxnCommitted && !t.Settled }
+
+// dependOn records that t observed a version written by the unsettled commit w.
+func (t *Txn) dependOn(w *Txn) {
+	for _, d := range t.Deps {
+		if d == w {
+			return
+		}
+	}
+	t.Deps = append(t.Deps, w)
+}
+
+// AwaitSettled blocks p until t's fate is sealed and reports it: true once the
+// commit is settled, false if it was rolled back.
+func (t *Txn) AwaitSettled(p *sim.Proc) bool {
+	for t.Unsettled() {
+		if t.fate == nil {
+			t.fate = sim.NewSignal(p.Env())
+		}
+		t.fate.Wait(p)
+	}
+	return t.Settled
+}
+
+func (t *Txn) sealFate() {
+	if t.fate != nil {
+		t.fate.Fire()
+	}
+}
 
 // PushUndo registers a compensating action for abort.
 func (t *Txn) PushUndo(fn func(p *sim.Proc)) { t.undo = append(t.undo, fn) }
@@ -99,10 +164,13 @@ type Oracle struct {
 	// unsettled holds commit timestamps whose durability fate is not yet
 	// sealed: CommitTS hands out the timestamp at the commit point, but the
 	// commit record (and, under replication, its replica copy) becomes
-	// durable later. Until SettleCommit or Abort removes the entry, Begin
-	// caps every new snapshot below the oldest unsettled commit — no reader
-	// can observe a version that a crash during the commit force would roll
-	// back. Readers never block; they just get a slightly older snapshot.
+	// durable later. Until SettleCommit or Abort removes the entry a power
+	// failure may still roll the commit back. Snapshots cover it all the same
+	// — a force is milliseconds long, and keeping readers below it made every
+	// one of those milliseconds a write-conflict window; what the oracle
+	// guarantees instead is the safe snapshot (Txn.Safe), one below the oldest
+	// entry, and what its callers guarantee is that no transaction finishes
+	// before every unsettled commit it observed is settled (Txn.Deps).
 	unsettled map[TxnID]Timestamp
 	lease     Timestamp
 }
@@ -123,29 +191,31 @@ func (o *Oracle) tick() Timestamp {
 	return o.next
 }
 
-// Begin starts a transaction in the given mode. The snapshot is capped just
-// below the oldest unsettled commit (if any): a commit timestamp exists from
-// the moment CommitTS issues it, but the transaction only becomes recoverable
-// once its commit record is forced — handing a newer snapshot to a reader in
-// that window would let it observe a commit that a crash then rolls back.
-// The capped Begin (not the raw clock) is registered in the active table so
-// the GC watermark keeps protecting the versions this snapshot can read.
+// Begin starts a transaction in the given mode. Its snapshot is the clock:
+// every commit point passed so far is visible to it, including commits still
+// in their force. The same call computes the safe snapshot — just below the
+// oldest unsettled commit, the clock when there is none — and that, not the
+// clock, is what the active table registers: the GC watermark and the "every
+// snapshot is past this horizon" test then hold for a reader that falls back
+// to its safe snapshot, and a fortiori for one that reads at Begin.
 func (o *Oracle) Begin(mode Mode) *Txn {
 	o.nextID++
 	begin := o.tick()
+	safe := begin
 	for _, cts := range o.unsettled {
-		if cts-1 < begin {
-			begin = cts - 1
+		if cts-1 < safe {
+			safe = cts - 1
 		}
 	}
-	t := &Txn{ID: o.nextID, Begin: begin, Mode: mode, State: TxnActive}
-	o.active[t.ID] = t.Begin
+	t := &Txn{ID: o.nextID, Begin: begin, Safe: safe, Mode: mode, State: TxnActive}
+	o.active[t.ID] = safe
 	return t
 }
 
 // CommitTS assigns a commit timestamp to t and marks it committed. The commit
-// is born unsettled: until the owning layer seals its durability fate with
-// SettleCommit (or rolls it back with Abort), no new snapshot will cover it.
+// is born unsettled: snapshots taken from now on cover it, and until the
+// owning layer seals its durability fate with SettleCommit (or rolls it back
+// with Abort) whoever observes one of its versions takes a dependency on it.
 func (o *Oracle) CommitTS(t *Txn) Timestamp {
 	t.Commit = o.tick()
 	t.State = TxnCommitted
@@ -162,15 +232,21 @@ func (o *Oracle) CommitTS(t *Txn) Timestamp {
 func (o *Oracle) EndReadOnly(t *Txn) {
 	t.Commit = t.Begin
 	t.State = TxnCommitted
+	t.Settled = true
 	delete(o.active, t.ID)
 }
 
 // SettleCommit seals t's fate as durably committed: its commit record (and,
-// under replication, a replica copy) can no longer be lost to a crash, so new
-// snapshots may cover its commit timestamp. Callers invoke it exactly at
-// their force point — after the commit-record flush for a standalone commit,
-// after the decision record is durable for a distributed one.
-func (o *Oracle) SettleCommit(t *Txn) { delete(o.unsettled, t.ID) }
+// under replication, a replica copy) can no longer be lost to a crash. Safe
+// snapshots may cover its commit timestamp from here on, and the transactions
+// waiting on it as a dependency proceed. Callers invoke it exactly at their
+// force point — after the commit-record flush for a standalone commit, after
+// the decision record is durable for a distributed one.
+func (o *Oracle) SettleCommit(t *Txn) {
+	t.Settled = true
+	delete(o.unsettled, t.ID)
+	t.sealFate()
+}
 
 // Leased returns the current lease ceiling (0: unbounded).
 func (o *Oracle) Leased() Timestamp { return o.lease }
@@ -227,20 +303,22 @@ func (o *Oracle) Failover(ceil Timestamp) {
 // Abort marks t aborted and deregisters it. A transaction whose commit never
 // settled (the force failed and recovery is guaranteed to roll it back, or it
 // is provably gone from every replica) also leaves the unsettled set here:
-// its timestamp can never surface, so snapshots stop capping below it.
+// its timestamp can never surface, so safe snapshots stop staying below it —
+// and every transaction that observed it learns that it must fail.
 func (o *Oracle) Abort(t *Txn) {
 	t.State = TxnAborted
 	delete(o.active, t.ID)
 	delete(o.unsettled, t.ID)
+	t.sealFate()
 }
 
 // Watermark returns the oldest snapshot any transaction — present or future
-// — can still hold: the minimum over active begin timestamps AND one below
-// every unsettled commit, falling back to the clock. The unsettled bound
-// matters because Begin caps new snapshots below the oldest unsettled
-// commit: while a commit's durability is in limbo (say, its node is down
-// mid-force), the next Begin may be far below the clock, and version GC
-// pruning to the active-only minimum would strand that snapshot on
+// — can still read at: the minimum over the active transactions' safe
+// snapshots AND one below every unsettled commit, falling back to the clock.
+// The unsettled bound matters because that is where the next Begin puts its
+// safe snapshot: while a commit's durability is in limbo (say, its node is
+// down mid-force) it may be far below the clock, and version GC pruning to
+// the active-only minimum would strand a reader that falls back to it on
 // already-collected history. Versions older than two generations below the
 // watermark can never be read again.
 func (o *Oracle) Watermark() Timestamp {

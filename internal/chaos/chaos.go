@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -148,6 +149,9 @@ type Report struct {
 	// force behind a follower's: the follower's disk holds frames the node
 	// lost, which no recovery path may use (included in Crashes).
 	AheadCrashes int
+	// DepCrashes counts the crashes that caught a node with a transaction
+	// parked in Commit on one of its unsettled commits (included in Crashes).
+	DepCrashes int
 	// LeaderCrashes counts crashes that hit the acting coordinator;
 	// Failovers counts the leader elections the master went through.
 	LeaderCrashes int
@@ -178,12 +182,18 @@ type Report struct {
 	// the rows they aggregated.
 	AnalyticsQueries int
 	AnalyticsRows    int64
+	// Commit-dependency counters: DepWaits is the number of unsettled commits
+	// that committing transactions — read-only ones included — had to wait
+	// for, DepLost the waits that ended in the dependency rolled back by a
+	// power failure, failing the dependent.
+	DepWaits int
+	DepLost  int
 
 	Faults     []string // executed fault schedule, in order
 	Violations []string // invariant violations (empty = PASS)
 
 	// StateHash digests the fault schedule, the final table contents, and
-	// the commit counts: identical seeds must produce identical hashes.
+	// every counter above: identical seeds must produce identical hashes.
 	StateHash string
 }
 
@@ -343,6 +353,7 @@ func Run(cfg Config) (*Report, error) {
 		return h.rep, err
 	}
 	h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses = c.ReplicationStats()
+	h.rep.DepWaits, h.rep.DepLost = c.DepWaits, c.DepLost
 	for _, n := range c.Nodes {
 		h.rep.Checkpoints += n.Checkpoints
 	}
@@ -365,7 +376,7 @@ func Run(cfg Config) (*Report, error) {
 	validateReads(h.oracle, h.reads, h.scans, h.violate)
 	h.checkPartitionTable()
 	h.rep.SimTime = env.Now()
-	h.rep.StateHash = h.stateHash(finalState)
+	h.rep.StateHash = stateHash(h.rep, finalState)
 	return h.rep, nil
 }
 
@@ -433,6 +444,7 @@ func (h *harness) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *clu
 		h.rep.Commits++
 	case kind < 9: // read transaction
 		nOps := 2 + rng.Intn(3)
+		var seen []readObs
 		for i := 0; i < nOps; i++ {
 			k := int64(rng.Intn(h.cfg.Keys))
 			v, ok, err := s.Get(p, "kv", kvKey(k))
@@ -450,10 +462,13 @@ func (h *harness) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *clu
 				}
 				obs.val = row[1].(string)
 			}
-			h.reads = append(h.reads, obs)
-			h.rep.Reads++
+			seen = append(seen, obs)
 		}
-		s.Abort(p)
+		if !h.finishRead(p, s) {
+			return
+		}
+		h.reads = append(h.reads, seen...)
+		h.rep.Reads += len(seen)
 	default: // range scan
 		span := int64(10 + rng.Intn(30))
 		lo := int64(rng.Intn(h.cfg.Keys))
@@ -477,10 +492,24 @@ func (h *harness) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *clu
 			h.failOp(p, s)
 			return
 		}
+		if !h.finishRead(p, s) {
+			return
+		}
 		h.scans = append(h.scans, obs)
 		h.rep.Scans++
-		s.Abort(p)
 	}
+}
+
+// finishRead commits a read-only transaction. What it read is an observation
+// only if this succeeds: a snapshot covers commits still in their force, and
+// Commit is where the session waits them out — or fails, when a power failure
+// rolled one back and the values it returned never existed.
+func (h *harness) finishRead(p *sim.Proc, s *cluster.Session) bool {
+	if err := s.Commit(p); err != nil {
+		h.failOp(p, s)
+		return false
+	}
+	return true
 }
 
 // spawnAnalytics starts one HTAP reader: a loop of full-table
@@ -504,7 +533,7 @@ func (h *harness) spawnAnalytics(q int) {
 			}
 			s := h.master.Begin(p, cc.SnapshotIsolation, home)
 			s.PreferFollower = q%2 == 0
-			obs := scanObs{at: p.Now(), snap: s.Txn.Begin, lo: 0, hi: int64(h.cfg.Keys)}
+			obs := scanObs{at: p.Now(), lo: 0, hi: int64(h.cfg.Keys)}
 			err := s.Scan(p, "kv", nil, nil, func(kb, v []byte) bool {
 				k, _, _ := keycodec.DecodeInt64(kb)
 				row, derr := h.schema.DecodeRow(v)
@@ -516,10 +545,10 @@ func (h *harness) spawnAnalytics(q int) {
 				obs.vals = append(obs.vals, row[1].(string))
 				return true
 			})
-			s.Abort(p)
+			obs.snap = s.Txn.Begin // the safe snapshot, under the hint: fixed by the scan
 			if err != nil {
-				h.rep.FailedOps++
-			} else {
+				h.failOp(p, s)
+			} else if h.finishRead(p, s) {
 				h.scans = append(h.scans, obs)
 				h.rep.AnalyticsQueries++
 				h.rep.AnalyticsRows += int64(len(obs.keys))
@@ -530,8 +559,7 @@ func (h *harness) spawnAnalytics(q int) {
 }
 
 // failOp aborts a transaction that hit a fault (down node, conflict,
-// timeout) and counts it; partial observations of the transaction are kept
-// only for reads that succeeded, which remain valid snapshot reads.
+// timeout, lost dependency) and counts it; nothing it observed is kept.
 func (h *harness) failOp(p *sim.Proc, s *cluster.Session) {
 	s.Abort(p)
 	h.rep.FailedOps++
@@ -674,21 +702,21 @@ func (h *harness) checkPartitionTable() {
 	}
 }
 
-// stateHash digests the run: fault schedule, final contents, commit counts,
-// and the virtual clock. Two runs of the same seed must agree byte for
-// byte.
-func (h *harness) stateHash(finalState string) string {
+// stateHash digests a run: the executed fault schedule, every counter of the
+// report — whatever integer fields Report has, by reflection, so a counter
+// added later is hashed without anyone listing it — and the final table
+// contents. Two runs of the same seed must agree byte for byte.
+func stateHash(rep *Report, finalState string) string {
 	d := sha256.New()
-	for _, f := range h.rep.Faults {
+	for _, f := range rep.Faults {
 		fmt.Fprintln(d, f)
 	}
-	fmt.Fprintf(d, "commits=%d aborts=%d failed=%d failovers=%d now=%d\n",
-		h.rep.Commits, h.rep.Aborts, h.rep.FailedOps, h.rep.Failovers, h.env.Now())
-	fmt.Fprintf(d, "rebuilds=%d scrubs=%d freads=%d disklosses=%d\n",
-		h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses)
-	fmt.Fprintf(d, "ckpts=%d ckptcrashes=%d bounded=%d replaybytes=%d rto=%d\n",
-		h.rep.Checkpoints, h.rep.CkptCrashes, h.rep.BoundedRestarts, h.rep.ReplayBytes, h.rep.RecoveryTime)
-	fmt.Fprintf(d, "htapq=%d htaprows=%d\n", h.rep.AnalyticsQueries, h.rep.AnalyticsRows)
+	v := reflect.ValueOf(*rep)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanInt() {
+			fmt.Fprintf(d, "%s=%d\n", v.Type().Field(i).Name, f.Int())
+		}
+	}
 	d.Write([]byte(finalState))
 	return fmt.Sprintf("%x", d.Sum(nil))[:16]
 }

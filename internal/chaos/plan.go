@@ -25,6 +25,7 @@ const (
 	faultDestroyDisk                  // power-fail a node AND destroy its log medium (rebuild from replicas)
 	faultRotAcked                     // flip one bit inside a flushed frame of a live node's log
 	faultCkptCrash                    // power-fail a node partway through a fuzzy checkpoint
+	faultCrashDep                     // power-fail a node while a transaction elsewhere waits on its unsettled commit
 )
 
 // faultEvent is one scheduled fault.
@@ -151,6 +152,9 @@ func buildPlan(cfg Config) []faultEvent {
 	// Stable order: by time, with insertion order breaking ties (stability
 	// matters — equal-timestamp events must execute in generation order or
 	// the schedule would depend on the sort implementation).
+	// Drawn last, so that every event above is what it was before plans
+	// carried this one.
+	plan = append(plan, depCrashEvent(rng, window))
 	sort.SliceStable(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
 	return plan
 }
@@ -189,6 +193,19 @@ func tornCrashEvents(rng *rand.Rand, window time.Duration, dataNodes int) []faul
 	return []faultEvent{
 		tornCrash(rng, at(), faultCrashTorn, dataNodes),
 		tornCrash(rng, at(), faultCrashFlip, dataNodes),
+	}
+}
+
+// depCrashEvent derives the dependency crash every plan carries: a power
+// failure of whichever node, from the planned instant on, first has a
+// transaction parked in Commit on one of its unsettled commits (a data node
+// if none turns up — see crashDependedOn).
+func depCrashEvent(rng *rand.Rand, window time.Duration) faultEvent {
+	return faultEvent{
+		at:   window/4 + time.Duration(rng.Int63n(int64(window/3))),
+		kind: faultCrashDep,
+		node: rng.Intn(2),
+		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
 	}
 }
 
@@ -269,6 +286,8 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 				fr.execCrash(ev)
 			case faultCrashTorn, faultCrashFlip:
 				fr.crashShippedAhead(ev)
+			case faultCrashDep:
+				fr.crashDependedOn(ev)
 			case faultDiskStall:
 				n := fr.c.Nodes[ev.node]
 				d := n.HW.Disks[ev.disk]
@@ -308,6 +327,13 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 					fr.logFault("acked-history rot on node %d skipped (down)", ev.node)
 					continue
 				}
+				if lost := fr.diskLost(); lost != nil {
+					// The mirror of execDestroy's rule: rot that outlives this
+					// node's next crash costs it its wrapper copies, which a
+					// node rebuilding right now may be about to read.
+					fr.logFault("acked-history rot on node %d skipped (node %d still rebuilding)", ev.node, lost.ID)
+					continue
+				}
 				if lsn := n.Log.FlipFlushedBit(ev.flip, fr.c.RotEligible(n)); lsn != 0 {
 					fr.rep.RotInjected++
 					fr.logFault("acked-history rot: node %d frame at LSN %d bit-flipped (pick %d)", ev.node, lsn, ev.flip)
@@ -316,6 +342,21 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 				}
 			}
 		}
+	})
+}
+
+// crashAimed executes ev at the first instant within reach of its planned time
+// at which aim (polled every 100 us) names a victim, on that node; with none in
+// reach the crash lands on the planned node at the deadline.
+func (fr *faultRunner) crashAimed(ev faultEvent, reach time.Duration, aim func() (victim int, ok bool)) {
+	fr.env.Spawn("chaos-crash-aimed", func(p *sim.Proc) {
+		for deadline := p.Now() + reach; p.Now() < deadline; p.Sleep(100 * time.Microsecond) {
+			if victim, ok := aim(); ok {
+				ev.node = victim
+				break
+			}
+		}
+		fr.execCrash(ev)
 	})
 }
 
@@ -328,17 +369,30 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 // one. Without data replication, or with no window in reach, the crash lands
 // where it was planned or at the deadline.
 func (fr *faultRunner) crashShippedAhead(ev faultEvent) {
-	const poll, reach = 100 * time.Microsecond, 2 * time.Second
 	n := fr.c.Nodes[ev.node]
 	if !fr.c.DataReplicated() {
 		fr.execCrash(ev)
 		return
 	}
-	fr.env.Spawn(fmt.Sprintf("chaos-crash-ahead-%d", ev.node), func(p *sim.Proc) {
-		for deadline := p.Now() + reach; p.Now() < deadline && !n.Down() && !fr.c.ShippedAhead(n); {
-			p.Sleep(poll)
+	fr.crashAimed(ev, 2*time.Second, func() (int, bool) { return ev.node, n.Down() || fr.c.ShippedAhead(n) })
+}
+
+// crashDependedOn executes a plain crash at the first instant, within eight
+// seconds of its planned time, at which a session is parked in Commit waiting
+// for an unsettled commit of some live node — and crashes that node: the wait
+// must end in the dependency's actual fate, and nothing the waiter read may be
+// reported if the commit is lost. Such waits last a commit force, a few
+// milliseconds each, and most dependencies need none (same log): the KV mix
+// sees one every five seconds or so, hence the long reach.
+func (fr *faultRunner) crashDependedOn(ev faultEvent) {
+	ev.kind = faultCrash
+	fr.crashAimed(ev, 8*time.Second, func() (int, bool) {
+		for _, n := range fr.c.Nodes {
+			if fr.c.DependedOn(n) {
+				return n.ID, true
+			}
 		}
-		fr.execCrash(ev)
+		return 0, false
 	})
 }
 
@@ -367,6 +421,10 @@ func (fr *faultRunner) execCrash(ev faultEvent) {
 	if fr.c.ShippedAhead(n) {
 		fr.rep.AheadCrashes++
 		ahead = "a follower's disk is ahead of its log; "
+	}
+	if fr.c.DependedOn(n) {
+		fr.rep.DepCrashes++
+		ahead += "a committing transaction waits on its unsettled commit; "
 	}
 	switch ev.kind {
 	case faultCrashTorn:
@@ -438,9 +496,18 @@ func (fr *faultRunner) execDestroy(ev faultEvent) {
 		fr.logFault("disk loss on node %d skipped (already down)", ev.node)
 		return
 	}
+	if lost := fr.diskLost(); lost != nil {
+		fr.logFault("disk loss on node %d skipped (node %d still rebuilding)", ev.node, lost.ID)
+		return
+	}
 	for _, other := range fr.c.Nodes {
-		if other.DiskLost() {
-			fr.logFault("disk loss on node %d skipped (node %d still rebuilding)", ev.node, other.ID)
+		// A node that went down with rot in its acked history not yet scrubbed
+		// is a disk loss waiting to be noticed: its restart rebuilds its log
+		// wholesale and drops its wrapper copies of the streams it follows —
+		// possibly the only other copy of what this node was acknowledged for
+		// while their other follower was away.
+		if other.Down() && len(other.Log.CheckFlushed()) > 0 {
+			fr.logFault("disk loss on node %d skipped (node %d is down with unrepaired rot and will rebuild)", ev.node, other.ID)
 			return
 		}
 	}
@@ -483,6 +550,16 @@ func (fr *faultRunner) execDestroy(ev faultEvent) {
 	})
 }
 
+// diskLost returns a node whose destroyed disk is not rebuilt yet, or nil.
+func (fr *faultRunner) diskLost() *cluster.DataNode {
+	for _, n := range fr.c.Nodes {
+		if n.DiskLost() {
+			return n
+		}
+	}
+	return nil
+}
+
 // runner wires the KV harness into the shared fault executor.
 func (h *harness) runner() *faultRunner {
 	return &faultRunner{
@@ -518,6 +595,7 @@ func (h *harness) postRestartSweep(p *sim.Proc, restarted *cluster.DataNode) {
 		keys = append(keys, k)
 	}
 	sortInt64s(keys)
+	var seen []readObs
 	for _, k := range keys {
 		v, ok, err := s.Get(p, "kv", kvKey(k))
 		if err != nil {
@@ -534,7 +612,9 @@ func (h *harness) postRestartSweep(p *sim.Proc, restarted *cluster.DataNode) {
 			}
 			obs.val = row[1].(string)
 		}
-		h.reads = append(h.reads, obs)
+		seen = append(seen, obs)
 	}
-	s.Abort(p)
+	if h.finishRead(p, s) {
+		h.reads = append(h.reads, seen...)
+	}
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,6 +129,7 @@ func RunTPCC(cfg Config) (*Report, error) {
 		return h.rep, err
 	}
 	h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses = c.ReplicationStats()
+	h.rep.DepWaits, h.rep.DepLost = c.DepWaits, c.DepLost
 	for _, n := range c.Nodes {
 		h.rep.Checkpoints += n.Checkpoints
 	}
@@ -149,7 +149,7 @@ func RunTPCC(cfg Config) (*Report, error) {
 		h.checkTableRanges(name)
 	}
 	h.rep.SimTime = env.Now()
-	h.rep.StateHash = h.stateHash(finalState)
+	h.rep.StateHash = stateHash(h.rep, finalState)
 	return h.rep, nil
 }
 
@@ -220,9 +220,14 @@ func (h *tpccHarness) spawnWorker(w int) {
 				sess.Abort(p)
 				h.rep.FailedOps++
 			case typ == tpcc.TxnOrderStatus || typ == tpcc.TxnStockLevel:
-				// Read-only: nothing to acknowledge.
+				// Read-only: nothing to acknowledge, but the reads are only
+				// final once the commits they covered are settled.
 				h.dep.TakeEffect(sess.Txn.ID)
-				sess.Abort(p)
+				if sess.Commit(p) != nil {
+					sess.Abort(p)
+					h.rep.FailedOps++
+					break
+				}
 				h.rep.Reads++
 			default:
 				if cerr := sess.Commit(p); cerr != nil {
@@ -265,19 +270,29 @@ func (h *tpccHarness) spawnAnalytics(q int) {
 			}
 			s := h.master.Begin(p, ccSnapshot, home)
 			s.PreferFollower = q%2 == 0
-			if !h.analyticsQuery(p, s, int64(w), int64(d)) {
+			var broken []string
+			rows, ok := h.analyticsQuery(p, s, int64(w), int64(d), func(msg string) { broken = append(broken, msg) })
+			if ok && s.Commit(p) == nil {
+				for _, msg := range broken {
+					h.violate(msg)
+				}
+				h.rep.AnalyticsQueries++
+				h.rep.AnalyticsRows += rows
+			} else {
+				s.Abort(p)
 				h.rep.FailedOps++
 			}
-			s.Abort(p)
 			p.Sleep(time.Duration(40+rng.Intn(60)) * time.Millisecond)
 		}
 	})
 }
 
 // analyticsQuery runs one district's snapshot aggregate and checks its
-// internal invariants. It returns false when a fault aborted the query
-// (down node, timeout) — invariant breaks go through violate instead.
-func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64) bool {
+// internal invariants. It returns the rows it read, and false when a fault
+// aborted the query (down node, timeout) — invariant breaks go through
+// violate instead, which the caller holds back until the session's Commit has
+// made the reads final.
+func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64, violate func(string)) (int64, bool) {
 	dS := h.dep.Schemas[tpcc.TDistrict]
 	oS := h.dep.Schemas[tpcc.TOrders]
 	olS := h.dep.Schemas[tpcc.TOrderLine]
@@ -285,17 +300,17 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 
 	dKey, err := dS.EncodeKeyPrefix(w, d)
 	if err != nil {
-		h.violate(fmt.Sprintf("htap: district key [%d,%d]: %v", w, d, err))
-		return false
+		violate(fmt.Sprintf("htap: district key [%d,%d]: %v", w, d, err))
+		return 0, false
 	}
 	raw, ok, err := s.Get(p, tpcc.TDistrict, dKey)
 	if err != nil || !ok {
-		return false
+		return 0, false
 	}
 	dRow, derr := dS.DecodeRow(raw)
 	if derr != nil {
-		h.violate(fmt.Sprintf("htap@%v district[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
-		return false
+		violate(fmt.Sprintf("htap@%v district[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
+		return 0, false
 	}
 	nextO := dRow[5].(int64)
 	rows := int64(1)
@@ -306,16 +321,16 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 	err = s.Scan(p, tpcc.TOrders, lo, hi, func(_, payload []byte) bool {
 		row, derr := oS.DecodeRow(payload)
 		if derr != nil {
-			h.violate(fmt.Sprintf("htap@%v orders[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
+			violate(fmt.Sprintf("htap@%v orders[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
 			return false
 		}
 		o := row[2].(int64)
 		if o >= nextO {
-			h.violate(fmt.Sprintf("htap@%v orders[%d,%d] snap %d: order %d visible but D_NEXT_O_ID=%d",
+			violate(fmt.Sprintf("htap@%v orders[%d,%d] snap %d: order %d visible but D_NEXT_O_ID=%d",
 				p.Now(), w, d, s.Txn.Begin, o, nextO))
 		}
 		if _, dup := olCnt[o]; dup {
-			h.violate(fmt.Sprintf("htap@%v orders[%d,%d] snap %d: order %d returned twice (doubly owned)",
+			violate(fmt.Sprintf("htap@%v orders[%d,%d] snap %d: order %d returned twice (doubly owned)",
 				p.Now(), w, d, s.Txn.Begin, o))
 		}
 		olCnt[o] = row[6].(int64)
@@ -323,7 +338,7 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 		return true
 	})
 	if err != nil {
-		return false
+		return 0, false
 	}
 
 	olLo, _ := olS.EncodeKeyPrefix2(w, d)
@@ -332,7 +347,7 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 	err = s.Scan(p, tpcc.TOrderLine, olLo, olHi, func(_, payload []byte) bool {
 		row, derr := olS.DecodeRow(payload)
 		if derr != nil {
-			h.violate(fmt.Sprintf("htap@%v order_line[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
+			violate(fmt.Sprintf("htap@%v order_line[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
 			return false
 		}
 		lineCount[row[2].(int64)]++
@@ -340,7 +355,7 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 		return true
 	})
 	if err != nil {
-		return false
+		return 0, false
 	}
 	orderIDs := make([]int64, 0, len(olCnt))
 	for o := range olCnt {
@@ -349,7 +364,7 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 	sortInt64s(orderIDs)
 	for _, o := range orderIDs {
 		if got, want := lineCount[o], olCnt[o]; got != want {
-			h.violate(fmt.Sprintf("htap@%v order_line[%d,%d] snap %d: order %d has %d lines, O_OL_CNT=%d (torn NewOrder visible)",
+			violate(fmt.Sprintf("htap@%v order_line[%d,%d] snap %d: order %d has %d lines, O_OL_CNT=%d (torn NewOrder visible)",
 				p.Now(), w, d, s.Txn.Begin, o, got, want))
 		}
 	}
@@ -360,7 +375,7 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 	sortInt64s(lineIDs)
 	for _, o := range lineIDs {
 		if _, ok := olCnt[o]; !ok {
-			h.violate(fmt.Sprintf("htap@%v order_line[%d,%d] snap %d: %d lines for order %d with no ORDERS row",
+			violate(fmt.Sprintf("htap@%v order_line[%d,%d] snap %d: %d lines for order %d with no ORDERS row",
 				p.Now(), w, d, s.Txn.Begin, lineCount[o], o))
 		}
 	}
@@ -370,23 +385,21 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 	err = s.Scan(p, tpcc.TNewOrder, noLo, noHi, func(_, payload []byte) bool {
 		row, derr := noS.DecodeRow(payload)
 		if derr != nil {
-			h.violate(fmt.Sprintf("htap@%v new_order[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
+			violate(fmt.Sprintf("htap@%v new_order[%d,%d]: undecodable row: %v", p.Now(), w, d, derr))
 			return false
 		}
 		o := row[2].(int64)
 		if _, ok := olCnt[o]; !ok {
-			h.violate(fmt.Sprintf("htap@%v new_order[%d,%d] snap %d: pending order %d has no ORDERS row",
+			violate(fmt.Sprintf("htap@%v new_order[%d,%d] snap %d: pending order %d has no ORDERS row",
 				p.Now(), w, d, s.Txn.Begin, o))
 		}
 		rows++
 		return true
 	})
 	if err != nil {
-		return false
+		return 0, false
 	}
-	h.rep.AnalyticsQueries++
-	h.rep.AnalyticsRows += rows
-	return true
+	return rows, true
 }
 
 // buildTPCCPlan derives the fault schedule from the seed alone. Every plan
@@ -458,6 +471,9 @@ func buildTPCCPlan(cfg Config, tcfg tpcc.Config) []faultEvent {
 			plan = append(plan, rotAcked(rng, at, cfg.Nodes))
 		}
 	}
+	// Drawn last, so that every event above is what it was before plans
+	// carried this one.
+	plan = append(plan, depCrashEvent(rng, window))
 	sort.SliceStable(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
 	return plan
 }
@@ -516,22 +532,6 @@ func (h *tpccHarness) checkTableRanges(name string) {
 			h.violate(fmt.Sprintf("%s: gap/overlap between entry %d and %d", name, i-1, i))
 		}
 	}
-}
-
-func (h *tpccHarness) stateHash(finalState string) string {
-	d := sha256.New()
-	for _, f := range h.rep.Faults {
-		fmt.Fprintln(d, f)
-	}
-	fmt.Fprintf(d, "commits=%d aborts=%d failed=%d failovers=%d now=%d\n",
-		h.rep.Commits, h.rep.Aborts, h.rep.FailedOps, h.rep.Failovers, h.env.Now())
-	fmt.Fprintf(d, "rebuilds=%d scrubs=%d freads=%d disklosses=%d\n",
-		h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses)
-	fmt.Fprintf(d, "ckpts=%d ckptcrashes=%d bounded=%d replaybytes=%d rto=%d\n",
-		h.rep.Checkpoints, h.rep.CkptCrashes, h.rep.BoundedRestarts, h.rep.ReplayBytes, h.rep.RecoveryTime)
-	fmt.Fprintf(d, "htapq=%d htaprows=%d\n", h.rep.AnalyticsQueries, h.rep.AnalyticsRows)
-	d.Write([]byte(finalState))
-	return fmt.Sprintf("%x", d.Sum(nil))[:16]
 }
 
 // --- Oracle model ------------------------------------------------------------

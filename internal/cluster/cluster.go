@@ -76,6 +76,11 @@ type Cluster struct {
 	// drep is non-nil when data replication is enabled (datarep.go).
 	drep *dataRep
 
+	// DepWaits counts the dependencies committing sessions had to wait for
+	// (Session.settleDeps), DepLost those of them that a power failure had
+	// rolled back, failing the dependent.
+	DepWaits, DepLost int
+
 	cfg Config
 }
 
@@ -144,6 +149,15 @@ type DataNode struct {
 
 	diskRR int // round-robin over data disks for new segments
 
+	// Commits registers every commit with a branch on this node from its
+	// commit point until that branch is forced, with or without replication:
+	// readers take their dependencies from it, follower reads of this node's
+	// partitions are gated on it.
+	Commits *cc.CommitTable
+	// depWaiters is the number of sessions parked right now on an unsettled
+	// commit whose fate this node seals.
+	depWaiters int
+
 	// Owned partitions by ID (server-side registry).
 	Parts map[table.PartID]*table.Partition
 
@@ -173,6 +187,7 @@ func newDataNode(c *Cluster, id int) *DataNode {
 		ID:          id,
 		HW:          hw.NewNode(c.Env, id, c.Cal, c.Net),
 		Locks:       cc.NewLockManager(c.Env),
+		Commits:     cc.NewCommitTable(),
 		cluster:     c,
 		Parts:       make(map[table.PartID]*table.Partition),
 		bases:       make(map[table.PartID][]basePair),
@@ -190,6 +205,7 @@ func (n *DataNode) Deps() table.Deps {
 		Env:         n.cluster.Env,
 		Oracle:      n.cluster.Master.Oracle,
 		Locks:       n.Locks,
+		Commits:     n.Commits,
 		Log:         n.Log,
 		Factory:     n,
 		Compute:     n.HW.Compute,

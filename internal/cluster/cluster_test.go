@@ -503,11 +503,12 @@ func TestDeterministicClusterRuns(t *testing.T) {
 var _ = bytes.Compare // silence unused import if assertions change
 
 // TestMovedRangeServesCappedSnapshots pins the dual-pointer lifetime against
-// snapshot capping: while a commit is unsettled (parked across its node's
-// outage, say), every new snapshot begins just below it — possibly far below
-// the clock. A range moved during that time must keep its old location
-// reachable even when no transaction is active at the instant the move ends,
-// because the destination holds only the newest version of each key.
+// safe snapshots: while a commit is unsettled (parked across its node's
+// outage, say), every new PreferFollower session reads just below it —
+// possibly far below the clock. A range moved during that time must keep its
+// old location reachable even when no transaction is active at the instant the
+// move ends, because the destination holds only the newest version of each
+// key.
 func TestMovedRangeServesCappedSnapshots(t *testing.T) {
 	const n = 200
 	tc := newTestCluster(t, table.Physiological, 3, n)
@@ -526,21 +527,103 @@ func TestMovedRangeServesCappedSnapshots(t *testing.T) {
 	tc.run(t, func(p *sim.Proc) {
 		put(p, "below-the-cap")
 		parked := m.Oracle.Begin(cc.SnapshotIsolation)
-		m.Oracle.CommitTS(parked) // unsettled from here: new snapshots begin below it
+		m.Oracle.CommitTS(parked) // unsettled from here: safe snapshots stay below it
 		put(p, "above-the-cap")
 		if err := m.MigrateRange(p, "kv", ik(0), ik(n/2), tc.c.Nodes[2]); err != nil {
 			t.Fatalf("migrate: %v", err)
 		}
 		p.Sleep(3 * time.Second) // the cleanup processes had their chance
 		s := m.Begin(p, cc.SnapshotIsolation, tc.c.Nodes[0])
+		s.PreferFollower = true
 		v, ok, err := s.Get(p, "kv", ik(10))
 		if err != nil || !ok {
-			t.Fatalf("capped snapshot %d lost key 10 after the move: ok=%v err=%v", s.Txn.Begin, ok, err)
+			t.Fatalf("safe snapshot %d lost key 10 after the move: ok=%v err=%v", s.Txn.Begin, ok, err)
 		}
 		if row, _ := kvSchema().DecodeRow(v); row[1].(string) != "below-the-cap" {
-			t.Errorf("capped snapshot read %q, want %q", row[1], "below-the-cap")
+			t.Errorf("safe snapshot read %q, want %q", row[1], "below-the-cap")
 		}
 		s.Abort(p)
 		m.Oracle.Abort(parked) // release the cap so the cleanup can finish
 	})
+}
+
+// TestPreferFollowerReadsAtSafeSnapshot: with a commit in its force, a session
+// carrying the analytics hint reads exactly what the capped snapshot of old
+// read — the version below the unsettled commit, at the timestamp just below
+// it — takes no dependency and needs no settling; a plain session beside it
+// reads the unsettled value and depends on it.
+func TestPreferFollowerReadsAtSafeSnapshot(t *testing.T) {
+	w := newDepWorld(t)
+	defer w.env.Close()
+	c := w.c
+	c.Nodes[0].HW.LogDisk().SetStall(50 * time.Millisecond) // T1's force outlasts the three readers
+	f := w.commitInForce("t1", 10)
+	w.run(t, func(p *sim.Proc) {
+		t1 := unsettledWithRecord(p, f, true)
+		for _, home := range []*DataNode{c.Nodes[0], c.Nodes[1], c.Nodes[3]} { // owner, follower, neither
+			plain := c.Master.Begin(p, cc.SnapshotIsolation, home)
+			hinted := c.Master.Begin(p, cc.SnapshotIsolation, home)
+			hinted.PreferFollower = true
+			if hinted.Txn.Begin <= t1.Commit || hinted.Txn.Safe != t1.Commit-1 {
+				t.Errorf("home %d: began at %d with safe snapshot %d over unsettled commit %d", home.ID, hinted.Txn.Begin, hinted.Txn.Safe, t1.Commit)
+			}
+			if got, want := w.read(p, hinted, 10), fmt.Sprintf(idOldVal, 10); got != want || hinted.Txn.Begin != t1.Commit-1 || hinted.Txn.Deps != nil {
+				t.Errorf("home %d: hinted session read %q at %d with dependencies %v; want %q at %d and none",
+					home.ID, got, hinted.Txn.Begin, hinted.Txn.Deps, want, t1.Commit-1)
+			}
+			rows := 0
+			err := hinted.Scan(p, "kv", ik(0), ik(100), func(k, v []byte) bool {
+				row, _ := kvSchema().DecodeRow(v)
+				if want := fmt.Sprintf(idOldVal, row[0].(int64)); row[1].(string) != want {
+					t.Errorf("home %d: hinted scan returned %q for key %d, want %q", home.ID, row[1], row[0], want)
+				}
+				rows++
+				return true
+			})
+			if err != nil || rows != 100 || hinted.Txn.Deps != nil {
+				t.Errorf("home %d: hinted scan: %d rows, err %v, dependencies %v", home.ID, rows, err, hinted.Txn.Deps)
+			}
+			if got := w.read(p, plain, 10); got != "t1" || len(plain.Txn.Deps) != 1 {
+				t.Errorf("home %d: plain session read %q with dependencies %v, want the unsettled value and T1", home.ID, got, plain.Txn.Deps)
+			}
+			at := p.Now()
+			if err := hinted.Commit(p); err != nil || p.Now() != at || !t1.Unsettled() {
+				t.Errorf("home %d: hinted commit: %v, took %v, T1 unsettled=%v; want nil, at once, over a still unsettled T1", home.ID, err, p.Now()-at, t1.Unsettled())
+			}
+			plain.Abort(p)
+		}
+	})
+	if f.err != nil || c.DepWaits != 0 {
+		t.Errorf("T1: %v; %d dependency waits, want none", f.err, c.DepWaits)
+	}
+}
+
+// TestMonitorDecisionsIgnoreMapOrder: the scale policy's two reads of a sample
+// — the mean it compares with the thresholds and the scale-in victim — must
+// not depend on map iteration order. An all-equal sample (every node ties, as
+// at idle) always names the same victim; a sample whose float sum depends on
+// the order of addition always sums to the same bits.
+func TestMonitorDecisionsIgnoreMapOrder(t *testing.T) {
+	tc := newTestCluster(t, table.Physiological, 8, 100)
+	defer tc.env.Close()
+	idle, uneven := map[int]float64{}, map[int]float64{}
+	for id, u := range []float64{0.1, 0.2, 0.3, 0.7, 1e-9, 0.13, 0.31, 0.0003} {
+		idle[id], uneven[id] = 0.02, u
+	}
+	var victim *DataNode
+	var mean float64
+	for i := 0; i < 100; i++ {
+		for _, mon := range []*Monitor{{master: tc.c.Master}, {master: tc.c.Master}} {
+			v, m := mon.idlestNode(idle), mon.meanUtil(uneven) // each call ranges afresh
+			if victim == nil {
+				victim, mean = v, m
+			}
+			if v == nil || v != victim || v.ID != 1 {
+				t.Fatalf("round %d: victim is not node 1, the lowest ID off the master's node, every time", i)
+			}
+			if m != mean {
+				t.Fatalf("round %d: mean %v, first round's %v", i, m, mean)
+			}
+		}
+	}
 }

@@ -292,11 +292,11 @@ func TestFollowerForPrefersHomeCopy(t *testing.T) {
 		}
 		// The safety gates outrank locality: a commit in flight below the
 		// snapshot sends even the home replica's reader to the owner.
-		c.drep.addInflight(0, cc.TxnID(1<<30), 1)
+		c.Nodes[0].Commits.Add(1, &cc.Txn{})
 		if got := picks(c.Nodes[2], false); !equalInts(got, []int{-1, -1, -1, -1, -1, -1}) {
 			t.Errorf("inflight commit below the snapshot: home replica picked %v, want the owner every time", got)
 		}
-		c.drep.delInflight(0, cc.TxnID(1<<30))
+		c.Nodes[0].Commits.Del(1)
 		// A read served by the home store sends nothing.
 		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[2])
 		msgs, reads := c.Net.Messages(2), c.drep.FollowerReads
@@ -847,5 +847,298 @@ func TestParkedWaiterAcrossTwoRestarts(t *testing.T) {
 				t.Fatalf("commit: %v, key reads %q; want ack=%v and %q", commitErr, got, tt.ack, want)
 			}
 		})
+	}
+}
+
+// depWorld is the stage of the commit-dependency tests: four nodes, every log
+// shipped to two followers, a kv table of 100 rows in three partitions — keys
+// [0,40) and [40,50) on node 0, [50,100) on node 1 — so one single-node commit
+// can install into two trees. Node 0's log disk is slow: a commit there spends
+// several milliseconds in its force, unsettled.
+type depWorld struct {
+	*testCluster
+	t *testing.T
+}
+
+func newDepWorld(t *testing.T) *depWorld {
+	t.Helper()
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig()
+	cfg.Nodes = 4
+	cfg.DataReplicas = 2
+	cfg.Cal.BootTime = time.Millisecond
+	c := New(env, cfg)
+	for _, node := range c.Nodes[1:] {
+		node.HW.ForceActive()
+	}
+	tm, err := c.Master.CreateTable(kvSchema(), table.Physiological, []RangeSpec{
+		{Low: nil, High: ik(40), Owner: c.Nodes[0]},
+		{Low: ik(40), High: ik(50), Owner: c.Nodes[0]},
+		{Low: ik(50), High: nil, Owner: c.Nodes[1]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &depWorld{&testCluster{env: env, c: c, tm: tm}, t}
+	w.run(t, func(p *sim.Proc) {
+		i := 0
+		err := c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
+			if i >= 100 {
+				return nil, nil, false
+			}
+			row := table.Row{int64(i), fmt.Sprintf(idOldVal, i)}
+			key, _ := kvSchema().Key(row)
+			payload, _ := kvSchema().EncodeRow(row)
+			i++
+			return key, payload, true
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	c.SetupReplicationDrain()
+	c.Nodes[0].HW.LogDisk().SetStall(5 * time.Millisecond)
+	return w
+}
+
+// runFor runs fn as a process and the simulation for at most a simulated
+// minute: a commit parked on followers that never come back retries forever,
+// and a failing test must fail, not hang.
+func (w *depWorld) runFor(fn func(p *sim.Proc)) {
+	w.t.Helper()
+	w.env.Spawn("test", fn)
+	if err := w.env.RunUntil(w.env.Now() + time.Minute); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+func (w *depWorld) write(p *sim.Proc, s *Session, k int64, val string) error {
+	payload, _ := kvSchema().EncodeRow(table.Row{k, val})
+	return s.Put(p, "kv", ik(k), payload)
+}
+
+func (w *depWorld) read(p *sim.Proc, s *Session, k int64) string {
+	w.t.Helper()
+	v, ok, err := s.Get(p, "kv", ik(k))
+	if err != nil || !ok {
+		w.t.Errorf("get %d: ok=%v err=%v", k, ok, err)
+		return ""
+	}
+	row, _ := kvSchema().DecodeRow(v)
+	return row[1].(string)
+}
+
+// inForce is a transaction started by commitInForce: its cc.Txn once begun,
+// when its Commit returned — the instant it settled — and with what.
+type inForce struct {
+	txn     *cc.Txn
+	settled time.Duration
+	err     error
+}
+
+// commitInForce starts a transaction at node 0 that writes keys — all on node
+// 0 — to val and commits.
+func (w *depWorld) commitInForce(val string, keys ...int64) *inForce {
+	f := &inForce{}
+	w.env.Spawn("t1", func(p *sim.Proc) {
+		s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.c.Nodes[0])
+		f.txn = s.Txn
+		for _, k := range keys {
+			if err := w.write(p, s, k, val); err != nil {
+				w.t.Errorf("t1 put %d: %v", k, err)
+				return
+			}
+		}
+		if f.err = s.Commit(p); f.err != nil {
+			s.Abort(p)
+		}
+		f.settled = p.Now()
+	})
+	return f
+}
+
+// unsettledWithRecord parks p until f is past its commit point, unsettled, with
+// its commit record on the log (or not yet, with appended false).
+func unsettledWithRecord(p *sim.Proc, f *inForce, appended bool) *cc.Txn {
+	for f.txn == nil || !(f.txn.Unsettled() && (f.txn.CommitLSN != 0) == appended) {
+		p.Sleep(50 * time.Microsecond)
+	}
+	return f.txn
+}
+
+// TestDependentOnSameLogCommitsWithoutWait: T1 is in its force on key 10. T2
+// begins after T1's commit point, reads key 10 — T1's value, with a dependency
+// — overwrites it and commits on the same node: no write conflict, and no wait
+// either, because T2's commit record lies above T1's on the same log. A
+// transaction that began before T1's commit point still loses to it.
+func TestDependentOnSameLogCommitsWithoutWait(t *testing.T) {
+	w := newDepWorld(t)
+	defer w.env.Close()
+	c := w.c
+	f := w.commitInForce("t1", 10)
+	w.run(t, func(p *sim.Proc) {
+		early := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		t1 := unsettledWithRecord(p, f, true)
+		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		if got := w.read(p, t2, 10); got != "t1" {
+			t.Errorf("T2 (snapshot %d over unsettled commit %d) read %q, want T1's value", t2.Txn.Begin, t1.Commit, got)
+		}
+		if len(t2.Txn.Deps) != 1 || t2.Txn.Deps[0] != t1 {
+			t.Errorf("T2's dependencies = %v, want T1", t2.Txn.Deps)
+			return
+		}
+		if err := w.write(p, early, 10, "early"); !errors.Is(err, cc.ErrWriteConflict) {
+			t.Errorf("writer begun before T1's commit point: %v, want ErrWriteConflict", err)
+		}
+		early.Abort(p)
+		if err := w.write(p, t2, 10, "t2"); err != nil {
+			t.Errorf("T2's overwrite of an unsettled version: %v", err)
+			return
+		}
+		if !t1.Unsettled() {
+			t.Error("setup: T1 settled before T2 reached its commit")
+			return
+		}
+		if err := t2.Commit(p); err != nil {
+			t.Errorf("T2 commit: %v", err)
+			return
+		}
+		if c.DepWaits != 0 {
+			t.Errorf("T2 waited for %d dependencies, want none (same log, record already appended)", c.DepWaits)
+		}
+	})
+	if f.err != nil || f.settled == 0 {
+		t.Fatalf("T1: %v, settled at %v", f.err, f.settled)
+	}
+	w.run(t, func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		if got := w.read(p, s, 10); got != "t2" {
+			t.Errorf("key 10 = %q after both commits, want %q", got, "t2")
+		}
+		s.Abort(p)
+	})
+}
+
+// TestDependentElsewhereWaitsForSettle: a transaction that observed T1's
+// unsettled commit and forces nothing on T1's node — read-only, or writing on
+// another node only — finishes at the instant T1 settles, plus the trip that
+// carries the news when T1's node is not home, and never before.
+func TestDependentElsewhereWaitsForSettle(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		home   int
+		writes bool
+	}{
+		{"read-only at T1's node", 0, false},
+		{"read-only elsewhere", 2, false},
+		{"writing on another node", 1, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			w := newDepWorld(t)
+			defer w.env.Close()
+			c := w.c
+			f := w.commitInForce("t1", 10)
+			var done, trip time.Duration
+			w.run(t, func(p *sim.Proc) {
+				t1 := unsettledWithRecord(p, f, true)
+				home := c.Nodes[tt.home]
+				t2 := c.Master.Begin(p, cc.SnapshotIsolation, home)
+				if got := w.read(p, t2, 10); got != "t1" || len(t2.Txn.Deps) != 1 || t2.Txn.Deps[0] != t1 {
+					t.Errorf("T2 read %q with dependencies %v, want T1's value and T1", got, t2.Txn.Deps)
+					return
+				}
+				if tt.writes {
+					if err := w.write(p, t2, 60, "t2"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := t2.Commit(p); err != nil {
+					t.Errorf("T2 commit: %v", err)
+					return
+				}
+				done = p.Now()
+				if home != c.Nodes[0] {
+					at := p.Now()
+					c.Net.Transfer(p, home.ID, 0, 32)
+					c.Net.Transfer(p, 0, home.ID, 32)
+					trip = p.Now() - at
+				}
+			})
+			if f.err != nil {
+				t.Fatalf("T1: %v", f.err)
+			}
+			if c.DepWaits != 1 || c.DepLost != 0 {
+				t.Errorf("dependency waits %d lost %d, want 1 and 0", c.DepWaits, c.DepLost)
+			}
+			if tt.writes {
+				// The wait precedes T2's own commit, which takes its own time.
+				if done <= f.settled {
+					t.Errorf("T2 returned at %v, not after T1 settled at %v", done, f.settled)
+				}
+				return
+			}
+			if done < f.settled || done > f.settled+trip {
+				t.Errorf("read-only T2 returned at %v; T1 settled at %v, a round trip is %v", done, f.settled, trip)
+			}
+		})
+	}
+}
+
+// TestDependentBelowItsDependencyWaits: T1 writes two keys in two partitions of
+// one node and is held up installing the second. T2 reads the first — already
+// installed, its intent released — and writes it back: same node, same log, but
+// T1's commit record is not appended yet and T2's would land below it. No
+// exemption: T2 waits for T1 to settle.
+func TestDependentBelowItsDependencyWaits(t *testing.T) {
+	w := newDepWorld(t)
+	defer w.env.Close()
+	c := w.c
+	second := w.tm.Entries()[1].Part.Segments()
+	if len(second) != 1 {
+		t.Fatalf("setup: partition [40,50) has %d segments", len(second))
+	}
+	release := false
+	w.env.Spawn("hold-second-tree", func(p *sim.Proc) {
+		_ = second[0].Tree.Exclusive(p, func() error {
+			for !release {
+				p.Sleep(100 * time.Microsecond)
+			}
+			return nil
+		})
+	})
+	f := w.commitInForce("t1", 10, 45)
+	var done time.Duration
+	w.run(t, func(p *sim.Proc) {
+		t1 := unsettledWithRecord(p, f, false)
+		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		for w.read(p, t2, 10) != "t1" { // until T1's first install has landed
+			t2.Abort(p)
+			p.Sleep(100 * time.Microsecond)
+			t2 = c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		}
+		if err := w.write(p, t2, 10, "t2"); err != nil {
+			t.Errorf("T2's write over T1's installed key: %v", err)
+			return
+		}
+		if t1.CommitLSN != 0 {
+			t.Error("setup: T1's commit record is already appended")
+			return
+		}
+		w.env.After(2*time.Millisecond, func() { release = true })
+		if err := t2.Commit(p); err != nil {
+			t.Errorf("T2 commit: %v", err)
+			return
+		}
+		done = p.Now()
+	})
+	if f.err != nil {
+		t.Fatalf("T1: %v", f.err)
+	}
+	if c.DepWaits != 1 {
+		t.Errorf("T2 waited for %d dependencies, want 1", c.DepWaits)
+	}
+	if done <= f.settled {
+		t.Errorf("T2 returned at %v, not after T1 settled at %v", done, f.settled)
 	}
 }

@@ -291,9 +291,19 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// fenced at the current clock: recovery rebuilds only the newest
 	// committed image of every key (version chains died with the DRAM, and
 	// checkpointed bases fold superseded versions away), so a reader still
-	// holding an older snapshot — typically one capped below an unsettled
-	// commit that parked across this very outage — must get a retryable
-	// ErrSnapshotTooOld here instead of a silently missing version.
+	// holding an older snapshot — one that began before the outage, or a
+	// PreferFollower session whose safe snapshot sits below a commit parked
+	// across this very outage — must get a retryable ErrSnapshotTooOld here
+	// instead of a silently missing version.
+	//
+	// A commit parked across the outage is among those images if its record
+	// made the flushed boundary: locally durable, on no replica until the
+	// resyncs below, still unsettled. The node's commit table is re-read from
+	// the coordinator's unsettled set in the same instant (the in-doubt
+	// queries above already went there), so whoever reads that leaf depends
+	// on the parked commit — and fails with it if this disk is lost before a
+	// follower has the frame.
+	n.Commits.Restarted()
 	histFloor := c.Master.Oracle.Clock()
 	c.Master.rebind(replaced)
 	for _, old := range n.lostParts {

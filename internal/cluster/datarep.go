@@ -74,12 +74,6 @@ type dataRep struct {
 	followers [][]*DataNode
 	origins   [][]*DataNode
 
-	// inflight: commit timestamps issued whose frames may not yet be
-	// replica-durable, keyed by origin node then transaction. A follower
-	// read at snapshot >= any inflight timestamp of the origin could miss
-	// that transaction's versions, so the read falls back to the origin.
-	inflight map[int]map[cc.TxnID]cc.Timestamp
-
 	// Stats (chaos report + state hash).
 	Rebuilds      int // partitions-hosting nodes rebuilt from replicas
 	ScrubRepairs  int // bit-rotted frames patched from a follower copy
@@ -89,30 +83,6 @@ type dataRep struct {
 	// ShipRetries counts shipRetryDelay sleeps: forced waiters that found no
 	// usable follower. A fault-free run takes none.
 	ShipRetries int
-}
-
-func (d *dataRep) addInflight(node int, id cc.TxnID, ts cc.Timestamp) {
-	m := d.inflight[node]
-	if m == nil {
-		m = make(map[cc.TxnID]cc.Timestamp, 4)
-		d.inflight[node] = m
-	}
-	m[id] = ts
-}
-
-func (d *dataRep) delInflight(node int, id cc.TxnID) { delete(d.inflight[node], id) }
-
-func (d *dataRep) clearInflight(node int) { delete(d.inflight, node) }
-
-// inflightBelow reports whether the origin has an undelivered commit at or
-// below snap — a follower serving that snapshot could miss it.
-func (d *dataRep) inflightBelow(node int, snap cc.Timestamp) bool {
-	for _, ts := range d.inflight[node] {
-		if ts <= snap {
-			return true
-		}
-	}
-	return false
 }
 
 // ReplicationStats reports the data-replication counters: partitions-hosting
@@ -569,7 +539,6 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 	}
 	c.drep = &dataRep{
 		replicas:  replicas,
-		inflight:  make(map[int]map[cc.TxnID]cc.Timestamp),
 		followers: make([][]*DataNode, len(c.Nodes)),
 		origins:   make([][]*DataNode, len(c.Nodes)),
 	}
@@ -1381,10 +1350,9 @@ func (c *Cluster) repairBaseLog(p *sim.Proc, n *DataNode, durable uint64) {
 }
 
 // restartResync runs RestartNode's replication epilogue on a freshly revived
-// node: drop stale inflight bookkeeping, pull fresh replicas of live origins
-// this node follows, and push resyncs to live followers that went stale.
+// node: pull fresh replicas of live origins this node follows, and push
+// resyncs to live followers that went stale.
 func (c *Cluster) restartResync(p *sim.Proc, n *DataNode) {
-	c.drep.clearInflight(n.ID)
 	for _, o := range c.originsOf(n.ID) {
 		if !o.crashed && o.ship.stale[n.ID] {
 			c.resyncFollower(p, o, n)

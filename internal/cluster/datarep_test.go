@@ -199,7 +199,7 @@ func TestFollowerReadStalenessBound(t *testing.T) {
 		// An acked-but-not-yet-replicated commit at the owner makes every
 		// snapshot covering it unservable from a follower: the read must
 		// fall back to the owner (and still see the committed value).
-		tc.c.drep.addInflight(0, cc.TxnID(1<<30), 1)
+		tc.c.Nodes[0].Commits.Add(1, &cc.Txn{})
 		if got := readKey(); got != "fresh" {
 			t.Fatalf("owner fallback read %q, want %q", got, "fresh")
 		}
@@ -209,7 +209,7 @@ func TestFollowerReadStalenessBound(t *testing.T) {
 		}
 
 		// The commit replicates; followers are safe again.
-		tc.c.drep.delInflight(0, cc.TxnID(1<<30))
+		tc.c.Nodes[0].Commits.Del(1)
 		if got := readKey(); got != "fresh" {
 			t.Fatalf("read %q, want %q", got, "fresh")
 		}

@@ -265,3 +265,93 @@ func TestFailoverFromRebuiltLeaderLog(t *testing.T) {
 		t.Fatal("crashed node 0 still seated as leader")
 	}
 }
+
+// TestFailoverFencesSegmentMove: a coordinator failover in the middle of a
+// physiological move — the segment on the wire, the election over before it
+// lands — must abort the move. The new leader rebuilt the partition table; the
+// mover's table and entries are no longer what routing reads, and a segment
+// adopted on their say-so (and detached at its source) would be in no catalog
+// at all: every key of it lost to new snapshots.
+func TestFailoverFencesSegmentMove(t *testing.T) {
+	const rows = 2000
+	w := newFailoverWorld(t, 1000)
+	defer w.env.Close()
+	c := w.c
+	w.env.Spawn("load", func(p *sim.Proc) {
+		i := 0
+		err := c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
+			if i >= rows {
+				return nil, nil, false
+			}
+			row := table.Row{int64(i), fmt.Sprintf(idOldVal, i)}
+			key, _ := kvSchema().Key(row)
+			payload, _ := kvSchema().EncodeRow(row)
+			i++
+			return key, payload, true
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.SetupReplicationDrain()
+	dst := c.Nodes[1]
+	for _, d := range dst.HW.DataDisks() {
+		d.SetStall(2 * time.Second) // the shipped segment's write outlasts the election
+	}
+	var moveErr error
+	moved := false
+	w.env.Spawn("move", func(p *sim.Proc) {
+		moveErr = c.Master.MigrateRange(p, "kv", ik(0), ik(rows/2), dst)
+		moved = true
+	})
+	w.env.Spawn("faults", func(p *sim.Proc) {
+		arrived := func() bool { // the clone is homed at the target: the segment crossed the wire
+			for _, h := range c.homes {
+				if h.node == dst {
+					return true
+				}
+			}
+			return false
+		}
+		for !arrived() {
+			p.Sleep(time.Millisecond)
+		}
+		c.CrashNode(c.Nodes[0])
+		p.Sleep(time.Second)
+		if moved || c.Master.Fenced() || c.Master.Failovers() != 1 {
+			t.Errorf("setup: one second after the leader's crash moved=%v fenced=%v failovers=%d; want the move in flight under a new leader",
+				moved, c.Master.Fenced(), c.Master.Failovers())
+		}
+		if _, _, err := c.RestartNode(p, c.Nodes[0]); err != nil {
+			t.Errorf("restart: %v", err)
+		}
+	})
+	if err := w.env.RunUntil(w.env.Now() + 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !moved || moveErr == nil {
+		t.Fatalf("move finished=%v with %v; want it aborted by the failover", moved, moveErr)
+	}
+	w.env.Spawn("verify", func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, w.data)
+		n := 0
+		err := s.Scan(p, "kv", nil, nil, func(_, _ []byte) bool { n++; return true })
+		if err != nil || n != rows {
+			t.Errorf("scan after the aborted move: %d rows, %v; want %d", n, err, rows)
+		}
+		for _, k := range []int64{0, rows/2 - 1, rows / 2, rows - 1} {
+			if _, ok, err := s.Get(p, "kv", ik(k)); err != nil || !ok {
+				t.Errorf("key %d after the aborted move: ok=%v err=%v", k, ok, err)
+			}
+		}
+		if err := s.Commit(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := w.env.RunUntil(w.env.Now() + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}

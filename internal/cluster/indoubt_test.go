@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -271,11 +272,14 @@ func TestCommitCrashAnywhere(t *testing.T) {
 // everything has restarted: acknowledged means readable, an error means gone.
 func sweepReplicatedCommit(t *testing.T) {
 	const steps = 30
+	var txn *cc.Txn // the committing transaction of the current world
 	commit := func(w *indoubtWorld, keys []int64, resolved *bool, start, end *time.Duration) *error {
 		var commitErr error
+		txn = nil
 		w.env.Spawn("commit", func(p *sim.Proc) {
 			p.Sleep(10 * time.Millisecond)
 			s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+			txn = s.Txn
 			for _, k := range keys {
 				payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
 				if err := s.Put(p, "kv", ik(k), payload); err != nil {
@@ -301,6 +305,7 @@ func sweepReplicatedCommit(t *testing.T) {
 		}
 		w.env.Close()
 		acked, failed, parked := 0, 0, 0
+		depended, depAcked, depFailed := 0, 0, 0
 		for _, victim := range []int{1, 3} { // the home participant; the follower its waits force
 			for i := 0; i <= steps; i++ {
 				crashAt := start + (end-start)*time.Duration(i)/steps
@@ -309,6 +314,47 @@ func sweepReplicatedCommit(t *testing.T) {
 				resolved = false
 				var from, to time.Duration
 				commitErr := commit(w, keys, &resolved, &from, &to)
+				// Two dependents per crash instant, started the moment the
+				// commit is past its commit point and unsettled (or when its
+				// window is over, if the crash came first): a reader homed on
+				// a node the commit never touches, and a writer on the
+				// commit's own home node whose record lands on the same log.
+				// Both read the left key and only the writer can be spared the
+				// wait. What they were told must hold after the restart too.
+				deps := [2]struct {
+					saw  string
+					deps int
+					done bool
+					err  error
+				}{}
+				for i, home := range []*DataNode{w.c.Nodes[0], w.n1} {
+					i, home := i, home
+					w.env.Spawn("dependent", func(p *sim.Proc) {
+						p.Sleep(10 * time.Millisecond)
+						for (txn == nil || !txn.Unsettled()) && p.Now() < end {
+							p.Sleep(50 * time.Microsecond)
+						}
+						d := &deps[i]
+						s := w.c.Master.Begin(p, cc.SnapshotIsolation, home)
+						v, ok, err := s.Get(p, "kv", ik(idLeft))
+						if err == nil && ok {
+							row, _ := kvSchema().DecodeRow(v)
+							d.saw = row[1].(string)
+							d.deps = len(s.Txn.Deps)
+							if i == 1 {
+								payload, _ := kvSchema().EncodeRow(table.Row{idLeft + 1, "dep:" + d.saw})
+								err = s.Put(p, "kv", ik(idLeft+1), payload)
+							}
+						}
+						if err == nil {
+							err = s.Commit(p)
+						}
+						if err != nil {
+							s.Abort(p)
+						}
+						d.err, d.done = err, true
+					})
+				}
 				w.env.After(crashAt, func() { w.c.CrashNode(target) })
 				w.env.Spawn("restart", func(p *sim.Proc) {
 					p.Sleep(crashAt + 100*time.Millisecond)
@@ -332,9 +378,41 @@ func sweepReplicatedCommit(t *testing.T) {
 				} else {
 					acked++
 				}
+				for i, d := range deps {
+					if !d.done {
+						t.Fatalf("keys %v crashAt=%v victim=%d: dependent %d never returned", keys, crashAt, victim, i)
+					}
+					if d.deps > 0 {
+						depended++
+					}
+					if d.err != nil {
+						depFailed++
+					} else {
+						depAcked++
+					}
+					// A dependent that finished over the commit's value was
+					// told that value exists.
+					if d.err == nil && d.saw == "new" && *commitErr != nil {
+						t.Errorf("keys %v crashAt=%v victim=%d: dependent %d finished having read %q, but the commit failed: %v",
+							keys, crashAt, victim, i, d.saw, *commitErr)
+					}
+				}
 				w.env.Spawn("verify", func(p *sim.Proc) {
 					s := w.c.Master.Begin(p, cc.Locking, w.c.Nodes[0])
 					defer s.Abort(p)
+					if v, ok, err := s.Get(p, "kv", ik(idLeft+1)); err != nil || !ok {
+						t.Errorf("keys %v crashAt=%v victim=%d: key %d unreadable after restart: %v %v", keys, crashAt, victim, idLeft+1, ok, err)
+					} else {
+						row, _ := kvSchema().DecodeRow(v)
+						want := fmt.Sprintf(idOldVal, idLeft+1)
+						if deps[1].err == nil {
+							want = "dep:" + deps[1].saw
+						}
+						if got := row[1].(string); got != want {
+							t.Errorf("keys %v crashAt=%v victim=%d: dependent writer returned %v, its key reads %q, want %q",
+								keys, crashAt, victim, deps[1].err, got, want)
+						}
+					}
 					for _, k := range keys {
 						v, ok, err := s.Get(p, "kv", ik(k))
 						if err != nil || !ok {
@@ -364,7 +442,11 @@ func sweepReplicatedCommit(t *testing.T) {
 				w.env.Close()
 			}
 		}
-		t.Logf("replicated sweep, keys %v: %d acked, %d failed, %d callers still parked 100 ms after the crash", keys, acked, failed, parked)
+		t.Logf("replicated sweep, keys %v: %d acked, %d failed, %d callers still parked 100 ms after the crash; dependents: %d took a dependency, %d finished, %d failed",
+			keys, acked, failed, parked, depended, depAcked, depFailed)
+		if depended == 0 || depFailed == 0 {
+			t.Fatalf("replicated sweep of %v: %d dependents took a dependency, %d failed; want both exercised", keys, depended, depFailed)
+		}
 		if acked == 0 || failed == 0 {
 			t.Fatalf("replicated sweep of %v did not cover both outcomes (acked=%d failed=%d)", keys, acked, failed)
 		}
@@ -1026,4 +1108,316 @@ func TestStaleShipMarkCannotRaiseDurable(t *testing.T) {
 				d1, sh.durable[f1.ID], d2, sh.durable[f2.ID])
 		}
 	})
+}
+
+// TestDependentFailsWithItsDependency: T1's node power-fails with T1 in its
+// force and its commit record in the volatile tail. T2 observed T1's value from
+// another node and wrote there; its Commit waits for T1 and, when the restart
+// has sealed the loss, returns the error T1's own commit gets — retryable, and
+// nothing of T2 exists anywhere afterwards.
+func TestDependentFailsWithItsDependency(t *testing.T) {
+	w := newDepWorld(t)
+	defer w.env.Close()
+	c := w.c
+	f := w.commitInForce("t1", 10)
+	var t2Err error
+	w.env.Spawn("t2", func(p *sim.Proc) {
+		unsettledWithRecord(p, f, true)
+		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[1])
+		if got := w.read(p, t2, 10); got != "t1" {
+			t.Errorf("T2 read %q, want T1's unsettled value", got)
+		}
+		if err := w.write(p, t2, 60, "t2"); err != nil {
+			t.Errorf("T2 put: %v", err)
+		}
+		if t2Err = t2.Commit(p); t2Err != nil {
+			t2.Abort(p)
+		}
+	})
+	w.runFor(func(p *sim.Proc) {
+		for c.Nodes[0].depWaiters == 0 {
+			p.Sleep(50 * time.Microsecond)
+		}
+		if c.Nodes[0].Log.FlushedLSN() >= f.txn.CommitLSN {
+			t.Error("setup: T1's commit record is already flushed")
+			return
+		}
+		c.CrashNode(c.Nodes[0])
+		p.Sleep(time.Millisecond)
+		if _, _, err := c.RestartNode(p, c.Nodes[0]); err != nil {
+			t.Error(err)
+		}
+	})
+	var down ErrNodeDown
+	if f.err == nil || !errors.As(t2Err, &down) || down.Node != 0 {
+		t.Fatalf("T1: %v, T2: %v; want both failed, T2 with node 0 down", f.err, t2Err)
+	}
+	if c.DepWaits != 1 || c.DepLost != 1 {
+		t.Errorf("dependency waits %d lost %d, want 1 and 1", c.DepWaits, c.DepLost)
+	}
+	w.run(t, func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[2])
+		for _, k := range []int64{10, 60} {
+			if got, want := w.read(p, s, k), fmt.Sprintf(idOldVal, k); got != want {
+				t.Errorf("key %d = %q after recovery, want %q", k, got, want)
+			}
+		}
+		if len(s.Txn.Deps) != 0 {
+			t.Errorf("a reader after recovery depends on %v", s.Txn.Deps)
+		}
+		if err := s.Commit(p); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestReaderOfUndecidedDistributedCommit: between its commit timestamp and its
+// durable decision a distributed commit's writes exist only as staged values. A
+// reader whose snapshot covers the timestamp gets them, with a dependency, and
+// finishes when the decision is durable — not before; if the coordinator gives
+// up without a decision (presumed abort), the reader fails.
+func TestReaderOfUndecidedDistributedCommit(t *testing.T) {
+	t.Run("decided", func(t *testing.T) {
+		w := newIndoubtWorld(t)
+		defer w.env.Close()
+		w.c.Nodes[0].HW.LogDisk().SetStall(5 * time.Millisecond) // the decision's force
+		var t1 *cc.Txn
+		w.env.Spawn("t1", func(p *sim.Proc) {
+			s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+			t1 = s.Txn
+			for _, k := range []int64{idLeft, idRight} {
+				payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+				if err := s.Put(p, "kv", ik(k), payload); err != nil {
+					t.Errorf("put %d: %v", k, err)
+				}
+			}
+			if err := s.Commit(p); err != nil {
+				t.Errorf("T1 commit: %v", err)
+			}
+		})
+		w.env.Spawn("reader", func(p *sim.Proc) {
+			for t1 == nil || !t1.Unsettled() {
+				p.Sleep(50 * time.Microsecond)
+			}
+			r := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+			v, ok, err := r.Get(p, "kv", ik(idLeft))
+			if err != nil || !ok {
+				t.Errorf("get: %v %v", ok, err)
+				return
+			}
+			if row, _ := kvSchema().DecodeRow(v); row[1].(string) != "new" || len(r.Txn.Deps) != 1 || r.Txn.Deps[0] != t1 {
+				t.Errorf("reader saw %q with dependencies %v, want the staged value and T1", row[1], r.Txn.Deps)
+			}
+			if !t1.Unsettled() || w.c.Master.InDoubtDecisionCount() != 0 {
+				t.Error("setup: the decision is already durable")
+			}
+			if err := r.Commit(p); err != nil {
+				t.Errorf("reader commit: %v", err)
+			}
+			if !t1.Settled {
+				t.Error("the reader finished before T1's decision was durable")
+			}
+		})
+		if err := w.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if w.c.DepWaits != 1 {
+			t.Errorf("dependency waits = %d, want 1", w.c.DepWaits)
+		}
+	})
+	t.Run("presumed abort", func(t *testing.T) {
+		w := newIndoubtWorld(t)
+		defer w.env.Close()
+		var readerErr error
+		finished := false
+		w.env.Spawn("coordinator", func(p *sim.Proc) {
+			// Session.Commit by hand, up to and excluding the decision.
+			s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+			for _, k := range []int64{idLeft, idRight} {
+				payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+				if err := s.Put(p, "kv", ik(k), payload); err != nil {
+					t.Errorf("put %d: %v", k, err)
+				}
+			}
+			branches, err := s.participants()
+			if err != nil || len(branches) != 2 {
+				t.Errorf("participants: %d, %v", len(branches), err)
+				return
+			}
+			for _, b := range branches {
+				if err := s.prepareBranch(p, b); err != nil {
+					t.Errorf("prepare: %v", err)
+				}
+			}
+			cts := w.c.Master.Oracle.CommitTS(s.Txn)
+			s.Txn.CommitNode = w.c.Master.Node.ID
+			for _, b := range branches {
+				b.node.Commits.Add(cts, s.Txn)
+			}
+			w.env.Spawn("reader", func(rp *sim.Proc) {
+				r := w.c.Master.Begin(rp, cc.SnapshotIsolation, w.n2)
+				v, ok, err := r.Get(rp, "kv", ik(idRight))
+				if err != nil || !ok {
+					t.Errorf("get: %v %v", ok, err)
+					return
+				}
+				if row, _ := kvSchema().DecodeRow(v); row[1].(string) != "new" || len(r.Txn.Deps) != 1 {
+					t.Errorf("reader saw %q with dependencies %v, want the staged value and the writer", row[1], r.Txn.Deps)
+				}
+				if readerErr = r.Commit(rp); readerErr != nil {
+					r.Abort(rp)
+				}
+				finished = true
+			})
+			p.Sleep(10 * time.Millisecond)
+			if finished {
+				t.Error("the reader finished over an undecided commit")
+			}
+			s.Abort(p) // the coordinator gives up: no decision was ever forced
+		})
+		if err := w.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var down ErrNodeDown
+		if !finished || !errors.As(readerErr, &down) {
+			t.Fatalf("reader finished=%v with %v, want a node-down error", finished, readerErr)
+		}
+		for _, n := range []*DataNode{w.n1, w.n2} {
+			if n.Commits.Below(^cc.Timestamp(0)) {
+				t.Errorf("node %d's commit table still lists the aborted commit", n.ID)
+			}
+		}
+	})
+}
+
+// TestRecoveredParkedCommitStillUnsettled closes the hole a version-chain
+// lookup would leave: a single-node commit parks with its record flushed
+// locally and both followers down; its origin restarts and the commit comes
+// back as a plain recovered leaf — durable here, on no replica, unsettled. A
+// reader of that leaf must still depend on it. The origin's disk is then
+// destroyed before any follower was resynced: the rebuild drops the commit, and
+// the reader's Commit fails with it instead of having confirmed a value that
+// never was.
+func TestRecoveredParkedCommitStillUnsettled(t *testing.T) {
+	w := newDepWorld(t)
+	defer w.env.Close()
+	c := w.c
+	origin := c.Nodes[0]
+	origin.HW.LogDisk().SetStall(0)
+	restart := func(p *sim.Proc, n *DataNode) {
+		if _, _, err := c.RestartNode(p, n); err != nil {
+			t.Errorf("restart node %d: %v", n.ID, err)
+		}
+	}
+	c.CrashNode(c.Nodes[1])
+	c.CrashNode(c.Nodes[2]) // nobody to ship to: T1 parks after its local force
+	f := w.commitInForce("parked", 10)
+	var saw string
+	var readerErr error
+	finished := false
+	w.runFor(func(p *sim.Proc) {
+		t1 := unsettledWithRecord(p, f, true)
+		for origin.Log.FlushedLSN() < t1.CommitLSN {
+			p.Sleep(50 * time.Microsecond)
+		}
+		c.CrashNode(origin)
+		restart(p, origin) // plain: the flushed record survives, the followers stay down
+		if !t1.Unsettled() || f.settled != 0 {
+			t.Errorf("setup: T1 resolved across the restart (unsettled=%v)", t1.Unsettled())
+			return
+		}
+		w.env.Spawn("reader", func(rp *sim.Proc) {
+			r := c.Master.Begin(rp, cc.SnapshotIsolation, c.Nodes[3])
+			saw = w.read(rp, r, 10)
+			if len(r.Txn.Deps) != 1 || r.Txn.Deps[0] != t1 {
+				t.Errorf("reader of the recovered leaf depends on %v, want the parked commit", r.Txn.Deps)
+			}
+			if readerErr = r.Commit(rp); readerErr != nil {
+				r.Abort(rp)
+			}
+			finished = true
+		})
+		p.Sleep(5 * time.Millisecond)
+		if saw != "parked" || finished {
+			t.Errorf("reader saw %q, finished=%v; want the recovered value and a parked Commit", saw, finished)
+			return
+		}
+		c.DestroyDisk(origin) // before any resync: no replica ever held the frame
+		restart(p, origin)
+		restart(p, c.Nodes[1])
+		restart(p, c.Nodes[2])
+	})
+	if f.err == nil || !finished || readerErr == nil {
+		t.Fatalf("T1: %v; reader finished=%v with %v; want both failed", f.err, finished, readerErr)
+	}
+	w.run(t, func(p *sim.Proc) {
+		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[3])
+		if got, want := w.read(p, s, 10), fmt.Sprintf(idOldVal, 10); got != want {
+			t.Errorf("key 10 = %q after the rebuild, want %q", got, want)
+		}
+		if err := s.Commit(p); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestRestartVoidsTheSameLogExemption: T2 observed T1's unsettled commit on
+// node 0 from elsewhere; node 0 then lost T1's record with its volatile tail
+// and came back, T1 still parked because no follower is up to seal the loss.
+// T2 now writes on node 0: it forces a record on the log T1's record was
+// appended to — but that record is gone, T2's would vouch for nothing, and the
+// exemption must not apply. T2 waits for T1's fate and fails with it.
+func TestRestartVoidsTheSameLogExemption(t *testing.T) {
+	w := newDepWorld(t)
+	defer w.env.Close()
+	c := w.c
+	origin := c.Nodes[0]
+	restart := func(p *sim.Proc, n *DataNode) {
+		if _, _, err := c.RestartNode(p, n); err != nil {
+			t.Errorf("restart node %d: %v", n.ID, err)
+		}
+	}
+	f := w.commitInForce("t1", 10)
+	var t2Err error
+	finished := false
+	w.runFor(func(p *sim.Proc) {
+		t1 := unsettledWithRecord(p, f, true)
+		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[3])
+		if got := w.read(p, t2, 10); got != "t1" || len(t2.Txn.Deps) != 1 {
+			t.Errorf("T2 read %q with dependencies %v, want T1's value and T1", got, t2.Txn.Deps)
+			return
+		}
+		if origin.Log.FlushedLSN() >= t1.CommitLSN {
+			t.Error("setup: T1's commit record is already flushed")
+			return
+		}
+		c.CrashNode(origin)
+		c.CrashNode(c.Nodes[1])
+		c.CrashNode(c.Nodes[2])
+		origin.HW.LogDisk().SetStall(0)
+		restart(p, origin)
+		if !t1.Unsettled() {
+			t.Error("setup: T1 resolved with no follower up to seal its loss")
+			return
+		}
+		if err := w.write(p, t2, 20, "t2"); err != nil {
+			t.Errorf("T2 put on the restarted node: %v", err)
+			return
+		}
+		w.env.Spawn("t2-commit", func(cp *sim.Proc) {
+			if t2Err = t2.Commit(cp); t2Err != nil {
+				t2.Abort(cp)
+			}
+			finished = true
+		})
+		p.Sleep(5 * time.Millisecond)
+		restart(p, c.Nodes[1])
+		restart(p, c.Nodes[2])
+	})
+	if f.err == nil || !finished || t2Err == nil {
+		t.Fatalf("T1: %v; T2 finished=%v with %v; want both failed", f.err, finished, t2Err)
+	}
+	if c.DepWaits != 1 || c.DepLost != 1 {
+		t.Errorf("dependency waits %d lost %d, want 1 and 1", c.DepWaits, c.DepLost)
+	}
 }

@@ -478,6 +478,7 @@ func appendCommitRecord(p *sim.Proc, node *DataNode, txn *cc.Txn) (uint64, bool)
 		return 0, false
 	}
 	lsn := node.Log.Append(wal.Record{Txn: txn.ID, Type: wal.RecCommit})
+	txn.CommitLSN = lsn
 	node.Log.Flush(p, lsn)
 	return lsn, node.Log.FlushedLSN() >= lsn
 }

@@ -154,6 +154,16 @@ func migrationAlive(nodes ...*DataNode) error {
 	return nil
 }
 
+// moveAlive is migrationAlive for a step that also needs the coordinator it
+// started under: it fails once the master is fenced or a failover re-seated it
+// since the caller captured epoch.
+func (m *Master) moveAlive(epoch uint64, nodes ...*DataNode) error {
+	if err := m.coordCheck(epoch); err != nil {
+		return err
+	}
+	return migrationAlive(nodes...)
+}
+
 // --- Logical partitioning ---------------------------------------------------
 
 // logicalBatch is the number of records per movement transaction.
@@ -410,13 +420,15 @@ func retryConflict(p *sim.Proc, err error) error {
 	return err
 }
 
-// snapshotsPast reports whether every snapshot, present or future, begins
+// snapshotsPast reports whether every snapshot, present or future, reads
 // above horizon — the old copies of a moved range are then unreachable. With
 // nothing active the watermark equals the oracle's clock, which can sit
 // exactly at the horizon forever on a quiesced cluster, yet any future
-// snapshot begins above it. Not so while a commit is unsettled: Begin caps
-// new snapshots below it, and a commit parked across its node's outage keeps
-// handing out snapshots at or below the horizon for as long as it parks.
+// snapshot begins above it. Not so while a commit is unsettled: safe
+// snapshots stay below it, and a commit parked across its node's outage keeps
+// PreferFollower sessions reading at or below the horizon for as long as it
+// parks. (The active table holds every transaction's safe snapshot, so the
+// watermark speaks for the ones reading at Begin too.)
 func (m *Master) snapshotsPast(horizon cc.Timestamp) bool {
 	o := m.Oracle
 	return o.ActiveCount() == 0 && o.UnsettledCount() == 0 || o.Watermark() > horizon
@@ -425,10 +437,9 @@ func (m *Master) snapshotsPast(horizon cc.Timestamp) bool {
 // scheduleOldPointerCleanup drops the dual pointer and vacuums the source
 // once every snapshot that could see the old copies has finished.
 func (m *Master) scheduleOldPointerCleanup(tm *TableMeta, e *RangeEntry) {
-	horizon := m.Oracle.Begin(cc.SnapshotIsolation)
-	m.Oracle.Abort(horizon) // only needed its timestamp
+	horizon := m.Oracle.Clock() // every snapshot begun so far is at or below it
 	m.cluster.Env.Spawn("old-pointer-cleanup", func(p *sim.Proc) {
-		for !m.snapshotsPast(horizon.Begin) {
+		for !m.snapshotsPast(horizon) {
 			p.Sleep(time.Second)
 		}
 		// Read the source through the entry at fire time: a source-node
@@ -457,6 +468,11 @@ func (m *Master) scheduleOldPointerCleanup(tm *TableMeta, e *RangeEntry) {
 // migratePhysiological ships whole mini-partitions (segments) of [lo, hi)
 // to dst, following the Sect. 4.3 repartitioning protocol step by step.
 func (m *Master) migratePhysiological(p *sim.Proc, tm *TableMeta, lo, hi []byte, dst *DataNode) error {
+	// A coordinator failover orphans this migration as it does a logical one:
+	// the new leader rebuilt the partition table, tm and its entries are no
+	// longer what routing reads, and a segment adopted on their say-so would
+	// vanish from the catalog. Every step of every move re-checks (moveAlive).
+	epoch := m.epoch
 	for _, e := range tm.overlapping(lo, hi) {
 		if e.Owner == dst {
 			continue
@@ -499,7 +515,7 @@ func (m *Master) migratePhysiological(p *sim.Proc, tm *TableMeta, lo, hi []byte,
 		dstPart.AdoptOnly = true
 		dst.Parts[dstPart.ID] = dstPart
 		for {
-			if err := migrationAlive(e.Owner, dst); err != nil {
+			if err := m.moveAlive(epoch, e.Owner, dst); err != nil {
 				return err
 			}
 			// Pick the next mini-partition fully inside [lo, hi).
@@ -523,7 +539,7 @@ func (m *Master) migratePhysiological(p *sim.Proc, tm *TableMeta, lo, hi []byte,
 			if cur.Part != srcPart {
 				return fmt.Errorf("cluster: entry for %x no longer points at source partition", target.Low)
 			}
-			if err := m.moveSegment(p, tm, cur, target, dstPart, dst); err != nil {
+			if err := m.moveSegment(p, tm, cur, target, dstPart, dst, epoch); err != nil {
 				return err
 			}
 		}
@@ -546,7 +562,7 @@ func (m *Master) migratePhysiological(p *sim.Proc, tm *TableMeta, lo, hi []byte,
 // overflow-split the mini-partition after the master captured its bounds,
 // stranding the split-off tail at the source behind a dual pointer that is
 // later dropped.
-func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table.SegHandle, dstPart *table.Partition, dst *DataNode) error {
+func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table.SegHandle, dstPart *table.Partition, dst *DataNode, epoch uint64) error {
 	src := e.Part
 	srcOwner := e.Owner
 
@@ -561,7 +577,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 		mover.Abort(p)
 		return err
 	}
-	if err := migrationAlive(srcOwner, dst); err != nil {
+	if err := m.moveAlive(epoch, srcOwner, dst); err != nil {
 		srcOwner.Locks.ReleaseAll(mover.Txn)
 		mover.Abort(p)
 		return err
@@ -621,7 +637,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	if !m.shipTable(p, tm.Schema.Name, true) {
 		return abortMove(mover, nil, ErrMasterDown{})
 	}
-	if err := migrationAlive(srcOwner, dst); err != nil {
+	if err := m.moveAlive(epoch, srcOwner, dst); err != nil {
 		return abortMove(mover, nil, err)
 	}
 
@@ -633,7 +649,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	if err := srcOwner.Pool.FlushSegment(p, h.Seg.ID); err != nil {
 		return abortMove(mover, nil, err)
 	}
-	if err := migrationAlive(srcOwner, dst); err != nil {
+	if err := m.moveAlive(epoch, srcOwner, dst); err != nil {
 		return abortMove(mover, nil, err)
 	}
 
@@ -645,14 +661,14 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	size := h.Seg.Bytes()
 	home.disk.ReadSeq(p, size)
 	m.cluster.Net.Transfer(p, srcOwner.ID, dst.ID, size)
-	if err := migrationAlive(srcOwner, dst); err != nil {
+	if err := m.moveAlive(epoch, srcOwner, dst); err != nil {
 		return abortMove(mover, nil, err)
 	}
 	clone := h.Seg.Clone(m.cluster.NextSegID())
 	dst.AdoptShippedSegment(clone)
 	destHome, _ := m.cluster.home(clone.ID)
 	destHome.disk.WriteSeq(p, size)
-	if err := migrationAlive(srcOwner, dst); err != nil {
+	if err := m.moveAlive(epoch, srcOwner, dst); err != nil {
 		return abortMove(mover, clone, err)
 	}
 
@@ -674,15 +690,12 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// the records and has them in its recovery base), the source keeps its
 	// now-shadowed copy behind the old pointer, and the error surfaces
 	// without reverting the entry.
-	moveTS := m.Oracle.Watermark() // snapshots begun before now may still read the ghost
-	horizon := m.Oracle.Begin(cc.SnapshotIsolation)
-	m.Oracle.Abort(horizon)
-	if err := src.DetachSegment(h, horizon.Begin); err != nil {
+	horizon := m.Oracle.Clock() // snapshots begun by now may still read the ghost
+	if err := src.DetachSegment(h, horizon); err != nil {
 		srcOwner.Locks.ReleaseAll(mover.Txn)
 		mover.Abort(p)
 		return err
 	}
-	_ = moveTS
 	srcOwner.Locks.ReleaseAll(mover.Txn)
 	m.Oracle.Abort(mover.Txn)
 
@@ -701,7 +714,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// checkpoint already taken.
 	segID := h.Seg.ID
 	m.cluster.Env.Spawn("ghost-drop", func(gp *sim.Proc) {
-		for !m.snapshotsPast(horizon.Begin) {
+		for !m.snapshotsPast(horizon) {
 			gp.Sleep(time.Second)
 		}
 		e.OldPart = nil

@@ -72,11 +72,7 @@ func (mon *Monitor) tick(p *sim.Proc) {
 	if mon.policy == nil || !mon.policy.Enabled || mon.inDecision {
 		return
 	}
-	var sum float64
-	for _, u := range util {
-		sum += u
-	}
-	avg := sum / float64(len(util))
+	avg := mon.meanUtil(util)
 	switch {
 	case avg > mon.policy.HighCPU:
 		if standby := m.cluster.StandbyNode(); standby != nil {
@@ -104,12 +100,26 @@ func (mon *Monitor) tick(p *sim.Proc) {
 	}
 }
 
+// meanUtil averages a sample over the reporting nodes, summed in ascending
+// node ID: float addition does not commute bit for bit, and a sample's map
+// order changes from run to run.
+func (mon *Monitor) meanUtil(util map[int]float64) float64 {
+	var sum float64
+	for _, n := range mon.master.cluster.Nodes {
+		sum += util[n.ID] // absent (not active): adds zero
+	}
+	return sum / float64(len(util))
+}
+
+// idlestNode picks the scale-in victim: the least utilised reporting node
+// other than the master's, the lowest node ID among equals — at idle every
+// node ties, and map order must not decide which one drains.
 func (mon *Monitor) idlestNode(util map[int]float64) *DataNode {
 	var victim *DataNode
 	best := 2.0
-	for id, u := range util {
-		n := mon.master.cluster.Nodes[id]
-		if n == mon.master.Node {
+	for _, n := range mon.master.cluster.Nodes {
+		u, reported := util[n.ID]
+		if !reported || n == mon.master.Node {
 			continue
 		}
 		if u < best {

@@ -15,6 +15,15 @@ import (
 // node (TPC-C: the node owning the home warehouse); operations on
 // partitions owned elsewhere pay request/response network trips, and commit
 // runs two-phase when multiple nodes were written.
+//
+// The snapshot is the oracle's clock at Begin, so a read may return a version
+// whose commit is still in its force; the session then depends on that commit
+// (Txn.Deps). What a session read is final when its Commit returns nil and at
+// no earlier point — a read-only session's too: Commit is what settles the
+// dependencies, and it fails, retryably, if a power failure rolled one of them
+// back. Abort discards the reads along with the writes; a caller that acts on
+// a read before Commit returned, or after Abort, acts on a value that may
+// never have existed.
 type Session struct {
 	m    *Master
 	Txn  *cc.Txn
@@ -36,12 +45,18 @@ type Session struct {
 	reads int
 
 	// PreferFollower is the analytics offloading hint: a read-only snapshot
-	// session that sets it skips the owner/replica alternation and serves
-	// every eligible read from a follower store — the one hosted at home
-	// first — keeping scans off the primaries entirely, a home primary
-	// included. Only the load-balancing heuristic is bypassed — all safety
-	// gates (snapshot coverage, in-flight commits, sync state) still apply,
-	// and ineligible reads fall back to the owner as usual.
+	// session that sets it — before its first read — skips the owner/replica
+	// alternation and serves every eligible read from a follower store — the
+	// one hosted at home first — keeping scans off the primaries entirely, a
+	// home primary included. Only the load-balancing heuristic is bypassed —
+	// all safety gates (snapshot coverage, in-flight commits, sync state) still
+	// apply, and ineligible reads fall back to the owner as usual.
+	//
+	// It also means the session reads at its safe snapshot (Txn.Safe) instead
+	// of the clock: a replica can only ever serve settled history, and a query
+	// that never commits has no point at which to settle a dependency. Such a
+	// session sees nothing unsettled, takes no dependency, and needs no Commit
+	// for its reads to be final.
 	PreferFollower bool
 }
 
@@ -90,6 +105,14 @@ func (m *Master) BeginSystem(p *sim.Proc, mode cc.Mode, home *DataNode) *Session
 	return s
 }
 
+// pin runs ahead of every read and fixes what the session reads at: under
+// PreferFollower the safe snapshot, from the first read on.
+func (s *Session) pin() {
+	if s.PreferFollower {
+		s.Txn.Begin = s.Txn.Safe
+	}
+}
+
 // rpc charges a request/response round trip between home and the operating
 // node (free when co-located).
 func (s *Session) rpc(p *sim.Proc, owner *DataNode, reqBytes, respBytes int64) {
@@ -131,7 +154,7 @@ func (s *Session) followerFor(e *RangeEntry) *DataNode {
 	if origin.Down() || origin.ship.visibleBelow(s.Txn.Begin) {
 		return nil // an undelivered frame holds a version below the snapshot
 	}
-	if c.drep.inflightBelow(origin.ID, s.Txn.Begin) {
+	if origin.Commits.Below(s.Txn.Begin) {
 		return nil // a commit at or below the snapshot is not yet replicated
 	}
 	var remote *DataNode
@@ -191,6 +214,7 @@ func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, 
 	if s.fenced {
 		return nil, false, ErrMasterDown{}
 	}
+	s.pin()
 	tm, err := s.m.Table(tableName)
 	if err != nil {
 		return nil, false, err
@@ -314,6 +338,7 @@ func (s *Session) Scan(p *sim.Proc, tableName string, lo, hi []byte, fn func(key
 	if s.fenced {
 		return ErrMasterDown{}
 	}
+	s.pin()
 	tm, err := s.m.Table(tableName)
 	if err != nil {
 		return err
@@ -480,6 +505,10 @@ func (s *Session) mergedScan(p *sim.Proc, e *RangeEntry, lo, hi []byte, fn func(
 //     decision, so a crash inside the window simply loses the unflushed
 //     tail and the restart rolls the transaction back — the caller saw an
 //     error and never acknowledged.
+//
+// Before any of that, the unsettled commits the transaction observed are
+// settled (settleDeps): nothing below returns nil over a read that a power
+// failure can still take back.
 func (s *Session) Commit(p *sim.Proc) error {
 	if !s.Txn.Active() {
 		return cc.ErrTxnNotActive
@@ -488,12 +517,19 @@ func (s *Session) Commit(p *sim.Proc) error {
 		// A read-only snapshot transaction holds nothing anywhere: no staged
 		// write, no lock, no version of its own. It ends where it ran — no
 		// trip to the master, no gate (a fenced coordinator cannot fail
-		// reads that already succeeded), no commit timestamp burnt.
+		// reads that already succeeded), no commit timestamp burnt — once
+		// what it read is settled.
+		if err := s.settleDeps(p, nil); err != nil {
+			return err
+		}
 		s.m.Oracle.EndReadOnly(s.Txn)
 		return nil
 	}
 	branches, err := s.participants()
 	if err != nil {
+		return err
+	}
+	if err := s.settleDeps(p, branches); err != nil {
 		return err
 	}
 	c := s.m.cluster
@@ -537,28 +573,26 @@ func (s *Session) Commit(p *sim.Proc) error {
 	}
 	commitTS := s.m.Oracle.CommitTS(s.Txn)
 	// The commit timestamp exists but the commit is not yet durable at its
-	// participants and on their replicas: register it so follower reads at
-	// snapshots covering it fall back to the owner until each branch's two
-	// forces are done — a replica store applies a commit record the moment it
-	// is shipped, which is before the origin has flushed it (deregistered per
-	// branch; a participant crash clears its entries wholesale at restart).
-	// Locking-mode versions carry the begin timestamp, so that is what a
-	// snapshot must stay below.
-	if c.drep != nil {
-		ts := commitTS
-		if s.Txn.Mode == cc.Locking {
-			ts = s.Txn.Begin
-		}
-		for _, b := range branches {
-			c.drep.addInflight(b.node.ID, s.Txn.ID, ts)
-		}
+	// participants and on their replicas: enter it in every participant's
+	// commit table. Readers there that resolve to one of its versions depend
+	// on it until it settles, and follower reads at snapshots covering it fall
+	// back to the owner until the branch's two forces are done — a replica
+	// store applies a commit record the moment it is shipped, which is before
+	// the origin has flushed it. A branch leaves the table when it is forced;
+	// a participant's restart drops what recovery resolved.
+	s.Txn.CommitNode = s.m.Node.ID // a distributed commit is sealed by the coordinator's decision
+	if len(branches) == 1 {
+		s.Txn.CommitNode = branches[0].node.ID
+	}
+	for _, b := range branches {
+		b.node.Commits.Add(s.versionTS(), s.Txn)
 	}
 	if !distributed {
 		// Fast path: install and force on the one participant, in this
 		// process. Its fate seals only when the commit record is durable and,
 		// under replication, a replica holds the branch: settling any earlier
-		// would let a snapshot observe a commit that a power failure during
-		// the force still rolls back at restart.
+		// would release its dependents over a commit that a power failure
+		// during the force still rolls back at restart.
 		for _, b := range branches {
 			if err := s.commitBranch(p, b, commitTS, false); err != nil {
 				return err
@@ -570,7 +604,8 @@ func (s *Session) Commit(p *sim.Proc) error {
 		// installs: from here the transaction commits everywhere, no matter
 		// which nodes fail when. That seals the durability fate — prepared
 		// branches roll forward from their forced prepare images — so the
-		// commit timestamp settles here and new snapshots may cover it.
+		// commit settles here, and whoever read its staged values since the
+		// commit point may finish.
 		s.m.recordDecision(p, s.Txn, commitTS, branches)
 		s.m.Oracle.SettleCommit(s.Txn)
 		// Phase 2: every participant installs, all at once. A branch that
@@ -584,6 +619,71 @@ func (s *Session) Commit(p *sim.Proc) error {
 	s.Txn.DropUndo()
 	return nil
 }
+
+// versionTS is the timestamp the transaction's versions carry, the key of its
+// commit-table entries: the commit timestamp, or — locking-mode writes are
+// applied in place as they happen — the begin timestamp.
+func (s *Session) versionTS() cc.Timestamp {
+	if s.Txn.Mode == cc.Locking {
+		return s.Txn.Begin
+	}
+	return s.Txn.Commit
+}
+
+// settleDeps holds the transaction back until none of the unsettled commits
+// it observed can take its reads back, and fails it if one already did.
+//
+// A dependency whose commit record is already on the log of a node where this
+// transaction is about to force a record of its own — the commit record of a
+// single-node commit, a prepare vote — needs no wait at all: that record will
+// sit above the dependency's on the same log and the same ship stream, so the
+// force and the replica ack this commit waits for anyway cover the dependency
+// too, and a power failure that loses the dependency loses this transaction's
+// branch with it. That is the common case on a hot row, read and written by
+// every transaction of its node. Any other dependency — observed on a node this
+// transaction only read, sealed by a coordinator's decision, or still
+// installing, its record not yet appended — is waited for where its fate is
+// known, one round trip away when that is not home. If it was rolled back the
+// caller gets the error its own commit would have got from that node.
+func (s *Session) settleDeps(p *sim.Proc, branches []branch) error {
+	c := s.m.cluster
+deps:
+	for _, d := range s.Txn.Deps {
+		if d.Settled {
+			continue
+		}
+		if d.Unsettled() && d.CommitLSN != 0 {
+			for _, b := range branches {
+				if b.node.ID == d.CommitNode {
+					continue deps
+				}
+			}
+		}
+		node := c.Nodes[d.CommitNode]
+		c.DepWaits++
+		node.depWaiters++
+		if node != s.Home {
+			c.Net.Transfer(p, s.Home.ID, node.ID, 32)
+		}
+		stop := p.Meter(sim.CatLogging)
+		settled := d.AwaitSettled(p)
+		stop()
+		if node != s.Home {
+			c.Net.Transfer(p, node.ID, s.Home.ID, 32)
+		}
+		node.depWaiters--
+		if !settled {
+			c.DepLost++
+			return ErrNodeDown{node.ID}
+		}
+	}
+	return nil
+}
+
+// DependedOn reports whether some session is parked in Commit right now on an
+// unsettled commit whose fate n seals: a power failure of n at this instant
+// decides that session's fate too. The chaos harness aims crashes here.
+func (c *Cluster) DependedOn(n *DataNode) bool { return !n.crashed && n.depWaiters > 0 }
 
 // branch is one participant of a commit: a node and the partitions on it that
 // hold staged writes of the transaction, in partition-ID order.
@@ -736,11 +836,12 @@ func (s *Session) commitBranch(p *sim.Proc, b branch, commitTS cc.Timestamp, dis
 			return ErrNodeDown{node.ID}
 		}
 		lsn := node.Log.Append(wal.Record{Txn: s.Txn.ID, Type: wal.RecCommit})
+		s.Txn.CommitLSN = lsn
 		if !c.forceShip(p, node, lsn, node.ship.gen, !distributed) {
 			return ErrNodeDown{node.ID}
 		}
-		c.drep.delInflight(node.ID, s.Txn.ID)
 	}
+	node.Commits.Del(s.versionTS())
 	if distributed {
 		s.m.ackDecision(s.Txn.ID, node.ID)
 	}
@@ -783,6 +884,9 @@ func (s *Session) Abort(p *sim.Proc) {
 	lockNodes := s.lockNodeList()
 	for _, node := range lockNodes {
 		node.Log.Append(wal.Record{Txn: s.Txn.ID, Type: wal.RecAbort})
+		if s.Txn.State == cc.TxnCommitted { // failed past its commit point
+			node.Commits.Del(s.versionTS())
+		}
 	}
 	s.m.Oracle.Abort(s.Txn)
 	for _, node := range lockNodes {

@@ -73,6 +73,29 @@ func TestFig3Smoke(t *testing.T) {
 	}
 }
 
+// TestFig3Shape gates the figure's claim at a fifth of the benchmark's scale
+// (0.2 s): while half the table is on the move MVCC commits more transactions
+// than MGL-RX at every update ratio — readers never queue behind the mover, and
+// a writer that begins after a commit point reads that commit instead of
+// losing to it — and pays for it in retained versions. The run is a fixed seed
+// of a deterministic simulation, so it fails on a change, not on a bad day; at
+// this scale one 2 s lock-timeout stall is a tenth of a run, and other seeds
+// show one (ROADMAP item 2), so the seed is part of the test.
+func TestFig3Shape(t *testing.T) {
+	res, err := Fig3(1000, []int{0, 50, 100}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row.MVCCPerMin <= row.LockingPerMin {
+			t.Errorf("%d%% updates: MVCC %.0f TA/min does not out-run MGL-RX %.0f", row.UpdatePct, row.MVCCPerMin, row.LockingPerMin)
+		}
+	}
+	if mid := res.Rows[1]; mid.MVCCStorage <= mid.LockingStorage {
+		t.Errorf("50%% updates: MVCC storage %.0f%% does not exceed locking's %.0f%%", mid.MVCCStorage, mid.LockingStorage)
+	}
+}
+
 // TestFig6Smoke runs the rebalancing timeline for every scheme at a tiny
 // scale: each timeline commits transactions, finishes its migration, and
 // produces non-empty, finite series.

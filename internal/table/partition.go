@@ -50,9 +50,13 @@ type PagerFactory interface {
 
 // Deps bundles the node services a partition operates with.
 type Deps struct {
-	Env     *sim.Env
-	Oracle  *cc.Oracle
-	Locks   *cc.LockManager
+	Env    *sim.Env
+	Oracle *cc.Oracle
+	Locks  *cc.LockManager
+	// Commits is the node's table of commits not yet forced (nil: none
+	// tracked); the partition's version store resolves read dependencies
+	// against it.
+	Commits *cc.CommitTable
 	Log     *wal.Log
 	Factory PagerFactory
 	// Compute charges CPU time on the owning node (nil: free).
@@ -201,6 +205,7 @@ func NewPartition(id PartID, schema *Schema, scheme Scheme, low, high []byte, de
 		pending: make(map[cc.TxnID][]string),
 		tombs:   make(map[string]struct{}),
 	}
+	pt.Store.Commits = deps.Commits
 	if scheme != Physiological {
 		pt.span = btree.New(&spanningPager{pt: pt}, 0, nil)
 		pt.span.Serialize(deps.Env)

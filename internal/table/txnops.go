@@ -497,7 +497,7 @@ func CommitTxn(p *sim.Proc, txn *cc.Txn, parts ...*Partition) error {
 	}
 	lsn := deps.Log.Append(wal.Record{Txn: txn.ID, Type: wal.RecCommit})
 	deps.Log.Flush(p, lsn)
-	// The forced commit record seals the fate: settle so new snapshots may
+	// The forced commit record seals the fate: settle, so safe snapshots may
 	// cover the commit timestamp.
 	deps.Oracle.SettleCommit(txn)
 	deps.Locks.ReleaseAll(txn)
