@@ -1,10 +1,7 @@
 GO ?= go
 
-# Micro-benchmarks compared by bench-baseline / bench-compare.
-BENCH_PATTERN  ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan
-BENCH_COUNT    ?= 10
-BENCH_BASELINE ?= bench-baseline.txt
-BENCH_NEW      ?= bench-new.txt
+# Hot-path micro-benchmarks run by bench-micro.
+BENCH_PATTERN ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan
 
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25
@@ -12,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench fig3 vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
+.PHONY: all build test test-race test-bench fig3 vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -134,23 +131,3 @@ bench-analytics:
 	$(GO) test ./internal/chbench/ -v
 	$(GO) test -bench='BenchmarkFigHTAP' -benchtime=1x -run '^$$' -v .
 	$(GO) test -bench='BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan' -benchmem -run '^$$' .
-
-## bench-baseline: record the micro-benchmark baseline bench-compare diffs
-## against (run it on the old code before starting a change)
-bench-baseline:
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) -run '^$$' . | tee $(BENCH_BASELINE)
-
-## bench-compare: re-run the micro-benchmarks with -count=$(BENCH_COUNT) and
-## report old-vs-new via benchstat (install: go install
-## golang.org/x/perf/cmd/benchstat@latest); without benchstat the raw runs
-## are kept on disk for manual comparison
-bench-compare:
-	@test -f $(BENCH_BASELINE) || { \
-		echo "no $(BENCH_BASELINE); run 'make bench-baseline' on the old code first"; exit 1; }
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) -run '^$$' . | tee $(BENCH_NEW)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_BASELINE) $(BENCH_NEW); \
-	else \
-		echo "benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest);"; \
-		echo "raw runs kept in $(BENCH_BASELINE) and $(BENCH_NEW) for manual comparison"; \
-	fi

@@ -8,9 +8,9 @@ package wattdb_test
 
 import (
 	"testing"
+	"time"
 
 	"wattdb/internal/experiments"
-	"wattdb/internal/metrics"
 )
 
 func quick() experiments.Preset { return experiments.Quick() }
@@ -101,21 +101,6 @@ func BenchmarkFig3MVCCvsLocking(b *testing.B) {
 	}
 }
 
-func meanQPS(bins []metrics.Bin, fromSec, toSec float64) float64 {
-	sum, n := 0.0, 0
-	for _, bin := range bins {
-		s := bin.Start.Seconds()
-		if s >= fromSec && s < toSec {
-			sum += bin.Mean
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // BenchmarkFig6Rebalancing regenerates Fig. 6: the TPC-C rebalance under
 // all three partitioning schemes.
 func BenchmarkFig6Rebalancing(b *testing.B) {
@@ -126,9 +111,9 @@ func BenchmarkFig6Rebalancing(b *testing.B) {
 		}
 		if i == 0 {
 			report := func(name string, tl experiments.TimelineResult) (before, during, after float64) {
-				before = meanQPS(tl.QPS, -30, 0)
-				during = meanQPS(tl.QPS, 0, tl.MigrationTook.Seconds())
-				after = meanQPS(tl.QPS, tl.MigrationTook.Seconds()+20, 120)
+				before = experiments.MeanOver(tl.QPS, -30*time.Second, 0)
+				during = experiments.MeanOver(tl.QPS, 0, tl.MigrationTook)
+				after = experiments.MeanOver(tl.QPS, tl.MigrationTook+20*time.Second, 120*time.Second)
 				b.Logf("%-14s migration %3.0fs, qps before/during/after = %.0f / %.0f / %.0f",
 					name, tl.MigrationTook.Seconds(), before, during, after)
 				return
@@ -222,8 +207,8 @@ func BenchmarkFig8Helpers(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			plainW := meanQPS(res.Plain.Watts, 0, 20)
-			helpedW := meanQPS(res.Helped.Watts, 0, 20)
+			plainW := experiments.MeanOver(res.Plain.Watts, 0, 20*time.Second)
+			helpedW := experiments.MeanOver(res.Helped.Watts, 0, 20*time.Second)
 			b.Logf("power during rebalance: plain %.0f W, +helpers %.0f W", plainW, helpedW)
 			if helpedW <= plainW {
 				b.Errorf("helpers must draw extra power (%.0f vs %.0f W)", helpedW, plainW)

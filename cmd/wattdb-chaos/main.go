@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"wattdb/internal/chaos"
@@ -94,10 +95,7 @@ func main() {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s sim=%5.1fs commits=%d aborts=%d failedOps=%d crashes=%d (torn=%d flips=%d ahead=%d dep=%d leader=%d disk=%d ckpt=%d) restarts=%d failovers=%d rebuilds=%d scrubs=%d freads=%d ckpts=%d bounded=%d replay=%dB rto=%v htapq=%d htaprows=%d depwaits=%d deplost=%d\n",
-			s, scheme, status, rep.StateHash, rep.SimTime.Seconds(),
-			rep.Commits, rep.Aborts, rep.FailedOps, rep.Crashes, rep.TornCrashes, rep.BitFlips, rep.AheadCrashes, rep.DepCrashes, rep.LeaderCrashes, rep.DiskLosses, rep.CkptCrashes, rep.Restarts, rep.Failovers,
-			rep.Rebuilds, rep.ScrubRepairs, rep.FollowerReads, rep.Checkpoints, rep.BoundedRestarts, rep.ReplayBytes, rep.RecoveryTime, rep.AnalyticsQueries, rep.AnalyticsRows, rep.DepWaits, rep.DepLost)
+		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s%s\n", s, scheme, status, rep.StateHash, counters(rep))
 		if *verbose || !rep.Passed() {
 			for _, f := range rep.Faults {
 				fmt.Printf("    %s\n", f)
@@ -107,36 +105,16 @@ func main() {
 			for _, v := range rep.Violations {
 				fmt.Printf("    VIOLATION: %s\n", v)
 			}
+			// Every flag the user set shapes the plan; the repro carries them
+			// all, or the failing schedule will not regenerate.
 			repro := fmt.Sprintf("go run ./cmd/wattdb-chaos -seed %d -scheme %s", s, scheme)
-			if *tpccMode {
-				repro += " -tpcc"
-			}
-			// Non-default knobs change the fault plan; the repro must carry
-			// them or the failing schedule will not regenerate.
-			if *keys != 0 {
-				repro += fmt.Sprintf(" -keys %d", *keys)
-			}
-			if *workers != 0 {
-				repro += fmt.Sprintf(" -workers %d", *workers)
-			}
-			if *duration != 0 {
-				repro += fmt.Sprintf(" -duration %s", *duration)
-			}
-			if *faults != 0 {
-				repro += fmt.Sprintf(" -faults %d", *faults)
-			}
-			if *coord != 0 {
-				repro += fmt.Sprintf(" -coord %d", *coord)
-			}
-			if *disk != 0 {
-				repro += fmt.Sprintf(" -disk %d", *disk)
-			}
-			if *ckpt != 0 {
-				repro += fmt.Sprintf(" -ckpt %d", *ckpt)
-			}
-			if *htap != 0 {
-				repro += fmt.Sprintf(" -htap %d", *htap)
-			}
+			flag.Visit(func(f *flag.Flag) {
+				switch f.Name {
+				case "seeds", "seed", "scheme", "v":
+				default:
+					repro += fmt.Sprintf(" -%s=%s", f.Name, f.Value)
+				}
+			})
 			fmt.Printf("    reproduce: %s\n", repro)
 		}
 	}
@@ -144,4 +122,16 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// counters renders every counter of the report but the two the line opens
+// with, as " name=value" in Report's declaration order.
+func counters(rep *chaos.Report) string {
+	var b strings.Builder
+	rep.EachCounter(func(name string, value any) {
+		if name != "Seed" && name != "Scheme" {
+			fmt.Fprintf(&b, " %s=%v", strings.ToLower(name[:1])+name[1:], value)
+		}
+	})
+	return b.String()
 }

@@ -416,15 +416,6 @@ func (t *Tree) Count(p *sim.Proc) (int, error) {
 	return n, err
 }
 
-// MinKey returns the smallest key, ok=false for an empty tree.
-func (t *Tree) MinKey(p *sim.Proc) ([]byte, bool, error) {
-	c, err := t.Seek(p, nil)
-	if err != nil || !c.Valid() {
-		return nil, false, err
-	}
-	return bytes.Clone(c.Key()), true, nil
-}
-
 // Validate checks structural invariants: key ordering within and across
 // pages, separator coverage, and uniform leaf depth. It returns a
 // descriptive error on the first violation.

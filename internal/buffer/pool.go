@@ -65,9 +65,6 @@ type Frame struct {
 	pool       *Pool
 }
 
-// Dirty reports whether the frame has unflushed modifications.
-func (f *Frame) Dirty() bool { return f.dirty }
-
 // Stats aggregates buffer pool counters.
 type Stats struct {
 	Hits, Misses, Evictions, Flushes int64

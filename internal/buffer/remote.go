@@ -19,8 +19,6 @@ type Remote struct {
 	capacity int
 	pages    map[storage.PageID][]byte
 	order    []storage.PageID // FIFO eviction of the cache itself
-	hits     int64
-	stores   int64
 }
 
 // NewRemote creates a remote cache of capacity pages on helper helperID,
@@ -48,7 +46,6 @@ func (r *Remote) Store(id storage.PageID, data []byte) {
 		r.order = append(r.order, id)
 	}
 	r.pages[id] = bytes.Clone(data)
-	r.stores++
 }
 
 // Fetch tries to read id from the cache into dst, charging the rDMA network
@@ -62,7 +59,6 @@ func (r *Remote) Fetch(p *sim.Proc, id storage.PageID, dst []byte) bool {
 	r.net.Transfer(p, r.helperID, r.selfID, int64(len(data)))
 	copy(dst, data)
 	delete(r.pages, id)
-	r.hits++
 	return true
 }
 
@@ -71,6 +67,3 @@ func (r *Remote) Invalidate(id storage.PageID) { delete(r.pages, id) }
 
 // Size returns the number of cached pages.
 func (r *Remote) Size() int { return len(r.pages) }
-
-// HitsStores returns cumulative fetch hits and stores.
-func (r *Remote) HitsStores() (hits, stores int64) { return r.hits, r.stores }

@@ -645,6 +645,47 @@ func TestReadOfUnsettledCommitTakesDependency(t *testing.T) {
 	}
 }
 
+// TestScanTakesDependenciesInKeyOrder: a scan that merges several staged
+// writes of unsettled commits records its dependencies in key order, whatever
+// order the intent map yields them in — Commit settles Deps front to back and
+// skips the ones that settled meanwhile, so their order decides how many
+// waits a run counts (chaos KV seeds 7 and 14 printed two hashes each).
+func TestScanTakesDependenciesInKeyOrder(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	o := NewOracle()
+	vs := NewVersionStore(env)
+	vs.Commits = NewCommitTable()
+	env.Spawn("test", func(p *sim.Proc) {
+		var writers []*Txn
+		for _, key := range []string{"a", "b", "c", "d", "e", "f"} {
+			w := o.Begin(SnapshotIsolation)
+			if err := vs.AcquireWriteIntent(p, w, key, 0, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			vs.StagePending(w, key, false, []byte(key))
+			vs.Commits.Add(o.CommitTS(w), w)
+			writers = append(writers, w)
+		}
+		for try := 0; try < 20; try++ {
+			r := o.Begin(SnapshotIsolation)
+			vs.CommittedPending(r, nil, nil)
+			if len(r.Deps) != len(writers) {
+				t.Fatalf("scan over %d unsettled staged writes took %d dependencies", len(writers), len(r.Deps))
+			}
+			for i, w := range writers {
+				if r.Deps[i] != w {
+					t.Fatalf("try %d: dependency %d is transaction %d, want %d (key order)", try, i, r.Deps[i].ID, w.ID)
+				}
+			}
+			o.Abort(r)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGCHonoursSafeSnapshotsAndUnsettledWriters: the watermark is bounded by
 // the safe snapshot of every active transaction — which may be far below its
 // Begin — and by every unsettled commit, so the version a safe-snapshot reader

@@ -179,22 +179,6 @@ func (lm *LockManager) dequeue(h *lockHead, req *lockReq) {
 	h.freed.Fire()
 }
 
-// Unlock releases txn's lock on name.
-func (lm *LockManager) Unlock(txn *Txn, name string) {
-	h, ok := lm.locks[name]
-	if !ok {
-		return
-	}
-	if _, held := h.granted[txn.ID]; !held {
-		return
-	}
-	delete(h.granted, txn.ID)
-	h.freed.Fire()
-	if len(h.granted) == 0 && len(h.queue) == 0 {
-		delete(lm.locks, name)
-	}
-}
-
 // ReleaseAll releases every lock txn holds (commit/abort epilogue). Locks
 // are released in name order: each release fires a signal that reschedules
 // waiters, so map-iteration order would leak scheduling nondeterminism into
@@ -215,16 +199,4 @@ func (lm *LockManager) ReleaseAll(txn *Txn) {
 			delete(lm.locks, name)
 		}
 	}
-}
-
-// HeldModes returns the modes txn holds, keyed by resource name (testing
-// and diagnostics).
-func (lm *LockManager) HeldModes(txn *Txn) map[string]LockMode {
-	out := make(map[string]LockMode)
-	for name, h := range lm.locks {
-		if g, ok := h.granted[txn.ID]; ok {
-			out[name] = g.mode
-		}
-	}
-	return out
 }

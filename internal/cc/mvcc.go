@@ -287,7 +287,6 @@ func (vs *VersionStore) CommittedPending(txn *Txn, lo, hi []byte) []PendingRead 
 		}
 		v := e.pending
 		v.TS = e.writer.Commit
-		vs.observe(txn, v.TS)
 		out = append(out, PendingRead{Key: k, Ver: v})
 	}
 	// The common case is empty: keep it allocation-free (sort.Slice boxes
@@ -295,6 +294,12 @@ func (vs *VersionStore) CommittedPending(txn *Txn, lo, hi []byte) []PendingRead 
 	// executor's hot path).
 	if len(out) > 1 {
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	}
+	// Dependencies are taken in key order, not in the map's: Commit settles
+	// txn.Deps front to back and skips the ones settled meanwhile, so their
+	// order decides how many it waits for and in which order.
+	for _, pr := range out {
+		vs.observe(txn, pr.Ver.TS)
 	}
 	return out
 }

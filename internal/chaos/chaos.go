@@ -1,18 +1,26 @@
-// Package chaos is WattDB's deterministic fault-injection harness. It runs
-// a randomized key-value workload against a simulated cluster while a
-// seeded fault plan power-fails nodes (including mid-migration, for each of
-// the three repartitioning protocols), stalls disks, and spikes network
-// latency — then checks the invariants the paper's energy-proportional
-// operation depends on:
+// Package chaos is WattDB's deterministic fault-injection harness: one
+// harness, run over one of two workloads. It drives the workload's clients
+// against a simulated, fully replicated cluster while a seeded fault plan
+// power-fails nodes (including mid-migration, for each of the three
+// repartitioning protocols, and mid-checkpoint), tears and rots logs,
+// destroys disks, stalls disks, and spikes network latency — then checks the
+// invariants the paper's energy-proportional operation depends on:
 //
 //   - durability: every acknowledged commit is readable after restart;
 //   - atomicity: no write of an unacknowledged transaction is ever visible;
 //   - snapshot isolation: every read and range scan matches the committed
 //     version history at the reader's snapshot;
 //   - partition-table consistency: after an interrupted migration no key is
-//     unreachable or doubly owned, and the range table stays contiguous;
+//     unreachable or doubly owned, and every range table stays contiguous;
 //   - power accounting: the meter never goes negative, energy is monotone,
 //     and standby nodes draw standby watts.
+//
+// The harness (chaos.go, plan.go, rto.go, replication.go) owns the cluster,
+// the daemons, the plan and its executor, the restart and replication
+// oracles and the hash. A workload (kv.go: Run, tpcc.go: RunTPCC) supplies
+// what differs: its tables and load, its clients, the two key ranges its plan
+// migrates, and its final check. A new fault class is one entry in
+// buildPlan's table and one case in spawnExecutor, for both workloads at once.
 //
 // Everything — the workload, the fault schedule, and the engine — runs on
 // the sim package's deterministic virtual clock, so one seed produces one
@@ -32,7 +40,6 @@ import (
 	"wattdb/internal/cc"
 	"wattdb/internal/cluster"
 	"wattdb/internal/hw"
-	"wattdb/internal/keycodec"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
 )
@@ -202,24 +209,44 @@ func (r *Report) Passed() bool { return len(r.Violations) == 0 }
 
 const maxViolations = 25
 
+// workload is what the two chaos runs differ in; everything else — the
+// cluster, the daemons, the fault plan's shape and its executor, the restart
+// and replication oracles, the hash — is the harness's and exists once.
+type workload interface {
+	// deploy creates the workload's tables on the fresh cluster and load,
+	// run inside the load process, fills them.
+	deploy(h *harness) error
+	load(p *sim.Proc) error
+	// spawnClients starts the client processes; the order they are spawned
+	// in is part of the schedule.
+	spawnClients()
+	// plan is buildPlan with the workload's salt and its two migrations.
+	plan() []faultEvent
+	// tables names the range-partitioned tables, in migration order.
+	tables() []string
+	// migrate moves ev's key range to ev's target and writes the move's
+	// fault-log lines (their text is hashed).
+	migrate(mp *sim.Proc, ev faultEvent)
+	// postRestart runs in the restarting process after every successful
+	// restart the plan scheduled.
+	postRestart(p *sim.Proc, n *cluster.DataNode)
+	// finalCheck verifies the end state through s, a snapshot session on
+	// node 0, and returns the canonical state dump for the hash.
+	finalCheck(p *sim.Proc, s *cluster.Session) string
+}
+
 type harness struct {
 	cfg    Config
 	env    *sim.Env
 	c      *cluster.Cluster
 	master *cluster.Master
-	schema *table.Schema
-	oracle *oracle
+	w      workload
 
 	stop   bool
 	stopAt time.Duration
 
-	reads []readObs
-	scans []scanObs
-
 	rep *Report
 }
-
-func kvKey(k int64) []byte { return keycodec.Int64Key(k) }
 
 func (h *harness) violate(msg string) {
 	if len(h.rep.Violations) < maxViolations {
@@ -246,10 +273,29 @@ func (h *harness) aliveNode(rng *rand.Rand) *cluster.DataNode {
 	return alive[rng.Intn(len(alive))]
 }
 
-// Run executes one chaos run and returns its report. The error return is
-// reserved for harness-level failures (a simulation process panicking);
+// failOp aborts a transaction that hit a fault (down node, conflict,
+// timeout, lost dependency) and counts it; nothing it observed is kept.
+func (h *harness) failOp(p *sim.Proc, s *cluster.Session) {
+	s.Abort(p)
+	h.rep.FailedOps++
+}
+
+// finishRead commits a read-only transaction. What it read is an observation
+// only if this succeeds: a snapshot covers commits still in their force, and
+// Commit is where the session waits them out — or fails, when a power failure
+// rolled one back and the values it returned never existed.
+func (h *harness) finishRead(p *sim.Proc, s *cluster.Session) bool {
+	if err := s.Commit(p); err != nil {
+		h.failOp(p, s)
+		return false
+	}
+	return true
+}
+
+// run executes one chaos run of w and returns its report. The error return
+// is reserved for harness-level failures (a simulation process panicking);
 // invariant breaks land in Report.Violations.
-func Run(cfg Config) (*Report, error) {
+func run(cfg Config, w workload) (*Report, error) {
 	cfg = cfg.withDefaults()
 	env := sim.NewEnv(cfg.Seed)
 	defer env.Close()
@@ -268,38 +314,15 @@ func Run(cfg Config) (*Report, error) {
 		env:    env,
 		c:      c,
 		master: c.Master,
-		oracle: newOracle(),
+		w:      w,
 		stopAt: cfg.Duration,
 		rep:    &Report{Seed: cfg.Seed, Scheme: cfg.Scheme},
 	}
-	h.schema = &table.Schema{
-		ID: 1, Name: "kv", KeyCols: 1,
-		Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
-	}
-	mid := kvKey(int64(cfg.Keys / 2))
-	if _, err := c.Master.CreateTable(h.schema, cfg.Scheme, []cluster.RangeSpec{
-		{Low: nil, High: mid, Owner: c.Nodes[0]},
-		{Low: mid, High: nil, Owner: c.Nodes[1]},
-	}); err != nil {
-		return nil, err
+	if err := w.deploy(h); err != nil {
+		return h.rep, err
 	}
 	var loadErr error
-	env.Spawn("chaos-load", func(p *sim.Proc) {
-		i := 0
-		loadErr = c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
-			if i >= cfg.Keys {
-				return nil, nil, false
-			}
-			k := int64(i)
-			val := fmt.Sprintf("init-%d", k)
-			row := table.Row{k, val}
-			key, _ := h.schema.Key(row)
-			payload, _ := h.schema.EncodeRow(row)
-			h.oracle.load(k, val)
-			i++
-			return key, payload, true
-		})
-	})
+	env.Spawn("chaos-load", func(p *sim.Proc) { loadErr = w.load(p) })
 	if err := env.Run(); err != nil {
 		return h.rep, err
 	}
@@ -308,24 +331,17 @@ func Run(cfg Config) (*Report, error) {
 	}
 	c.SetupReplicationDrain()
 
-	// Workload, analytics readers, fault plan, power sampler, and
-	// replication daemons.
-	for w := 0; w < cfg.Workers; w++ {
-		h.spawnWorker(w)
-	}
-	for q := 0; q < cfg.HTAP; q++ {
-		h.spawnAnalytics(q)
-	}
-	h.spawnPowerSampler()
-	spawnReplicationDaemons(env, c, &h.stop)
-	spawnCheckpointers(env, c, &h.stop)
-	h.runner().spawnExecutor(buildPlan(cfg))
+	// Clients, replication and checkpoint daemons, fault plan.
+	w.spawnClients()
+	h.spawnReplicationDaemons()
+	h.spawnCheckpointers()
+	h.spawnExecutor(w.plan())
 
 	if err := env.RunUntil(cfg.Duration); err != nil {
 		return h.rep, err
 	}
 	h.stop = true
-	// Drain: workers exit, in-flight migrations finish or abort, pending
+	// Drain: clients exit, in-flight migrations finish or abort, pending
 	// restarts complete, ghost/old-pointer cleanups run out.
 	if err := env.Run(); err != nil {
 		return h.rep, err
@@ -341,14 +357,14 @@ func Run(cfg Config) (*Report, error) {
 					return
 				}
 				h.rep.Restarts++
-				noteRecovery(h.rep, h.violate, node)
+				h.noteRecovery(node)
 			})
 		}
 	}
 	if err := env.Run(); err != nil {
 		return h.rep, err
 	}
-	finalReplicationSweep(env, c, h.violate)
+	h.finalReplicationSweep()
 	if err := env.Run(); err != nil {
 		return h.rep, err
 	}
@@ -372,351 +388,87 @@ func Run(cfg Config) (*Report, error) {
 	h.rep.Failovers = c.Master.Failovers()
 
 	// Final invariant sweep.
-	finalState := h.finalCheck()
-	validateReads(h.oracle, h.reads, h.scans, h.violate)
-	h.checkPartitionTable()
+	finalState := h.runFinalCheck()
+	for _, name := range w.tables() {
+		h.checkRanges(name)
+	}
 	h.rep.SimTime = env.Now()
 	h.rep.StateHash = stateHash(h.rep, finalState)
 	return h.rep, nil
 }
 
-// spawnWorker starts one workload process: randomized single- and
-// multi-key read, write, delete, and scan transactions with unique values,
-// feeding the oracle on every acknowledged commit.
-func (h *harness) spawnWorker(w int) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(w)))
-	seq := 0
-	h.env.Spawn(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
-		p.Sleep(time.Duration(w) * 3 * time.Millisecond) // desynchronize
-		for !h.stop && p.Now() < h.stopAt {
-			home := h.aliveNode(rng)
-			if home == nil {
-				p.Sleep(50 * time.Millisecond)
-				continue
-			}
-			h.runTxn(p, w, rng, &seq, home)
-			p.Sleep(time.Duration(2+rng.Intn(6)) * time.Millisecond)
-		}
-	})
-}
-
-// runTxn executes one randomized transaction.
-func (h *harness) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *cluster.DataNode) {
-	s := h.master.Begin(p, cc.SnapshotIsolation, home)
-	kind := rng.Intn(10)
-	switch {
-	case kind < 5: // write transaction (puts, occasionally deletes)
-		nOps := 1 + rng.Intn(3)
-		var writes []kvWrite
-		for i := 0; i < nOps; i++ {
-			k := int64(rng.Intn(h.cfg.Keys))
-			if rng.Intn(8) == 0 {
-				if err := s.Delete(p, "kv", kvKey(k)); err != nil {
-					h.failOp(p, s)
-					return
-				}
-				writes = append(writes, kvWrite{key: k, deleted: true})
-				continue
-			}
-			*seq++
-			val := fmt.Sprintf("w%d.%d", w, *seq)
-			payload, _ := h.schema.EncodeRow(table.Row{k, val})
-			if err := s.Put(p, "kv", kvKey(k), payload); err != nil {
-				h.failOp(p, s)
-				return
-			}
-			writes = append(writes, kvWrite{key: k, val: val})
-		}
-		if rng.Intn(10) == 0 {
-			// Deliberate abort: none of these writes may ever surface.
-			s.Abort(p)
-			h.rep.Aborts++
-			return
-		}
-		if err := s.Commit(p); err != nil {
-			s.Abort(p)
-			h.rep.Aborts++
-			return
-		}
-		// Acknowledged: record at the engine's commit timestamp before any
-		// further blocking call.
-		h.oracle.commit(s.Txn.Commit, writes)
-		h.rep.Commits++
-	case kind < 9: // read transaction
-		nOps := 2 + rng.Intn(3)
-		var seen []readObs
-		for i := 0; i < nOps; i++ {
-			k := int64(rng.Intn(h.cfg.Keys))
-			v, ok, err := s.Get(p, "kv", kvKey(k))
-			if err != nil {
-				h.failOp(p, s)
-				return
-			}
-			obs := readObs{at: p.Now(), snap: s.Txn.Begin, key: k, ok: ok}
-			if ok {
-				row, derr := h.schema.DecodeRow(v)
-				if derr != nil {
-					h.violate(fmt.Sprintf("read@%v key %d: undecodable payload: %v", p.Now(), k, derr))
-					h.failOp(p, s)
-					return
-				}
-				obs.val = row[1].(string)
-			}
-			seen = append(seen, obs)
-		}
-		if !h.finishRead(p, s) {
-			return
-		}
-		h.reads = append(h.reads, seen...)
-		h.rep.Reads += len(seen)
-	default: // range scan
-		span := int64(10 + rng.Intn(30))
-		lo := int64(rng.Intn(h.cfg.Keys))
-		hi := lo + span
-		if hi > int64(h.cfg.Keys) {
-			hi = int64(h.cfg.Keys)
-		}
-		obs := scanObs{at: p.Now(), snap: s.Txn.Begin, lo: lo, hi: hi}
-		err := s.Scan(p, "kv", kvKey(lo), kvKey(hi), func(kb, v []byte) bool {
-			k, _, _ := keycodec.DecodeInt64(kb)
-			row, derr := h.schema.DecodeRow(v)
-			if derr != nil {
-				h.violate(fmt.Sprintf("scan@%v key %d: undecodable payload: %v", p.Now(), k, derr))
-				return false
-			}
-			obs.keys = append(obs.keys, k)
-			obs.vals = append(obs.vals, row[1].(string))
-			return true
-		})
-		if err != nil {
-			h.failOp(p, s)
-			return
-		}
-		if !h.finishRead(p, s) {
-			return
-		}
-		h.scans = append(h.scans, obs)
-		h.rep.Scans++
-	}
-}
-
-// finishRead commits a read-only transaction. What it read is an observation
-// only if this succeeds: a snapshot covers commits still in their force, and
-// Commit is where the session waits them out — or fails, when a power failure
-// rolled one back and the values it returned never existed.
-func (h *harness) finishRead(p *sim.Proc, s *cluster.Session) bool {
-	if err := s.Commit(p); err != nil {
-		h.failOp(p, s)
-		return false
-	}
-	return true
-}
-
-// spawnAnalytics starts one HTAP reader: a loop of full-table
-// scan-aggregate snapshot queries running concurrently with the OLTP
-// workload and the fault plan. Even-numbered readers set the
-// PreferFollower offloading hint, so replica snapshot reads are exercised
-// while crashes, disk losses, and migrations land. Every observed row is
-// recorded as a scan observation and validated against the oracle at the
-// reader's snapshot, exactly like the workload's range scans — an
-// analytics query that surfaces a torn or stale row is an invariant break,
-// wherever it was served from.
-func (h *harness) spawnAnalytics(q int) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed*2_000_003 + int64(q)))
-	h.env.Spawn(fmt.Sprintf("chaos-htap-%d", q), func(p *sim.Proc) {
-		p.Sleep(time.Duration(7+5*q) * time.Millisecond) // desynchronize
-		for !h.stop && p.Now() < h.stopAt {
-			home := h.aliveNode(rng)
-			if home == nil {
-				p.Sleep(50 * time.Millisecond)
-				continue
-			}
-			s := h.master.Begin(p, cc.SnapshotIsolation, home)
-			s.PreferFollower = q%2 == 0
-			obs := scanObs{at: p.Now(), lo: 0, hi: int64(h.cfg.Keys)}
-			err := s.Scan(p, "kv", nil, nil, func(kb, v []byte) bool {
-				k, _, _ := keycodec.DecodeInt64(kb)
-				row, derr := h.schema.DecodeRow(v)
-				if derr != nil {
-					h.violate(fmt.Sprintf("htap@%v key %d: undecodable payload: %v", p.Now(), k, derr))
-					return false
-				}
-				obs.keys = append(obs.keys, k)
-				obs.vals = append(obs.vals, row[1].(string))
-				return true
-			})
-			obs.snap = s.Txn.Begin // the safe snapshot, under the hint: fixed by the scan
-			if err != nil {
-				h.failOp(p, s)
-			} else if h.finishRead(p, s) {
-				h.scans = append(h.scans, obs)
-				h.rep.AnalyticsQueries++
-				h.rep.AnalyticsRows += int64(len(obs.keys))
-			}
-			p.Sleep(time.Duration(40+rng.Intn(60)) * time.Millisecond)
-		}
-	})
-}
-
-// failOp aborts a transaction that hit a fault (down node, conflict,
-// timeout, lost dependency) and counts it; nothing it observed is kept.
-func (h *harness) failOp(p *sim.Proc, s *cluster.Session) {
-	s.Abort(p)
-	h.rep.FailedOps++
-}
-
-// spawnPowerSampler runs the power-accounting invariant continuously:
-// samples are non-negative (at least the always-on switch), energy is
-// monotone, and a standby node draws exactly the calibrated standby power.
-func (h *harness) spawnPowerSampler() {
-	h.env.Spawn("chaos-power", func(p *sim.Proc) {
-		lastEnergy := h.c.Meter.EnergyJoules()
-		for !h.stop {
-			p.Sleep(500 * time.Millisecond)
-			watts := h.c.Meter.Sample()
-			if watts < h.c.Cal.PowerSwitch {
-				h.violate(fmt.Sprintf("power@%v: %.2f W below the always-on switch draw %.2f W",
-					p.Now(), watts, h.c.Cal.PowerSwitch))
-			}
-			if e := h.c.Meter.EnergyJoules(); e < lastEnergy {
-				h.violate(fmt.Sprintf("power@%v: energy meter went backwards (%.1f J -> %.1f J)",
-					p.Now(), lastEnergy, e))
-			} else {
-				lastEnergy = e
-			}
-			for _, n := range h.c.Nodes {
-				if n.HW.State() == hwOff && n.HW.Power(0) != h.c.Cal.PowerStandby {
-					h.violate(fmt.Sprintf("power@%v: standby node %d draws %.2f W, want %.2f W",
-						p.Now(), n.ID, n.HW.Power(0), h.c.Cal.PowerStandby))
-				}
-			}
-		}
-	})
-}
-
-// finalCheck verifies the cluster's end state against the oracle: a full
-// scan must return exactly the oracle's live keys (each once, with its last
-// acknowledged value), and every live key must also be point-readable. It
-// returns the canonical final-state dump used for the state hash.
-func (h *harness) finalCheck() string {
-	var dump strings.Builder
+// runFinalCheck runs the workload's end-state verification in a snapshot
+// session on node 0 and returns its state dump.
+func (h *harness) runFinalCheck() string {
+	var dump string
 	h.env.Spawn("chaos-final-check", func(p *sim.Proc) {
 		home := h.c.Nodes[0]
 		if home.Down() {
 			h.violate("final check: node 0 still down")
 			return
 		}
-		live := h.oracle.liveKeys()
-		s := h.master.Begin(p, cc.SnapshotIsolation, home)
-		got := make(map[int64]string, len(live))
-		var order []int64
-		err := s.Scan(p, "kv", nil, nil, func(kb, v []byte) bool {
-			k, _, _ := keycodec.DecodeInt64(kb)
-			row, derr := h.schema.DecodeRow(v)
-			if derr != nil {
-				h.violate(fmt.Sprintf("final scan: key %d undecodable: %v", k, derr))
-				return false
-			}
-			if _, dup := got[k]; dup {
-				h.violate(fmt.Sprintf("final scan: key %d returned twice (doubly owned)", k))
-			}
-			got[k] = row[1].(string)
-			order = append(order, k)
-			return true
-		})
-		if err != nil {
-			h.violate(fmt.Sprintf("final scan failed: %v", err))
-		}
-		// Durability: every acknowledged write present with its last value.
-		for _, k := range live {
-			want, _ := h.oracle.current(k)
-			val, ok := got[k]
-			if !ok {
-				h.violate(fmt.Sprintf("durability: key %d (last value %q) lost", k, want))
-				continue
-			}
-			if val != want {
-				h.violate(fmt.Sprintf("durability: key %d = %q, oracle says %q", k, val, want))
-			}
-		}
-		// Atomicity/resurrection: nothing beyond the oracle's live set.
-		if len(got) != len(live) {
-			for _, k := range order {
-				if _, ok := h.oracle.current(k); !ok {
-					h.violate(fmt.Sprintf("atomicity: key %d visible but never acknowledged live (value %q)", k, got[k]))
-				}
-			}
-		}
-		// Reachability via point routing (exercises candidatesFor, not the
-		// scan path).
-		for _, k := range live {
-			v, ok, err := s.Get(p, "kv", kvKey(k))
-			if err != nil || !ok {
-				h.violate(fmt.Sprintf("reachability: key %d unreadable via Get: ok=%v err=%v", k, ok, err))
-				continue
-			}
-			row, _ := h.schema.DecodeRow(v)
-			if want, _ := h.oracle.current(k); row[1].(string) != want {
-				h.violate(fmt.Sprintf("reachability: key %d Get = %q, oracle says %q", k, row[1], want))
-			}
-		}
+		s := h.master.Begin(p, ccSnapshot, home)
+		dump = h.w.finalCheck(p, s)
 		s.Abort(p)
-		for _, k := range order {
-			fmt.Fprintf(&dump, "%d=%s\n", k, got[k])
-		}
 	})
 	if err := h.env.Run(); err != nil {
 		h.violate(fmt.Sprintf("final check crashed: %v", err))
 	}
-	return dump.String()
+	return dump
 }
 
-// checkPartitionTable verifies the master's range table is sorted,
-// contiguous, and covers the whole key space.
-func (h *harness) checkPartitionTable() {
-	tm, err := h.master.Table("kv")
+// checkRanges verifies that a table's range table is sorted and contiguous,
+// covers the whole key space, and names a partition and an owner for every
+// range.
+func (h *harness) checkRanges(name string) {
+	tm, err := h.master.Table(name)
 	if err != nil {
 		h.violate(err.Error())
 		return
 	}
 	entries := tm.Entries()
 	if len(entries) == 0 {
-		h.violate("partition table empty")
+		h.violate(fmt.Sprintf("%s: partition table empty", name))
 		return
 	}
 	if entries[0].Low != nil {
-		h.violate("partition table: first range does not start at -inf")
+		h.violate(fmt.Sprintf("%s: first range does not start at -inf", name))
 	}
 	if entries[len(entries)-1].High != nil {
-		h.violate("partition table: last range does not end at +inf")
-	}
-	for i := 1; i < len(entries); i++ {
-		if string(entries[i-1].High) != string(entries[i].Low) {
-			h.violate(fmt.Sprintf("partition table: gap/overlap between entry %d and %d", i-1, i))
-		}
+		h.violate(fmt.Sprintf("%s: last range does not end at +inf", name))
 	}
 	for i, e := range entries {
+		if i > 0 && string(entries[i-1].High) != string(e.Low) {
+			h.violate(fmt.Sprintf("%s: gap/overlap between entry %d and %d", name, i-1, i))
+		}
 		if e.Part == nil || e.Owner == nil {
-			h.violate(fmt.Sprintf("partition table: entry %d has nil partition/owner", i))
+			h.violate(fmt.Sprintf("%s: entry %d has nil partition/owner", name, i))
+		}
+	}
+}
+
+// EachCounter calls fn with the name and value of every counter of the
+// report — whatever integer and duration fields Report has, in declaration
+// order, by reflection — so that a counter added later is hashed by stateHash
+// and printed by the CLI without anyone listing it.
+func (r *Report) EachCounter(fn func(name string, value any)) {
+	v := reflect.ValueOf(*r)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanInt() {
+			fn(v.Type().Field(i).Name, f.Interface())
 		}
 	}
 }
 
 // stateHash digests a run: the executed fault schedule, every counter of the
-// report — whatever integer fields Report has, by reflection, so a counter
-// added later is hashed without anyone listing it — and the final table
-// contents. Two runs of the same seed must agree byte for byte.
+// report, and the final table contents. Two runs of the same seed must agree
+// byte for byte.
 func stateHash(rep *Report, finalState string) string {
 	d := sha256.New()
 	for _, f := range rep.Faults {
 		fmt.Fprintln(d, f)
 	}
-	v := reflect.ValueOf(*rep)
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.CanInt() {
-			fmt.Fprintf(d, "%s=%d\n", v.Type().Field(i).Name, f.Int())
-		}
-	}
+	rep.EachCounter(func(name string, value any) { fmt.Fprintf(d, "%s=%d\n", name, value) })
 	d.Write([]byte(finalState))
 	return fmt.Sprintf("%x", d.Sum(nil))[:16]
 }

@@ -42,303 +42,278 @@ type faultEvent struct {
 	flip     int           // flip crash: bit flipped within the surviving tail bytes
 }
 
+// migration is a key range [loK, hiK) a plan moves to another node.
+type migration struct{ loK, hiK int64 }
+
+// planner draws a plan's events from the plan's own rng.
+type planner struct {
+	*rand.Rand
+	window time.Duration
+	nodes  int
+}
+
+// downTime draws how long a crashed node stays off.
+func (pl planner) downTime() time.Duration {
+	return 12*time.Second + time.Duration(pl.Int63n(int64(10*time.Second)))
+}
+
+// anywhere draws an instant in the middle 80 % of the window, midHalf one in
+// its middle half.
+func (pl planner) anywhere() time.Duration {
+	return pl.window/10 + time.Duration(pl.Int63n(int64(pl.window*8/10)))
+}
+
+func (pl planner) midHalf() time.Duration {
+	return pl.window/4 + time.Duration(pl.Int63n(int64(pl.window/2)))
+}
+
 // buildPlan derives the fault schedule from the seed alone — never from
-// workload state — so the schedule is identical across reruns. Every plan
-// contains a migration with a crash of the migration target landing shortly
-// after it starts (the hardest window for each repartitioning protocol),
-// plus cfg.Faults additional random events.
-func buildPlan(cfg Config) []faultEvent {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_c8a0_5eed_c8a0))
-	window := cfg.Duration
+// workload state — so the schedule is identical across reruns. The plan is
+// the table below, read top to bottom: each class of fault, how many of it
+// the plan carries, and how one is drawn. All classes draw from one rng, so
+// a new class is one more entry at the END of the table (and one case in
+// spawnExecutor): anywhere else it would shift every later draw and change
+// every plan there is.
+func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
+	pl := planner{rand.New(rand.NewSource(cfg.Seed ^ salt)), cfg.Duration, cfg.Nodes}
+	classes := []struct {
+		n    int
+		draw func() []faultEvent
+	}{
+		// The crash-mid-migration sequence: move the first range to the first
+		// node without initial data, power-fail that target shortly after the
+		// move starts (the hardest window for each repartitioning protocol),
+		// and power-fail the coordinator while the move is in flight — the
+		// hardest failover window: the leader may die between shipping a
+		// migration boundary (or a commit decision) and acting on it, and a
+		// follower must take over with the partition table and in-doubt
+		// decisions intact.
+		{1, func() []faultEvent {
+			migAt := pl.window/3 + time.Duration(pl.Int63n(int64(pl.window/6)))
+			return []faultEvent{
+				{at: migAt, kind: faultMigrate, loK: first.loK, hiK: first.hiK, target: 2},
+				{at: migAt + 30*time.Millisecond + time.Duration(pl.Int63n(int64(120*time.Millisecond))),
+					kind: faultCrash, node: 2, dur: pl.downTime()},
+				{at: migAt + 40*time.Millisecond + time.Duration(pl.Int63n(int64(150*time.Millisecond))),
+					kind: faultCrashCoord, dur: pl.downTime()},
+			}
+		}},
+		// More coordinator power failures, at random instants.
+		{cfg.CoordFaults, func() []faultEvent {
+			return []faultEvent{{at: pl.anywhere(), kind: faultCrashCoord, dur: pl.downTime()}}
+		}},
+		// Log-medium damage, once each way, on a node with steady log traffic
+		// (the first two): a power failure tearing the frame the device was
+		// writing, and one leaving a bit-flipped frame at the flushed boundary.
+		// Recovery must truncate both tails cleanly.
+		{1, func() []faultEvent {
+			return []faultEvent{
+				pl.tornCrash(pl.midHalf(), faultCrashTorn, 2),
+				pl.tornCrash(pl.midHalf(), faultCrashFlip, 2),
+			}
+		}},
+		// Full-disk-loss + acked-history-rot pairs: the wiped node must rebuild
+		// everything from its replica set, and the scrubber must repair the
+		// flipped frame from a healthy copy.
+		{cfg.DiskFaults, func() []faultEvent {
+			return []faultEvent{pl.destroyDisk(pl.midHalf()), pl.rotAcked(pl.midHalf())}
+		}},
+		// Mid-checkpoint power failures: with a checkpointer on every node, each
+		// lands at a random step of an in-flight fuzzy checkpoint and the restart
+		// must fall back to the previous complete begin/end pair.
+		{cfg.CkptFaults, pl.ckptCrash},
+		// The random tail: any class, at any instant.
+		{cfg.Faults, func() []faultEvent { return pl.random(second) }},
+		// The dependency crash, which joined the table last — as the next class will.
+		{1, pl.depCrash},
+	}
 	var plan []faultEvent
-
-	// The guaranteed crash-mid-migration sequence: move the third quarter
-	// of the key space to the first spare node, then power-fail that target
-	// while the move is in flight.
-	migAt := window/3 + time.Duration(rng.Int63n(int64(window/6)))
-	target := 2 // first node without initial data
-	plan = append(plan, faultEvent{
-		at:     migAt,
-		kind:   faultMigrate,
-		loK:    int64(cfg.Keys / 2),
-		hiK:    int64(3 * cfg.Keys / 4),
-		target: target,
-	})
-	plan = append(plan, faultEvent{
-		at:   migAt + 30*time.Millisecond + time.Duration(rng.Int63n(int64(120*time.Millisecond))),
-		kind: faultCrash,
-		node: target,
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	})
-	// Every plan also power-fails the coordinator while that migration is in
-	// flight — the hardest failover window: the leader may die between
-	// shipping a migration boundary (or a commit decision) and acting on it,
-	// and a follower must take over with the partition table and in-doubt
-	// decisions intact.
-	plan = append(plan, faultEvent{
-		at:   migAt + 40*time.Millisecond + time.Duration(rng.Int63n(int64(150*time.Millisecond))),
-		kind: faultCrashCoord,
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	})
-	for i := 0; i < cfg.CoordFaults; i++ {
-		plan = append(plan, faultEvent{
-			at:   window/10 + time.Duration(rng.Int63n(int64(window*8/10))),
-			kind: faultCrashCoord,
-			dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-		})
-	}
-	// Every plan also damages the log medium once each way on a data node
-	// (the nodes with steady log traffic): a power failure tearing the frame
-	// the device was writing, and one leaving a bit-flipped frame at the
-	// flushed boundary. Recovery must truncate both tails cleanly.
-	plan = append(plan, tornCrashEvents(rng, window, 2)...)
-	// And cfg.DiskFaults full-disk-loss + acked-history-rot pairs: the wiped
-	// node must rebuild everything from its replica set, and the scrubber
-	// must repair the flipped frame from a healthy copy.
-	for i := 0; i < cfg.DiskFaults; i++ {
-		plan = append(plan, diskFaultEvents(rng, window, cfg.Nodes)...)
-	}
-	// And cfg.CkptFaults mid-checkpoint power failures: with a checkpointer
-	// running on every node, each crash lands at a random step of an
-	// in-flight fuzzy checkpoint and the restart must fall back to the
-	// previous complete begin/end pair.
-	plan = append(plan, ckptCrashEvents(rng, window, cfg.Nodes, cfg.CkptFaults)...)
-
-	for i := 0; i < cfg.Faults; i++ {
-		at := window/10 + time.Duration(rng.Int63n(int64(window*8/10)))
-		switch rng.Intn(8) {
-		case 0:
-			plan = append(plan, faultEvent{
-				at:   at,
-				kind: faultCrash,
-				node: rng.Intn(cfg.Nodes),
-				dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-			})
-		case 4:
-			plan = append(plan, tornCrash(rng, at, faultCrashTorn, cfg.Nodes))
-		case 5:
-			plan = append(plan, tornCrash(rng, at, faultCrashFlip, cfg.Nodes))
-		case 1:
-			plan = append(plan, faultEvent{
-				at:    at,
-				kind:  faultDiskStall,
-				node:  rng.Intn(cfg.Nodes),
-				disk:  rng.Intn(3),
-				extra: time.Duration(2+rng.Intn(8)) * time.Millisecond,
-				dur:   time.Duration(3+rng.Intn(5)) * time.Second,
-			})
-		case 2:
-			plan = append(plan, faultEvent{
-				at:    at,
-				kind:  faultNetSpike,
-				extra: time.Duration(1+rng.Intn(4)) * time.Millisecond,
-				dur:   time.Duration(2+rng.Intn(4)) * time.Second,
-			})
-		case 3:
-			// A second migration over the first quarter, to the last node.
-			plan = append(plan, faultEvent{
-				at:     at,
-				kind:   faultMigrate,
-				loK:    0,
-				hiK:    int64(cfg.Keys / 4),
-				target: cfg.Nodes - 1,
-			})
-		case 6:
-			plan = append(plan, destroyDisk(rng, at, cfg.Nodes))
-		case 7:
-			plan = append(plan, rotAcked(rng, at, cfg.Nodes))
+	for _, class := range classes {
+		for i := 0; i < class.n; i++ {
+			plan = append(plan, class.draw()...)
 		}
 	}
 	// Stable order: by time, with insertion order breaking ties (stability
 	// matters — equal-timestamp events must execute in generation order or
 	// the schedule would depend on the sort implementation).
-	// Drawn last, so that every event above is what it was before plans
-	// carried this one.
-	plan = append(plan, depCrashEvent(rng, window))
 	sort.SliceStable(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
 	return plan
 }
 
-// tornCrash builds one log-medium damage crash at the given time: a power
-// failure tearing the frame the log device was writing (partial final
-// record), or — for faultCrashFlip — one leaving a byte-complete but
-// bit-flipped frame at the flushed boundary. Both harnesses' plan builders
-// draw from this single definition so the damage parameter ranges cannot
-// drift apart.
-func tornCrash(rng *rand.Rand, at time.Duration, kind faultKind, nodes int) faultEvent {
-	ev := faultEvent{
-		at:   at,
-		kind: kind,
-		node: rng.Intn(nodes),
-		flip: -1,
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
+// random draws one event of the plan's random tail: any fault class at any
+// instant, the migration being the plan's second range to the last node.
+func (pl planner) random(second migration) []faultEvent {
+	at := pl.anywhere()
+	var ev faultEvent
+	switch pl.Intn(8) {
+	case 0:
+		ev = faultEvent{at: at, kind: faultCrash, node: pl.Intn(pl.nodes), dur: pl.downTime()}
+	case 1:
+		ev = faultEvent{
+			at:    at,
+			kind:  faultDiskStall,
+			node:  pl.Intn(pl.nodes),
+			disk:  pl.Intn(3),
+			extra: time.Duration(2+pl.Intn(8)) * time.Millisecond,
+			dur:   time.Duration(3+pl.Intn(5)) * time.Second,
+		}
+	case 2:
+		ev = faultEvent{
+			at:    at,
+			kind:  faultNetSpike,
+			extra: time.Duration(1+pl.Intn(4)) * time.Millisecond,
+			dur:   time.Duration(2+pl.Intn(4)) * time.Second,
+		}
+	case 3:
+		ev = faultEvent{at: at, kind: faultMigrate, loK: second.loK, hiK: second.hiK, target: pl.nodes - 1}
+	case 4:
+		ev = pl.tornCrash(at, faultCrashTorn, pl.nodes)
+	case 5:
+		ev = pl.tornCrash(at, faultCrashFlip, pl.nodes)
+	case 6:
+		ev = pl.destroyDisk(at)
+	case 7:
+		ev = pl.rotAcked(at)
 	}
+	return []faultEvent{ev}
+}
+
+// tornCrash builds one log-medium damage crash at the given time on one of
+// the first nodes nodes: a power failure tearing the frame the log device was
+// writing (partial final record), or — for faultCrashFlip — one leaving a
+// byte-complete but bit-flipped frame at the flushed boundary.
+func (pl planner) tornCrash(at time.Duration, kind faultKind, nodes int) faultEvent {
+	ev := faultEvent{at: at, kind: kind, node: pl.Intn(nodes), flip: -1, dur: pl.downTime()}
 	if kind == faultCrashFlip {
-		ev.tear = 16 + rng.Intn(256) // often beyond the frame: kept whole, corrupted by the flip
-		ev.flip = rng.Intn(1 << 11)
+		ev.tear = 16 + pl.Intn(256) // often beyond the frame: kept whole, corrupted by the flip
+		ev.flip = pl.Intn(1 << 11)
 	} else {
-		ev.tear = 1 + rng.Intn(96) // strictly partial final frame
+		ev.tear = 1 + pl.Intn(96) // strictly partial final frame
 	}
 	return ev
-}
-
-// tornCrashEvents derives the log-medium damage events every plan carries:
-// one torn-tail and one bit-flip crash on a node from the first dataNodes
-// (the ones with steady log traffic), landing in the middle half of the
-// window.
-func tornCrashEvents(rng *rand.Rand, window time.Duration, dataNodes int) []faultEvent {
-	at := func() time.Duration {
-		return window/4 + time.Duration(rng.Int63n(int64(window/2)))
-	}
-	return []faultEvent{
-		tornCrash(rng, at(), faultCrashTorn, dataNodes),
-		tornCrash(rng, at(), faultCrashFlip, dataNodes),
-	}
-}
-
-// depCrashEvent derives the dependency crash every plan carries: a power
-// failure of whichever node, from the planned instant on, first has a
-// transaction parked in Commit on one of its unsettled commits (a data node
-// if none turns up — see crashDependedOn).
-func depCrashEvent(rng *rand.Rand, window time.Duration) faultEvent {
-	return faultEvent{
-		at:   window/4 + time.Duration(rng.Int63n(int64(window/3))),
-		kind: faultCrashDep,
-		node: rng.Intn(2),
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	}
 }
 
 // destroyDisk builds one full-disk-loss event: power-fail the node, wipe its
 // log medium and recovery bases, and restart it after dur — the restart must
 // rebuild every hosted partition from the node's replica set.
-func destroyDisk(rng *rand.Rand, at time.Duration, nodes int) faultEvent {
-	return faultEvent{
-		at:   at,
-		kind: faultDestroyDisk,
-		node: rng.Intn(nodes),
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	}
+func (pl planner) destroyDisk(at time.Duration) faultEvent {
+	return faultEvent{at: at, kind: faultDestroyDisk, node: pl.Intn(pl.nodes), dur: pl.downTime()}
 }
 
 // rotAcked builds one acked-history bit-rot event: flip a bit inside a
 // flushed, shippable frame of a live node's log (the scrubber must repair it
 // from a healthy copy before — or at latest during — the final sweep). The
-// node is drawn from the first two (steady log traffic guarantees a victim
-// frame exists).
-func rotAcked(rng *rand.Rand, at time.Duration, nodes int) faultEvent {
-	pick := nodes
-	if pick > 2 {
-		pick = 2
-	}
-	return faultEvent{
-		at:   at,
-		kind: faultRotAcked,
-		node: rng.Intn(pick),
-		flip: rng.Intn(1 << 20),
-	}
+// node is one of the first two (steady log traffic guarantees a victim frame
+// exists).
+func (pl planner) rotAcked(at time.Duration) faultEvent {
+	return faultEvent{at: at, kind: faultRotAcked, node: pl.Intn(2), flip: pl.Intn(1 << 20)}
 }
 
-// diskFaultEvents derives the guaranteed disk-loss + acked-rot pair every
-// plan carries, landing in the middle half of the window.
-func diskFaultEvents(rng *rand.Rand, window time.Duration, nodes int) []faultEvent {
-	at := func() time.Duration {
-		return window/4 + time.Duration(rng.Int63n(int64(window/2)))
-	}
-	return []faultEvent{
-		destroyDisk(rng, at(), nodes),
-		rotAcked(rng, at(), nodes),
-	}
+// ckptCrash builds one mid-checkpoint power failure in the middle half of
+// the window: the crash is armed to fire after a random number of checkpoint
+// protocol steps (flush batches, begin append, redo scan, end append,
+// truncation), so over seeds the plan covers every phase of the begin/end
+// pair — including the torn-pair window between the two records.
+func (pl planner) ckptCrash() []faultEvent {
+	return []faultEvent{{
+		at:   pl.midHalf(),
+		kind: faultCkptCrash,
+		node: pl.Intn(pl.nodes),
+		tear: pl.Intn(8), // protocol steps before the armed crash fires
+		dur:  pl.downTime(),
+	}}
 }
 
-// faultRunner is the workload-agnostic fault executor shared by the KV and
-// TPC-C harnesses: it walks the plan on the simulator clock, executing
-// crashes (power-fail anywhere, including mid-commit, with a scheduled
-// restart), disk stalls, and net spikes itself, and delegating migrations
-// to the workload (which knows its tables). Generation counters make
-// overlapping faults well-behaved: each injection bumps the device's
-// generation, and an expiry timer clears the fault only if no later fault
-// has re-armed that device meanwhile.
-type faultRunner struct {
-	env      *sim.Env
-	c        *cluster.Cluster
-	rep      *Report
-	logFault func(format string, args ...interface{})
-	violate  func(string)
-	// migrate runs the workload's range migration for ev in its own
-	// process and calls done when finished (only one runs at a time).
-	migrate func(ev faultEvent, done func())
-	// postRestart, when non-nil, runs after every successful node restart.
-	postRestart func(p *sim.Proc, n *cluster.DataNode)
+// depCrash builds the dependency crash every plan carries: a power failure
+// of whichever node, from the planned instant on, first has a transaction
+// parked in Commit on one of its unsettled commits (a data node if none turns
+// up — see crashDependedOn).
+func (pl planner) depCrash() []faultEvent {
+	return []faultEvent{{
+		at:   pl.window/4 + time.Duration(pl.Int63n(int64(pl.window/3))),
+		kind: faultCrashDep,
+		node: pl.Intn(2),
+		dur:  pl.downTime(),
+	}}
 }
 
-func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
+// spawnExecutor starts the fault executor: it walks the plan on the
+// simulator clock, executing crashes (power-fail anywhere, including
+// mid-commit, with a scheduled restart), disk stalls, and net spikes itself,
+// and handing migrations to the workload (which knows its tables), one at a
+// time. Generation counters make overlapping faults well-behaved: each
+// injection bumps the device's generation, and an expiry timer clears the
+// fault only if no later fault has re-armed that device meanwhile.
+func (h *harness) spawnExecutor(plan []faultEvent) {
 	migrating := false
 	stallGen := make(map[*hw.Disk]int)
 	netGen := 0
-	fr.env.Spawn("chaos-executor", func(p *sim.Proc) {
+	h.env.Spawn("chaos-executor", func(p *sim.Proc) {
 		for _, ev := range plan {
 			if wait := ev.at - p.Now(); wait > 0 {
 				p.Sleep(wait)
 			}
 			switch ev.kind {
 			case faultCrash, faultCrashCoord:
-				fr.execCrash(ev)
+				h.execCrash(ev)
 			case faultCrashTorn, faultCrashFlip:
-				fr.crashShippedAhead(ev)
+				h.crashShippedAhead(ev)
 			case faultCrashDep:
-				fr.crashDependedOn(ev)
+				h.crashDependedOn(ev)
 			case faultDiskStall:
-				n := fr.c.Nodes[ev.node]
+				n := h.c.Nodes[ev.node]
 				d := n.HW.Disks[ev.disk]
-				fr.logFault("disk stall: node %d disk %d +%v for %v", ev.node, ev.disk, ev.extra, ev.dur)
+				h.logFault("disk stall: node %d disk %d +%v for %v", ev.node, ev.disk, ev.extra, ev.dur)
 				d.SetStall(ev.extra)
 				stallGen[d]++
 				mine := stallGen[d]
-				fr.env.After(ev.dur, func() {
+				h.env.After(ev.dur, func() {
 					if stallGen[d] == mine {
 						d.SetStall(0)
 					}
 				})
 			case faultNetSpike:
-				fr.logFault("net delay spike: +%v for %v", ev.extra, ev.dur)
-				fr.c.Net.SetExtraDelay(ev.extra)
+				h.logFault("net delay spike: +%v for %v", ev.extra, ev.dur)
+				h.c.Net.SetExtraDelay(ev.extra)
 				netGen++
 				mine := netGen
-				fr.env.After(ev.dur, func() {
+				h.env.After(ev.dur, func() {
 					if netGen == mine {
-						fr.c.Net.SetExtraDelay(0)
+						h.c.Net.SetExtraDelay(0)
 					}
 				})
 			case faultMigrate:
 				if migrating {
-					fr.logFault("migration [%d,%d) -> node %d skipped (another in flight)", ev.loK, ev.hiK, ev.target)
+					h.logFault("migration [%d,%d) -> node %d skipped (another in flight)", ev.loK, ev.hiK, ev.target)
 					continue
 				}
 				migrating = true
-				fr.migrate(ev, func() { migrating = false })
+				h.env.Spawn("chaos-migrate", func(mp *sim.Proc) {
+					h.w.migrate(mp, ev)
+					migrating = false
+				})
 			case faultDestroyDisk:
-				fr.execDestroy(ev)
+				h.execDestroy(ev)
 			case faultCkptCrash:
-				fr.execCkptCrash(ev)
+				h.execCkptCrash(ev)
 			case faultRotAcked:
-				n := fr.c.Nodes[ev.node]
+				n := h.c.Nodes[ev.node]
 				if n.Down() {
-					fr.logFault("acked-history rot on node %d skipped (down)", ev.node)
+					h.logFault("acked-history rot on node %d skipped (down)", ev.node)
 					continue
 				}
-				if lost := fr.diskLost(); lost != nil {
+				if lost := h.diskLost(); lost != nil {
 					// The mirror of execDestroy's rule: rot that outlives this
 					// node's next crash costs it its wrapper copies, which a
 					// node rebuilding right now may be about to read.
-					fr.logFault("acked-history rot on node %d skipped (node %d still rebuilding)", ev.node, lost.ID)
+					h.logFault("acked-history rot on node %d skipped (node %d still rebuilding)", ev.node, lost.ID)
 					continue
 				}
-				if lsn := n.Log.FlipFlushedBit(ev.flip, fr.c.RotEligible(n)); lsn != 0 {
-					fr.rep.RotInjected++
-					fr.logFault("acked-history rot: node %d frame at LSN %d bit-flipped (pick %d)", ev.node, lsn, ev.flip)
+				if lsn := n.Log.FlipFlushedBit(ev.flip, h.c.RotEligible(n)); lsn != 0 {
+					h.rep.RotInjected++
+					h.logFault("acked-history rot: node %d frame at LSN %d bit-flipped (pick %d)", ev.node, lsn, ev.flip)
 				} else {
-					fr.logFault("acked-history rot on node %d skipped (no replica-covered frame)", ev.node)
+					h.logFault("acked-history rot on node %d skipped (no replica-covered frame)", ev.node)
 				}
 			}
 		}
@@ -348,15 +323,15 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 // crashAimed executes ev at the first instant within reach of its planned time
 // at which aim (polled every 100 us) names a victim, on that node; with none in
 // reach the crash lands on the planned node at the deadline.
-func (fr *faultRunner) crashAimed(ev faultEvent, reach time.Duration, aim func() (victim int, ok bool)) {
-	fr.env.Spawn("chaos-crash-aimed", func(p *sim.Proc) {
+func (h *harness) crashAimed(ev faultEvent, reach time.Duration, aim func() (victim int, ok bool)) {
+	h.env.Spawn("chaos-crash-aimed", func(p *sim.Proc) {
 		for deadline := p.Now() + reach; p.Now() < deadline; p.Sleep(100 * time.Microsecond) {
 			if victim, ok := aim(); ok {
 				ev.node = victim
 				break
 			}
 		}
-		fr.execCrash(ev)
+		h.execCrash(ev)
 	})
 }
 
@@ -366,15 +341,10 @@ func (fr *faultRunner) crashAimed(ev faultEvent, reach time.Duration, aim func()
 // power failure tears is one a follower has whole, and the restart must number
 // over a suffix that survives on another disk. Commits open that window for a
 // millisecond at a time; the planned instant itself almost never falls inside
-// one. Without data replication, or with no window in reach, the crash lands
-// where it was planned or at the deadline.
-func (fr *faultRunner) crashShippedAhead(ev faultEvent) {
-	n := fr.c.Nodes[ev.node]
-	if !fr.c.DataReplicated() {
-		fr.execCrash(ev)
-		return
-	}
-	fr.crashAimed(ev, 2*time.Second, func() (int, bool) { return ev.node, n.Down() || fr.c.ShippedAhead(n) })
+// one. With no window in reach, the crash lands at the deadline.
+func (h *harness) crashShippedAhead(ev faultEvent) {
+	n := h.c.Nodes[ev.node]
+	h.crashAimed(ev, 2*time.Second, func() (int, bool) { return ev.node, n.Down() || h.c.ShippedAhead(n) })
 }
 
 // crashDependedOn executes a plain crash at the first instant, within eight
@@ -384,11 +354,11 @@ func (fr *faultRunner) crashShippedAhead(ev faultEvent) {
 // reported if the commit is lost. Such waits last a commit force, a few
 // milliseconds each, and most dependencies need none (same log): the KV mix
 // sees one every five seconds or so, hence the long reach.
-func (fr *faultRunner) crashDependedOn(ev faultEvent) {
+func (h *harness) crashDependedOn(ev faultEvent) {
 	ev.kind = faultCrash
-	fr.crashAimed(ev, 8*time.Second, func() (int, bool) {
-		for _, n := range fr.c.Nodes {
-			if fr.c.DependedOn(n) {
+	h.crashAimed(ev, 8*time.Second, func() (int, bool) {
+		for _, n := range h.c.Nodes {
+			if h.c.DependedOn(n) {
 				return n.ID, true
 			}
 		}
@@ -401,82 +371,95 @@ func (fr *faultRunner) crashDependedOn(ev faultEvent) {
 // medium: part of the frame the device was writing survives on the platter
 // (possibly bit-flipped), and the restart must CRC-detect and truncate it
 // while every acknowledged commit below the boundary survives.
-func (fr *faultRunner) execCrash(ev faultEvent) {
+func (h *harness) execCrash(ev faultEvent) {
 	if ev.kind == faultCrashCoord {
 		// Resolve the acting coordinator at execution time — after earlier
 		// failovers the leader may be any replica-group member — then crash
 		// it like any other power failure.
-		ev.node = fr.c.Master.LeaderID()
+		ev.node = h.c.Master.LeaderID()
 		ev.kind = faultCrash
 	}
-	n := fr.c.Nodes[ev.node]
+	n := h.c.Nodes[ev.node]
 	if n.Down() {
 		// Already down: a second crash+restart pair for the same outage
 		// would double-count and race the first restart.
-		fr.logFault("crash node %d skipped (already down)", ev.node)
+		h.logFault("crash node %d skipped (already down)", ev.node)
 		return
 	}
-	wasLeader := n == fr.c.Master.Node
+	wasLeader := n == h.c.Master.Node
 	ahead := ""
-	if fr.c.ShippedAhead(n) {
-		fr.rep.AheadCrashes++
+	if h.c.ShippedAhead(n) {
+		h.rep.AheadCrashes++
 		ahead = "a follower's disk is ahead of its log; "
 	}
-	if fr.c.DependedOn(n) {
-		fr.rep.DepCrashes++
+	if h.c.DependedOn(n) {
+		h.rep.DepCrashes++
 		ahead += "a committing transaction waits on its unsettled commit; "
 	}
 	switch ev.kind {
 	case faultCrashTorn:
-		torn := fr.c.CrashNodeTorn(n, ev.tear, -1)
+		torn := h.c.CrashNodeTorn(n, ev.tear, -1)
 		if torn > 0 { // an empty unflushed tail degrades to a plain crash
-			fr.rep.TornCrashes++
+			h.rep.TornCrashes++
 		}
-		fr.logFault("crash node %d with torn log tail (%d bytes survive; %srestart after %v)", ev.node, torn, ahead, ev.dur)
+		h.logFault("crash node %d with torn log tail (%d bytes survive; %srestart after %v)", ev.node, torn, ahead, ev.dur)
 	case faultCrashFlip:
-		torn := fr.c.CrashNodeTorn(n, ev.tear, ev.flip)
+		torn := h.c.CrashNodeTorn(n, ev.tear, ev.flip)
 		if torn > 0 {
-			fr.rep.BitFlips++
+			h.rep.BitFlips++
 		}
-		fr.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; %srestart after %v)",
+		h.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; %srestart after %v)",
 			ev.node, torn, ev.flip, ahead, ev.dur)
 	default:
-		fr.c.CrashNode(n)
-		fr.logFault("crash node %d (%srestart after %v)", ev.node, ahead, ev.dur)
+		h.c.CrashNode(n)
+		h.logFault("crash node %d (%srestart after %v)", ev.node, ahead, ev.dur)
 	}
-	fr.rep.Crashes++
-	if fr.c.MasterReplicated() && wasLeader {
-		fr.rep.LeaderCrashes++
+	h.rep.Crashes++
+	if h.c.MasterReplicated() && wasLeader {
+		h.rep.LeaderCrashes++
 	}
-	node := n
-	dur := ev.dur
-	fr.env.Spawn(fmt.Sprintf("chaos-restart-%d", ev.node), func(p *sim.Proc) {
-		p.Sleep(dur)
-		redone, undone, err := fr.c.RestartNode(p, node)
-		if err != nil {
-			fr.violate(fmt.Sprintf("restart of node %d failed: %v", node.ID, err))
-			return
+	h.env.Spawn(fmt.Sprintf("chaos-restart-%d", ev.node), func(p *sim.Proc) { h.restartAfter(p, n, ev) })
+}
+
+// restartAfter is the second half of every crash fault, whatever it did to
+// the node first: stay down for ev.dur, restart, and hold the restart to its
+// contract. The node must come back with nothing still marked lost and with a
+// fully decodable log — a torn or corrupted (and necessarily unacknowledged)
+// tail is truncated, never patched around or left for the next recovery to
+// trip on — and its replay must respect the checkpoint bound (noteRecovery).
+func (h *harness) restartAfter(p *sim.Proc, n *cluster.DataNode, ev faultEvent) {
+	p.Sleep(ev.dur)
+	redone, undone, err := h.c.RestartNode(p, n)
+	if err != nil {
+		h.violate(fmt.Sprintf("restart of node %d failed: %v", n.ID, err))
+		return
+	}
+	if n.DiskLost() || n.Log.LostDurable() {
+		h.violate(fmt.Sprintf("node %d still marked disk-lost after its restart", n.ID))
+		return
+	}
+	it := n.Log.Iter()
+	for {
+		if _, ok := it.Next(); !ok {
+			break
 		}
-		// The restart must leave a fully decodable log: a torn or corrupted
-		// (and necessarily unacknowledged) tail is truncated, never patched
-		// around or left for the next recovery to trip on.
-		it := node.Log.Iter()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
-		if it.Err() != nil {
-			fr.violate(fmt.Sprintf("restart of node %d left a corrupt log tail: %v", node.ID, it.Err()))
-		}
-		fr.rep.Restarts++
-		noteRecovery(fr.rep, fr.violate, node)
-		fr.logFault("node %d restarted (replay: %d redone, %d undone, %d bytes from redo %d, %v to ready)",
-			node.ID, redone, undone, node.LastRecovery.Bytes, node.LastRecovery.Redo, node.LastRecovery.Elapsed)
-		if fr.postRestart != nil {
-			fr.postRestart(p, node)
-		}
-	})
+	}
+	if it.Err() != nil {
+		h.violate(fmt.Sprintf("restart of node %d left a corrupt log: %v", n.ID, it.Err()))
+	}
+	h.rep.Restarts++
+	h.noteRecovery(n)
+	lr := n.LastRecovery
+	how, from := "restarted", fmt.Sprintf(" from redo %d", lr.Redo)
+	switch ev.kind {
+	case faultDestroyDisk:
+		how, from = "rebuilt from replicas", "" // the text is hashed: this line never named a redo point
+	case faultCkptCrash:
+		how = "restarted after mid-checkpoint crash"
+	}
+	h.logFault("node %d %s (replay: %d redone, %d undone, %d bytes%s, %v to ready)",
+		n.ID, how, redone, undone, lr.Bytes, from, lr.Elapsed)
+	h.w.postRestart(p, n)
 }
 
 // execDestroy power-fails a node AND destroys its log medium — segments and
@@ -486,135 +469,43 @@ func (fr *faultRunner) execCrash(ev faultEvent) {
 // other's only replica, leaving no rebuild source (real deployments solve
 // this with rack-aware placement; the simulator keeps the invariant by
 // serializing the fault).
-func (fr *faultRunner) execDestroy(ev faultEvent) {
-	if !fr.c.DataReplicated() {
-		fr.logFault("disk loss on node %d skipped (data replication off)", ev.node)
-		return
-	}
-	n := fr.c.Nodes[ev.node]
+func (h *harness) execDestroy(ev faultEvent) {
+	n := h.c.Nodes[ev.node]
 	if n.Down() {
-		fr.logFault("disk loss on node %d skipped (already down)", ev.node)
+		h.logFault("disk loss on node %d skipped (already down)", ev.node)
 		return
 	}
-	if lost := fr.diskLost(); lost != nil {
-		fr.logFault("disk loss on node %d skipped (node %d still rebuilding)", ev.node, lost.ID)
+	if lost := h.diskLost(); lost != nil {
+		h.logFault("disk loss on node %d skipped (node %d still rebuilding)", ev.node, lost.ID)
 		return
 	}
-	for _, other := range fr.c.Nodes {
+	for _, other := range h.c.Nodes {
 		// A node that went down with rot in its acked history not yet scrubbed
 		// is a disk loss waiting to be noticed: its restart rebuilds its log
 		// wholesale and drops its wrapper copies of the streams it follows —
 		// possibly the only other copy of what this node was acknowledged for
 		// while their other follower was away.
 		if other.Down() && len(other.Log.CheckFlushed()) > 0 {
-			fr.logFault("disk loss on node %d skipped (node %d is down with unrepaired rot and will rebuild)", ev.node, other.ID)
+			h.logFault("disk loss on node %d skipped (node %d is down with unrepaired rot and will rebuild)", ev.node, other.ID)
 			return
 		}
 	}
-	wasLeader := n == fr.c.Master.Node
-	fr.c.DestroyDisk(n)
-	fr.logFault("disk loss: node %d log medium and bases destroyed (restart after %v)", ev.node, ev.dur)
-	fr.rep.Crashes++
-	if fr.c.MasterReplicated() && wasLeader {
-		fr.rep.LeaderCrashes++
+	wasLeader := n == h.c.Master.Node
+	h.c.DestroyDisk(n)
+	h.logFault("disk loss: node %d log medium and bases destroyed (restart after %v)", ev.node, ev.dur)
+	h.rep.Crashes++
+	if h.c.MasterReplicated() && wasLeader {
+		h.rep.LeaderCrashes++
 	}
-	node := n
-	dur := ev.dur
-	fr.env.Spawn(fmt.Sprintf("chaos-rebuild-%d", ev.node), func(p *sim.Proc) {
-		p.Sleep(dur)
-		redone, undone, err := fr.c.RestartNode(p, node)
-		if err != nil {
-			fr.violate(fmt.Sprintf("rebuild restart of node %d failed: %v", node.ID, err))
-			return
-		}
-		if node.DiskLost() || node.Log.LostDurable() {
-			fr.violate(fmt.Sprintf("node %d still marked disk-lost after rebuild restart", node.ID))
-			return
-		}
-		it := node.Log.Iter()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
-		if it.Err() != nil {
-			fr.violate(fmt.Sprintf("rebuild of node %d left a corrupt log: %v", node.ID, it.Err()))
-		}
-		fr.rep.Restarts++
-		noteRecovery(fr.rep, fr.violate, node)
-		fr.logFault("node %d rebuilt from replicas (replay: %d redone, %d undone, %d bytes, %v to ready)",
-			node.ID, redone, undone, node.LastRecovery.Bytes, node.LastRecovery.Elapsed)
-		if fr.postRestart != nil {
-			fr.postRestart(p, node)
-		}
-	})
+	h.env.Spawn(fmt.Sprintf("chaos-rebuild-%d", ev.node), func(p *sim.Proc) { h.restartAfter(p, n, ev) })
 }
 
 // diskLost returns a node whose destroyed disk is not rebuilt yet, or nil.
-func (fr *faultRunner) diskLost() *cluster.DataNode {
-	for _, n := range fr.c.Nodes {
+func (h *harness) diskLost() *cluster.DataNode {
+	for _, n := range h.c.Nodes {
 		if n.DiskLost() {
 			return n
 		}
 	}
 	return nil
-}
-
-// runner wires the KV harness into the shared fault executor.
-func (h *harness) runner() *faultRunner {
-	return &faultRunner{
-		env:         h.env,
-		c:           h.c,
-		rep:         h.rep,
-		logFault:    h.logFault,
-		violate:     h.violate,
-		postRestart: h.postRestartSweep,
-		migrate: func(ev faultEvent, done func()) {
-			h.env.Spawn("chaos-migrate", func(mp *sim.Proc) {
-				h.logFault("migration [%d,%d) -> node %d starting", ev.loK, ev.hiK, ev.target)
-				err := h.master.MigrateRange(mp, "kv", kvKey(ev.loK), kvKey(ev.hiK), h.c.Nodes[ev.target])
-				if err != nil {
-					h.logFault("migration [%d,%d) -> node %d aborted: %v", ev.loK, ev.hiK, ev.target, err)
-				} else {
-					h.logFault("migration [%d,%d) -> node %d complete", ev.loK, ev.hiK, ev.target)
-				}
-				done()
-			})
-		},
-	}
-}
-
-// postRestartSweep reads every key the oracle knows right after a restart;
-// the observations flow into the same end-of-run validation as workload
-// reads, so "every acknowledged commit readable after restart" is checked
-// at the restart boundary itself, not only at the end.
-func (h *harness) postRestartSweep(p *sim.Proc, restarted *cluster.DataNode) {
-	s := h.master.Begin(p, ccSnapshot, restarted)
-	keys := make([]int64, 0, len(h.oracle.hist))
-	for k := range h.oracle.hist {
-		keys = append(keys, k)
-	}
-	sortInt64s(keys)
-	var seen []readObs
-	for _, k := range keys {
-		v, ok, err := s.Get(p, "kv", kvKey(k))
-		if err != nil {
-			// Another fault window may overlap the sweep; skip silently.
-			h.rep.FailedOps++
-			continue
-		}
-		obs := readObs{at: p.Now(), snap: s.Txn.Begin, key: k, ok: ok}
-		if ok {
-			row, derr := h.schema.DecodeRow(v)
-			if derr != nil {
-				h.violate(fmt.Sprintf("post-restart sweep: key %d undecodable: %v", k, derr))
-				continue
-			}
-			obs.val = row[1].(string)
-		}
-		seen = append(seen, obs)
-	}
-	if h.finishRead(p, s) {
-		h.reads = append(h.reads, seen...)
-	}
 }

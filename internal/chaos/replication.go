@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"wattdb/internal/cluster"
 	"wattdb/internal/sim"
 )
 
-// Replication background daemons and end-of-run oracles shared by the KV and
-// TPC-C harnesses. Both harnesses run the cluster with DataReplicas=2: every
-// node's acked history streams to two followers, a destroyed disk rebuilds
-// from them, and a background scrubber repairs bit-rotted acked frames.
+// Replication background daemons and end-of-run oracles. Every run has the
+// cluster at DataReplicas=2: every node's acked history streams to two
+// followers, a destroyed disk rebuilds from them, and a background scrubber
+// repairs bit-rotted acked frames.
 
 const (
 	shipperInterval  = 20 * time.Millisecond
@@ -20,22 +19,19 @@ const (
 
 // spawnReplicationDaemons starts the background shipper (unforced frames ride
 // followers' group commits) and the scrubber (CRC-rescan acked history,
-// repair from a healthy copy). Both exit once *stop flips, so the end-of-run
+// repair from a healthy copy). Both exit once h.stop flips, so the end-of-run
 // drain terminates.
-func spawnReplicationDaemons(env *sim.Env, c *cluster.Cluster, stop *bool) {
-	if !c.DataReplicated() {
-		return
-	}
-	env.Spawn("chaos-shipper", func(p *sim.Proc) {
-		for !*stop {
+func (h *harness) spawnReplicationDaemons() {
+	h.env.Spawn("chaos-shipper", func(p *sim.Proc) {
+		for !h.stop {
 			p.Sleep(shipperInterval)
-			c.DrainShipQueues(p)
+			h.c.DrainShipQueues(p)
 		}
 	})
-	env.Spawn("chaos-scrubber", func(p *sim.Proc) {
-		for !*stop {
+	h.env.Spawn("chaos-scrubber", func(p *sim.Proc) {
+		for !h.stop {
 			p.Sleep(scrubberInterval)
-			c.ScrubPass(p)
+			h.c.ScrubPass(p)
 		}
 	})
 }
@@ -46,26 +42,23 @@ func spawnReplicationDaemons(env *sim.Env, c *cluster.Cluster, stop *bool) {
 // no undecodable acked frame survives (rot not repaired would be a silent
 // durability loss), no node is still marked disk-lost, and no log still
 // reports lost durable history.
-func finalReplicationSweep(env *sim.Env, c *cluster.Cluster, violate func(string)) {
-	if !c.DataReplicated() {
-		return
-	}
-	env.Spawn("chaos-replication-sweep", func(p *sim.Proc) {
-		c.DrainShipQueues(p)
-		c.ScrubPass(p)
-		for _, n := range c.Nodes {
+func (h *harness) finalReplicationSweep() {
+	h.env.Spawn("chaos-replication-sweep", func(p *sim.Proc) {
+		h.c.DrainShipQueues(p)
+		h.c.ScrubPass(p)
+		for _, n := range h.c.Nodes {
 			if n.Down() {
-				violate(fmt.Sprintf("replication sweep: node %d still down", n.ID))
+				h.violate(fmt.Sprintf("replication sweep: node %d still down", n.ID))
 				continue
 			}
 			if n.DiskLost() {
-				violate(fmt.Sprintf("replication sweep: node %d still marked disk-lost", n.ID))
+				h.violate(fmt.Sprintf("replication sweep: node %d still marked disk-lost", n.ID))
 			}
 			if n.Log.LostDurable() {
-				violate(fmt.Sprintf("replication sweep: node %d log still reports lost durable history", n.ID))
+				h.violate(fmt.Sprintf("replication sweep: node %d log still reports lost durable history", n.ID))
 			}
 			if bad := n.Log.CheckFlushed(); len(bad) > 0 {
-				violate(fmt.Sprintf("replication sweep: node %d has %d unrepaired acked frames (first LSN %d)",
+				h.violate(fmt.Sprintf("replication sweep: node %d has %d unrepaired acked frames (first LSN %d)",
 					n.ID, len(bad), bad[0]))
 			}
 		}

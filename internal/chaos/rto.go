@@ -2,35 +2,33 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"wattdb/internal/cluster"
 	"wattdb/internal/sim"
 )
 
-// Fuzzy-checkpoint chaos wiring shared by the KV and TPC-C harnesses. Both
-// run a background checkpointer on every node, so restarts replay only the
-// delta since the last complete checkpoint; the plan's -ckpt faults
-// power-fail a node at a random step of an in-flight checkpoint, and the
-// restart oracle asserts the bounded-replay contract on every recovery.
+// Fuzzy-checkpoint chaos wiring. Every run has a background checkpointer on
+// every node, so restarts replay only the delta since the last complete
+// checkpoint; the plan's -ckpt faults power-fail a node at a random step of
+// an in-flight checkpoint, and the restart oracle asserts the bounded-replay
+// contract on every recovery.
 
 // ckptInterval is the background checkpoint cadence per node.
 const ckptInterval = 2 * time.Second
 
 // spawnCheckpointers starts one fuzzy-checkpoint daemon per node. Crashed,
 // disk-lost, or down rounds are skipped (CheckpointNode re-checks itself);
-// the daemons exit once *stop flips so the end-of-run drain terminates.
-func spawnCheckpointers(env *sim.Env, c *cluster.Cluster, stop *bool) {
-	for _, n := range c.Nodes {
-		n := n
-		env.Spawn(fmt.Sprintf("chaos-ckpt-%d", n.ID), func(p *sim.Proc) {
-			for !*stop {
+// the daemons exit once h.stop flips so the end-of-run drain terminates.
+func (h *harness) spawnCheckpointers() {
+	for _, n := range h.c.Nodes {
+		h.env.Spawn(fmt.Sprintf("chaos-ckpt-%d", n.ID), func(p *sim.Proc) {
+			for !h.stop {
 				p.Sleep(ckptInterval)
 				if n.Down() || n.DiskLost() {
 					continue
 				}
-				if _, err := c.CheckpointNode(p, n, 0); err != nil {
+				if _, err := h.c.CheckpointNode(p, n, 0); err != nil {
 					return // engine failure surfaces through the invariant sweep
 				}
 			}
@@ -42,45 +40,19 @@ func spawnCheckpointers(env *sim.Env, c *cluster.Cluster, stop *bool) {
 // checks the bounded-replay oracle: when a complete checkpoint bounded the
 // replay, no partition may have applied a record below its recorded redo
 // point — restart work is O(delta since checkpoint), not O(retained log).
-func noteRecovery(rep *Report, violate func(string), n *cluster.DataNode) {
+func (h *harness) noteRecovery(n *cluster.DataNode) {
 	lr := n.LastRecovery
-	rep.ReplayBytes += lr.Bytes
-	rep.RecoveryTime += lr.Elapsed
+	h.rep.ReplayBytes += lr.Bytes
+	h.rep.RecoveryTime += lr.Elapsed
 	if !lr.Checkpointed {
 		return
 	}
-	rep.BoundedRestarts++
+	h.rep.BoundedRestarts++
 	if lr.MinApplied != 0 && lr.MinApplied < lr.Redo {
-		violate(fmt.Sprintf(
+		h.violate(fmt.Sprintf(
 			"recovery bound: node %d replayed LSN %d below its checkpoint redo point %d",
 			n.ID, lr.MinApplied, lr.Redo))
 	}
-}
-
-// ckptCrash builds one mid-checkpoint power failure: the crash is armed to
-// fire after a random number of checkpoint protocol steps (flush batches,
-// begin append, redo scan, end append, truncation), so over seeds the plan
-// covers every phase of the begin/end pair — including the torn-pair window
-// between the two records.
-func ckptCrash(rng *rand.Rand, at time.Duration, nodes int) faultEvent {
-	return faultEvent{
-		at:   at,
-		kind: faultCkptCrash,
-		node: rng.Intn(nodes),
-		tear: rng.Intn(8), // protocol steps before the armed crash fires
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	}
-}
-
-// ckptCrashEvents derives the cfg.CkptFaults mid-checkpoint crashes a plan
-// carries, landing in the middle half of the window.
-func ckptCrashEvents(rng *rand.Rand, window time.Duration, nodes, count int) []faultEvent {
-	evs := make([]faultEvent, 0, count)
-	for i := 0; i < count; i++ {
-		at := window/4 + time.Duration(rng.Int63n(int64(window/2)))
-		evs = append(evs, ckptCrash(rng, at, nodes))
-	}
-	return evs
 }
 
 // execCkptCrash power-fails a node mid-checkpoint: it arms the crash
@@ -89,57 +61,34 @@ func ckptCrashEvents(rng *rand.Rand, window time.Duration, nodes, count int) []f
 // completes before the countdown expires, the event degrades to a plain
 // power failure — still a crash, still restarted by this event's pair. A
 // node someone else crashed first is left to that fault's restart pair.
-func (fr *faultRunner) execCkptCrash(ev faultEvent) {
-	n := fr.c.Nodes[ev.node]
+func (h *harness) execCkptCrash(ev faultEvent) {
+	n := h.c.Nodes[ev.node]
 	if n.Down() || n.DiskLost() {
-		fr.logFault("mid-checkpoint crash on node %d skipped (already down)", ev.node)
+		h.logFault("mid-checkpoint crash on node %d skipped (already down)", ev.node)
 		return
 	}
-	wasLeader := n == fr.c.Master.Node
-	fr.c.ArmCheckpointCrash(n, ev.tear)
-	fr.logFault("mid-checkpoint crash armed: node %d after %d steps (restart after %v)",
+	wasLeader := n == h.c.Master.Node
+	h.c.ArmCheckpointCrash(n, ev.tear)
+	h.logFault("mid-checkpoint crash armed: node %d after %d steps (restart after %v)",
 		ev.node, ev.tear, ev.dur)
-	node := n
-	dur := ev.dur
-	fr.env.Spawn(fmt.Sprintf("chaos-ckpt-crash-%d", ev.node), func(p *sim.Proc) {
-		fr.c.CheckpointNode(p, node, 0)
-		if node.Down() && fr.c.CheckpointCrashArmed(node) {
+	h.env.Spawn(fmt.Sprintf("chaos-ckpt-crash-%d", ev.node), func(p *sim.Proc) {
+		h.c.CheckpointNode(p, n, 0)
+		if n.Down() && h.c.CheckpointCrashArmed(n) {
 			// Another fault power-failed the node while our checkpoint was in
 			// flight; its crash/restart pair owns the outage.
-			fr.c.ArmCheckpointCrash(node, -1)
-			fr.logFault("mid-checkpoint crash on node %d absorbed by a concurrent crash", node.ID)
+			h.c.ArmCheckpointCrash(n, -1)
+			h.logFault("mid-checkpoint crash on node %d absorbed by a concurrent crash", n.ID)
 			return
 		}
-		if !node.Down() {
-			fr.c.ArmCheckpointCrash(node, -1)
-			fr.c.CrashNode(node)
+		if !n.Down() {
+			h.c.ArmCheckpointCrash(n, -1)
+			h.c.CrashNode(n)
 		}
-		fr.rep.Crashes++
-		fr.rep.CkptCrashes++
-		if fr.c.MasterReplicated() && wasLeader {
-			fr.rep.LeaderCrashes++
+		h.rep.Crashes++
+		h.rep.CkptCrashes++
+		if h.c.MasterReplicated() && wasLeader {
+			h.rep.LeaderCrashes++
 		}
-		p.Sleep(dur)
-		redone, undone, err := fr.c.RestartNode(p, node)
-		if err != nil {
-			fr.violate(fmt.Sprintf("restart of node %d after mid-checkpoint crash failed: %v", node.ID, err))
-			return
-		}
-		it := node.Log.Iter()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
-		if it.Err() != nil {
-			fr.violate(fmt.Sprintf("mid-checkpoint crash on node %d left a corrupt log tail: %v", node.ID, it.Err()))
-		}
-		fr.rep.Restarts++
-		noteRecovery(fr.rep, fr.violate, node)
-		fr.logFault("node %d restarted after mid-checkpoint crash (replay: %d redone, %d undone, %d bytes from redo %d, %v to ready)",
-			node.ID, redone, undone, node.LastRecovery.Bytes, node.LastRecovery.Redo, node.LastRecovery.Elapsed)
-		if fr.postRestart != nil {
-			fr.postRestart(p, node)
-		}
+		h.restartAfter(p, n, ev)
 	})
 }

@@ -169,22 +169,6 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 	return st, nil
 }
 
-// StartCheckpointer spawns n's background checkpoint daemon, taking one fuzzy
-// checkpoint every interval (crashed or rebuild-pending rounds are skipped).
-func (c *Cluster) StartCheckpointer(n *DataNode, interval time.Duration, batch int) {
-	c.Env.Spawn(fmt.Sprintf("ckpt-%d", n.ID), func(p *sim.Proc) {
-		for {
-			p.Sleep(interval)
-			if n.crashed || n.diskLost || n.Log.Down() {
-				continue
-			}
-			if _, err := c.CheckpointNode(p, n, batch); err != nil {
-				return // backend failure: stop checkpointing, never crash the sim
-			}
-		}
-	})
-}
-
 // ckptScan is the checkpoint's analysis instant: one pass over the retained
 // log and the buffer pool's dirty-page table, charging no simulated time.
 // It returns the encoded-payload checkpoint and the truncation floor, or nil

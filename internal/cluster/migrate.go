@@ -590,8 +590,6 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	var news []*RangeEntry
 	if e.Low == nil && h.Low != nil || (e.Low != nil && h.Low != nil && bytes.Compare(e.Low, h.Low) < 0) {
 		news = append(news, &RangeEntry{Low: e.Low, High: h.Low, Part: src, Owner: srcOwner})
-	} else if e.Low == nil && h.Low == nil {
-		// moving the first segment of an unbounded-low partition
 	}
 	news = append(news, moved)
 	if h.High != nil && (e.High == nil || bytes.Compare(h.High, e.High) < 0) {

@@ -33,7 +33,6 @@ type Monitor struct {
 	interval time.Duration
 	policy   *Policy
 
-	lastUtil   map[int]float64
 	inDecision bool
 
 	// OnSample, when set, receives every collected sample.
@@ -42,7 +41,7 @@ type Monitor struct {
 
 // StartMonitor spawns the monitoring process on the master.
 func (m *Master) StartMonitor(interval time.Duration, policy *Policy) *Monitor {
-	mon := &Monitor{master: m, interval: interval, policy: policy, lastUtil: map[int]float64{}}
+	mon := &Monitor{master: m, interval: interval, policy: policy}
 	m.cluster.Env.Spawn("monitor", func(p *sim.Proc) {
 		for {
 			p.Sleep(interval)
@@ -65,7 +64,6 @@ func (mon *Monitor) tick(p *sim.Proc) {
 		}
 		util[n.ID] = n.HW.CPUUtilization()
 	}
-	mon.lastUtil = util
 	if mon.OnSample != nil {
 		mon.OnSample(p.Now(), util)
 	}
@@ -130,9 +128,6 @@ func (mon *Monitor) idlestNode(util map[int]float64) *DataNode {
 	return victim
 }
 
-// LastUtil returns the most recent utilisation report.
-func (mon *Monitor) LastUtil() map[int]float64 { return mon.lastUtil }
-
 // StandbyNode returns a powered-off node, or nil.
 func (c *Cluster) StandbyNode() *DataNode {
 	for _, n := range c.Nodes {
@@ -141,17 +136,6 @@ func (c *Cluster) StandbyNode() *DataNode {
 		}
 	}
 	return nil
-}
-
-// ActiveNodes returns the currently active nodes.
-func (c *Cluster) ActiveNodes() []*DataNode {
-	var out []*DataNode
-	for _, n := range c.Nodes {
-		if n.HW.State() == hw.PowerActive {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // AttachHelper wires helper to relieve busy during rebalancing (Sect. 5.2):

@@ -51,22 +51,6 @@ type Operator interface {
 	Close(p *sim.Proc)
 }
 
-// RowBytes estimates the wire size of a boxed row for network cost
-// accounting (compatibility helper; batch-at-a-time accounting uses
-// Batch.WireBytes, which works from the schema's cached column widths).
-func RowBytes(r table.Row) int64 {
-	var n int64 = 8 // framing
-	for _, v := range r {
-		switch s := v.(type) {
-		case string:
-			n += int64(len(s)) + 2
-		default:
-			n += 8
-		}
-	}
-	return n
-}
-
 // TableScan reads a partition's visible records in key order, decoding rows
 // columnarly into a reused batch of up to Vector rows. Each batch restarts
 // the range scan after the last delivered key, so the operator needs no

@@ -8,7 +8,6 @@ import (
 	"wattdb/internal/cc"
 	"wattdb/internal/cluster"
 	"wattdb/internal/keycodec"
-	"wattdb/internal/metrics"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
 	"wattdb/internal/tpcc"
@@ -30,10 +29,10 @@ type TimelineOpts struct {
 type TimelineResult struct {
 	Scheme        table.Scheme
 	Helpers       bool
-	QPS           []metrics.Bin // committed transactions per second
-	ResponseMs    []metrics.Bin // mean response time, milliseconds
-	Watts         []metrics.Bin // cluster power
-	JoulePerQuery []metrics.Bin // energy per committed transaction
+	QPS           []Bin // committed transactions per second
+	ResponseMs    []Bin // mean response time, milliseconds
+	Watts         []Bin // cluster power
+	JoulePerQuery []Bin // energy per committed transaction
 
 	MigrationTook time.Duration
 	Commits       int
@@ -96,9 +95,9 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 		BreakdownNormal: map[sim.Category]time.Duration{},
 		BreakdownRebal:  map[sim.Category]time.Duration{},
 	}
-	qps := metrics.NewSeries(origin, pre.BinSize)
-	rt := metrics.NewSeries(origin, pre.BinSize)
-	watts := metrics.NewSeries(origin, pre.BinSize)
+	qps := newSeries(origin, pre.BinSize)
+	rt := newSeries(origin, pre.BinSize)
+	watts := newSeries(origin, pre.BinSize)
 
 	var normalN, rebalN int
 	migrating := false
@@ -112,8 +111,8 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 			at := r.Start + r.Latency
 			if r.Committed {
 				res.Commits++
-				qps.Add(at, 1)
-				rt.Add(at, float64(r.Latency)/float64(time.Millisecond))
+				qps.add(at, 1)
+				rt.add(at, float64(r.Latency)/float64(time.Millisecond))
 			} else {
 				res.Aborts++
 			}
@@ -150,7 +149,7 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 		n.StartVacuum(10 * time.Second)
 	}
 	// Power metering.
-	c.Meter.OnSample = func(at time.Duration, w float64) { watts.Add(at, w) }
+	c.Meter.OnSample = func(at time.Duration, w float64) { watts.add(at, w) }
 	c.Meter.Start()
 
 	// Rebalance controller.
@@ -230,7 +229,7 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 		cl.Stop()
 	}
 
-	trim := func(bins []metrics.Bin) []metrics.Bin {
+	trim := func(bins []Bin) []Bin {
 		out := bins[:0]
 		for _, b := range bins {
 			if b.Start < pre.Observe { // drop the partial final bin
@@ -239,9 +238,9 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 		}
 		return out
 	}
-	res.QPS = trim(qps.RatePerSecond())
-	res.ResponseMs = trim(rt.Bins())
-	res.Watts = trim(watts.Bins())
+	res.QPS = trim(qps.ratePerSecond())
+	res.ResponseMs = trim(rt.bins())
+	res.Watts = trim(watts.bins())
 	// Joule/query: mean watts over committed throughput, bin-aligned.
 	rates := map[time.Duration]float64{}
 	for _, b := range res.QPS {
@@ -249,7 +248,7 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 	}
 	for _, b := range res.Watts {
 		if q, ok := rates[b.Start]; ok && q > 0 {
-			res.JoulePerQuery = append(res.JoulePerQuery, metrics.Bin{
+			res.JoulePerQuery = append(res.JoulePerQuery, Bin{
 				Start: b.Start, Mean: b.Mean / q, Count: b.Count,
 			})
 		}
@@ -270,7 +269,7 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 }
 
 // MeanOver averages a series' bins whose start lies in [from, to).
-func MeanOver(bins []metrics.Bin, from, to time.Duration) float64 {
+func MeanOver(bins []Bin, from, to time.Duration) float64 {
 	sum, n := 0.0, 0
 	for _, b := range bins {
 		if b.Start >= from && b.Start < to {
@@ -292,7 +291,7 @@ func FormatTimeline(label string, r TimelineResult) string {
 	fmt.Fprintf(&b, "%8s %10s %10s %10s %12s\n", "t(s)", "qps", "rt(ms)", "Watt", "J/query")
 	idx := map[time.Duration][4]float64{}
 	order := []time.Duration{}
-	add := func(bins []metrics.Bin, slot int) {
+	add := func(bins []Bin, slot int) {
 		for _, bin := range bins {
 			v, ok := idx[bin.Start]
 			if !ok {

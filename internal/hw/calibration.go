@@ -94,8 +94,3 @@ func TestCalibration() Calibration {
 	c.BufferFrames = 512
 	return c
 }
-
-// SegmentBytes returns the size of one segment in bytes.
-func (c Calibration) SegmentBytes() int64 {
-	return int64(c.PageSize) * int64(c.SegmentPages)
-}

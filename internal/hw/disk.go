@@ -66,9 +66,6 @@ func (d *Disk) SetStall(extra time.Duration) {
 	d.stall = extra
 }
 
-// Stall returns the currently injected per-request stall.
-func (d *Disk) Stall() time.Duration { return d.stall }
-
 // Read performs one random read of the given size, waiting for the device.
 func (d *Disk) Read(p *sim.Proc, bytes int64) {
 	defer p.Meter(sim.CatDiskIO)()
@@ -120,6 +117,3 @@ func (d *Disk) Bytes() (read, written int64) { return d.bytesRead, d.bytesWritte
 
 // BusyIntegral returns accumulated device busy time in seconds.
 func (d *Disk) BusyIntegral() float64 { return d.arm.BusyIntegral() }
-
-// QueueLen returns the number of requests waiting for the device.
-func (d *Disk) QueueLen() int { return d.arm.QueueLen() }

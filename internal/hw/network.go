@@ -105,9 +105,6 @@ func (n *Network) SetExtraDelay(d time.Duration) {
 	n.extraDelay = d
 }
 
-// ExtraDelay returns the currently injected latency spike.
-func (n *Network) ExtraDelay() time.Duration { return n.extraDelay }
-
 // BytesSent returns the cumulative bytes sent by the node's uplink.
 func (n *Network) BytesSent(nodeID int) int64 {
 	if l, ok := n.links[nodeID]; ok {

@@ -158,22 +158,6 @@ func (n *Node) CPUUtilization() float64 {
 	return u
 }
 
-// PeekCPUUtilization returns utilisation over the window since the last
-// CPUUtilization call without resetting the window.
-func (n *Node) PeekCPUUtilization() float64 {
-	now := n.env.Now()
-	busy := n.CPU.BusyIntegral()
-	dt := (now - n.lastSample).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	u := (busy - n.lastCPUBusy) / (dt * float64(n.cal.Cores))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Power returns the node's instantaneous power draw in Watts given a CPU
 // utilisation in [0,1]. Standby nodes draw the standby power; booting and
 // shutting-down nodes draw full power.

@@ -108,9 +108,6 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 
-// QueueLen returns the number of processes waiting for units.
-func (r *Resource) QueueLen() int { return r.queue.len() }
-
 func (r *Resource) account() {
 	now := r.env.now
 	r.busyInt += float64(r.inUse) * (now - r.lastChange).Seconds()

@@ -113,11 +113,6 @@ func (s *Segment) Page(no PageNo) Page {
 	return p
 }
 
-// Allocated reports whether page no holds data.
-func (s *Segment) Allocated(no PageNo) bool {
-	return int(no) < len(s.pages) && s.pages[no] != nil
-}
-
 // Clone deep-copies the segment, including page bytes and key bounds. Used
 // when a segment is shipped to another node: the receiver gets an
 // independent copy while the sender retains the original for in-flight

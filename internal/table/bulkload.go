@@ -34,12 +34,11 @@ func (pt *Partition) bulkLoadPhysio(p *sim.Proc, fill float64, next func() (key,
 		return fmt.Errorf("table: bulk load into non-empty partition %d", pt.ID)
 	}
 	var (
-		pending     []byte // one look-ahead record
-		pendingKey  []byte
-		exhausted   bool
-		prevHigh    = bytes.Clone(pt.Low)
-		segBudget   int64
-		recordsSeen int
+		pending    []byte // one look-ahead record
+		pendingKey []byte
+		exhausted  bool
+		prevHigh   = bytes.Clone(pt.Low)
+		segBudget  int64
 	)
 	pull := func() (k, v []byte, ok bool) {
 		if pendingKey != nil {
@@ -93,7 +92,6 @@ func (pt *Partition) bulkLoadPhysio(p *sim.Proc, fill float64, next func() (key,
 				return nil, nil, false
 			}
 			used += cell
-			recordsSeen++
 			return k, v, true
 		})
 		if err != nil {
@@ -113,7 +111,6 @@ func (pt *Partition) bulkLoadPhysio(p *sim.Proc, fill float64, next func() (key,
 		pt.segs = append(pt.segs, h)
 		prevHigh = h.High
 	}
-	_ = recordsSeen
 	return nil
 }
 
@@ -121,101 +118,14 @@ func (pt *Partition) bulkLoadSpanning(p *sim.Proc, fill float64, next func() (ke
 	if len(pt.segs) != 0 {
 		return fmt.Errorf("table: bulk load into non-empty partition %d", pt.ID)
 	}
-	lp := &loaderPager{pt: pt}
-	builder := btree.New(lp, 0, nil)
-	err := builder.BulkLoad(p, fill, next)
-	if err != nil {
+	builder := btree.New(&spanningPager{pt: pt, direct: true}, 0, nil)
+	if err := builder.BulkLoad(p, fill, next); err != nil {
 		return err
 	}
 	// Hand the loaded tree over to the runtime pager.
 	pt.span = btree.New(&spanningPager{pt: pt}, builder.Root(), nil)
 	pt.span.Serialize(pt.deps.Env)
 	return nil
-}
-
-// loaderPager mirrors spanningPager's virtual page numbering but touches
-// segment bytes directly (zero cost), so a tree built with it is readable
-// through the buffered spanningPager afterwards.
-type loaderPager struct {
-	pt *Partition
-}
-
-func (lp *loaderPager) capacity() int {
-	if len(lp.pt.segs) > 0 {
-		return lp.pt.segs[0].Seg.Capacity()
-	}
-	return 0
-}
-
-func (lp *loaderPager) resolve(no storage.PageNo) (*storage.Segment, storage.PageNo) {
-	cap := lp.capacity()
-	idx := int(no) / cap
-	return lp.pt.segs[idx].Seg, storage.PageNo(int(no) % cap)
-}
-
-// Read returns page bytes directly.
-func (lp *loaderPager) Read(_ *sim.Proc, no storage.PageNo) (storage.Page, btree.Release, error) {
-	seg, local := lp.resolve(no)
-	return seg.Page(local), func() {}, nil
-}
-
-// Write returns page bytes directly.
-func (lp *loaderPager) Write(p *sim.Proc, no storage.PageNo) (storage.Page, btree.Release, error) {
-	return lp.Read(p, no)
-}
-
-// Alloc allocates in the newest segment, growing as needed.
-func (lp *loaderPager) Alloc(p *sim.Proc) (storage.PageNo, storage.Page, btree.Release, error) {
-	pt := lp.pt
-	if len(pt.segs) == 0 {
-		if err := lp.grow(p); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	last := len(pt.segs) - 1
-	no, ok := pt.segs[last].Seg.AllocPage()
-	if !ok {
-		if err := lp.grow(p); err != nil {
-			return 0, nil, nil, err
-		}
-		last = len(pt.segs) - 1
-		no, ok = pt.segs[last].Seg.AllocPage()
-		if !ok {
-			return 0, nil, nil, btree.ErrSegmentFull
-		}
-	}
-	v := storage.PageNo(last*lp.capacity()) + no
-	return v, pt.segs[last].Seg.Page(no), func() {}, nil
-}
-
-func (lp *loaderPager) grow(p *sim.Proc) error {
-	seg, err := lp.pt.deps.Factory.NewSegment(p)
-	if err != nil {
-		return err
-	}
-	lp.pt.segs = append(lp.pt.segs, &SegHandle{
-		Seg:   seg,
-		Pager: lp.pt.deps.Factory.Pager(seg),
-	})
-	return nil
-}
-
-// Free releases a page.
-func (lp *loaderPager) Free(_ *sim.Proc, no storage.PageNo) error {
-	seg, local := lp.resolve(no)
-	seg.FreePage(local)
-	return nil
-}
-
-// PageSize returns the configured page size.
-func (lp *loaderPager) PageSize() int {
-	if len(lp.pt.segs) > 0 {
-		return lp.pt.segs[0].Seg.PageSize()
-	}
-	if lp.pt.deps.PageSize > 0 {
-		return lp.pt.deps.PageSize
-	}
-	return 8192
 }
 
 // EncodeLoadValue builds the tree value bulk loaders should supply: a

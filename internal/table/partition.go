@@ -247,9 +247,6 @@ func (pt *Partition) RaiseHistoryFloor(ts cc.Timestamp) {
 	}
 }
 
-// HistoryFloor returns the snapshot-serving horizon (0: full history).
-func (pt *Partition) HistoryFloor() cc.Timestamp { return pt.histFloor }
-
 // tooOld rejects snapshot reads below the recovery horizon. Locking-mode
 // readers are exempt: they read the current committed state straight from the
 // leaf, which recovery reconstructs exactly.
@@ -398,6 +395,18 @@ func (pt *Partition) RecordCount(p *sim.Proc) (int, error) {
 // the contrast the paper draws with physiological partitioning.
 type spanningPager struct {
 	pt *Partition
+	// direct reaches every segment through btree.MemPager — its bytes, at no
+	// simulated cost — instead of the segment's buffered pager: the bulk
+	// loader's access path. The page numbering is the same, so a tree built
+	// this way is readable through the buffered pager afterwards.
+	direct bool
+}
+
+func (sp *spanningPager) pager(h *SegHandle) btree.Pager {
+	if sp.direct {
+		return btree.MemPager{Seg: h.Seg}
+	}
+	return h.Pager
 }
 
 func (sp *spanningPager) capacity() int {
@@ -425,7 +434,7 @@ func (sp *spanningPager) Read(p *sim.Proc, no storage.PageNo) (storage.Page, btr
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.Pager.Read(p, local)
+	return sp.pager(h).Read(p, local)
 }
 
 // Write pins a page for modification.
@@ -434,7 +443,7 @@ func (sp *spanningPager) Write(p *sim.Proc, no storage.PageNo) (storage.Page, bt
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.Pager.Write(p, local)
+	return sp.pager(h).Write(p, local)
 }
 
 // Alloc allocates from the newest segment, growing the partition with a
@@ -447,13 +456,13 @@ func (sp *spanningPager) Alloc(p *sim.Proc) (storage.PageNo, storage.Page, btree
 		}
 	}
 	last := len(pt.segs) - 1
-	no, pg, rel, err := pt.segs[last].Pager.Alloc(p)
+	no, pg, rel, err := sp.pager(pt.segs[last]).Alloc(p)
 	if err == btree.ErrSegmentFull {
 		if err := sp.grow(p); err != nil {
 			return 0, nil, nil, err
 		}
 		last = len(pt.segs) - 1
-		no, pg, rel, err = pt.segs[last].Pager.Alloc(p)
+		no, pg, rel, err = sp.pager(pt.segs[last]).Alloc(p)
 	}
 	if err != nil {
 		return 0, nil, nil, err
@@ -479,13 +488,13 @@ func (sp *spanningPager) Free(p *sim.Proc, no storage.PageNo) error {
 	if err != nil {
 		return err
 	}
-	return h.Pager.Free(p, local)
+	return sp.pager(h).Free(p, local)
 }
 
 // PageSize returns the underlying page size.
 func (sp *spanningPager) PageSize() int {
 	if len(sp.pt.segs) > 0 {
-		return sp.pt.segs[0].Pager.PageSize()
+		return sp.pager(sp.pt.segs[0]).PageSize()
 	}
 	if sp.pt.deps.PageSize > 0 {
 		return sp.pt.deps.PageSize

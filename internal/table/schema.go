@@ -217,13 +217,3 @@ func (s *Schema) FixedWireBytes() int64 {
 	}
 	return s.wireFixed
 }
-
-// Col returns the index of the named column, or -1.
-func (s *Schema) Col(name string) int {
-	for i, c := range s.Columns {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
