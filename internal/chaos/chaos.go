@@ -22,6 +22,13 @@
 // migrates, and its final check. A new fault class is one entry in
 // buildPlan's table and one case in spawnExecutor, for both workloads at once.
 //
+// Crashes that need a narrow window are aimed, not timed: the engine names
+// its crash points (cluster.Cluster.Point — "ckpt.*", "ship.ahead",
+// "commit.depwait") and the executor arms a crash on one, firing
+// synchronously at the k-th hit within reach of the planned instant, or at
+// the deadline on the planned node. A new window is one point in the engine
+// and one crashAimed in spawnExecutor.
+//
 // Everything — the workload, the fault schedule, and the engine — runs on
 // the sim package's deterministic virtual clock, so one seed produces one
 // fault schedule and one final state hash: any failure is reproducible with
@@ -152,12 +159,14 @@ type Report struct {
 	// included in Crashes.
 	TornCrashes int
 	BitFlips    int
-	// AheadCrashes counts the crashes that caught a node with its own log
-	// force behind a follower's: the follower's disk holds frames the node
-	// lost, which no recovery path may use (included in Crashes).
+	// AheadCrashes counts the crashes fired at the "ship.ahead" crash point:
+	// a node's own log force behind a follower's, whose disk then holds
+	// frames the node lost, which no recovery path may use (included in
+	// Crashes).
 	AheadCrashes int
-	// DepCrashes counts the crashes that caught a node with a transaction
-	// parked in Commit on one of its unsettled commits (included in Crashes).
+	// DepCrashes counts the crashes fired at the "commit.depwait" crash
+	// point: a node whose unsettled commit a committing transaction is about
+	// to wait for (included in Crashes).
 	DepCrashes int
 	// LeaderCrashes counts crashes that hit the acting coordinator;
 	// Failovers counts the leader elections the master went through.
@@ -175,7 +184,7 @@ type Report struct {
 	FollowerReads int
 	// Fuzzy-checkpoint / recovery-time counters: Checkpoints is the number
 	// of complete fuzzy checkpoints taken across all nodes, CkptCrashes the
-	// injected mid-checkpoint power failures, BoundedRestarts the restarts
+	// crashes fired at a "ckpt.*" crash point, BoundedRestarts the restarts
 	// whose replay was bounded by a checkpoint redo point, ReplayBytes the
 	// framed log bytes replayed across all restarts, RecoveryTime the summed
 	// simulated power-on-to-ready time.
@@ -244,6 +253,7 @@ type harness struct {
 
 	stop   bool
 	stopAt time.Duration
+	aims   []*aim // armed crashes, in arming order (atPoint)
 
 	rep *Report
 }
@@ -318,6 +328,7 @@ func run(cfg Config, w workload) (*Report, error) {
 		stopAt: cfg.Duration,
 		rep:    &Report{Seed: cfg.Seed, Scheme: cfg.Scheme},
 	}
+	c.Point = h.atPoint
 	if err := w.deploy(h); err != nil {
 		return h.rep, err
 	}

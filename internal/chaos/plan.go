@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"wattdb/internal/cluster"
@@ -40,6 +41,7 @@ type faultEvent struct {
 	target   int           // migrate: destination node
 	tear     int           // torn/flip crash: tail bytes surviving the interrupted write
 	flip     int           // flip crash: bit flipped within the surviving tail bytes
+	hit      int           // aimed crash: matching crash points let pass before it fires
 }
 
 // migration is a key range [loK, hiK) a plan moves to another node.
@@ -210,24 +212,24 @@ func (pl planner) rotAcked(at time.Duration) faultEvent {
 }
 
 // ckptCrash builds one mid-checkpoint power failure in the middle half of
-// the window: the crash is armed to fire after a random number of checkpoint
-// protocol steps (flush batches, begin append, redo scan, end append,
-// truncation), so over seeds the plan covers every phase of the begin/end
-// pair — including the torn-pair window between the two records.
+// the window: the crash fires at a random one of the node's next "ckpt.*"
+// crash points (flush walk, flush batches, begin append, redo scan, end
+// append, truncation), so over seeds the plan covers every phase of the
+// begin/end pair — including the torn-pair window between the two records.
 func (pl planner) ckptCrash() []faultEvent {
 	return []faultEvent{{
 		at:   pl.midHalf(),
 		kind: faultCkptCrash,
 		node: pl.Intn(pl.nodes),
-		tear: pl.Intn(8), // protocol steps before the armed crash fires
+		hit:  pl.Intn(8),
 		dur:  pl.downTime(),
 	}}
 }
 
 // depCrash builds the dependency crash every plan carries: a power failure
-// of whichever node, from the planned instant on, first has a transaction
-// parked in Commit on one of its unsettled commits (a data node if none turns
-// up — see crashDependedOn).
+// of whichever node, from the planned instant on, first seals the fate of an
+// unsettled commit a committing transaction is about to wait for (a data node
+// if none turns up).
 func (pl planner) depCrash() []faultEvent {
 	return []faultEvent{{
 		at:   pl.window/4 + time.Duration(pl.Int63n(int64(pl.window/3))),
@@ -255,11 +257,27 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 			}
 			switch ev.kind {
 			case faultCrash, faultCrashCoord:
-				h.execCrash(ev)
+				h.execCrash(ev, "")
 			case faultCrashTorn, faultCrashFlip:
-				h.crashShippedAhead(ev)
+				// The frame the power failure tears is then one a follower
+				// has whole, and the restart must number over a suffix that
+				// survives on another disk. Commits open that window for a
+				// millisecond at a time, on whichever node is committing.
+				h.crashAimed(aim{ev: ev, anyNode: true, point: "ship.ahead", reach: 2 * time.Second, count: &h.rep.AheadCrashes})
 			case faultCrashDep:
-				h.crashDependedOn(ev)
+				// The wait must end in the dependency's actual fate, and
+				// nothing the waiter read may be reported if the commit is
+				// lost. Most dependencies need no wait (same log), and the
+				// plan's outages stall the rest for a restart's length, hence
+				// the long reach.
+				h.crashAimed(aim{ev: ev, anyNode: true, point: "commit.depwait", reach: 24 * time.Second, count: &h.rep.DepCrashes})
+			case faultCkptCrash:
+				// Aimed at this node's checkpoints — the one started here and
+				// the daemon's next ones — and restarted from the previous
+				// complete begin/end pair.
+				h.crashAimed(aim{ev: ev, point: "ckpt.*", reach: 4 * ckptInterval, count: &h.rep.CkptCrashes})
+				n := h.c.Nodes[ev.node]
+				h.env.Spawn(fmt.Sprintf("chaos-ckpt-crash-%d", ev.node), func(p *sim.Proc) { h.c.CheckpointNode(p, n, 0) })
 			case faultDiskStall:
 				n := h.c.Nodes[ev.node]
 				d := n.HW.Disks[ev.disk]
@@ -294,8 +312,6 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 				})
 			case faultDestroyDisk:
 				h.execDestroy(ev)
-			case faultCkptCrash:
-				h.execCkptCrash(ev)
 			case faultRotAcked:
 				n := h.c.Nodes[ev.node]
 				if n.Down() {
@@ -320,105 +336,103 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 	})
 }
 
-// crashAimed executes ev at the first instant within reach of its planned time
-// at which aim (polled every 100 us) names a victim, on that node; with none in
-// reach the crash lands on the planned node at the deadline.
-func (h *harness) crashAimed(ev faultEvent, reach time.Duration, aim func() (victim int, ok bool)) {
-	h.env.Spawn("chaos-crash-aimed", func(p *sim.Proc) {
-		for deadline := p.Now() + reach; p.Now() < deadline; p.Sleep(100 * time.Microsecond) {
-			if victim, ok := aim(); ok {
-				ev.node = victim
-				break
-			}
+// aim is a crash armed on the engine's crash points (cluster.Cluster.Point):
+// ev fires at the first point named point — or of a family, "ckpt.*" — that
+// ev's node, or any node with anyNode, passes within reach of the arming,
+// after ev.hit such points have gone by. count tallies the crashes that fired
+// there.
+type aim struct {
+	ev      faultEvent
+	anyNode bool
+	point   string
+	reach   time.Duration
+	count   *int
+	done    bool
+}
+
+// crashAimed arms a; with no hit in reach the crash lands on the planned node
+// at the deadline.
+func (h *harness) crashAimed(a aim) {
+	h.aims = append(h.aims, &a)
+	h.env.After(a.reach, func() {
+		if !a.done {
+			a.done = true
+			h.execCrash(a.ev, " at its deadline (no "+a.point+" hit)")
 		}
-		h.execCrash(ev)
 	})
 }
 
-// crashShippedAhead executes a log-damage crash at the first instant, within
-// two seconds of its planned time, at which a follower durably holds frames of
-// the node's stream that the node itself has not flushed — so the frame the
-// power failure tears is one a follower has whole, and the restart must number
-// over a suffix that survives on another disk. Commits open that window for a
-// millisecond at a time; the planned instant itself almost never falls inside
-// one. With no window in reach, the crash lands at the deadline.
-func (h *harness) crashShippedAhead(ev faultEvent) {
-	n := h.c.Nodes[ev.node]
-	h.crashAimed(ev, 2*time.Second, func() (int, bool) { return ev.node, n.Down() || h.c.ShippedAhead(n) })
-}
-
-// crashDependedOn executes a plain crash at the first instant, within eight
-// seconds of its planned time, at which a session is parked in Commit waiting
-// for an unsettled commit of some live node — and crashes that node: the wait
-// must end in the dependency's actual fate, and nothing the waiter read may be
-// reported if the commit is lost. Such waits last a commit force, a few
-// milliseconds each, and most dependencies need none (same log): the KV mix
-// sees one every five seconds or so, hence the long reach.
-func (h *harness) crashDependedOn(ev faultEvent) {
-	ev.kind = faultCrash
-	h.crashAimed(ev, 8*time.Second, func() (int, bool) {
-		for _, n := range h.c.Nodes {
-			if h.c.DependedOn(n) {
-				return n.ID, true
-			}
+// atPoint is the cluster's crash-point hook: the first armed aim the point
+// matches fires on n, synchronously, before the engine goes on.
+func (h *harness) atPoint(n *cluster.DataNode, name string) {
+	for _, a := range h.aims {
+		if a.done || !a.anyNode && a.ev.node != n.ID || !strings.HasPrefix(name, strings.TrimSuffix(a.point, "*")) {
+			continue
 		}
-		return 0, false
-	})
+		if a.ev.hit > 0 {
+			a.ev.hit--
+			continue
+		}
+		a.done = true
+		a.ev.node = n.ID
+		*a.count++
+		h.execCrash(a.ev, " at "+name)
+		return
+	}
 }
 
-// execCrash power-fails a node — at any instant, including mid-commit —
-// and schedules its restart. Torn/flip variants additionally damage the log
-// medium: part of the frame the device was writing survives on the platter
-// (possibly bit-flipped), and the restart must CRC-detect and truncate it
-// while every acknowledged commit below the boundary survives.
-func (h *harness) execCrash(ev faultEvent) {
+// execCrash power-fails a node — at any instant, including mid-commit — and
+// schedules its restart; where names the crash point an aimed crash fired at
+// in the fault log. Torn/flip variants additionally damage the log medium:
+// part of the frame the device was writing survives on the platter (possibly
+// bit-flipped), and the restart must CRC-detect and truncate it while every
+// acknowledged commit below the boundary survives.
+func (h *harness) execCrash(ev faultEvent, where string) {
 	if ev.kind == faultCrashCoord {
 		// Resolve the acting coordinator at execution time — after earlier
 		// failovers the leader may be any replica-group member — then crash
 		// it like any other power failure.
 		ev.node = h.c.Master.LeaderID()
-		ev.kind = faultCrash
 	}
 	n := h.c.Nodes[ev.node]
 	if n.Down() {
 		// Already down: a second crash+restart pair for the same outage
 		// would double-count and race the first restart.
-		h.logFault("crash node %d skipped (already down)", ev.node)
+		h.logFault("crash node %d%s skipped (already down)", ev.node, where)
 		return
 	}
-	wasLeader := n == h.c.Master.Node
-	ahead := ""
-	if h.c.ShippedAhead(n) {
-		h.rep.AheadCrashes++
-		ahead = "a follower's disk is ahead of its log; "
-	}
-	if h.c.DependedOn(n) {
-		h.rep.DepCrashes++
-		ahead += "a committing transaction waits on its unsettled commit; "
-	}
-	switch ev.kind {
-	case faultCrashTorn:
-		torn := h.c.CrashNodeTorn(n, ev.tear, -1)
-		if torn > 0 { // an empty unflushed tail degrades to a plain crash
-			h.rep.TornCrashes++
+	h.powerFail(n, ev, func() {
+		switch ev.kind {
+		case faultCrashTorn:
+			torn := h.c.CrashNodeTorn(n, ev.tear, -1)
+			if torn > 0 { // an empty unflushed tail degrades to a plain crash
+				h.rep.TornCrashes++
+			}
+			h.logFault("crash node %d%s with torn log tail (%d bytes survive; restart after %v)", ev.node, where, torn, ev.dur)
+		case faultCrashFlip:
+			torn := h.c.CrashNodeTorn(n, ev.tear, ev.flip)
+			if torn > 0 {
+				h.rep.BitFlips++
+			}
+			h.logFault("crash node %d%s with bit-flipped log tail (%d bytes survive, bit %d; restart after %v)",
+				ev.node, where, torn, ev.flip, ev.dur)
+		default:
+			h.c.CrashNode(n)
+			h.logFault("crash node %d%s (restart after %v)", ev.node, where, ev.dur)
 		}
-		h.logFault("crash node %d with torn log tail (%d bytes survive; %srestart after %v)", ev.node, torn, ahead, ev.dur)
-	case faultCrashFlip:
-		torn := h.c.CrashNodeTorn(n, ev.tear, ev.flip)
-		if torn > 0 {
-			h.rep.BitFlips++
-		}
-		h.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; %srestart after %v)",
-			ev.node, torn, ev.flip, ahead, ev.dur)
-	default:
-		h.c.CrashNode(n)
-		h.logFault("crash node %d (%srestart after %v)", ev.node, ahead, ev.dur)
-	}
+	})
+}
+
+// powerFail is every crash fault's accounting and second half: it counts a
+// power failure of n — a leader crash too when n holds the coordinator —
+// inflicts it with crash, and schedules the restart.
+func (h *harness) powerFail(n *cluster.DataNode, ev faultEvent, crash func()) {
 	h.rep.Crashes++
-	if h.c.MasterReplicated() && wasLeader {
+	if n == h.master.Node {
 		h.rep.LeaderCrashes++
 	}
-	h.env.Spawn(fmt.Sprintf("chaos-restart-%d", ev.node), func(p *sim.Proc) { h.restartAfter(p, n, ev) })
+	crash()
+	h.env.Spawn(fmt.Sprintf("chaos-restart-%d", n.ID), func(p *sim.Proc) { h.restartAfter(p, n, ev) })
 }
 
 // restartAfter is the second half of every crash fault, whatever it did to
@@ -451,11 +465,8 @@ func (h *harness) restartAfter(p *sim.Proc, n *cluster.DataNode, ev faultEvent) 
 	h.noteRecovery(n)
 	lr := n.LastRecovery
 	how, from := "restarted", fmt.Sprintf(" from redo %d", lr.Redo)
-	switch ev.kind {
-	case faultDestroyDisk:
-		how, from = "rebuilt from replicas", "" // the text is hashed: this line never named a redo point
-	case faultCkptCrash:
-		how = "restarted after mid-checkpoint crash"
+	if ev.kind == faultDestroyDisk {
+		how, from = "rebuilt from replicas", ""
 	}
 	h.logFault("node %d %s (replay: %d redone, %d undone, %d bytes%s, %v to ready)",
 		n.ID, how, redone, undone, lr.Bytes, from, lr.Elapsed)
@@ -490,14 +501,10 @@ func (h *harness) execDestroy(ev faultEvent) {
 			return
 		}
 	}
-	wasLeader := n == h.c.Master.Node
-	h.c.DestroyDisk(n)
-	h.logFault("disk loss: node %d log medium and bases destroyed (restart after %v)", ev.node, ev.dur)
-	h.rep.Crashes++
-	if h.c.MasterReplicated() && wasLeader {
-		h.rep.LeaderCrashes++
-	}
-	h.env.Spawn(fmt.Sprintf("chaos-rebuild-%d", ev.node), func(p *sim.Proc) { h.restartAfter(p, n, ev) })
+	h.powerFail(n, ev, func() {
+		h.c.DestroyDisk(n)
+		h.logFault("disk loss: node %d log medium and bases destroyed (restart after %v)", ev.node, ev.dur)
+	})
 }
 
 // diskLost returns a node whose destroyed disk is not rebuilt yet, or nil.

@@ -10,9 +10,10 @@ import (
 
 // Fuzzy-checkpoint chaos wiring. Every run has a background checkpointer on
 // every node, so restarts replay only the delta since the last complete
-// checkpoint; the plan's -ckpt faults power-fail a node at a random step of
-// an in-flight checkpoint, and the restart oracle asserts the bounded-replay
-// contract on every recovery.
+// checkpoint; the plan's -ckpt faults start a checkpoint and power-fail the
+// node at a random one of its "ckpt.*" crash points (spawnExecutor aims
+// them), and the restart oracle asserts the bounded-replay contract on every
+// recovery.
 
 // ckptInterval is the background checkpoint cadence per node.
 const ckptInterval = 2 * time.Second
@@ -53,42 +54,4 @@ func (h *harness) noteRecovery(n *cluster.DataNode) {
 			"recovery bound: node %d replayed LSN %d below its checkpoint redo point %d",
 			n.ID, lr.MinApplied, lr.Redo))
 	}
-}
-
-// execCkptCrash power-fails a node mid-checkpoint: it arms the crash
-// countdown and drives a checkpoint into it. If the countdown is consumed
-// elsewhere (a concurrent daemon checkpoint picks it up) or the checkpoint
-// completes before the countdown expires, the event degrades to a plain
-// power failure — still a crash, still restarted by this event's pair. A
-// node someone else crashed first is left to that fault's restart pair.
-func (h *harness) execCkptCrash(ev faultEvent) {
-	n := h.c.Nodes[ev.node]
-	if n.Down() || n.DiskLost() {
-		h.logFault("mid-checkpoint crash on node %d skipped (already down)", ev.node)
-		return
-	}
-	wasLeader := n == h.c.Master.Node
-	h.c.ArmCheckpointCrash(n, ev.tear)
-	h.logFault("mid-checkpoint crash armed: node %d after %d steps (restart after %v)",
-		ev.node, ev.tear, ev.dur)
-	h.env.Spawn(fmt.Sprintf("chaos-ckpt-crash-%d", ev.node), func(p *sim.Proc) {
-		h.c.CheckpointNode(p, n, 0)
-		if n.Down() && h.c.CheckpointCrashArmed(n) {
-			// Another fault power-failed the node while our checkpoint was in
-			// flight; its crash/restart pair owns the outage.
-			h.c.ArmCheckpointCrash(n, -1)
-			h.logFault("mid-checkpoint crash on node %d absorbed by a concurrent crash", n.ID)
-			return
-		}
-		if !n.Down() {
-			h.c.ArmCheckpointCrash(n, -1)
-			h.c.CrashNode(n)
-		}
-		h.rep.Crashes++
-		h.rep.CkptCrashes++
-		if h.c.MasterReplicated() && wasLeader {
-			h.rep.LeaderCrashes++
-		}
-		h.restartAfter(p, n, ev)
-	})
 }

@@ -72,42 +72,13 @@ type RecoveryStats struct {
 	Elapsed        time.Duration // simulated time from power-on to ready
 }
 
-// ArmCheckpointCrash schedules a power failure afterSteps protocol steps into
-// node n's next CheckpointNode run (0 crashes at the very first step). The
-// chaos -ckpt fault and the mid-checkpoint sweep tests use it to land crashes
-// at every phase of the flush-walk/begin/scan/end protocol.
-func (c *Cluster) ArmCheckpointCrash(n *DataNode, afterSteps int) {
-	n.ckptCrashIn = afterSteps
-}
-
-// CheckpointCrashArmed reports whether an ArmCheckpointCrash countdown is
-// still pending on n; the countdown clears when the armed crash fires.
-func (c *Cluster) CheckpointCrashArmed(n *DataNode) bool { return n.ckptCrashIn >= 0 }
-
-// ckptStep is one instrumented step of the checkpoint protocol: it fires the
-// armed crash when its countdown expires and reports whether the checkpoint
-// may continue.
-func (c *Cluster) ckptStep(n *DataNode) bool {
-	if n.crashed || n.Log.Down() {
-		return false
-	}
-	if n.ckptCrashIn == 0 {
-		n.ckptCrashIn = -1
-		c.CrashNode(n)
-		return false
-	}
-	if n.ckptCrashIn > 0 {
-		n.ckptCrashIn--
-	}
-	return true
-}
-
 // CheckpointNode takes one fuzzy checkpoint on n: flush walk, begin record,
 // atomic redo scan with base refresh, end record, redo-point-aware log
-// truncation. A node that crashes (or is armed to crash) mid-checkpoint
-// simply aborts — the torn pair is invisible to wal.LastCheckpoint and the
-// next restart falls back to the previous complete checkpoint. Returns the
-// work done; a nil error with EndLSN 0 means the checkpoint did not complete.
+// truncation. Every step is a crash point ("ckpt.*"); a node that crashes
+// mid-checkpoint simply aborts — the torn pair is invisible to
+// wal.LastCheckpoint and the next restart falls back to the previous complete
+// checkpoint. Returns the work done; a nil error with EndLSN 0 means the
+// checkpoint did not complete.
 func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (CheckpointStats, error) {
 	var st CheckpointStats
 	if n.crashed || n.diskLost || n.Log.Down() {
@@ -116,7 +87,7 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 	if batch <= 0 {
 		batch = defaultCkptBatch
 	}
-	if !c.ckptStep(n) { // step: before the flush walk
+	if !c.point(n, "ckpt.walk") { // before the flush walk
 		return st, nil
 	}
 	for {
@@ -128,7 +99,7 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 			}
 			return st, fmt.Errorf("cluster: checkpoint flush walk on node %d: %w", n.ID, err)
 		}
-		if !c.ckptStep(n) { // step: after each flush batch
+		if !c.point(n, "ckpt.batch") { // after each flush batch
 			return st, nil
 		}
 		if done {
@@ -140,19 +111,19 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 		}
 	}
 	begin := n.Log.Append(wal.Record{Type: wal.RecCkptBegin})
-	if !c.ckptStep(n) { // step: begin appended
+	if !c.point(n, "ckpt.begin") { // begin appended
 		return st, nil
 	}
 	ck, floor := c.ckptScan(n, begin)
 	if ck == nil {
 		return st, nil
 	}
-	if !c.ckptStep(n) { // step: scan done, bases refreshed, end not yet appended
+	if !c.point(n, "ckpt.scanned") { // bases refreshed, end not yet appended
 		return st, nil
 	}
 	end := n.Log.Append(wal.Record{Type: wal.RecCkptEnd, Part: begin,
 		After: wal.EncodeCheckpoint(nil, ck)})
-	if !c.ckptStep(n) { // step: end appended but volatile
+	if !c.point(n, "ckpt.end") { // end appended but volatile
 		return st, nil
 	}
 	n.Log.Flush(p, end)
@@ -160,7 +131,7 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 		return st, nil
 	}
 	st.Redo, st.EndLSN = ck.Redo, end
-	if !c.ckptStep(n) { // step: checkpoint durable, truncation pending
+	if !c.point(n, "ckpt.durable") { // truncation pending
 		return st, nil
 	}
 	st.Truncated = floor

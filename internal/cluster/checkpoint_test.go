@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wattdb/internal/cc"
@@ -9,14 +10,16 @@ import (
 	"wattdb/internal/table"
 )
 
-// TestCheckpointPowerFailSweep power-fails a node at every instrumented step
-// of the fuzzy checkpoint protocol in turn — before the flush walk, after
-// each flush batch, after the begin record, after the redo scan, with the
-// end record appended but volatile, and with the pair durable but truncation
-// pending. After each crash the node restarts and every acknowledged write
-// must read back; a torn begin/end pair must be invisible, so the restart
-// falls back to the last complete checkpoint (bounded replay). The sweep
-// ends when a round's checkpoint completes without reaching the armed step.
+// TestCheckpointPowerFailSweep power-fails a node at every crash point of
+// the fuzzy checkpoint protocol in turn — before the flush walk, after each
+// flush batch, after the begin record, after the redo scan, with the end
+// record appended but volatile, and with the pair durable but truncation
+// pending: round k crashes at the k-th "ckpt.*" point passed. After each
+// crash the node restarts and every acknowledged write must read back; a torn
+// begin/end pair must be invisible, so the restart falls back to the last
+// complete checkpoint (bounded replay). The sweep ends when a round's
+// checkpoint completes without reaching its crash, and must have crashed at
+// every one of the six points on the way.
 func TestCheckpointPowerFailSweep(t *testing.T) {
 	tc := newTestCluster(t, table.Physiological, 2, 400)
 	defer tc.env.Close()
@@ -72,6 +75,7 @@ func TestCheckpointPowerFailSweep(t *testing.T) {
 	}
 
 	completed := false
+	crashedAt := map[string]bool{}
 	for step := 0; step < 64 && !completed; step++ {
 		step := step
 		tc.run(t, func(p *sim.Proc) {
@@ -80,13 +84,23 @@ func TestCheckpointPowerFailSweep(t *testing.T) {
 				k := (int64(step)*10 + i) * 3 % 200
 				commit(p, k, fmt.Sprintf("round-%d-%d", step, i))
 			}
-			tc.c.ArmCheckpointCrash(node, step)
-			if _, err := tc.c.CheckpointNode(p, node, 4); err != nil {
+			hits := 0
+			tc.c.Point = func(n *DataNode, name string) {
+				if n == node && strings.HasPrefix(name, "ckpt.") {
+					if hits == step {
+						tc.c.CrashNode(n)
+						crashedAt[name] = true
+					}
+					hits++
+				}
+			}
+			_, err := tc.c.CheckpointNode(p, node, 4)
+			tc.c.Point = nil
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !node.Down() {
-				// The protocol finished before the countdown: sweep complete.
-				tc.c.ArmCheckpointCrash(node, -1)
+				// The protocol finished before the k-th point: sweep complete.
 				completed = true
 				verify(p, step)
 				return
@@ -111,5 +125,10 @@ func TestCheckpointPowerFailSweep(t *testing.T) {
 	}
 	if !completed {
 		t.Fatal("sweep never reached a completed checkpoint (protocol grew beyond 64 steps?)")
+	}
+	for _, name := range []string{"ckpt.walk", "ckpt.batch", "ckpt.begin", "ckpt.scanned", "ckpt.end", "ckpt.durable"} {
+		if !crashedAt[name] {
+			t.Errorf("the sweep never crashed at %s (crashed at %v)", name, crashedAt)
+		}
 	}
 }

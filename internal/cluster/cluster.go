@@ -81,7 +81,26 @@ type Cluster struct {
 	// rolled back, failing the dependent.
 	DepWaits, DepLost int
 
+	// Point, when set, is called at every named crash point the engine passes
+	// (see point) with the node the point concerns, and may power-fail that
+	// node before returning. Fault injection aims crashes with it; nil costs
+	// the engine one check per point.
+	Point func(n *DataNode, name string)
+
 	cfg Config
+}
+
+// point passes the crash point name on n and reports whether n is still up.
+// Each point sits where a power failure of n is already a state the caller
+// handles; the names are "ckpt.*" (CheckpointNode's protocol steps),
+// "ship.ahead" (confirmShipped: a follower durably holds frames n has not
+// flushed) and "commit.depwait" (settleDeps: a committing session is about
+// to wait for an unsettled commit whose fate n seals).
+func (c *Cluster) point(n *DataNode, name string) bool {
+	if c.Point != nil && !n.crashed {
+		c.Point(n, name)
+	}
+	return !n.crashed
 }
 
 // New builds a cluster of cfg.Nodes data nodes. Node 0 hosts the master.
@@ -154,9 +173,6 @@ type DataNode struct {
 	// readers take their dependencies from it, follower reads of this node's
 	// partitions are gated on it.
 	Commits *cc.CommitTable
-	// depWaiters is the number of sessions parked right now on an unsettled
-	// commit whose fate this node seals.
-	depWaiters int
 
 	// Owned partitions by ID (server-side registry).
 	Parts map[table.PartID]*table.Partition
@@ -172,7 +188,6 @@ type DataNode struct {
 
 	// Fuzzy-checkpoint bookkeeping (see checkpoint.go).
 	deadBelow    uint64        // restart tail fence: unresolved txns below never resolve
-	ckptCrashIn  int           // armed checkpoint-crash countdown (-1: disarmed)
 	Checkpoints  int           // completed fuzzy checkpoints (chaos report)
 	LastRecovery RecoveryStats // last RestartNode's RTO breakdown
 
@@ -184,14 +199,13 @@ type DataNode struct {
 
 func newDataNode(c *Cluster, id int) *DataNode {
 	n := &DataNode{
-		ID:          id,
-		HW:          hw.NewNode(c.Env, id, c.Cal, c.Net),
-		Locks:       cc.NewLockManager(c.Env),
-		Commits:     cc.NewCommitTable(),
-		cluster:     c,
-		Parts:       make(map[table.PartID]*table.Partition),
-		bases:       make(map[table.PartID][]basePair),
-		ckptCrashIn: -1,
+		ID:      id,
+		HW:      hw.NewNode(c.Env, id, c.Cal, c.Net),
+		Locks:   cc.NewLockManager(c.Env),
+		Commits: cc.NewCommitTable(),
+		cluster: c,
+		Parts:   make(map[table.PartID]*table.Partition),
+		bases:   make(map[table.PartID][]basePair),
 	}
 	n.Pool = buffer.NewPool(c.Env, (*nodeBackend)(n), c.Cal.PageSize, c.Cal.BufferFrames)
 	n.Log = wal.NewLog(c.Env, wal.DiskDevice{Disk: n.HW.LogDisk()})

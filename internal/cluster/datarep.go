@@ -99,24 +99,6 @@ func (c *Cluster) ReplicationStats() (rebuilds, scrubRepairs, followerReads, dis
 // DataReplicated reports whether per-node WAL shipping is enabled.
 func (c *Cluster) DataReplicated() bool { return c.drep != nil }
 
-// ShippedAhead reports whether some in-sync follower durably holds frames of
-// n's stream that n's own log has not flushed: a power failure of n right now
-// leaves a follower with a suffix its origin lost. The window is a commit's
-// overlapped forces, follower's done and origin's in flight — rarely hit by a
-// random instant (1 of 369 crashes of a 100-seed chaos sweep), so the chaos
-// harness looks for it.
-func (c *Cluster) ShippedAhead(n *DataNode) bool {
-	if c.drep == nil || n.crashed {
-		return false
-	}
-	for _, f := range c.followersOf(n.ID) {
-		if !n.ship.stale[f.ID] && n.ship.durable[f.ID] > n.Log.FlushedLSN() {
-			return true
-		}
-	}
-	return false
-}
-
 // DiskLost reports whether the node's log medium is destroyed (DestroyDisk)
 // and not yet rebuilt.
 func (n *DataNode) DiskLost() bool { return n.diskLost }
@@ -821,6 +803,11 @@ func (sh *shipState) shippable(l *wal.Log) (cut int, through uint64) {
 // once a resync has cleared it — after a rebuild that resync re-anchors the
 // watermarks in a new numbering, where an old boundary means nothing. A void
 // mark is dropped; its waiter finds no durable follower and ships again.
+//
+// A forced flush that returns before the origin's own force has opened the
+// window the ship.ahead crash point marks: the follower's disk holds frames of
+// the origin's stream that the origin's log has not flushed, and a power
+// failure of the origin now leaves a follower with a suffix its origin lost.
 func (c *Cluster) confirmShipped(p *sim.Proc, origin *DataNode, marks []shipMark, forced bool) {
 	sh := origin.ship
 	acked := false
@@ -828,7 +815,8 @@ func (c *Cluster) confirmShipped(p *sim.Proc, origin *DataNode, marks []shipMark
 		id := m.f.ID
 		if forced && !acked && m.f.Log.FlushedLSN() < m.wrap {
 			m.f.Log.Flush(p, m.wrap)
-			if origin.crashed {
+			ahead := m.f.Log.FlushedLSN() >= m.wrap && origin.Log.FlushedLSN() < m.through
+			if origin.crashed || ahead && !c.point(origin, "ship.ahead") {
 				return
 			}
 		}

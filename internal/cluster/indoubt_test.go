@@ -1134,15 +1134,22 @@ func TestDependentFailsWithItsDependency(t *testing.T) {
 			t2.Abort(p)
 		}
 	})
-	w.runFor(func(p *sim.Proc) {
-		for c.Nodes[0].depWaiters == 0 {
-			p.Sleep(50 * time.Microsecond)
-		}
-		if c.Nodes[0].Log.FlushedLSN() >= f.txn.CommitLSN {
-			t.Error("setup: T1's commit record is already flushed")
+	crashed := sim.NewSignal(w.env)
+	c.Point = func(n *DataNode, name string) {
+		if name != "commit.depwait" {
 			return
 		}
-		c.CrashNode(c.Nodes[0])
+		c.Point = nil
+		if n != c.Nodes[0] || n.Log.FlushedLSN() >= f.txn.CommitLSN {
+			t.Errorf("setup: T2 waits on node %d (T1's commit record flushed: %v), want node 0, unflushed",
+				n.ID, n.Log.FlushedLSN() >= f.txn.CommitLSN)
+			return
+		}
+		c.CrashNode(n)
+		crashed.Fire()
+	}
+	w.runFor(func(p *sim.Proc) {
+		crashed.Wait(p)
 		p.Sleep(time.Millisecond)
 		if _, _, err := c.RestartNode(p, c.Nodes[0]); err != nil {
 			t.Error(err)

@@ -115,9 +115,6 @@ func (c *Cluster) EnableMasterReplication() {
 	}
 }
 
-// MasterReplicated reports whether coordinator replication is enabled.
-func (c *Cluster) MasterReplicated() bool { return c.Master.rep != nil }
-
 // Fenced reports whether the coordinator is currently unavailable (leader
 // down, failover pending).
 func (m *Master) Fenced() bool { return m.rep != nil && m.down }

@@ -661,17 +661,17 @@ deps:
 		}
 		node := c.Nodes[d.CommitNode]
 		c.DepWaits++
-		node.depWaiters++
 		if node != s.Home {
 			c.Net.Transfer(p, s.Home.ID, node.ID, 32)
 		}
+		// A power failure of node from here on decides this wait too.
+		c.point(node, "commit.depwait")
 		stop := p.Meter(sim.CatLogging)
 		settled := d.AwaitSettled(p)
 		stop()
 		if node != s.Home {
 			c.Net.Transfer(p, node.ID, s.Home.ID, 32)
 		}
-		node.depWaiters--
 		if !settled {
 			c.DepLost++
 			return ErrNodeDown{node.ID}
@@ -679,11 +679,6 @@ deps:
 	}
 	return nil
 }
-
-// DependedOn reports whether some session is parked in Commit right now on an
-// unsettled commit whose fate n seals: a power failure of n at this instant
-// decides that session's fate too. The chaos harness aims crashes here.
-func (c *Cluster) DependedOn(n *DataNode) bool { return !n.crashed && n.depWaiters > 0 }
 
 // branch is one participant of a commit: a node and the partitions on it that
 // hold staged writes of the transaction, in partition-ID order.
