@@ -43,6 +43,26 @@ func TestChaosSeedsPass(t *testing.T) {
 	}
 }
 
+// TestChaosCrashShippedAhead: every plan's log-damage crashes are aimed at
+// the "ship.ahead" crash point, where a follower durably holds frames the
+// victim has not flushed — the window a commit's overlapped forces open,
+// which a random instant hits about once in 400 crashes. The first seed of
+// the CI sweep must land a torn crash there and come through it.
+func TestChaosCrashShippedAhead(t *testing.T) {
+	rep, err := Run(Config{Seed: 1, Scheme: table.Logical, Duration: 25 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logReport(t, rep)
+	if !rep.Passed() {
+		t.Fatalf("invariant violations:\n%s", strings.Join(rep.Violations, "\n"))
+	}
+	if rep.AheadCrashes == 0 || rep.TornCrashes == 0 {
+		t.Fatalf("%d crashes caught a node with a follower's disk ahead of its own log (%d torn), want at least one torn one",
+			rep.AheadCrashes, rep.TornCrashes)
+	}
+}
+
 // TestChaosDeterministic reruns one seed per row and requires the identical
 // fault schedule and final state hash — the property that makes any chaos
 // failure a one-line repro. The hash covers every counter of the report, so
