@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench fig3 vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -37,6 +37,18 @@ test-bench:
 ## (~1 s); internal/experiments' TestFig3Shape is the same claim at test scale
 fig3:
 	$(GO) test -bench='BenchmarkFig3MVCCvsLocking' -benchtime=1x -run '^$$' .
+
+## fig7: the Fig 7 normal bar behind its gate (~2 s): a transaction spends at
+## most 5.5 ms in the engine and under 1 ms of it in lock and intent waits
+## (internal/experiments' TestFig7Shape, Quick cut off 5 s after the trigger)
+fig7:
+	$(GO) test -run '^TestFig7Shape$$' ./internal/experiments
+
+## intent-timeouts: a fault-free TPC-C run on the benchmark's replicated
+## 4-node commit path in which no write-intent wait ends at the 100 ms lock
+## timeout (internal/tpcc's TestNoIntentTimeoutFaultFree, ~3 s)
+intent-timeouts:
+	$(GO) test -run '^TestNoIntentTimeoutFaultFree$$' ./internal/tpcc
 
 ## vet: static analysis
 vet:
@@ -111,9 +123,9 @@ chaos-quick:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -htap 4
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
-## tests + the ledger's tests + the Fig 3 shape gate + a short crash-anywhere
-## chaos sweep of both workloads)
-check: build vet test-race test-bench fig3 chaos-quick
+## tests + the ledger's tests + the Fig 3 and Fig 7 shape gates + the
+## intent-timeout gate + a short crash-anywhere chaos sweep of both workloads)
+check: build vet test-race test-bench fig3 fig7 intent-timeouts chaos-quick
 
 ## bench-quick: regenerate every paper figure once at CI scale
 bench-quick:

@@ -734,3 +734,214 @@ func TestGCHonoursSafeSnapshotsAndUnsettledWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// intentRig is a store and an oracle for the wait-rule tests, with a helper
+// that stages a write.
+type intentRig struct {
+	env *sim.Env
+	o   *Oracle
+	vs  *VersionStore
+}
+
+func newIntentRig() *intentRig {
+	env := sim.NewEnv(1)
+	return &intentRig{env: env, o: NewOracle(), vs: NewVersionStore(env)}
+}
+
+func (r *intentRig) stage(t *testing.T, p *sim.Proc, txn *Txn, key string) {
+	t.Helper()
+	if err := r.vs.AcquireWriteIntent(p, txn, key, 0, time.Second); err != nil {
+		t.Fatalf("txn %d on %q: %v", txn.ID, key, err)
+	}
+	r.vs.StagePending(txn, key, false, []byte("x"))
+}
+
+// TestIntentRuleCommittedHolder covers rules 1 and 2: a holder past its commit
+// point that is still installing. A writer whose snapshot predates that
+// commit point loses first-committer-wins at once, without waiting for the
+// install; one whose snapshot covers it waits for the release and then gets
+// the key, depending on the commit it overwrites.
+func TestIntentRuleCommittedHolder(t *testing.T) {
+	r := newIntentRig()
+	defer r.env.Close()
+	r.vs.Commits = NewCommitTable()
+	var grantedAt time.Duration
+	r.env.Spawn("test", func(p *sim.Proc) {
+		early := r.o.Begin(SnapshotIsolation)
+		w := r.o.Begin(SnapshotIsolation)
+		r.stage(t, p, w, "k")
+		cts := r.o.CommitTS(w) // the install is still to come
+		r.vs.Commits.Add(cts, w)
+		late := r.o.Begin(SnapshotIsolation)
+
+		if err := r.vs.AcquireWriteIntent(p, early, "k", 0, time.Second); err != ErrWriteConflict || p.Now() != 0 {
+			t.Errorf("rule 1: %v at %v, want ErrWriteConflict at once", err, p.Now())
+		}
+		r.env.Spawn("late", func(lp *sim.Proc) {
+			if err := r.vs.AcquireWriteIntent(lp, late, "k", 0, time.Second); err != nil {
+				t.Errorf("rule 2: %v, want the intent", err)
+			}
+			grantedAt = lp.Now()
+		})
+		p.Sleep(5 * time.Millisecond) // the install
+		r.vs.CommitKey(w, "k", nil, cts)
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := IntentStats{Waited: 1, DiedCommitted: 1}
+	if grantedAt != 5*time.Millisecond || *r.vs.Intents != want {
+		t.Fatalf("rule 2 granted at %v with counters %+v, want 5ms and %+v", grantedAt, *r.vs.Intents, want)
+	}
+}
+
+// TestIntentRuleRunningHolder covers rule 4: a writer queues behind a running
+// holder until the holder's commit point or abort. An abort hands it the key;
+// a commit answers with rule 1 at the commit point, before the holder's
+// install releases the intent.
+func TestIntentRuleRunningHolder(t *testing.T) {
+	for _, commit := range []bool{false, true} {
+		r := newIntentRig()
+		var got error
+		var at time.Duration
+		r.env.Spawn("holder", func(p *sim.Proc) {
+			h := r.o.Begin(SnapshotIsolation)
+			r.stage(t, p, h, "k")
+			w := r.o.Begin(SnapshotIsolation)
+			r.env.Spawn("waiter", func(wp *sim.Proc) {
+				got = r.vs.AcquireWriteIntent(wp, w, "k", 0, time.Second)
+				at = wp.Now()
+			})
+			p.Sleep(3 * time.Millisecond)
+			if commit {
+				cts := r.o.CommitTS(h)
+				p.Sleep(5 * time.Millisecond) // the install
+				r.vs.CommitKey(h, "k", nil, cts)
+				return
+			}
+			r.vs.AbortKey(h, "k")
+			r.o.Abort(h)
+		})
+		if err := r.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r.env.Close()
+		want, wantErr := IntentStats{Waited: 1}, error(nil)
+		if commit {
+			want.DiedCommitted, wantErr = 1, ErrWriteConflict
+		}
+		if got != wantErr || at != 3*time.Millisecond || *r.vs.Intents != want {
+			t.Errorf("holder commits=%v: waiter got %v at %v with %+v, want %v at 3ms with %+v",
+				commit, got, at, *r.vs.Intents, wantErr, want)
+		}
+	}
+}
+
+// TestIntentRuleBlockedHolder covers rule 3 and the deadlock it prevents: two
+// transactions that each hold the key the other wants decide in zero
+// simulated time — the second request finds its holder parked behind the
+// first and dies — and the survivor gets the key when the victim aborts. No
+// request times out.
+func TestIntentRuleBlockedHolder(t *testing.T) {
+	r := newIntentRig()
+	defer r.env.Close()
+	a, b := r.o.Begin(SnapshotIsolation), r.o.Begin(SnapshotIsolation)
+	var errA, errB error
+	var doneA, doneB time.Duration
+	r.env.Spawn("a", func(p *sim.Proc) {
+		r.stage(t, p, a, "k1")
+		p.Yield() // b takes k2
+		errA = r.vs.AcquireWriteIntent(p, a, "k2", 0, time.Second)
+		doneA = p.Now()
+	})
+	r.env.Spawn("b", func(p *sim.Proc) {
+		r.stage(t, p, b, "k2")
+		p.Yield()
+		p.Yield() // a is parked on k2
+		if a.waiting == 0 {
+			t.Error("a is not marked blocked while parked on k2")
+		}
+		errB = r.vs.AcquireWriteIntent(p, b, "k1", 0, time.Second)
+		doneB = p.Now()
+		r.vs.AbortKey(b, "k2")
+		r.o.Abort(b)
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if errB != ErrWriteConflict || errA != nil || doneA != 0 || doneB != 0 {
+		t.Fatalf("cycle: a got %v at %v, b got %v at %v; want a the key and b ErrWriteConflict, both at 0",
+			errA, doneA, errB, doneB)
+	}
+	if want := (IntentStats{Waited: 1, DiedBlocked: 1}); *r.vs.Intents != want {
+		t.Fatalf("counters %+v, want %+v", *r.vs.Intents, want)
+	}
+	if a.waiting != 0 || b.waiting != 0 {
+		t.Fatalf("blocked marks left set: a %d, b %d", a.waiting, b.waiting)
+	}
+}
+
+// TestBlockedMarkClearedOnEveryExit: the mark rule 3 reads is set only while
+// a transaction is parked in an intent or a lock wait, and cleared however
+// the wait ends — granted, timed out, or with the waiter aborted meanwhile.
+func TestBlockedMarkClearedOnEveryExit(t *testing.T) {
+	r := newIntentRig()
+	defer r.env.Close()
+	lm := NewLockManager(r.env)
+	waits := []struct {
+		name string
+		wait func(p *sim.Proc, txn *Txn, timeout time.Duration) error
+	}{
+		{"intent", func(p *sim.Proc, txn *Txn, timeout time.Duration) error {
+			return r.vs.AcquireWriteIntent(p, txn, "k", 0, timeout)
+		}},
+		{"lock", func(p *sim.Proc, txn *Txn, timeout time.Duration) error {
+			return lm.Lock(p, txn, "k", LockX, timeout)
+		}},
+	}
+	r.env.Spawn("test", func(p *sim.Proc) {
+		for _, wt := range waits {
+			name, w := wt.name, wt.wait
+			for _, exit := range []string{"grant", "timeout", "aborted"} {
+				h, txn := r.o.Begin(SnapshotIsolation), r.o.Begin(SnapshotIsolation)
+				if err := w(p, h, time.Second); err != nil {
+					t.Fatal(err)
+				}
+				release := func() {
+					r.vs.AbortKey(h, "k")
+					r.o.Abort(h)
+					lm.ReleaseAll(h)
+				}
+				var got error
+				r.env.Spawn("waiter", func(wp *sim.Proc) { got = w(wp, txn, 10*time.Millisecond) })
+				p.Sleep(time.Millisecond)
+				if txn.waiting != 1 {
+					t.Errorf("%s/%s: waiting = %d while parked, want 1", name, exit, txn.waiting)
+				}
+				want := error(nil)
+				switch exit {
+				case "grant":
+					release()
+				case "timeout":
+					p.Sleep(20 * time.Millisecond)
+					want = ErrLockTimeout
+					release()
+				case "aborted":
+					r.o.Abort(txn)
+					release()
+					want = ErrTxnNotActive
+				}
+				p.Sleep(time.Millisecond)
+				if got != want || txn.waiting != 0 {
+					t.Errorf("%s/%s: got %v with waiting = %d, want %v and 0", name, exit, got, txn.waiting, want)
+				}
+				r.vs.AbortKey(txn, "k")
+				r.o.Abort(txn)
+				lm.ReleaseAll(txn)
+			}
+		}
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

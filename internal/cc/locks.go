@@ -116,7 +116,9 @@ func (h *lockHead) grantable(txn *Txn, mode LockMode, skipQueue bool) bool {
 
 // Lock acquires mode on name for txn, waiting up to timeout. Re-acquiring a
 // weaker or equal mode is a no-op; a stronger mode upgrades (possibly
-// waiting). Lock waits are metered as CatLocking on p.
+// waiting). Lock waits are metered as CatLocking on p and end only at a grant
+// or the timeout; while txn is parked here it counts as blocked to
+// AcquireWriteIntent's rule, so no intent waiter queues behind it.
 func (lm *LockManager) Lock(p *sim.Proc, txn *Txn, name string, mode LockMode, timeout time.Duration) error {
 	if !txn.Active() {
 		return ErrTxnNotActive
@@ -142,6 +144,8 @@ func (lm *LockManager) Lock(p *sim.Proc, txn *Txn, name string, mode LockMode, t
 	h.queue = append(h.queue, req)
 	stop := p.Meter(sim.CatLocking)
 	defer stop()
+	txn.waiting++
+	defer func() { txn.waiting-- }()
 	deadline := lm.env.Now() + timeout
 	for {
 		remaining := deadline - lm.env.Now()

@@ -60,6 +60,28 @@ type VersionStore struct {
 	// entries: any key pruned from the set committed at or below the
 	// watermark, which no active snapshot (every mover included) predates.
 	recent map[string]Timestamp
+
+	// Intents counts why write intents were not granted at once. A new store
+	// has its own; a cluster points its node's stores at one tally, which
+	// outlives a crashed or dropped partition.
+	Intents *IntentStats
+}
+
+// IntentStats counts AcquireWriteIntent's decisions on a key held by another
+// writer: Waited counts the acquisitions that parked (rules 2 and 4, once per
+// acquisition), and the other three how an acquisition ended without the key —
+// DiedCommitted by rule 1, DiedBlocked by rule 3, TimedOut by the backstop. An
+// acquisition that waited and then died counts in both.
+type IntentStats struct {
+	Waited, DiedCommitted, DiedBlocked, TimedOut int
+}
+
+// Add folds o into s.
+func (s *IntentStats) Add(o IntentStats) {
+	s.Waited += o.Waited
+	s.DiedCommitted += o.DiedCommitted
+	s.DiedBlocked += o.DiedBlocked
+	s.TimedOut += o.TimedOut
 }
 
 // NewVersionStore returns an empty store.
@@ -69,6 +91,7 @@ func NewVersionStore(env *sim.Env) *VersionStore {
 		entries:    make(map[string]*mvccEntry),
 		intentKeys: make(map[string]struct{}),
 		recent:     make(map[string]Timestamp),
+		Intents:    &IntentStats{},
 	}
 }
 
@@ -91,8 +114,26 @@ func (vs *VersionStore) entry(key string) *mvccEntry {
 
 // AcquireWriteIntent makes txn the exclusive pending writer of key. leafTS
 // is the commit timestamp of the record's current tree version (0 if the
-// record does not exist); it feeds the first-committer-wins check. Waiting
-// for a competing writer is metered as CatLocking.
+// record does not exist); it feeds the first-committer-wins check.
+//
+// A key held by another writer w is decided at the intent, by one rule:
+//  1. w committed above txn's snapshot: first-committer-wins has decided
+//     already, and ErrWriteConflict comes at once rather than after w's
+//     install.
+//  2. w committed at or below the snapshot, or aborted, and still holds the
+//     intent: its install or roll-back is in flight, and such a holder waits
+//     on no intent, so txn waits for the release.
+//  3. w active and itself parked in a cc wait: ErrWriteConflict at once. No
+//     wait chains through a waiter, so no convoy forms behind a blocked
+//     holder and no waits-for cycle can close — the edge that would close one
+//     finds its target blocked.
+//  4. w active and running: txn waits for w's commit point or abort and
+//     applies the rule again. If w aborted the key is txn's; if it committed,
+//     rule 1 answers at its commit point, not after its commit force.
+//
+// timeout stays as the backstop. Waiting is metered as CatLocking. The rule
+// reads w's transaction record where the intent lives and charges no message
+// for it, the modeling assumption resolve's committed-writer path makes too.
 func (vs *VersionStore) AcquireWriteIntent(p *sim.Proc, txn *Txn, key string, leafTS Timestamp, timeout time.Duration) error {
 	if !txn.Active() {
 		return ErrTxnNotActive
@@ -101,18 +142,11 @@ func (vs *VersionStore) AcquireWriteIntent(p *sim.Proc, txn *Txn, key string, le
 	if e.writer == txn {
 		return nil
 	}
-	deadline := vs.env.Now() + timeout
-	for e.writer != nil {
-		remaining := deadline - vs.env.Now()
-		stop := p.Meter(sim.CatLocking)
-		ok := remaining > 0 && e.released.WaitTimeout(p, remaining)
-		stop()
-		if !ok {
-			return ErrLockTimeout
+	if e.writer != nil {
+		if err := vs.awaitIntent(p, txn, key, timeout); err != nil {
+			return err
 		}
-		if !txn.Active() {
-			return ErrTxnNotActive
-		}
+		e = vs.entry(key) // a vacuum may have dropped the entry meanwhile
 	}
 	last := e.lastCommit
 	if leafTS > last {
@@ -129,6 +163,50 @@ func (vs *VersionStore) AcquireWriteIntent(p *sim.Proc, txn *Txn, key string, le
 	e.hasPending = false
 	vs.intentKeys[key] = struct{}{}
 	return nil
+}
+
+// awaitIntent applies AcquireWriteIntent's rule until key's intent is free
+// (nil) or the rule or the backstop decides against txn.
+func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout time.Duration) error {
+	deadline := vs.env.Now() + timeout
+	txn.waiting++
+	defer func() { txn.waiting-- }()
+	for waited := false; ; waited = true {
+		e := vs.entry(key)
+		w := e.writer
+		var until *sim.Signal
+		switch {
+		case w == nil:
+			return nil
+		case w.State == TxnCommitted && w.Commit > txn.Begin:
+			vs.Intents.DiedCommitted++
+			return ErrWriteConflict
+		case w.State != TxnActive:
+			until = e.released
+		case w.waiting > 0:
+			vs.Intents.DiedBlocked++
+			return ErrWriteConflict
+		default:
+			if w.decided == nil {
+				w.decided = sim.NewSignal(vs.env)
+			}
+			until = w.decided
+		}
+		if !waited {
+			vs.Intents.Waited++
+		}
+		remaining := deadline - vs.env.Now()
+		stop := p.Meter(sim.CatLocking)
+		ok := remaining > 0 && until.WaitTimeout(p, remaining)
+		stop()
+		if !ok {
+			vs.Intents.TimedOut++
+			return ErrLockTimeout
+		}
+		if !txn.Active() {
+			return ErrTxnNotActive
+		}
+	}
 }
 
 // StagePending records txn's new value for key. txn must hold the write

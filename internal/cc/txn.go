@@ -96,6 +96,14 @@ type Txn struct {
 	// fate wakes the dependents waiting in AwaitSettled; allocated by the
 	// first of them.
 	fate *sim.Signal
+	// decided wakes the writers waiting for this transaction's commit point or
+	// abort to settle an intent it holds (AcquireWriteIntent's rule 4);
+	// allocated by the first of them.
+	decided *sim.Signal
+	// waiting counts this transaction's processes parked in a cc wait (an
+	// intent or a lock). A writer that finds such a transaction holding its key
+	// dies instead of queueing behind it (rule 3).
+	waiting int
 }
 
 // Active reports whether the transaction can still do work.
@@ -130,6 +138,13 @@ func (t *Txn) AwaitSettled(p *sim.Proc) bool {
 func (t *Txn) sealFate() {
 	if t.fate != nil {
 		t.fate.Fire()
+	}
+}
+
+// decide wakes the writers waiting for t to leave the active state.
+func (t *Txn) decide() {
+	if t.decided != nil {
+		t.decided.Fire()
 	}
 }
 
@@ -221,6 +236,7 @@ func (o *Oracle) CommitTS(t *Txn) Timestamp {
 	t.State = TxnCommitted
 	delete(o.active, t.ID)
 	o.unsettled[t.ID] = t.Commit
+	t.decide()
 	return t.Commit
 }
 
@@ -310,6 +326,7 @@ func (o *Oracle) Abort(t *Txn) {
 	delete(o.active, t.ID)
 	delete(o.unsettled, t.ID)
 	t.sealFate()
+	t.decide()
 }
 
 // Watermark returns the oldest snapshot any transaction — present or future

@@ -204,6 +204,14 @@ type Report struct {
 	// power failure, failing the dependent.
 	DepWaits int
 	DepLost  int
+	// Write-intent counters (cc.IntentStats summed over the nodes): the
+	// acquisitions that waited for a held key, and those that ended without it
+	// because the holder had committed above their snapshot, because the
+	// holder was itself blocked, or at the lock timeout.
+	IntentWaits         int
+	IntentDiedCommitted int
+	IntentDiedBlocked   int
+	IntentTimeouts      int
 
 	Faults     []string // executed fault schedule, in order
 	Violations []string // invariant violations (empty = PASS)
@@ -381,9 +389,13 @@ func run(cfg Config, w workload) (*Report, error) {
 	}
 	h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses = c.ReplicationStats()
 	h.rep.DepWaits, h.rep.DepLost = c.DepWaits, c.DepLost
+	var intents cc.IntentStats
 	for _, n := range c.Nodes {
 		h.rep.Checkpoints += n.Checkpoints
+		intents.Add(n.Intents)
 	}
+	h.rep.IntentWaits, h.rep.IntentDiedCommitted = intents.Waited, intents.DiedCommitted
+	h.rep.IntentDiedBlocked, h.rep.IntentTimeouts = intents.DiedBlocked, intents.TimedOut
 
 	// Coordinator-failover oracles: after the drain the master must be
 	// available under some leader, and every recorded commit decision must

@@ -173,6 +173,9 @@ type DataNode struct {
 	// readers take their dependencies from it, follower reads of this node's
 	// partitions are gated on it.
 	Commits *cc.CommitTable
+	// Intents tallies the intent waits of every partition this node has
+	// hosted, crashed and dropped ones included.
+	Intents cc.IntentStats
 
 	// Owned partitions by ID (server-side registry).
 	Parts map[table.PartID]*table.Partition
@@ -220,6 +223,7 @@ func (n *DataNode) Deps() table.Deps {
 		Oracle:      n.cluster.Master.Oracle,
 		Locks:       n.Locks,
 		Commits:     n.Commits,
+		Intents:     &n.Intents,
 		Log:         n.Log,
 		Factory:     n,
 		Compute:     n.HW.Compute,

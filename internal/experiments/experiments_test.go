@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wattdb/internal/sim"
 	"wattdb/internal/table"
 )
 
@@ -133,4 +134,30 @@ func TestFig6Smoke(t *testing.T) {
 		}
 	}
 	_ = table.Physical
+}
+
+// TestFig7Shape gates the normal bar of Fig 7, the one the paper draws as
+// the baseline its rebalancing bars rise from: a transaction spends at most
+// 5.5 ms in the engine, and under 1 ms of it waiting for locks and write
+// intents — a writer never queues behind a doomed or blocked intent holder,
+// so no wait lasts until the lock timeout. The preset is Quick's cut off 5 s
+// after the rebalance trigger: the normal bar is all there is to measure.
+func TestFig7Shape(t *testing.T) {
+	pre := Quick()
+	pre.Observe = 5 * time.Second
+	res, err := Fig7(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total time.Duration
+	for _, d := range res.Normal {
+		total += d
+	}
+	if ms := total.Seconds() * 1000; ms > 5.5 {
+		t.Errorf("normal bar %.2f ms/txn, want <= 5.5", ms)
+	}
+	if ms := res.Normal[sim.CatLocking].Seconds() * 1000; ms >= 1 {
+		t.Errorf("normal bar locking %.2f ms/txn, want < 1", ms)
+	}
+	t.Log("\n" + res.String())
 }

@@ -42,11 +42,7 @@ func (pt *Partition) Lookup(p *sim.Proc, txn *cc.Txn, key []byte) ([]byte, Looku
 	if txn.Mode == cc.Locking {
 		return pt.lookupLocking(p, txn, key)
 	}
-	tr, err := pt.readTree(txn, key)
-	if err != nil {
-		return nil, LookupAbsent, err
-	}
-	leaf, err := readLeaf(p, tr, key)
+	leaf, err := pt.readRouted(p, txn, key)
 	if err != nil {
 		return nil, LookupAbsent, err
 	}
@@ -68,11 +64,7 @@ func (pt *Partition) lookupLocking(p *sim.Proc, txn *cc.Txn, key []byte) ([]byte
 	if err := lm.Lock(p, txn, pt.keyLockName(key), cc.LockR, to); err != nil {
 		return nil, LookupAbsent, err
 	}
-	tr, err := pt.readTree(txn, key)
-	if err != nil {
-		return nil, LookupAbsent, err
-	}
-	leaf, err := readLeaf(p, tr, key)
+	leaf, err := pt.readRouted(p, txn, key)
 	switch {
 	case err != nil || leaf == nil:
 		return nil, LookupAbsent, err
@@ -80,6 +72,26 @@ func (pt *Partition) lookupLocking(p *sim.Proc, txn *cc.Txn, key []byte) ([]byte
 		return nil, LookupDeleted, nil
 	}
 	return leaf.Val, LookupLive, nil
+}
+
+// readRouted reads key's current tree version on the read path. A segment
+// split may move the key to a new mini-partition, and drop it from the old
+// tree, while the read is blocked there; the read then re-resolves until
+// routing held still across it, the way treePut re-homes a write.
+func (pt *Partition) readRouted(p *sim.Proc, txn *cc.Txn, key []byte) (*cc.Version, error) {
+	for {
+		tr, err := pt.readTree(txn, key)
+		if err != nil {
+			return nil, err
+		}
+		leaf, err := readLeaf(p, tr, key)
+		if err != nil || pt.Scheme != Physiological {
+			return leaf, err
+		}
+		if now, rerr := pt.readTree(txn, key); rerr != nil || now == tr {
+			return leaf, nil
+		}
+	}
 }
 
 // Put inserts or updates key with payload under txn.
@@ -281,7 +293,7 @@ func (pt *Partition) scan(p *sim.Proc, txn *cc.Txn, lo, hi []byte, fn func(key, 
 			send([]byte(pv.Key), pv.Ver.Val, pv.Ver.Deleted)
 		}
 	}
-	emit := func(tr *btree.Tree, k, raw []byte) (bool, error) {
+	emit := func(k, raw []byte) (bool, error) {
 		if err := pt.down(); err != nil {
 			// The node power-failed at a blocking point mid-scan; the
 			// version chains are gone, so continuing could skip records.
@@ -297,11 +309,12 @@ func (pt *Partition) scan(p *sim.Proc, txn *cc.Txn, lo, hi []byte, fn func(key, 
 		leafV := &leaf
 		if pt.Store.StaleLeaf(ks, leaf.TS) {
 			// The batched cursor copied this leaf before a later install
-			// landed: re-read the record's current tree version. A snapshot
-			// reader then resolves via the leaf or the history versions the
-			// newer installs pushed; a locking reader must serve the current
-			// committed state, which only the fresh leaf holds.
-			leafV, err = readLeaf(p, tr, k)
+			// landed: re-read the record's current tree version, wherever a
+			// split moved it since. A snapshot reader then resolves via the
+			// leaf or the history versions the newer installs pushed; a
+			// locking reader must serve the current committed state, which
+			// only the fresh leaf holds.
+			leafV, err = pt.readRouted(p, txn, k)
 			if err != nil {
 				return false, err
 			}
@@ -331,7 +344,7 @@ func (pt *Partition) scan(p *sim.Proc, txn *cc.Txn, lo, hi []byte, fn func(key, 
 	if pt.Scheme != Physiological {
 		var scanErr error
 		err := pt.span.Scan(p, lo, hi, func(k, raw []byte) bool {
-			cont, err := emit(pt.span, k, raw)
+			cont, err := emit(k, raw)
 			if err != nil {
 				scanErr = err
 				return false
@@ -370,8 +383,14 @@ func (pt *Partition) scan(p *sim.Proc, txn *cc.Txn, lo, hi []byte, fn func(key, 
 		stopped := false
 		var scanErr error
 		err := h.Tree.Scan(p, slo, shi, func(k, raw []byte) bool {
+			if h.High != nil && bytes.Compare(k, h.High) >= 0 {
+				// A split published a new mini-partition for the rest of the
+				// range while the walk was blocked; the records the old tree
+				// still holds there are stale copies on their way out.
+				return false
+			}
 			lastSeen = append(lastSeen[:0], k...)
-			cont, err := emit(h.Tree, k, raw)
+			cont, err := emit(k, raw)
 			if err != nil {
 				scanErr = err
 				return false

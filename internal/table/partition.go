@@ -57,6 +57,9 @@ type Deps struct {
 	// tracked); the partition's version store resolves read dependencies
 	// against it.
 	Commits *cc.CommitTable
+	// Intents is the node's tally the partition's version store counts its
+	// intent waits into (nil: the store keeps its own).
+	Intents *cc.IntentStats
 	Log     *wal.Log
 	Factory PagerFactory
 	// Compute charges CPU time on the owning node (nil: free).
@@ -206,6 +209,9 @@ func NewPartition(id PartID, schema *Schema, scheme Scheme, low, high []byte, de
 		tombs:   make(map[string]struct{}),
 	}
 	pt.Store.Commits = deps.Commits
+	if deps.Intents != nil {
+		pt.Store.Intents = deps.Intents
+	}
 	if scheme != Physiological {
 		pt.span = btree.New(&spanningPager{pt: pt}, 0, nil)
 		pt.span.Serialize(deps.Env)

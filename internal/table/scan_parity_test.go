@@ -310,3 +310,148 @@ func TestLockingScanRefreshesStaleLeaf(t *testing.T) {
 		t.Fatalf("key 5 = %q, want %q (stale batched leaf served to a locking scan)", got[5], "v1")
 	}
 }
+
+// hookFactory wraps memFactory with a callback on every page access, so a
+// test can park a chosen process at a chosen read or write, the way a slow
+// disk under a small pool parks it.
+type hookFactory struct {
+	memFactory
+	hook func(p *sim.Proc, seg storage.SegID, write bool)
+}
+
+func (f *hookFactory) Pager(seg *storage.Segment) btree.Pager {
+	return &hookPager{Pager: f.memFactory.Pager(seg), f: f, seg: seg.ID}
+}
+
+type hookPager struct {
+	btree.Pager
+	f   *hookFactory
+	seg storage.SegID
+}
+
+func (h *hookPager) Read(p *sim.Proc, no storage.PageNo) (storage.Page, btree.Release, error) {
+	if h.f.hook != nil {
+		h.f.hook(p, h.seg, false)
+	}
+	return h.Pager.Read(p, no)
+}
+
+func (h *hookPager) Write(p *sim.Proc, no storage.PageNo) (storage.Page, btree.Release, error) {
+	if h.f.hook != nil {
+		h.f.hook(p, h.seg, true)
+	}
+	return h.Pager.Write(p, no)
+}
+
+// TestReadersRacingASplitSeeEveryRowOnce reproduces a TPC-C rebalance failure
+// ("order 4/2/154 missing"): a segment split removed the moved records from
+// the old tree before it published the new mini-partition, and a Lookup routed
+// once and then blocked in its leaf read. The split here parks in its delete
+// loop after three deletes. Meanwhile a reader gets a moved key and scans the
+// range, and must see every row exactly once; so must a Lookup and a scan that
+// entered the old tree before the split and parked in their first read until
+// then.
+func TestReadersRacingASplitSeeEveryRowOnce(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	oracle := cc.NewOracle()
+	hf := &hookFactory{memFactory: memFactory{pageSize: 512, segPages: 64}}
+	deps := Deps{
+		Env:         env,
+		Oracle:      oracle,
+		Locks:       cc.NewLockManager(env),
+		Log:         wal.NewLog(env, nullDevice{}),
+		Factory:     hf,
+		LockTimeout: time.Second,
+		PageSize:    512,
+	}
+	pt := NewPartition(1, simpleSchema(), Physiological, nil, nil, deps)
+	const n = 40
+	env.Spawn("load", func(p *sim.Proc) {
+		w := oracle.Begin(cc.SnapshotIsolation)
+		for i := int64(0); i < n; i++ {
+			if err := pt.Put(p, w, intKey(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := CommitTxn(p, w, pt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	seg0 := pt.Segments()[0]
+	moved := intKey(n / 2) // the median: the first record the split moves
+
+	scanOnce := func(p *sim.Proc, r *cc.Txn, when string) {
+		seen := map[int64]int{}
+		if err := pt.Scan(p, r, nil, nil, func(k, _ []byte) bool {
+			d, _, _ := keycodec.DecodeInt64(k)
+			seen[d]++
+			return true
+		}); err != nil {
+			t.Errorf("%s: scan: %v", when, err)
+		}
+		for i := int64(0); i < n; i++ {
+			if seen[i] != 1 {
+				t.Errorf("%s: key %d seen %d times, want 1", when, i, seen[i])
+			}
+		}
+	}
+	lookup := func(p *sim.Proc, r *cc.Txn, when string) {
+		if v, ok, err := pt.Get(p, r, moved); err != nil || !ok || string(v) != fmt.Sprintf("v%d", n/2) {
+			t.Errorf("%s: moved key = %q ok=%v err=%v, want v%d", when, v, ok, err, n/2)
+		}
+	}
+
+	parkEarly, parkSplit := sim.NewSignal(env), sim.NewSignal(env)
+	early := map[*sim.Proc]bool{}
+	var splitter *sim.Proc
+	oldWrites := 0
+	hf.hook = func(p *sim.Proc, seg storage.SegID, write bool) {
+		switch {
+		case early[p] && !write:
+			delete(early, p) // park an early reader's first read only
+			parkEarly.Wait(p)
+		case p == splitter && write && seg == seg0.Seg.ID:
+			if oldWrites++; oldWrites == 4 {
+				parkSplit.Wait(p)
+			}
+		}
+	}
+	env.Spawn("early-lookup", func(p *sim.Proc) {
+		early[p] = true
+		lookup(p, oracle.Begin(cc.SnapshotIsolation), "lookup routed before the split")
+	})
+	env.Spawn("early-scan", func(p *sim.Proc) {
+		early[p] = true
+		scanOnce(p, oracle.Begin(cc.SnapshotIsolation), "scan begun before the split")
+	})
+	env.Spawn("splitter", func(p *sim.Proc) {
+		splitter = p
+		if err := pt.SplitSegment(p, seg0); err != nil {
+			t.Errorf("split: %v", err)
+		}
+	})
+	env.Spawn("mid-split", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond) // the early readers and the split are parked
+		if oldWrites != 4 {
+			t.Fatalf("split made %d writes to the old tree, want to be parked at the 4th", oldWrites)
+		}
+		r := oracle.Begin(cc.SnapshotIsolation)
+		lookup(p, r, "mid-split")
+		scanOnce(p, r, "mid-split")
+		parkEarly.Fire() // they finish with the split still parked
+		p.Sleep(time.Millisecond)
+		parkSplit.Fire()
+		p.Sleep(time.Millisecond)
+		if len(pt.Segments()) != 2 {
+			t.Errorf("after the split: %d segments, want 2", len(pt.Segments()))
+		}
+		scanOnce(p, oracle.Begin(cc.SnapshotIsolation), "after the split")
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

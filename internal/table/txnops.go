@@ -318,16 +318,20 @@ func (pt *Partition) splitSeg(p *sim.Proc, h *SegHandle, key []byte) error {
 			return err
 		}
 		nh.Tree.Serialize(pt.deps.Env)
-		// Remove the moved records from the old tree, then shrink its range.
+		// Publish the new mini-partition before removing the moved records
+		// from the old tree: the deletes block on I/O, and a reader routed
+		// meanwhile must find every record where routing sends it. Readers
+		// still inside the old tree stop at its new bound (scan) or re-resolve
+		// (Lookup).
+		h.High = midKey
+		h.Seg.HighKey = midKey
+		seg.LowKey, seg.HighKey = nh.Low, nh.High
+		pt.addSegmentSorted(nh)
 		for _, pr := range upper {
 			if _, err := h.Tree.DeleteLocked(p, pr.k, 0); err != nil {
 				return err
 			}
 		}
-		h.High = midKey
-		h.Seg.HighKey = midKey
-		seg.LowKey, seg.HighKey = nh.Low, nh.High
-		pt.addSegmentSorted(nh)
 		return nil
 	})
 }

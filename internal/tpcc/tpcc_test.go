@@ -312,3 +312,84 @@ func TestWorkloadDuringMigration(t *testing.T) {
 		})
 	}
 }
+
+// TestNoIntentTimeoutFaultFree gates the write-intent wait rule on the
+// benchmark's replicated commit path: a fault-free run of closed-loop
+// clients on a 4-node cluster with two data and two coordinator replicas,
+// the lock timeout at 100 ms, never ends an intent wait at the timeout.
+// Deadlocks and convoys are decided at the intent instead — the counters
+// show that the run had both waits and decided conflicts.
+func TestNoIntentTimeoutFaultFree(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 4
+	cfg.MasterReplicas, cfg.DataReplicas = 2, 2
+	cfg.LockTimeout = 100 * time.Millisecond
+	c := cluster.New(env, cfg)
+	for _, n := range c.Nodes[1:] {
+		n.HW.ForceActive()
+	}
+	tcfg := DefaultConfig(8)
+	tcfg.CustomersPerDistrict = 30
+	tcfg.Items = 100
+	tcfg.InitialOrdersPerDist = 30
+	tcfg.DistrictsPerW = 4
+	dep, err := Deploy(c.Master, tcfg, table.Physiological, []WarehouseRange{
+		{FromW: 1, ToW: 4, Owner: c.Nodes[0]},
+		{FromW: 5, ToW: 8, Owner: c.Nodes[1]},
+	}, c.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Spawn("load", func(p *sim.Proc) {
+		if err := dep.Load(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.SetupReplicationDrain()
+	committed, attempts := 0, 0
+	var clients []*Client
+	for i := 0; i < 8; i++ {
+		cl := NewClient(i, c.Master, dep, 0, cc.SnapshotIsolation)
+		cl.OnResult = func(r Result) {
+			attempts++
+			if r.Committed {
+				committed++
+			}
+		}
+		clients = append(clients, cl)
+		cl.Start()
+	}
+	stop := false
+	env.Spawn("ship-drain", func(p *sim.Proc) {
+		for !stop {
+			p.Sleep(20 * time.Millisecond)
+			c.DrainShipQueues(p)
+		}
+	})
+	if err := env.RunUntil(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stop = true
+	for _, cl := range clients {
+		cl.Stop()
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var intents cc.IntentStats
+	for _, n := range c.Nodes {
+		intents.Add(n.Intents)
+	}
+	t.Logf("%d of %d transactions committed; intents %+v", committed, attempts, intents)
+	if intents.TimedOut != 0 {
+		t.Errorf("%d intent waits ended at the lock timeout, want 0", intents.TimedOut)
+	}
+	if intents.Waited == 0 || intents.DiedCommitted+intents.DiedBlocked == 0 {
+		t.Errorf("no contention to gate: intents %+v", intents)
+	}
+}
