@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -87,6 +87,16 @@ endif
 ledger-pair:
 	@test -n "$(PARENT)" || { echo "usage: make ledger-pair PARENT=<rev> [PAIRS=10]"; exit 2; }
 	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -pairs $(PAIRS)
+
+## ledger-seeds: the working tree against PARENT at other seeds than the
+## ledger's own — one `bash bench/run.sh -seed S -repeat 1` per seed on each
+## tree (the simulated rows repeat exactly at a fixed seed), then per workload
+## a parent → change table of every sim_* row and committed_share, one column
+## per seed. SEEDS here is a list, "2 3 4 5 6" unless given on the command
+## line. About 3 minutes per seed.
+ledger-seeds:
+	@test -n "$(PARENT)" || { echo 'usage: make ledger-seeds PARENT=<rev> [SEEDS="2 3 4 5 6"]'; exit 2; }
+	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -seeds "$(if $(filter command line,$(origin SEEDS)),$(SEEDS),2 3 4 5 6)"
 
 ## chaos: sweep the deterministic fault-injection harness over SEEDS seeds
 ## (schemes rotate per seed); any failing seed prints a one-line repro

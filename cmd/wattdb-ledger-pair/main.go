@@ -11,6 +11,13 @@
 // is one `bash bench/run.sh -repeat 1 -out …` in its own tree (odd pairs run
 // the change first, so drift in the host's speed favours neither side). The
 // per-run files and the two merged result files stay in .bench_build/pair/.
+//
+//	wattdb-ledger-pair -parent HEAD~1 -seeds "2 3 4 5 6"   (make ledger-seeds PARENT=HEAD~1 SEEDS="2 3 4 5 6")
+//
+// With -seeds it measures at other seeds instead: one run per seed and side —
+// the simulated rows repeat exactly at a fixed seed, so one is all it takes —
+// and a parent → change table per workload of every sim_* row and
+// committed_share, one column per seed. Its files are .bench_build/pair/seed_*.
 // Run from the repository root.
 package main
 
@@ -22,6 +29,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // resultFile is the shape bench's -out writes and -compare reads.
@@ -32,32 +41,45 @@ type resultFile struct {
 }
 
 // manifest is the part of BENCHMARK.json this tool needs: the order of the
-// workloads and, per end-to-end metric, which direction is better.
+// workloads and of the metrics and, per metric, which direction is better.
 type manifest struct {
 	Workloads []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
-	EndToEnd []struct {
-		Name   string `json:"name"`
-		Better string `json:"better"`
-	} `json:"end_to_end"`
+	EndToEnd []metricDef `json:"end_to_end"`
+	PerLayer []metricDef `json:"per_layer"`
+}
+
+type metricDef struct {
+	Name   string `json:"name"`
+	Better string `json:"better"`
 }
 
 func main() {
 	parent := flag.String("parent", "", "revision to measure against (required)")
 	pairs := flag.Int("pairs", 10, "alternating parent/change pairs")
+	seedList := flag.String("seeds", "", `instead of pairs, one run per side at each of these seeds ("2 3 4")`)
 	flag.Parse()
+	var seeds []int64
+	for _, f := range strings.Fields(*seedList) {
+		s, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wattdb-ledger-pair: -seeds:", err)
+			os.Exit(2)
+		}
+		seeds = append(seeds, s)
+	}
 	if *parent == "" || *pairs < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*parent, *pairs); err != nil {
+	if err := run(*parent, *pairs, seeds); err != nil {
 		fmt.Fprintln(os.Stderr, "wattdb-ledger-pair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(parent string, pairs int) (err error) {
+func run(parent string, pairs int, seeds []int64) (err error) {
 	root, err := os.Getwd()
 	if err != nil {
 		return err
@@ -93,6 +115,24 @@ func run(parent string, pairs int) (err error) {
 
 	type side struct{ name, dir string }
 	sides := []side{{"parent", tree}, {"change", root}}
+	if len(seeds) > 0 {
+		// Per seed: one result file per side, parent first.
+		bySeed := make([][2]*resultFile, len(seeds))
+		for i, seed := range seeds {
+			for j, s := range sides {
+				file := filepath.Join(out, fmt.Sprintf("seed_%d_%s.json", seed, s.name))
+				fmt.Fprintf(os.Stderr, "seed %d: %s\n", seed, s.name)
+				if err := show(command(s.dir, "bash", "bench/run.sh", "-seed", fmt.Sprint(seed), "-repeat", "1", "-out", file)); err != nil {
+					return fmt.Errorf("seed %d, %s: %w", seed, s.name, err)
+				}
+				if bySeed[i][j], err = load(file); err != nil {
+					return err
+				}
+			}
+		}
+		reportSeeds(man, seeds, bySeed)
+		return nil
+	}
 	merged := map[string]*resultFile{}
 	for i := 1; i <= pairs; i++ {
 		order := sides
@@ -140,19 +180,28 @@ func show(cmd *exec.Cmd) error {
 	return nil
 }
 
-// merge appends the runs in file to side's result file.
-func merge(into map[string]*resultFile, side, file string) error {
+// load reads a result file.
+func load(file string) (*resultFile, error) {
 	raw, err := os.ReadFile(file)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var res resultFile
 	if err := json.Unmarshal(raw, &res); err != nil {
-		return fmt.Errorf("%s: %w", file, err)
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	return &res, nil
+}
+
+// merge appends the runs in file to side's result file.
+func merge(into map[string]*resultFile, side, file string) error {
+	res, err := load(file)
+	if err != nil {
+		return err
 	}
 	m := into[side]
 	if m == nil {
-		into[side] = &res
+		into[side] = res
 		return nil
 	}
 	if m.Seed != res.Seed || m.Seconds != res.Seconds {
@@ -200,6 +249,54 @@ func report(man manifest, parent, change *resultFile) {
 		}
 	}
 	fmt.Println()
+}
+
+// reportSeeds prints, per workload, one row per sim_* metric and
+// committed_share — in BENCHMARK.json's order — with the parent → change
+// values and the relative change at each seed (bySeed[i] is seeds[i]'s parent
+// and change result).
+func reportSeeds(man manifest, seeds []int64, bySeed [][2]*resultFile) {
+	fmt.Printf("%-15s %-26s", "workload", "metric")
+	for _, s := range seeds {
+		fmt.Printf(" %30s", fmt.Sprintf("seed %d", s))
+	}
+	fmt.Println()
+	value := func(res *resultFile, w, metric string) *float64 {
+		if runs := res.Workloads[w]; len(runs) > 0 {
+			return runs[0][metric]
+		}
+		return nil
+	}
+	for _, w := range man.Workloads {
+		for _, d := range append(man.EndToEnd, man.PerLayer...) {
+			if !strings.HasPrefix(d.Name, "sim_") && d.Name != "committed_share" {
+				continue
+			}
+			var cells []string
+			defined := false
+			for _, pair := range bySeed {
+				p, c := value(pair[0], w.Name, d.Name), value(pair[1], w.Name, d.Name)
+				switch {
+				case p == nil || c == nil:
+					cells = append(cells, "null")
+				case *p == 0:
+					cells = append(cells, fmt.Sprintf("%.6g → %.6g", *p, *c))
+					defined = true
+				default:
+					cells = append(cells, fmt.Sprintf("%.6g → %.6g (%+.2f%%)", *p, *c, 100*(*c-*p) / *p))
+					defined = true
+				}
+			}
+			if !defined {
+				continue
+			}
+			fmt.Printf("%-15s %-26s", w.Name, d.Name)
+			for _, cell := range cells {
+				fmt.Printf(" %30s", cell)
+			}
+			fmt.Println()
+		}
+	}
 }
 
 // quartiles returns the median and the first and third quartile of v, by

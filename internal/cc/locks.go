@@ -77,6 +77,8 @@ type LockManager struct {
 	locks map[string]*lockHead
 	// Waits counts blocking lock acquisitions (contention metric).
 	Waits int64
+	// failed marks a lock table lost to its node's power failure (Fail).
+	failed bool
 }
 
 // NewLockManager returns an empty lock table.
@@ -153,6 +155,9 @@ func (lm *LockManager) Lock(p *sim.Proc, txn *Txn, name string, mode LockMode, t
 			lm.dequeue(h, req)
 			return ErrLockTimeout
 		}
+		if lm.failed {
+			return ErrFailed
+		}
 		if !txn.Active() {
 			lm.dequeue(h, req)
 			return ErrTxnNotActive
@@ -170,6 +175,23 @@ func (lm *LockManager) Lock(p *sim.Proc, txn *Txn, name string, mode LockMode, t
 			h.freed.Fire()
 			return nil
 		}
+	}
+}
+
+// Fail marks the lock table lost to its node's power failure and wakes every
+// waiter, in name order: each returns ErrFailed at this instant instead of at
+// its timeout.
+func (lm *LockManager) Fail() {
+	lm.failed = true
+	var names []string
+	for name, h := range lm.locks {
+		if len(h.queue) > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		lm.locks[name].freed.Fire()
 	}
 }
 

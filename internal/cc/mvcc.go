@@ -65,6 +65,9 @@ type VersionStore struct {
 	// has its own; a cluster points its node's stores at one tally, which
 	// outlives a crashed or dropped partition.
 	Intents *IntentStats
+
+	// failed marks a store lost to its node's power failure (Fail).
+	failed bool
 }
 
 // IntentStats counts AcquireWriteIntent's decisions on a key held by another
@@ -172,6 +175,9 @@ func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout t
 	txn.waiting++
 	defer func() { txn.waiting-- }()
 	for waited := false; ; waited = true {
+		if vs.failed {
+			return ErrFailed
+		}
 		e := vs.entry(key)
 		w := e.writer
 		var until *sim.Signal
@@ -206,6 +212,24 @@ func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout t
 		if !txn.Active() {
 			return ErrTxnNotActive
 		}
+	}
+}
+
+// Fail marks the store lost to its node's power failure and wakes every
+// writer parked on one of its intents, whichever signal it waits on: each
+// returns ErrFailed at this instant instead of at its timeout, waiting for a
+// release that a dead store never gives. Keys wake in order, for determinism.
+func (vs *VersionStore) Fail() {
+	vs.failed = true
+	keys := make([]string, 0, len(vs.intentKeys))
+	for k := range vs.intentKeys {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		e := vs.entries[k]
+		e.released.Fire()
+		e.writer.decide()
 	}
 }
 

@@ -42,6 +42,9 @@ var (
 	ErrWriteConflict = errors.New("cc: write-write conflict (first committer wins)")
 	ErrLockTimeout   = errors.New("cc: lock wait timeout")
 	ErrTxnNotActive  = errors.New("cc: transaction not active")
+	// ErrFailed ends a wait on a lock table or version store that died with
+	// its node's DRAM (LockManager.Fail, VersionStore.Fail).
+	ErrFailed = errors.New("cc: lost to a power failure")
 )
 
 // Txn is one transaction. Engine layers attach undo actions while executing;

@@ -168,6 +168,11 @@ type Report struct {
 	// point: a node whose unsettled commit a committing transaction is about
 	// to wait for (included in Crashes).
 	DepCrashes int
+	// DecidedHits counts the passes of the "commit.decided" crash point: a
+	// branch of a distributed commit acknowledged at its decision, about to
+	// install. No plan aims a crash there; a crash that lands anyway is
+	// rolled forward from the in-doubt branch.
+	DecidedHits int
 	// LeaderCrashes counts crashes that hit the acting coordinator;
 	// Failovers counts the leader elections the master went through.
 	LeaderCrashes int

@@ -83,7 +83,7 @@ func TestChaosDeterministic(t *testing.T) {
 		cfg      Config
 		happened func(*Report) bool // nil: nothing to require
 	}{
-		{"kv", Run, Config{Seed: 12, Duration: 30 * time.Second},
+		{"kv", Run, Config{Seed: 10, Duration: 30 * time.Second},
 			func(r *Report) bool { return r.AheadCrashes > 0 && r.TornCrashes+r.BitFlips > 0 && r.DepCrashes > 0 }},
 		{"kv-disk-loss", Run, Config{Seed: 5, Duration: 40 * time.Second, DiskFaults: 3}, diskLoss},
 		{"kv-coord-failover", Run, Config{Seed: 23, Duration: 40 * time.Second, CoordFaults: 3}, failover},

@@ -365,6 +365,9 @@ func (h *harness) crashAimed(a aim) {
 // atPoint is the cluster's crash-point hook: the first armed aim the point
 // matches fires on n, synchronously, before the engine goes on.
 func (h *harness) atPoint(n *cluster.DataNode, name string) {
+	if name == "commit.decided" {
+		h.rep.DecidedHits++
+	}
 	for _, a := range h.aims {
 		if a.done || !a.anyNode && a.ev.node != n.ID || !strings.HasPrefix(name, strings.TrimSuffix(a.point, "*")) {
 			continue

@@ -95,9 +95,10 @@ type Cluster struct {
 // handles; the names are "ckpt.*" (CheckpointNode's protocol steps),
 // "ship.ahead" (confirmShipped: a follower durably holds frames n has not
 // flushed), "ship.resync" (resyncFollower: n's follower flushed a resync n
-// has not yet recorded — inside RestartNode's epilogue when n is restarting)
-// and "commit.depwait" (settleDeps: a committing session is about to wait
-// for an unsettled commit whose fate n seals).
+// has not yet recorded — inside RestartNode's epilogue when n is restarting),
+// "commit.depwait" (settleDeps: a committing session is about to wait for an
+// unsettled commit whose fate n seals) and "commit.decided" (commitBranch: a
+// distributed commit is acknowledged, and n's branch not yet installed).
 func (c *Cluster) point(n *DataNode, name string) bool {
 	if c.Point != nil && !n.crashed {
 		c.Point(n, name)

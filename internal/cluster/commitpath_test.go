@@ -134,6 +134,66 @@ func TestForcedShipLandsOnAllFollowersAtOnce(t *testing.T) {
 	}
 }
 
+// TestForcedPassPicksReadyFollower pins which follower a forced pass flushes
+// when it has two to choose from: none if one of them is durable through its
+// wrapper already, the first whose log has no write in flight, and — with a
+// write in flight on both — the first in ring order.
+func TestForcedPassPicksReadyFollower(t *testing.T) {
+	const stall = 5 * time.Millisecond
+	cases := []struct {
+		name         string
+		busy         []int // followers (1, 2) with a write in flight when the pass starts
+		ready        bool  // follower 2 already flushed through its wrapper
+		want1, want2 int64 // device writes on each follower's log during the pass
+		durable      int   // the follower the pass makes durable
+	}{
+		{name: "one already durable", ready: true, durable: 2},
+		// Follower 1's write is still in flight when the pass returns.
+		{name: "idle second over busy first", busy: []int{1}, want1: 0, want2: 1, durable: 2},
+		{name: "both busy: ring order", busy: []int{1, 2}, want1: 2, want2: 1, durable: 1},
+	}
+	for _, tcase := range cases {
+		t.Run(tcase.name, func(t *testing.T) {
+			tc := newRepCluster(t, table.Physiological, 4, 100)
+			defer tc.env.Close()
+			c := tc.c
+			c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
+			origin := c.Nodes[0]
+			fs := []*DataNode{nil, c.Nodes[1], c.Nodes[2]}
+			tc.run(t, func(p *sim.Proc) {
+				lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+				origin.Log.Flush(p, lsn)
+				if tcase.ready {
+					c.shipQueued(p, origin, false) // delivered, nobody forced
+					fs[2].Log.Flush(p, fs[2].Log.TailLSN()-1)
+				}
+				for _, i := range tcase.busy {
+					fs[i].HW.LogDisk().SetStall(stall)
+					fs[i].Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
+					fs[i].Log.Kick()
+				}
+				p.Sleep(time.Microsecond) // the kicked writes start
+				for _, i := range tcase.busy {
+					if !fs[i].Log.Flushing() {
+						t.Fatalf("setup: no write in flight on follower %d", i)
+					}
+				}
+				flushes1, flushes2 := fs[1].Log.Flushes, fs[2].Log.Flushes
+				if !c.shipQueued(p, origin, true) {
+					t.Fatal("origin reported dead")
+				}
+				if got1, got2 := fs[1].Log.Flushes-flushes1, fs[2].Log.Flushes-flushes2; got1 != tcase.want1 || got2 != tcase.want2 {
+					t.Errorf("device writes during the pass: follower 1 %d, follower 2 %d; want %d and %d",
+						got1, got2, tcase.want1, tcase.want2)
+				}
+				if l := origin.ship.link(fs[tcase.durable]); l.durable < lsn {
+					t.Errorf("follower %d durable through %d after the forced pass, want >= %d", tcase.durable, l.durable, lsn)
+				}
+			})
+		})
+	}
+}
+
 // TestForcedShipFollowerCrashMidSend: a follower that power-fails while the
 // batch is on the wire is marked stale; its sibling receives, flushes and
 // acks, so the forced pass still makes the frames replica-durable.

@@ -135,11 +135,12 @@ func (c *Cluster) doCrash(n *DataNode, tear, flip int) int {
 		n.lostParts = append(n.lostParts, pt)
 	}
 	n.Parts = make(map[table.PartID]*table.Partition)
-	// DRAM is gone: fresh buffer pool and lock table. Processes parked on
-	// the old structures wake via their timeouts and observe dead
-	// partitions.
+	// DRAM is gone: fresh buffer pool and lock table. Processes parked in
+	// the old lock table wake now and observe dead partitions, as the ones
+	// parked on their intents did in Fail above.
 	n.Pool = buffer.NewPool(c.Env, (*nodeBackend)(n), c.Cal.PageSize, c.Cal.BufferFrames)
 	n.Pool.SetWALFlush(func(p *sim.Proc, lsn uint64) { n.Log.Flush(p, lsn) })
+	n.Locks.Fail()
 	n.Locks = cc.NewLockManager(c.Env)
 	// Replicated coordinator: losing the leader fences the master until a
 	// successor is elected. (Losing one of its followers is the ship

@@ -773,10 +773,14 @@ func (sh *shipState) shippable(l *wal.Log) (cut int, through uint64) {
 
 // confirmShipped is the confirm stage of a ship pass, run without the drain
 // lock: a receiver whose log is flushed through its mark's wrapper holds the
-// origin's frames up to the mark's boundary durably. With forced, receivers
-// not flushed that far are flushed, in follower order, until one of them is
-// durable; the other wrappers ride their log's next group commit, and their
-// watermark advances whenever a later pass finds the log flushed that far.
+// origin's frames up to the mark's boundary durably. With forced, one receiver
+// is flushed that far first, chosen so the pass waits as little as it can
+// (forcePick): none if some receiver is durable through its wrapper already,
+// else the first in follower order whose log has no write in flight — its
+// flush starts at once instead of queueing behind one — else the first; if
+// that receiver dies in its flush, the pick goes on among its siblings. The
+// other wrappers ride their log's next group commit, and their watermark
+// advances whenever a later pass finds the log flushed that far.
 //
 // What this stage may assume is what the marks say and no more. Other passes
 // have sent, and confirmed, since the lock was released — they finish in any
@@ -793,24 +797,49 @@ func (sh *shipState) shippable(l *wal.Log) (cut int, through uint64) {
 // the origin's stream that the origin's log has not flushed, and a power
 // failure of the origin now leaves a follower with a suffix its origin lost.
 func (c *Cluster) confirmShipped(p *sim.Proc, origin *DataNode, marks []shipMark, forced bool) {
-	acked := false
-	for _, m := range marks {
+	// A flush either makes its receiver durable, which ends the forcing, or
+	// finds it crashed and stale from then on: the next pick is a sibling.
+	for i := 0; forced && i < len(marks); i++ {
+		m := forcePick(marks)
+		if m == nil {
+			break
+		}
 		flog := m.l.follower.Log
-		if forced && !acked && flog.FlushedLSN() < m.wrap {
-			flog.Flush(p, m.wrap)
-			ahead := flog.FlushedLSN() >= m.wrap && origin.Log.FlushedLSN() < m.through
-			if origin.crashed || ahead && !c.point(origin, "ship.ahead") {
-				return
-			}
+		flog.Flush(p, m.wrap)
+		ahead := flog.FlushedLSN() >= m.wrap && origin.Log.FlushedLSN() < m.through
+		if origin.crashed || ahead && !c.point(origin, "ship.ahead") {
+			return
 		}
-		if flog.FlushedLSN() < m.wrap || m.l.stale || m.l.resyncs != m.resyncs {
-			continue
-		}
-		if m.l.durable < m.through {
+	}
+	for _, m := range marks {
+		if m.l.follower.Log.FlushedLSN() >= m.wrap && m.valid() && m.l.durable < m.through {
 			m.l.durable = m.through
 		}
-		acked = true
 	}
+}
+
+// valid reports whether m still speaks for its receiver: not stale, and no
+// resync since the pass that cut it.
+func (m *shipMark) valid() bool { return !m.l.stale && m.l.resyncs == m.resyncs }
+
+// forcePick returns the receiver a forced pass flushes (see confirmShipped),
+// or nil when none needs it.
+func forcePick(marks []shipMark) *shipMark {
+	var pick *shipMark
+	for i := range marks {
+		m := &marks[i]
+		if !m.valid() {
+			continue
+		}
+		flog := m.l.follower.Log
+		if flog.FlushedLSN() >= m.wrap {
+			return nil
+		}
+		if pick == nil || pick.l.follower.Log.Flushing() && !flog.Flushing() {
+			pick = m
+		}
+	}
+	return pick
 }
 
 // replicaDurable reports whether at least one in-sync follower of origin holds

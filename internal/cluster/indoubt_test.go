@@ -104,10 +104,12 @@ func (w *indoubtWorld) runCommit(t *testing.T) (acked bool) {
 	return acked
 }
 
-// commitWindow measures the virtual-time span of the distributed commit
-// (from the last Put returning to Commit returning) on an undisturbed run.
-// The simulation is deterministic, so the same span holds for every
-// identically prepared cluster.
+// commitWindow measures the virtual-time span of the distributed commit on an
+// undisturbed run: from the last Put returning to the last participant's
+// commit record forced, the run's last event. Commit returns earlier, at the
+// durable decision, with phase 2 still running behind the acknowledgment. The
+// simulation is deterministic, so the same span holds for every identically
+// prepared cluster.
 func commitWindow(t *testing.T) (start, end time.Duration) {
 	t.Helper()
 	w := newIndoubtWorld(t)
@@ -129,10 +131,13 @@ func commitWindow(t *testing.T) (start, end time.Duration) {
 		if err := s.Commit(p); err != nil {
 			t.Errorf("undisturbed commit failed: %v", err)
 		}
-		end = p.Now()
 	})
 	if err := w.env.Run(); err != nil {
 		t.Fatal(err)
+	}
+	end = w.env.Now()
+	if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+		t.Fatalf("%d decisions outstanding after the undisturbed commit's phase 2", n)
 	}
 	if end <= start {
 		t.Fatalf("degenerate commit window [%v, %v]", start, end)
@@ -1426,5 +1431,217 @@ func TestRestartVoidsTheSameLogExemption(t *testing.T) {
 	}
 	if c.DepWaits != 1 || c.DepLost != 1 {
 		t.Errorf("dependency waits %d lost %d, want 1 and 1", c.DepWaits, c.DepLost)
+	}
+}
+
+var modes = []struct {
+	name string
+	mode cc.Mode
+}{{"mvcc", cc.SnapshotIsolation}, {"locking", cc.Locking}}
+
+// kvRow decodes a kv payload's value column.
+func kvRow(t *testing.T, payload []byte) string {
+	t.Helper()
+	row, err := kvSchema().DecodeRow(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row[1].(string)
+}
+
+// TestDistributedCommitAcksAtDecision: a two-node commit is acknowledged once
+// its decision is durable, with phase 2 still ahead. Until phase 2 ends the
+// coordinator still holds the decision; a later snapshot on the participant
+// reads and scans the new value all the same, and a third writer of the key
+// waits for the install and then commits. Once phase 2 is done the decision
+// is drained and the locks are released. Under MGL-RX locking the reader and
+// the third writer wait for the writer's locks, which phase 2 holds to its end.
+func TestDistributedCommitAcksAtDecision(t *testing.T) {
+	for _, m := range modes {
+		mode := m.mode
+		t.Run(m.name, func(t *testing.T) {
+			w := newIndoubtWorld(t)
+			defer w.env.Close()
+			var writer *cc.Txn
+			thirdCommitted := false
+			w.env.Spawn("commit", func(p *sim.Proc) {
+				s := w.c.Master.Begin(p, mode, w.n1)
+				writer = s.Txn
+				for _, k := range []int64{idLeft, idRight} {
+					payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+					if err := s.Put(p, "kv", ik(k), payload); err != nil {
+						t.Errorf("put %d: %v", k, err)
+						return
+					}
+				}
+				if err := s.Commit(p); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+				if n := w.c.Master.InDoubtDecisionCount(); n != 1 {
+					t.Errorf("%d decisions outstanding right after the ack, want 1: phase 2 runs behind it", n)
+				}
+				// A reader and a third writer of the right key begin now, at
+				// home on its node: they skip the round trip to the master,
+				// and so reach the key ahead of phase 2's message there.
+				at := func() *Session { return &Session{m: w.c.Master, Txn: w.c.Master.Oracle.Begin(mode), Home: w.n2} }
+				r, s3 := at(), at()
+				w.env.Spawn("third", func(p *sim.Proc) {
+					payload, _ := kvSchema().EncodeRow(table.Row{idRight, "third"})
+					if err := s3.Put(p, "kv", ik(idRight), payload); err != nil {
+						t.Errorf("third writer: %v", err)
+						return
+					}
+					waited := w.n2.Intents.Waited > 0
+					if mode == cc.Locking {
+						waited = w.n2.Locks.Waits > 0
+					}
+					for _, pt := range w.n2.Parts {
+						if pt.HasPending(writer) || !waited {
+							t.Errorf("third writer got the key without waiting (%v) for its install (done: %v)",
+								waited, !pt.HasPending(writer))
+						}
+					}
+					if err := s3.Commit(p); err != nil {
+						t.Errorf("third writer's commit: %v", err)
+						return
+					}
+					thirdCommitted = true
+				})
+				v, ok, err := r.Get(p, "kv", ik(idRight))
+				if err != nil || !ok || kvRow(t, v) != "new" {
+					t.Errorf("reader at a later snapshot: ok=%v err=%v, want %q", ok, err, "new")
+				}
+				var scanned string
+				err = r.Scan(p, "kv", ik(idRight), ik(idRight+1), func(_, v []byte) bool {
+					scanned = kvRow(t, v)
+					return true
+				})
+				if err != nil || scanned != "new" {
+					t.Errorf("scan at a later snapshot: %q, %v, want %q", scanned, err, "new")
+				}
+				if mode == cc.SnapshotIsolation && w.c.Master.InDoubtDecisionCount() != 1 {
+					t.Error("setup: phase 2 ended before the reads, which then tested nothing")
+				}
+				if err := r.Commit(p); err != nil {
+					t.Errorf("reader's commit: %v", err)
+				}
+			})
+			if err := w.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !thirdCommitted {
+				t.Fatal("the third writer never committed")
+			}
+			if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+				t.Errorf("%d decisions outstanding after phase 2", n)
+			}
+			// An exclusive lock on each participant's partition, granted at
+			// once: nothing of the writer's is left in a lock table.
+			w.env.Spawn("locks", func(p *sim.Proc) {
+				for _, n := range []*DataNode{w.n1, w.n2} {
+					for _, pt := range n.Parts {
+						probe := w.c.Master.Oracle.Begin(cc.Locking)
+						if err := n.Locks.Lock(p, probe, pt.MovementLockName(), cc.LockX, 0); err != nil {
+							t.Errorf("node %d: partition lock still held after phase 2: %v", n.ID, err)
+						}
+						n.Locks.ReleaseAll(probe)
+						w.c.Master.Oracle.Abort(probe)
+					}
+				}
+			})
+			if err := w.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCrashBetweenAckAndInstall: participant 1 power-fails at the
+// "commit.decided" point of an acknowledged two-node commit — after the
+// client's ack, before its install. Its branch is in doubt, and the restart
+// rolls it forward: a new session then reads the committed value on both
+// nodes, and the coordinator's decision drains.
+func TestCrashBetweenAckAndInstall(t *testing.T) {
+	w := newIndoubtWorld(t)
+	defer w.env.Close()
+	hits := 0
+	w.c.Point = func(n *DataNode, name string) {
+		if n == w.n1 && name == "commit.decided" {
+			hits++
+			w.c.CrashNode(n)
+		}
+	}
+	if !w.runCommit(t) {
+		t.Fatal("the commit was not acknowledged")
+	}
+	if hits != 1 || !w.n1.Down() {
+		t.Fatalf("commit.decided hit %d times on participant 1 (down=%v), want once", hits, w.n1.Down())
+	}
+	if !hasInDoubtTrace(w.n1) {
+		t.Fatal("participant 1's durable log holds no prepared-but-undecided branch")
+	}
+	w.c.Point = nil
+	w.env.Spawn("restart", func(p *sim.Proc) {
+		if _, _, err := w.c.RestartNode(p, w.n1); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.c.Nodes[0])
+		for _, k := range []int64{idLeft, idRight} {
+			v, ok, err := s.Get(p, "kv", ik(k))
+			if err != nil || !ok || kvRow(t, v) != "new" {
+				t.Errorf("key %d after the restart: ok=%v err=%v, want %q", k, ok, err, "new")
+			}
+		}
+		s.Abort(p)
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.c.Master.InDoubtDecisionCount(); n != 0 {
+		t.Fatalf("%d decisions outstanding after the roll-forward", n)
+	}
+}
+
+// TestCrashWakesParkedIntentWaiter: a writer parked behind another
+// transaction's hold on a key — on its write intent under MVCC, on its X lock
+// under MGL-RX — gets ErrPartitionDown at the instant the key's node
+// power-fails, not at the lock timeout: the dead store and lock table never
+// release what they hold, and the holder is not told either.
+func TestCrashWakesParkedIntentWaiter(t *testing.T) {
+	for _, m := range modes {
+		mode := m.mode
+		t.Run(m.name, func(t *testing.T) {
+			w := newIndoubtWorld(t)
+			defer w.env.Close()
+			const crashAt = 50 * time.Millisecond
+			var returned time.Duration
+			var waitErr error
+			put := func(p *sim.Proc, s *Session, val string) error {
+				payload, _ := kvSchema().EncodeRow(table.Row{idRight, val})
+				return s.Put(p, "kv", ik(idRight), payload)
+			}
+			w.env.Spawn("holder", func(p *sim.Proc) {
+				s := w.c.Master.Begin(p, mode, w.n1)
+				if err := put(p, s, "holder"); err != nil {
+					t.Errorf("holder: %v", err)
+				}
+			})
+			w.env.Spawn("waiter", func(p *sim.Proc) {
+				p.Sleep(10 * time.Millisecond)
+				s := w.c.Master.Begin(p, mode, w.n1)
+				waitErr = put(p, s, "waiter")
+				returned = p.Now()
+			})
+			w.env.After(crashAt, func() { w.c.CrashNode(w.n2) })
+			if err := w.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if _, down := waitErr.(table.ErrPartitionDown); !down || returned != crashAt {
+				t.Fatalf("the parked writer returned %v at %v, want ErrPartitionDown at the crash, %v (lock timeout %v)",
+					waitErr, returned, crashAt, w.c.cfg.LockTimeout)
+			}
+		})
 	}
 }

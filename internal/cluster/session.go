@@ -482,9 +482,20 @@ func (s *Session) mergedScan(p *sim.Proc, e *RangeEntry, lo, hi []byte, fn func(
 //   - commitGate, the partition re-check, CommitTS and the forced decision
 //     record run on the coordinator alone, in that order, between the two
 //     joins: no participant installs before the decision is durable;
-//   - the acknowledgment waits for the phase-2 join: every live branch has
-//     forced its commit record and acked the decision by then, so a drained
-//     system holds no in-doubt decisions (InDoubtDecisionCount() == 0).
+//   - the acknowledgment comes at the durable decision, as presumed-abort
+//     2PC allows: the outcome is sealed there (the commit settles with it),
+//     and phase 2 — every branch's install, its forced commit record and its
+//     ack to the coordinator — runs in a process of its own behind the
+//     caller's back. The transaction's locks are held until phase 2 ends,
+//     and so is the decision: a drained system holds no in-doubt decisions
+//     (InDoubtDecisionCount() == 0), one with a phase 2 running does.
+//
+// While phase 2 runs, the transaction is committed but not installed, and
+// every reader already copes with that: a point read at a snapshot covering
+// it resolves to the staged value (the committed-writer path), a scan merges
+// the staged values in (CommittedPending), a follower read falls back to the
+// owner while the branch is in its commit table, and a writer of one of its
+// keys waits for the install to release the intent.
 //
 // A power failure may land at any instant of the commit window:
 //
@@ -494,10 +505,11 @@ func (s *Session) mergedScan(p *sim.Proc, e *RangeEntry, lo, hi []byte, fn func(
 //     prepared on a durable log rolls back — by the caller's Abort if its
 //     node survived, on restart otherwise, because the coordinator has no
 //     decision for it.
-//   - After the decision is durable, the commit is acknowledged even if
-//     participants crash mid-install: each crashed branch is fully durable
-//     (prepare-time DML images forced with its vote), and RestartNode rolls
-//     it forward from the log at the decided timestamp.
+//   - After the decision is durable, the commit is acknowledged, and a
+//     participant that crashes before or during its install in phase 2 (the
+//     "commit.decided" crash point marks the first instant) is in doubt: its
+//     branch is fully durable (prepare-time DML images forced with its vote),
+//     and RestartNode rolls it forward from the log at the decided timestamp.
 //   - A single-node transaction needs no vote: its commit record is the
 //     decision, so a crash inside the window simply loses the unflushed
 //     tail and the restart rolls the transaction back — the caller saw an
@@ -605,12 +617,18 @@ func (s *Session) Commit(p *sim.Proc) error {
 		// commit point may finish.
 		s.m.recordDecision(p, s.Txn, commitTS, branches)
 		s.m.Oracle.SettleCommit(s.Txn)
-		// Phase 2: every participant installs, all at once. A branch that
-		// fails now is in doubt, not failed: its restart queries the
+		// Phase 2, behind the acknowledgment: every participant installs, all
+		// at once, and the locks go when the last install is done. A branch
+		// that fails now is in doubt, not failed: its restart queries the
 		// coordinator and rolls forward from the prepare-time log.
-		p.Fork("2pc-commit", len(branches), func(bp *sim.Proc, i int) {
-			_ = s.commitBranch(bp, branches[i], commitTS, true)
+		c.Env.Spawn("2pc-phase2", func(p *sim.Proc) {
+			p.Fork("2pc-commit", len(branches), func(bp *sim.Proc, i int) {
+				_ = s.commitBranch(bp, branches[i], commitTS, true)
+			})
+			s.releaseLocks()
+			s.Txn.DropUndo()
 		})
+		return nil
 	}
 	s.releaseLocks()
 	s.Txn.DropUndo()
@@ -792,6 +810,11 @@ func (s *Session) prepareBranch(p *sim.Proc, b branch) error {
 // updates.
 func (s *Session) commitBranch(p *sim.Proc, b branch, commitTS cc.Timestamp, distributed bool) error {
 	node, c := b.node, s.m.cluster
+	if distributed {
+		// Acknowledged, not yet installed: a power failure here leaves the
+		// branch in doubt, and its restart rolls it forward.
+		c.point(node, "commit.decided")
+	}
 	if node.Down() {
 		return ErrNodeDown{node.ID}
 	}

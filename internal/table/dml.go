@@ -57,11 +57,10 @@ func (pt *Partition) Lookup(p *sim.Proc, txn *cc.Txn, key []byte) ([]byte, Looku
 }
 
 func (pt *Partition) lookupLocking(p *sim.Proc, txn *cc.Txn, key []byte) ([]byte, LookupState, error) {
-	lm, to := pt.deps.Locks, pt.deps.LockTimeout
-	if err := lm.Lock(p, txn, pt.lockName(), cc.LockIR, to); err != nil {
+	if err := pt.lock(p, txn, pt.lockName(), cc.LockIR); err != nil {
 		return nil, LookupAbsent, err
 	}
-	if err := lm.Lock(p, txn, pt.keyLockName(key), cc.LockR, to); err != nil {
+	if err := pt.lock(p, txn, pt.keyLockName(key), cc.LockR); err != nil {
 		return nil, LookupAbsent, err
 	}
 	leaf, err := pt.readRouted(p, txn, key)
@@ -117,14 +116,13 @@ func (pt *Partition) write(p *sim.Proc, txn *cc.Txn, key, payload []byte, delete
 		return pt.writeLocking(p, txn, key, payload, deleted)
 	}
 
-	lm, to := pt.deps.Locks, pt.deps.LockTimeout
 	// IX on the partition announces write activity to segment movers,
 	// which take R on the same name ("a read lock is acquired on the
 	// source partition, waiting for pre-existing queries to finish
 	// updating the partition", Sect. 4.3). The lock must precede routing:
 	// a writer that queued behind a mover would otherwise stage a write
 	// for a range that left the partition while it waited.
-	if err := lm.Lock(p, txn, pt.lockName(), cc.LockIX, to); err != nil {
+	if err := pt.lock(p, txn, pt.lockName(), cc.LockIX); err != nil {
 		return err
 	}
 	tr, _, err := pt.writeTree(p, key)
@@ -140,8 +138,8 @@ func (pt *Partition) write(p *sim.Proc, txn *cc.Txn, key, payload []byte, delete
 		leafTS = leaf.TS
 	}
 	ks := string(key)
-	if err := pt.Store.AcquireWriteIntent(p, txn, ks, leafTS, to); err != nil {
-		return err
+	if err := pt.Store.AcquireWriteIntent(p, txn, ks, leafTS, pt.deps.LockTimeout); err != nil {
+		return pt.orDown(err)
 	}
 	if _, already := pt.Store.HasIntent(txn, ks); !already {
 		pt.pending[txn.ID] = append(pt.pending[txn.ID], ks)
@@ -151,18 +149,17 @@ func (pt *Partition) write(p *sim.Proc, txn *cc.Txn, key, payload []byte, delete
 }
 
 func (pt *Partition) writeLocking(p *sim.Proc, txn *cc.Txn, key, payload []byte, deleted bool) error {
-	lm, to := pt.deps.Locks, pt.deps.LockTimeout
-	if err := lm.Lock(p, txn, pt.lockName(), cc.LockIX, to); err != nil {
+	if err := pt.lock(p, txn, pt.lockName(), cc.LockIX); err != nil {
 		return err
 	}
 	tr, segID, err := pt.writeTree(p, key)
 	if err != nil {
 		return err
 	}
-	if err := lm.Lock(p, txn, pt.segLockName(segID), cc.LockIX, to); err != nil {
+	if err := pt.lock(p, txn, pt.segLockName(segID), cc.LockIX); err != nil {
 		return err
 	}
-	if err := lm.Lock(p, txn, pt.keyLockName(key), cc.LockX, to); err != nil {
+	if err := pt.lock(p, txn, pt.keyLockName(key), cc.LockX); err != nil {
 		return err
 	}
 	old, err := readLeaf(p, tr, key)
@@ -240,7 +237,7 @@ func (pt *Partition) scan(p *sim.Proc, txn *cc.Txn, lo, hi []byte, fn func(key, 
 		return err
 	}
 	if txn.Mode == cc.Locking {
-		if err := pt.deps.Locks.Lock(p, txn, pt.lockName(), cc.LockIR, pt.deps.LockTimeout); err != nil {
+		if err := pt.lock(p, txn, pt.lockName(), cc.LockIR); err != nil {
 			return err
 		}
 	}
@@ -326,7 +323,7 @@ func (pt *Partition) scan(p *sim.Proc, txn *cc.Txn, lo, hi []byte, fn func(key, 
 			if leafV.Deleted {
 				return deliver(k, nil, true), nil
 			}
-			if err := pt.deps.Locks.Lock(p, txn, pt.keyLockName(k), cc.LockR, pt.deps.LockTimeout); err != nil {
+			if err := pt.lock(p, txn, pt.keyLockName(k), cc.LockR); err != nil {
 				return false, err
 			}
 			return deliver(k, leafV.Val, false), nil

@@ -225,10 +225,12 @@ func (pt *Partition) Deps() *Deps { return &pt.deps }
 // Fail marks the partition dead after its node power-failed, wiping the
 // volatile transaction state (staged writes; version chains and the buffer
 // contents die with the node's DRAM). The partition object stays routable so
-// in-flight work gets a clean ErrPartitionDown instead of corrupt reads.
+// in-flight work gets a clean ErrPartitionDown instead of corrupt reads —
+// writers parked on its intents too, at once (VersionStore.Fail).
 func (pt *Partition) Fail() {
 	pt.failed = true
 	pt.pending = make(map[cc.TxnID][]string)
+	pt.Store.Fail()
 }
 
 // Failed reports whether the partition was lost to a node power failure.
@@ -238,6 +240,24 @@ func (pt *Partition) Failed() bool { return pt.failed }
 func (pt *Partition) down() error {
 	if pt.failed {
 		return ErrPartitionDown{pt.ID}
+	}
+	return nil
+}
+
+// orDown returns err, or the partition's failure once its node lost power: a
+// cc wait the failure ended returns cc.ErrFailed, which callers see as this.
+func (pt *Partition) orDown(err error) error {
+	if pt.failed {
+		return ErrPartitionDown{pt.ID}
+	}
+	return err
+}
+
+// lock takes mode on name for txn in the node's lock table, waiting up to the
+// lock timeout.
+func (pt *Partition) lock(p *sim.Proc, txn *cc.Txn, name string, mode cc.LockMode) error {
+	if err := pt.deps.Locks.Lock(p, txn, name, mode, pt.deps.LockTimeout); err != nil {
+		return pt.orDown(err)
 	}
 	return nil
 }

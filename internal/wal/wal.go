@@ -278,6 +278,10 @@ func (l *Log) FlushedLSN() uint64 { return l.flushedLSN }
 // TailLSN returns the LSN the next Append will get.
 func (l *Log) TailLSN() uint64 { return l.nextLSN }
 
+// Flushing reports whether a device write is in flight: a Flush issued now
+// queues behind it.
+func (l *Log) Flushing() bool { return l.flushing }
+
 // Flush makes all records with LSN <= upTo durable. Concurrent callers are
 // group-committed: one flusher writes the whole byte tail in a single
 // device append, and everyone who arrives while that write is in flight
