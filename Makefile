@@ -137,12 +137,14 @@ chaos-htap:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -htap 4
 
 ## chaos-quick: a short crash-anywhere sweep of both workloads, plus
-## coordinator-crash-heavy, disk-loss-heavy, mid-checkpoint-crash, and
-## HTAP-analytics bursts (CI gate)
+## coordinator-crash-heavy (KV, and TPC-C for its many 2PC decisions under
+## leader crashes), disk-loss-heavy, mid-checkpoint-crash, and HTAP-analytics
+## bursts (CI gate)
 chaos-quick:
 	$(GO) run ./cmd/wattdb-chaos -seeds 6 -duration 25s
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 3 -duration 20s
 	$(GO) run ./cmd/wattdb-chaos -seeds 4 -duration 25s -coord 3
+	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -coord 3
 	$(GO) run ./cmd/wattdb-chaos -seeds 4 -duration 25s -disk 3
 	$(GO) run ./cmd/wattdb-chaos -seeds 4 -duration 25s -ckpt 3
 	$(GO) run ./cmd/wattdb-chaos -seeds 3 -duration 25s -htap 4

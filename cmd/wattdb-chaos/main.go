@@ -28,7 +28,7 @@ func main() {
 	workers := flag.Int("workers", 0, "workload processes (default 4)")
 	duration := flag.Duration("duration", 0, "simulated workload window (default 45s)")
 	faults := flag.Int("faults", 0, "extra random fault events (default 4)")
-	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration)")
+	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration, and each one beyond the first adds a crash aimed at a lease or decision a follower holds ahead of the leader)")
 	disk := flag.Int("disk", 0, "extra disk-loss + acked-rot fault pairs (default 1; every plan already destroys one disk and bit-rots one flushed frame)")
 	ckpt := flag.Int("ckpt", 0, "extra mid-checkpoint crash faults (default 1; every plan already power-fails one node partway through a fuzzy checkpoint)")
 	htap := flag.Int("htap", 0, "concurrent HTAP analytics readers running validated scan-aggregate snapshot queries (default 1; -1 disables)")

@@ -164,6 +164,11 @@ type Report struct {
 	// frames the node lost, which no recovery path may use (included in
 	// Crashes).
 	AheadCrashes int
+	// CoordAheadCrashes counts the AheadCrashes that left a lease or a 2PC
+	// decision durable on a follower of the crashed node and not on its own
+	// disk: the coordinator records an election may adopt although the leader
+	// that logged them never flushed them (cluster.Cluster.CoordAhead).
+	CoordAheadCrashes int
 	// DepCrashes counts the crashes fired at the "commit.depwait" crash
 	// point: a node whose unsettled commit a committing transaction is about
 	// to wait for (included in Crashes).

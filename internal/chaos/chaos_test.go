@@ -72,7 +72,9 @@ func TestChaosCrashShippedAhead(t *testing.T) {
 // held through them. The kv row's are the default plan's aimed crashes: a
 // log-damage crash at "ship.ahead" that tore a frame a follower has whole
 // (a random instant hits that window about once in 400 crashes), and a crash
-// at "commit.depwait".
+// at "commit.depwait". The kv-coord-ahead row's is a leader crash that left a
+// lease or decision on a follower and not on the leader's disk, and the
+// election after it.
 func TestChaosDeterministic(t *testing.T) {
 	diskLoss := func(r *Report) bool { return r.DiskLosses > 0 && r.Rebuilds > 0 && r.FollowerReads > 0 }
 	failover := func(r *Report) bool { return r.LeaderCrashes > 0 && r.Failovers > 0 }
@@ -87,9 +89,11 @@ func TestChaosDeterministic(t *testing.T) {
 			func(r *Report) bool { return r.AheadCrashes > 0 && r.TornCrashes+r.BitFlips > 0 && r.DepCrashes > 0 }},
 		{"kv-disk-loss", Run, Config{Seed: 5, Duration: 40 * time.Second, DiskFaults: 3}, diskLoss},
 		{"kv-coord-failover", Run, Config{Seed: 23, Duration: 40 * time.Second, CoordFaults: 3}, failover},
+		{"kv-coord-ahead", Run, Config{Seed: 5, Duration: 30 * time.Second, CoordFaults: 3},
+			func(r *Report) bool { return r.CoordAheadCrashes > 0 && failover(r) }},
 		{"kv-ckpt-crash", Run, Config{Seed: 8, Duration: 40 * time.Second, CkptFaults: 3}, ckptCrash},
 		{"tpcc", RunTPCC, Config{Seed: 8, Duration: 20 * time.Second}, nil},
-		{"tpcc-all-faults", RunTPCC, Config{Seed: 6, Duration: 20 * time.Second, DiskFaults: 3, CoordFaults: 3, CkptFaults: 3},
+		{"tpcc-all-faults", RunTPCC, Config{Seed: 4, Duration: 20 * time.Second, DiskFaults: 3, CoordFaults: 3, CkptFaults: 3},
 			func(r *Report) bool { return diskLoss(r) && failover(r) && ckptCrash(r) }},
 	}
 	for _, row := range rows {

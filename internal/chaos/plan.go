@@ -27,6 +27,7 @@ const (
 	faultRotAcked                     // flip one bit inside a flushed frame of a live node's log
 	faultCkptCrash                    // power-fail a node partway through a fuzzy checkpoint
 	faultCrashDep                     // power-fail a node while a transaction elsewhere waits on its unsettled commit
+	faultCoordAhead                   // power-fail the acting coordinator while a follower holds a lease or decision it has not flushed
 )
 
 // faultEvent is one scheduled fault.
@@ -126,8 +127,16 @@ func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 		{cfg.CkptFaults, pl.ckptCrash},
 		// The random tail: any class, at any instant.
 		{cfg.Faults, func() []faultEvent { return pl.random(second) }},
-		// The dependency crash, which joined the table last — as the next class will.
+		// The dependency crash.
 		{1, pl.depCrash},
+		// Coordinator power failures aimed at the window a leader's overlapped
+		// forces open — a follower durably holds a lease or a decision the
+		// leader's own log has not flushed — which a random instant hits about
+		// once in a hundred runs: one per coordinator fault asked for beyond the
+		// default one. This class joined the table last — as the next will.
+		{cfg.CoordFaults - 1, func() []faultEvent {
+			return []faultEvent{{at: pl.anywhere(), kind: faultCoordAhead, dur: pl.downTime()}}
+		}},
 	}
 	var plan []faultEvent
 	for _, class := range classes {
@@ -249,6 +258,18 @@ func (pl planner) depCrash() []faultEvent {
 func (h *harness) spawnExecutor(plan []faultEvent) {
 	migrating := false
 	stallGen := make(map[*hw.Disk]int)
+	stall := func(node, disk int, extra, dur time.Duration) {
+		d := h.c.Nodes[node].HW.Disks[disk]
+		h.logFault("disk stall: node %d disk %d +%v for %v", node, disk, extra, dur)
+		d.SetStall(extra)
+		stallGen[d]++
+		mine := stallGen[d]
+		h.env.After(dur, func() {
+			if stallGen[d] == mine {
+				d.SetStall(0)
+			}
+		})
+	}
 	netGen := 0
 	h.env.Spawn("chaos-executor", func(p *sim.Proc) {
 		for _, ev := range plan {
@@ -271,6 +292,22 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 				// plan's outages stall the rest for a restart's length, hence
 				// the long reach.
 				h.crashAimed(aim{ev: ev, anyNode: true, point: "commit.depwait", reach: 24 * time.Second, count: &h.rep.DepCrashes})
+			case faultCoordAhead:
+				// The window opens when the leader's own force lags its
+				// follower's, so the seat holder's log disk is slowed for the
+				// aim's reach. The crash fires at whichever node holds the seat
+				// when the window opens; with no hit in reach, at the seat's
+				// holder then.
+				const reach = 4 * time.Second
+				stall(h.c.Master.LeaderID(), 0, 4*time.Millisecond, reach)
+				h.crashAimed(aim{ev: ev, anyNode: true, point: "ship.ahead", reach: reach, count: &h.rep.AheadCrashes,
+					when: func(n *cluster.DataNode) bool {
+						if n != h.master.Node {
+							return false
+						}
+						_, ok := h.c.CoordAhead(n)
+						return ok
+					}})
 			case faultCkptCrash:
 				// Aimed at this node's checkpoints — the one started here and
 				// the daemon's next ones — and restarted from the previous
@@ -279,17 +316,7 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 				n := h.c.Nodes[ev.node]
 				h.env.Spawn(fmt.Sprintf("chaos-ckpt-crash-%d", ev.node), func(p *sim.Proc) { h.c.CheckpointNode(p, n, 0) })
 			case faultDiskStall:
-				n := h.c.Nodes[ev.node]
-				d := n.HW.Disks[ev.disk]
-				h.logFault("disk stall: node %d disk %d +%v for %v", ev.node, ev.disk, ev.extra, ev.dur)
-				d.SetStall(ev.extra)
-				stallGen[d]++
-				mine := stallGen[d]
-				h.env.After(ev.dur, func() {
-					if stallGen[d] == mine {
-						d.SetStall(0)
-					}
-				})
+				stall(ev.node, ev.disk, ev.extra, ev.dur)
 			case faultNetSpike:
 				h.logFault("net delay spike: +%v for %v", ev.extra, ev.dur)
 				h.c.Net.SetExtraDelay(ev.extra)
@@ -338,13 +365,14 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 
 // aim is a crash armed on the engine's crash points (cluster.Cluster.Point):
 // ev fires at the first point named point — or of a family, "ckpt.*" — that
-// ev's node, or any node with anyNode, passes within reach of the arming,
-// after ev.hit such points have gone by. count tallies the crashes that fired
-// there.
+// ev's node, or any node with anyNode, passes within reach of the arming
+// where when (if set) holds, after ev.hit such points have gone by. count
+// tallies the crashes that fired there.
 type aim struct {
 	ev      faultEvent
 	anyNode bool
 	point   string
+	when    func(n *cluster.DataNode) bool
 	reach   time.Duration
 	count   *int
 	done    bool
@@ -369,7 +397,8 @@ func (h *harness) atPoint(n *cluster.DataNode, name string) {
 		h.rep.DecidedHits++
 	}
 	for _, a := range h.aims {
-		if a.done || !a.anyNode && a.ev.node != n.ID || !strings.HasPrefix(name, strings.TrimSuffix(a.point, "*")) {
+		if a.done || !a.anyNode && a.ev.node != n.ID || !strings.HasPrefix(name, strings.TrimSuffix(a.point, "*")) ||
+			a.when != nil && !a.when(n) {
 			continue
 		}
 		if a.ev.hit > 0 {
@@ -379,6 +408,11 @@ func (h *harness) atPoint(n *cluster.DataNode, name string) {
 		a.done = true
 		a.ev.node = n.ID
 		*a.count++
+		if name == "ship.ahead" {
+			if _, ok := h.c.CoordAhead(n); ok {
+				h.rep.CoordAheadCrashes++
+			}
+		}
 		h.execCrash(a.ev, " at "+name)
 		return
 	}
@@ -391,7 +425,7 @@ func (h *harness) atPoint(n *cluster.DataNode, name string) {
 // bit-flipped), and the restart must CRC-detect and truncate it while every
 // acknowledged commit below the boundary survives.
 func (h *harness) execCrash(ev faultEvent, where string) {
-	if ev.kind == faultCrashCoord {
+	if ev.kind == faultCrashCoord || ev.kind == faultCoordAhead {
 		// Resolve the acting coordinator at execution time — after earlier
 		// failovers the leader may be any replica-group member — then crash
 		// it like any other power failure.

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -371,8 +372,14 @@ func (n *DataNode) PowerOn(p *sim.Proc) { n.HW.PowerOn(p) }
 
 // PowerOff quiesces and powers the node down. The caller must have moved
 // all partitions away first; nodes "still having data on disk must not shut
-// down" (Sect. 4).
+// down" (Sect. 4). Under replication a node that is an in-sync follower of
+// some origin's log, or holds replicated coordinator history, must not shut
+// down either: its log would keep taking that origin's stream in standby.
 func (n *DataNode) PowerOff(p *sim.Proc) error {
+	if m := n.cluster.Master; slices.ContainsFunc(n.inbound, func(l *shipLink) bool { return !l.stale }) ||
+		m.rep != nil && slices.Contains(m.electorate(), n) {
+		return fmt.Errorf("cluster: node %d follows a live origin's log or holds coordinator history", n.ID)
+	}
 	// Shed read-only replicas and partitions fully migrated away.
 	for id, pt := range n.Parts {
 		if pt.Empty() || pt.Replica {

@@ -438,6 +438,24 @@ func TestPowerOffRefusesWithData(t *testing.T) {
 	})
 }
 
+// TestPowerOffRefusesFollower: a node that owns no data but follows live
+// origins' logs must not power off — in standby it would go on taking their
+// streams onto its log.
+func TestPowerOffRefusesFollower(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	tc.c.SetupReplicationDrain()
+	n := tc.c.Nodes[3] // owns nothing, follows nodes 1 and 2
+	tc.run(t, func(p *sim.Proc) {
+		if err := n.PowerOff(p); err == nil {
+			t.Error("a follower of live origins powered off")
+		}
+	})
+	if n.HW.State() != hw.PowerActive {
+		t.Fatalf("node 3 is %v after the refused power-off, want active", n.HW.State())
+	}
+}
+
 func TestScanRangeSpansPartitions(t *testing.T) {
 	tc := newTestCluster(t, table.Physiological, 2, 1000)
 	defer tc.env.Close()

@@ -744,30 +744,52 @@ func TestNoShipRetryFaultFree(t *testing.T) {
 	}
 }
 
+// forcedWait is one kind of forced wait on node 0 of a replicated cluster:
+// appendOnly appends its frames and forces nothing, returning the LSN the wait
+// is for; wait appends the same frames and performs the wait. With master,
+// node 0 also leads a replicated coordinator.
+type forcedWait struct {
+	master     bool
+	appendOnly func(c *Cluster) uint64
+	wait       func(p *sim.Proc, c *Cluster) bool
+}
+
+// commitWait is a single-node commit's forced wait on a commit record of node 0.
+var commitWait = forcedWait{
+	appendOnly: func(c *Cluster) uint64 { return c.Nodes[0].Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort}) },
+	wait: func(p *sim.Proc, c *Cluster) bool {
+		return c.forceShip(p, c.Nodes[0], c.Nodes[0].Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort}), 0, false)
+	},
+}
+
 // forceTimes measures one forced wait on a fully shipped, otherwise idle
 // replicated cluster whose origin and first follower take the given extra time
 // per log write: the local force and the forced ship pass run one after the
 // other (what the commit path used to do), and — on an identical cluster — the
-// wait forceShip performs.
-func forceTimes(t *testing.T, stallOrigin, stallFollower time.Duration) (local, ship, wait time.Duration) {
+// wait itself.
+func forceTimes(t *testing.T, fw forcedWait, stallOrigin, stallFollower time.Duration) (local, ship, wait time.Duration) {
 	t.Helper()
 	for _, overlapped := range []bool{false, true} {
-		tc := newRepCluster(t, table.Physiological, 4, 100)
+		tc := newRepClusterWith(t, table.Physiological, 4, 100, func(cfg *Config) {
+			if fw.master {
+				cfg.MasterReplicas = 2
+			}
+		})
 		c := tc.c
 		c.SetupReplicationDrain() // the bulk-loaded base images are on every follower
 		origin := c.Nodes[0]
 		origin.HW.LogDisk().SetStall(stallOrigin)
 		c.Nodes[1].HW.LogDisk().SetStall(stallFollower)
 		tc.run(t, func(p *sim.Proc) {
-			lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
 			start := p.Now()
 			if overlapped {
-				if !c.forceShip(p, origin, lsn, 0, false) {
-					t.Error("origin reported dead")
+				if !fw.wait(p, c) {
+					t.Error("the wait failed")
 				}
 				wait = p.Now() - start
 				return
 			}
+			lsn := fw.appendOnly(c)
 			origin.Log.Flush(p, lsn)
 			local = p.Now() - start
 			if !c.shipQueued(p, origin, true) || !c.replicaDurable(origin, lsn) {
@@ -780,27 +802,77 @@ func forceTimes(t *testing.T, stallOrigin, stallFollower time.Duration) (local, 
 	return local, ship, wait
 }
 
+// forceStalls are the disk speeds the overlap tests run at: in each, a forced
+// wait must cost the slower of its two forces, whichever one that is.
+var forceStalls = []struct {
+	name             string
+	origin, follower time.Duration
+}{
+	{"idle disks", 0, 0},
+	{"slow origin", 4 * time.Millisecond, 0},
+	{"slow follower", 0, 4 * time.Millisecond},
+}
+
+// checkForcesOverlap fails t unless fw's wait costs max(local force, send +
+// follower force) at every stall of forceStalls.
+func checkForcesOverlap(t *testing.T, what string, fw forcedWait) {
+	t.Helper()
+	for _, tt := range forceStalls {
+		local, ship, wait := forceTimes(t, fw, tt.origin, tt.follower)
+		if local == 0 || ship == 0 {
+			t.Fatalf("%s, %s: degenerate stages: local force %v, ship %v", what, tt.name, local, ship)
+		}
+		if want := max(local, ship); wait != want {
+			t.Errorf("%s, %s: the wait took %v, want %v = max(local force %v, send + follower force %v); their sum is %v",
+				what, tt.name, wait, want, local, ship, local+ship)
+		}
+	}
+}
+
 // TestCommitForcesOverlap: a forced wait costs the slower of its two forces —
 // the origin's own, or the send plus the follower's — not their sum, whichever
 // of the two is the slower one.
 func TestCommitForcesOverlap(t *testing.T) {
-	for _, tt := range []struct {
-		name             string
-		origin, follower time.Duration
-	}{
-		{"idle disks", 0, 0},
-		{"slow origin", 4 * time.Millisecond, 0},
-		{"slow follower", 0, 4 * time.Millisecond},
-	} {
-		local, ship, wait := forceTimes(t, tt.origin, tt.follower)
-		if local == 0 || ship == 0 {
-			t.Fatalf("%s: degenerate stages: local force %v, ship %v", tt.name, local, ship)
-		}
-		if want := max(local, ship); wait != want {
-			t.Errorf("%s: the wait took %v, want %v = max(local force %v, send + follower force %v); their sum is %v",
-				tt.name, wait, want, local, ship, local+ship)
+	checkForcesOverlap(t, "commit", commitWait)
+}
+
+// TestCoordinatorForcesOverlap: the leader's forced coordinator records — a
+// 2PC decision, a lease grant — cost the slower of the leader's own force and
+// the send plus the follower's, like a data frame's; and a single-node commit
+// on the leader's node appended behind a decision the leader has not flushed
+// yet is not held back behind it: it ships in its first pass, beside the local
+// force.
+func TestCoordinatorForcesOverlap(t *testing.T) {
+	logged := func(rec func(c *Cluster) wal.Record) forcedWait {
+		return forcedWait{
+			master: true,
+			appendOnly: func(c *Cluster) uint64 {
+				c.Master.logMaster(nil, rec(c), false)
+				return c.Nodes[0].Log.TailLSN() - 1
+			},
+			wait: func(p *sim.Proc, c *Cluster) bool { return c.Master.logMaster(p, rec(c), true) },
 		}
 	}
+	decision := func(c *Cluster) wal.Record {
+		return wal.Record{Txn: 1 << 41, Type: wal.RecDecision, TS: c.Master.Oracle.Clock() + 1,
+			After: wal.EncodeMasterParticipants(nil, []int{0, 1})}
+	}
+	lease := func(c *Cluster) wal.Record {
+		return wal.Record{Type: wal.RecMLease, TS: c.Master.Oracle.Leased() + defaultLeaseChunk}
+	}
+	checkForcesOverlap(t, "decision", logged(decision))
+	checkForcesOverlap(t, "lease", logged(lease))
+	checkForcesOverlap(t, "commit behind a decision", forcedWait{
+		master: true,
+		appendOnly: func(c *Cluster) uint64 {
+			c.Master.logMaster(nil, decision(c), false)
+			return commitWait.appendOnly(c)
+		},
+		wait: func(p *sim.Proc, c *Cluster) bool {
+			c.Master.logMaster(nil, decision(c), false)
+			return commitWait.wait(p, c)
+		},
+	})
 }
 
 // TestParkedWaiterAcrossTwoRestarts: a single-node commit's waiter that sleeps

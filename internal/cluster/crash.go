@@ -319,14 +319,15 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	}
 	n.lostParts = nil
 	n.crashed = false
-	// Drain decisions still charged to this node whose branches its durable
-	// log shows resolved: the node died between its commit record's force and
-	// the ack (a replicated branch waits for a follower in between), or the
-	// ack was in flight — or unforced and lost — when a leader died, and the
+	// Decisions still charged to this node whose branches its durable log
+	// shows resolved are acked with the in-doubt ones after the epilogue
+	// (ackResolved): the node died between its commit record's force and the
+	// ack (a replicated branch waits for a follower in between), or the ack
+	// was in flight — or unforced and lost — when a leader died, and the
 	// rebuilt decision map still lists them.
 	for _, id := range c.Master.outstandingDecisionsFor(n.ID) {
 		if branchResolvedIn(recs, id) {
-			c.Master.AckInDoubt(id, n.ID)
+			inDoubt = append(inDoubt, id)
 		}
 	}
 	if c.Master.rep != nil {
@@ -356,6 +357,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 		}
 		n.diskLost = false
 	}
+	c.ackResolved(n, inDoubt)
 	// Everything below the current tail is settled history: a transaction
 	// with records down there and no commit or abort died with the crash and
 	// will never resolve. Later checkpoints use this fence so dead losers
@@ -430,8 +432,8 @@ func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record) ([
 // crash replays it without the coordinator (whose presumed-abort state may
 // have been forgotten by then): a rolled-forward branch re-logs its prepare
 // images as ordinary committed DML under its commit record, a rolled-back
-// branch logs an abort record, and one force covers everything. Only then
-// is the coordinator acked, letting it forget the decision.
+// branch logs an abort record, and one force covers everything. The
+// coordinator is acked later (ackResolved).
 func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record, targets map[uint64]wal.Target, inDoubt []cc.TxnID, decisions map[cc.TxnID]wal.Decision) {
 	var maxLSN uint64
 	for _, id := range inDoubt {
@@ -464,7 +466,27 @@ func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record, targ
 	if maxLSN > 0 {
 		n.Log.Flush(p, maxLSN)
 	}
-	for _, id := range inDoubt {
+}
+
+// ackResolved acks the coordinator for the branches a restart of n found or
+// left closed in its log, letting it forget those decisions — under
+// replication only once a follower holds n's log durably through the
+// closures. Until then n's disk is their one copy: a rebuild from replicas
+// after losing it would find a rolled-forward branch prepared and undecided
+// again, and a forgotten decision would roll it back. With no follower in
+// sync at the end of the restart, a process waits for one.
+func (c *Cluster) ackResolved(n *DataNode, ids []cc.TxnID) {
+	if lsn := n.Log.FlushedLSN(); c.drep != nil && len(ids) > 0 && !c.replicaDurable(n, lsn) {
+		c.Env.Spawn("ack-resolved", func(p *sim.Proc) {
+			if c.forceShip(p, n, lsn, n.ship.gen, false) {
+				for _, id := range ids {
+					c.Master.AckInDoubt(id, n.ID)
+				}
+			}
+		})
+		return
+	}
+	for _, id := range ids {
 		c.Master.AckInDoubt(id, n.ID)
 	}
 }

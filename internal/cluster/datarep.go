@@ -108,8 +108,7 @@ type shipItem struct {
 	// exceeds the snapshot cannot hold anything visible at it.
 	vis cc.Timestamp
 	// flushFirst marks the one kind of frame that waits for the origin's own
-	// flush before it ships: a replicated coordinator record other than an ack
-	// (sendQueued).
+	// flush before it ships: a replicated catalog snapshot (sendQueued).
 	flushFirst bool
 }
 
@@ -302,7 +301,7 @@ func (fs *frameSet) put(lsn uint64, frame []byte) {
 }
 
 // get returns the frame held at lsn, or nil.
-func (fs *frameSet) get(lsn uint64) []byte {
+func (fs frameSet) get(lsn uint64) []byte {
 	i := sort.Search(len(fs.lsns), func(i int) bool { return fs.lsns[i] >= lsn })
 	if i == len(fs.lsns) || fs.lsns[i] != lsn {
 		return nil
@@ -547,7 +546,7 @@ func (c *Cluster) enableDataReplication(replicas int) {
 				}
 			}
 			sh.queue = append(sh.queue, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame), vis: vis,
-				flushFirst: wal.MasterRecord(rec) && rec.Type != wal.RecMAck})
+				flushFirst: rec.Type == wal.RecMState})
 			if len(sh.queue) == 1 {
 				sh.updatePin(node.Log)
 			}
@@ -673,17 +672,17 @@ func (c *Cluster) shipQueued(p *sim.Proc, origin *DataNode, forced bool) bool {
 // boundary each origin restart records (shipState.lineage, shippedCopy) until
 // the follower's next resync writes it into its log as a reset marker.
 //
-// One kind of frame still waits for the origin's flush: a replicated
-// coordinator record that is not an ack, and with it — the stream is delivered
-// in order — whatever is queued behind it. An election reads followers' copies
-// of the anchor's stream on the premise that every catalog snapshot, lease and
-// decision in them is durable on the anchor too (tryElect); logMaster flushes
-// before it ships for the same reason. An ack is exempt because it decides
-// nothing: it states that a participant's log holds its branch closed, which
-// stays true whether or not the leader's disk kept the record — and acks are
-// unforced, so holding them back would leave every commit on the leader's node
-// that starts before the next flush covers one (a third of them, in the
-// ledger's TPC-C) to ship in a second pass, after its local force.
+// One kind of frame still waits for the origin's flush: a replicated catalog
+// snapshot, and with it — the stream is delivered in order — whatever is
+// queued behind it. Migration routing follows the snapshots (a boundary
+// advance is replicated before it is installed), and an election reads
+// followers' copies of the anchor's stream on the premise that every catalog
+// snapshot in them is durable on the anchor too (tryElect). Every other
+// coordinator record ships ahead like a data frame: an ack decides nothing, a
+// decision is remembered by the coordinator before it is forced, and a lease
+// ceiling an election adopts only raises the clock. Holding those back would
+// leave every commit on the leader's node that starts before the next flush
+// covers one to ship in a second pass, after its local force.
 func (c *Cluster) sendQueued(p *sim.Proc, origin *DataNode) ([]shipMark, bool) {
 	if !c.acquireDrain(p, origin) {
 		return nil, false
@@ -759,7 +758,7 @@ func (c *Cluster) sendQueued(p *sim.Proc, origin *DataNode) ([]shipMark, bool) {
 }
 
 // shippable returns how far origin's stream may ship right now — through the
-// log's tail, or the frame before the first flush-first record its log has not
+// log's tail, or the frame before the first catalog snapshot its log has not
 // flushed (such a record is still queued, with everything behind it) — and how
 // many queued items that covers.
 func (sh *shipState) shippable(l *wal.Log) (cut int, through uint64) {
@@ -900,17 +899,12 @@ func (c *Cluster) forceShip(p *sim.Proc, origin *DataNode, lsn, gen uint64, park
 				return false
 			}
 		} else {
-			local := origin.Log.FlushedLSN() >= lsn
-			if local && c.replicaDurable(origin, lsn) {
+			if origin.Log.FlushedLSN() >= lsn && c.replicaDurable(origin, lsn) {
 				return true
 			}
-			if c.shipQueued(p, origin, true) {
-				origin.Log.Flush(p, lsn)
-			}
-			if !local || sh.gen != at || origin.crashed {
+			if !c.forcePass(p, origin, lsn) || sh.gen != at || origin.crashed {
 				// The local force ended during this pass, or origin died: look
-				// again. A pass that held the frame back behind a coordinator
-				// record finds it flushed now and ships it the second time.
+				// again.
 				continue
 			}
 			if c.replicaDurable(origin, lsn) {
@@ -920,6 +914,20 @@ func (c *Cluster) forceShip(p *sim.Proc, origin *DataNode, lsn, gen uint64, park
 		}
 		c.shipRetry(p)
 	}
+}
+
+// forcePass is one round of a forced wait on the frame origin appended at lsn,
+// whose local force the caller has kicked: a forced ship pass runs beside that
+// force, and then the round joins it. local reports whether the frame was
+// already flushed on origin when the pass began. If it was not, the pass may
+// have held it back behind a catalog snapshot origin had not flushed yet
+// (shippable), and only a round that starts after the flush ships it.
+func (c *Cluster) forcePass(p *sim.Proc, origin *DataNode, lsn uint64) (local bool) {
+	local = origin.Log.FlushedLSN() >= lsn
+	if c.shipQueued(p, origin, true) {
+		origin.Log.Flush(p, lsn)
+	}
+	return local
 }
 
 // lossSealed reports whether what origin's generation g held above the

@@ -992,69 +992,221 @@ func TestFollowerReadsMissVolatileCommit(t *testing.T) {
 	})
 }
 
-// TestElectionIgnoresUnflushedCoordinatorRecord: data frames ship ahead of the
-// leader's flush, and so do acks; catalog snapshots, leases and decisions do not
-// — a pass stops before the first one the leader has not made durable, and
-// holds back what is queued behind it. So when the leader dies inside a commit's
-// overlapped forces, its followers' lost suffix holds nothing an election could
-// adopt that the leader never flushed.
-func TestElectionIgnoresUnflushedCoordinatorRecord(t *testing.T) {
-	w := newFailoverWorld(t, 300)
-	defer w.env.Close()
-	c, m := w.c, w.c.Master
-	leader, f1 := c.Nodes[0], c.Nodes[1]
-	w.runCommits(t, 3)
-	const never = cc.Timestamp(1) << 60 // a lease ceiling no election may adopt
-	leader.HW.LogDisk().SetStall(20 * time.Millisecond)
-	var before, behind uint64
-	w.env.Spawn("committer", func(p *sim.Proc) {
-		leader.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
-		m.logMaster(nil, wal.Record{Txn: 1 << 40, Type: wal.RecMAck, After: wal.EncodeMasterAck(nil, 3)}, false)
-		before = leader.Log.Append(wal.Record{Txn: 1 << 42, Type: wal.RecAbort})
-		m.logMaster(nil, wal.Record{Type: wal.RecMLease, TS: never}, false)
-		behind = leader.Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
-		if c.forceShip(p, leader, behind, leader.ship.gen, false) {
-			t.Error("the wait survived the leader's power failure")
+// aheadCrash is what crashAheadOf caught: the record a follower held durably
+// and the leader had not flushed, and the oracle's clock at the crash.
+type aheadCrash struct {
+	rec   wal.Record
+	clock cc.Timestamp
+}
+
+// crashAheadOf arms c.Point to power-fail leader the first time a forced pass
+// of its stream leaves a follower durably holding a lease or decision that
+// leader's own log has not flushed (ship.ahead, CoordAhead).
+func crashAheadOf(c *Cluster, leader *DataNode) *aheadCrash {
+	caught := new(aheadCrash)
+	c.Point = func(n *DataNode, name string) {
+		if n != leader || name != "ship.ahead" {
+			return
+		}
+		if rec, ok := c.CoordAhead(leader); ok {
+			caught.rec, caught.clock = rec, c.Master.Oracle.Clock()
+			c.Point = nil
+			c.CrashNode(leader)
+		}
+	}
+	return caught
+}
+
+// TestElectionOverUnflushedCoordinatorRecords: data frames, acks, leases and
+// decisions ship beside the leader's own force; catalog snapshots do not. So a
+// leader that dies inside those overlapped forces may leave a follower holding
+// a lease or a decision its own disk never got, and an election may adopt it.
+// Each kind of record is pinned separately:
+//
+//   - a catalog snapshot the leader has not flushed is held back, with
+//     everything queued behind it: no follower holds it, no election adopts it,
+//     and after the leader's restart no follower holds the frames it lost;
+//   - a lease ceiling the leader never flushed may be adopted: the new leader's
+//     oracle resumes above every timestamp the old one issued;
+//   - a decision the leader never flushed may be adopted: its session retries
+//     until the decision is logged by a leader, Commit returns nil, and both
+//     participants install at the decided timestamp.
+func TestElectionOverUnflushedCoordinatorRecords(t *testing.T) {
+	t.Run("catalog snapshot", func(t *testing.T) {
+		w := newFailoverWorld(t, 300)
+		defer w.env.Close()
+		c, m := w.c, w.c.Master
+		leader, f1 := c.Nodes[0], c.Nodes[1]
+		w.runCommits(t, 3)
+		// The snapshot carries a partition-ID counter no election may adopt.
+		const never = table.PartID(1) << 30
+		snap := m.tableRecord("kv")
+		st, err := wal.DecodeMasterTable(snap.After)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.NextPartID = uint64(never)
+		snap.After = wal.EncodeMasterTable(nil, st)
+		leader.HW.LogDisk().SetStall(20 * time.Millisecond)
+		var before, behind uint64
+		w.env.Spawn("committer", func(p *sim.Proc) {
+			leader.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
+			m.logMaster(nil, wal.Record{Txn: 1 << 40, Type: wal.RecMAck, After: wal.EncodeMasterAck(nil, 3)}, false)
+			before = leader.Log.Append(wal.Record{Txn: 1 << 42, Type: wal.RecAbort})
+			m.logMaster(nil, snap, false)
+			behind = leader.Log.Append(wal.Record{Txn: 1 << 41, Type: wal.RecAbort})
+			if c.forceShip(p, leader, behind, leader.ship.gen, false) {
+				t.Error("the wait survived the leader's power failure")
+			}
+		})
+		w.env.Spawn("crash", func(p *sim.Proc) {
+			p.Sleep(5 * time.Millisecond)
+			held, _ := durableShippedFrames(f1, leader.ID)
+			if held.get(before) == nil || held.max() != before || leader.Log.FlushedLSN() >= before {
+				t.Errorf("5 ms in, follower 1 holds the leader's stream through %d (leader flushed %d); want through the data frame at %d — past the ack, short of the snapshot behind it",
+					held.max(), leader.Log.FlushedLSN(), before)
+			}
+			c.CrashNode(leader)
+			leader.HW.LogDisk().SetStall(0)
+		})
+		if err := w.env.RunUntil(w.env.Now() + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if m.Fenced() || m.LeaderID() == leader.ID {
+			t.Fatalf("no election: fenced=%v leader=%d", m.Fenced(), m.LeaderID())
+		}
+		if m.nextPartID >= never {
+			t.Fatalf("the new leader's partition counter is %d: it adopted a catalog snapshot the old leader never flushed", m.nextPartID)
+		}
+		// The old leader comes back; its followers' copies, cut at its restart
+		// boundary, still hold every coordinator record and nothing else new.
+		w.env.Spawn("restart", func(p *sim.Proc) {
+			p.Sleep(time.Second)
+			mustRestart(t, p, c, leader)
+			for _, l := range leader.ship.links {
+				held, _ := durableShippedFrames(l.follower, leader.ID)
+				if held.get(before) != nil || held.get(behind) != nil || l.stale {
+					t.Errorf("follower %d after its resync: stale=%v, holds the lost data frame=%v, the held-back one=%v",
+						l.follower.ID, l.stale, held.get(before) != nil, held.get(behind) != nil)
+				}
+			}
+		})
+		if err := w.env.RunUntil(w.env.Now() + time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if acked := w.runCommits(t, 3); len(acked) != 3 {
+			t.Fatalf("%d of 3 commits acked after the failover", len(acked))
 		}
 	})
-	w.env.Spawn("crash", func(p *sim.Proc) {
-		p.Sleep(5 * time.Millisecond)
-		held, _ := durableShippedFrames(f1, leader.ID)
-		if held.get(before) == nil || held.max() != before || leader.Log.FlushedLSN() >= before {
-			t.Errorf("5 ms in, follower 1 holds the leader's stream through %d (leader flushed %d); want through the data frame at %d — past the ack, short of the lease behind it",
-				held.max(), leader.Log.FlushedLSN(), before)
+
+	t.Run("lease", func(t *testing.T) {
+		const commits = 100 // several grants of a 300-timestamp lease
+		w := newFailoverWorld(t, 300)
+		defer w.env.Close()
+		c, m := w.c, w.c.Master
+		leader := c.Nodes[0]
+		// Past the bootstrap grant's default-sized ceiling first, so that each
+		// later grant raises the highest ceiling any disk holds.
+		w.runCommits(t, defaultLeaseChunk/2+100)
+		var durable cc.Timestamp
+		leader.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+			if rec.Type == wal.RecMLease {
+				durable = max(durable, rec.TS)
+			}
+			return true
+		})
+		// The leader's own force of each grant lags its followers'.
+		leader.HW.LogDisk().SetStall(5 * time.Millisecond)
+		crash := crashAheadOf(c, leader)
+		acked := w.runCommits(t, commits)
+		grant, issued := crash.rec, crash.clock
+		if grant.Type != wal.RecMLease || grant.TS <= durable || grant.TS <= issued {
+			t.Fatalf("setup: caught no grant above the highest durable ceiling %d and the clock %d (caught %d)", durable, issued, grant.TS)
 		}
-		c.CrashNode(leader)
-		leader.HW.LogDisk().SetStall(0)
+		if len(acked) != commits || m.Failovers() != 1 || m.LeaderID() == leader.ID {
+			t.Fatalf("%d of %d commits acked over %d failovers, leader %d", len(acked), commits, m.Failovers(), m.LeaderID())
+		}
+		resumed := false
+		for i, ts := range acked {
+			if i > 0 && ts <= acked[i-1] {
+				t.Fatalf("commit %d acked at %d after one at %d", i, ts, acked[i-1])
+			}
+			if ts > issued {
+				resumed = true
+				if ts < grant.TS {
+					t.Fatalf("commit %d acked at %d: the new leader resumed below the ceiling %d a follower held", i, ts, grant.TS)
+				}
+			}
+		}
+		if !resumed {
+			t.Fatalf("no commit acked above %d, the last timestamp the old leader issued", issued)
+		}
 	})
-	if err := w.env.RunUntil(w.env.Now() + time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if m.Fenced() || m.LeaderID() == leader.ID {
-		t.Fatalf("no election: fenced=%v leader=%d", m.Fenced(), m.LeaderID())
-	}
-	if got := m.Oracle.Leased(); got >= never {
-		t.Fatalf("the new leader resumed at lease ceiling %d: it adopted a record the old leader never flushed", got)
-	}
-	// The old leader comes back; its followers' copies, cut at its restart
-	// boundary, still hold every coordinator record and nothing else new.
-	w.env.Spawn("restart", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		mustRestart(t, p, c, leader)
-		for _, l := range leader.ship.links {
-			held, _ := durableShippedFrames(l.follower, leader.ID)
-			if held.get(before) != nil || held.get(behind) != nil || l.stale {
-				t.Errorf("follower %d after its resync: stale=%v, holds the lost data frame=%v, the held-back one=%v",
-					l.follower.ID, l.stale, held.get(before) != nil, held.get(behind) != nil)
+
+	t.Run("decision", func(t *testing.T) {
+		w := newIndoubtWorldWith(t, 4, func(cfg *Config) { cfg.MasterReplicas = 2 })
+		defer w.env.Close()
+		c := w.c
+		leader := c.Nodes[0]
+		leader.HW.LogDisk().SetStall(20 * time.Millisecond)
+		crash := crashAheadOf(c, leader)
+		var commitTS cc.Timestamp
+		var err error
+		w.env.Spawn("commit", func(p *sim.Proc) {
+			s := c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+			for _, k := range []int64{idLeft, idRight} {
+				payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+				if perr := s.Put(p, "kv", ik(k), payload); perr != nil {
+					t.Errorf("put %d: %v", k, perr)
+					return
+				}
+			}
+			err = s.Commit(p)
+			commitTS = s.Txn.Commit
+		})
+		if rerr := w.env.Run(); rerr != nil {
+			t.Fatal(rerr)
+		}
+		decision := crash.rec
+		if decision.Type != wal.RecDecision {
+			t.Fatal("setup: the decision did not reach a follower ahead of the leader's flush")
+		}
+		if err != nil || c.Master.Failovers() != 1 {
+			t.Fatalf("Commit returned %v across %d failovers, want nil across one", err, c.Master.Failovers())
+		}
+		if decision.TS != commitTS {
+			t.Fatalf("setup: the caught decision is at %d, the commit at %d", decision.TS, commitTS)
+		}
+		// Each participant's partition shows the new value from the decided
+		// timestamp on, and the old one just below it.
+		for _, k := range []int64{idLeft, idRight} {
+			n := w.n1
+			if k == idRight {
+				n = w.n2
+			}
+			for _, pt := range n.Parts {
+				for _, tt := range []struct {
+					snap cc.Timestamp
+					want string
+				}{{commitTS - 1, fmt.Sprintf(idOldVal, k)}, {commitTS, "new"}} {
+					var got string
+					w.env.Spawn("read", func(p *sim.Proc) {
+						v, ok, rerr := pt.Get(p, &cc.Txn{Mode: cc.SnapshotIsolation, Begin: tt.snap}, ik(k))
+						if rerr == nil && ok {
+							row, _ := kvSchema().DecodeRow(v)
+							got = row[1].(string)
+						}
+					})
+					if rerr := w.env.Run(); rerr != nil {
+						t.Fatal(rerr)
+					}
+					if got != tt.want {
+						t.Errorf("node %d, key %d at %d reads %q, want %q", n.ID, k, tt.snap, got, tt.want)
+					}
+				}
 			}
 		}
 	})
-	if err := w.env.RunUntil(w.env.Now() + time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if acked := w.runCommits(t, 3); len(acked) != 3 {
-		t.Fatalf("%d of 3 commits acked after the failover", len(acked))
-	}
 }
 
 // TestApplyStreamAllocs: a warm replica store applies a shipped stream without

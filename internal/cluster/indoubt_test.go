@@ -29,17 +29,17 @@ const (
 	idOldVal = "val-%06d"
 )
 
-func newIndoubtWorld(t *testing.T) *indoubtWorld { return newIndoubtWorldWith(t, 3, 0) }
+func newIndoubtWorld(t *testing.T) *indoubtWorld { return newIndoubtWorldWith(t, 3, func(*Config) {}) }
 
-// newIndoubtWorldWith is the same table on a cluster of the given size, every
-// node's log shipped to replicas followers (0: no replication). With four nodes
-// and two followers each, node 3 owns nothing and follows both participants.
-func newIndoubtWorldWith(t *testing.T, nodes, replicas int) *indoubtWorld {
+// newIndoubtWorldWith is the same table on a cluster of the given size, with
+// the configuration adjusted by tune first. With four nodes and DataReplicas
+// = 2, node 3 owns nothing and follows both participants.
+func newIndoubtWorldWith(t *testing.T, nodes int, tune func(*Config)) *indoubtWorld {
 	t.Helper()
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.DataReplicas = replicas
+	tune(&cfg)
 	c := New(env, cfg)
 	for _, node := range c.Nodes[1:] {
 		node.HW.ForceActive()
@@ -303,7 +303,7 @@ func sweepReplicatedCommit(t *testing.T) {
 	for _, keys := range [][]int64{{idLeft, idRight}, {idLeft}} {
 		var start, end time.Duration
 		var resolved bool
-		w := newIndoubtWorldWith(t, 4, 2)
+		w := newIndoubtWorldWith(t, 4, func(cfg *Config) { cfg.DataReplicas = 2 })
 		commit(w, keys, &resolved, &start, &end)
 		if err := w.env.Run(); err != nil || !resolved || end <= start {
 			t.Fatalf("undisturbed replicated commit of %v: %v, resolved=%v, window [%v, %v]", keys, err, resolved, start, end)
@@ -314,7 +314,7 @@ func sweepReplicatedCommit(t *testing.T) {
 		for _, victim := range []int{1, 3} { // the home participant; the follower its waits force
 			for i := 0; i <= steps; i++ {
 				crashAt := start + (end-start)*time.Duration(i)/steps
-				w := newIndoubtWorldWith(t, 4, 2)
+				w := newIndoubtWorldWith(t, 4, func(cfg *Config) { cfg.DataReplicas = 2 })
 				target := w.c.Nodes[victim]
 				resolved = false
 				var from, to time.Duration
@@ -1643,5 +1643,43 @@ func TestCrashWakesParkedIntentWaiter(t *testing.T) {
 					waitErr, returned, crashAt, w.c.cfg.LockTimeout)
 			}
 		})
+	}
+}
+
+// TestRollForwardOutlivesDiskLoss: participant 1 rolls its in-doubt branch
+// forward in a restart while both its followers are down, so the closure is on
+// its own disk alone — and then loses that disk. The coordinator must still
+// remember the decision when the rebuild from replicas finds the branch
+// prepared and undecided again: it may forget a verdict only once a follower
+// holds the closure.
+func TestRollForwardOutlivesDiskLoss(t *testing.T) {
+	w := newIndoubtWorldWith(t, 4, func(cfg *Config) { cfg.DataReplicas = 2 })
+	defer w.env.Close()
+	c := w.c
+	c.Point = func(n *DataNode, name string) {
+		if n == w.n1 && name == "commit.decided" {
+			c.Point = nil
+			c.CrashNode(n)
+		}
+	}
+	if !w.runCommit(t) || !w.n1.Down() {
+		t.Fatalf("setup: participant 1 (down=%v) did not crash after the ack", w.n1.Down())
+	}
+	w.env.Spawn("faults", func(p *sim.Proc) {
+		c.CrashNode(c.Nodes[2]) // participant 1's followers: nodes 2 and 3
+		c.CrashNode(c.Nodes[3])
+		mustRestart(t, p, c, w.n1)
+		if n := c.Master.InDoubtDecisionCount(); n != 1 {
+			t.Errorf("%d decisions remembered after a roll-forward no follower holds, want 1", n)
+		}
+		c.DestroyDisk(w.n1)
+		mustRestart(t, p, c, c.Nodes[2], c.Nodes[3], w.n1)
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	w.expectValues(t, func(int64) string { return "new" })
+	if n := c.Master.InDoubtDecisionCount(); n != 0 {
+		t.Fatalf("%d decisions outstanding after the rebuilt branch rolled forward", n)
 	}
 }

@@ -26,11 +26,15 @@ import (
 // election, and reconcile.
 //
 // Ack rule. A forced master record takes effect only once it is durable on
-// the leader AND on at least one in-sync follower (logMaster). A commit
-// decision that cannot be replicated is retried — across the failover if need
-// be — so "ack iff decision durable" survives the leader dying between the
-// decision force and the participant acks. Unforced records (acks, cleanup
-// snapshots) ride the ship queue; losing them is resurrection-safe.
+// the leader AND on at least one in-sync follower (logMaster). The two forces
+// run side by side, as a data frame's do, so a follower may hold a lease or a
+// decision the leader's disk never gets; an election may adopt it (tryElect).
+// Catalog snapshots are the exception: they ship only once the leader has
+// flushed them. A commit decision that cannot be replicated is retried —
+// across the failover if need be — so "ack iff decision durable" survives the
+// leader dying between the decision force and the participant acks. Unforced
+// records (acks, cleanup snapshots) ride the ship queue; losing them is
+// resurrection-safe.
 //
 // Sequence numbers. Master records carry a monotonically increasing
 // sequence in the Part field, independent of LSNs: it survives a rebuild's
@@ -150,11 +154,15 @@ func (m *Master) SetLeaseChunk(n int) {
 // sequence number. Without force that is all: the frame rides the leader's
 // ship queue, and loss is tolerated because unforced records are
 // resurrection-safe (acks re-derive from participant logs, cleanup snapshots
-// merely retire read-safe dual pointers). With force the record is flushed
-// locally, one forced ship pass delivers it, and it counts as replicated
-// (return true) only if an in-sync follower then holds it durably. Unlike
-// forceShip the call never waits for a follower to come back: Begin and
-// commitGate turn an unreachable ship set into ErrMasterDown, not a queue.
+// merely retire read-safe dual pointers). With force the local flush is
+// kicked and one forced ship pass runs beside it (forcePass), then the flush
+// is joined; the record counts as replicated (return true) only once it is
+// durable on the leader and an in-sync follower holds it durably. A second
+// pass runs only when the first began before the flush and left the record
+// short of a follower — held back behind a catalog snapshot the leader had
+// not flushed yet (shippable). Unlike forceShip the call never waits for a
+// follower to come back: Begin and commitGate turn an unreachable ship set
+// into ErrMasterDown, not a queue.
 //
 // p == nil with force is the setup path (cluster construction, table
 // creation): no simulation process exists yet, so delivery is synchronous
@@ -174,9 +182,11 @@ func (m *Master) logMaster(p *sim.Proc, rec wal.Record, force bool) bool {
 		c.setupDrain(leader)
 	} else {
 		epoch := m.epoch
-		leader.Log.Flush(p, lsn)
-		if m.epoch != epoch || !c.shipQueued(p, leader, true) || m.epoch != epoch {
-			return false
+		leader.Log.Kick()
+		for local := false; !local && !c.replicaDurable(leader, lsn); {
+			if local = c.forcePass(p, leader, lsn); m.epoch != epoch {
+				return false
+			}
 		}
 	}
 	if !c.replicaDurable(leader, lsn) {
@@ -407,6 +417,28 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 	return recs, maxSeq, fs.len() > 0
 }
 
+// CoordAhead returns a lease or decision record of n's stream that n's own log
+// has not flushed and a follower of n holds durably, if there is one: what a
+// power failure of n now leaves for an election to adopt (tryElect). The
+// follower is an in-sync one whose log is flushed through its last wrapper,
+// so every frame its replica store holds of n's current generation is
+// durable there; the candidates are the few above n's flushed boundary.
+func (c *Cluster) CoordAhead(n *DataNode) (ahead wal.Record, ok bool) {
+	if c.drep == nil {
+		return ahead, false
+	}
+	for _, l := range n.ship.links {
+		if st := l.store; st != nil && !l.stale && l.follower.Log.FlushedLSN() >= l.wrapLSN {
+			for i := st.frames.len() - 1; i >= 0 && st.frames.lsns[i] > n.Log.FlushedLSN(); i-- {
+				if rec, err := wal.DecodeFrame(st.frames.frames[i]); err == nil && (rec.Type == wal.RecDecision || rec.Type == wal.RecMLease) {
+					return rec, true
+				}
+			}
+		}
+	}
+	return ahead, false
+}
+
 // tryElect seats a new leader if the coordinator is fenced and a safe
 // candidate exists. A node inside RestartNode whose durable log is already
 // recovered or rebuilt (reviving) counts as live.
@@ -415,21 +447,32 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 // anchor's stream are all an election reads: the stream opens each of the
 // anchor's terms with a full snapshot, and a later, never established term
 // acknowledged nothing. Every acknowledged record is durable on the anchor
-// and on at least one follower, whose durable copy is a prefix of the stream;
-// and no follower's copy holds a catalog snapshot, lease or decision the
-// anchor's disk does not: data frames ship ahead of the anchor's flush, those
-// never do (logMaster flushes first, and sendQueued stops a batch before the
-// first one not yet flushed). Acks do ship ahead, and the suffix a follower
-// keeps of a stream its anchor lost — until masterCopy cuts it off, once the
-// anchor has restarted — may hold some the anchor never flushed. Adopting one
-// is harmless: it records that a participant's log holds its branch closed, a
-// fact about that log and not about the leader's, and it removes a participant
-// from a decision only after the decision itself, which precedes it in the
-// stream. So the live copies include a complete one when the anchor is among
-// them or every follower is, and the one with the highest sequence is it — a
-// longer prefix of the same stream holds everything a shorter one does. A follower counts only if it holds
-// part of the stream: one wiped and not yet resynced could otherwise stand
-// in for the follower that held the record. Failing that the coordinator
+// and on at least one follower, whose durable copy is a prefix of the stream.
+//
+// A follower's copy may run past the anchor's disk: everything but a catalog
+// snapshot ships beside the anchor's own force, so the suffix a follower keeps
+// of a stream its anchor lost — until masterCopy cuts it off, once the anchor
+// has restarted — may hold records the anchor never flushed. No catalog
+// snapshot is among them (sendQueued stops a batch before the first one not
+// yet flushed: migration routing must never follow one that may vanish).
+// Adopting any of the others is safe:
+//   - an ack records that a participant's log holds its branch closed, a fact
+//     about that log and not about the leader's, and it removes a participant
+//     from a decision only after the decision itself, which precedes it in
+//     the stream;
+//   - a decision is in m.decisions already (recordDecision puts it there
+//     before its first force), and electFrom keeps that map; its session
+//     retries until some leader has logged the record, so the transaction
+//     commits whichever copy wins;
+//   - a lease ceiling only ever raises the oracle's clock, and the oracle
+//     issued nothing under it: it does so only once logMaster acks the grant,
+//     and that ack waits for the leader's own flush.
+//
+// So the live copies include a complete one when the anchor is among them or
+// every follower is, and the one with the highest sequence is it — a longer
+// prefix of the same stream holds everything a shorter one does. A follower
+// counts only if it holds part of the stream: one wiped and not yet resynced
+// could otherwise stand in for the follower that held the record. Failing that the coordinator
 // stays fenced until more of the electorate restarts. Non-blocking; charges
 // nothing (like restart-time log analysis).
 func (m *Master) tryElect() {
