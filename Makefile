@@ -139,16 +139,18 @@ chaos-htap:
 ## chaos-quick: a short crash-anywhere sweep of both workloads, plus
 ## coordinator-crash-heavy (KV, and TPC-C for its many 2PC decisions under
 ## leader crashes), disk-loss-heavy, mid-checkpoint-crash, and HTAP-analytics
-## bursts (CI gate)
+## bursts (CI gate). Every seed runs twice and fails if the two state hashes
+## differ (-rerun): a determinism regression fails the gate even when every
+## invariant holds
 chaos-quick:
-	$(GO) run ./cmd/wattdb-chaos -seeds 6 -duration 25s
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 3 -duration 20s
-	$(GO) run ./cmd/wattdb-chaos -seeds 4 -duration 25s -coord 3
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -coord 3
-	$(GO) run ./cmd/wattdb-chaos -seeds 4 -duration 25s -disk 3
-	$(GO) run ./cmd/wattdb-chaos -seeds 4 -duration 25s -ckpt 3
-	$(GO) run ./cmd/wattdb-chaos -seeds 3 -duration 25s -htap 4
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -htap 4
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 6 -duration 25s
+	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 3 -duration 20s
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 4 -duration 25s -coord 3
+	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 2 -duration 20s -coord 3
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 4 -duration 25s -disk 3
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 4 -duration 25s -ckpt 3
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 3 -duration 25s -htap 4
+	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 2 -duration 20s -htap 4
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
 ## tests + the ledger's tests + the Fig 3 and Fig 7 shape gates + the

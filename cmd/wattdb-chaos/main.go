@@ -4,6 +4,7 @@
 //	wattdb-chaos -seeds 25          # seeds 1..25, schemes rotating per seed
 //	wattdb-chaos -seed 7 -scheme logical -v   # reproduce one run exactly
 //	wattdb-chaos -tpcc -seeds 10    # TPC-C workload + warehouse-invariant oracle
+//	wattdb-chaos -seeds 6 -rerun    # every seed twice: the two state hashes must match
 //
 // Every run prints its seed, scheme, and final state hash; a failing seed
 // reproduces bit-for-bit with the same flags.
@@ -28,12 +29,13 @@ func main() {
 	workers := flag.Int("workers", 0, "workload processes (default 4)")
 	duration := flag.Duration("duration", 0, "simulated workload window (default 45s)")
 	faults := flag.Int("faults", 0, "extra random fault events (default 4)")
-	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration, and each one beyond the first adds a crash aimed at a lease or decision a follower holds ahead of the leader)")
+	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration; above 1 the first is aimed at the leader's next clock publication, and each one beyond the first adds a crash aimed at a lease or decision a follower holds ahead of the leader)")
 	disk := flag.Int("disk", 0, "extra disk-loss + acked-rot fault pairs (default 1; every plan already destroys one disk and bit-rots one flushed frame)")
 	ckpt := flag.Int("ckpt", 0, "extra mid-checkpoint crash faults (default 1; every plan already power-fails one node partway through a fuzzy checkpoint)")
 	htap := flag.Int("htap", 0, "concurrent HTAP analytics readers running validated scan-aggregate snapshot queries (default 1; -1 disables)")
 	tpccMode := flag.Bool("tpcc", false, "run the TPC-C workload with the warehouse-invariant oracle (ignores -keys)")
 	verbose := flag.Bool("v", false, "print the fault schedule of every run")
+	rerun := flag.Bool("rerun", false, "run every seed twice and fail it when the two state hashes differ")
 	flag.Parse()
 
 	schemes := []table.Scheme{table.Physical, table.Logical, table.Physiological}
@@ -89,6 +91,15 @@ func main() {
 			fmt.Printf("seed=%-4d scheme=%-13s ERROR: %v\n", s, scheme, err)
 			failures++
 			continue
+		}
+		if *rerun {
+			again, err := run(cfg)
+			if err == nil && again.StateHash != rep.StateHash {
+				err = fmt.Errorf("state hash %s on the rerun", again.StateHash)
+			}
+			if err != nil {
+				rep.Violations = append(rep.Violations, fmt.Sprintf("not deterministic: %v", err))
+			}
 		}
 		status := "PASS"
 		if !rep.Passed() {

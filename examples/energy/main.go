@@ -65,7 +65,7 @@ func main() {
 		}
 		// Drop drained ghosts so the victim can power off on a later tick.
 	}
-	c.Master.StartMonitor(5*time.Second, policy)
+	mon := c.Master.StartMonitor(5*time.Second, policy)
 	c.Meter.Start()
 
 	// Day curve: load ramps up at t=60s and down at t=240s.
@@ -114,4 +114,5 @@ func main() {
 	}
 	fmt.Printf("\ntotal: %d transactions, %.0f J (%.3f J/txn)\n",
 		committed, c.Meter.EnergyJoules(), c.Meter.EnergyJoules()/float64(committed))
+	fmt.Printf("scale-ins refused (the node still held data or followed a live log): %d\n", mon.RefusedScaleIns)
 }

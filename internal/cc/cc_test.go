@@ -94,6 +94,56 @@ func TestOracleUnsettledCapsSnapshots(t *testing.T) {
 	}
 }
 
+// TestOraclePublishedView: with a publisher attached, a snapshot-isolation
+// Begin reads the last landed view and issues no timestamp, a locking Begin
+// still takes a fresh one, the publisher is told each time the view moves,
+// and the watermark never passes the landed safe snapshot — what the next
+// Begin will register.
+func TestOraclePublishedView(t *testing.T) {
+	o := NewOracle()
+	moved := 0
+	o.Publish(func() { moved++ })
+	w := o.Begin(SnapshotIsolation)
+	if w.Begin != 1 || w.Safe != 1 || o.Clock() != 1 {
+		t.Fatalf("begin at %d safe %d, clock %d; want the view (1, 1) and no timestamp issued", w.Begin, w.Safe, o.Clock())
+	}
+	cts := o.CommitTS(w)
+	if clock, safe := o.View(); moved != 1 || clock != cts || safe != cts-1 {
+		t.Fatalf("after a commit point: %d moves, view (%d, %d); want 1 and (%d, %d)", moved, clock, safe, cts, cts-1)
+	}
+	if r := o.Begin(SnapshotIsolation); r.Begin != 1 || r.Safe != 1 {
+		t.Fatalf("before the landing a snapshot reads at %d safe %d, want the old view (1, 1)", r.Begin, r.Safe)
+	} else {
+		o.Abort(r)
+	}
+	o.Land(o.View())
+	if r := o.Begin(SnapshotIsolation); r.Begin != cts || r.Safe != cts-1 {
+		t.Fatalf("after the landing: %d safe %d, want %d safe %d", r.Begin, r.Safe, cts, cts-1)
+	} else {
+		o.Abort(r)
+	}
+	if l := o.Begin(Locking); l.Begin != cts+1 {
+		t.Fatalf("locking begin at %d, want a fresh timestamp %d", l.Begin, cts+1)
+	} else {
+		o.Abort(l)
+	}
+	if moved != 1 {
+		t.Fatalf("%d moves after Begins and aborts of active transactions, want 1", moved)
+	}
+	o.SettleCommit(w)
+	if wm := o.Watermark(); moved != 2 || wm != cts-1 {
+		t.Fatalf("after the settle: %d moves, watermark %d; want 2 and the landed safe snapshot %d", moved, wm, cts-1)
+	}
+	o.Land(o.View())
+	if pub, safe := o.Published(); pub != o.Clock() || safe != o.Clock() || o.Watermark() != o.Clock() {
+		t.Fatalf("quiesced view (%d, %d), watermark %d; want all at the clock %d", pub, safe, o.Watermark(), o.Clock())
+	}
+	o.Advance()
+	if pub, _ := o.Published(); moved != 3 || pub != o.Clock()-1 {
+		t.Fatalf("Advance: %d moves, view at %d; want 3 and the clock %d left unpublished", moved, pub, o.Clock())
+	}
+}
+
 func TestLockCompatibilityMatrix(t *testing.T) {
 	cases := []struct {
 		a, b LockMode

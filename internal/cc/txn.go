@@ -51,9 +51,11 @@ var (
 // the owning executor drives commit or abort.
 type Txn struct {
 	ID TxnID
-	// Begin is the snapshot: the oracle's clock when the transaction began. It
-	// covers every commit point passed by then, settled or not; reading a
-	// version whose commit is still unsettled records its writer in Deps.
+	// Begin is the snapshot: the oracle's clock when the transaction began, or
+	// under a publisher the clock of the view that had reached every node by
+	// then, which covers every commit acknowledged before. It covers every
+	// commit point it is at or above, settled or not; reading a version whose
+	// commit is still unsettled records its writer in Deps.
 	Begin Timestamp
 	// Safe is the newest snapshot at or below Begin that covers no commit
 	// unsettled when the transaction began: everything visible at it is
@@ -169,6 +171,15 @@ func (t *Txn) DropUndo() { t.undo = nil }
 // collection knows the oldest snapshot still in use. WattDB hosts it on the
 // master node; callers pay any network cost at their layer.
 //
+// An oracle with a publisher (Publish) also keeps the published view: the
+// clock and the safe snapshot as they stood when the publisher's last
+// publication left, once that publication has reached every node (Land). A
+// snapshot-isolation Begin then reads that view instead of the clock, so it
+// needs no message to the master; the publisher's caller holds every
+// acknowledgment until the view covers its commit timestamp, which keeps
+// snapshots in real-time order. A standalone oracle has no view: its snapshots
+// are the clock.
+//
 // When the master is replicated, the oracle runs under bounded leases: lease
 // holds the first timestamp it may NOT issue, granted only after the lease
 // record is durable on a follower replica. A new leader resumes at the old
@@ -191,6 +202,10 @@ type Oracle struct {
 	// before every unsettled commit it observed is settled (Txn.Deps).
 	unsettled map[TxnID]Timestamp
 	lease     Timestamp
+	// pub and pubSafe are the published view (Land); changed, non-nil once a
+	// publisher is attached, is called whenever the view it would send moves.
+	pub, pubSafe Timestamp
+	changed      func()
 }
 
 // NewOracle returns an oracle starting at timestamp 1.
@@ -216,14 +231,17 @@ func (o *Oracle) tick() Timestamp {
 // clock, is what the active table registers: the GC watermark and the "every
 // snapshot is past this horizon" test then hold for a reader that falls back
 // to its safe snapshot, and a fortiori for one that reads at Begin.
+//
+// With a publisher, a snapshot-isolation transaction takes the published view
+// instead — both timestamps as the last landed publication carried them — and
+// issues no timestamp. A locking transaction stamps its writes with its begin
+// timestamp, so it always takes a fresh one.
 func (o *Oracle) Begin(mode Mode) *Txn {
 	o.nextID++
-	begin := o.tick()
-	safe := begin
-	for _, cts := range o.unsettled {
-		if cts-1 < safe {
-			safe = cts - 1
-		}
+	begin, safe := o.pub, o.pubSafe
+	if o.changed == nil || mode != SnapshotIsolation {
+		o.tick()
+		begin, safe = o.View()
 	}
 	t := &Txn{ID: o.nextID, Begin: begin, Safe: safe, Mode: mode, State: TxnActive}
 	o.active[t.ID] = safe
@@ -240,7 +258,52 @@ func (o *Oracle) CommitTS(t *Txn) Timestamp {
 	delete(o.active, t.ID)
 	o.unsettled[t.ID] = t.Commit
 	t.decide()
+	o.moved()
 	return t.Commit
+}
+
+// Publish attaches a publisher: changed is called every time the view moves —
+// a commit timestamp issued, an unsettled commit settled or dropped, Advance —
+// and the view published so far is the one standing now.
+func (o *Oracle) Publish(changed func()) {
+	o.changed = changed
+	o.pub, o.pubSafe = o.View()
+}
+
+// View returns the clock and the safe snapshot as they stand: one below the
+// oldest unsettled commit, the clock when there is none.
+func (o *Oracle) View() (clock, safe Timestamp) {
+	safe = o.next
+	for _, cts := range o.unsettled {
+		if cts-1 < safe {
+			safe = cts - 1
+		}
+	}
+	return o.next, safe
+}
+
+// Land records that a view taken by View has reached every node. Views land
+// in the order they left, and neither timestamp ever moves back.
+func (o *Oracle) Land(clock, safe Timestamp) {
+	o.pub = max(o.pub, clock)
+	o.pubSafe = max(o.pubSafe, safe)
+}
+
+// Published returns the landed view: the clock and the safe snapshot the
+// next snapshot-isolation Begin takes.
+func (o *Oracle) Published() (clock, safe Timestamp) { return o.pub, o.pubSafe }
+
+// Advance issues one timestamp that stamps nothing, so that the next view
+// carries a clock above every timestamp issued so far.
+func (o *Oracle) Advance() {
+	o.tick()
+	o.moved()
+}
+
+func (o *Oracle) moved() {
+	if o.changed != nil {
+		o.changed()
+	}
 }
 
 // EndReadOnly ends a transaction that wrote nothing and holds no locks: it
@@ -265,6 +328,7 @@ func (o *Oracle) SettleCommit(t *Txn) {
 	t.Settled = true
 	delete(o.unsettled, t.ID)
 	t.sealFate()
+	o.moved()
 }
 
 // Leased returns the current lease ceiling (0: unbounded).
@@ -327,7 +391,10 @@ func (o *Oracle) Failover(ceil Timestamp) {
 func (o *Oracle) Abort(t *Txn) {
 	t.State = TxnAborted
 	delete(o.active, t.ID)
-	delete(o.unsettled, t.ID)
+	if _, ok := o.unsettled[t.ID]; ok {
+		delete(o.unsettled, t.ID)
+		o.moved()
+	}
 	t.sealFate()
 	t.decide()
 }
@@ -339,10 +406,14 @@ func (o *Oracle) Abort(t *Txn) {
 // safe snapshot: while a commit's durability is in limbo (say, its node is
 // down mid-force) it may be far below the clock, and version GC pruning to
 // the active-only minimum would strand a reader that falls back to it on
-// already-collected history. Versions older than two generations below the
-// watermark can never be read again.
+// already-collected history. With a publisher the next Begin registers the
+// published safe snapshot, which bounds the watermark too. Versions older
+// than two generations below the watermark can never be read again.
 func (o *Oracle) Watermark() Timestamp {
 	min := o.next
+	if o.changed != nil && o.pubSafe < min {
+		min = o.pubSafe
+	}
 	for _, ts := range o.active {
 		if ts < min {
 			min = ts

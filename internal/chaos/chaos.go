@@ -9,7 +9,8 @@
 //   - durability: every acknowledged commit is readable after restart;
 //   - atomicity: no write of an unacknowledged transaction is ever visible;
 //   - snapshot isolation: every read and range scan matches the committed
-//     version history at the reader's snapshot;
+//     version history at the reader's snapshot, and every snapshot covers
+//     each commit acknowledged before its session began (real-time order);
 //   - partition-table consistency: after an interrupted migration no key is
 //     unreachable or doubly owned, and every range table stays contiguous;
 //   - power accounting: the meter never goes negative, energy is monotone,
@@ -24,7 +25,7 @@
 //
 // Crashes that need a narrow window are aimed, not timed: the engine names
 // its crash points (cluster.Cluster.Point — "ckpt.*", "ship.ahead",
-// "commit.depwait") and the executor arms a crash on one, firing
+// "commit.depwait", "clock.publish") and the executor arms a crash on one, firing
 // synchronously at the k-th hit within reach of the planned instant, or at
 // the deadline on the planned node. A new window is one point in the engine
 // and one crashAimed in spawnExecutor.
@@ -173,6 +174,11 @@ type Report struct {
 	// point: a node whose unsettled commit a committing transaction is about
 	// to wait for (included in Crashes).
 	DepCrashes int
+	// PublishCrashes counts the crashes fired at the "clock.publish" crash
+	// point: the seated leader about to send the oracle's view, with the
+	// acknowledgments of the commits it carries waiting for it to land
+	// (included in Crashes and LeaderCrashes).
+	PublishCrashes int
 	// DecidedHits counts the passes of the "commit.decided" crash point: a
 	// branch of a distributed commit acknowledged at its decision, about to
 	// install. No plan aims a crash there; a crash that lands anyway is
@@ -272,6 +278,9 @@ type harness struct {
 	stop   bool
 	stopAt time.Duration
 	aims   []*aim // armed crashes, in arming order (atPoint)
+	// acked is the highest commit timestamp acknowledged so far (ack): no
+	// session begun from then on may read below it (begin).
+	acked cc.Timestamp
 
 	rep *Report
 }
@@ -300,6 +309,24 @@ func (h *harness) aliveNode(rng *rand.Rand) *cluster.DataNode {
 	}
 	return alive[rng.Intn(len(alive))]
 }
+
+// begin starts a snapshot session at home and holds it to real-time order: its
+// snapshot must cover every commit acknowledged before Begin was called,
+// wherever the session is homed. A session refused by a fenced coordinator
+// has no snapshot to check.
+func (h *harness) begin(p *sim.Proc, home *cluster.DataNode) *cluster.Session {
+	acked := h.acked
+	s := h.master.Begin(p, ccSnapshot, home)
+	if s.Txn.Active() && s.Txn.Begin < acked {
+		h.violate(fmt.Sprintf("real-time order: session begun at %v on node %d reads at %d, below commit %d acknowledged before it began",
+			p.Now(), home.ID, s.Txn.Begin, acked))
+	}
+	return s
+}
+
+// ack records that s's commit was acknowledged; call it the instant Commit
+// returned nil.
+func (h *harness) ack(s *cluster.Session) { h.acked = max(h.acked, s.Txn.Commit) }
 
 // failOp aborts a transaction that hit a fault (down node, conflict,
 // timeout, lost dependency) and counts it; nothing it observed is kept.
@@ -440,7 +467,7 @@ func (h *harness) runFinalCheck() string {
 			h.violate("final check: node 0 still down")
 			return
 		}
-		s := h.master.Begin(p, ccSnapshot, home)
+		s := h.begin(p, home)
 		dump = h.w.finalCheck(p, s)
 		s.Abort(p)
 	})

@@ -113,7 +113,7 @@ func (kv *kvWorkload) spawnWorker(w int) {
 
 // runTxn executes one randomized transaction.
 func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *cluster.DataNode) {
-	s := kv.master.Begin(p, ccSnapshot, home)
+	s := kv.begin(p, home)
 	kind := rng.Intn(10)
 	switch {
 	case kind < 5: // write transaction (puts, occasionally deletes)
@@ -151,6 +151,7 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 		}
 		// Acknowledged: record at the engine's commit timestamp before any
 		// further blocking call.
+		kv.ack(s)
 		kv.oracle.commit(s.Txn.Commit, writes)
 		kv.rep.Commits++
 	case kind < 9: // read transaction
@@ -230,7 +231,7 @@ func (kv *kvWorkload) spawnAnalytics(q int) {
 				p.Sleep(50 * time.Millisecond)
 				continue
 			}
-			s := kv.master.Begin(p, ccSnapshot, home)
+			s := kv.begin(p, home)
 			s.PreferFollower = q%2 == 0
 			obs := scanObs{at: p.Now(), lo: 0, hi: int64(kv.cfg.Keys)}
 			err := s.Scan(p, "kv", nil, nil, func(kb, v []byte) bool {
@@ -358,7 +359,7 @@ func (kv *kvWorkload) finalCheck(p *sim.Proc, s *cluster.Session) string {
 // reads, so "every acknowledged commit readable after restart" is checked
 // at the restart boundary itself, not only at the end.
 func (kv *kvWorkload) postRestart(p *sim.Proc, restarted *cluster.DataNode) {
-	s := kv.master.Begin(p, ccSnapshot, restarted)
+	s := kv.begin(p, restarted)
 	keys := make([]int64, 0, len(kv.oracle.hist))
 	for k := range kv.oracle.hist {
 		keys = append(keys, k)

@@ -28,6 +28,7 @@ const (
 	faultCkptCrash                    // power-fail a node partway through a fuzzy checkpoint
 	faultCrashDep                     // power-fail a node while a transaction elsewhere waits on its unsettled commit
 	faultCoordAhead                   // power-fail the acting coordinator while a follower holds a lease or decision it has not flushed
+	faultPublish                      // power-fail the acting coordinator as it sends the oracle's view
 )
 
 // faultEvent is one scheduled fault.
@@ -79,6 +80,7 @@ func (pl planner) midHalf() time.Duration {
 // every plan there is.
 func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 	pl := planner{rand.New(rand.NewSource(cfg.Seed ^ salt)), cfg.Duration, cfg.Nodes}
+	aimPublish := cfg.CoordFaults > 1
 	classes := []struct {
 		n    int
 		draw func() []faultEvent
@@ -101,9 +103,16 @@ func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 					kind: faultCrashCoord, dur: pl.downTime()},
 			}
 		}},
-		// More coordinator power failures, at random instants.
+		// More coordinator power failures, at random instants. A plan that asks
+		// for more than the default one aims the first of them at the
+		// leader's next publication of the oracle's view: acknowledgments wait
+		// for it, and must go on waiting across the election.
 		{cfg.CoordFaults, func() []faultEvent {
-			return []faultEvent{{at: pl.anywhere(), kind: faultCrashCoord, dur: pl.downTime()}}
+			ev := faultEvent{at: pl.anywhere(), kind: faultCrashCoord, dur: pl.downTime()}
+			if aimPublish {
+				ev.kind, aimPublish = faultPublish, false
+			}
+			return []faultEvent{ev}
 		}},
 		// Log-medium damage, once each way, on a node with steady log traffic
 		// (the first two): a power failure tearing the frame the device was
@@ -308,6 +317,10 @@ func (h *harness) spawnExecutor(plan []faultEvent) {
 						_, ok := h.c.CoordAhead(n)
 						return ok
 					}})
+			case faultPublish:
+				// Only the seated leader publishes; with no publication in
+				// reach, the seat's holder crashes then.
+				h.crashAimed(aim{ev: ev, anyNode: true, point: "clock.publish", reach: 24 * time.Second, count: &h.rep.PublishCrashes})
 			case faultCkptCrash:
 				// Aimed at this node's checkpoints — the one started here and
 				// the daemon's next ones — and restarted from the previous
@@ -425,7 +438,7 @@ func (h *harness) atPoint(n *cluster.DataNode, name string) {
 // bit-flipped), and the restart must CRC-detect and truncate it while every
 // acknowledged commit below the boundary survives.
 func (h *harness) execCrash(ev faultEvent, where string) {
-	if ev.kind == faultCrashCoord || ev.kind == faultCoordAhead {
+	if ev.kind == faultCrashCoord || ev.kind == faultCoordAhead || ev.kind == faultPublish {
 		// Resolve the acting coordinator at execution time — after earlier
 		// failovers the leader may be any replica-group member — then crash
 		// it like any other power failure.

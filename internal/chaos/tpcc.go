@@ -131,7 +131,7 @@ func (tp *tpccWorkload) spawnWorker(w int) {
 				continue
 			}
 			typ := tpcc.PickTxn(rng)
-			sess := tp.master.Begin(p, ccSnapshot, home)
+			sess := tp.begin(p, home)
 			err := tp.dep.Exec(p, sess, typ, wh, rng)
 			eff := tp.dep.TakeEffect(sess.Txn.ID)
 			switch {
@@ -151,6 +151,7 @@ func (tp *tpccWorkload) spawnWorker(w int) {
 				}
 				// Acknowledged: fold the effect into the model before any
 				// further blocking call.
+				tp.ack(sess)
 				tp.model.apply(eff, tp.violate)
 				tp.rep.Commits++
 			}
@@ -181,7 +182,7 @@ func (tp *tpccWorkload) spawnAnalytics(q int) {
 				p.Sleep(50 * time.Millisecond)
 				continue
 			}
-			s := tp.master.Begin(p, ccSnapshot, home)
+			s := tp.begin(p, home)
 			s.PreferFollower = q%2 == 0
 			var broken []string
 			rows, ok := tp.analyticsQuery(p, s, int64(w), int64(d), func(msg string) { broken = append(broken, msg) })

@@ -98,8 +98,10 @@ type Cluster struct {
 // flushed), "ship.resync" (resyncFollower: n's follower flushed a resync n
 // has not yet recorded — inside RestartNode's epilogue when n is restarting),
 // "commit.depwait" (settleDeps: a committing session is about to wait for an
-// unsettled commit whose fate n seals) and "commit.decided" (commitBranch: a
-// distributed commit is acknowledged, and n's branch not yet installed).
+// unsettled commit whose fate n seals), "commit.decided" (commitBranch: a
+// distributed commit is acknowledged, and n's branch not yet installed) and
+// "clock.publish" (the publisher: n, the seated leader, is about to send the
+// oracle's view while acknowledgments may wait for it).
 func (c *Cluster) point(n *DataNode, name string) bool {
 	if c.Point != nil && !n.crashed {
 		c.Point(n, name)
@@ -130,6 +132,7 @@ func New(env *sim.Env, cfg Config) *Cluster {
 	if cfg.MasterReplicas > 0 {
 		c.enableMasterReplication()
 	}
+	c.Master.startPublisher()
 	var hwNodes []*hw.Node
 	for _, n := range c.Nodes {
 		hwNodes = append(hwNodes, n.HW)

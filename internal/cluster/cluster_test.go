@@ -565,11 +565,12 @@ func TestMovedRangeServesCappedSnapshots(t *testing.T) {
 	})
 }
 
-// TestPreferFollowerReadsAtSafeSnapshot: with a commit in its force, a session
-// carrying the analytics hint reads exactly what the capped snapshot of old
-// read — the version below the unsettled commit, at the timestamp just below
-// it — takes no dependency and needs no settling; a plain session beside it
-// reads the unsettled value and depends on it.
+// TestPreferFollowerReadsAtSafeSnapshot: with a commit in its force and its
+// commit point published, a session carrying the analytics hint reads exactly
+// what the capped snapshot of old read — the version below the unsettled
+// commit, at the timestamp just below it — takes no dependency and needs no
+// settling; a plain session beside it reads the unsettled value and depends
+// on it.
 func TestPreferFollowerReadsAtSafeSnapshot(t *testing.T) {
 	w := newDepWorld(t)
 	defer w.env.Close()
@@ -578,11 +579,12 @@ func TestPreferFollowerReadsAtSafeSnapshot(t *testing.T) {
 	f := w.commitInForce("t1", 10)
 	w.run(t, func(p *sim.Proc) {
 		t1 := unsettledWithRecord(p, f, true)
+		landed(p, c, t1)
 		for _, home := range []*DataNode{c.Nodes[0], c.Nodes[1], c.Nodes[3]} { // owner, follower, neither
 			plain := c.Master.Begin(p, cc.SnapshotIsolation, home)
 			hinted := c.Master.Begin(p, cc.SnapshotIsolation, home)
 			hinted.PreferFollower = true
-			if hinted.Txn.Begin <= t1.Commit || hinted.Txn.Safe != t1.Commit-1 {
+			if hinted.Txn.Begin < t1.Commit || hinted.Txn.Safe != t1.Commit-1 {
 				t.Errorf("home %d: began at %d with safe snapshot %d over unsettled commit %d", home.ID, hinted.Txn.Begin, hinted.Txn.Safe, t1.Commit)
 			}
 			if got, want := w.read(p, hinted, 10), fmt.Sprintf(idOldVal, 10); got != want || hinted.Txn.Begin != t1.Commit-1 || hinted.Txn.Deps != nil {
@@ -613,6 +615,39 @@ func TestPreferFollowerReadsAtSafeSnapshot(t *testing.T) {
 	})
 	if f.err != nil || c.DepWaits != 0 {
 		t.Errorf("T1: %v; %d dependency waits, want none", f.err, c.DepWaits)
+	}
+}
+
+// TestMonitorCountsRefusedScaleIn: every node is below the scale-in bound, and
+// the idlest one off the master's node owns nothing but follows the live
+// origin's log. PowerOff refuses it; the monitor counts the refusal, and the
+// node stays active.
+func TestMonitorCountsRefusedScaleIn(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.DataReplicas = 4, 2
+	c := New(env, cfg)
+	for _, n := range c.Nodes[1:] {
+		n.HW.ForceActive()
+	}
+	if _, err := c.Master.CreateTable(kvSchema(), table.Physiological, []RangeSpec{{Owner: c.Nodes[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	var victim *DataNode
+	policy := &Policy{HighCPU: 2, LowCPU: 1, Enabled: true, OnScaleIn: func(_ *sim.Proc, n *DataNode) { victim = n }}
+	mon := c.Master.StartMonitor(time.Second, policy)
+	if err := env.RunUntil(1500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if victim == nil {
+		t.Fatal("setup: no scale-in")
+	}
+	if l := c.Nodes[0].ship.link(victim); len(victim.Parts) != 0 || l == nil || l.stale {
+		t.Fatalf("setup: the scale-in victim, node %d, is not an empty in-sync follower of node 0", victim.ID)
+	}
+	if mon.RefusedScaleIns != 1 || victim.HW.State() != hw.PowerActive {
+		t.Fatalf("%d refused scale-ins, node %d %v; want 1 and active", mon.RefusedScaleIns, victim.ID, victim.HW.State())
 	}
 }
 

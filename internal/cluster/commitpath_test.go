@@ -1099,11 +1099,27 @@ func unsettledWithRecord(p *sim.Proc, f *inForce, appended bool) *cc.Txn {
 	return f.txn
 }
 
+// landed parks p until the published view covers t's commit point, so that a
+// session begun from then on, at any home, has t in its snapshot. It comes
+// one network latency after the commit point, well inside a commit's force.
+func landed(p *sim.Proc, c *Cluster, t *cc.Txn) {
+	for published(c) < t.Commit {
+		p.Sleep(50 * time.Microsecond)
+	}
+}
+
+// published returns the clock of the view the oracle last landed.
+func published(c *Cluster) cc.Timestamp {
+	pub, _ := c.Master.Oracle.Published()
+	return pub
+}
+
 // TestDependentOnSameLogCommitsWithoutWait: T1 is in its force on key 10. T2
-// begins after T1's commit point, reads key 10 — T1's value, with a dependency
-// — overwrites it and commits on the same node: no write conflict, and no wait
-// either, because T2's commit record lies above T1's on the same log. A
-// transaction that began before T1's commit point still loses to it.
+// begins once T1's commit point has been published, reads key 10 — T1's
+// value, with a dependency — overwrites it and commits on the same node: no
+// write conflict, and no wait either, because T2's commit record lies above
+// T1's on the same log. A transaction that began before T1's commit point
+// still loses to it.
 func TestDependentOnSameLogCommitsWithoutWait(t *testing.T) {
 	w := newDepWorld(t)
 	defer w.env.Close()
@@ -1112,6 +1128,7 @@ func TestDependentOnSameLogCommitsWithoutWait(t *testing.T) {
 	w.run(t, func(p *sim.Proc) {
 		early := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
 		t1 := unsettledWithRecord(p, f, true)
+		landed(p, c, t1)
 		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
 		if got := w.read(p, t2, 10); got != "t1" {
 			t.Errorf("T2 (snapshot %d over unsettled commit %d) read %q, want T1's value", t2.Txn.Begin, t1.Commit, got)
@@ -1174,6 +1191,7 @@ func TestDependentElsewhereWaitsForSettle(t *testing.T) {
 			var done, trip time.Duration
 			w.run(t, func(p *sim.Proc) {
 				t1 := unsettledWithRecord(p, f, true)
+				landed(p, c, t1)
 				home := c.Nodes[tt.home]
 				t2 := c.Master.Begin(p, cc.SnapshotIsolation, home)
 				if got := w.read(p, t2, 10); got != "t1" || len(t2.Txn.Deps) != 1 || t2.Txn.Deps[0] != t1 {

@@ -288,14 +288,16 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 
 	// Swap-in. No blocking calls below: routing flips from the dead
 	// partitions to the recovered ones in one simulation instant.
-	// Each recovered partition also gets its snapshot-serving horizon
-	// fenced at the current clock: recovery rebuilds only the newest
-	// committed image of every key (version chains died with the DRAM, and
-	// checkpointed bases fold superseded versions away), so a reader still
-	// holding an older snapshot — one that began before the outage, or a
-	// PreferFollower session whose safe snapshot sits below a commit parked
-	// across this very outage — must get a retryable ErrSnapshotTooOld here
-	// instead of a silently missing version.
+	// Each recovered partition's snapshot-serving horizon is fenced at the
+	// newest timestamp recovery installed in it (RecoveryPut raised it), or
+	// at the published clock if that is higher: recovery rebuilds only the
+	// newest committed image of every key (version chains died with the
+	// DRAM, and checkpointed bases fold superseded versions away), so a
+	// reader still holding an older snapshot — one that began before the
+	// outage, or a PreferFollower session whose safe snapshot sits below a
+	// commit parked across this very outage — must get a retryable
+	// ErrSnapshotTooOld here instead of a silently missing version. Not the
+	// raw clock: a session begun now reads at the published one.
 	//
 	// A commit parked across the outage is among those images if its record
 	// made the flushed boundary: locally durable, on no replica until the
@@ -305,7 +307,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// on the parked commit — and fails with it if this disk is lost before a
 	// follower has the frame.
 	n.Commits.Restarted()
-	histFloor := c.Master.Oracle.Clock()
+	histFloor, _ := c.Master.Oracle.Published()
 	c.Master.rebind(replaced)
 	for _, old := range n.lostParts {
 		np := replaced[old]

@@ -1100,14 +1100,15 @@ func TestElectionOverUnflushedCoordinatorRecords(t *testing.T) {
 	})
 
 	t.Run("lease", func(t *testing.T) {
-		const commits = 100 // several grants of a 300-timestamp lease
+		const commits = 200 // several grants of a 300-timestamp lease, one timestamp a commit
 		w := newFailoverWorld(t, 300)
 		defer w.env.Close()
 		c, m := w.c, w.c.Master
 		leader := c.Nodes[0]
 		// Past the bootstrap grant's default-sized ceiling first, so that each
-		// later grant raises the highest ceiling any disk holds.
-		w.runCommits(t, defaultLeaseChunk/2+100)
+		// later grant raises the highest ceiling any disk holds. A commit
+		// consumes one timestamp: its snapshot is the published clock.
+		w.runCommits(t, defaultLeaseChunk+100)
 		var durable cc.Timestamp
 		leader.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
 			if rec.Type == wal.RecMLease {

@@ -84,7 +84,7 @@ func (w *failoverWorld) runCommits(t *testing.T, total int) []cc.Timestamp {
 func TestFailoverTimestampMonotonic(t *testing.T) {
 	const (
 		leaseChunk = 300 // just above leaseHeadroom: frequent lease grants
-		commits    = 600 // crosses several lease boundaries
+		commits    = 900 // crosses several lease boundaries, one timestamp a commit
 		sweepN     = 16
 		// The sweep's grid is fixed — sixteen instants evenly spaced over this
 		// span — so that a crash point keeps its subtest name when the commit

@@ -320,12 +320,13 @@ func sweepReplicatedCommit(t *testing.T) {
 				var from, to time.Duration
 				commitErr := commit(w, keys, &resolved, &from, &to)
 				// Two dependents per crash instant, started the moment the
-				// commit is past its commit point and unsettled (or when its
-				// window is over, if the crash came first): a reader homed on
-				// a node the commit never touches, and a writer on the
-				// commit's own home node whose record lands on the same log.
-				// Both read the left key and only the writer can be spared the
-				// wait. What they were told must hold after the restart too.
+				// commit is past its commit point, published and unsettled
+				// (or when its window is over, if the crash came first): a
+				// reader homed on a node the commit never touches, and a
+				// writer on the commit's own home node whose record lands on
+				// the same log. Both read the left key and only the writer can
+				// be spared the wait. What they were told must hold after the
+				// restart too.
 				deps := [2]struct {
 					saw  string
 					deps int
@@ -336,7 +337,7 @@ func sweepReplicatedCommit(t *testing.T) {
 					i, home := i, home
 					w.env.Spawn("dependent", func(p *sim.Proc) {
 						p.Sleep(10 * time.Millisecond)
-						for (txn == nil || !txn.Unsettled()) && p.Now() < end {
+						for (txn == nil || !txn.Unsettled() || txn.Commit > published(w.c)) && p.Now() < end {
 							p.Sleep(50 * time.Microsecond)
 						}
 						d := &deps[i]
@@ -1127,7 +1128,7 @@ func TestDependentFailsWithItsDependency(t *testing.T) {
 	f := w.commitInForce("t1", 10)
 	var t2Err error
 	w.env.Spawn("t2", func(p *sim.Proc) {
-		unsettledWithRecord(p, f, true)
+		landed(p, c, unsettledWithRecord(p, f, true))
 		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[1])
 		if got := w.read(p, t2, 10); got != "t1" {
 			t.Errorf("T2 read %q, want T1's unsettled value", got)
@@ -1211,6 +1212,7 @@ func TestReaderOfUndecidedDistributedCommit(t *testing.T) {
 			for t1 == nil || !t1.Unsettled() {
 				p.Sleep(50 * time.Microsecond)
 			}
+			landed(p, w.c, t1)
 			r := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
 			v, ok, err := r.Get(p, "kv", ik(idLeft))
 			if err != nil || !ok {
@@ -1267,6 +1269,7 @@ func TestReaderOfUndecidedDistributedCommit(t *testing.T) {
 				b.node.Commits.Add(cts, s.Txn)
 			}
 			w.env.Spawn("reader", func(rp *sim.Proc) {
+				landed(rp, w.c, s.Txn)
 				r := w.c.Master.Begin(rp, cc.SnapshotIsolation, w.n2)
 				v, ok, err := r.Get(rp, "kv", ik(idRight))
 				if err != nil || !ok {
@@ -1394,6 +1397,7 @@ func TestRestartVoidsTheSameLogExemption(t *testing.T) {
 	finished := false
 	w.runFor(func(p *sim.Proc) {
 		t1 := unsettledWithRecord(p, f, true)
+		landed(p, c, t1)
 		t2 := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[3])
 		if got := w.read(p, t2, 10); got != "t1" || len(t2.Txn.Deps) != 1 {
 			t.Errorf("T2 read %q with dependencies %v, want T1's value and T1", got, t2.Txn.Deps)

@@ -49,6 +49,9 @@ type Master struct {
 	// carry table names, not schema definitions, and a new leader
 	// reconstructs TableMeta objects from this registry.
 	schemas map[string]*table.Schema
+
+	// pub spreads the oracle's view to every node (publish.go).
+	pub *publisher
 }
 
 // txnDecision is one remembered commit verdict: the commit timestamp and

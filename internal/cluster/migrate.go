@@ -421,17 +421,26 @@ func retryConflict(p *sim.Proc, err error) error {
 }
 
 // snapshotsPast reports whether every snapshot, present or future, reads
-// above horizon — the old copies of a moved range are then unreachable. With
-// nothing active the watermark equals the oracle's clock, which can sit
-// exactly at the horizon forever on a quiesced cluster, yet any future
-// snapshot begins above it. Not so while a commit is unsettled: safe
-// snapshots stay below it, and a commit parked across its node's outage keeps
-// PreferFollower sessions reading at or below the horizon for as long as it
-// parks. (The active table holds every transaction's safe snapshot, so the
-// watermark speaks for the ones reading at Begin too.)
+// above horizon — the old copies of a moved range are then unreachable. The
+// watermark bounds both: the active table holds every transaction's safe
+// snapshot (so it speaks for the ones reading at Begin too), and a future
+// snapshot begins at the published view, whose safe snapshot the watermark
+// includes. While a commit is unsettled safe snapshots stay below it, and a
+// commit parked across its node's outage keeps PreferFollower sessions
+// reading at or below the horizon for as long as it parks. With nothing
+// committing, the published clock can sit at the horizon forever — on a
+// quiesced cluster, or under a read-only load; then one timestamp is issued,
+// and once its publication has landed and the snapshots begun before it have
+// ended, a poll passes.
 func (m *Master) snapshotsPast(horizon cc.Timestamp) bool {
 	o := m.Oracle
-	return o.ActiveCount() == 0 && o.UnsettledCount() == 0 || o.Watermark() > horizon
+	if o.Watermark() > horizon {
+		return true
+	}
+	if pub, _ := o.Published(); pub <= horizon && o.UnsettledCount() == 0 {
+		o.Advance()
+	}
+	return false
 }
 
 // scheduleOldPointerCleanup drops the dual pointer and vacuums the source

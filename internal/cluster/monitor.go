@@ -35,6 +35,11 @@ type Monitor struct {
 
 	inDecision bool
 
+	// RefusedScaleIns counts the scale-ins whose victim refused to power off:
+	// it still held data, or followed a live origin's log (DataNode.PowerOff).
+	// The victim stays active, and a later tick may pick it again.
+	RefusedScaleIns int
+
 	// OnSample, when set, receives every collected sample.
 	OnSample func(at time.Duration, util map[int]float64)
 }
@@ -92,7 +97,9 @@ func (mon *Monitor) tick(p *sim.Proc) {
 				if mon.policy.OnScaleIn != nil {
 					mon.policy.OnScaleIn(sp, victim)
 				}
-				victim.PowerOff(sp) // fails (and is skipped) if data remains
+				if victim.PowerOff(sp) != nil {
+					mon.RefusedScaleIns++
+				}
 			})
 		}
 	}

@@ -569,6 +569,7 @@ func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64
 	m.epoch++
 	m.failovers++
 	m.graceUntil = m.cluster.Env.Now() + failoverGrace
+	m.pub.poke()
 	m.logSnapshot()
 	m.reconcile()
 }

@@ -16,7 +16,7 @@ import (
 // partitions owned elsewhere pay request/response network trips, and commit
 // runs two-phase when multiple nodes were written.
 //
-// The snapshot is the oracle's clock at Begin, so a read may return a version
+// The snapshot is the published clock at Begin, so a read may return a version
 // whose commit is still in its force; the session then depends on that commit
 // (Txn.Deps). What a session read is final when its Commit returns nil and at
 // no earlier point — a read-only session's too: Commit is what settles the
@@ -60,11 +60,14 @@ type Session struct {
 	PreferFollower bool
 }
 
-// Begin starts a transaction executing at home. The timestamp comes from
-// the master's oracle; starting from another node pays the coordination
-// round trip. The session's bookkeeping maps are allocated on first write
-// or lock, keeping transaction setup map-free (TestSessionSetupAllocs pins
-// this).
+// Begin starts a transaction executing at home. A snapshot-isolation
+// transaction takes its snapshot from the oracle's published view, which
+// every node holds, so it sends no message at any home; that view covers
+// every commit acknowledged so far (publish.go). A locking transaction needs
+// a fresh timestamp from the master's oracle, and starting it away from the
+// master's node pays the coordination round trip. The session's bookkeeping
+// maps are allocated on first write or lock, keeping transaction setup
+// map-free (TestSessionSetupAllocs pins this).
 func (m *Master) Begin(p *sim.Proc, mode cc.Mode, home *DataNode) *Session {
 	// A fenced coordinator (or one whose lease cannot replicate) admits no
 	// new transactions: the session is born aborted and the caller sees
@@ -73,7 +76,7 @@ func (m *Master) Begin(p *sim.Proc, mode cc.Mode, home *DataNode) *Session {
 	if m.commitGate(p) != nil {
 		return &Session{m: m, Txn: &cc.Txn{Mode: mode, State: cc.TxnAborted}, Home: home, fenced: true}
 	}
-	if home != m.Node {
+	if mode == cc.Locking && home != m.Node {
 		m.cluster.Net.Transfer(p, home.ID, m.Node.ID, 32)
 		m.cluster.Net.Transfer(p, m.Node.ID, home.ID, 32)
 	}
@@ -517,7 +520,11 @@ func (s *Session) mergedScan(p *sim.Proc, e *RangeEntry, lo, hi []byte, fn func(
 //
 // Before any of that, the unsettled commits the transaction observed are
 // settled (settleDeps): nothing below returns nil over a read that a power
-// failure can still take back.
+// failure can still take back. After all of it, a writer's acknowledgment
+// waits until the published view covers its commit timestamp
+// (awaitPublished), after the locks are released on one node and after phase
+// 2 is spawned on several; the publication left at the commit point, so the
+// force has usually outlasted it.
 func (s *Session) Commit(p *sim.Proc) error {
 	if !s.Txn.Active() {
 		return cc.ErrTxnNotActive
@@ -608,6 +615,8 @@ func (s *Session) Commit(p *sim.Proc) error {
 			}
 		}
 		s.m.Oracle.SettleCommit(s.Txn)
+		s.releaseLocks()
+		s.Txn.DropUndo()
 	} else {
 		// The coordinator forces its decision record before any participant
 		// installs: from here the transaction commits everywhere, no matter
@@ -628,10 +637,13 @@ func (s *Session) Commit(p *sim.Proc) error {
 			s.releaseLocks()
 			s.Txn.DropUndo()
 		})
-		return nil
 	}
-	s.releaseLocks()
-	s.Txn.DropUndo()
+	// The acknowledgment waits until every node holds commitTS: a snapshot
+	// begun anywhere after it returns covers the commit. A locking reader
+	// stamped nothing and has nothing to wait for.
+	if len(branches) > 0 {
+		s.m.awaitPublished(p, commitTS)
+	}
 	return nil
 }
 

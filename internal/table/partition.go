@@ -263,10 +263,11 @@ func (pt *Partition) lock(p *sim.Proc, txn *cc.Txn, name string, mode cc.LockMod
 }
 
 // RaiseHistoryFloor lifts the snapshot-serving horizon to ts (never lowers
-// it). Recovery calls it after rebuilding the partition from its base and the
-// log: everything at or above ts reads the newest image of every key and
-// resolves correctly; anything below might need pre-crash history that died
-// with the DRAM.
+// it). Every recovery install raises it to the image's timestamp, and a
+// restart may raise it further once the partition is rebuilt from its base
+// and the log: everything at or above the floor reads the newest image of
+// every key and resolves correctly; anything below might need pre-crash
+// history that died with the DRAM.
 func (pt *Partition) RaiseHistoryFloor(ts cc.Timestamp) {
 	if ts > pt.histFloor {
 		pt.histFloor = ts

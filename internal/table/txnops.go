@@ -388,6 +388,9 @@ func (pt *Partition) Vacuum(p *sim.Proc, watermark cc.Timestamp) (int, error) {
 
 // RecoveryPut implements wal.Target: raw install bypassing CC.
 func (pt *Partition) RecoveryPut(p *sim.Proc, key, val []byte) error {
+	if v, err := DecodeValue(val); err == nil {
+		pt.RaiseHistoryFloor(v.TS)
+	}
 	_, err := pt.treePut(p, key, val, 0)
 	return err
 }
@@ -403,6 +406,7 @@ func (pt *Partition) RecoveryDelete(p *sim.Proc, key []byte) error {
 // tombstones (registered for vacuum), exactly as a live commit would.
 func (pt *Partition) RecoveryInstall(p *sim.Proc, key, val []byte, ts cc.Timestamp, deleted bool) error {
 	v := cc.Version{TS: ts, Deleted: deleted, Val: bytes.Clone(val)}
+	pt.RaiseHistoryFloor(ts)
 	if _, err := pt.treePut(p, key, EncodeValue(v), 0); err != nil {
 		return err
 	}
