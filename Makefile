@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -97,6 +97,25 @@ ledger-pair:
 ledger-seeds:
 	@test -n "$(PARENT)" || { echo 'usage: make ledger-seeds PARENT=<rev> [SEEDS="2 3 4 5 6"]'; exit 2; }
 	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -seeds "$(if $(filter command line,$(origin SEEDS)),$(SEEDS),2 3 4 5 6)"
+
+## chaos-diff: one wattdb-chaos sweep (SEEDS seeds, ARGS passed through,
+## e.g. ARGS="-tpcc -coord 3") on PARENT and on the working tree, side by
+## side, then every seed whose scheme, verdict or state hash differs. PARENT
+## is unpacked with git archive under .bench_build/chaos-parent for the
+## build. Exits 1 when any seed differs — "no hash moved" is its clean exit
+chaos-diff:
+	@test -n "$(PARENT)" || { echo 'usage: make chaos-diff PARENT=<rev> [SEEDS=N] [ARGS="-tpcc -coord 3"]'; exit 2; }
+	@rm -rf .bench_build/chaos-parent && mkdir -p .bench_build/chaos-parent
+	@git archive $(PARENT) | tar -x -C .bench_build/chaos-parent
+	@cd .bench_build/chaos-parent && $(GO) build -o ../chaos-parent.bin ./cmd/wattdb-chaos
+	@rm -rf .bench_build/chaos-parent
+	@$(GO) build -o .bench_build/chaos-change.bin ./cmd/wattdb-chaos
+	@for side in parent change; do \
+		.bench_build/chaos-$$side.bin $(ARGS) -seeds $(SEEDS) | awk '/^seed=/ {print $$1, $$2, $$3, $$4}' > .bench_build/chaos-$$side.txt & \
+	done; wait
+	@awk 'NR == FNR { p[$$1] = $$0; next } { n++; if (p[$$1] != $$0) { d++; print "parent: " p[$$1]; print "change: " $$0 } } \
+		END { printf "chaos-diff PARENT=%s ARGS=\"%s\": %d of %d seeds differ\n", "$(PARENT)", "$(ARGS)", d, n; exit (d > 0) }' \
+		.bench_build/chaos-parent.txt .bench_build/chaos-change.txt
 
 ## chaos: sweep the deterministic fault-injection harness over SEEDS seeds
 ## (schemes rotate per seed); any failing seed prints a one-line repro

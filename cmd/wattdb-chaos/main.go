@@ -25,15 +25,12 @@ func main() {
 	seeds := flag.Int("seeds", 0, "run seeds 1..N (schemes rotate per seed)")
 	seed := flag.Int64("seed", 1, "single seed to run (ignored when -seeds is set)")
 	schemeFlag := flag.String("scheme", "", "partitioning scheme: physical, logical, physiological (default: rotate by seed)")
-	keys := flag.Int("keys", 0, "key-space size (default 400)")
-	workers := flag.Int("workers", 0, "workload processes (default 4)")
 	duration := flag.Duration("duration", 0, "simulated workload window (default 45s)")
-	faults := flag.Int("faults", 0, "extra random fault events (default 4)")
 	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration; above 1 the first is aimed at the leader's next clock publication, and each one beyond the first adds a crash aimed at a lease or decision a follower holds ahead of the leader)")
 	disk := flag.Int("disk", 0, "extra disk-loss + acked-rot fault pairs (default 1; every plan already destroys one disk and bit-rots one flushed frame)")
 	ckpt := flag.Int("ckpt", 0, "extra mid-checkpoint crash faults (default 1; every plan already power-fails one node partway through a fuzzy checkpoint)")
 	htap := flag.Int("htap", 0, "concurrent HTAP analytics readers running validated scan-aggregate snapshot queries (default 1; -1 disables)")
-	tpccMode := flag.Bool("tpcc", false, "run the TPC-C workload with the warehouse-invariant oracle (ignores -keys)")
+	tpccMode := flag.Bool("tpcc", false, "run the TPC-C workload with the warehouse-invariant oracle")
 	verbose := flag.Bool("v", false, "print the fault schedule of every run")
 	rerun := flag.Bool("rerun", false, "run every seed twice and fail it when the two state hashes differ")
 	flag.Parse()
@@ -73,10 +70,7 @@ func main() {
 		cfg := chaos.Config{
 			Seed:        s,
 			Scheme:      scheme,
-			Keys:        *keys,
-			Workers:     *workers,
 			Duration:    *duration,
-			Faults:      *faults,
 			CoordFaults: *coord,
 			DiskFaults:  *disk,
 			CkptFaults:  *ckpt,

@@ -63,18 +63,8 @@ const (
 type Config struct {
 	Seed   int64
 	Scheme table.Scheme
-	// Nodes is the cluster size; the key space is split across nodes 0 and
-	// 1, later nodes are migration targets. Minimum 3.
-	Nodes int
-	// Keys is the key-space size [0, Keys).
-	Keys int
-	// Workers is the number of concurrent workload processes.
-	Workers int
 	// Duration is the simulated workload window; faults land inside it.
 	Duration time.Duration
-	// Faults is the number of random fault events drawn on top of the
-	// always-present crash-during-migration sequence.
-	Faults int
 	// CoordFaults is the number of random coordinator power-fails drawn on
 	// top of the always-present mid-migration coordinator crash. The master
 	// runs replicated (two follower replicas) and every run must fail over
@@ -101,23 +91,20 @@ type Config struct {
 	HTAP int
 }
 
+// The shape every run shares: the cluster size (the key space is split
+// across nodes 0 and 1, later nodes are migration targets), the KV key space
+// [0, kvKeys), the concurrent workload processes, and the random fault
+// events drawn on top of the always-present crash-during-migration sequence.
+const (
+	clusterNodes = 4
+	kvKeys       = 400
+	workers      = 4
+	randomFaults = 4
+)
+
 func (c Config) withDefaults() Config {
-	if c.Nodes < 3 {
-		c.Nodes = 4
-	}
-	if c.Keys <= 0 {
-		c.Keys = 400
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.Duration <= 0 {
 		c.Duration = 45 * time.Second
-	}
-	if c.Faults < 0 {
-		c.Faults = 0
-	} else if c.Faults == 0 {
-		c.Faults = 4
 	}
 	if c.CoordFaults < 0 {
 		c.CoordFaults = 0
@@ -356,7 +343,7 @@ func run(cfg Config, w workload) (*Report, error) {
 	defer env.Close()
 
 	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = cfg.Nodes
+	ccfg.Nodes = clusterNodes
 	ccfg.MasterReplicas = 2
 	ccfg.DataReplicas = 2
 	c := cluster.New(env, ccfg)

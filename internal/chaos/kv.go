@@ -35,7 +35,7 @@ func (kv *kvWorkload) deploy(h *harness) error {
 		ID: 1, Name: "kv", KeyCols: 1,
 		Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
 	}
-	mid := kvKey(int64(kv.cfg.Keys / 2))
+	mid := kvKey(kvKeys / 2)
 	_, err := kv.master.CreateTable(kv.schema, kv.cfg.Scheme, []cluster.RangeSpec{
 		{Low: nil, High: mid, Owner: kv.c.Nodes[0]},
 		{Low: mid, High: nil, Owner: kv.c.Nodes[1]},
@@ -46,7 +46,7 @@ func (kv *kvWorkload) deploy(h *harness) error {
 func (kv *kvWorkload) load(p *sim.Proc) error {
 	i := 0
 	return kv.master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
-		if i >= kv.cfg.Keys {
+		if i >= kvKeys {
 			return nil, nil, false
 		}
 		key := int64(i)
@@ -63,7 +63,7 @@ func (kv *kvWorkload) load(p *sim.Proc) error {
 // spawnClients starts the workers, the analytics readers and the power
 // sampler, in that order.
 func (kv *kvWorkload) spawnClients() {
-	for w := 0; w < kv.cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		kv.spawnWorker(w)
 	}
 	for q := 0; q < kv.cfg.HTAP; q++ {
@@ -75,8 +75,7 @@ func (kv *kvWorkload) spawnClients() {
 // plan moves the third quarter of the key space to the first spare node in
 // every run, and the first quarter to the last node when the seed draws it.
 func (kv *kvWorkload) plan() []faultEvent {
-	keys := int64(kv.cfg.Keys)
-	return buildPlan(kv.cfg, 0x5eed_c8a0_5eed_c8a0, migration{keys / 2, 3 * keys / 4}, migration{0, keys / 4})
+	return buildPlan(kv.cfg, 0x5eed_c8a0_5eed_c8a0, migration{kvKeys / 2, 3 * kvKeys / 4}, migration{0, kvKeys / 4})
 }
 
 func (kv *kvWorkload) tables() []string { return []string{"kv"} }
@@ -120,7 +119,7 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 		nOps := 1 + rng.Intn(3)
 		var writes []kvWrite
 		for i := 0; i < nOps; i++ {
-			k := int64(rng.Intn(kv.cfg.Keys))
+			k := int64(rng.Intn(kvKeys))
 			if rng.Intn(8) == 0 {
 				if err := s.Delete(p, "kv", kvKey(k)); err != nil {
 					kv.failOp(p, s)
@@ -158,7 +157,7 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 		nOps := 2 + rng.Intn(3)
 		var seen []readObs
 		for i := 0; i < nOps; i++ {
-			k := int64(rng.Intn(kv.cfg.Keys))
+			k := int64(rng.Intn(kvKeys))
 			v, ok, err := s.Get(p, "kv", kvKey(k))
 			if err != nil {
 				kv.failOp(p, s)
@@ -183,10 +182,10 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 		kv.rep.Reads += len(seen)
 	default: // range scan
 		span := int64(10 + rng.Intn(30))
-		lo := int64(rng.Intn(kv.cfg.Keys))
+		lo := int64(rng.Intn(kvKeys))
 		hi := lo + span
-		if hi > int64(kv.cfg.Keys) {
-			hi = int64(kv.cfg.Keys)
+		if hi > kvKeys {
+			hi = kvKeys
 		}
 		obs := scanObs{at: p.Now(), snap: s.Txn.Begin, lo: lo, hi: hi}
 		err := s.Scan(p, "kv", kvKey(lo), kvKey(hi), func(kb, v []byte) bool {
@@ -233,7 +232,7 @@ func (kv *kvWorkload) spawnAnalytics(q int) {
 			}
 			s := kv.begin(p, home)
 			s.PreferFollower = q%2 == 0
-			obs := scanObs{at: p.Now(), lo: 0, hi: int64(kv.cfg.Keys)}
+			obs := scanObs{at: p.Now(), lo: 0, hi: kvKeys}
 			err := s.Scan(p, "kv", nil, nil, func(kb, v []byte) bool {
 				k, _, _ := keycodec.DecodeInt64(kb)
 				row, derr := kv.schema.DecodeRow(v)

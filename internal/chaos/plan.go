@@ -53,7 +53,6 @@ type migration struct{ loK, hiK int64 }
 type planner struct {
 	*rand.Rand
 	window time.Duration
-	nodes  int
 }
 
 // downTime draws how long a crashed node stays off.
@@ -79,7 +78,7 @@ func (pl planner) midHalf() time.Duration {
 // spawnExecutor): anywhere else it would shift every later draw and change
 // every plan there is.
 func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
-	pl := planner{rand.New(rand.NewSource(cfg.Seed ^ salt)), cfg.Duration, cfg.Nodes}
+	pl := planner{rand.New(rand.NewSource(cfg.Seed ^ salt)), cfg.Duration}
 	aimPublish := cfg.CoordFaults > 1
 	classes := []struct {
 		n    int
@@ -135,7 +134,7 @@ func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 		// must fall back to the previous complete begin/end pair.
 		{cfg.CkptFaults, pl.ckptCrash},
 		// The random tail: any class, at any instant.
-		{cfg.Faults, func() []faultEvent { return pl.random(second) }},
+		{randomFaults, func() []faultEvent { return pl.random(second) }},
 		// The dependency crash.
 		{1, pl.depCrash},
 		// Coordinator power failures aimed at the window a leader's overlapped
@@ -167,12 +166,12 @@ func (pl planner) random(second migration) []faultEvent {
 	var ev faultEvent
 	switch pl.Intn(8) {
 	case 0:
-		ev = faultEvent{at: at, kind: faultCrash, node: pl.Intn(pl.nodes), dur: pl.downTime()}
+		ev = faultEvent{at: at, kind: faultCrash, node: pl.Intn(clusterNodes), dur: pl.downTime()}
 	case 1:
 		ev = faultEvent{
 			at:    at,
 			kind:  faultDiskStall,
-			node:  pl.Intn(pl.nodes),
+			node:  pl.Intn(clusterNodes),
 			disk:  pl.Intn(3),
 			extra: time.Duration(2+pl.Intn(8)) * time.Millisecond,
 			dur:   time.Duration(3+pl.Intn(5)) * time.Second,
@@ -185,11 +184,11 @@ func (pl planner) random(second migration) []faultEvent {
 			dur:   time.Duration(2+pl.Intn(4)) * time.Second,
 		}
 	case 3:
-		ev = faultEvent{at: at, kind: faultMigrate, loK: second.loK, hiK: second.hiK, target: pl.nodes - 1}
+		ev = faultEvent{at: at, kind: faultMigrate, loK: second.loK, hiK: second.hiK, target: clusterNodes - 1}
 	case 4:
-		ev = pl.tornCrash(at, faultCrashTorn, pl.nodes)
+		ev = pl.tornCrash(at, faultCrashTorn, clusterNodes)
 	case 5:
-		ev = pl.tornCrash(at, faultCrashFlip, pl.nodes)
+		ev = pl.tornCrash(at, faultCrashFlip, clusterNodes)
 	case 6:
 		ev = pl.destroyDisk(at)
 	case 7:
@@ -217,7 +216,7 @@ func (pl planner) tornCrash(at time.Duration, kind faultKind, nodes int) faultEv
 // log medium and recovery bases, and restart it after dur — the restart must
 // rebuild every hosted partition from the node's replica set.
 func (pl planner) destroyDisk(at time.Duration) faultEvent {
-	return faultEvent{at: at, kind: faultDestroyDisk, node: pl.Intn(pl.nodes), dur: pl.downTime()}
+	return faultEvent{at: at, kind: faultDestroyDisk, node: pl.Intn(clusterNodes), dur: pl.downTime()}
 }
 
 // rotAcked builds one acked-history bit-rot event: flip a bit inside a
@@ -238,7 +237,7 @@ func (pl planner) ckptCrash() []faultEvent {
 	return []faultEvent{{
 		at:   pl.midHalf(),
 		kind: faultCkptCrash,
-		node: pl.Intn(pl.nodes),
+		node: pl.Intn(clusterNodes),
 		hit:  pl.Intn(8),
 		dur:  pl.downTime(),
 	}}

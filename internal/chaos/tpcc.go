@@ -74,7 +74,7 @@ func (tp *tpccWorkload) deploy(h *harness) error {
 func (tp *tpccWorkload) load(p *sim.Proc) error { return tp.dep.Load(p) }
 
 func (tp *tpccWorkload) spawnClients() {
-	for w := 0; w < tp.cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		tp.spawnWorker(w)
 	}
 	for q := 0; q < tp.cfg.HTAP; q++ {

@@ -140,66 +140,37 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 	return st, nil
 }
 
-// ckptScan is the checkpoint's analysis instant: one pass over the retained
-// log and the buffer pool's dirty-page table, charging no simulated time.
-// It returns the encoded-payload checkpoint and the truncation floor, or nil
-// when the log is unreadable (a concurrent crash).
+// ckptScan is the checkpoint's analysis instant: one wal.Analysis of the
+// retained log — the transaction table restart replays by — and the buffer
+// pool's dirty-page table, charging no simulated time. It returns the
+// encoded-payload checkpoint and the truncation floor, or nil when the log
+// is unreadable (a concurrent crash).
+//
+// A transaction in flight pins the redo point at its first LSN — unless its
+// first record predates the last restart (deadBelow): such a transaction
+// died with a crash, its effects were never replayed into the fresh
+// partitions, and it will never resolve, so it must not pin retention
+// forever.
 func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) {
 	recs, err := n.Log.Iter().All()
 	if err != nil {
 		return nil, 0
 	}
-
-	// Transaction table. A transaction with records but no commit or abort is
-	// in flight and pins the redo point at its first LSN — unless its first
-	// record predates the last restart (deadBelow): such a transaction died
-	// with a crash, its effects were never replayed into the fresh partitions,
-	// and it will never resolve, so it must not pin retention forever.
-	type txState struct {
-		first    uint64
-		parts    map[uint64]bool
-		resolved bool
-	}
-	txns := make(map[cc.TxnID]*txState)
-	committed := make(map[cc.TxnID]bool)
-	for i := range recs {
-		r := &recs[i]
-		if r.Txn == 0 {
-			continue
-		}
-		switch r.Type {
-		case wal.RecUpdate, wal.RecInsert, wal.RecDelete,
-			wal.RecPrepare, wal.RecPrepDML, wal.RecPrepDel:
-			st := txns[r.Txn]
-			if st == nil {
-				st = &txState{first: r.LSN, parts: make(map[uint64]bool)}
-				txns[r.Txn] = st
-			}
-			if r.Type != wal.RecPrepare {
-				st.parts[r.Part] = true
-			}
-		case wal.RecCommit, wal.RecAbort:
-			if st := txns[r.Txn]; st != nil {
-				st.resolved = true
-			}
-			if r.Type == wal.RecCommit {
-				committed[r.Txn] = true
-			}
-		}
-	}
-	inflight := make([]cc.TxnID, 0, len(txns))
-	for id, st := range txns {
-		if !st.resolved && st.first >= n.deadBelow {
-			inflight = append(inflight, id)
-		}
-	}
-	sort.Slice(inflight, func(i, j int) bool { return inflight[i] < inflight[j] })
+	a := wal.NewAnalysis(recs)
+	// An in-flight transaction pins the redo point of every partition it
+	// touched, and the GLOBAL redo point even when it touched no hosted
+	// partition (a bare prepare vote): its records — the prepare in
+	// particular — must survive truncation for in-doubt detection at the next
+	// restart.
+	ck := &wal.Checkpoint{Begin: begin, Redo: begin}
 	partTxnMin := make(map[uint64]uint64) // partition -> min in-flight first LSN
-	for _, id := range inflight {
-		st := txns[id]
-		for part := range st.parts {
-			if cur, ok := partTxnMin[part]; !ok || st.first < cur {
-				partTxnMin[part] = st.first
+	for _, id := range a.InFlightSince(n.deadBelow) {
+		t := a.Txn(id)
+		ck.Txns = append(ck.Txns, wal.CkptTxn{Txn: id, First: t.First})
+		ck.Redo = min(ck.Redo, t.First)
+		for _, part := range t.Parts {
+			if cur, ok := partTxnMin[part]; !ok || t.First < cur {
+				partTxnMin[part] = t.First
 			}
 		}
 	}
@@ -211,7 +182,6 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ck := &wal.Checkpoint{Begin: begin, Redo: begin}
 	redoOf := make(map[uint64]uint64, len(ids))
 	for _, id := range ids {
 		redo := begin
@@ -225,22 +195,10 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 		}
 		ck.Parts = append(ck.Parts, wal.CkptPart{ID: uint64(id), Redo: redo})
 		redoOf[uint64(id)] = redo
-		if redo < ck.Redo {
-			ck.Redo = redo
-		}
-	}
-	for _, id := range inflight {
-		ck.Txns = append(ck.Txns, wal.CkptTxn{Txn: id, First: txns[id].first})
-		// An in-flight transaction pins the GLOBAL redo point even when it
-		// touched no hosted partition (a bare prepare vote): its records —
-		// the prepare in particular — must survive truncation for in-doubt
-		// detection at the next restart.
-		if f := txns[id].first; f < ck.Redo {
-			ck.Redo = f
-		}
+		ck.Redo = min(ck.Redo, redo)
 	}
 
-	c.refreshBases(n, recs, committed, redoOf)
+	c.refreshBases(n, recs, a, redoOf)
 
 	// Truncation floor: global redo capped by the retention floors. The
 	// coordinator history on this log matters only while an election may
@@ -266,11 +224,12 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 // refreshBases folds the latest committed image of every key whose newest
 // record falls below its partition's redo point into the in-memory recovery
 // base (modeled durable, like the bulk-load and adoption images), so replay
-// can skip everything below the redo point. Images come from committed DML
-// and RecBase records; prepare-time images are excluded — a resolved in-doubt
-// branch re-logs its roll-forward as ordinary committed DML (closeInDoubt),
-// and an unresolved one pins the redo point above itself.
-func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, committed map[cc.TxnID]bool, redoOf map[uint64]uint64) {
+// can skip everything below the redo point. Images come from RecBase records
+// and the DML of the analysis's winners — the transactions a restart would
+// redo; prepare-time images are excluded — a resolved in-doubt branch re-logs
+// its roll-forward as ordinary committed DML (closeInDoubt), and an
+// unresolved one pins the redo point above itself.
+func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, a *wal.Analysis, redoOf map[uint64]uint64) {
 	type img struct {
 		lsn uint64
 		val []byte
@@ -293,7 +252,7 @@ func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, committed map[cc.
 		case wal.RecBase:
 			note(r.Part, r.Key, r.LSN, r.After)
 		case wal.RecUpdate, wal.RecInsert, wal.RecDelete:
-			if committed[r.Txn] {
+			if a.Winner(r.Txn) {
 				note(r.Part, r.Key, r.LSN, r.After)
 			}
 		}

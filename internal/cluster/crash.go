@@ -154,13 +154,14 @@ func (c *Cluster) doCrash(n *DataNode, tear, flip int) int {
 // RestartNode boots a crashed node and recovers its partitions: pay the
 // boot time, CRC-scan the durable log bytes (truncating any torn or
 // bit-rotted tail a power failure left mid-device-write), rebuild every
-// lost partition from its recovery base, resolve prepared-but-undecided
-// transactions against the coordinator (roll forward from the prepare-time
-// log or roll back under presumed abort), replay the durable WAL decoded
-// from its segment bytes (REDO committed work, UNDO losers) — each hosted
-// partition from its last-checkpoint redo point, in parallel — then
-// atomically swap the rebuilt partitions into the master's partition table
-// and the node's registry. It returns the replay counts; n.LastRecovery
+// lost partition from its recovery base, build one wal.Analysis of the
+// durable log, resolve its in-doubt transactions against the coordinator
+// (roll forward from the prepare-time log or roll back under presumed
+// abort), replay the log through that analysis (REDO winners, UNDO losers)
+// — each hosted partition from its last-checkpoint redo point, in parallel
+// — then atomically swap the rebuilt partitions into the master's partition
+// table and the node's registry, and ack the coordinator decisions the
+// analysis shows closed. It returns the replay counts; n.LastRecovery
 // records the full RTO breakdown.
 func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err error) {
 	if !n.crashed {
@@ -230,28 +231,29 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 			}
 		}
 	}
-	// In-doubt resolution: a transaction with a durable prepare vote but no
-	// local commit or abort record was cut down between its vote and its
-	// commit record. The analysis pass decodes the durable log from its
-	// segment bytes (Restart already truncated any damaged tail), then
-	// queries the coordinator for each in-doubt transaction (ascending
-	// transaction ID for determinism): a known decision rolls the branch
-	// forward at the decided timestamp; an unknown transaction is presumed
-	// aborted.
+	// One analysis pass decodes the durable log from its segment bytes
+	// (Restart already truncated any damaged tail) and builds the transaction
+	// table that the in-doubt resolution, the replay and the outstanding-
+	// decision acks below all read. In-doubt resolution: a transaction with a
+	// durable prepare vote but no local commit or abort record was cut down
+	// between its vote and its commit record; the coordinator is queried for
+	// each (ascending transaction ID for determinism): a known decision rolls
+	// the branch forward at the decided timestamp, an unknown transaction is
+	// presumed aborted.
 	recs, err := n.Log.Iter().All()
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: node %d log scan: %w", n.ID, err)
 	}
-	inDoubt, decisions := c.resolveInDoubt(p, n, recs)
+	a := wal.NewAnalysis(recs)
+	inDoubt := c.resolveInDoubt(p, n, a)
 	// Replay hosted partitions in parallel: one simulation process per
-	// partition over one shared analysis pass, each starting at its
-	// checkpoint redo point (0 — the recovery base — when no checkpoint
-	// covers it). Records for partitions that no longer exist (fully
-	// migrated away, dropped replicas) simply match no replay and are
-	// skipped: their data lives elsewhere now. Spawn order, the merge
-	// below, and error selection all follow ascending partition ID, so the
-	// parallel replay stays deterministic for the chaos state hash.
-	a := wal.NewAnalysis(recs, decisions)
+	// partition over the shared analysis, each starting at its checkpoint
+	// redo point (0 — the recovery base — when no checkpoint covers it).
+	// Records for partitions that no longer exist (fully migrated away,
+	// dropped replicas) simply match no replay and are skipped: their data
+	// lives elsewhere now. Spawn order, the merge below, and error selection
+	// all follow ascending partition ID, so the parallel replay stays
+	// deterministic for the chaos state hash.
 	stats := make([]wal.ReplayStats, len(n.lostParts))
 	errs := make([]error, len(n.lostParts))
 	froms := make([]uint64, len(n.lostParts))
@@ -284,7 +286,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	if err != nil {
 		return redone, undone, err
 	}
-	c.closeInDoubt(p, n, recs, targets, inDoubt, decisions)
+	c.closeInDoubt(p, n, a, targets, inDoubt)
 
 	// Swap-in. No blocking calls below: routing flips from the dead
 	// partitions to the recovered ones in one simulation instant.
@@ -321,14 +323,14 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	}
 	n.lostParts = nil
 	n.crashed = false
-	// Decisions still charged to this node whose branches its durable log
+	// Decisions still charged to this node whose branches the analysed log
 	// shows resolved are acked with the in-doubt ones after the epilogue
 	// (ackResolved): the node died between its commit record's force and the
 	// ack (a replicated branch waits for a follower in between), or the ack
 	// was in flight — or unforced and lost — when a leader died, and the
 	// rebuilt decision map still lists them.
 	for _, id := range c.Master.outstandingDecisionsFor(n.ID) {
-		if branchResolvedIn(recs, id) {
+		if resolved, _ := a.Resolved(id); resolved {
 			inDoubt = append(inDoubt, id)
 		}
 	}
@@ -378,38 +380,13 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	return redone, undone, nil
 }
 
-// resolveInDoubt scans the durable log for prepared transactions lacking a
-// local commit or abort record and queries the coordinator for each
-// (ascending transaction ID so the network charges are deterministic). The
-// returned decision map feeds the WAL replay; the in-doubt list feeds
-// closeInDoubt after the replay succeeded.
-func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record) ([]cc.TxnID, map[cc.TxnID]wal.Decision) {
-	type txState struct{ prepared, decided bool }
-	states := make(map[cc.TxnID]*txState)
-	state := func(id cc.TxnID) *txState {
-		st, ok := states[id]
-		if !ok {
-			st = &txState{}
-			states[id] = st
-		}
-		return st
-	}
-	for i := range recs {
-		switch recs[i].Type {
-		case wal.RecPrepare:
-			state(recs[i].Txn).prepared = true
-		case wal.RecCommit, wal.RecAbort:
-			state(recs[i].Txn).decided = true
-		}
-	}
-	var inDoubt []cc.TxnID
-	for id, st := range states {
-		if st.prepared && !st.decided {
-			inDoubt = append(inDoubt, id)
-		}
-	}
-	sort.Slice(inDoubt, func(i, j int) bool { return inDoubt[i] < inDoubt[j] })
-	decisions := make(map[cc.TxnID]wal.Decision, len(inDoubt))
+// resolveInDoubt queries the coordinator for each of the analysis's in-doubt
+// transactions (ascending transaction ID so the network charges are
+// deterministic) and records every commit verdict in the analysis, which
+// the WAL replay then rolls forward. The in-doubt list feeds closeInDoubt
+// after the replay succeeded.
+func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis) []cc.TxnID {
+	inDoubt := a.InDoubt()
 	if len(inDoubt) > 0 {
 		// Under replication an in-doubt query must wait out a coordinator
 		// failover and its presumed-abort grace window: a "no decision"
@@ -424,10 +401,10 @@ func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record) ([
 			c.Net.Transfer(p, c.Master.Node.ID, n.ID, 32)
 		}
 		if ts, ok := c.Master.InDoubtDecision(id); ok {
-			decisions[id] = wal.Decision{TS: ts}
+			a.Decide(id, wal.Decision{TS: ts})
 		}
 	}
-	return inDoubt, decisions
+	return inDoubt
 }
 
 // closeInDoubt makes the in-doubt resolution locally durable, so a later
@@ -436,19 +413,15 @@ func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record) ([
 // images as ordinary committed DML under its commit record, a rolled-back
 // branch logs an abort record, and one force covers everything. The
 // coordinator is acked later (ackResolved).
-func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, recs []wal.Record, targets map[uint64]wal.Target, inDoubt []cc.TxnID, decisions map[cc.TxnID]wal.Decision) {
+func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis, targets map[uint64]wal.Target, inDoubt []cc.TxnID) {
 	var maxLSN uint64
 	for _, id := range inDoubt {
-		d, committed := decisions[id]
+		d, committed := a.Decision(id)
 		if !committed {
 			maxLSN = n.Log.Append(wal.Record{Txn: id, Type: wal.RecAbort})
 			continue
 		}
-		for i := range recs {
-			r := &recs[i]
-			if r.Txn != id {
-				continue
-			}
+		for _, r := range a.Txn(id).Images {
 			if _, known := targets[r.Part]; !known {
 				continue // partition migrated away; its data lives elsewhere
 			}

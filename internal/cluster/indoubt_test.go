@@ -148,29 +148,10 @@ func commitWindow(t *testing.T) (start, end time.Duration) {
 // hasInDoubtTrace reports whether the node's durable log holds a prepare
 // vote for some transaction with no commit or abort record — the state the
 // restart must resolve against the coordinator. The trace is decoded from
-// the log's physical bytes, like the restart's own analysis pass.
+// the log's physical bytes and analysed like the restart's own pass.
 func hasInDoubtTrace(n *DataNode) bool {
-	prepared := map[cc.TxnID]bool{}
-	decided := map[cc.TxnID]bool{}
-	it := n.Log.Iter()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		switch r.Type {
-		case wal.RecPrepare:
-			prepared[r.Txn] = true
-		case wal.RecCommit, wal.RecAbort:
-			decided[r.Txn] = true
-		}
-	}
-	for id := range prepared {
-		if !decided[id] {
-			return true
-		}
-	}
-	return false
+	recs, _ := n.Log.Iter().All()
+	return len(wal.NewAnalysis(recs).InDoubt()) > 0
 }
 
 // TestCommitCrashAnywhere sweeps a power failure of each participant across

@@ -213,17 +213,8 @@ func (m *Master) moveRecordRange(p *sim.Proc, tm *TableMeta, e *RangeEntry, lo, 
 	if boundary == nil {
 		boundary = []byte{} // -inf, but non-nil: nothing moved yet
 	}
-	moved := &RangeEntry{Low: lo, High: hi, Part: dstPart, Owner: dst,
-		OldPart: src, OldOwner: srcOwner, MovedBelow: boundary}
-	var news []*RangeEntry
-	if e.Low == nil && lo != nil || (e.Low != nil && lo != nil && bytes.Compare(e.Low, lo) < 0) {
-		news = append(news, &RangeEntry{Low: e.Low, High: lo, Part: src, Owner: srcOwner})
-	}
-	news = append(news, moved)
-	if hi != nil && (e.High == nil || bytes.Compare(hi, e.High) < 0) {
-		news = append(news, &RangeEntry{Low: hi, High: e.High, Part: src, Owner: srcOwner})
-	}
-	tm.replaceEntry(e, news...)
+	moved := &RangeEntry{Low: lo, High: hi, Part: dstPart, Owner: dst, MovedBelow: boundary}
+	tm.splitForMove(e, moved)
 	// Replicate the dual-pointer install before moving anything. The
 	// boundary still equals lo, so the old location stays authoritative for
 	// every key: losing the leader here merely suspends a move that has not
@@ -405,7 +396,11 @@ func (m *Master) moveRecordRange(p *sim.Proc, tm *TableMeta, e *RangeEntry, lo, 
 	if !m.shipTable(p, tm.Schema.Name, true) {
 		return ErrMasterDown{}
 	}
-	m.scheduleOldPointerCleanup(tm, moved)
+	m.retireOldCopy("old-pointer-cleanup", tm, moved, m.Oracle.Clock(), func(p *sim.Proc, src *table.Partition) {
+		if src != nil {
+			src.Vacuum(p, m.Oracle.Watermark())
+		}
+	})
 	return nil
 }
 
@@ -443,18 +438,33 @@ func (m *Master) snapshotsPast(horizon cc.Timestamp) bool {
 	return false
 }
 
-// scheduleOldPointerCleanup drops the dual pointer and vacuums the source
-// once every snapshot that could see the old copies has finished.
-func (m *Master) scheduleOldPointerCleanup(tm *TableMeta, e *RangeEntry) {
-	horizon := m.Oracle.Clock() // every snapshot begun so far is at or below it
-	m.cluster.Env.Spawn("old-pointer-cleanup", func(p *sim.Proc) {
+// splitForMove replaces e with moved — the moving sub-range, given its dual
+// pointers here: new at moved.Part, old at e's partition — between the
+// unmoved remainders of e on either side.
+func (tm *TableMeta) splitForMove(e, moved *RangeEntry) {
+	moved.OldPart, moved.OldOwner = e.Part, e.Owner
+	var news []*RangeEntry
+	if moved.Low != nil && (e.Low == nil || bytes.Compare(e.Low, moved.Low) < 0) {
+		news = append(news, &RangeEntry{Low: e.Low, High: moved.Low, Part: e.Part, Owner: e.Owner})
+	}
+	news = append(news, moved)
+	if moved.High != nil && (e.High == nil || bytes.Compare(moved.High, e.High) < 0) {
+		news = append(news, &RangeEntry{Low: moved.High, High: e.High, Part: e.Part, Owner: e.Owner})
+	}
+	tm.replaceEntry(e, news...)
+}
+
+// retireOldCopy spawns the process, named name, that retires a finished
+// move's old copy for both movement protocols: once every snapshot at or
+// below horizon has ended it drops e's dual pointer and hands drop the old
+// partition, read through the entry at fire time — a source-node restart
+// rebinds e.OldPart to the recovered partition.
+func (m *Master) retireOldCopy(name string, tm *TableMeta, e *RangeEntry, horizon cc.Timestamp, drop func(p *sim.Proc, old *table.Partition)) {
+	m.cluster.Env.Spawn(name, func(p *sim.Proc) {
 		for !m.snapshotsPast(horizon) {
 			p.Sleep(time.Second)
 		}
-		// Read the source through the entry at fire time: a source-node
-		// restart rebinds e.OldPart to the recovered partition, and the
-		// dead object must not be the one vacuumed.
-		src := e.OldPart
+		old := e.OldPart
 		e.OldPart = nil
 		e.OldOwner = nil
 		if m.rep != nil {
@@ -466,9 +476,7 @@ func (m *Master) scheduleOldPointerCleanup(tm *TableMeta, e *RangeEntry) {
 			m.clearOldPointer(tm.Schema.Name, e.Low, e.High)
 			m.shipTable(p, tm.Schema.Name, false)
 		}
-		if src != nil {
-			src.Vacuum(p, m.Oracle.Watermark())
-		}
+		drop(p, old)
 	})
 }
 
@@ -595,16 +603,8 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// (2) Master: split the entry so the moving range has dual pointers.
 	// The segment's bounds are read under the lock — no concurrent split
 	// can narrow them between capture and detach.
-	moved := &RangeEntry{Low: h.Low, High: h.High, Part: dstPart, Owner: dst, OldPart: src, OldOwner: srcOwner}
-	var news []*RangeEntry
-	if e.Low == nil && h.Low != nil || (e.Low != nil && h.Low != nil && bytes.Compare(e.Low, h.Low) < 0) {
-		news = append(news, &RangeEntry{Low: e.Low, High: h.Low, Part: src, Owner: srcOwner})
-	}
-	news = append(news, moved)
-	if h.High != nil && (e.High == nil || bytes.Compare(h.High, e.High) < 0) {
-		news = append(news, &RangeEntry{Low: h.High, High: e.High, Part: src, Owner: srcOwner})
-	}
-	tm.replaceEntry(e, news...)
+	moved := &RangeEntry{Low: h.Low, High: h.High, Part: dstPart, Owner: dst}
+	tm.splitForMove(e, moved)
 	e = moved
 
 	// abortMove unwinds a failed move before the target took over: the
@@ -720,18 +720,7 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// old log records for the moved range become obsolete with the
 	// checkpoint already taken.
 	segID := h.Seg.ID
-	m.cluster.Env.Spawn("ghost-drop", func(gp *sim.Proc) {
-		for !m.snapshotsPast(horizon) {
-			gp.Sleep(time.Second)
-		}
-		e.OldPart = nil
-		e.OldOwner = nil
-		if m.rep != nil {
-			m.clearOldPointer(tm.Schema.Name, e.Low, e.High)
-			m.shipTable(gp, tm.Schema.Name, false)
-		}
-		src.DropGhost(gp, segID)
-	})
+	m.retireOldCopy("ghost-drop", tm, e, horizon, func(p *sim.Proc, _ *table.Partition) { src.DropGhost(p, segID) })
 	// The adopted segment is at the destination and the source keeps only a
 	// ghost: replicate the post-adoption state (unforced; a failover that
 	// misses it re-serves through the step-1 dual pointers, whose fallback

@@ -596,11 +596,12 @@ func (m *Master) awaitAvailable(p *sim.Proc) {
 }
 
 // reconcile probes, shortly after an election, the live participants of
-// every rebuilt decision: a branch whose durable log already shows a commit
-// or abort record (or no prepare at all) is acked, draining entries whose
-// original acks were in flight — or unforced and lost — when the old leader
-// died. Participants still down resolve at their own restart. Deterministic
-// order throughout (sorted transactions, sorted nodes).
+// every rebuilt decision: a branch the participant's log analysis shows
+// resolved (wal.Analysis.Resolved: a commit or abort record, or no prepare
+// at all) is acked, draining entries whose original acks were in flight —
+// or unforced and lost — when the old leader died. Participants still down
+// resolve at their own restart. Deterministic order throughout (sorted
+// transactions, sorted nodes).
 func (m *Master) reconcile() {
 	epoch := m.epoch
 	m.cluster.Env.Spawn("master-reconcile", func(p *sim.Proc) {
@@ -636,31 +637,15 @@ func (m *Master) reconcile() {
 					return
 				}
 				recs, err := n.Log.Iter().All()
-				if err == nil && branchResolvedIn(recs, id) {
+				if err != nil {
+					continue
+				}
+				if resolved, _ := wal.NewAnalysis(recs).Resolved(id); resolved {
 					m.ackDecision(id, nid)
 				}
 			}
 		}
 	})
-}
-
-// branchResolvedIn reports whether a participant's durable log shows txn's
-// branch decided (commit or abort record), or never prepared at all —
-// either way the coordinator need not remember the verdict for that node.
-func branchResolvedIn(recs []wal.Record, txn cc.TxnID) bool {
-	prepared, decided := false, false
-	for i := range recs {
-		if recs[i].Txn != txn {
-			continue
-		}
-		switch recs[i].Type {
-		case wal.RecPrepare:
-			prepared = true
-		case wal.RecCommit, wal.RecAbort:
-			decided = true
-		}
-	}
-	return decided || !prepared
 }
 
 // outstandingDecisionsFor lists the decided transactions still awaiting an

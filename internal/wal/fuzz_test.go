@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"wattdb/internal/cc"
@@ -215,6 +217,153 @@ func FuzzDecodeRecordNoPanic(f *testing.F) {
 		enc := EncodeRecord(nil, &rec)
 		if !bytes.Equal(enc, buf[:len(buf)-len(rest)]) {
 			t.Fatalf("re-encode differs from consumed bytes:\n  in:  %x\n  out: %x", buf[:len(buf)-len(rest)], enc)
+		}
+	})
+}
+
+// FuzzAnalysisMatchesReference checks every answer of the transaction table
+// against a naive reference written from the rules it replaced: restart's
+// in-doubt scan (a prepare vote and neither a commit nor an abort record,
+// anywhere), the coordinator's resolved-branch probe (decided, or never
+// prepared), the checkpoint's in-flight table (a transaction opens at its
+// first DML or prepare record and resolves at a commit or abort record
+// logged after that) and the replay's winner set (a commit record, or a
+// coordinator decision). Each input byte pair is one record: its type, its
+// transaction and its partition; dead is the checkpoint's dead-below fence.
+func FuzzAnalysisMatchesReference(f *testing.F) {
+	kinds := []RecType{RecUpdate, RecInsert, RecDelete, RecPrepDML, RecPrepDel, RecPrepare,
+		RecCommit, RecAbort, RecBase, RecShip, RecCkptBegin, RecDecision, RecMAck}
+	rec := func(kind RecType, txn, part byte) []byte {
+		return []byte{byte(slices.Index(kinds, kind)), part*4 + txn - 1}
+	}
+	seq := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	// A committed transaction, an in-doubt branch, a rolled-back loser.
+	f.Add(seq(rec(RecInsert, 1, 0), rec(RecCommit, 1, 0), rec(RecPrepDML, 2, 1), rec(RecPrepare, 2, 0),
+		rec(RecUpdate, 3, 2), rec(RecAbort, 3, 0)), byte(0))
+	// A dead loser below the fence; bases and ship wrappers between a
+	// branch's images; the branch closed by committed DML re-logged from
+	// them, as a restart's roll-forward does.
+	f.Add(seq(rec(RecUpdate, 4, 0), rec(RecBase, 1, 0), rec(RecPrepDML, 2, 1), rec(RecShip, 1, 0),
+		rec(RecPrepDel, 2, 2), rec(RecPrepare, 2, 0), rec(RecUpdate, 2, 1), rec(RecUpdate, 2, 2),
+		rec(RecCommit, 2, 0)), byte(2))
+	// Coordinator records carry transaction IDs but open no transaction; a
+	// commit record logged before the transaction's first DML resolves
+	// nothing for the checkpoint.
+	f.Add(seq(rec(RecDecision, 2, 0), rec(RecCommit, 3, 0), rec(RecMAck, 2, 0), rec(RecDelete, 3, 1),
+		rec(RecCkptBegin, 1, 0), rec(RecPrepare, 4, 0)), byte(1))
+	f.Add([]byte{}, byte(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, dead byte) {
+		var recs []Record
+		for i := 0; i+1 < len(data); i += 2 {
+			r := Record{LSN: uint64(len(recs) + 1), Type: kinds[int(data[i])%len(kinds)],
+				Txn: cc.TxnID(data[i+1]%4 + 1), Part: uint64(data[i+1] / 4 % 3)}
+			switch r.Type {
+			case RecBase, RecShip, RecCkptBegin:
+				r.Txn = 0
+			}
+			recs = append(recs, r)
+		}
+		deadBelow := uint64(dead) % uint64(len(recs)+2)
+
+		// The reference.
+		prepared := map[cc.TxnID]bool{}
+		decided := map[cc.TxnID]bool{}
+		committed := map[cc.TxnID]bool{}
+		closedAt := map[cc.TxnID]uint64{}
+		images := map[cc.TxnID][]uint64{}
+		type txState struct {
+			first    uint64
+			parts    map[uint64]bool
+			resolved bool
+		}
+		txns := map[cc.TxnID]*txState{}
+		for i := range recs {
+			r := &recs[i]
+			switch r.Type {
+			case RecPrepare:
+				prepared[r.Txn] = true
+			case RecCommit, RecAbort:
+				decided[r.Txn] = true
+				closedAt[r.Txn] = r.LSN
+				committed[r.Txn] = committed[r.Txn] || r.Type == RecCommit
+			case RecPrepDML, RecPrepDel:
+				images[r.Txn] = append(images[r.Txn], r.LSN)
+			}
+			if r.Txn == 0 {
+				continue
+			}
+			switch r.Type {
+			case RecUpdate, RecInsert, RecDelete, RecPrepare, RecPrepDML, RecPrepDel:
+				st := txns[r.Txn]
+				if st == nil {
+					st = &txState{first: r.LSN, parts: map[uint64]bool{}}
+					txns[r.Txn] = st
+				}
+				if r.Type != RecPrepare {
+					st.parts[r.Part] = true
+				}
+			case RecCommit, RecAbort:
+				if st := txns[r.Txn]; st != nil {
+					st.resolved = true
+				}
+			}
+		}
+		var wantInDoubt, wantInFlight []cc.TxnID
+		for id := cc.TxnID(1); id <= 4; id++ {
+			if prepared[id] && !decided[id] {
+				wantInDoubt = append(wantInDoubt, id)
+			}
+			if st := txns[id]; st != nil && !st.resolved && st.first >= deadBelow {
+				wantInFlight = append(wantInFlight, id)
+			}
+		}
+
+		a := NewAnalysis(recs)
+		if got := a.InDoubt(); !slices.Equal(got, wantInDoubt) {
+			t.Fatalf("in doubt = %v, want %v", got, wantInDoubt)
+		}
+		if got := a.InFlightSince(deadBelow); !slices.Equal(got, wantInFlight) {
+			t.Fatalf("in flight since %d = %v, want %v", deadBelow, got, wantInFlight)
+		}
+		for id := cc.TxnID(0); id <= 5; id++ {
+			resolved, at := a.Resolved(id)
+			wantAt := closedAt[id]
+			if !prepared[id] {
+				wantAt = 0
+			}
+			if want := decided[id] || !prepared[id]; resolved != want || (resolved && at != wantAt) {
+				t.Fatalf("txn %d resolved = %v at %d, want %v at %d", id, resolved, at, want, wantAt)
+			}
+			if a.Winner(id) != committed[id] {
+				t.Fatalf("txn %d winner = %v, want %v", id, a.Winner(id), committed[id])
+			}
+			te, st := a.Txn(id), txns[id]
+			if st != nil && (te == nil || te.First != st.first) {
+				t.Fatalf("txn %d row %+v, want first LSN %d", id, te, st.first)
+			}
+			if st != nil {
+				parts := slices.Sorted(maps.Keys(st.parts))
+				if got := slices.Sorted(slices.Values(te.Parts)); !slices.Equal(got, parts) {
+					t.Fatalf("txn %d partitions = %v, want %v", id, got, parts)
+				}
+			}
+			var got []uint64
+			if te != nil {
+				for _, r := range te.Images {
+					got = append(got, r.LSN)
+				}
+			}
+			if !slices.Equal(got, images[id]) {
+				t.Fatalf("txn %d prepare images at %v, want %v", id, got, images[id])
+			}
+		}
+		// A coordinator verdict turns an in-doubt transaction into a winner.
+		for _, id := range wantInDoubt {
+			a.Decide(id, Decision{TS: 9})
+			if !a.Winner(id) {
+				t.Fatalf("decided txn %d is no winner", id)
+			}
 		}
 	})
 }

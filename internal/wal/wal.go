@@ -14,6 +14,7 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 
 	"wattdb/internal/cc"
 	"wattdb/internal/hw"
@@ -839,70 +840,148 @@ func Recover(p *sim.Proc, it *Iterator, targets map[uint64]Target) (redone, undo
 	if err != nil {
 		return 0, 0, err
 	}
-	a := NewAnalysis(recs, nil)
-	st, err := a.apply(p, func(part uint64) (Target, bool, error) {
+	st, err := NewAnalysis(recs).apply(p, func(part uint64) (Target, bool, error) {
 		tgt, ok := targets[part]
 		if !ok {
 			return nil, false, fmt.Errorf("wal: recovery for unknown partition %d", part)
 		}
 		return tgt, true, nil
-	}, func(uint64) uint64 { return 0 })
+	}, 0)
 	return st.Redone, st.Undone, err
 }
 
-// RecoverPartial is Recover for a node restart where some logged partitions
-// no longer exist (fully migrated away, dropped replicas): their records are
-// skipped instead of failing recovery, and the skip count is reported.
-// decisions carries the coordinator's verdicts for this node's in-doubt
-// transactions (prepared, but with no local commit or abort record): a
-// transaction with an entry is rolled forward — its ordinary DML redone and
-// its prepare-time images installed at the decided timestamp — and one
-// without is presumed aborted and rolled back.
-func RecoverPartial(p *sim.Proc, it *Iterator, targets map[uint64]Target, decisions map[cc.TxnID]Decision) (redone, undone, skipped int, err error) {
-	recs, err := it.All()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	a := NewAnalysis(recs, decisions)
-	st, err := a.apply(p, func(part uint64) (Target, bool, error) {
-		tgt, ok := targets[part]
-		if !ok {
-			skipped++
-			return nil, false, nil
-		}
-		return tgt, true, nil
-	}, func(uint64) uint64 { return 0 })
-	return st.Redone, st.Undone, skipped, err
-}
-
-// Analysis is the shared analysis pass over a restart log: the records and
-// the commit set plus coordinator decisions that classify every transaction
-// as winner or loser. One Analysis feeds every per-partition replay of a
-// restart, so concurrent partition replays (one sim proc each) never repeat
-// the scan.
+// Analysis is the one analysis pass over a log read: the records and the
+// transaction table built from them in a single scan, as in ARIES. Every
+// reader of transaction outcomes asks it — restart (which transactions are
+// in doubt, which win the replay, which outstanding coordinator decisions
+// the log already closed), the fuzzy checkpoint (which transactions pin the
+// redo point, whose images refresh the recovery bases) and the coordinator's
+// post-election reconciliation — so the checkpoint's redo point and the
+// restart's replay can never disagree about a transaction. One Analysis
+// feeds every per-partition replay of a restart, so concurrent partition
+// replays (one sim proc each) never repeat the scan.
+//
+// Records with Txn 0 belong to no transaction (bases, ship wrappers,
+// checkpoint and coordinator records) and have no row.
 type Analysis struct {
 	recs      []Record
-	committed map[cc.TxnID]bool
+	txns      map[cc.TxnID]*TxnEntry
 	decisions map[cc.TxnID]Decision
 }
 
-// NewAnalysis scans recs once and returns the shared replay classification.
-func NewAnalysis(recs []Record, decisions map[cc.TxnID]Decision) *Analysis {
-	a := &Analysis{recs: recs, committed: make(map[cc.TxnID]bool), decisions: decisions}
+// TxnEntry is one transaction's row in the transaction table.
+type TxnEntry struct {
+	First     uint64    // LSN of its first DML or prepare record (0: none)
+	End       uint64    // LSN of its last commit or abort record (0: none)
+	Parts     []uint64  // partitions its DML and prepare images touched
+	Images    []*Record // its prepare-time redo images, in LSN order
+	Prepared  bool      // a prepare vote is logged
+	Committed bool      // a commit record is logged (End != 0 without it: aborted)
+}
+
+// NewAnalysis scans recs once and builds the transaction table.
+func NewAnalysis(recs []Record) *Analysis {
+	a := &Analysis{recs: recs, txns: make(map[cc.TxnID]*TxnEntry), decisions: make(map[cc.TxnID]Decision)}
+	row := func(id cc.TxnID) *TxnEntry {
+		t := a.txns[id]
+		if t == nil {
+			t = &TxnEntry{}
+			a.txns[id] = t
+		}
+		return t
+	}
 	for i := range recs {
-		if recs[i].Type == RecCommit {
-			a.committed[recs[i].Txn] = true
+		r := &recs[i]
+		if r.Txn == 0 {
+			continue
+		}
+		switch r.Type {
+		case RecCommit, RecAbort:
+			t := row(r.Txn)
+			t.End, t.Committed = r.LSN, t.Committed || r.Type == RecCommit
+		case RecUpdate, RecInsert, RecDelete, RecPrepare, RecPrepDML, RecPrepDel:
+			t := row(r.Txn)
+			if t.First == 0 {
+				t.First = r.LSN
+			}
+			switch r.Type {
+			case RecPrepare:
+				t.Prepared = true
+				continue
+			case RecPrepDML, RecPrepDel:
+				t.Images = append(t.Images, r)
+			}
+			if !slices.Contains(t.Parts, r.Part) {
+				t.Parts = append(t.Parts, r.Part)
+			}
 		}
 	}
 	return a
 }
 
-func (a *Analysis) winner(id cc.TxnID) bool {
-	if a.committed[id] {
-		return true
-	}
+// Txn returns id's row of the transaction table, nil when the log holds
+// none of its records.
+func (a *Analysis) Txn(id cc.TxnID) *TxnEntry { return a.txns[id] }
+
+// Decide records the coordinator's commit verdict for an in-doubt
+// transaction: the replay rolls it forward at d.TS. An in-doubt transaction
+// never decided is presumed aborted.
+func (a *Analysis) Decide(id cc.TxnID, d Decision) { a.decisions[id] = d }
+
+// Decision returns the verdict Decide recorded for id.
+func (a *Analysis) Decision(id cc.TxnID) (Decision, bool) {
+	d, ok := a.decisions[id]
+	return d, ok
+}
+
+// Winner reports whether the replay redoes id: committed in this log, or
+// decided committed by the coordinator.
+func (a *Analysis) Winner(id cc.TxnID) bool {
 	_, decided := a.decisions[id]
-	return decided
+	return decided || a.committed(id)
+}
+
+func (a *Analysis) committed(id cc.TxnID) bool {
+	t := a.txns[id]
+	return t != nil && t.Committed
+}
+
+// InDoubt lists, ascending, the transactions with a prepare vote and
+// neither a commit nor an abort record: cut down between their vote and
+// their verdict, they wait for the coordinator's.
+func (a *Analysis) InDoubt() []cc.TxnID {
+	return a.sorted(func(t *TxnEntry) bool { return t.Prepared && t.End == 0 })
+}
+
+// Resolved reports whether id's branch needs no coordinator verdict: a
+// commit or abort record closes it — at the returned LSN — or it was never
+// prepared in this log (LSN 0).
+func (a *Analysis) Resolved(id cc.TxnID) (bool, uint64) {
+	t := a.txns[id]
+	if t == nil || !t.Prepared {
+		return true, 0
+	}
+	return t.End != 0, t.End
+}
+
+// InFlightSince lists, ascending, the transactions in flight whose first
+// DML or prepare record is at or above lsn: no commit or abort record
+// follows that first record. A checkpoint pins its redo point at the first
+// LSN of each, so every record a later restart could roll forward or undo
+// stays above the point its replay starts from.
+func (a *Analysis) InFlightSince(lsn uint64) []cc.TxnID {
+	return a.sorted(func(t *TxnEntry) bool { return t.First != 0 && t.First >= lsn && t.End < t.First })
+}
+
+func (a *Analysis) sorted(keep func(t *TxnEntry) bool) []cc.TxnID {
+	var ids []cc.TxnID
+	for id, t := range a.txns {
+		if keep(t) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ReplayStats reports one replay's work, so restart paths can expose how
@@ -937,20 +1016,21 @@ func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (
 			return nil, false, nil
 		}
 		return tgt, true, nil
-	}, func(uint64) uint64 { return from })
+	}, from)
 }
 
-// apply is the replay engine shared by Recover, RecoverPartial, and the
-// per-partition restart path. resolve maps a partition to its target (or
-// skips it); from gives each partition's redo start point.
+// apply is the replay engine shared by Recover and the per-partition
+// restart path. resolve maps a partition to its target (or skips it); from
+// is the redo start point.
 //
 // The redo filter is sound because a checkpoint lets nothing fall below
 // the redo point uncovered: a key whose latest committed image (DML or
 // base record) sits below was absorbed into the in-memory recovery base
-// the restart pre-applies, and a transaction unresolved at checkpoint time
-// pins the redo point at its first LSN, so every record a restart could
-// need to roll forward — or undo — sits at or above from.
-func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, error), from func(part uint64) uint64) (st ReplayStats, err error) {
+// the restart pre-applies, and every transaction the checkpoint's own
+// Analysis found in flight (InFlightSince) pins the redo point at its first
+// LSN — the same transaction table this replay reads — so every record a
+// restart could need to roll forward, or undo, sits at or above from.
+func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, error), from uint64) (st ReplayStats, err error) {
 	isDML := func(t RecType) bool { return t == RecUpdate || t == RecInsert || t == RecDelete }
 	isPrep := func(t RecType) bool { return t == RecPrepDML || t == RecPrepDel }
 
@@ -965,7 +1045,7 @@ func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, e
 	// prepare images are redundant and skipped.
 	for i := range a.recs {
 		r := &a.recs[i]
-		if r.LSN < from(r.Part) {
+		if r.LSN < from {
 			continue
 		}
 		if r.Type == RecBase {
@@ -984,7 +1064,7 @@ func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, e
 		}
 		if isPrep(r.Type) {
 			d, decided := a.decisions[r.Txn]
-			if !decided || a.committed[r.Txn] {
+			if !decided || a.committed(r.Txn) {
 				continue
 			}
 			tgt, ok, rerr := resolve(r.Part)
@@ -1000,7 +1080,7 @@ func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, e
 			st.count(r, true)
 			continue
 		}
-		if !isDML(r.Type) || !a.winner(r.Txn) {
+		if !isDML(r.Type) || !a.Winner(r.Txn) {
 			continue
 		}
 		tgt, ok, rerr := resolve(r.Part)
@@ -1028,7 +1108,7 @@ func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, e
 	// partition, so there is nothing to undo there either.
 	for i := len(a.recs) - 1; i >= 0; i-- {
 		r := &a.recs[i]
-		if !isDML(r.Type) || a.winner(r.Txn) || r.LSN < from(r.Part) {
+		if !isDML(r.Type) || a.Winner(r.Txn) || r.LSN < from {
 			continue
 		}
 		tgt, ok, rerr := resolve(r.Part)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -682,14 +683,23 @@ func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 		// Crash-state disk image: txn 6's partial install is present.
 		tr.Put(p, k(2), []byte("doomed"), 0)
 		tr.Put(p, k(4), []byte("scribble"), 0)
-		decisions := map[cc.TxnID]Decision{5: {TS: 77}}
-		redone, undone, skipped, err := RecoverPartial(p, l.Iter(), map[uint64]Target{1: treeTarget{tr}}, decisions)
+		recs, err := l.Iter().All()
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if redone != 2 || undone != 1 || skipped != 0 {
-			t.Errorf("redone=%d undone=%d skipped=%d, want 2,1,0", redone, undone, skipped)
+		a := NewAnalysis(recs)
+		if got := a.InDoubt(); !slices.Equal(got, []cc.TxnID{5, 6}) {
+			t.Errorf("in doubt = %v, want [5 6]", got)
+		}
+		a.Decide(5, Decision{TS: 77})
+		st, err := a.ReplayPartition(p, 1, 0, treeTarget{tr})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if st.Redone != 2 || st.Undone != 1 {
+			t.Errorf("redone=%d undone=%d, want 2,1", st.Redone, st.Undone)
 		}
 		if v, ok, _ := tr.Get(p, k(1)); !ok || string(v) != "fwd" {
 			t.Errorf("k1 = %q, %v (decided commit must roll forward)", v, ok)
