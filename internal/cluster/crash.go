@@ -361,7 +361,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 		}
 		n.diskLost = false
 	}
-	c.ackResolved(n, inDoubt)
+	c.ackResolved(n, inDoubt, n.Log.FlushedLSN())
 	// Everything below the current tail is settled history: a transaction
 	// with records down there and no commit or abort died with the crash and
 	// will never resolve. Later checkpoints use this fence so dead losers
@@ -443,15 +443,18 @@ func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis, target
 	}
 }
 
-// ackResolved acks the coordinator for the branches a restart of n found or
-// left closed in its log, letting it forget those decisions — under
-// replication only once a follower holds n's log durably through the
-// closures. Until then n's disk is their one copy: a rebuild from replicas
-// after losing it would find a rolled-forward branch prepared and undecided
-// again, and a forgotten decision would roll it back. With no follower in
-// sync at the end of the restart, a process waits for one.
-func (c *Cluster) ackResolved(n *DataNode, ids []cc.TxnID) {
-	if lsn := n.Log.FlushedLSN(); c.drep != nil && len(ids) > 0 && !c.replicaDurable(n, lsn) {
+// ackResolved acks the coordinator for branches n's log closes at or below
+// lsn — the ones a restart of n found or left closed, or one the reconcile
+// found closed — letting it forget those decisions, but only once n's log is
+// durable through lsn: flushed on n's own disk and, under replication, on a
+// follower. Until then the closing record can still be lost: a power failure
+// drops it with the volatile tail, and a rebuild from replicas after losing
+// n's disk would find a rolled-forward branch prepared and undecided again;
+// either way the restart needs the decision, and a forgotten one would roll
+// the branch back. When the log is not yet durable through lsn, a process
+// waits for it (and gives up if n goes down: its restart acks instead).
+func (c *Cluster) ackResolved(n *DataNode, ids []cc.TxnID, lsn uint64) {
+	if c.drep != nil && len(ids) > 0 && (n.Log.FlushedLSN() < lsn || !c.replicaDurable(n, lsn)) {
 		c.Env.Spawn("ack-resolved", func(p *sim.Proc) {
 			if c.forceShip(p, n, lsn, n.ship.gen, false) {
 				for _, id := range ids {

@@ -1668,3 +1668,43 @@ func TestRollForwardOutlivesDiskLoss(t *testing.T) {
 		t.Fatalf("%d decisions outstanding after the rebuilt branch rolled forward", n)
 	}
 }
+
+// TestReconcileWaitsForDurableCommit: participant 2's commit record is
+// appended but its force stalls on a slow log disk when the leader power-
+// fails. The new leader's reconcile must not take that volatile record for a
+// resolved branch — participant 1 has acked, so the ack would forget the
+// decision. Participant 2 then loses power before its flush, and its restart
+// must still find the decision and roll the branch forward.
+func TestReconcileWaitsForDurableCommit(t *testing.T) {
+	w := newIndoubtWorldWith(t, 4, func(cfg *Config) { cfg.MasterReplicas = 2 })
+	defer w.env.Close()
+	c := w.c
+	leader := c.Master.Node
+	c.Point = func(n *DataNode, name string) {
+		if n != w.n2 || name != "commit.decided" {
+			return
+		}
+		c.Point = nil
+		n.HW.LogDisk().SetStall(2 * time.Second)
+		w.env.Spawn("faults", func(p *sim.Proc) {
+			c.CrashNode(leader)
+			p.Sleep(time.Second) // the election and its reconcile are over
+			if c.Master.Node == w.n2 || c.Master.Node.Down() {
+				t.Errorf("setup: node %d leads after the failover", c.Master.Node.ID)
+				return
+			}
+			c.CrashNode(w.n2)
+			if !hasInDoubtTrace(w.n2) {
+				t.Error("setup: participant 2's commit record is durable")
+			}
+			w.n2.HW.LogDisk().SetStall(0)
+		})
+	}
+	if !w.runCommit(t) {
+		t.Fatal("the commit was not acknowledged")
+	}
+	w.expectValues(t, func(int64) string { return "new" })
+	if n := c.Master.InDoubtDecisionCount(); n != 0 {
+		t.Fatalf("%d decisions outstanding after the roll-forward", n)
+	}
+}

@@ -597,11 +597,16 @@ func (m *Master) awaitAvailable(p *sim.Proc) {
 
 // reconcile probes, shortly after an election, the live participants of
 // every rebuilt decision: a branch the participant's log analysis shows
-// resolved (wal.Analysis.Resolved: a commit or abort record, or no prepare
-// at all) is acked, draining entries whose original acks were in flight —
-// or unforced and lost — when the old leader died. Participants still down
-// resolve at their own restart. Deterministic order throughout (sorted
-// transactions, sorted nodes).
+// resolved (wal.Analysis.Resolved) is acked, draining entries whose original
+// acks were in flight — or unforced and lost — when the old leader died. A
+// branch never prepared is judged on the whole log and acked at once. The
+// log also holds the volatile tail, so a branch closed by a commit or abort
+// record goes through ackResolved, which acks once that record is flushed
+// and on a follower: a commit record still being forced is no verdict yet —
+// a power failure before the flush leaves the branch in doubt, and its
+// restart needs the decision. Participants still down resolve at their own
+// restart. Deterministic order throughout (sorted transactions, sorted
+// nodes).
 func (m *Master) reconcile() {
 	epoch := m.epoch
 	m.cluster.Env.Spawn("master-reconcile", func(p *sim.Proc) {
@@ -640,8 +645,11 @@ func (m *Master) reconcile() {
 				if err != nil {
 					continue
 				}
-				if resolved, _ := wal.NewAnalysis(recs).Resolved(id); resolved {
+				switch resolved, at := wal.NewAnalysis(recs).Resolved(id); {
+				case resolved && at == 0: // never prepared here
 					m.ackDecision(id, nid)
+				case resolved:
+					m.cluster.ackResolved(n, []cc.TxnID{id}, at)
 				}
 			}
 		}
