@@ -46,7 +46,8 @@ fig7:
 
 ## intent-timeouts: a fault-free TPC-C run on the benchmark's replicated
 ## 4-node commit path in which no write-intent wait ends at the 100 ms lock
-## timeout (internal/tpcc's TestNoIntentTimeoutFaultFree, ~3 s)
+## timeout and write-conflict aborts stay at most 6 % of the commits
+## (internal/tpcc's TestNoIntentTimeoutFaultFree, ~3 s)
 intent-timeouts:
 	$(GO) test -run '^TestNoIntentTimeoutFaultFree$$' ./internal/tpcc
 

@@ -995,3 +995,149 @@ func TestBlockedMarkClearedOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refresher is a cc.Refresher that answers ok, moving txn's snapshot when it
+// does, and records the timestamps it was asked for.
+type refresher struct {
+	txn   *Txn
+	ok    bool
+	asked []Timestamp
+}
+
+func (f *refresher) Refresh(p *sim.Proc, ts Timestamp) bool {
+	f.asked = append(f.asked, ts)
+	if f.ok {
+		f.txn.Begin = ts
+	}
+	return f.ok
+}
+
+// TestRefreshAtRuleOneAndGrant: a locking read asks its refresher to move the
+// snapshot where the rule would answer ErrWriteConflict — at rule 1, on a
+// holder committed above the snapshot and still installing, and at the grant,
+// on a free key committed above it — and goes on only when the move succeeds.
+// A refused move leaves Txn.Begin where it was.
+func TestRefreshAtRuleOneAndGrant(t *testing.T) {
+	for _, at := range []string{"rule1", "grant"} {
+		for _, ok := range []bool{false, true} {
+			r := newIntentRig()
+			r.env.Spawn("test", func(p *sim.Proc) {
+				txn := r.o.Begin(SnapshotIsolation)
+				begin := txn.Begin
+				w := r.o.Begin(SnapshotIsolation)
+				r.stage(t, p, w, "k")
+				cts := r.o.CommitTS(w)
+				if at == "grant" {
+					r.vs.CommitKey(w, "k", nil, cts)
+				} else {
+					r.env.Spawn("install", func(ip *sim.Proc) {
+						ip.Sleep(5 * time.Millisecond)
+						r.vs.CommitKey(w, "k", nil, cts)
+					})
+				}
+				f := &refresher{txn: txn, ok: ok}
+				err := r.vs.AcquireRefreshing(p, txn, "k", 0, time.Second, f)
+				if len(f.asked) != 1 || f.asked[0] != cts {
+					t.Errorf("%s ok=%v: refresher asked for %v, want [%d]", at, ok, f.asked, cts)
+				}
+				if !ok {
+					if err != ErrWriteConflict || txn.Begin != begin {
+						t.Errorf("%s refused: %v at snapshot %d, want ErrWriteConflict at %d", at, err, txn.Begin, begin)
+					}
+					return
+				}
+				if err != nil || txn.Begin != cts {
+					t.Errorf("%s refreshed: %v at snapshot %d, want the intent at %d", at, err, txn.Begin, cts)
+				}
+				if at == "rule1" && p.Now() != 5*time.Millisecond {
+					t.Errorf("rule1 refreshed: granted at %v, want after the install at 5ms", p.Now())
+				}
+			})
+			if err := r.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := IntentStats{Refreshed: 1}
+			if !ok {
+				want = IntentStats{RefreshRefused: 1, StaleAtGrant: 1}
+				if at == "rule1" {
+					want = IntentStats{RefreshRefused: 1, DiedCommitted: 1}
+				}
+			}
+			if at == "rule1" && ok {
+				want.Waited = 1 // rule 2, for the install
+			}
+			if *r.vs.Intents != want {
+				t.Errorf("%s ok=%v: intents %+v, want %+v", at, ok, *r.vs.Intents, want)
+			}
+			r.env.Close()
+		}
+	}
+}
+
+// TestStaleAtGrantCounted: a plain write that finds its key free but
+// committed above its snapshot dies at the grant, and the store counts it.
+func TestStaleAtGrantCounted(t *testing.T) {
+	r := newIntentRig()
+	defer r.env.Close()
+	r.env.Spawn("test", func(p *sim.Proc) {
+		txn := r.o.Begin(SnapshotIsolation)
+		w := r.o.Begin(SnapshotIsolation)
+		r.stage(t, p, w, "k")
+		r.vs.CommitKey(w, "k", nil, r.o.CommitTS(w))
+		if err := r.vs.AcquireWriteIntent(p, txn, "k", 0, time.Second); err != ErrWriteConflict {
+			t.Errorf("got %v, want ErrWriteConflict", err)
+		}
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := *r.vs.Intents; got != (IntentStats{StaleAtGrant: 1}) {
+		t.Errorf("intents %+v, want one StaleAtGrant", got)
+	}
+}
+
+// TestCommittedIn: the refresh check finds a commit in (lo, hi] wherever it
+// lives — the newest installed version, a superseded one in the history, or a
+// committed writer still installing — and nothing outside the interval.
+func TestCommittedIn(t *testing.T) {
+	r := newIntentRig()
+	defer r.env.Close()
+	var c1, c2, c3 Timestamp
+	r.env.Spawn("test", func(p *sim.Proc) {
+		commit := func() Timestamp {
+			w := r.o.Begin(SnapshotIsolation)
+			r.stage(t, p, w, "k")
+			return r.o.CommitTS(w)
+		}
+		c1 = commit()
+		r.vs.CommitKey(r.vs.entries["k"].writer, "k", nil, c1)
+		r.o.Advance()
+		c2 = commit()
+		r.vs.CommitKey(r.vs.entries["k"].writer, "k", &Version{TS: c1}, c2)
+		r.o.Advance()
+		c3 = commit() // installing
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k := []byte("k")
+	for _, tc := range []struct {
+		lo, hi Timestamp
+		want   bool
+	}{
+		{0, c1 - 1, false},
+		{c1 - 1, c1, true},  // in the history
+		{c1, c2 - 1, false}, // between two commits
+		{c1, c2, true},      // the newest installed
+		{c2, c3 - 1, false},
+		{c2, c3, true}, // the writer still installing
+		{c3, c3 + 5, false},
+	} {
+		if got := r.vs.CommittedIn(k, tc.lo, tc.hi); got != tc.want {
+			t.Errorf("CommittedIn(k, %d, %d) = %v, want %v (commits %d, %d, %d)", tc.lo, tc.hi, got, tc.want, c1, c2, c3)
+		}
+	}
+	if r.vs.CommittedIn([]byte("other"), 0, c3) {
+		t.Error("a key never written reports a commit")
+	}
+}

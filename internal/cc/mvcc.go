@@ -74,9 +74,14 @@ type VersionStore struct {
 // writer: Waited counts the acquisitions that parked (rules 2 and 4, once per
 // acquisition), and the other three how an acquisition ended without the key —
 // DiedCommitted by rule 1, DiedBlocked by rule 3, TimedOut by the backstop. An
-// acquisition that waited and then died counts in both.
+// acquisition that waited and then died counts in both. StaleAtGrant counts
+// the acquisitions that found the key free but committed above their snapshot.
+// Refreshed and RefreshRefused count the snapshot moves a locking read asked
+// for at rule 1 or at the grant (AcquireRefreshing); a refused one also counts
+// as DiedCommitted or StaleAtGrant.
 type IntentStats struct {
 	Waited, DiedCommitted, DiedBlocked, TimedOut int
+	StaleAtGrant, Refreshed, RefreshRefused      int
 }
 
 // Add folds o into s.
@@ -85,6 +90,18 @@ func (s *IntentStats) Add(o IntentStats) {
 	s.DiedCommitted += o.DiedCommitted
 	s.DiedBlocked += o.DiedBlocked
 	s.TimedOut += o.TimedOut
+	s.StaleAtGrant += o.StaleAtGrant
+	s.Refreshed += o.Refreshed
+	s.RefreshRefused += o.RefreshRefused
+}
+
+// Refresher moves a transaction's snapshot up instead of letting a locking
+// read die on a row committed above it. Refresh moves Txn.Begin to ts and
+// reports true only if nothing the transaction read has a committed version,
+// or a committed writer still installing, with a timestamp in (Begin, ts];
+// otherwise it leaves Begin alone and reports false. It may block.
+type Refresher interface {
+	Refresh(p *sim.Proc, ts Timestamp) bool
 }
 
 // NewVersionStore returns an empty store.
@@ -138,43 +155,75 @@ func (vs *VersionStore) entry(key string) *mvccEntry {
 // reads w's transaction record where the intent lives and charges no message
 // for it, the modeling assumption resolve's committed-writer path makes too.
 func (vs *VersionStore) AcquireWriteIntent(p *sim.Proc, txn *Txn, key string, leafTS Timestamp, timeout time.Duration) error {
+	return vs.AcquireRefreshing(p, txn, key, leafTS, timeout, nil)
+}
+
+// AcquireRefreshing is AcquireWriteIntent for a locking read: where the rule
+// answers ErrWriteConflict because key was committed above txn's snapshot —
+// rule 1, or a free key whose newest commit is above it — it first asks r to
+// move the snapshot up to that commit's timestamp, and goes on with the rule
+// if r did. A nil r refreshes nothing.
+func (vs *VersionStore) AcquireRefreshing(p *sim.Proc, txn *Txn, key string, leafTS Timestamp, timeout time.Duration, r Refresher) error {
 	if !txn.Active() {
 		return ErrTxnNotActive
 	}
-	e := vs.entry(key)
-	if e.writer == txn {
+	for {
+		e := vs.entry(key)
+		if e.writer == txn {
+			return nil
+		}
+		if e.writer != nil {
+			if err := vs.awaitIntent(p, txn, key, timeout, r); err != nil {
+				return err
+			}
+			e = vs.entry(key) // a vacuum may have dropped the entry meanwhile
+		}
+		last := e.lastCommit
+		if leafTS > last {
+			last = leafTS
+		}
+		if last > txn.Begin {
+			// Someone committed this record after we took our snapshot.
+			if !vs.refresh(p, r, last) {
+				vs.Intents.StaleAtGrant++
+				return ErrWriteConflict
+			}
+			if vs.failed {
+				return ErrFailed
+			}
+			continue // the refresh may have blocked: decide again
+		}
+		// Overwriting a version is observing it, read or not: this write is
+		// ordered after that commit and must not outlive it.
+		vs.observe(txn, last)
+		e.writer = txn
+		e.hasPending = false
+		vs.intentKeys[key] = struct{}{}
 		return nil
 	}
-	if e.writer != nil {
-		if err := vs.awaitIntent(p, txn, key, timeout); err != nil {
-			return err
-		}
-		e = vs.entry(key) // a vacuum may have dropped the entry meanwhile
+}
+
+// refresh asks r to move the snapshot up to ts and counts the answer.
+func (vs *VersionStore) refresh(p *sim.Proc, r Refresher, ts Timestamp) bool {
+	if r == nil {
+		return false
 	}
-	last := e.lastCommit
-	if leafTS > last {
-		last = leafTS
+	if r.Refresh(p, ts) {
+		vs.Intents.Refreshed++
+		return true
 	}
-	if last > txn.Begin {
-		// Someone committed this record after we took our snapshot.
-		return ErrWriteConflict
-	}
-	// Overwriting a version is observing it, read or not: this write is
-	// ordered after that commit and must not outlive it.
-	vs.observe(txn, last)
-	e.writer = txn
-	e.hasPending = false
-	vs.intentKeys[key] = struct{}{}
-	return nil
+	vs.Intents.RefreshRefused++
+	return false
 }
 
 // awaitIntent applies AcquireWriteIntent's rule until key's intent is free
 // (nil) or the rule or the backstop decides against txn.
-func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout time.Duration) error {
+func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout time.Duration, r Refresher) error {
 	deadline := vs.env.Now() + timeout
 	txn.waiting++
 	defer func() { txn.waiting-- }()
-	for waited := false; ; waited = true {
+	waited := false
+	for {
 		if vs.failed {
 			return ErrFailed
 		}
@@ -185,6 +234,9 @@ func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout t
 		case w == nil:
 			return nil
 		case w.State == TxnCommitted && w.Commit > txn.Begin:
+			if vs.refresh(p, r, w.Commit) {
+				continue // now at or below the snapshot: rule 2, or free
+			}
 			vs.Intents.DiedCommitted++
 			return ErrWriteConflict
 		case w.State != TxnActive:
@@ -200,6 +252,7 @@ func (vs *VersionStore) awaitIntent(p *sim.Proc, txn *Txn, key string, timeout t
 		}
 		if !waited {
 			vs.Intents.Waited++
+			waited = true
 		}
 		remaining := deadline - vs.env.Now()
 		stop := p.Meter(sim.CatLocking)
@@ -404,6 +457,31 @@ func (vs *VersionStore) CommittedPending(txn *Txn, lo, hi []byte) []PendingRead 
 		vs.observe(txn, pr.Ver.TS)
 	}
 	return out
+}
+
+// CommittedIn reports whether key has a committed version, or a committed
+// writer still installing, with a timestamp in (lo, hi]. It is the check a
+// snapshot refresh makes of every key its transaction read: lo is the
+// transaction's snapshot, at or above the GC watermark, so no version the
+// check must find has been collected.
+func (vs *VersionStore) CommittedIn(key []byte, lo, hi Timestamp) bool {
+	e := vs.entries[string(key)]
+	if e == nil {
+		return false
+	}
+	in := func(ts Timestamp) bool { return ts > lo && ts <= hi }
+	if w := e.writer; w != nil && w.State == TxnCommitted && in(w.Commit) {
+		return true
+	}
+	if in(e.lastCommit) {
+		return true
+	}
+	for i := len(e.history) - 1; i >= 0 && e.history[i].TS > lo; i-- {
+		if e.history[i].TS <= hi {
+			return true
+		}
+	}
+	return false
 }
 
 // StaleLeaf reports whether a caller-held copy of key's tree leaf (commit

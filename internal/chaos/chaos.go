@@ -210,11 +210,16 @@ type Report struct {
 	// Write-intent counters (cc.IntentStats summed over the nodes): the
 	// acquisitions that waited for a held key, and those that ended without it
 	// because the holder had committed above their snapshot, because the
-	// holder was itself blocked, or at the lock timeout.
-	IntentWaits         int
-	IntentDiedCommitted int
-	IntentDiedBlocked   int
-	IntentTimeouts      int
+	// holder was itself blocked, or at the lock timeout; the free keys found
+	// committed above the snapshot at the grant; and the snapshot refreshes
+	// locking reads made and were refused.
+	IntentWaits          int
+	IntentDiedCommitted  int
+	IntentDiedBlocked    int
+	IntentTimeouts       int
+	IntentStaleAtGrant   int
+	IntentRefreshed      int
+	IntentRefreshRefused int
 
 	Faults     []string // executed fault schedule, in order
 	Violations []string // invariant violations (empty = PASS)
@@ -420,6 +425,8 @@ func run(cfg Config, w workload) (*Report, error) {
 	}
 	h.rep.IntentWaits, h.rep.IntentDiedCommitted = intents.Waited, intents.DiedCommitted
 	h.rep.IntentDiedBlocked, h.rep.IntentTimeouts = intents.DiedBlocked, intents.TimedOut
+	h.rep.IntentStaleAtGrant = intents.StaleAtGrant
+	h.rep.IntentRefreshed, h.rep.IntentRefreshRefused = intents.Refreshed, intents.RefreshRefused
 
 	// Coordinator-failover oracles: after the drain the master must be
 	// available under some leader, and every recorded commit decision must

@@ -13,9 +13,10 @@ import (
 )
 
 // Run executes one chaos run over the key-value workload: randomized
-// single- and multi-key read, write, delete and scan transactions with
-// unique values over one table split across nodes 0 and 1, every read and
-// scan checked against an oracle holding the full committed version history.
+// single- and multi-key read, write, delete, read-modify-write and scan
+// transactions with unique values over one table split across nodes 0 and 1,
+// every read and scan checked against an oracle holding the full committed
+// version history.
 func Run(cfg Config) (*Report, error) { return run(cfg, &kvWorkload{oracle: newOracle()}) }
 
 type kvWorkload struct {
@@ -115,7 +116,7 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 	s := kv.begin(p, home)
 	kind := rng.Intn(10)
 	switch {
-	case kind < 5: // write transaction (puts, occasionally deletes)
+	case kind < 4: // write transaction (puts, occasionally deletes)
 		nOps := 1 + rng.Intn(3)
 		var writes []kvWrite
 		for i := 0; i < nOps; i++ {
@@ -153,6 +154,8 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 		kv.ack(s)
 		kv.oracle.commit(s.Txn.Commit, writes)
 		kv.rep.Commits++
+	case kind < 5:
+		kv.readModifyWrite(p, w, rng, seq, s)
 	case kind < 9: // read transaction
 		nOps := 2 + rng.Intn(3)
 		var seen []readObs
@@ -209,6 +212,80 @@ func (kv *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home 
 		kv.scans = append(kv.scans, obs)
 		kv.rep.Scans++
 	}
+}
+
+// rmwHotKeys is the low key range a read-modify-write reads first and
+// updates: hot enough that its locking reads meet commits above their
+// snapshots, and that its first read has often changed when they refresh.
+const rmwHotKeys = 4
+
+// readModifyWrite reads k1, takes k2 for update (both hot), reads k3, then
+// writes k2 a
+// value naming the version it read ("w<worker>.<seq><<that id>", rmwPrev). A
+// refresh inside GetForUpdate may move the snapshot past the first read, so
+// every read is checked at the snapshot the transaction committed at, and the
+// oracle's lostUpdates checks that each such value follows the version it
+// names.
+func (kv *kvWorkload) readModifyWrite(p *sim.Proc, w int, rng *rand.Rand, seq *int, s *cluster.Session) {
+	var seen [3]readObs
+	for i := range seen {
+		k := int64(rng.Intn(kvKeys))
+		if i < 2 {
+			k = int64(rng.Intn(rmwHotKeys))
+		}
+		get := s.Get
+		if i == 1 {
+			get = s.GetForUpdate
+		}
+		v, ok, err := get(p, "kv", kvKey(k))
+		if err != nil {
+			kv.failOp(p, s)
+			return
+		}
+		seen[i] = readObs{at: p.Now(), key: k, ok: ok}
+		if ok {
+			row, derr := kv.schema.DecodeRow(v)
+			if derr != nil {
+				kv.violate(fmt.Sprintf("rmw@%v key %d: undecodable payload: %v", p.Now(), k, derr))
+				kv.failOp(p, s)
+				return
+			}
+			seen[i].val = row[1].(string)
+		}
+	}
+	*seq++
+	k2 := seen[1].key
+	val := fmt.Sprintf("w%d.%d<%s", w, *seq, rmwPrev(seen[1].val, seen[1].ok))
+	payload, _ := kv.schema.EncodeRow(table.Row{k2, val})
+	if err := s.Put(p, "kv", kvKey(k2), payload); err != nil {
+		kv.failOp(p, s)
+		return
+	}
+	if err := s.Commit(p); err != nil {
+		s.Abort(p)
+		kv.rep.Aborts++
+		return
+	}
+	kv.ack(s)
+	kv.oracle.commit(s.Txn.Commit, []kvWrite{{key: k2, val: val}})
+	kv.rep.Commits++
+	for i := range seen {
+		seen[i].snap = s.Txn.Begin
+	}
+	kv.reads = append(kv.reads, seen[:]...)
+	kv.rep.Reads += len(seen)
+}
+
+// rmwPrev names the version a read-modify-write read: the value up to its
+// first '<', or "-" for none.
+func rmwPrev(val string, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	if i := strings.IndexByte(val, '<'); i >= 0 {
+		return val[:i]
+	}
+	return val
 }
 
 // spawnAnalytics starts one HTAP reader: a loop of full-table
@@ -346,6 +423,7 @@ func (kv *kvWorkload) finalCheck(p *sim.Proc, s *cluster.Session) string {
 		}
 	}
 	validateReads(kv.oracle, kv.reads, kv.scans, kv.violate)
+	kv.oracle.lostUpdates(kv.violate)
 	var dump strings.Builder
 	for _, k := range order {
 		fmt.Fprintf(&dump, "%d=%s\n", k, got[k])

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"wattdb/internal/cc"
@@ -125,6 +126,34 @@ func (o *oracle) tsOf(key int64, val string) cc.Timestamp {
 		}
 	}
 	return 0
+}
+
+// lostUpdates checks every read-modify-write version in the history (a value
+// with a '<', readModifyWrite): the version it names must be the one right
+// below it, or no update between its read and its commit survives.
+func (o *oracle) lostUpdates(violate func(string)) {
+	keys := make([]int64, 0, len(o.hist))
+	for k := range o.hist {
+		keys = append(keys, k)
+	}
+	sortInt64s(keys)
+	for _, k := range keys {
+		hs := o.hist[k]
+		for i, v := range hs {
+			at := strings.IndexByte(v.val, '<')
+			if v.deleted || at < 0 {
+				continue
+			}
+			want := "-"
+			if i > 0 {
+				want = rmwPrev(hs[i-1].val, !hs[i-1].deleted)
+			}
+			if got := v.val[at+1:]; got != want {
+				violate(fmt.Sprintf("lost update: key %d version %q (ts %d) read %q, but the version below it is %q (ts %d)",
+					k, v.val, v.ts, got, want, hs[max(i-1, 0)].ts))
+			}
+		}
+	}
 }
 
 // validateReads checks every recorded observation against the oracle and

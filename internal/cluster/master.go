@@ -52,6 +52,10 @@ type Master struct {
 
 	// pub spreads the oracle's view to every node (publish.go).
 	pub *publisher
+
+	// readSets holds the read sets of finished sessions for reuse
+	// (refresh.go).
+	readSets []*readSet
 }
 
 // txnDecision is one remembered commit verdict: the commit timestamp and

@@ -91,7 +91,8 @@ func TestCrashTornTailRecovered(t *testing.T) {
 // TestSessionSetupAllocs pins the transaction-setup hot path: Begin must
 // not allocate the session bookkeeping maps (they are lazy, built on first
 // write or lock), so a read-only begin/abort cycle costs exactly the Txn
-// and Session objects.
+// and Session objects. A read-write session's read set must not allocate per
+// read either.
 func TestSessionSetupAllocs(t *testing.T) {
 	tc := newTestCluster(t, table.Physiological, 2, 100)
 	defer tc.env.Close()
@@ -120,6 +121,36 @@ func TestSessionSetupAllocs(t *testing.T) {
 		})
 		if allocs > 2 {
 			t.Fatalf("read-only begin/commit allocates %.1f objects, want <= 2", allocs)
+		}
+		// A read-write session — three gets, a locking read, a put, commit —
+		// records its reads in a read set the master pools across sessions:
+		// once warm, recording them allocates nothing.
+		payload, _ := kvSchema().EncodeRow(table.Row{int64(0), "updated"})
+		rw := func(record bool) {
+			s := master.Begin(p, cc.SnapshotIsolation, master.Node)
+			s.unrefreshable = !record
+			for k := int64(10); k < 13; k++ {
+				if _, _, err := s.Get(p, "kv", ik(k)); err != nil {
+					t.Error(err)
+				}
+			}
+			if _, _, err := s.GetForUpdate(p, "kv", ik(1)); err != nil {
+				t.Error(err)
+			}
+			if err := s.Put(p, "kv", ik(1), payload); err != nil {
+				t.Error(err)
+			}
+			if err := s.Commit(p); err != nil {
+				t.Error(err)
+			}
+		}
+		rw(true)
+		allocs = testing.AllocsPerRun(100, func() { rw(true) })
+		if unrecorded := testing.AllocsPerRun(100, func() { rw(false) }); allocs > unrecorded {
+			t.Fatalf("read-write session allocates %.1f objects, %.1f without its read set: recording reads allocates", allocs, unrecorded)
+		}
+		if allocs > 48 {
+			t.Fatalf("read-write session allocates %.1f objects, want <= 48", allocs)
 		}
 	})
 }

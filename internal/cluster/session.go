@@ -43,6 +43,12 @@ type Session struct {
 	// alternating them between the owner and an eligible replica under data
 	// replication (see followerFor).
 	reads int
+	// rs is the read set Refresh checks: the keys the session read at their
+	// owners, taken from the master's pool at the first read (refresh.go).
+	// unrefreshable marks a session with reads rs cannot hold — a scan, a
+	// replica read, a read of a migrating range — or one that has ended.
+	rs            *readSet
+	unrefreshable bool
 
 	// PreferFollower is the analytics offloading hint: a read-only snapshot
 	// session that sets it — before its first read — skips the owner/replica
@@ -232,6 +238,9 @@ func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, 
 	if err != nil {
 		return nil, false, err
 	}
+	if e.OldPart != nil {
+		s.unrefreshable = true
+	}
 	// Follower snapshot read: an in-sync replica resolves the key below its
 	// applied horizon without touching the owner. Its answer is authoritative
 	// either way — the store mirrors the owner's full committed history, so
@@ -244,6 +253,7 @@ func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, 
 		if st := l.store; st != nil && st.floor <= s.Txn.Begin {
 			if rp := st.parts[e.Part.ID]; rp != nil {
 				s.m.cluster.drep.FollowerReads++
+				s.unrefreshable = true
 				v, ok := rp.get(key, s.Txn.Begin)
 				if !ok || v.Deleted {
 					return nil, false, nil
@@ -252,6 +262,7 @@ func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, 
 			}
 		}
 	}
+	answered := false
 	for _, c := range e.candidatesFor(key) {
 		if s.Txn.Mode == cc.Locking {
 			s.lockNode(c.owner)
@@ -264,6 +275,8 @@ func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, 
 		if err != nil {
 			return nil, false, err
 		}
+		answered = true
+		s.noteRead(tm, e, c.part, c.owner, key)
 		switch state {
 		case table.LookupLive:
 			return v, true, nil
@@ -275,7 +288,49 @@ func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, 
 		// Absent: this location knows nothing of the key — the other
 		// location of an in-flight migration may still hold it.
 	}
+	if !answered {
+		s.unrefreshable = true // no location owned the key
+	}
 	return nil, false, nil
+}
+
+// GetForUpdate reads key from tableName for an update that follows: the
+// owning partition takes the key's write intent before reading it and stages
+// the value it read as the transaction's own write (table.Partition.
+// GetForUpdate). Where the key was committed above the snapshot, the session
+// moves its snapshot up to that commit if nothing it read has changed in
+// between (Refresh), instead of dying on a write-write conflict. The payload
+// returned must not be modified. A range in migration, a replicated table and
+// locking mode read with a plain Get, and leave the write to the Put.
+func (s *Session) GetForUpdate(p *sim.Proc, tableName string, key []byte) ([]byte, bool, error) {
+	if s.fenced {
+		return nil, false, ErrMasterDown{}
+	}
+	tm, err := s.m.Table(tableName)
+	if err != nil {
+		return nil, false, err
+	}
+	if s.Txn.Mode != cc.SnapshotIsolation || tm.Replicated() {
+		return s.Get(p, tableName, key)
+	}
+	e, err := tm.route(key)
+	if err != nil {
+		return nil, false, err
+	}
+	if e.OldPart != nil {
+		return s.Get(p, tableName, key)
+	}
+	s.pin()
+	s.lockNode(e.Owner)
+	s.rpc(p, e.Owner, 32, 64)
+	v, ok, err := e.Part.GetForUpdate(p, s.Txn, key, s)
+	if _, notOwned := err.(table.ErrNotOwned); notOwned {
+		return s.Get(p, tableName, key) // a split or a move raced the routing
+	}
+	if ok {
+		s.touch(e.Part, e.Owner)
+	}
+	return v, ok, err
 }
 
 // Put writes key in tableName under the session's transaction.
@@ -340,6 +395,7 @@ func (s *Session) Scan(p *sim.Proc, tableName string, lo, hi []byte, fn func(key
 		return ErrMasterDown{}
 	}
 	s.pin()
+	s.unrefreshable = true // a range read is not in the read set
 	tm, err := s.m.Table(tableName)
 	if err != nil {
 		return err
@@ -529,6 +585,7 @@ func (s *Session) Commit(p *sim.Proc) error {
 	if !s.Txn.Active() {
 		return cc.ErrTxnNotActive
 	}
+	s.endReads()
 	if len(s.touched) == 0 && len(s.lockNodes) == 0 {
 		// A read-only snapshot transaction holds nothing anywhere: no staged
 		// write, no lock, no version of its own. It ends where it ran — no
@@ -890,6 +947,7 @@ func isPowerFailure(err error) bool {
 // logs lost to a power failure are skipped (their staged state died with
 // the node).
 func (s *Session) Abort(p *sim.Proc) {
+	s.endReads()
 	if s.Txn.State == cc.TxnAborted {
 		return
 	}

@@ -93,6 +93,74 @@ func (pt *Partition) readRouted(p *sim.Proc, txn *cc.Txn, key []byte) (*cc.Versi
 	}
 }
 
+// GetForUpdate reads key for an update that follows. It takes the key's write
+// intent before reading, under the partition's IX lock as a write does, then
+// reads the newest committed version and stages it back as txn's own write, so
+// commit and abort release the intent like any other. Where the intent rule
+// finds the key committed above txn's snapshot, r may move the snapshot up
+// instead of the read dying (cc.AcquireRefreshing). An absent or deleted key
+// returns ok=false and leaves no intent behind. The returned payload is the
+// staged value: the caller must not modify it. Under locking it is Get.
+func (pt *Partition) GetForUpdate(p *sim.Proc, txn *cc.Txn, key []byte, r cc.Refresher) ([]byte, bool, error) {
+	if txn.Mode == cc.Locking {
+		return pt.Get(p, txn, key)
+	}
+	if err := pt.down(); err != nil {
+		return nil, false, err
+	}
+	if err := pt.tooOld(txn); err != nil {
+		return nil, false, err
+	}
+	if !txn.Active() {
+		return nil, false, cc.ErrTxnNotActive
+	}
+	pt.stats.Reads++
+	pt.deps.compute(p, pt.deps.CPUPerOp)
+	if err := pt.lock(p, txn, pt.lockName(), cc.LockIX); err != nil {
+		return nil, false, err
+	}
+	tr, _, err := pt.writeTree(p, key)
+	if err != nil {
+		return nil, false, err
+	}
+	leaf, err := readLeaf(p, tr, key)
+	if err != nil {
+		return nil, false, err
+	}
+	var leafTS cc.Timestamp
+	if leaf != nil {
+		leafTS = leaf.TS
+	}
+	ks := string(key)
+	if err := pt.Store.AcquireRefreshing(p, txn, ks, leafTS, pt.deps.LockTimeout, r); err != nil {
+		return nil, false, pt.orDown(err)
+	}
+	if own, ok := pt.Store.HasIntent(txn, ks); ok {
+		return own.Val, !own.Deleted, nil
+	}
+	if pt.Store.StaleLeaf(ks, leafTS) {
+		// An install landed while the intent was awaited: read it.
+		if tr, _, err = pt.writeTree(p, key); err == nil {
+			leaf, err = readLeaf(p, tr, key)
+		}
+		if err == nil {
+			err = pt.down()
+		}
+		if err != nil {
+			pt.Store.AbortKey(txn, ks)
+			return nil, false, err
+		}
+	}
+	v, exists := pt.Store.VisibleVersion(txn, ks, leaf)
+	if !exists || v.Deleted {
+		pt.Store.AbortKey(txn, ks)
+		return nil, false, nil
+	}
+	pt.pending[txn.ID] = append(pt.pending[txn.ID], ks)
+	pt.Store.StagePending(txn, ks, false, v.Val)
+	return v.Val, true, nil
+}
+
 // Put inserts or updates key with payload under txn.
 func (pt *Partition) Put(p *sim.Proc, txn *cc.Txn, key, payload []byte) error {
 	return pt.write(p, txn, key, payload, false)

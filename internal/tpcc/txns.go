@@ -154,13 +154,27 @@ func (d *Deployment) Exec(p *sim.Proc, sess *cluster.Session, typ TxnType, w int
 // table (row 0 of the returned batch; valid until the table is read again
 // through the same scratch).
 func (d *Deployment) get(p *sim.Proc, s *cluster.Session, sc *txnScratch, tbl string, keyVals ...any) (*table.Batch, bool, error) {
+	return d.read(p, s, sc, false, tbl, keyVals...)
+}
+
+// getForUpdate is get for a row the transaction updates next: the read
+// takes the row's write intent (cluster.Session.GetForUpdate).
+func (d *Deployment) getForUpdate(p *sim.Proc, s *cluster.Session, sc *txnScratch, tbl string, keyVals ...any) (*table.Batch, bool, error) {
+	return d.read(p, s, sc, true, tbl, keyVals...)
+}
+
+func (d *Deployment) read(p *sim.Proc, s *cluster.Session, sc *txnScratch, forUpdate bool, tbl string, keyVals ...any) (*table.Batch, bool, error) {
 	schema := d.Schemas[tbl]
 	var err error
 	sc.key, err = schema.AppendKeyPrefix(sc.key[:0], keyVals...)
 	if err != nil {
 		return nil, false, err
 	}
-	raw, ok, err := s.Get(p, tbl, sc.key)
+	get := s.Get
+	if forUpdate {
+		get = s.GetForUpdate
+	}
+	raw, ok, err := get(p, tbl, sc.key)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
@@ -217,7 +231,7 @@ func (d *Deployment) NewOrder(p *sim.Proc, s *cluster.Session, w int, rng *rand.
 	if _, ok, err := d.get(p, s, sc, TWarehouse, int64(w)); err != nil || !ok {
 		return orErr(err, "warehouse %d missing", w)
 	}
-	dist, ok, err := d.get(p, s, sc, TDistrict, int64(w), int64(dd))
+	dist, ok, err := d.getForUpdate(p, s, sc, TDistrict, int64(w), int64(dd))
 	if err != nil || !ok {
 		return orErr(err, "district %d/%d missing", w, dd)
 	}
@@ -252,7 +266,7 @@ func (d *Deployment) NewOrder(p *sim.Proc, s *cluster.Session, w int, rng *rand.
 			return orErr(err, "item %d missing", item)
 		}
 		price := itemRow.Float(2, 0)
-		stock, ok, err := d.get(p, s, sc, TStock, int64(supplyW), int64(item))
+		stock, ok, err := d.getForUpdate(p, s, sc, TStock, int64(supplyW), int64(item))
 		if err != nil || !ok {
 			return orErr(err, "stock %d/%d missing", supplyW, item)
 		}
@@ -304,7 +318,7 @@ func (d *Deployment) Payment(p *sim.Proc, s *cluster.Session, w int, rng *rand.R
 	c := NURand(rng, 1023, 1, cfg.CustomersPerDistrict)
 	amount := 1 + rng.Float64()*4999
 
-	wh, ok, err := d.get(p, s, sc, TWarehouse, int64(w))
+	wh, ok, err := d.getForUpdate(p, s, sc, TWarehouse, int64(w))
 	if err != nil || !ok {
 		return orErr(err, "warehouse %d missing", w)
 	}
@@ -312,7 +326,7 @@ func (d *Deployment) Payment(p *sim.Proc, s *cluster.Session, w int, rng *rand.R
 	if err := d.putRow(p, s, sc, TWarehouse, wh); err != nil {
 		return err
 	}
-	dist, ok, err := d.get(p, s, sc, TDistrict, int64(w), int64(dd))
+	dist, ok, err := d.getForUpdate(p, s, sc, TDistrict, int64(w), int64(dd))
 	if err != nil || !ok {
 		return orErr(err, "district missing")
 	}
@@ -320,7 +334,7 @@ func (d *Deployment) Payment(p *sim.Proc, s *cluster.Session, w int, rng *rand.R
 	if err := d.putRow(p, s, sc, TDistrict, dist); err != nil {
 		return err
 	}
-	cust, ok, err := d.get(p, s, sc, TCustomer, int64(cw), int64(cd), int64(c))
+	cust, ok, err := d.getForUpdate(p, s, sc, TCustomer, int64(cw), int64(cd), int64(c))
 	if err != nil || !ok {
 		return orErr(err, "customer missing")
 	}
