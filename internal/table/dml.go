@@ -116,30 +116,20 @@ func (pt *Partition) GetForUpdate(p *sim.Proc, txn *cc.Txn, key []byte, r cc.Ref
 	}
 	pt.stats.Reads++
 	pt.deps.compute(p, pt.deps.CPUPerOp)
-	if err := pt.lock(p, txn, pt.lockName(), cc.LockIX); err != nil {
-		return nil, false, err
-	}
-	tr, _, err := pt.writeTree(p, key)
+	ks, leaf, err := pt.intent(p, txn, key, r)
 	if err != nil {
 		return nil, false, err
 	}
-	leaf, err := readLeaf(p, tr, key)
-	if err != nil {
-		return nil, false, err
+	if own, ok := pt.Store.HasIntent(txn, ks); ok {
+		return own.Val, !own.Deleted, nil
 	}
 	var leafTS cc.Timestamp
 	if leaf != nil {
 		leafTS = leaf.TS
 	}
-	ks := string(key)
-	if err := pt.Store.AcquireRefreshing(p, txn, ks, leafTS, pt.deps.LockTimeout, r); err != nil {
-		return nil, false, pt.orDown(err)
-	}
-	if own, ok := pt.Store.HasIntent(txn, ks); ok {
-		return own.Val, !own.Deleted, nil
-	}
 	if pt.Store.StaleLeaf(ks, leafTS) {
 		// An install landed while the intent was awaited: read it.
+		var tr *btree.Tree
 		if tr, _, err = pt.writeTree(p, key); err == nil {
 			leaf, err = readLeaf(p, tr, key)
 		}
@@ -183,37 +173,48 @@ func (pt *Partition) write(p *sim.Proc, txn *cc.Txn, key, payload []byte, delete
 	if txn.Mode == cc.Locking {
 		return pt.writeLocking(p, txn, key, payload, deleted)
 	}
-
-	// IX on the partition announces write activity to segment movers,
-	// which take R on the same name ("a read lock is acquired on the
-	// source partition, waiting for pre-existing queries to finish
-	// updating the partition", Sect. 4.3). The lock must precede routing:
-	// a writer that queued behind a mover would otherwise stage a write
-	// for a range that left the partition while it waited.
-	if err := pt.lock(p, txn, pt.lockName(), cc.LockIX); err != nil {
-		return err
-	}
-	tr, _, err := pt.writeTree(p, key)
+	ks, _, err := pt.intent(p, txn, key, nil)
 	if err != nil {
 		return err
-	}
-	leaf, err := readLeaf(p, tr, key)
-	if err != nil {
-		return err
-	}
-	var leafTS cc.Timestamp
-	if leaf != nil {
-		leafTS = leaf.TS
-	}
-	ks := string(key)
-	if err := pt.Store.AcquireWriteIntent(p, txn, ks, leafTS, pt.deps.LockTimeout); err != nil {
-		return pt.orDown(err)
 	}
 	if _, already := pt.Store.HasIntent(txn, ks); !already {
 		pt.pending[txn.ID] = append(pt.pending[txn.ID], ks)
 	}
 	pt.Store.StagePending(txn, ks, deleted, bytes.Clone(payload))
 	return nil
+}
+
+// intent takes key's write intent for txn and returns the key as the version
+// store holds it and the tree version read before the intent was granted
+// (nil if absent). r is handed to the intent rule (cc.AcquireRefreshing).
+//
+// IX on the partition announces write activity to segment movers, which take
+// R on the same name ("a read lock is acquired on the source partition,
+// waiting for pre-existing queries to finish updating the partition", Sect.
+// 4.3). The lock must precede routing: a writer that queued behind a mover
+// would otherwise stage a write for a range that left the partition while it
+// waited.
+func (pt *Partition) intent(p *sim.Proc, txn *cc.Txn, key []byte, r cc.Refresher) (string, *cc.Version, error) {
+	if err := pt.lock(p, txn, pt.lockName(), cc.LockIX); err != nil {
+		return "", nil, err
+	}
+	tr, _, err := pt.writeTree(p, key)
+	if err != nil {
+		return "", nil, err
+	}
+	leaf, err := readLeaf(p, tr, key)
+	if err != nil {
+		return "", nil, err
+	}
+	var leafTS cc.Timestamp
+	if leaf != nil {
+		leafTS = leaf.TS
+	}
+	ks := string(key)
+	if err := pt.Store.AcquireRefreshing(p, txn, ks, leafTS, pt.deps.LockTimeout, r); err != nil {
+		return "", nil, pt.orDown(err)
+	}
+	return ks, leaf, nil
 }
 
 func (pt *Partition) writeLocking(p *sim.Proc, txn *cc.Txn, key, payload []byte, deleted bool) error {
