@@ -203,12 +203,12 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 	// Truncation floor: global redo capped by the retention floors. The
 	// coordinator history on this log matters only while an election may
 	// read it here — on the seated leader and on the anchor; anywhere else
-	// it predates the anchor's term-opening snapshot.
+	// it predates the anchor's term-opening snapshot. It is folded as the
+	// election folds it: on one log LSN order is sequence order, both being
+	// append order (a rebuild re-appends in order, too).
 	floor := ck.Redo
 	if m := c.Master; m.rep != nil && (n == m.Node || n == m.rep.anchor) {
-		if mf := masterRetentionFloor(recs); mf < floor {
-			floor = mf
-		}
+		floor = min(floor, foldCoord(recs, map[cc.TxnID]*txnDecision{}).floor())
 	}
 	if wf := wrapperRetentionFloor(recs); wf < floor {
 		floor = wf
@@ -298,71 +298,6 @@ func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, a *wal.Analysis, 
 
 // noFloor means "no retention requirement" for the floor helpers below.
 const noFloor = ^uint64(0)
-
-// masterRetentionFloor returns the lowest LSN the replicated-coordinator
-// election replay still needs from this log: the newest catalog snapshot per
-// table (older RecMState records are superseded — electFrom applies them in
-// sequence order and later snapshots replace earlier ones wholesale), the
-// newest timestamp lease (only the highest ceiling matters), and every
-// replicated decision some participant has not acked in the retained log
-// (a fully acked decision is drained on replay; its leftover ack records are
-// no-ops against an unknown transaction).
-func masterRetentionFloor(recs []wal.Record) uint64 {
-	stateLSN := make(map[string]uint64)
-	var leaseLSN, leaseSeq uint64
-	type dec struct {
-		lsn     uint64
-		waiting map[int]bool
-	}
-	decs := make(map[cc.TxnID]*dec)
-	for i := range recs {
-		r := &recs[i]
-		switch r.Type {
-		case wal.RecMState:
-			if t, err := wal.DecodeMasterTable(r.After); err == nil {
-				stateLSN[t.Name] = r.LSN
-			}
-		case wal.RecMLease:
-			if r.Part >= leaseSeq {
-				leaseSeq, leaseLSN = r.Part, r.LSN
-			}
-		case wal.RecDecision:
-			if r.After == nil {
-				continue // coordinator-local form: verdicts live in stable metadata
-			}
-			nodes, err := wal.DecodeMasterParticipants(r.After)
-			if err != nil {
-				continue
-			}
-			w := make(map[int]bool, len(nodes))
-			for _, nd := range nodes {
-				w[nd] = true
-			}
-			decs[r.Txn] = &dec{lsn: r.LSN, waiting: w}
-		case wal.RecMAck:
-			if d := decs[r.Txn]; d != nil {
-				if nd, err := wal.DecodeMasterAck(r.After); err == nil {
-					delete(d.waiting, nd)
-				}
-			}
-		}
-	}
-	floor := uint64(noFloor)
-	for _, lsn := range stateLSN {
-		if lsn < floor {
-			floor = lsn
-		}
-	}
-	if leaseLSN > 0 && leaseLSN < floor {
-		floor = leaseLSN
-	}
-	for _, d := range decs {
-		if len(d.waiting) > 0 && d.lsn < floor {
-			floor = d.lsn
-		}
-	}
-	return floor
-}
 
 // wrapperRetentionFloor returns the lowest retained RecShip wrapper LSN: in
 // the follower role this log IS some origin's rebuild source, and its full

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"wattdb/internal/cc"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
+	"wattdb/internal/wal"
 )
 
 // TestCheckpointPowerFailSweep power-fails a node at every crash point of
@@ -129,6 +131,98 @@ func TestCheckpointPowerFailSweep(t *testing.T) {
 	for _, name := range []string{"ckpt.walk", "ckpt.batch", "ckpt.begin", "ckpt.scanned", "ckpt.end", "ckpt.durable"} {
 		if !crashedAt[name] {
 			t.Errorf("the sweep never crashed at %s (crashed at %v)", name, crashedAt)
+		}
+	}
+}
+
+// TestCoordFloorKeepsElection: a checkpoint on the replicated coordinator's
+// anchor truncates its log at the coordinator-history floor, and an election
+// over what is left must seat exactly what one over the whole log seats — the
+// newest snapshot of every table, the lease ceiling, every decision with its
+// outstanding participants. The history holds the two shapes a floor that is
+// too high loses: a lease ceiling followed by a lower grant, and a decision
+// re-logged with fewer participants than its first record, whose acks were
+// lost (the election replays the first record of a decision it does not
+// know). Superseded snapshots and a fully acked decision lie below the floor
+// and must be gone.
+func TestCoordFloorKeepsElection(t *testing.T) {
+	w := newFailoverWorld(t, defaultLeaseChunk)
+	defer w.env.Close()
+	m, leader := w.c.Master, w.c.Nodes[0]
+	leader.Log.SetSegmentBytes(1) // one record per segment: truncation is exact
+	dec := func(id cc.TxnID, nodes ...int) wal.Record {
+		return wal.Record{Txn: id, Type: wal.RecDecision, TS: 50,
+			After: wal.EncodeMasterParticipants(nil, nodes)}
+	}
+	ack := func(id cc.TxnID, node int) wal.Record {
+		return wal.Record{Txn: id, Type: wal.RecMAck, After: wal.EncodeMasterAck(nil, node)}
+	}
+	const high, low = cc.Timestamp(1 << 40), cc.Timestamp(1 << 39)
+	history := []wal.Record{
+		dec(103, 1, 2), ack(103, 1), ack(103, 2), // drained
+		m.tableRecord("kv"), // superseded below
+		{Type: wal.RecMLease, TS: high},
+		dec(102, 1, 3),
+		m.tableRecord("kv"),
+		{Type: wal.RecMLease, TS: low},
+		dec(102, 3), // a re-log that lost node 1's outstanding branch
+		dec(101, 1, 2), ack(101, 1),
+	}
+	for _, rec := range history {
+		m.logMaster(nil, rec, true) // setup path: durable on the leader and every follower
+	}
+	full, err := leader.Log.Iter().All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck CheckpointStats
+	w.env.Spawn("checkpoint", func(p *sim.Proc) { ck, err = w.c.CheckpointNode(p, leader, 0) })
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _, _ := m.masterCopy(leader)
+	seat := func(recs []wal.Record) *coordHistory {
+		return foldCoord(recs, map[cc.TxnID]*txnDecision{})
+	}
+	before, after := seat(full), seat(kept)
+	var highLSN uint64 // the ceiling's grant: the floor
+	for i := range full {
+		if full[i].Type == wal.RecMLease && full[i].TS == high {
+			highLSN = full[i].LSN
+		}
+	}
+	if ck.Truncated != highLSN {
+		t.Fatalf("checkpoint truncated at LSN %d, want the ceiling's grant at %d", ck.Truncated, highLSN)
+	}
+	if first := kept[0].LSN; first != highLSN {
+		t.Fatalf("oldest coordinator record kept is at LSN %d, want %d", first, highLSN)
+	}
+	if _, ok := before.decisions[103]; ok {
+		t.Fatal("the fully acked decision is still outstanding")
+	}
+	if before.lease != high || len(before.decisions[102].outstanding) != 2 || len(before.decisions[101].outstanding) != 1 {
+		t.Fatalf("election over the whole log: lease %d, decisions %v", before.lease, before.decisions)
+	}
+	if after.lease != before.lease {
+		t.Fatalf("lease ceiling %d after truncation, %d before", after.lease, before.lease)
+	}
+	if len(after.tables) != len(before.tables) {
+		t.Fatalf("%d tables after truncation, %d before", len(after.tables), len(before.tables))
+	}
+	for name, tb := range before.tables {
+		if ta, ok := after.tables[name]; !ok || !reflect.DeepEqual(ta.st, tb.st) {
+			t.Fatalf("table %s: %+v after truncation, %+v before", name, ta.st, tb.st)
+		}
+	}
+	if len(after.decisions) != len(before.decisions) {
+		t.Fatalf("%d decisions after truncation, %d before", len(after.decisions), len(before.decisions))
+	}
+	for id, db := range before.decisions {
+		if da, ok := after.decisions[id]; !ok || da.ts != db.ts || !reflect.DeepEqual(da.outstanding, db.outstanding) {
+			t.Fatalf("decision %d: %+v after truncation, %+v before", id, da, db)
 		}
 	}
 }

@@ -318,6 +318,10 @@ func (fs *frameSet) keepThrough(lsn uint64) {
 // repStore is a follower's in-memory replica of one origin's partitions,
 // built by applying the origin's shipped frames in log order. It is wiped by
 // a crash (DRAM) and re-seeded by resync.
+//
+// pending is not a wal.Analysis: it is staged one delivery at a time,
+// between frames, and held in DRAM until the commit or abort frame arrives —
+// not a batch pass over a log read. Its entries alias retained frames.
 type repStore struct {
 	frames  frameSet // raw frame retention, through the newest applied: scrub repair source
 	pending map[cc.TxnID][]stagedRep
@@ -356,7 +360,7 @@ func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 	if lsn <= st.frames.max() {
 		return // duplicate delivery (resync overlap)
 	}
-	rec, err := wal.DecodeFrameAlias(frame)
+	rec, err := wal.DecodeFrame(frame)
 	if err != nil {
 		return // never shipped: drains and resyncs skip damaged frames
 	}
@@ -1050,7 +1054,7 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 		if !wal.Shippable(rec) {
 			return true
 		}
-		frames = append(frames, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame)})
+		frames = append(frames, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame)}) // outlives the walk
 		total += int64(len(frame)) + shipWireOverhead
 		return true
 	})
@@ -1132,7 +1136,7 @@ func durableShippedFrames(f *DataNode, origin int) (fs frameSet, gen uint64) {
 		if rec.Type != wal.RecShip || rec.Part != uint64(origin) {
 			return true
 		}
-		sf, err := wal.DecodeShipFrame(rec.After)
+		sf, err := wal.DecodeShipFrame(rec.After) // copies sf.Frame: fs owns what it keeps
 		if err != nil || sf.Gen < gen {
 			return true // damaged, or a straggler from before a restart
 		}
@@ -1302,9 +1306,11 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		nl := n.Log.Append(rec) // Append renumbers
 		if rec.Type == wal.RecBase {
 			// A wiped disk also lost the recovery bases; the shipped
-			// base images restore them (Append encoded already, so the
-			// decoded slices can be retained). The pair carries its
-			// renumbered append LSN, so repairBaseLog sees it covered.
+			// base images restore them. The decoded slices alias frame,
+			// a copy of this merge's own (salvage clones, DecodeShipFrame
+			// copies) that nothing writes, so the pair can keep them. It
+			// carries its renumbered append LSN, so repairBaseLog sees it
+			// covered.
 			id := table.PartID(rec.Part)
 			n.bases[id] = append(n.bases[id], basePair{key: rec.Key, val: rec.After, lsn: nl})
 		}

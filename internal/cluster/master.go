@@ -63,6 +63,7 @@ type Master struct {
 type txnDecision struct {
 	ts          cc.Timestamp
 	outstanding map[int]bool // node IDs still owing a durable commit record
+	lsn         uint64       // the record foldCoord read it from (0: decided by this master)
 }
 
 // TableMeta is the master's view of one table.
@@ -234,13 +235,8 @@ func (m *Master) recordDecision(p *sim.Proc, txn *cc.Txn, commitTS cc.Timestamp,
 // participant is outstanding the verdict is forgotten (presumed abort lets
 // the coordinator drop resolved transactions).
 func (m *Master) ackDecision(id cc.TxnID, node int) {
-	d, ok := m.decisions[id]
-	if !ok {
+	if !dropAck(m.decisions, id, node) {
 		return
-	}
-	delete(d.outstanding, node)
-	if len(d.outstanding) == 0 {
-		delete(m.decisions, id)
 	}
 	// Replicate the ack unforced: the bytes ride along with the followers'
 	// next group commit. A lost ack merely resurrects the decision entry at
@@ -251,6 +247,20 @@ func (m *Master) ackDecision(id cc.TxnID, node int) {
 		m.logMaster(nil, wal.Record{Txn: id, Type: wal.RecMAck,
 			After: wal.EncodeMasterAck(nil, node)}, false)
 	}
+}
+
+// dropAck removes node from decision id's outstanding participants and
+// forgets the decision once none is left; false when decisions holds none.
+func dropAck(decisions map[cc.TxnID]*txnDecision, id cc.TxnID, node int) bool {
+	d, ok := decisions[id]
+	if !ok {
+		return false
+	}
+	delete(d.outstanding, node)
+	if len(d.outstanding) == 0 {
+		delete(decisions, id)
+	}
+	return true
 }
 
 // InDoubtDecision answers a restarting participant's query for a prepared

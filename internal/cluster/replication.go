@@ -393,7 +393,9 @@ func (m *Master) leaderDown() {
 // wrappers it keeps as the anchor's follower — and their highest sequence.
 // held is false when n holds no part of the stream at all. The scans are
 // per-frame, so a rotted frame the scrubber has not reached yet cannot hide
-// the records behind it.
+// the records behind it. Nothing is copied: the records alias n's log
+// segments or the frames of shippedCopy, which tryElect reads and drops
+// within the same instant.
 func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held bool) {
 	add := func(rec *wal.Record) {
 		if wal.MasterRecord(rec) {
@@ -422,7 +424,8 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 // power failure of n now leaves for an election to adopt (tryElect). The
 // follower is an in-sync one whose log is flushed through its last wrapper,
 // so every frame its replica store holds of n's current generation is
-// durable there; the candidates are the few above n's flushed boundary.
+// durable there; the candidates are the few above n's flushed boundary. The
+// record aliases the store's frame, which the store keeps unchanged.
 func (c *Cluster) CoordAhead(n *DataNode) (ahead wal.Record, ok bool) {
 	if c.drep == nil {
 		return ahead, false
@@ -510,38 +513,87 @@ func (m *Master) tryElect() {
 // copy of the replicated history, whose highest sequence is maxSeq — and
 // seats candidate as leader, in place: the Master object and its Oracle
 // pointer stay stable (sessions, node dependencies, and harnesses hold them).
-// The catalog and partition tables are replayed from the replicated snapshots
-// in sequence order, the decision map from decision/ack records, and the
-// oracle resumes at the replicated lease ceiling — strictly above anything
-// the old leader issued. Non-blocking: routing flips in one instant.
+// The catalog and partition tables come from the newest replicated snapshot
+// of each table, the decision map from decision/ack records, and the oracle
+// resumes at the replicated lease ceiling — strictly above anything the old
+// leader issued (foldCoord). Non-blocking: routing flips in one instant, and
+// recs, which may alias log segments and replica-store frames, are read
+// before anything is appended.
 func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64) {
 	r := m.rep
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Part < recs[j].Part })
-	m.tables = make(map[string]*TableMeta)
 	// The decision map is NOT reset: every in-memory ack corresponds to a
 	// participant branch durably closed (commit record or roll-forward
 	// flushed), so existing entries are strictly fresher than the log's, and
 	// entries the dead leader installed but never replicated must survive —
 	// their commit sessions are still blocked in the replication retry loop
 	// and restarting participants must be told to roll forward, not to
-	// presume abort. Replay below only adds decisions this Master never saw.
-	var lease cc.Timestamp
+	// presume abort. The fold only adds decisions this Master never saw.
+	h := foldCoord(recs, m.decisions)
+	// In any order: each snapshot replaces its own table, and nextPartID only
+	// rises.
+	m.tables = make(map[string]*TableMeta)
+	for _, t := range h.tables {
+		m.applyTableState(t.st)
+	}
+	// Never below what this seat already issued: a never-established term
+	// left records on its leader's log that no copy of the anchor's stream
+	// shows, and sequences must stay unique.
+	r.seq = max(r.seq, maxSeq) + seqEpochGap
+	m.Node = candidate
+	m.Oracle.Failover(h.lease)
+	m.down = false
+	m.epoch++
+	m.failovers++
+	m.graceUntil = m.cluster.Env.Now() + failoverGrace
+	m.pub.poke()
+	m.logSnapshot()
+	m.reconcile()
+}
+
+// coordHistory is the one reading of a copy of the replicated coordinator
+// records: what an election seats from it (electFrom), each part with the
+// LSN of the record that carries it, so a checkpoint keeps exactly those
+// records of the log that holds them (ckptScan).
+type coordHistory struct {
+	tables    map[string]coordTable // the newest decodable catalog snapshot of each table
+	lease     cc.Timestamp          // the lease ceiling: the highest grant
+	leaseLSN  uint64                // the last record granting it (0: none)
+	decisions map[cc.TxnID]*txnDecision
+}
+
+type coordTable struct {
+	st  *wal.MasterTable
+	lsn uint64
+}
+
+// foldCoord reads recs in sequence order, as an election replays them, and
+// skips every record that is not a replicated coordinator record. A table's
+// newer snapshot replaces its older one wholesale, and only the highest lease
+// ceiling counts. decisions holds the decisions already known — the seated
+// master's for an election, none for a retention floor — and the fold extends
+// it in place: a decision record of a known transaction is skipped (the known
+// entry is fresher, and blocked commit sessions hold it), an unknown one
+// enters with every participant outstanding, and each ack resolves one
+// participant of a known decision, which drains once none is left.
+func foldCoord(recs []wal.Record, decisions map[cc.TxnID]*txnDecision) *coordHistory {
+	h := &coordHistory{tables: make(map[string]coordTable), decisions: decisions}
 	for i := range recs {
 		rec := &recs[i]
+		if !wal.MasterRecord(rec) {
+			continue
+		}
 		switch rec.Type {
 		case wal.RecMState:
 			if st, err := wal.DecodeMasterTable(rec.After); err == nil {
-				m.applyTableState(st)
+				h.tables[st.Name] = coordTable{st, rec.LSN}
 			}
 		case wal.RecMLease:
-			if rec.TS > lease {
-				lease = rec.TS
+			if rec.TS >= h.lease {
+				h.lease, h.leaseLSN = rec.TS, rec.LSN
 			}
 		case wal.RecDecision:
-			if _, known := m.decisions[rec.Txn]; known {
-				// Keep the live object: blocked commit sessions and past acks
-				// reference it, and its outstanding set already reflects
-				// branch closures the log has not recorded.
+			if _, known := decisions[rec.Txn]; known {
 				continue
 			}
 			nodes, err := wal.DecodeMasterParticipants(rec.After)
@@ -552,26 +604,32 @@ func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64
 			for _, id := range nodes {
 				out[id] = true
 			}
-			m.decisions[rec.Txn] = &txnDecision{ts: rec.TS, outstanding: out}
+			decisions[rec.Txn] = &txnDecision{ts: rec.TS, outstanding: out, lsn: rec.LSN}
 		case wal.RecMAck:
 			if node, err := wal.DecodeMasterAck(rec.After); err == nil {
-				m.ackDecision(rec.Txn, node)
+				dropAck(decisions, rec.Txn, node)
 			}
 		}
 	}
-	// Never below what this seat already issued: a never-established term
-	// left records on its leader's log that no copy of the anchor's stream
-	// shows, and sequences must stay unique.
-	r.seq = max(r.seq, maxSeq) + seqEpochGap
-	m.Node = candidate
-	m.Oracle.Failover(lease)
-	m.down = false
-	m.epoch++
-	m.failovers++
-	m.graceUntil = m.cluster.Env.Now() + failoverGrace
-	m.pub.poke()
-	m.logSnapshot()
-	m.reconcile()
+	return h
+}
+
+// floor returns the lowest LSN of a record the history was read from: cut
+// below it, the log still gives an election the same tables, lease ceiling
+// and outstanding decisions. Older snapshots of a table, lower or repeated
+// ceilings and drained decisions lie below it.
+func (h *coordHistory) floor() uint64 {
+	floor := uint64(noFloor)
+	for _, t := range h.tables {
+		floor = min(floor, t.lsn)
+	}
+	if h.leaseLSN > 0 {
+		floor = min(floor, h.leaseLSN)
+	}
+	for _, d := range h.decisions {
+		floor = min(floor, d.lsn)
+	}
+	return floor
 }
 
 // awaitAvailable blocks restart-time coordinator queries until the master

@@ -153,7 +153,7 @@ func (l *Log) LastCheckpoint() *Checkpoint {
 			begins[rec.LSN] = true
 			pendBegin = rec.LSN
 		case RecCkptEnd:
-			ck, err := DecodeCheckpoint(rec.After)
+			ck, err := DecodeCheckpoint(rec.After) // a copy: best outlives the walk
 			if err != nil || !begins[ck.Begin] || ck.Begin != pendBegin {
 				return true // torn/corrupt payload or unmatched pair: ignore
 			}

@@ -63,12 +63,9 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 }
 
 // DecodeRecord parses one record from the front of buf, returning the
-// record and the remaining bytes. Decoded slices are copies, not aliases.
-func DecodeRecord(buf []byte) (Record, []byte, error) { return decodeRecord(buf, false) }
-
-// decodeRecord is DecodeRecord; with alias the decoded Key, Before and After
-// point into buf instead of being copied out of it.
-func decodeRecord(buf []byte, alias bool) (Record, []byte, error) {
+// record and the remaining bytes. The decoded Key, Before and After alias
+// buf: a caller that keeps them past a change to buf copies them.
+func DecodeRecord(buf []byte) (Record, []byte, error) {
 	if len(buf) < recHeaderSize {
 		return Record{}, nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(buf))
 	}
@@ -109,19 +106,21 @@ func decodeRecord(buf []byte, alias bool) (Record, []byte, error) {
 	} else if aLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d after bytes on a record flagged after=nil", aLen)
 	}
-	if !alias {
-		r.Key, r.Before, r.After = cloneField(r.Key), cloneField(r.Before), cloneField(r.After)
-	}
 	return r, body[total:], nil
 }
 
-// cloneField copies a decoded field out of the wire buffer, keeping nil (field
-// absent) distinct from empty.
-func cloneField(b []byte) []byte {
-	if b == nil {
-		return nil
+// detach copies r's Key, Before and After out of the buffer they alias into
+// one fresh allocation, keeping nil (field absent) distinct from empty.
+func (r *Record) detach() {
+	buf := make([]byte, 0, len(r.Key)+len(r.Before)+len(r.After))
+	field := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)]
 	}
-	return append([]byte{}, b...)
+	r.Key, r.Before, r.After = field(r.Key), field(r.Before), field(r.After)
 }
 
 // Frame format: every record in a log segment is preceded by an 8-byte
@@ -153,9 +152,8 @@ func appendFrame(dst []byte, r *Record) []byte {
 // record and the number of bytes consumed. A truncated header or payload, a
 // CRC mismatch, or a payload that does not decode to exactly one record all
 // fail — the caller treats the failure point as the end of the valid log.
-func decodeFrame(buf []byte) (Record, int, error) { return decodeFrameBytes(buf, false) }
-
-func decodeFrameBytes(buf []byte, alias bool) (Record, int, error) {
+// The record's Key, Before and After alias buf (see DecodeRecord).
+func decodeFrame(buf []byte) (Record, int, error) {
 	if len(buf) < frameHeaderSize {
 		return Record{}, 0, fmt.Errorf("wal: frame header torn (%d bytes)", len(buf))
 	}
@@ -170,7 +168,7 @@ func decodeFrameBytes(buf []byte, alias bool) (Record, int, error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[4:8]); got != want {
 		return Record{}, 0, fmt.Errorf("wal: frame CRC mismatch (%#x != %#x)", got, want)
 	}
-	rec, rest, err := decodeRecord(payload, alias)
+	rec, rest, err := DecodeRecord(payload)
 	if err != nil {
 		return Record{}, 0, err
 	}
@@ -181,16 +179,12 @@ func decodeFrameBytes(buf []byte, alias bool) (Record, int, error) {
 }
 
 // DecodeFrame parses exactly one framed record occupying the whole of buf —
-// the replication layer's entry point for decoding a shipped frame copy.
-func DecodeFrame(buf []byte) (Record, error) { return decodeWholeFrame(buf, false) }
-
-// DecodeFrameAlias is DecodeFrame without the copies: the record's Key, Before
-// and After alias buf. For a caller that keeps buf alive and unchanged for as
-// long as it keeps the record — a replica store retains every frame verbatim.
-func DecodeFrameAlias(buf []byte) (Record, error) { return decodeWholeFrame(buf, true) }
-
-func decodeWholeFrame(buf []byte, alias bool) (Record, error) {
-	rec, n, err := decodeFrameBytes(buf, alias)
+// the replication layer's entry point for decoding a shipped frame copy. The
+// record's Key, Before and After alias buf, so decoding allocates nothing: a
+// caller keeps them only as long as buf stays unchanged — a replica store
+// retains every frame verbatim — or copies what it keeps.
+func DecodeFrame(buf []byte) (Record, error) {
+	rec, n, err := decodeFrame(buf)
 	if err != nil {
 		return Record{}, err
 	}

@@ -91,7 +91,9 @@ func (t RecType) String() string {
 // forward.
 //
 // Append encodes the record immediately, so callers may pass slices they
-// keep mutating afterwards — the log never aliases caller memory.
+// keep mutating afterwards — the log never aliases caller memory. The other
+// way round, a decoded record's Key, Before and After alias the bytes it was
+// decoded from (DecodeFrame, VisitFrames); only an Iterator copies them.
 type Record struct {
 	LSN    uint64
 	Txn    cc.TxnID
@@ -549,28 +551,44 @@ func (l *Log) WipeDisk() {
 	l.flushedSig.Fire()
 }
 
-// CheckFlushed CRC-scans the durable portion of every retained segment and
-// returns the LSNs of frames that no longer decode — bit rot inside acked
-// history. The walk uses the in-memory LSN-to-offset mapping, so damage to
-// one frame never hides the frames behind it (unlike Restart's byte scan,
-// which must truncate at the first bad frame).
-func (l *Log) CheckFlushed() []uint64 {
-	var bad []uint64
+// walk passes every retained frame to fn in LSN order, with the LSN the
+// in-memory LSN-to-offset mapping gives it, so damage to one frame never
+// hides the frames behind it (unlike Restart's byte scan, which must
+// truncate at the first bad frame). frame aliases the segment buffer; fn
+// returning false stops the walk.
+func (l *Log) walk(fn func(lsn uint64, frame []byte) bool) {
 	for _, s := range l.segs {
 		start := 0
 		for i, end := range s.ends {
-			lsn := s.firstLSN + uint64(i)
-			frame := s.buf[start:end]
+			if !fn(s.firstLSN+uint64(i), s.buf[start:end:end]) {
+				return
+			}
 			start = end
-			if lsn > l.flushedLSN {
-				break
-			}
-			rec, n, err := decodeFrame(frame)
-			if err != nil || n != len(frame) || rec.LSN != lsn {
-				bad = append(bad, lsn)
-			}
 		}
 	}
+}
+
+// decodeAt decodes frame, which the offset mapping places at lsn: ok is
+// false when it no longer decodes to exactly one record carrying lsn.
+func decodeAt(frame []byte, lsn uint64) (rec Record, ok bool) {
+	rec, n, err := decodeFrame(frame)
+	return rec, err == nil && n == len(frame) && rec.LSN == lsn
+}
+
+// CheckFlushed CRC-scans the durable portion of every retained segment and
+// returns the LSNs of frames that no longer decode — bit rot inside acked
+// history. A clean log allocates nothing.
+func (l *Log) CheckFlushed() []uint64 {
+	var bad []uint64
+	l.walk(func(lsn uint64, frame []byte) bool {
+		if lsn > l.flushedLSN {
+			return false
+		}
+		if _, ok := decodeAt(frame, lsn); !ok {
+			bad = append(bad, lsn)
+		}
+		return true
+	})
 	return bad
 }
 
@@ -590,8 +608,7 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 	if len(frame) != s.ends[idx]-start {
 		return false
 	}
-	rec, n, err := decodeFrame(frame)
-	if err != nil || n != len(frame) || rec.LSN != lsn {
+	if _, ok := decodeAt(frame, lsn); !ok {
 		return false
 	}
 	copy(s.buf[start:s.ends[idx]], frame)
@@ -610,32 +627,22 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 // Returns the damaged LSN, or 0 when the log holds no candidate.
 func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 	type cand struct {
-		s     *logSegment
-		start int
-		end   int
 		lsn   uint64
+		frame []byte // aliases the segment: the flip lands in the log
 	}
 	var cands []cand
-	for _, s := range l.segs {
-		start := 0
-		for i, end := range s.ends {
-			lsn := s.firstLSN + uint64(i)
-			frame := s.buf[start:end]
-			st := start
-			start = end
-			if lsn > l.flushedLSN {
-				break
-			}
-			rec, _, err := decodeFrame(frame)
-			if err != nil || !Shippable(&rec) {
-				continue // already damaged, or a frame no replica holds
-			}
-			if eligible != nil && !eligible(lsn) {
-				continue
-			}
-			cands = append(cands, cand{s, st, end, lsn})
+	l.walk(func(lsn uint64, frame []byte) bool {
+		if lsn > l.flushedLSN {
+			return false
 		}
-	}
+		if rec, ok := decodeAt(frame, lsn); !ok || !Shippable(&rec) {
+			return true // already damaged, or a frame no replica holds
+		}
+		if eligible == nil || eligible(lsn) {
+			cands = append(cands, cand{lsn, frame})
+		}
+		return true
+	})
 	if len(cands) == 0 {
 		return 0
 	}
@@ -643,34 +650,29 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 		pick = -pick
 	}
 	c := cands[pick%len(cands)]
-	payload := c.end - c.start - frameHeaderSize
-	bit := pick % (payload * 8)
-	c.s.buf[c.start+frameHeaderSize+bit/8] ^= 1 << (bit % 8)
+	bit := pick % ((len(c.frame) - frameHeaderSize) * 8)
+	c.frame[frameHeaderSize+bit/8] ^= 1 << (bit % 8)
 	return c.lsn
 }
 
 // VisitFrames walks every retained frame in LSN order, passing the decoded
 // record and its raw frame bytes to fn; fn returning false stops the walk.
-// The record's slices are copies, but the frame slice aliases the segment
-// buffer — fn must copy it if retained. Frames that no longer decode (bit rot
-// awaiting the scrubber) are skipped: the resync and rebuild paths that use
-// this walk must not propagate damage.
+// Nothing is copied: frame and the record's Key, Before and After alias the
+// segment buffer, and rec itself is reused for the next frame. Both stay
+// valid only until fn returns — a crash, a restart, PatchFrame or
+// FlipFlushedBit may rewrite the bytes in place afterwards — so fn copies
+// whatever it retains, and the walk allocates nothing per frame. Frames that
+// no longer decode (bit rot awaiting the scrubber) are skipped: the resync
+// and rebuild paths that use this walk must not propagate damage.
 func (l *Log) VisitFrames(fn func(rec *Record, frame []byte) bool) {
-	for _, s := range l.segs {
-		start := 0
-		for i, end := range s.ends {
-			lsn := s.firstLSN + uint64(i)
-			frame := s.buf[start:end]
-			start = end
-			rec, n, err := decodeFrame(frame)
-			if err != nil || n != len(frame) || rec.LSN != lsn {
-				continue
-			}
-			if !fn(&rec, frame) {
-				return
-			}
+	var rec Record
+	l.walk(func(lsn uint64, frame []byte) bool {
+		var ok bool
+		if rec, ok = decodeAt(frame, lsn); !ok {
+			return true
 		}
-	}
+		return fn(&rec, frame)
+	})
 }
 
 // locate finds the segment and in-segment index holding lsn.
@@ -754,7 +756,12 @@ func (l *Log) RetainedBytes() int64 {
 }
 
 // Iterator walks the log's encoded segments, decoding one record per Next.
-// It covers every retained byte — durable frames and, on a live log, the
+// It is the one log reader whose records own their bytes: Next copies each
+// record's Key, Before and After out of the segment, because its callers
+// hold the records across simulated time — a restart keeps its wal.Analysis
+// through the partition replays, while a segment may be patched, bit-flipped
+// or, after a crash, truncated and overwritten in place. It covers every
+// retained byte — durable frames and, on a live log, the
 // appended-but-unflushed tail. Iteration stops at a torn or corrupt frame
 // (possible only on a crashed log that has not been through Restart); Err
 // reports whether the walk ended at damage rather than the clean end.
@@ -769,8 +776,8 @@ type Iterator struct {
 // segment bytes in LSN order.
 func (l *Log) Iter() *Iterator { return &Iterator{segs: l.segs} }
 
-// Next decodes and returns the next record. Decoded slices are copies, not
-// aliases of the log's buffers.
+// Next decodes and returns the next record. Its Key, Before and After are
+// one fresh copy, not aliases of the log's buffers.
 func (it *Iterator) Next() (Record, bool) {
 	if it.err != nil {
 		return Record{}, false
@@ -788,6 +795,7 @@ func (it *Iterator) Next() (Record, bool) {
 			return Record{}, false
 		}
 		it.off += n
+		rec.detach()
 		return rec, true
 	}
 	return Record{}, false

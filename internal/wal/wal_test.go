@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -155,29 +156,110 @@ func TestSegmentBufferAllocatedOnce(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameAlias: the aliasing decode returns the same record as the
-// copying one, with its fields pointing into the frame.
+// TestDecodeFrameAlias: DecodeFrame returns the record that was framed,
+// allocates nothing, and leaves its fields pointing into the frame.
 func TestDecodeFrameAlias(t *testing.T) {
-	frame := appendFrame(nil, &Record{LSN: 9, Type: RecUpdate, Txn: 4, Part: 2,
-		Key: []byte("key"), Before: []byte{}, After: []byte("after")})
-	want, err := DecodeFrame(frame)
+	want := Record{LSN: 9, Type: RecUpdate, Txn: 4, Part: 2,
+		Key: []byte("key"), Before: []byte{}, After: []byte("after")}
+	frame := appendFrame(nil, &want)
+	got, err := DecodeFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrameAlias(frame)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, want) { // DeepEqual tells a nil field from an empty one
+		t.Fatalf("decode: %+v, want %+v", got, want)
 	}
-	if got.LSN != want.LSN || got.Type != want.Type || string(got.Key) != "key" || string(got.After) != "after" ||
-		got.Before == nil || len(got.Before) != 0 {
-		t.Fatalf("aliasing decode: %+v, want %+v", got, want)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeFrameAlias(frame) }); allocs != 0 {
-		t.Fatalf("aliasing decode allocates %.0f objects", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeFrame(frame) }); allocs != 0 {
+		t.Fatalf("decode allocates %.0f objects", allocs)
 	}
 	frame[len(frame)-1] ^= 0xff
 	if got.After[4] == want.After[4] {
-		t.Fatal("the aliasing decode copied After out of the frame")
+		t.Fatal("the decode copied After out of the frame")
+	}
+}
+
+// TestIteratorRecordsOwnTheirBytes: a record Next returned is unchanged
+// when its frame is later rewritten in place — by the scrubber's PatchFrame
+// and by FlipFlushedBit's bit rot — because restart holds the records it
+// read across exactly such rewrites.
+func TestIteratorRecordsOwnTheirBytes(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	orig := Record{Type: RecUpdate, Txn: 1, Part: 3, Key: []byte("key"), Before: []byte{}, After: []byte("after")}
+	lsn := l.Append(orig)
+	env.Spawn("flush", func(p *sim.Proc) { l.Flush(p, lsn) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := orig
+	want.LSN = lsn
+	read := func() Record {
+		recs, err := l.Iter().All()
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("iterate: %d records, %v", len(recs), err)
+		}
+		return recs[0]
+	}
+	patched := read()
+	other := Record{LSN: lsn, Type: RecUpdate, Txn: 1, Part: 3, Key: []byte("KEY"), Before: []byte{}, After: []byte("AFTER")}
+	if !l.PatchFrame(lsn, appendFrame(nil, &other)) {
+		t.Fatal("patch refused")
+	}
+	if !reflect.DeepEqual(patched, want) {
+		t.Fatalf("after PatchFrame the iterator's record reads %+v, want %+v", patched, want)
+	}
+	if !reflect.DeepEqual(read(), other) {
+		t.Fatal("the patch did not reach the log")
+	}
+	flipped := read()
+	if l.FlipFlushedBit(0, nil) != lsn || len(l.CheckFlushed()) != 1 {
+		t.Fatal("FlipFlushedBit did not rot the frame")
+	}
+	if !reflect.DeepEqual(flipped, other) {
+		t.Fatalf("after FlipFlushedBit the iterator's record reads %+v, want %+v", flipped, other)
+	}
+}
+
+// TestReadOnlyWalksAllocateNothing: the scrubber's CRC scan of a clean log
+// and a VisitFrames walk whose callback reads only fixed fields decode every
+// frame by alias and allocate nothing.
+func TestReadOnlyWalksAllocateNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	l.SetSegmentBytes(256) // several segments
+	var last uint64
+	for i := 0; i < 64; i++ {
+		last = l.Append(Record{Type: RecUpdate, Txn: cc.TxnID(i), Part: 1,
+			Key: []byte{byte(i)}, Before: []byte("before"), After: []byte("after")})
+	}
+	env.Spawn("flush", func(p *sim.Proc) { l.Flush(p, last) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if bad := l.CheckFlushed(); bad != nil {
+			t.Fatalf("clean log reports rot at %v", bad)
+		}
+	}); allocs != 0 {
+		t.Fatalf("CheckFlushed allocates %.0f objects on a clean log", allocs)
+	}
+	var updates, txns int
+	if allocs := testing.AllocsPerRun(20, func() {
+		updates, txns = 0, 0
+		l.VisitFrames(func(rec *Record, _ []byte) bool {
+			if rec.Type == RecUpdate {
+				updates++
+			}
+			txns += int(rec.Txn)
+			return true
+		})
+	}); allocs != 0 {
+		t.Fatalf("VisitFrames allocates %.0f objects", allocs)
+	}
+	if updates != 64 || txns != 63*64/2 {
+		t.Fatalf("walk saw %d updates, txn sum %d", updates, txns)
 	}
 }
 
