@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -100,12 +100,12 @@ ledger-seeds:
 	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -seeds "$(if $(filter command line,$(origin SEEDS)),$(SEEDS),2 3 4 5 6)"
 
 ## chaos-diff: one wattdb-chaos sweep (SEEDS seeds, ARGS passed through,
-## e.g. ARGS="-tpcc -coord 3") on PARENT and on the working tree, side by
+## e.g. ARGS="-tpcc") on PARENT and on the working tree, side by
 ## side, then every seed whose scheme, verdict or state hash differs. PARENT
 ## is unpacked with git archive under .bench_build/chaos-parent for the
 ## build. Exits 1 when any seed differs — "no hash moved" is its clean exit
 chaos-diff:
-	@test -n "$(PARENT)" || { echo 'usage: make chaos-diff PARENT=<rev> [SEEDS=N] [ARGS="-tpcc -coord 3"]'; exit 2; }
+	@test -n "$(PARENT)" || { echo 'usage: make chaos-diff PARENT=<rev> [SEEDS=N] [ARGS="-tpcc"]'; exit 2; }
 	@rm -rf .bench_build/chaos-parent && mkdir -p .bench_build/chaos-parent
 	@git archive $(PARENT) | tar -x -C .bench_build/chaos-parent
 	@cd .bench_build/chaos-parent && $(GO) build -o ../chaos-parent.bin ./cmd/wattdb-chaos
@@ -118,14 +118,12 @@ chaos-diff:
 		END { printf "chaos-diff PARENT=%s ARGS=\"%s\": %d of %d seeds differ\n", "$(PARENT)", "$(ARGS)", d, n; exit (d > 0) }' \
 		.bench_build/chaos-parent.txt .bench_build/chaos-change.txt
 
-## chaos-diff-all: chaos-diff for each of the ten sweep configurations —
-## KV and TPC-C, each plain, -coord 3, -disk 3, -ckpt 3 and -htap 4 (the
-## sweeps of chaos ... chaos-htap) — one after the other; a summary line per
-## configuration, and exit 1 if any seed of any of them differs. About 15
-## minutes at SEEDS=25 on two CPUs. The working tree is built when each
-## configuration starts: do not edit the engine while it runs
-CHAOS_SWEEPS = "" "-tpcc" "-coord 3" "-tpcc -coord 3" "-disk 3" "-tpcc -disk 3" \
-	"-ckpt 3" "-tpcc -ckpt 3" "-htap 4" "-tpcc -htap 4"
+## chaos-diff-all: chaos-diff for both sweeps — KV and TPC-C, each seed
+## running the fault mix it picks (the sweeps of chaos and chaos-tpcc) — one
+## after the other; a summary line per sweep, and exit 1 if any seed of
+## either differs. The working tree is built when each sweep starts: do not
+## edit the engine while it runs
+CHAOS_SWEEPS = "" "-tpcc"
 
 chaos-diff-all:
 	@test -n "$(PARENT)" || { echo 'usage: make chaos-diff-all PARENT=<rev> [SEEDS=N]'; exit 2; }
@@ -134,7 +132,9 @@ chaos-diff-all:
 	done; exit $$fail
 
 ## chaos: sweep the deterministic fault-injection harness over SEEDS seeds
-## (schemes rotate per seed); any failing seed prints a one-line repro
+## (schemes rotate per seed, and seed mod 16 picks which fault families —
+## coordinator, disk, checkpoint, HTAP — the run turns up); any failing seed
+## prints a one-line repro
 chaos:
 	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS)
 
@@ -143,49 +143,13 @@ chaos:
 chaos-tpcc:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS)
 
-## chaos-coord: coordinator-failover-heavy sweep — every plan already
-## power-fails the leader once; this piles on extra random leader crashes so
-## elections, lease handoffs, and in-doubt reconciliation dominate the run
-chaos-coord:
-	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -coord 3
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -coord 3
-
-## chaos-ship: replication-heavy sweep — extra disk destructions and
-## acked-frame bit rot per plan, so full rebuilds from the replica set and
-## scrubber repairs dominate the run
-chaos-ship:
-	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -disk 3
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -disk 3
-
-## chaos-rto: checkpoint-heavy sweep — extra mid-checkpoint power failures
-## per plan, so fuzzy-checkpoint fallback and the bounded-replay oracle
-## (restart work = delta since last checkpoint) dominate the run
-chaos-rto:
-	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -ckpt 3
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -ckpt 3
-
-## chaos-htap: analytics-heavy sweep — extra concurrent HTAP readers run
-## validated scan-aggregate snapshot queries (half with the follower-read
-## offloading hint) while the full fault plan executes
-chaos-htap:
-	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -htap 4
-	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -htap 4
-
-## chaos-quick: a short crash-anywhere sweep of both workloads, plus
-## coordinator-crash-heavy (KV, and TPC-C for its many 2PC decisions under
-## leader crashes), disk-loss-heavy, mid-checkpoint-crash, and HTAP-analytics
-## bursts (CI gate). Every seed runs twice and fails if the two state hashes
-## differ (-rerun): a determinism regression fails the gate even when every
-## invariant holds
+## chaos-quick: a short crash-anywhere sweep of both workloads (CI gate): KV
+## seeds 1-16 run all 16 fault mixes, TPC-C seeds 1-8 the first eight. Every
+## seed runs twice and fails if the two state hashes differ (-rerun): a
+## determinism regression fails the gate even when every invariant holds
 chaos-quick:
-	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 6 -duration 25s
-	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 3 -duration 20s
-	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 4 -duration 25s -coord 3
-	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 2 -duration 20s -coord 3
-	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 4 -duration 25s -disk 3
-	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 4 -duration 25s -ckpt 3
-	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 3 -duration 25s -htap 4
-	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 2 -duration 20s -htap 4
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 16 -duration 25s
+	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 8 -duration 20s
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
 ## tests + the ledger's tests + the Fig 3 and Fig 7 shape gates + the

@@ -6,8 +6,12 @@
 //	wattdb-chaos -tpcc -seeds 10    # TPC-C workload + warehouse-invariant oracle
 //	wattdb-chaos -seeds 6 -rerun    # every seed twice: the two state hashes must match
 //
-// Every run prints its seed, scheme, and final state hash; a failing seed
-// reproduces bit-for-bit with the same flags.
+// The seed picks the run's fault mix (chaos.MixOf): seed mod 16 names the
+// fault families — coordinator, disk, checkpoint, HTAP — the run turns up
+// from one fault (one analytics reader) to three (four readers), so any 16
+// consecutive seeds run every combination. Every run prints its seed, scheme,
+// verdict, final state hash and mix; a failing seed reproduces bit-for-bit
+// from the line it prints.
 package main
 
 import (
@@ -26,10 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "single seed to run (ignored when -seeds is set)")
 	schemeFlag := flag.String("scheme", "", "partitioning scheme: physical, logical, physiological (default: rotate by seed)")
 	duration := flag.Duration("duration", 0, "simulated workload window (default 45s)")
-	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration; above 1 the first is aimed at the leader's next clock publication, and each one beyond the first adds a crash aimed at a lease or decision a follower holds ahead of the leader)")
-	disk := flag.Int("disk", 0, "extra disk-loss + acked-rot fault pairs (default 1; every plan already destroys one disk and bit-rots one flushed frame)")
-	ckpt := flag.Int("ckpt", 0, "extra mid-checkpoint crash faults (default 1; every plan already power-fails one node partway through a fuzzy checkpoint)")
-	htap := flag.Int("htap", 0, "concurrent HTAP analytics readers running validated scan-aggregate snapshot queries (default 1; -1 disables)")
 	tpccMode := flag.Bool("tpcc", false, "run the TPC-C workload with the warehouse-invariant oracle")
 	verbose := flag.Bool("v", false, "print the fault schedule of every run")
 	rerun := flag.Bool("rerun", false, "run every seed twice and fail it when the two state hashes differ")
@@ -67,15 +67,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg := chaos.Config{
-			Seed:        s,
-			Scheme:      scheme,
-			Duration:    *duration,
-			CoordFaults: *coord,
-			DiskFaults:  *disk,
-			CkptFaults:  *ckpt,
-			HTAP:        *htap,
-		}
+		cfg := chaos.Config{Seed: s, Scheme: scheme, Duration: *duration}
 		run := chaos.Run
 		if *tpccMode {
 			run = chaos.RunTPCC
@@ -100,7 +92,7 @@ func main() {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s%s\n", s, scheme, status, rep.StateHash, counters(rep))
+		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s mix=%s%s\n", s, scheme, status, rep.StateHash, chaos.MixOf(s), counters(rep))
 		if *verbose || !rep.Passed() {
 			for _, f := range rep.Faults {
 				fmt.Printf("    %s\n", f)
@@ -110,16 +102,14 @@ func main() {
 			for _, v := range rep.Violations {
 				fmt.Printf("    VIOLATION: %s\n", v)
 			}
-			// Every flag the user set shapes the plan; the repro carries them
-			// all, or the failing schedule will not regenerate.
+			// The seed, scheme, workload and window are all a run has.
 			repro := fmt.Sprintf("go run ./cmd/wattdb-chaos -seed %d -scheme %s", s, scheme)
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "seeds", "seed", "scheme", "v":
-				default:
-					repro += fmt.Sprintf(" -%s=%s", f.Name, f.Value)
-				}
-			})
+			if *tpccMode {
+				repro += " -tpcc"
+			}
+			if *duration > 0 {
+				repro += " -duration " + duration.String()
+			}
 			fmt.Printf("    reproduce: %s\n", repro)
 		}
 	}

@@ -30,6 +30,9 @@
 // the deadline on the planned node. A new window is one point in the engine
 // and one crashAimed in spawnExecutor.
 //
+// The seed also picks which fault families the plan turns up (MixOf), so one
+// sweep over consecutive seeds runs every mix.
+//
 // Everything — the workload, the fault schedule, and the engine — runs on
 // the sim package's deterministic virtual clock, so one seed produces one
 // fault schedule and one final state hash: any failure is reproducible with
@@ -59,74 +62,83 @@ const (
 	ccSnapshot = cc.SnapshotIsolation
 )
 
-// Config parameterizes one chaos run.
+// Config parameterizes one chaos run. The seed draws the run's fault
+// schedule and picks its fault mix (MixOf).
 type Config struct {
 	Seed   int64
 	Scheme table.Scheme
-	// Duration is the simulated workload window; faults land inside it.
+	// Duration is the simulated workload window, 45 s if unset; faults land
+	// inside it.
 	Duration time.Duration
-	// CoordFaults is the number of random coordinator power-fails drawn on
-	// top of the always-present mid-migration coordinator crash. The master
-	// runs replicated (two follower replicas) and every run must fail over
-	// and keep all invariants.
-	CoordFaults int
-	// DiskFaults is the number of guaranteed full-disk-loss + acked-history
-	// bit-rot pairs in the plan. Every run ships acked history to follower
-	// replicas; each disk-loss victim must rebuild all hosted partitions
-	// from its replica set, and the scrubber must repair every rot hit.
-	DiskFaults int
-	// CkptFaults is the number of guaranteed mid-checkpoint power failures
-	// in the plan. Every run takes periodic fuzzy checkpoints on all nodes;
-	// each of these crashes lands partway through one (including between the
-	// begin and end records) and the restart must fall back to the previous
-	// complete checkpoint pair.
-	CkptFaults int
-	// HTAP is the number of concurrent analytics readers running
-	// scan-aggregate snapshot queries alongside the OLTP workload while the
-	// fault plan executes — the HTAP interference path. Even-numbered
-	// readers set the PreferFollower offloading hint so replica snapshot
-	// reads are exercised under faults. KV readers validate every observed
-	// row against the oracle at their snapshot; TPC-C readers check
-	// snapshot-internal warehouse invariants. -1 disables.
-	HTAP int
 }
 
 // The shape every run shares: the cluster size (the key space is split
 // across nodes 0 and 1, later nodes are migration targets), the KV key space
 // [0, kvKeys), the concurrent workload processes, and the random fault
 // events drawn on top of the always-present crash-during-migration sequence.
+// A fault family the run's mix leaves light carries lightFaults of its
+// faults; one it turns up carries heavyFaults, or heavyReaders analytics
+// readers.
 const (
 	clusterNodes = 4
 	kvKeys       = 400
 	workers      = 4
 	randomFaults = 4
+	lightFaults  = 1
+	heavyFaults  = 3
+	heavyReaders = 4
 )
 
-func (c Config) withDefaults() Config {
-	if c.Duration <= 0 {
-		c.Duration = 45 * time.Second
+// Mix is a run's fault mix: one bit per fault family the run turns up from
+// lightFaults to its heavy count.
+type Mix uint8
+
+const (
+	// mixCoord adds random coordinator power failures, aims the first at the
+	// leader's next publication of the oracle's view, and adds crashes aimed
+	// at a lease or decision a follower holds ahead of the leader, so
+	// elections, lease handoffs and in-doubt reconciliation dominate the run.
+	mixCoord Mix = 1 << iota
+	// mixDisk adds full-disk-loss + acked-history-rot pairs: each wiped node
+	// rebuilds every hosted partition from its replica set, and the scrubber
+	// repairs each rotted frame from a healthy copy.
+	mixDisk
+	// mixCkpt adds power failures partway through a fuzzy checkpoint; each
+	// restart falls back to the previous complete begin/end pair.
+	mixCkpt
+	// mixHTAP adds analytics readers running validated scan-aggregate
+	// snapshot queries beside the OLTP workload, the even-numbered ones with
+	// the follower-read offloading hint.
+	mixHTAP
+)
+
+// MixOf is seed's fault mix: the seed mod 16, so every 16 consecutive seeds
+// run every combination of the four families. The mix draws nothing from the
+// plan's rng: a seed whose mix turns up one family replays the run the
+// family's heavy count alone gave that seed.
+func MixOf(seed int64) Mix { return Mix(seed & 15) }
+
+// String names the families m turns up, "coord+ckpt", or "light" for none.
+func (m Mix) String() string {
+	var names []string
+	for i, name := range []string{"coord", "disk", "ckpt", "htap"} {
+		if m&(1<<i) != 0 {
+			names = append(names, name)
+		}
 	}
-	if c.CoordFaults < 0 {
-		c.CoordFaults = 0
-	} else if c.CoordFaults == 0 {
-		c.CoordFaults = 1
+	if len(names) == 0 {
+		return "light"
 	}
-	if c.DiskFaults < 0 {
-		c.DiskFaults = 0
-	} else if c.DiskFaults == 0 {
-		c.DiskFaults = 1
+	return strings.Join(names, "+")
+}
+
+// faults is the count of family f in a run of mix m: heavy if m turns f up,
+// lightFaults if not.
+func (m Mix) faults(f Mix, heavy int) int {
+	if m&f != 0 {
+		return heavy
 	}
-	if c.CkptFaults < 0 {
-		c.CkptFaults = 0
-	} else if c.CkptFaults == 0 {
-		c.CkptFaults = 1
-	}
-	if c.HTAP < 0 {
-		c.HTAP = 0
-	} else if c.HTAP == 0 {
-		c.HTAP = 1
-	}
-	return c
+	return lightFaults
 }
 
 // Report is the outcome of one chaos run.
@@ -266,6 +278,7 @@ type harness struct {
 	c      *cluster.Cluster
 	master *cluster.Master
 	w      workload
+	mix    Mix
 
 	stop   bool
 	stopAt time.Duration
@@ -343,7 +356,9 @@ func (h *harness) finishRead(p *sim.Proc, s *cluster.Session) bool {
 // is reserved for harness-level failures (a simulation process panicking);
 // invariant breaks land in Report.Violations.
 func run(cfg Config, w workload) (*Report, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Duration <= 0 {
+		cfg.Duration = 45 * time.Second
+	}
 	env := sim.NewEnv(cfg.Seed)
 	defer env.Close()
 
@@ -362,6 +377,7 @@ func run(cfg Config, w workload) (*Report, error) {
 		c:      c,
 		master: c.Master,
 		w:      w,
+		mix:    MixOf(cfg.Seed),
 		stopAt: cfg.Duration,
 		rep:    &Report{Seed: cfg.Seed, Scheme: cfg.Scheme},
 	}

@@ -67,7 +67,7 @@ func (kv *kvWorkload) spawnClients() {
 	for w := 0; w < workers; w++ {
 		kv.spawnWorker(w)
 	}
-	for q := 0; q < kv.cfg.HTAP; q++ {
+	for q := 0; q < kv.mix.faults(mixHTAP, heavyReaders); q++ {
 		kv.spawnAnalytics(q)
 	}
 	kv.spawnPowerSampler()

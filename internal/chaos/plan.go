@@ -29,6 +29,7 @@ const (
 	faultCrashDep                     // power-fail a node while a transaction elsewhere waits on its unsettled commit
 	faultCoordAhead                   // power-fail the acting coordinator while a follower holds a lease or decision it has not flushed
 	faultPublish                      // power-fail the acting coordinator as it sends the oracle's view
+	faultKinds                        // the number of kinds: a new one goes above
 )
 
 // faultEvent is one scheduled fault.
@@ -70,16 +71,18 @@ func (pl planner) midHalf() time.Duration {
 	return pl.window/4 + time.Duration(pl.Int63n(int64(pl.window/2)))
 }
 
-// buildPlan derives the fault schedule from the seed alone — never from
-// workload state — so the schedule is identical across reruns. The plan is
-// the table below, read top to bottom: each class of fault, how many of it
-// the plan carries, and how one is drawn. All classes draw from one rng, so
-// a new class is one more entry at the END of the table (and one case in
-// spawnExecutor): anywhere else it would shift every later draw and change
+// buildPlan derives the fault schedule from the seed alone — its draws and its
+// mix, never workload state — so the schedule is identical across reruns. The
+// plan is the table below, read top to bottom: each class of fault, how many
+// of it the plan carries, and how one is drawn. All classes draw from one
+// rng, so a new class is one more entry at the END of the table (and one case
+// in spawnExecutor): anywhere else it would shift every later draw and change
 // every plan there is.
 func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 	pl := planner{rand.New(rand.NewSource(cfg.Seed ^ salt)), cfg.Duration}
-	aimPublish := cfg.CoordFaults > 1
+	mix := MixOf(cfg.Seed)
+	coordFaults := mix.faults(mixCoord, heavyFaults)
+	aimPublish := coordFaults > lightFaults
 	classes := []struct {
 		n    int
 		draw func() []faultEvent
@@ -102,11 +105,11 @@ func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 					kind: faultCrashCoord, dur: pl.downTime()},
 			}
 		}},
-		// More coordinator power failures, at random instants. A plan that asks
-		// for more than the default one aims the first of them at the
-		// leader's next publication of the oracle's view: acknowledgments wait
-		// for it, and must go on waiting across the election.
-		{cfg.CoordFaults, func() []faultEvent {
+		// More coordinator power failures, at random instants. A
+		// coordinator-heavy plan aims the first of them at the leader's next
+		// publication of the oracle's view: acknowledgments wait for it, and
+		// must go on waiting across the election.
+		{coordFaults, func() []faultEvent {
 			ev := faultEvent{at: pl.anywhere(), kind: faultCrashCoord, dur: pl.downTime()}
 			if aimPublish {
 				ev.kind, aimPublish = faultPublish, false
@@ -126,13 +129,13 @@ func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 		// Full-disk-loss + acked-history-rot pairs: the wiped node must rebuild
 		// everything from its replica set, and the scrubber must repair the
 		// flipped frame from a healthy copy.
-		{cfg.DiskFaults, func() []faultEvent {
+		{mix.faults(mixDisk, heavyFaults), func() []faultEvent {
 			return []faultEvent{pl.destroyDisk(pl.midHalf()), pl.rotAcked(pl.midHalf())}
 		}},
 		// Mid-checkpoint power failures: with a checkpointer on every node, each
 		// lands at a random step of an in-flight fuzzy checkpoint and the restart
 		// must fall back to the previous complete begin/end pair.
-		{cfg.CkptFaults, pl.ckptCrash},
+		{mix.faults(mixCkpt, heavyFaults), pl.ckptCrash},
 		// The random tail: any class, at any instant.
 		{randomFaults, func() []faultEvent { return pl.random(second) }},
 		// The dependency crash.
@@ -140,9 +143,9 @@ func buildPlan(cfg Config, salt int64, first, second migration) []faultEvent {
 		// Coordinator power failures aimed at the window a leader's overlapped
 		// forces open — a follower durably holds a lease or a decision the
 		// leader's own log has not flushed — which a random instant hits about
-		// once in a hundred runs: one per coordinator fault asked for beyond the
-		// default one. This class joined the table last — as the next will.
-		{cfg.CoordFaults - 1, func() []faultEvent {
+		// once in a hundred runs: one per coordinator fault a coordinator-heavy
+		// plan adds. This class joined the table last — as the next will.
+		{coordFaults - lightFaults, func() []faultEvent {
 			return []faultEvent{{at: pl.anywhere(), kind: faultCoordAhead, dur: pl.downTime()}}
 		}},
 	}

@@ -37,6 +37,9 @@ import (
 // fault schedule → one state hash.
 func RunTPCC(cfg Config) (*Report, error) { return run(cfg, &tpccWorkload{}) }
 
+// tpccWarehouses is the trimmed TPC-C's warehouse count (deploy).
+const tpccWarehouses = 4
+
 type tpccWorkload struct {
 	*harness
 	tcfg  tpcc.Config
@@ -51,7 +54,7 @@ type tpccWorkload struct {
 func (tp *tpccWorkload) deploy(h *harness) error {
 	tp.harness = h
 	tp.tcfg = tpcc.Config{
-		Warehouses:           4,
+		Warehouses:           tpccWarehouses,
 		DistrictsPerW:        10,
 		CustomersPerDistrict: 30,
 		Items:                100,
@@ -77,7 +80,7 @@ func (tp *tpccWorkload) spawnClients() {
 	for w := 0; w < workers; w++ {
 		tp.spawnWorker(w)
 	}
-	for q := 0; q < tp.cfg.HTAP; q++ {
+	for q := 0; q < tp.mix.faults(mixHTAP, heavyReaders); q++ {
 		tp.spawnAnalytics(q)
 	}
 }
@@ -85,7 +88,7 @@ func (tp *tpccWorkload) spawnClients() {
 // plan moves warehouse 2 off node 0 in every run, and the last warehouse to
 // the last node when the seed draws it.
 func (tp *tpccWorkload) plan() []faultEvent {
-	last := int64(tp.tcfg.Warehouses)
+	const last = tpccWarehouses
 	return buildPlan(tp.cfg, 0x79cc_c0de_79cc_c0de, migration{2, 3}, migration{last, last + 1})
 }
 

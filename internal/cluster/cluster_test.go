@@ -527,6 +527,72 @@ var _ = bytes.Compare // silence unused import if assertions change
 // old location reachable even when no transaction is active at the instant the
 // move ends, because the destination holds only the newest version of each
 // key.
+// TestInsertRacingLogicalBatch: a write routes by a logical move's boundary
+// and then travels to the partition it chose. Here an insert of a fresh key
+// in the move's first batch routes to the source while the batch runs, and
+// its request waits behind a transfer that holds its home's uplink. The batch
+// checks its window, finds no write, advances the boundary and commits; the
+// insert reaches the source after that, behind the boundary, in a copy no
+// reader looks at once the move is done. Acknowledged there, the row would be
+// lost with the old copy: the write must fail instead, and its retry, routed
+// to the destination, must survive the move.
+func TestInsertRacingLogicalBatch(t *testing.T) {
+	const n = 1000
+	tc := newTestCluster(t, table.Logical, 4, n)
+	defer tc.env.Close()
+	m := tc.c.Master
+	home := tc.c.Nodes[3]
+	key := nextKey(ik(101)) // between two loaded keys of the first batch
+	payload, _ := kvSchema().EncodeRow(table.Row{int64(101), "fresh"})
+	tc.env.Spawn("migrate", func(p *sim.Proc) {
+		if err := m.MigrateRange(p, "kv", ik(100), ik(n/2), tc.c.Nodes[2]); err != nil {
+			t.Errorf("migrate: %v", err)
+		}
+	})
+	var firstErr, retryErr error
+	tc.env.Spawn("insert", func(p *sim.Proc) {
+		for moving := false; !moving; {
+			p.Sleep(100 * time.Microsecond)
+			e, _ := tc.tm.route(key)
+			moving = e.OldPart != nil && bytes.Equal(e.MovedBelow, ik(100))
+		}
+		tc.env.Spawn("uplink-hog", func(p *sim.Proc) {
+			tc.c.Net.Transfer(p, home.ID, tc.c.Nodes[1].ID, int64(tc.c.Cal.NetBandwidth/5)) // 200 ms on the wire
+		})
+		p.Sleep(time.Microsecond)
+		insert := func() error {
+			s := m.Begin(p, cc.SnapshotIsolation, home)
+			err := s.Put(p, "kv", key, payload)
+			if err == nil {
+				err = s.Commit(p)
+			}
+			if err != nil {
+				s.Abort(p)
+			}
+			return err
+		}
+		if firstErr = insert(); firstErr != nil {
+			retryErr = insert()
+		}
+	})
+	if err := tc.env.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := tc.tm.route(key); e.OldPart != nil || e.Owner != tc.c.Nodes[2] {
+		t.Fatalf("move not finished and retired (owner %d, old copy %v)", e.Owner.ID, e.OldPart != nil)
+	}
+	tc.run(t, func(p *sim.Proc) {
+		s := m.Begin(p, cc.SnapshotIsolation, tc.c.Nodes[0])
+		if _, ok, err := s.Get(p, "kv", key); (firstErr == nil || retryErr == nil) && (err != nil || !ok) {
+			t.Errorf("acknowledged insert lost by the move (ok=%v err=%v)", ok, err)
+		}
+		s.Abort(p)
+	})
+	if firstErr != cc.ErrWriteConflict || retryErr != nil {
+		t.Fatalf("insert behind the boundary: %v, its retry: %v; want a write conflict, then a commit", firstErr, retryErr)
+	}
+}
+
 func TestMovedRangeServesCappedSnapshots(t *testing.T) {
 	const n = 200
 	tc := newTestCluster(t, table.Physiological, 3, n)

@@ -322,6 +322,13 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 		}
 	}
 	n.lostParts = nil
+	// Everything below the current tail is settled history: a transaction
+	// with records down there and no commit or abort died with the crash and
+	// will never resolve. Later checkpoints use this fence so dead losers
+	// cannot pin the redo point (and retention) forever. It is drawn here,
+	// where the node comes back: the epilogue below blocks, and a transaction
+	// may prepare here meanwhile.
+	n.deadBelow = n.Log.TailLSN()
 	n.crashed = false
 	// Decisions still charged to this node whose branches the analysed log
 	// shows resolved are acked with the in-doubt ones after the epilogue
@@ -362,11 +369,6 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 		n.diskLost = false
 	}
 	c.ackResolved(n, inDoubt, n.Log.FlushedLSN())
-	// Everything below the current tail is settled history: a transaction
-	// with records down there and no commit or abort died with the crash and
-	// will never resolve. Later checkpoints use this fence so dead losers
-	// cannot pin the redo point (and retention) forever.
-	n.deadBelow = n.Log.TailLSN()
 	n.LastRecovery = RecoveryStats{
 		Checkpointed: ck != nil,
 		Redo:         minRedo,

@@ -681,6 +681,92 @@ func TestCommitAfterParticipantPresumedAbort(t *testing.T) {
 	}
 }
 
+// TestPrepareDuringRestartEpiloguePinsCheckpoint: a node is back — its
+// partitions swapped in, sessions writing to it — before RestartNode returns,
+// because the replication epilogue still blocks. A distributed transaction
+// that prepares on it in that window is live, not a loser of the crash: while
+// it is undecided (here its other participant's prepare waits for a follower)
+// the node's next checkpoint must hold it in flight and keep the redo point at
+// or below its first record, or the prepare can be truncated away and a
+// later restart lose the acknowledged commit. Once decided it must survive a
+// crash of the node.
+func TestPrepareDuringRestartEpiloguePinsCheckpoint(t *testing.T) {
+	w := newIndoubtWorldWith(t, 5, func(cfg *Config) { cfg.DataReplicas = 2 })
+	defer w.env.Close()
+	c, a := w.c, w.n1 // ship sets {2,3} and {3,4}
+	var s *Session
+	var commitErr error
+	committed := false
+	w.env.Spawn("commit", func(p *sim.Proc) {
+		for !a.Down() {
+			p.Sleep(time.Millisecond)
+		}
+		for a.Down() {
+			p.Sleep(10 * time.Microsecond)
+		}
+		s = c.Master.Begin(p, cc.SnapshotIsolation, a)
+		for _, k := range []int64{idLeft, idRight} {
+			payload, _ := kvSchema().EncodeRow(table.Row{k, "new"})
+			if err := s.Put(p, "kv", ik(k), payload); err != nil {
+				t.Errorf("put %d: %v", k, err)
+				return
+			}
+		}
+		commitErr, committed = s.Commit(p), true
+	})
+	w.env.Spawn("faults", func(p *sim.Proc) {
+		c.CrashNode(c.Nodes[3]) // both followers of the second participant:
+		c.CrashNode(c.Nodes[4]) // its prepare cannot become replica-durable
+		c.CrashNode(a)
+		p.Sleep(time.Second)
+		if _, _, err := c.RestartNode(p, a); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		if s == nil || committed || !hasInDoubtTrace(a) {
+			t.Error("no transaction prepared on the node during its restart epilogue")
+			return
+		}
+		if _, err := c.CheckpointNode(p, a, 0); err != nil {
+			t.Errorf("checkpoint: %v", err)
+			return
+		}
+		pinned := false
+		for _, tx := range a.Log.LastCheckpoint().Txns {
+			pinned = pinned || tx.Txn == s.Txn.ID
+		}
+		if !pinned {
+			t.Errorf("checkpoint treats transaction %d, prepared after the node came back, as dead", s.Txn.ID)
+		}
+		if _, _, err := c.RestartNode(p, c.Nodes[3]); err != nil { // the parked prepare completes
+			t.Errorf("restart follower: %v", err)
+			return
+		}
+		for !committed {
+			p.Sleep(time.Millisecond)
+		}
+		if commitErr != nil {
+			t.Errorf("commit: %v", commitErr)
+			return
+		}
+		c.CrashNode(a)
+		if _, _, err := c.RestartNode(p, a); err != nil {
+			t.Errorf("second restart: %v", err)
+			return
+		}
+		r := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		if v, ok, err := r.Get(p, "kv", ik(idLeft)); err != nil || !ok {
+			t.Errorf("key %d: %v %v", idLeft, ok, err)
+		} else if row, _ := kvSchema().DecodeRow(v); row[1].(string) != "new" {
+			t.Errorf("key %d = %q after the restart, want the acknowledged %q", idLeft, row[1], "new")
+		}
+		r.Abort(p)
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // remoteCommit runs the indoubtWorld transaction from node 0, so both
 // participants are a network hop away and start each phase together. during
 // runs once both writes are staged, just before Commit; the returned error

@@ -342,8 +342,10 @@ func (m *Master) moveRecordRange(p *sim.Proc, tm *TableMeta, e *RangeEntry, lo, 
 		// Advancing the boundary would strand that record at the source
 		// while routing points at the destination — so back off and redo
 		// the window with a fresh snapshot. The check and the advance are
-		// both non-blocking, so no writer can slip between them (later
-		// writers route by the advanced boundary).
+		// both non-blocking, so no writer can slip between them: later
+		// writers route by the advanced boundary, and one that routed
+		// before it but reaches the source after the check fails there
+		// (Session.staged).
 		if src.ChangedSince(sess.Txn, cursor, boundary) {
 			sess.Abort(p)
 			p.Sleep(2 * time.Millisecond)

@@ -149,7 +149,7 @@ func TestSessionSetupAllocs(t *testing.T) {
 		if unrecorded := testing.AllocsPerRun(100, func() { rw(false) }); allocs > unrecorded {
 			t.Fatalf("read-write session allocates %.1f objects, %.1f without its read set: recording reads allocates", allocs, unrecorded)
 		}
-		// 48 measured, 49 under the race detector.
+		// 46 measured, under the race detector too.
 		if allocs > 50 {
 			t.Fatalf("read-write session allocates %.1f objects, want <= 50", allocs)
 		}

@@ -216,6 +216,33 @@ func (e *RangeEntry) candidatesFor(key []byte) []loc {
 	return []loc{{e.Part, e.Owner}, {e.OldPart, e.OldOwner}}
 }
 
+// staged touches pt, where a write of key just landed, so Abort finds the
+// write, and checks it against the routing as it stands now. The routing was
+// read before the request travelled to pt, and a logical move may have passed
+// key since: a batch checks its window for writes, advances its boundary and
+// commits without blocking, but cannot see a write still on its way. Left
+// staged, such a write would commit in the source's dead copy, where no reader
+// looks, so it fails as the conflict it lost. A segment-wise move needs no
+// check: its source refuses what it no longer owns.
+func (s *Session) staged(tableName string, pt *table.Partition, owner *DataNode, key []byte) error {
+	s.touch(pt, owner)
+	tm, err := s.m.Table(tableName)
+	if err != nil {
+		return err
+	}
+	e, err := tm.route(key)
+	if err != nil {
+		return err
+	}
+	if pt == e.Part {
+		return nil
+	}
+	if pt != e.OldPart || tm.Scheme == table.Logical && (e.MovedBelow == nil || bytes.Compare(key, e.MovedBelow) < 0) {
+		return cc.ErrWriteConflict
+	}
+	return nil
+}
+
 // Get reads key from tableName, visiting both locations of an in-flight
 // migration if needed.
 func (s *Session) Get(p *sim.Proc, tableName string, key []byte) ([]byte, bool, error) {
@@ -328,7 +355,9 @@ func (s *Session) GetForUpdate(p *sim.Proc, tableName string, key []byte) ([]byt
 		return s.Get(p, tableName, key) // a split or a move raced the routing
 	}
 	if ok {
-		s.touch(e.Part, e.Owner)
+		if err := s.staged(tableName, e.Part, e.Owner, key); err != nil {
+			return nil, false, err
+		}
 	}
 	return v, ok, err
 }
@@ -374,8 +403,7 @@ func (s *Session) write(p *sim.Proc, tableName string, key, payload []byte, del 
 			if err != nil {
 				return err
 			}
-			s.touch(c.part, c.owner)
-			return nil
+			return s.staged(tableName, c.part, c.owner, key)
 		}
 		if lastNotOwned == nil {
 			return err

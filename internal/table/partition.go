@@ -193,6 +193,8 @@ type Partition struct {
 	// newest committed image per key, so snapshot reads below the floor get
 	// ErrSnapshotTooOld instead of a potentially wrong "absent".
 	histFloor cc.Timestamp
+
+	lockID string // lockName
 }
 
 // NewPartition creates an empty partition.
@@ -207,6 +209,7 @@ func NewPartition(id PartID, schema *Schema, scheme Scheme, low, high []byte, de
 		Store:   cc.NewVersionStore(deps.Env),
 		pending: make(map[cc.TxnID][]string),
 		tombs:   make(map[string]struct{}),
+		lockID:  fmt.Sprintf("P%d", id),
 	}
 	pt.Store.Commits = deps.Commits
 	if deps.Intents != nil {
@@ -291,8 +294,11 @@ func (pt *Partition) Stats() Stats { return pt.stats }
 // in key order).
 func (pt *Partition) Segments() []*SegHandle { return pt.segs }
 
-// lock names for the MGL hierarchy.
-func (pt *Partition) lockName() string { return fmt.Sprintf("P%d", pt.ID) }
+// lock names for the MGL hierarchy. Every write takes the partition's, so it
+// is built once (NewPartition): a fmt.Sprintf per write allocates, and a
+// varying amount under the race detector, which drops a quarter of fmt's
+// pooled printers.
+func (pt *Partition) lockName() string { return pt.lockID }
 func (pt *Partition) segLockName(seg storage.SegID) string {
 	return fmt.Sprintf("P%d/S%d", pt.ID, seg)
 }

@@ -806,7 +806,11 @@ func (it *Iterator) Err() error { return it.err }
 
 // All drains the iterator into a slice (recovery's analysis input).
 func (it *Iterator) All() ([]Record, error) {
-	var recs []Record
+	n := 0
+	for _, s := range it.segs[it.si:] {
+		n += len(s.ends) // one per frame; a partly read segment over-counts
+	}
+	recs := make([]Record, 0, n)
 	for {
 		rec, ok := it.Next()
 		if !ok {
