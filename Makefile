@@ -134,7 +134,9 @@ chaos-diff-all:
 ## chaos: sweep the deterministic fault-injection harness over SEEDS seeds
 ## (schemes rotate per seed, and seed mod 16 picks which fault families —
 ## coordinator, disk, checkpoint, HTAP — the run turns up); any failing seed
-## prints a one-line repro
+## prints a one-line repro. For a CPU profile of a sweep, run the command
+## with -cpuprofile <file> (go run ./cmd/wattdb-chaos -seeds N -cpuprofile
+## cpu.out; go tool pprof -top cpu.out)
 chaos:
 	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS)
 

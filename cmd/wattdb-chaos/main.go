@@ -5,6 +5,7 @@
 //	wattdb-chaos -seed 7 -scheme logical -v   # reproduce one run exactly
 //	wattdb-chaos -tpcc -seeds 10    # TPC-C workload + warehouse-invariant oracle
 //	wattdb-chaos -seeds 6 -rerun    # every seed twice: the two state hashes must match
+//	wattdb-chaos -tpcc -seeds 10 -cpuprofile cpu.out   # CPU profile of the whole sweep
 //
 // The seed picks the run's fault mix (chaos.MixOf): seed mod 16 names the
 // fault families — coordinator, disk, checkpoint, HTAP — the run turns up
@@ -18,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -33,7 +35,30 @@ func main() {
 	tpccMode := flag.Bool("tpcc", false, "run the TPC-C workload with the warehouse-invariant oracle")
 	verbose := flag.Bool("v", false, "print the fault schedule of every run")
 	rerun := flag.Bool("rerun", false, "run every seed twice and fail it when the two state hashes differ")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to `file`")
 	flag.Parse()
+
+	// exit ends the command, flushing the CPU profile first when one is
+	// being written.
+	exit := os.Exit
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		exit = func(code int) {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				code = max(code, 2)
+			}
+			os.Exit(code)
+		}
+	}
 
 	schemes := []table.Scheme{table.Physical, table.Logical, table.Physiological}
 	pick := func(s int64) (table.Scheme, error) {
@@ -65,7 +90,7 @@ func main() {
 		scheme, err := pick(s)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		cfg := chaos.Config{Seed: s, Scheme: scheme, Duration: *duration}
 		run := chaos.Run
@@ -115,8 +140,9 @@ func main() {
 	}
 	fmt.Printf("%d/%d runs passed (%.1fs wall)\n", len(runSeeds)-failures, len(runSeeds), time.Since(start).Seconds())
 	if failures > 0 {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }
 
 // counters renders every counter of the report but the two the line opens

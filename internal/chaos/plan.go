@@ -10,6 +10,7 @@ import (
 	"wattdb/internal/cluster"
 	"wattdb/internal/hw"
 	"wattdb/internal/sim"
+	"wattdb/internal/wal"
 )
 
 // faultKind enumerates injectable faults.
@@ -509,10 +510,8 @@ func (h *harness) restartAfter(p *sim.Proc, n *cluster.DataNode, ev faultEvent) 
 		return
 	}
 	it := n.Log.Iter()
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
+	var rec wal.Record
+	for it.Next(&rec) {
 	}
 	if it.Err() != nil {
 		h.violate(fmt.Sprintf("restart of node %d left a corrupt log: %v", n.ID, it.Err()))

@@ -360,8 +360,8 @@ func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 	if lsn <= st.frames.max() {
 		return // duplicate delivery (resync overlap)
 	}
-	rec, err := wal.DecodeFrame(frame)
-	if err != nil {
+	var rec wal.Record
+	if wal.DecodeFrame(frame, &rec) != nil {
 		return // never shipped: drains and resyncs skip damaged frames
 	}
 	st.frames.put(lsn, frame)
@@ -1298,9 +1298,9 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 			c.Net.Transfer(p, copies[i].f.ID, n.ID, bytes)
 		}
 	}
+	var rec wal.Record
 	for _, frame := range frames.frames {
-		rec, err := wal.DecodeFrame(frame)
-		if err != nil {
+		if wal.DecodeFrame(frame, &rec) != nil {
 			continue
 		}
 		nl := n.Log.Append(rec) // Append renumbers

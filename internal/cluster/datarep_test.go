@@ -675,10 +675,8 @@ func TestCrashInsideRestartEpilogue(t *testing.T) {
 		}
 		mustRestart(t, p, c, n)
 		it := n.Log.Iter()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
+		var rec wal.Record
+		for it.Next(&rec) {
 		}
 		if it.Err() != nil {
 			t.Fatalf("the log after the second restart does not decode: %v", it.Err())

@@ -1059,7 +1059,8 @@ func TestOriginLosesShippedCommit(t *testing.T) {
 			lost := origin.Log.TailLSN() - 1
 			held, _ := durableShippedFrames(f1, 0)
 			frame := held.get(lost)
-			if rec, err := wal.DecodeFrame(frame); err != nil || rec.Type != wal.RecCommit {
+			var rec wal.Record
+			if err := wal.DecodeFrame(frame, &rec); err != nil || rec.Type != wal.RecCommit {
 				t.Errorf("setup: follower 1 does not hold the commit record durably: %v", err)
 			}
 			// Everybody loses power; the origin comes back alone. Its log ends

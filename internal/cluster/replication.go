@@ -411,8 +411,9 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 		return recs, maxSeq, true
 	}
 	fs := m.cluster.shippedCopy(n, m.rep.anchor)
+	var rec wal.Record
 	for _, frame := range fs.frames {
-		if rec, err := wal.DecodeFrame(frame); err == nil {
+		if wal.DecodeFrame(frame, &rec) == nil {
 			add(&rec)
 		}
 	}
@@ -433,13 +434,13 @@ func (c *Cluster) CoordAhead(n *DataNode) (ahead wal.Record, ok bool) {
 	for _, l := range n.ship.links {
 		if st := l.store; st != nil && !l.stale && l.follower.Log.FlushedLSN() >= l.wrapLSN {
 			for i := st.frames.len() - 1; i >= 0 && st.frames.lsns[i] > n.Log.FlushedLSN(); i-- {
-				if rec, err := wal.DecodeFrame(st.frames.frames[i]); err == nil && (rec.Type == wal.RecDecision || rec.Type == wal.RecMLease) {
-					return rec, true
+				if wal.DecodeFrame(st.frames.frames[i], &ahead) == nil && (ahead.Type == wal.RecDecision || ahead.Type == wal.RecMLease) {
+					return ahead, true
 				}
 			}
 		}
 	}
-	return ahead, false
+	return wal.Record{}, false
 }
 
 // tryElect seats a new leader if the coordinator is fenced and a safe

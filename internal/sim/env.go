@@ -6,6 +6,12 @@
 // virtual time fire in schedule order, so a run with a fixed seed is fully
 // reproducible.
 //
+// Processes are coroutines (iter.Pull), pooled per Env: a wake-up is a
+// coroutine switch on the goroutine that drives Run, not a hand-off between
+// goroutines, and a finished body's coroutine runs the next spawned body. A
+// panic in a body is captured and returned by Run; a runtime.Goexit in a
+// body ends the goroutine that called Run.
+//
 // All of WattDB's timing — CPU service times, disk I/O, network transfers,
 // lock and latch waits — is expressed as virtual-time waits on this kernel,
 // while the data structures being exercised (pages, B*-trees, version
@@ -27,12 +33,15 @@ type Env struct {
 	now     time.Duration
 	events  []event // binary min-heap ordered by (at, seq)
 	seq     uint64
-	yield   chan struct{}
-	current *Proc
-	procs   map[uint64]*Proc
-	nextPID uint64
 	stopped bool
 	failure error
+
+	// live lists the spawned processes whose bodies have not ended, in
+	// spawn order (linked through Proc.prevLive/nextLive); free is the
+	// stack of coroutines waiting for their next body.
+	liveHead, liveTail *Proc
+	nlive              int
+	free               *coro
 
 	stats      Stats
 	waiterFree *waiter
@@ -127,11 +136,7 @@ func (e *Env) pop() event {
 
 // NewEnv returns a fresh environment whose random source is seeded with seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		procs: make(map[uint64]*Proc),
-		Rand:  rand.New(rand.NewSource(seed)),
-	}
+	return &Env{Rand: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -198,19 +203,43 @@ func (e *Env) putWaiter(w *waiter) {
 }
 
 // Spawn starts a new simulation process executing fn. The process begins at
-// the current virtual time, after the spawning process next yields.
+// the current virtual time, after the spawning process next yields. Its body
+// runs on a pooled coroutine, or a new one when none is free.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	e.nextPID++
-	p := &Proc{
-		env:  e,
-		id:   e.nextPID,
-		name: name,
-		wake: make(chan struct{}),
+	c := e.free
+	if c == nil {
+		c = e.newCoro()
+	} else {
+		e.free = c.free
+		c.free = nil
 	}
-	e.procs[p.id] = p
-	go p.run(fn)
+	p := &Proc{env: e, co: c, name: name, prevLive: e.liveTail}
+	c.proc, c.body = p, fn
+	if e.liveTail == nil {
+		e.liveHead = p
+	} else {
+		e.liveTail.nextLive = p
+	}
+	e.liveTail = p
+	e.nlive++
 	e.scheduleResume(e.now, p, wakeScheduled)
 	return p
+}
+
+// unlink takes p, whose body has ended, off the live list.
+func (e *Env) unlink(p *Proc) {
+	if p.prevLive == nil {
+		e.liveHead = p.nextLive
+	} else {
+		p.prevLive.nextLive = p.nextLive
+	}
+	if p.nextLive == nil {
+		e.liveTail = p.prevLive
+	} else {
+		p.nextLive.prevLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
+	e.nlive--
 }
 
 // Run processes events until the queue drains or Stop is called.
@@ -245,21 +274,24 @@ func (e *Env) RunUntil(deadline time.Duration) error {
 // Stop halts the scheduler after the currently executing event completes.
 func (e *Env) Stop() { e.stopped = true }
 
-// Close kills every live process so their goroutines exit. The environment
-// must not be used afterwards.
+// Close kills every live process in spawn order — blocked ones, and ones
+// spawned but never started — then stops every pooled coroutine, so no
+// goroutine outlives the environment. The environment must not be used
+// afterwards.
 func (e *Env) Close() {
-	for _, p := range e.procs {
-		if p.state == stateBlocked {
-			p.resume(wakeKilled)
-		}
+	for e.liveHead != nil {
+		e.liveHead.resume(wakeKilled)
 	}
-	e.procs = map[uint64]*Proc{}
+	for c := e.free; c != nil; c = c.free {
+		c.stop()
+	}
+	e.free = nil
 	e.events = nil
 }
 
 // Live reports the number of processes that have been spawned and not yet
 // finished.
-func (e *Env) Live() int { return len(e.procs) }
+func (e *Env) Live() int { return e.nlive }
 
 func (e *Env) fail(p *Proc, v interface{}) {
 	if e.failure == nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -112,16 +113,108 @@ func TestCloseKillsBlockedProcesses(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesEveryGoroutine: after Close no goroutine of the
+// environment is left — not a never-started process's, not a blocked
+// process's, not a pooled coroutine's.
+func TestCloseReleasesEveryGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	env.Spawn("done", func(p *Proc) {}) // ends at once: its coroutine is pooled
+	env.Spawn("blocked", func(p *Proc) { p.Sleep(time.Hour) })
+	if err := env.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	env.Spawn("never started", func(p *Proc) {
+		t.Error("Close ran the body of a process that had not started")
+	})
+	env.Close()
+	if env.Live() != 0 {
+		t.Fatalf("live after close = %d, want 0", env.Live())
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after Close, %d before the environment existed", n, base)
+	}
+}
+
+// TestSpawnSteadyStateAllocs: once the free list is warm, spawning a
+// prebuilt body and running it to completion allocates only the Proc.
+func TestSpawnSteadyStateAllocs(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	body := func(p *Proc) { p.Yield() }
+	run := func() {
+		env.Spawn("body", body)
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs > 1 {
+		t.Fatalf("spawn and run allocates %.1f objects, want at most 1 (the Proc)", allocs)
+	}
+}
+
+// TestPanicPropagatesAsFailure: a panic fails the run, and the panicking
+// body's coroutine goes back to the free list for the next Spawn.
 func TestPanicPropagatesAsFailure(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	env.Spawn("bad", func(p *Proc) {
+	bad := env.Spawn("bad", func(p *Proc) {
 		p.Sleep(time.Second)
 		panic("boom")
 	})
+	co := bad.co
 	err := env.Run()
 	if err == nil {
 		t.Fatal("expected failure from panicking process")
+	}
+	if env.Live() != 0 {
+		t.Fatalf("live after the panic = %d, want 0", env.Live())
+	}
+	if next := env.Spawn("next", func(p *Proc) {}); next.co != co {
+		t.Fatal("the panicking body's coroutine was not reused by the next Spawn")
+	}
+}
+
+// TestGoexitEndsTheRunCaller: a body that calls runtime.Goexit (as
+// t.FailNow does) ends the goroutine driving Run instead of hanging it, and
+// its coroutine, which has exited, is not pooled.
+func TestGoexitEndsTheRunCaller(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	fatal := env.Spawn("fatal", func(p *Proc) {
+		p.Sleep(time.Second)
+		runtime.Goexit()
+	})
+	co := fatal.co
+	env.Spawn("quick", func(p *Proc) {}) // ends at once: its coroutine is pooled
+	env.Spawn("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = env.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after a body called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned although a body called runtime.Goexit")
+	}
+	for c := env.free; c != nil; c = c.free {
+		if c == co {
+			t.Fatal("the coroutine of a body that called runtime.Goexit is on the free list")
+		}
+	}
+	if env.free == nil || env.Live() != 1 {
+		t.Fatalf("free list %p, %d live processes: want the quick body's coroutine pooled and the bystander live", env.free, env.Live())
 	}
 }
 

@@ -2,16 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
-)
-
-type procState int
-
-const (
-	stateRunning procState = iota
-	stateBlocked
-	stateDone
 )
 
 type wakeReason int
@@ -22,19 +15,26 @@ const (
 	wakeKilled                      // environment shutting down
 )
 
-// killed is the sentinel panic value used to unwind a process goroutine when
-// the environment is closed.
+// killed is the sentinel panic value used to unwind a process body when the
+// environment is closed.
 type killed struct{}
 
-// Proc is a simulation process. Its methods may only be called by the
-// process's own goroutine while it is the running process.
+// Proc is a simulation process. Its body runs on a coroutine the Env pools
+// (see coro): blocking switches back to the scheduler, and a wake-up
+// switches in again, on the one goroutine that drives Run. Its methods may
+// only be called by the process's own body while it is the running process.
+//
+// A panic in the body is captured and fails the run (Run returns it with
+// the body's stack). A runtime.Goexit in the body — what t.FailNow does —
+// ends the goroutine that called Run, not just the process.
 type Proc struct {
 	env    *Env
-	id     uint64
+	co     *coro // nil once the body has ended
 	name   string
-	wake   chan struct{}
-	state  procState
 	reason wakeReason
+
+	// prevLive and nextLive link the Env's live processes in spawn order.
+	prevLive, nextLive *Proc
 
 	// waiter is the wait-list entry the process is currently parked on,
 	// if any. Used to deregister on timeout.
@@ -54,44 +54,73 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	// Wait for the initial resume from the scheduler.
-	<-p.wake
+// coro is a pooled coroutine (iter.Pull) that runs process bodies one after
+// another. Between bodies it sits on its Env's free list, so Spawn in
+// steady state allocates only the Proc.
+type coro struct {
+	next  func() (struct{}, bool) // switch in: run until the body blocks or ends
+	stop  func()
+	yield func(struct{}) bool // switch out, back to whoever called next
+	proc  *Proc               // the process whose body is queued or running
+	body  func(p *Proc)
+	free  *coro // next coroutine on the Env's free list
+}
+
+// newCoro starts a coroutine whose loop runs one body per Spawn and returns
+// to e's free list after each. A Goexit inside a body leaves the loop for
+// good: iter.Pull passes it on to the goroutine that called next.
+func (e *Env) newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.run()
+			c.free = e.free
+			e.free = c
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// run executes the queued body to its end. A killed unwind ends it quietly;
+// any other panic fails the Env with its stack.
+func (c *coro) run() {
+	p, body := c.proc, c.body
+	c.proc, c.body = nil, nil
 	defer func() {
+		p.env.unlink(p)
+		p.co = nil
 		if v := recover(); v != nil {
 			if _, ok := v.(killed); !ok {
 				p.env.fail(p, fmt.Sprintf("%v\n%s", v, debug.Stack()))
 			}
 		}
-		p.state = stateDone
-		delete(p.env.procs, p.id)
-		p.env.yield <- struct{}{}
 	}()
 	if p.reason == wakeKilled {
 		panic(killed{})
 	}
-	fn(p)
+	body(p)
 }
 
 // block suspends the process until something calls resume. It returns the
 // reason the process was woken.
 func (p *Proc) block() wakeReason {
-	p.state = stateBlocked
-	p.env.yield <- struct{}{}
-	<-p.wake
-	p.state = stateRunning
+	p.co.yield(struct{}{})
 	if p.reason == wakeKilled {
 		panic(killed{})
 	}
 	return p.reason
 }
 
-// resume hands control to the process. It must be called from the scheduler
-// context (an event callback), never from another process.
+// resume hands control to the process until it blocks or ends. It must be
+// called from the scheduler context (an event callback), never from another
+// process.
 func (p *Proc) resume(r wakeReason) {
 	p.reason = r
-	p.wake <- struct{}{}
-	<-p.env.yield
+	p.co.next()
 }
 
 // Sleep suspends the process for d of virtual time. The timer is a typed

@@ -62,26 +62,20 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// DecodeRecord parses one record from the front of buf, returning the
-// record and the remaining bytes. The decoded Key, Before and After alias
-// buf: a caller that keeps them past a change to buf copies them.
-func DecodeRecord(buf []byte) (Record, []byte, error) {
+// DecodeRecord parses one record from the front of buf into r, returning
+// the remaining bytes. The decoded Key, Before and After alias buf: a caller
+// that keeps them past a change to buf copies them. On error r holds no
+// meaningful record.
+func DecodeRecord(buf []byte, r *Record) ([]byte, error) {
 	if len(buf) < recHeaderSize {
-		return Record{}, nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(buf))
+		return nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(buf))
 	}
-	r := Record{
-		LSN:  binary.LittleEndian.Uint64(buf[0:8]),
-		Txn:  cc.TxnID(binary.LittleEndian.Uint64(buf[8:16])),
-		TS:   cc.Timestamp(binary.LittleEndian.Uint64(buf[16:24])),
-		Part: binary.LittleEndian.Uint64(buf[24:32]),
-		Type: RecType(buf[32]),
-	}
-	if r.Type > RecCkptEnd {
-		return Record{}, nil, fmt.Errorf("wal: unknown record type %d", buf[32])
+	if RecType(buf[32]) > RecCkptEnd {
+		return nil, fmt.Errorf("wal: unknown record type %d", buf[32])
 	}
 	flags := buf[33]
 	if flags&^(recFlagBefore|recFlagAfter|recFlagKey) != 0 {
-		return Record{}, nil, fmt.Errorf("wal: unknown record flags %#x", flags)
+		return nil, fmt.Errorf("wal: unknown record flags %#x", flags)
 	}
 	kLen := int(binary.LittleEndian.Uint32(buf[34:38]))
 	bLen := int(binary.LittleEndian.Uint32(buf[38:42]))
@@ -89,24 +83,30 @@ func DecodeRecord(buf []byte) (Record, []byte, error) {
 	body := buf[recHeaderSize:]
 	total := kLen + bLen + aLen
 	if total < 0 || len(body) < total {
-		return Record{}, nil, fmt.Errorf("wal: record body truncated (want %d, have %d)", total, len(body))
+		return nil, fmt.Errorf("wal: record body truncated (want %d, have %d)", total, len(body))
 	}
+	r.LSN = binary.LittleEndian.Uint64(buf[0:8])
+	r.Txn = cc.TxnID(binary.LittleEndian.Uint64(buf[8:16]))
+	r.TS = cc.Timestamp(binary.LittleEndian.Uint64(buf[16:24]))
+	r.Part = binary.LittleEndian.Uint64(buf[24:32])
+	r.Type = RecType(buf[32])
+	r.Key, r.Before, r.After = nil, nil, nil
 	if flags&recFlagKey != 0 {
 		r.Key = body[:kLen:kLen]
 	} else if kLen != 0 {
-		return Record{}, nil, fmt.Errorf("wal: %d key bytes on a record flagged key=nil", kLen)
+		return nil, fmt.Errorf("wal: %d key bytes on a record flagged key=nil", kLen)
 	}
 	if flags&recFlagBefore != 0 {
 		r.Before = body[kLen : kLen+bLen : kLen+bLen]
 	} else if bLen != 0 {
-		return Record{}, nil, fmt.Errorf("wal: %d before bytes on a record flagged before=nil", bLen)
+		return nil, fmt.Errorf("wal: %d before bytes on a record flagged before=nil", bLen)
 	}
 	if flags&recFlagAfter != 0 {
 		r.After = body[kLen+bLen : total : total]
 	} else if aLen != 0 {
-		return Record{}, nil, fmt.Errorf("wal: %d after bytes on a record flagged after=nil", aLen)
+		return nil, fmt.Errorf("wal: %d after bytes on a record flagged after=nil", aLen)
 	}
-	return r, body[total:], nil
+	return body[total:], nil
 }
 
 // detach copies r's Key, Before and After out of the buffer they alias into
@@ -148,50 +148,50 @@ func appendFrame(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// decodeFrame parses one framed record from the front of buf, returning the
-// record and the number of bytes consumed. A truncated header or payload, a
+// decodeFrame parses one framed record from the front of buf into r,
+// returning the number of bytes consumed. A truncated header or payload, a
 // CRC mismatch, or a payload that does not decode to exactly one record all
 // fail — the caller treats the failure point as the end of the valid log.
 // The record's Key, Before and After alias buf (see DecodeRecord).
-func decodeFrame(buf []byte) (Record, int, error) {
+func decodeFrame(buf []byte, r *Record) (int, error) {
 	if len(buf) < frameHeaderSize {
-		return Record{}, 0, fmt.Errorf("wal: frame header torn (%d bytes)", len(buf))
+		return 0, fmt.Errorf("wal: frame header torn (%d bytes)", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf[0:4]))
 	if n < recHeaderSize || n > maxFramePayload {
-		return Record{}, 0, fmt.Errorf("wal: implausible frame length %d", n)
+		return 0, fmt.Errorf("wal: implausible frame length %d", n)
 	}
 	if len(buf)-frameHeaderSize < n {
-		return Record{}, 0, fmt.Errorf("wal: frame payload torn (want %d, have %d)", n, len(buf)-frameHeaderSize)
+		return 0, fmt.Errorf("wal: frame payload torn (want %d, have %d)", n, len(buf)-frameHeaderSize)
 	}
 	payload := buf[frameHeaderSize : frameHeaderSize+n]
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[4:8]); got != want {
-		return Record{}, 0, fmt.Errorf("wal: frame CRC mismatch (%#x != %#x)", got, want)
+		return 0, fmt.Errorf("wal: frame CRC mismatch (%#x != %#x)", got, want)
 	}
-	rec, rest, err := DecodeRecord(payload)
+	rest, err := DecodeRecord(payload, r)
 	if err != nil {
-		return Record{}, 0, err
+		return 0, err
 	}
 	if len(rest) != 0 {
-		return Record{}, 0, fmt.Errorf("wal: %d stray bytes inside frame", len(rest))
+		return 0, fmt.Errorf("wal: %d stray bytes inside frame", len(rest))
 	}
-	return rec, frameHeaderSize + n, nil
+	return frameHeaderSize + n, nil
 }
 
-// DecodeFrame parses exactly one framed record occupying the whole of buf —
-// the replication layer's entry point for decoding a shipped frame copy. The
-// record's Key, Before and After alias buf, so decoding allocates nothing: a
-// caller keeps them only as long as buf stays unchanged — a replica store
-// retains every frame verbatim — or copies what it keeps.
-func DecodeFrame(buf []byte) (Record, error) {
-	rec, n, err := decodeFrame(buf)
+// DecodeFrame parses exactly one framed record occupying the whole of buf
+// into r — the replication layer's entry point for decoding a shipped frame
+// copy. The record's Key, Before and After alias buf, so decoding allocates
+// nothing: a caller keeps them only as long as buf stays unchanged — a
+// replica store retains every frame verbatim — or copies what it keeps.
+func DecodeFrame(buf []byte, r *Record) error {
+	n, err := decodeFrame(buf, r)
 	if err != nil {
-		return Record{}, err
+		return err
 	}
 	if n != len(buf) {
-		return Record{}, fmt.Errorf("wal: %d stray bytes after frame", len(buf)-n)
+		return fmt.Errorf("wal: %d stray bytes after frame", len(buf)-n)
 	}
-	return rec, nil
+	return nil
 }
 
 // ValidPrefix returns the byte length of the longest prefix of buf that
@@ -199,9 +199,10 @@ func DecodeFrame(buf []byte) (Record, error) {
 // uses when a power failure leaves a torn or corrupt log tail. Exposed for
 // the torn-tail fuzzer.
 func ValidPrefix(buf []byte) int {
+	var rec Record
 	off := 0
 	for off < len(buf) {
-		_, n, err := decodeFrame(buf[off:])
+		n, err := decodeFrame(buf[off:], &rec)
 		if err != nil {
 			break
 		}

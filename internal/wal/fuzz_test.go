@@ -58,7 +58,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			t.Fatalf("encoded length %d != Size() %d", len(enc), r.Size())
 		}
 		// Trailing bytes must be left untouched.
-		dec, rest, err := DecodeRecord(append(enc, 0xAB, 0xCD))
+		var dec Record
+		rest, err := DecodeRecord(append(enc, 0xAB, 0xCD), &dec)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -128,9 +129,10 @@ func FuzzTornTailRecovery(f *testing.F) {
 			t.Fatalf("valid prefix %d over-reads %d-byte log", vp, len(buf))
 		}
 		// The accepted prefix must decode as whole frames, exactly to vp.
+		var rec Record
 		off := 0
 		for off < vp {
-			_, n, err := decodeFrame(buf[off:])
+			n, err := decodeFrame(buf[off:], &rec)
 			if err != nil {
 				t.Fatalf("accepted prefix fails to decode at %d: %v", off, err)
 			}
@@ -141,7 +143,7 @@ func FuzzTornTailRecovery(f *testing.F) {
 		}
 		// Maximality: the truncation point must actually be damage.
 		if vp < len(buf) {
-			if _, _, err := decodeFrame(buf[vp:]); err == nil {
+			if _, err := decodeFrame(buf[vp:], &rec); err == nil {
 				t.Fatalf("valid frame at %d beyond the reported prefix %d", vp, vp)
 			}
 		}
@@ -206,7 +208,8 @@ func FuzzDecodeRecordNoPanic(f *testing.F) {
 	// stops being the identity on the consumed prefix.
 	f.Add(append(bytes.Repeat([]byte{0x30}, 34), make([]byte, recHeaderSize-34)...))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		rec, rest, err := DecodeRecord(buf)
+		var rec Record
+		rest, err := DecodeRecord(buf, &rec)
 		if err != nil {
 			return
 		}

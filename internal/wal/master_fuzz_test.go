@@ -169,9 +169,10 @@ func FuzzMasterTornTailRecovery(f *testing.F) {
 		if vp > len(buf) {
 			t.Fatalf("valid prefix %d over-reads %d-byte log", vp, len(buf))
 		}
+		var rec Record
 		off := 0
 		for off < vp {
-			rec, n, err := decodeFrame(buf[off:])
+			n, err := decodeFrame(buf[off:], &rec)
 			if err != nil {
 				t.Fatalf("accepted prefix fails to decode at %d: %v", off, err)
 			}

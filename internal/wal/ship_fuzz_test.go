@@ -165,9 +165,10 @@ func FuzzShipTornTailRecovery(f *testing.F) {
 		if vp > len(buf) {
 			t.Fatalf("valid prefix %d over-reads %d-byte log", vp, len(buf))
 		}
+		var rec, inner Record
 		off := 0
 		for off < vp {
-			rec, n, err := decodeFrame(buf[off:])
+			n, err := decodeFrame(buf[off:], &rec)
 			if err != nil {
 				t.Fatalf("accepted prefix fails to decode at %d: %v", off, err)
 			}
@@ -179,7 +180,7 @@ func FuzzShipTornTailRecovery(f *testing.F) {
 				if !sf.Reset {
 					// The shipped bytes are a whole origin frame: CRC-framed
 					// themselves, so they must decode standalone.
-					inner, in, err := decodeFrame(sf.Frame)
+					in, err := decodeFrame(sf.Frame, &inner)
 					if err != nil || in != len(sf.Frame) {
 						t.Fatalf("shipped origin frame rejected (n=%d of %d): %v",
 							in, len(sf.Frame), err)

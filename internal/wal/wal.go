@@ -466,13 +466,14 @@ func (l *Log) Restart() int {
 	discarded := 0
 	lastValid := uint64(0)
 	keep := 0
+	var rec Record
 scan:
 	for i, s := range l.segs {
 		off := 0
 		s.ends = s.ends[:0]
 		first := true
 		for off < len(s.buf) {
-			rec, n, err := decodeFrame(s.buf[off:])
+			n, err := decodeFrame(s.buf[off:], &rec)
 			if err == nil && lastValid > 0 && rec.LSN <= lastValid {
 				err = fmt.Errorf("wal: LSN %d not above %d", rec.LSN, lastValid)
 			}
@@ -568,11 +569,12 @@ func (l *Log) walk(fn func(lsn uint64, frame []byte) bool) {
 	}
 }
 
-// decodeAt decodes frame, which the offset mapping places at lsn: ok is
-// false when it no longer decodes to exactly one record carrying lsn.
-func decodeAt(frame []byte, lsn uint64) (rec Record, ok bool) {
-	rec, n, err := decodeFrame(frame)
-	return rec, err == nil && n == len(frame) && rec.LSN == lsn
+// decodeAt decodes frame, which the offset mapping places at lsn, into rec:
+// it reports false when the frame no longer decodes to exactly one record
+// carrying lsn.
+func decodeAt(frame []byte, lsn uint64, rec *Record) bool {
+	n, err := decodeFrame(frame, rec)
+	return err == nil && n == len(frame) && rec.LSN == lsn
 }
 
 // CheckFlushed CRC-scans the durable portion of every retained segment and
@@ -580,11 +582,12 @@ func decodeAt(frame []byte, lsn uint64) (rec Record, ok bool) {
 // history. A clean log allocates nothing.
 func (l *Log) CheckFlushed() []uint64 {
 	var bad []uint64
+	var rec Record
 	l.walk(func(lsn uint64, frame []byte) bool {
 		if lsn > l.flushedLSN {
 			return false
 		}
-		if _, ok := decodeAt(frame, lsn); !ok {
+		if !decodeAt(frame, lsn, &rec) {
 			bad = append(bad, lsn)
 		}
 		return true
@@ -608,7 +611,8 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 	if len(frame) != s.ends[idx]-start {
 		return false
 	}
-	if _, ok := decodeAt(frame, lsn); !ok {
+	var rec Record
+	if !decodeAt(frame, lsn, &rec) {
 		return false
 	}
 	copy(s.buf[start:s.ends[idx]], frame)
@@ -631,11 +635,12 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 		frame []byte // aliases the segment: the flip lands in the log
 	}
 	var cands []cand
+	var rec Record
 	l.walk(func(lsn uint64, frame []byte) bool {
 		if lsn > l.flushedLSN {
 			return false
 		}
-		if rec, ok := decodeAt(frame, lsn); !ok || !Shippable(&rec) {
+		if !decodeAt(frame, lsn, &rec) || !Shippable(&rec) {
 			return true // already damaged, or a frame no replica holds
 		}
 		if eligible == nil || eligible(lsn) {
@@ -667,8 +672,7 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 func (l *Log) VisitFrames(fn func(rec *Record, frame []byte) bool) {
 	var rec Record
 	l.walk(func(lsn uint64, frame []byte) bool {
-		var ok bool
-		if rec, ok = decodeAt(frame, lsn); !ok {
+		if !decodeAt(frame, lsn, &rec) {
 			return true
 		}
 		return fn(&rec, frame)
@@ -776,11 +780,12 @@ type Iterator struct {
 // segment bytes in LSN order.
 func (l *Log) Iter() *Iterator { return &Iterator{segs: l.segs} }
 
-// Next decodes and returns the next record. Its Key, Before and After are
-// one fresh copy, not aliases of the log's buffers.
-func (it *Iterator) Next() (Record, bool) {
+// Next decodes the next record into rec and reports whether there was one.
+// Its Key, Before and After are one fresh copy, not aliases of the log's
+// buffers.
+func (it *Iterator) Next(rec *Record) bool {
 	if it.err != nil {
-		return Record{}, false
+		return false
 	}
 	for it.si < len(it.segs) {
 		s := it.segs[it.si]
@@ -789,16 +794,16 @@ func (it *Iterator) Next() (Record, bool) {
 			it.off = 0
 			continue
 		}
-		rec, n, err := decodeFrame(s.buf[it.off:])
+		n, err := decodeFrame(s.buf[it.off:], rec)
 		if err != nil {
 			it.err = fmt.Errorf("wal: segment %d offset %d: %w", it.si, it.off, err)
-			return Record{}, false
+			return false
 		}
 		it.off += n
 		rec.detach()
-		return rec, true
+		return true
 	}
-	return Record{}, false
+	return false
 }
 
 // Err returns the decode error that stopped iteration, if any.
@@ -810,15 +815,13 @@ func (it *Iterator) All() ([]Record, error) {
 	for _, s := range it.segs[it.si:] {
 		n += len(s.ends) // one per frame; a partly read segment over-counts
 	}
-	recs := make([]Record, 0, n)
+	recs := make([]Record, 0, n+1) // +1: the slot the final Next finds no record for
 	for {
-		rec, ok := it.Next()
-		if !ok {
-			break
+		recs = append(recs, Record{})
+		if !it.Next(&recs[len(recs)-1]) {
+			return recs[:len(recs)-1], it.err
 		}
-		recs = append(recs, rec)
 	}
-	return recs, it.err
 }
 
 // Target is the recovery interface to a partition: raw Put/Delete of

@@ -162,14 +162,14 @@ func TestDecodeFrameAlias(t *testing.T) {
 	want := Record{LSN: 9, Type: RecUpdate, Txn: 4, Part: 2,
 		Key: []byte("key"), Before: []byte{}, After: []byte("after")}
 	frame := appendFrame(nil, &want)
-	got, err := DecodeFrame(frame)
-	if err != nil {
+	var got Record
+	if err := DecodeFrame(frame, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) { // DeepEqual tells a nil field from an empty one
 		t.Fatalf("decode: %+v, want %+v", got, want)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeFrame(frame) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _ = DecodeFrame(frame, &got) }); allocs != 0 {
 		t.Fatalf("decode allocates %.0f objects", allocs)
 	}
 	frame[len(frame)-1] ^= 0xff
