@@ -51,9 +51,11 @@ fig7:
 intent-timeouts:
 	$(GO) test -run '^TestNoIntentTimeoutFaultFree$$' ./internal/tpcc
 
-## vet: static analysis
+## vet: static analysis of the root module and of bench/, a module of its own
+## that the root's ./... never reaches
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 ## loc: non-test Go code lines (blank and comment-only lines skipped) per
 ## package and in total, bench/ excluded — the ruler for "same behaviour from

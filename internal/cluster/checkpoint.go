@@ -282,6 +282,9 @@ func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, a *wal.Analysis, 
 			if im.lsn >= redo {
 				continue // replay from the redo point still covers this key
 			}
+			// The base keeps a copy, for memory: it outlives the segment
+			// im.val aliases, which truncation recycles on an unreplicated
+			// log, and an alias would keep that whole segment alive.
 			if j, ok := idx[k]; ok {
 				if pairs[j].lsn < im.lsn {
 					pairs[j].val = bytes.Clone(im.val)

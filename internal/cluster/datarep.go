@@ -100,7 +100,7 @@ func (n *DataNode) DiskLost() bool { return n.diskLost }
 // shipItem is one queued frame awaiting delivery to followers.
 type shipItem struct {
 	lsn   uint64
-	frame []byte // stable copy (the append hook clones the segment alias)
+	frame []byte // aliases the origin's log segment (write-once)
 	// vis is the version timestamp the frame carries (DML installs, base
 	// images), or zero for frames without one (commit/abort/prepare
 	// records). followerFor's snapshot gate compares it against the
@@ -354,8 +354,8 @@ func (st *repStore) part(id table.PartID) *replicaPart {
 // applyFrame processes one shipped origin frame: retain the raw bytes, buffer
 // DML under its transaction, promote on commit, drop on abort, and install
 // base images immediately (they are logged before any DML on their keys).
-// The frame must be a stable copy — it is retained verbatim, and everything
-// the store keeps of the decoded record points into it.
+// The frame is retained verbatim, and everything the store keeps of the
+// decoded record points into it.
 func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 	if lsn <= st.frames.max() {
 		return // duplicate delivery (resync overlap)
@@ -537,8 +537,8 @@ func (c *Cluster) enableDataReplication(replicas int) {
 			node.ship.links = append(node.ship.links, l)
 			l.follower.inbound = append(l.follower.inbound, l)
 		}
-		node.Log.SetAppendHook(func(rec *wal.Record, frame []byte) {
-			if !wal.Shippable(rec) {
+		node.Log.SetAppendHook(func(rec wal.Record, frame []byte) {
+			if !wal.Shippable(&rec) {
 				return
 			}
 			sh := node.ship
@@ -549,7 +549,7 @@ func (c *Cluster) enableDataReplication(replicas int) {
 					vis = v.TS
 				}
 			}
-			sh.queue = append(sh.queue, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame), vis: vis,
+			sh.queue = append(sh.queue, shipItem{lsn: rec.LSN, frame: frame, vis: vis,
 				flushFirst: rec.Type == wal.RecMState})
 			if len(sh.queue) == 1 {
 				sh.updatePin(node.Log)
@@ -587,7 +587,7 @@ func (sh *shipState) updatePin(l *wal.Log) {
 
 // applyToFollower delivers one origin frame over the link: a RecShip wrapper
 // on the follower's log (Part carries the origin ID) and an immediate
-// replica-store apply. frame must be a stable copy.
+// replica-store apply, which retains frame.
 func (l *shipLink) applyToFollower(lsn uint64, frame []byte) {
 	sh := l.origin.ship
 	// Append copies the payload into the follower's log segment, so one buffer
@@ -1054,7 +1054,7 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 		if !wal.Shippable(rec) {
 			return true
 		}
-		frames = append(frames, shipItem{lsn: rec.LSN, frame: bytes.Clone(frame)}) // outlives the walk
+		frames = append(frames, shipItem{lsn: rec.LSN, frame: frame})
 		total += int64(len(frame)) + shipWireOverhead
 		return true
 	})
@@ -1210,6 +1210,9 @@ func salvageOwnFrames(n *DataNode) (sv frameSet) {
 			return false
 		}
 		if wal.Shippable(rec) {
+			// A copy, for memory: the frames outlive the WipeDisk that
+			// follows and the rebuilt n.bases keep them, while an alias
+			// would pin the whole discarded segment.
 			sv.put(rec.LSN, bytes.Clone(frame))
 		}
 		return true
@@ -1307,8 +1310,8 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		if rec.Type == wal.RecBase {
 			// A wiped disk also lost the recovery bases; the shipped
 			// base images restore them. The decoded slices alias frame,
-			// a copy of this merge's own (salvage clones, DecodeShipFrame
-			// copies) that nothing writes, so the pair can keep them. It
+			// a copy the merge took (salvageOwnFrames, DecodeShipFrame)
+			// so that what the pair keeps pins no discarded segment. It
 			// carries its renumbered append LSN, so repairBaseLog sees it
 			// covered.
 			id := table.PartID(rec.Part)

@@ -394,8 +394,7 @@ func (m *Master) leaderDown() {
 // held is false when n holds no part of the stream at all. The scans are
 // per-frame, so a rotted frame the scrubber has not reached yet cannot hide
 // the records behind it. Nothing is copied: the records alias n's log
-// segments or the frames of shippedCopy, which tryElect reads and drops
-// within the same instant.
+// segments or the frames of shippedCopy.
 func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held bool) {
 	add := func(rec *wal.Record) {
 		if wal.MasterRecord(rec) {
@@ -426,7 +425,7 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 // follower is an in-sync one whose log is flushed through its last wrapper,
 // so every frame its replica store holds of n's current generation is
 // durable there; the candidates are the few above n's flushed boundary. The
-// record aliases the store's frame, which the store keeps unchanged.
+// record aliases the store's frame.
 func (c *Cluster) CoordAhead(n *DataNode) (ahead wal.Record, ok bool) {
 	if c.drep == nil {
 		return ahead, false
@@ -517,9 +516,7 @@ func (m *Master) tryElect() {
 // The catalog and partition tables come from the newest replicated snapshot
 // of each table, the decision map from decision/ack records, and the oracle
 // resumes at the replicated lease ceiling — strictly above anything the old
-// leader issued (foldCoord). Non-blocking: routing flips in one instant, and
-// recs, which may alias log segments and replica-store frames, are read
-// before anything is appended.
+// leader issued (foldCoord). Non-blocking: routing flips in one instant.
 func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64) {
 	r := m.rep
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Part < recs[j].Part })

@@ -63,9 +63,8 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 }
 
 // DecodeRecord parses one record from the front of buf into r, returning
-// the remaining bytes. The decoded Key, Before and After alias buf: a caller
-// that keeps them past a change to buf copies them. On error r holds no
-// meaningful record.
+// the remaining bytes. The decoded Key, Before and After alias buf, capped at
+// their own ends. On error r holds no meaningful record.
 func DecodeRecord(buf []byte, r *Record) ([]byte, error) {
 	if len(buf) < recHeaderSize {
 		return nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(buf))
@@ -107,20 +106,6 @@ func DecodeRecord(buf []byte, r *Record) ([]byte, error) {
 		return nil, fmt.Errorf("wal: %d after bytes on a record flagged after=nil", aLen)
 	}
 	return body[total:], nil
-}
-
-// detach copies r's Key, Before and After out of the buffer they alias into
-// one fresh allocation, keeping nil (field absent) distinct from empty.
-func (r *Record) detach() {
-	buf := make([]byte, 0, len(r.Key)+len(r.Before)+len(r.After))
-	field := func(b []byte) []byte {
-		if b == nil {
-			return nil
-		}
-		buf = append(buf, b...)
-		return buf[len(buf)-len(b) : len(buf) : len(buf)]
-	}
-	r.Key, r.Before, r.After = field(r.Key), field(r.Before), field(r.After)
 }
 
 // Frame format: every record in a log segment is preceded by an 8-byte
@@ -179,10 +164,9 @@ func decodeFrame(buf []byte, r *Record) (int, error) {
 }
 
 // DecodeFrame parses exactly one framed record occupying the whole of buf
-// into r — the replication layer's entry point for decoding a shipped frame
-// copy. The record's Key, Before and After alias buf, so decoding allocates
-// nothing: a caller keeps them only as long as buf stays unchanged — a
-// replica store retains every frame verbatim — or copies what it keeps.
+// into r — the replication layer's entry point for decoding a shipped
+// frame. The record's Key, Before and After alias buf, so decoding allocates
+// nothing; they stay valid as long as buf does (log bytes are write-once).
 func DecodeFrame(buf []byte, r *Record) error {
 	n, err := decodeFrame(buf, r)
 	if err != nil {

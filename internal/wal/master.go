@@ -70,6 +70,10 @@ func appendBound(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// takeBound decodes one length-prefixed partition bound from the front of
+// buf. The bound is a copy, for memory: the catalog keeps it as long as the
+// partition lives, long past the truncation of the record's segment, which an
+// alias would keep alive whole.
 func takeBound(buf []byte) ([]byte, []byte, error) {
 	if len(buf) < 2 {
 		return nil, nil, fmt.Errorf("wal: master bound length truncated")

@@ -85,7 +85,9 @@ func EncodeShipFrame(dst []byte, f *ShipFrame) []byte {
 }
 
 // DecodeShipFrame parses one ship payload occupying the whole of buf.
-// Decoded slices are copies, not aliases.
+// Frame is a copy, not an alias, for memory: a replica store seeded from a
+// follower's wrappers and the bases a rebuild restores keep frames past the
+// truncation of the wrapper's segment, which an alias would keep alive whole.
 func DecodeShipFrame(buf []byte) (*ShipFrame, error) {
 	if len(buf) < shipHeaderSize {
 		return nil, fmt.Errorf("wal: ship payload truncated (%d bytes)", len(buf))

@@ -92,8 +92,11 @@ func (t RecType) String() string {
 //
 // Append encodes the record immediately, so callers may pass slices they
 // keep mutating afterwards — the log never aliases caller memory. The other
-// way round, a decoded record's Key, Before and After alias the bytes it was
-// decoded from (DecodeFrame, VisitFrames); only an Iterator copies them.
+// way round, every reader hands out aliases: a decoded record's Key, Before
+// and After point into the bytes it was decoded from (DecodeFrame,
+// VisitFrames, Iterator), and the append hook's frame into the segment. Log
+// bytes are write-once — nothing below a segment's length is written after
+// its append — so such an alias stays valid for as long as anyone holds it.
 type Record struct {
 	LSN    uint64
 	Txn    cc.TxnID
@@ -156,6 +159,11 @@ const segSlack = 1 << 10
 // buf[ends[i-1]:ends[i]] (ends[-1] = 0). buf may additionally hold torn
 // trailing bytes past ends[len(ends)-1] after a power failure interrupted a
 // device write; Restart's CRC scan truncates them.
+//
+// The bytes below len(buf) are write-once: appends write only past the
+// length, every cut limits the capacity too (so the next append reallocates
+// rather than overwriting what was cut off), and the two rewrites, PatchFrame
+// and FlipFlushedBit, write into a fresh copy of buf (rewrite).
 type logSegment struct {
 	firstLSN uint64
 	buf      []byte
@@ -200,9 +208,8 @@ type Log struct {
 	pin uint64
 
 	// onAppend, when set, observes every record the moment Append frames it.
-	// The frame slice aliases the segment buffer — the hook must copy if it
-	// retains the bytes (a later FlipFlushedBit would corrupt a live alias).
-	onAppend func(rec *Record, frame []byte)
+	// The frame aliases the segment buffer and stays valid after the call.
+	onAppend func(rec Record, frame []byte)
 
 	// lostDurable is set by Restart when the CRC scan truncated below the
 	// pre-crash flushed boundary (bit rot inside acked history, or a wiped
@@ -259,15 +266,16 @@ func (l *Log) Append(rec Record) uint64 {
 	s.ends = append(s.ends, len(s.buf))
 	l.pendingBytes += int64(len(s.buf) - start)
 	if l.onAppend != nil {
-		l.onAppend(&rec, s.buf[start:])
+		l.onAppend(rec, s.buf[start:len(s.buf):len(s.buf)])
 	}
 	return rec.LSN
 }
 
 // SetAppendHook installs a callback observing every framed append (the
-// data-replication ship queue). The frame slice passed to the hook aliases
-// the segment buffer; the hook must copy it if retained.
-func (l *Log) SetAppendHook(fn func(rec *Record, frame []byte)) { l.onAppend = fn }
+// data-replication ship queue). The frame passed to the hook aliases the
+// segment buffer and stays valid after the call, so the hook may keep it;
+// rec's Key, Before and After are the appender's own slices.
+func (l *Log) SetAppendHook(fn func(rec Record, frame []byte)) { l.onAppend = fn }
 
 // PinBefore sets the truncation fence: every record with LSN >= lsn is
 // retained no matter what TruncateBefore asks for. The replication layer
@@ -410,9 +418,7 @@ func (l *Log) crash(keep, flip int) (lost, torn int) {
 		if durable < len(s.ends) {
 			frame = s.buf[off:s.ends[durable]]
 		}
-		// Cap-limit the cut so the torn append below cannot scribble over
-		// the bytes frame still aliases.
-		s.buf = s.buf[:off:off]
+		s.buf = s.buf[:off:off] // write-once: the torn append below reallocates
 		s.ends = s.ends[:durable]
 		cut = i
 		break
@@ -480,7 +486,7 @@ scan:
 			if err != nil {
 				// Torn/corrupt tail: truncate here and drop everything after.
 				discarded += len(s.buf) - off
-				s.buf = s.buf[:off]
+				s.buf = s.buf[:off:off] // write-once: the next append reallocates
 				for _, t := range l.segs[i+1:] {
 					discarded += len(t.buf)
 				}
@@ -555,8 +561,8 @@ func (l *Log) WipeDisk() {
 // walk passes every retained frame to fn in LSN order, with the LSN the
 // in-memory LSN-to-offset mapping gives it, so damage to one frame never
 // hides the frames behind it (unlike Restart's byte scan, which must
-// truncate at the first bad frame). frame aliases the segment buffer; fn
-// returning false stops the walk.
+// truncate at the first bad frame). frame aliases the segment buffer, capped
+// at its own end; fn returning false stops the walk.
 func (l *Log) walk(fn func(lsn uint64, frame []byte) bool) {
 	for _, s := range l.segs {
 		start := 0
@@ -600,22 +606,15 @@ func (l *Log) CheckFlushed() []uint64 {
 // is refused unless frame is exactly the right length and decodes to a valid
 // record carrying lsn.
 func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
-	s, idx := l.locate(lsn)
-	if s == nil {
-		return false
-	}
-	start := 0
-	if idx > 0 {
-		start = s.ends[idx-1]
-	}
-	if len(frame) != s.ends[idx]-start {
+	s, start, end := l.locate(lsn)
+	if s == nil || len(frame) != end-start {
 		return false
 	}
 	var rec Record
 	if !decodeAt(frame, lsn, &rec) {
 		return false
 	}
-	copy(s.buf[start:s.ends[idx]], frame)
+	copy(s.rewrite()[start:end], frame)
 	return true
 }
 
@@ -630,11 +629,7 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 // scrubber-repairable decay).
 // Returns the damaged LSN, or 0 when the log holds no candidate.
 func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
-	type cand struct {
-		lsn   uint64
-		frame []byte // aliases the segment: the flip lands in the log
-	}
-	var cands []cand
+	var cands []uint64
 	var rec Record
 	l.walk(func(lsn uint64, frame []byte) bool {
 		if lsn > l.flushedLSN {
@@ -644,7 +639,7 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 			return true // already damaged, or a frame no replica holds
 		}
 		if eligible == nil || eligible(lsn) {
-			cands = append(cands, cand{lsn, frame})
+			cands = append(cands, lsn)
 		}
 		return true
 	})
@@ -654,21 +649,32 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 	if pick < 0 {
 		pick = -pick
 	}
-	c := cands[pick%len(cands)]
-	bit := pick % ((len(c.frame) - frameHeaderSize) * 8)
-	c.frame[frameHeaderSize+bit/8] ^= 1 << (bit % 8)
-	return c.lsn
+	lsn := cands[pick%len(cands)]
+	s, start, end := l.locate(lsn)
+	bit := pick % ((end - start - frameHeaderSize) * 8)
+	s.rewrite()[start+frameHeaderSize+bit/8] ^= 1 << (bit % 8)
+	return lsn
+}
+
+// rewrite replaces the segment's buffer with a fresh copy, keeping the
+// capacity an active segment still appends into, and returns it: the one
+// way a byte below the length may change (PatchFrame, FlipFlushedBit). The
+// old buffer stays as it was for every alias handed out before.
+func (s *logSegment) rewrite() []byte {
+	buf := make([]byte, len(s.buf), cap(s.buf))
+	copy(buf, s.buf)
+	s.buf = buf
+	return buf
 }
 
 // VisitFrames walks every retained frame in LSN order, passing the decoded
 // record and its raw frame bytes to fn; fn returning false stops the walk.
 // Nothing is copied: frame and the record's Key, Before and After alias the
-// segment buffer, and rec itself is reused for the next frame. Both stay
-// valid only until fn returns — a crash, a restart, PatchFrame or
-// FlipFlushedBit may rewrite the bytes in place afterwards — so fn copies
-// whatever it retains, and the walk allocates nothing per frame. Frames that
-// no longer decode (bit rot awaiting the scrubber) are skipped: the resync
-// and rebuild paths that use this walk must not propagate damage.
+// segment buffer and stay valid after fn returns, so fn may keep them; only
+// rec itself is reused for the next frame, and the walk allocates nothing
+// per frame. Frames that no longer decode (bit rot awaiting the scrubber)
+// are skipped: the resync and rebuild paths that use this walk must not
+// propagate damage.
 func (l *Log) VisitFrames(fn func(rec *Record, frame []byte) bool) {
 	var rec Record
 	l.walk(func(lsn uint64, frame []byte) bool {
@@ -679,15 +685,20 @@ func (l *Log) VisitFrames(fn func(rec *Record, frame []byte) bool) {
 	})
 }
 
-// locate finds the segment and in-segment index holding lsn.
-func (l *Log) locate(lsn uint64) (*logSegment, int) {
+// locate finds the segment holding lsn and its frame's bounds in the
+// segment's buffer; s is nil when no retained segment holds lsn.
+func (l *Log) locate(lsn uint64) (s *logSegment, start, end int) {
 	for _, s := range l.segs {
 		if len(s.ends) == 0 || lsn < s.firstLSN || lsn > s.lastLSN() {
 			continue
 		}
-		return s, int(lsn - s.firstLSN)
+		idx := int(lsn - s.firstLSN)
+		if idx > 0 {
+			start = s.ends[idx-1]
+		}
+		return s, start, s.ends[idx]
 	}
-	return nil, 0
+	return nil, 0, 0
 }
 
 // MasterRecord reports whether rec is a replicated coordinator record: Part
@@ -760,15 +771,13 @@ func (l *Log) RetainedBytes() int64 {
 }
 
 // Iterator walks the log's encoded segments, decoding one record per Next.
-// It is the one log reader whose records own their bytes: Next copies each
-// record's Key, Before and After out of the segment, because its callers
-// hold the records across simulated time — a restart keeps its wal.Analysis
-// through the partition replays, while a segment may be patched, bit-flipped
-// or, after a crash, truncated and overwritten in place. It covers every
-// retained byte — durable frames and, on a live log, the
-// appended-but-unflushed tail. Iteration stops at a torn or corrupt frame
-// (possible only on a crashed log that has not been through Restart); Err
-// reports whether the walk ended at damage rather than the clean end.
+// Each record's Key, Before and After alias the segment and stay valid after
+// later appends, rewrites and cuts, so callers may hold the records across
+// simulated time (a restart keeps its wal.Analysis through the partition
+// replays). It covers every retained byte — durable frames and, on a live
+// log, the appended-but-unflushed tail. Iteration stops at a torn or corrupt
+// frame (possible only on a crashed log that has not been through Restart);
+// Err reports whether the walk ended at damage rather than the clean end.
 type Iterator struct {
 	segs []*logSegment
 	si   int
@@ -781,8 +790,6 @@ type Iterator struct {
 func (l *Log) Iter() *Iterator { return &Iterator{segs: l.segs} }
 
 // Next decodes the next record into rec and reports whether there was one.
-// Its Key, Before and After are one fresh copy, not aliases of the log's
-// buffers.
 func (it *Iterator) Next(rec *Record) bool {
 	if it.err != nil {
 		return false
@@ -800,7 +807,6 @@ func (it *Iterator) Next(rec *Record) bool {
 			return false
 		}
 		it.off += n
-		rec.detach()
 		return true
 	}
 	return false

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -157,6 +159,28 @@ func TestSegmentBufferAllocatedOnce(t *testing.T) {
 }
 
 // TestDecodeFrameAlias: DecodeFrame returns the record that was framed,
+// TestAppendAllocatesNothing: an append into an open segment allocates
+// nothing, with or without an append hook — the record is framed straight
+// into the segment's buffer and handed to the hook by value.
+func TestAppendAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	l.SetSegmentBytes(1 << 20) // one open segment holds every append below
+	rec := Record{Type: RecUpdate, Txn: 1, Part: 1, Key: []byte("key"), Before: []byte("before"), After: []byte("after")}
+	l.Append(rec)
+	var hooked int
+	for _, hook := range []func(Record, []byte){nil, func(_ Record, frame []byte) { hooked += len(frame) }} {
+		l.SetAppendHook(hook)
+		if allocs := testing.AllocsPerRun(1000, func() { l.Append(rec) }); allocs != 0 {
+			t.Fatalf("Append (hook set: %v) allocates %.0f objects", hook != nil, allocs)
+		}
+	}
+	if len(l.segs) != 1 || hooked == 0 {
+		t.Fatalf("%d segments, %d hooked bytes", len(l.segs), hooked)
+	}
+}
+
 // allocates nothing, and leaves its fields pointing into the frame.
 func TestDecodeFrameAlias(t *testing.T) {
 	want := Record{LSN: 9, Type: RecUpdate, Txn: 4, Part: 2,
@@ -178,47 +202,118 @@ func TestDecodeFrameAlias(t *testing.T) {
 	}
 }
 
-// TestIteratorRecordsOwnTheirBytes: a record Next returned is unchanged
-// when its frame is later rewritten in place — by the scrubber's PatchFrame
-// and by FlipFlushedBit's bit rot — because restart holds the records it
-// read across exactly such rewrites.
-func TestIteratorRecordsOwnTheirBytes(t *testing.T) {
+// TestLogBytesWriteOnce: every way a reader can hold log bytes — an
+// Iterator record, a frame and its decoded Key and After kept past a
+// VisitFrames callback, a frame the append hook kept — reads unchanged after
+// each write the log makes below a segment's length: the scrubber's
+// PatchFrame, FlipFlushedBit's bit rot, and a Restart whose CRC scan cuts the
+// log at that rot, followed by appends that refill the cut.
+func TestLogBytesWriteOnce(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	l := NewLog(env, &countingDevice{})
-	orig := Record{Type: RecUpdate, Txn: 1, Part: 3, Key: []byte("key"), Before: []byte{}, After: []byte("after")}
-	lsn := l.Append(orig)
-	env.Spawn("flush", func(p *sim.Proc) { l.Flush(p, lsn) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	var hooked [][]byte
+	l.SetAppendHook(func(_ Record, frame []byte) { hooked = append(hooked, frame) })
+	upd := func(i int, key, after string) Record {
+		return Record{Type: RecUpdate, Txn: 1, Part: 3, Key: []byte(fmt.Sprintf("%s%d", key, i)),
+			Before: []byte{}, After: []byte(after)}
 	}
-	want := orig
-	want.LSN = lsn
-	read := func() Record {
+	var lsns []uint64
+	for i := 0; i < 6; i++ {
+		lsns = append(lsns, l.Append(upd(i, "key", "after")))
+	}
+	flush := func() {
+		env.Spawn("flush", func(p *sim.Proc) { l.Flush(p, l.TailLSN()-1) })
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush()
+	read := func() []Record {
 		recs, err := l.Iter().All()
-		if err != nil || len(recs) != 1 {
+		if err != nil {
 			t.Fatalf("iterate: %d records, %v", len(recs), err)
 		}
-		return recs[0]
+		return recs
 	}
-	patched := read()
-	other := Record{LSN: lsn, Type: RecUpdate, Txn: 1, Part: 3, Key: []byte("KEY"), Before: []byte{}, After: []byte("AFTER")}
-	if !l.PatchFrame(lsn, appendFrame(nil, &other)) {
+
+	// held is one slice a reader kept, and the bytes it read when it took it.
+	type held struct {
+		what      string
+		got, want []byte
+	}
+	hold := func() (hs []held) {
+		keep := func(what string, b []byte) { hs = append(hs, held{what, b, bytes.Clone(b)}) }
+		recs, _ := l.Iter().All() // up to the first damaged frame
+		for _, r := range recs {
+			keep(fmt.Sprintf("iterator record %d key", r.LSN), r.Key)
+			keep(fmt.Sprintf("iterator record %d after", r.LSN), r.After)
+		}
+		l.VisitFrames(func(rec *Record, frame []byte) bool {
+			keep(fmt.Sprintf("visited frame %d", rec.LSN), frame)
+			keep(fmt.Sprintf("visited record %d key", rec.LSN), rec.Key)
+			keep(fmt.Sprintf("visited record %d after", rec.LSN), rec.After)
+			return true
+		})
+		for i, frame := range hooked {
+			keep(fmt.Sprintf("hooked frame #%d", i), frame)
+		}
+		return hs
+	}
+	check := func(event string, hs []held) {
+		t.Helper()
+		for _, h := range hs {
+			if !bytes.Equal(h.got, h.want) {
+				t.Errorf("after %s the %s reads %q, want %q", event, h.what, h.got, h.want)
+			}
+		}
+	}
+
+	// PatchFrame.
+	hs := hold()
+	patched := read()[1]
+	other := upd(1, "KEY", "AFTER")
+	other.LSN = lsns[1]
+	if !l.PatchFrame(lsns[1], appendFrame(nil, &other)) {
 		t.Fatal("patch refused")
 	}
+	want := upd(1, "key", "after")
+	want.LSN = lsns[1]
 	if !reflect.DeepEqual(patched, want) {
 		t.Fatalf("after PatchFrame the iterator's record reads %+v, want %+v", patched, want)
 	}
-	if !reflect.DeepEqual(read(), other) {
+	if !reflect.DeepEqual(read()[1], other) {
 		t.Fatal("the patch did not reach the log")
 	}
-	flipped := read()
-	if l.FlipFlushedBit(0, nil) != lsn || len(l.CheckFlushed()) != 1 {
+	check("PatchFrame", hs)
+
+	// FlipFlushedBit, aimed at the patched frame.
+	hs = hold()
+	flipped := read()[1]
+	if l.FlipFlushedBit(0, func(lsn uint64) bool { return lsn == lsns[1] }) != lsns[1] ||
+		!slices.Equal(l.CheckFlushed(), []uint64{lsns[1]}) {
 		t.Fatal("FlipFlushedBit did not rot the frame")
 	}
 	if !reflect.DeepEqual(flipped, other) {
 		t.Fatalf("after FlipFlushedBit the iterator's record reads %+v, want %+v", flipped, other)
 	}
+	check("FlipFlushedBit", hs)
+
+	// Crash + Restart: the CRC scan cuts the log at the rotted frame, and as
+	// many appends as it cut refill the bytes it cut off.
+	hs = hold()
+	l.Crash()
+	if l.Restart() == 0 || !l.LostDurable() || l.TailLSN() != lsns[1] {
+		t.Fatalf("restart did not cut the log at the rot: tail %d, want %d", l.TailLSN(), lsns[1])
+	}
+	for i := 1; i < 6; i++ {
+		l.Append(upd(i, "new", "AFTER"))
+	}
+	flush()
+	if recs := read(); len(recs) != 6 || string(recs[5].Key) != "new5" {
+		t.Fatalf("the refilled log reads %d records", len(recs))
+	}
+	check("a cutting Restart and its refill", hs)
 }
 
 // TestReadOnlyWalksAllocateNothing: the scrubber's CRC scan of a clean log
