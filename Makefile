@@ -86,20 +86,22 @@ endif
 ## -repeat 1` on the two trees (PARENT is unpacked with git archive under
 ## .bench_build/parent for the duration), then per workload and metric each
 ## side's median and quartiles, pairs won, and the ledger's -compare verdicts.
-## Result files stay in .bench_build/pair/. About 3 minutes per pair.
+## Result files stay in .bench_build/pair/. About 3 minutes per pair. With
+## WORKLOAD=W each side runs `bash bench/run.sh --workload W --seed 1
+## --seconds 10` alone, about a quarter of that.
 ledger-pair:
-	@test -n "$(PARENT)" || { echo "usage: make ledger-pair PARENT=<rev> [PAIRS=10]"; exit 2; }
-	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -pairs $(PAIRS)
+	@test -n "$(PARENT)" || { echo "usage: make ledger-pair PARENT=<rev> [PAIRS=10] [WORKLOAD=W]"; exit 2; }
+	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -pairs $(PAIRS) $(if $(WORKLOAD),-workload $(WORKLOAD))
 
 ## ledger-seeds: the working tree against PARENT at other seeds than the
 ## ledger's own — one `bash bench/run.sh -seed S -repeat 1` per seed on each
 ## tree (the simulated rows repeat exactly at a fixed seed), then per workload
 ## a parent → change table of every sim_* row and committed_share, one column
 ## per seed. SEEDS here is a list, "2 3 4 5 6" unless given on the command
-## line. About 3 minutes per seed.
+## line. About 3 minutes per seed; WORKLOAD=W as for ledger-pair.
 ledger-seeds:
-	@test -n "$(PARENT)" || { echo 'usage: make ledger-seeds PARENT=<rev> [SEEDS="2 3 4 5 6"]'; exit 2; }
-	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -seeds "$(if $(filter command line,$(origin SEEDS)),$(SEEDS),2 3 4 5 6)"
+	@test -n "$(PARENT)" || { echo 'usage: make ledger-seeds PARENT=<rev> [SEEDS="2 3 4 5 6"] [WORKLOAD=W]'; exit 2; }
+	$(GO) run ./cmd/wattdb-ledger-pair -parent $(PARENT) -seeds "$(if $(filter command line,$(origin SEEDS)),$(SEEDS),2 3 4 5 6)" $(if $(WORKLOAD),-workload $(WORKLOAD))
 
 ## chaos-diff: one wattdb-chaos sweep (SEEDS seeds, ARGS passed through,
 ## e.g. ARGS="-tpcc") on PARENT and on the working tree, side by

@@ -18,10 +18,18 @@
 // the simulated rows repeat exactly at a fixed seed, so one is all it takes —
 // and a parent → change table per workload of every sim_* row and
 // committed_share, one column per seed. Its files are .bench_build/pair/seed_*.
-// Run from the repository root.
+//
+//	wattdb-ledger-pair -parent HEAD~1 -pairs 10 -workload htap_offload   (make ledger-pair PARENT=HEAD~1 WORKLOAD=htap_offload)
+//
+// With -workload, in either mode, each side of each run measures that one
+// workload alone — `bash bench/run.sh --workload W --seed S --seconds 10`,
+// whose JSON line becomes a one-workload result file — so a claim about one
+// workload takes about a quarter of the time. The whole ledger stays the
+// default. Run from the repository root.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -59,6 +67,7 @@ func main() {
 	parent := flag.String("parent", "", "revision to measure against (required)")
 	pairs := flag.Int("pairs", 10, "alternating parent/change pairs")
 	seedList := flag.String("seeds", "", `instead of pairs, one run per side at each of these seeds ("2 3 4")`)
+	workload := flag.String("workload", "", "measure this workload alone instead of the whole ledger")
 	flag.Parse()
 	var seeds []int64
 	for _, f := range strings.Fields(*seedList) {
@@ -73,13 +82,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*parent, *pairs, seeds); err != nil {
+	if err := run(*parent, *pairs, seeds, *workload); err != nil {
 		fmt.Fprintln(os.Stderr, "wattdb-ledger-pair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(parent string, pairs int, seeds []int64) (err error) {
+func run(parent string, pairs int, seeds []int64, workload string) (err error) {
 	root, err := os.Getwd()
 	if err != nil {
 		return err
@@ -91,6 +100,15 @@ func run(parent string, pairs int, seeds []int64) (err error) {
 	}
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if workload != "" {
+		known := false
+		for _, w := range man.Workloads {
+			known = known || w.Name == workload
+		}
+		if !known {
+			return fmt.Errorf("-workload %s: not a workload of BENCHMARK.json", workload)
+		}
 	}
 	out := filepath.Join(root, ".bench_build", "pair")
 	if err := os.MkdirAll(out, 0o755); err != nil {
@@ -122,7 +140,7 @@ func run(parent string, pairs int, seeds []int64) (err error) {
 			for j, s := range sides {
 				file := filepath.Join(out, fmt.Sprintf("seed_%d_%s.json", seed, s.name))
 				fmt.Fprintf(os.Stderr, "seed %d: %s\n", seed, s.name)
-				if err := show(command(s.dir, "bash", "bench/run.sh", "-seed", fmt.Sprint(seed), "-repeat", "1", "-out", file)); err != nil {
+				if err := measure(s.dir, workload, seed, file); err != nil {
 					return fmt.Errorf("seed %d, %s: %w", seed, s.name, err)
 				}
 				if bySeed[i][j], err = load(file); err != nil {
@@ -142,7 +160,7 @@ func run(parent string, pairs int, seeds []int64) (err error) {
 		for _, s := range order {
 			file := filepath.Join(out, fmt.Sprintf("%s_%02d.json", s.name, i))
 			fmt.Fprintf(os.Stderr, "pair %d/%d: %s\n", i, pairs, s.name)
-			if err := show(command(s.dir, "bash", "bench/run.sh", "-repeat", "1", "-out", file)); err != nil {
+			if err := measure(s.dir, workload, 1, file); err != nil {
 				return fmt.Errorf("pair %d, %s: %w", i, s.name, err)
 			}
 			if err := merge(merged, s.name, file); err != nil {
@@ -178,6 +196,40 @@ func show(cmd *exec.Cmd) error {
 		return fmt.Errorf("%v: %w", cmd.Args, err)
 	}
 	return nil
+}
+
+// measure runs the ledger once in the tree at dir, at seed, and writes a
+// result file: the whole ledger (-repeat 1 -out), or with workload set that
+// workload alone, its JSON line turned into a one-workload result file.
+func measure(dir, workload string, seed int64, file string) error {
+	if workload == "" {
+		return show(command(dir, "bash", "bench/run.sh", "-seed", fmt.Sprint(seed), "-repeat", "1", "-out", file))
+	}
+	cmd := command(dir, "bash", "bench/run.sh", "--workload", workload, "--seed", fmt.Sprint(seed), "--seconds", "10")
+	var stdout bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%v: %w", cmd.Args, err)
+	}
+	out := strings.TrimSpace(stdout.String())
+	var line struct {
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(out[strings.LastIndexByte(out, '\n')+1:]), &line); err != nil {
+		return fmt.Errorf("%v: last line: %w", cmd.Args, err)
+	}
+	row := map[string]*float64{}
+	for name, m := range line.Metrics {
+		row[name] = &m.Value
+	}
+	enc, err := json.MarshalIndent(resultFile{Seed: seed, Seconds: 10,
+		Workloads: map[string][]map[string]*float64{workload: {row}}}, "", " ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(file, append(enc, '\n'), 0o644)
 }
 
 // load reads a result file.

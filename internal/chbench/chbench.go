@@ -29,6 +29,11 @@ import (
 // Open drains the range into an accumulated batch (columnar decode), Next
 // streams it in Vector-sized slices. Output is in key order, declared via
 // the Ordered metadata so merge joins can consume scans directly.
+//
+// A scan is reused: set Sess to the next query's session and Open again.
+// The accumulated batch keeps its capacity across Opens, so a warm scan
+// decodes into storage it already has. Sess is read only between Open and
+// Close; the caller keeps the session alive for that span.
 type SessionScan struct {
 	Sess   *cluster.Session
 	Table  string
@@ -84,7 +89,7 @@ func (s *SessionScan) Next(p *sim.Proc) (*table.Batch, error) {
 	return s.out, nil
 }
 
-// Close releases the buffered rows.
+// Close releases the buffered rows, keeping their storage for the next Open.
 func (s *SessionScan) Close(p *sim.Proc) {
 	if s.acc != nil {
 		s.acc.Reset()
@@ -110,11 +115,41 @@ type Runner struct {
 	Vector    int
 }
 
-// Query is one named analytics plan, built fresh per session so each
-// execution reads its own snapshot.
+// Query is one named analytics plan. Plan(sess) hands out an operator tree
+// whose scans read sess's snapshot, and the caller owns that tree until it
+// closes the root (exec.Drain and exec.Collect always do). Closing puts the
+// tree on the query's free list, where the next Plan call takes it and
+// re-opens it warm, with its batches, sort permutation and hash tables at
+// the capacity the last run left. A tree has one user at a time: Plan builds
+// a new one when every tree it has built is still open. A Query is not safe
+// for use by concurrent goroutines; simulated processes are fine, since one
+// runs at a time.
 type Query struct {
 	Name string
 	Plan func(sess *cluster.Session) exec.Operator
+}
+
+// plan is one operator tree of a Query: the root, the session scans at its
+// leaves, and the free list Close returns it to.
+type plan struct {
+	exec.Operator
+	scans []*SessionScan
+	free  *[]*plan
+	inUse bool
+}
+
+// Close closes the tree and returns it to its query's free list. The scans
+// drop their session, so a tree on the free list keeps none alive.
+func (t *plan) Close(p *sim.Proc) {
+	t.Operator.Close(p)
+	if !t.inUse {
+		return
+	}
+	t.inUse = false
+	for _, s := range t.scans {
+		s.Sess = nil
+	}
+	*t.free = append(*t.free, t)
 }
 
 func (r *Runner) vector() int {
@@ -124,32 +159,54 @@ func (r *Runner) vector() int {
 	return 64
 }
 
-func (r *Runner) scan(sess *cluster.Session, tbl string) *SessionScan {
-	return &SessionScan{Sess: sess, Table: tbl, Schema: r.Dep.Schemas[tbl], Vector: r.vector()}
+// query makes a Query whose trees build calls into being, one per
+// concurrent user. build gets the function that makes the tree's session
+// scans.
+func (r *Runner) query(name string, build func(scan func(tbl string) *SessionScan) exec.Operator) Query {
+	var free []*plan
+	return Query{Name: name, Plan: func(sess *cluster.Session) exec.Operator {
+		var t *plan
+		if n := len(free); n > 0 {
+			t, free = free[n-1], free[:n-1]
+		} else {
+			t = &plan{free: &free}
+			t.Operator = build(func(tbl string) *SessionScan {
+				s := &SessionScan{Table: tbl, Schema: r.Dep.Schemas[tbl], Vector: r.vector()}
+				t.scans = append(t.scans, s)
+				return s
+			})
+		}
+		for _, s := range t.scans {
+			s.Sess = sess
+		}
+		t.inUse = true
+		return t
+	}}
 }
 
 // Queries returns the CH-style suite. Column indexes reference the TPC-C
 // schemas (schema.go); joined schemas are left columns then right columns.
+// Each call returns a new suite with free lists of its own.
 func (r *Runner) Queries() []Query {
 	ol := len(r.Dep.Schemas[tpcc.TOrders].Columns) // order_line offset in orders⋈order_line
 	sl := len(r.Dep.Schemas[tpcc.TStock].Columns)  // order_line offset in stock⋈order_line
 	return []Query{
 		// Q1-style: per-line-number count and revenue over all order lines.
-		{Name: "lineitem-agg", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("lineitem-agg", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.GroupAgg{
-				Child:     r.scan(sess, tpcc.TOrderLine),
+				Child:     scan(tpcc.TOrderLine),
 				Node:      r.Node,
 				GroupCol:  3, // ol_number
 				SumCol:    7, // ol_amount
 				CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 			}
-		}},
+		}),
 		// Top-k order lines by amount (sort + limit).
-		{Name: "top-amounts", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("top-amounts", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.Limit{
 				N: 10,
 				Child: &exec.Sort{
-					Child: r.scan(sess, tpcc.TOrderLine),
+					Child: scan(tpcc.TOrderLine),
 					Node:  r.Node,
 					Less: func(b *table.Batch, i, j int) bool {
 						return b.Float(7, i) > b.Float(7, j) // ol_amount desc
@@ -157,23 +214,23 @@ func (r *Runner) Queries() []Query {
 					CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 				},
 			}
-		}},
+		}),
 		// Carrier distribution: orders per carrier, total line count.
-		{Name: "carrier-dist", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("carrier-dist", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.GroupAgg{
-				Child:     r.scan(sess, tpcc.TOrders),
+				Child:     scan(tpcc.TOrders),
 				Node:      r.Node,
 				GroupCol:  5, // o_carrier_id
 				SumCol:    6, // o_ol_cnt
 				CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 			}
-		}},
+		}),
 		// Revenue per customer: orders ⋈ order_line on (w, d, o), hash.
-		{Name: "cust-revenue", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("cust-revenue", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.GroupAgg{
 				Child: &exec.HashJoin{
-					Build:     r.scan(sess, tpcc.TOrders),
-					Probe:     r.scan(sess, tpcc.TOrderLine),
+					Build:     scan(tpcc.TOrders),
+					Probe:     scan(tpcc.TOrderLine),
 					Node:      r.Node,
 					BuildKeys: []int{0, 1, 2},
 					ProbeKeys: []int{0, 1, 2},
@@ -184,14 +241,14 @@ func (r *Runner) Queries() []Query {
 				SumCol:    ol + 7, // ol_amount
 				CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 			}
-		}},
+		}),
 		// Quantity shipped per item: stock ⋈ order_line on supplying
 		// warehouse and item, hash.
-		{Name: "item-flow", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("item-flow", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.GroupAgg{
 				Child: &exec.HashJoin{
-					Build:     r.scan(sess, tpcc.TStock),
-					Probe:     r.scan(sess, tpcc.TOrderLine),
+					Build:     scan(tpcc.TStock),
+					Probe:     scan(tpcc.TOrderLine),
 					Node:      r.Node,
 					BuildKeys: []int{0, 1}, // s_w_id, s_i_id
 					ProbeKeys: []int{5, 4}, // ol_supply_w_id, ol_i_id
@@ -202,15 +259,15 @@ func (r *Runner) Queries() []Query {
 				SumCol:    sl + 6, // ol_quantity
 				CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 			}
-		}},
+		}),
 		// Revenue per carrier: orders ⋈ order_line on the shared (w, d, o)
 		// key prefix — both scans are key-ordered, so this is the merge
 		// join's natural habitat (asserted via the Ordered metadata).
-		{Name: "carrier-revenue", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("carrier-revenue", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.GroupAgg{
 				Child: &exec.MergeJoin{
-					Left:      r.scan(sess, tpcc.TOrders),
-					Right:     r.scan(sess, tpcc.TOrderLine),
+					Left:      scan(tpcc.TOrders),
+					Right:     scan(tpcc.TOrderLine),
 					Node:      r.Node,
 					LeftKeys:  []int{0, 1, 2},
 					RightKeys: []int{0, 1, 2},
@@ -221,17 +278,17 @@ func (r *Runner) Queries() []Query {
 				SumCol:    ol + 7, // ol_amount
 				CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 			}
-		}},
+		}),
 		// Top-5 customers by revenue: cust-revenue's aggregate under a
 		// descending sort and limit (group schema is [group, count, sum]).
-		{Name: "top-customers", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("top-customers", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.Limit{
 				N: 5,
 				Child: &exec.Sort{
 					Child: &exec.GroupAgg{
 						Child: &exec.HashJoin{
-							Build:     r.scan(sess, tpcc.TOrders),
-							Probe:     r.scan(sess, tpcc.TOrderLine),
+							Build:     scan(tpcc.TOrders),
+							Probe:     scan(tpcc.TOrderLine),
 							Node:      r.Node,
 							BuildKeys: []int{0, 1, 2},
 							ProbeKeys: []int{0, 1, 2},
@@ -249,12 +306,12 @@ func (r *Runner) Queries() []Query {
 					CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 				},
 			}
-		}},
+		}),
 		// Undelivered orders per district (carrier 0 = not yet delivered).
-		{Name: "undelivered", Plan: func(sess *cluster.Session) exec.Operator {
+		r.query("undelivered", func(scan func(string) *SessionScan) exec.Operator {
 			return &exec.GroupAgg{
 				Child: &exec.Filter{
-					Child:     r.scan(sess, tpcc.TOrders),
+					Child:     scan(tpcc.TOrders),
 					Node:      r.Node,
 					Pred:      func(b *table.Batch, i int) bool { return b.Int(5, i) == 0 },
 					CPUPerRow: r.CPUPerRow,
@@ -264,7 +321,7 @@ func (r *Runner) Queries() []Query {
 				SumCol:    -1,
 				CPUPerRow: r.CPUPerRow, Vector: r.vector(),
 			}
-		}},
+		}),
 	}
 }
 

@@ -151,8 +151,17 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 // died with a crash, its effects were never replayed into the fresh
 // partitions, and it will never resolve, so it must not pin retention
 // forever.
+//
+// The log read fills n.ckptRecs' storage and is cleared on return, so no
+// record left in it keeps a truncated segment alive. Nothing below keeps a
+// *Record past the call: the analysis, the coordinator fold and the floors
+// are local, and refreshBases clones what the bases keep.
 func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) {
-	recs, err := n.Log.Iter().All()
+	recs, err := n.Log.Iter().All(n.ckptRecs[:0])
+	defer func() {
+		clear(recs)
+		n.ckptRecs = recs[:0]
+	}()
 	if err != nil {
 		return nil, 0
 	}

@@ -171,7 +171,7 @@ func TestCoordFloorKeepsElection(t *testing.T) {
 	for _, rec := range history {
 		m.logMaster(nil, rec, true) // setup path: durable on the leader and every follower
 	}
-	full, err := leader.Log.Iter().All()
+	full, err := leader.Log.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

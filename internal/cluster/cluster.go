@@ -198,6 +198,7 @@ type DataNode struct {
 
 	// Fuzzy-checkpoint bookkeeping (see checkpoint.go).
 	deadBelow    uint64        // restart tail fence: unresolved txns below never resolve
+	ckptRecs     []wal.Record  // ckptScan's log read: storage kept, records cleared, between checkpoints
 	Checkpoints  int           // completed fuzzy checkpoints (chaos report)
 	LastRecovery RecoveryStats // last RestartNode's RTO breakdown
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -485,27 +486,46 @@ func TestSingleOwnerCommitAllocs(t *testing.T) {
 
 // TestReplicaPartKeysStaySorted: a replica store appends new keys and sorts
 // them in on the next scan; whatever the arrival order and however scans and
-// installs interleave, a scan sees every key once, in key order.
+// installs interleave, a scan sees every key once, in key order, and reads
+// each key's own version chain: every scanned value is what get resolves for
+// that key, at the newest snapshot and at an older one, also after a
+// resync's overlap sorted older versions into existing chains.
 func TestReplicaPartKeysStaySorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rp := newReplicaPart()
 	var want []string
 	seen := map[string]bool{}
+	version := func(k []byte, ts cc.Timestamp) cc.Version {
+		return cc.Version{TS: ts, Val: []byte(fmt.Sprintf("%x@%d", k, ts))}
+	}
 	for round := 0; round < 50; round++ {
+		now := cc.Timestamp(2*round + 2) // even: this round's installs
 		for i := rng.Intn(20); i > 0; i-- {
 			k := ik(int64(rng.Intn(400)))
-			rp.install(k, cc.Version{TS: cc.Timestamp(round + 1), Val: []byte("v")})
+			rp.install(k, version(k, now))
 			if !seen[string(k)] {
 				seen[string(k)] = true
 				want = append(want, string(k))
 			}
 		}
+		// A resync's overlap: older, odd timestamps into known keys, which
+		// install sorts into the chain instead of appending.
+		for i := rng.Intn(10); i > 0 && len(want) > 0; i-- {
+			k := []byte(want[rng.Intn(len(want))])
+			rp.install(k, version(k, cc.Timestamp(2*rng.Intn(round+1)+1)))
+		}
 		sort.Strings(want)
-		var got []string
-		rp.scan(nil, nil, cc.Timestamp(round+1), func(k, v []byte) bool {
-			got = append(got, string(k))
-			return true
-		})
+		var got []string // the keys of the last scan, at snapshot now
+		for _, snap := range []cc.Timestamp{now / 2, now} {
+			got = got[:0]
+			rp.scan(nil, nil, snap, func(k, v []byte) bool {
+				if gv, ok := rp.get(k, snap); !ok || !bytes.Equal(gv.Val, v) {
+					t.Fatalf("round %d, snapshot %d: scan read %q for key %x, get reads %q", round, snap, v, k, gv.Val)
+				}
+				got = append(got, string(k))
+				return true
+			})
+		}
 		if len(got) != len(want) {
 			t.Fatalf("round %d: scan saw %d keys, want %d", round, len(got), len(want))
 		}
@@ -516,7 +536,7 @@ func TestReplicaPartKeysStaySorted(t *testing.T) {
 		}
 		lo, hi := ik(100), ik(200)
 		n := 0
-		rp.scan(lo, hi, cc.Timestamp(round+1), func(k, v []byte) bool {
+		rp.scan(lo, hi, now, func(k, v []byte) bool {
 			if string(k) < string(lo) || string(k) >= string(hi) {
 				t.Fatalf("round %d: bounded scan returned a key outside [lo, hi)", round)
 			}

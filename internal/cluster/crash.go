@@ -240,7 +240,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// each (ascending transaction ID for determinism): a known decision rolls
 	// the branch forward at the decided timestamp, an unknown transaction is
 	// presumed aborted.
-	recs, err := n.Log.Iter().All()
+	recs, err := n.Log.Iter().All(nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: node %d log scan: %w", n.ID, err)
 	}

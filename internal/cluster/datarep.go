@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"wattdb/internal/cc"
@@ -410,11 +412,20 @@ type replicaPart struct {
 	// since the last scan, in arrival order. Installs outnumber scans by
 	// orders of magnitude, so a new key is appended and the next scan folds
 	// the tail in (sortedKeys) — inserting in place moved half the list per
-	// new key, which made applying a stream quadratic in its length.
-	keys   []string
+	// new key, which made applying a stream quadratic in its length. Each
+	// entry carries its key's chain, so a scan resolves chains without
+	// hashing; vers finds the chain of an arriving key.
+	keys   []replicaKey
 	sorted int
 	vers   map[string]*[]cc.Version // by pointer: an install on a known key only looks up
 	kbuf   []byte                   // scan's key buffer, kept between scans
+}
+
+// replicaKey is one key of a replica store and its version chain, the same
+// chain vers holds for it.
+type replicaKey struct {
+	key  string
+	vers *[]cc.Version
 }
 
 func newReplicaPart() *replicaPart {
@@ -428,8 +439,8 @@ func (rp *replicaPart) install(key []byte, v cc.Version) {
 	vp := rp.vers[string(key)]
 	if vp == nil {
 		ks := string(key)
-		rp.keys = append(rp.keys, ks)
 		vp = new([]cc.Version)
+		rp.keys = append(rp.keys, replicaKey{ks, vp})
 		rp.vers[ks] = vp
 	}
 	vs := *vp
@@ -448,16 +459,16 @@ func (rp *replicaPart) install(key []byte, v cc.Version) {
 
 // sortedKeys returns every key in key order, merging in the ones installed
 // since the last call (in place, from the back, over a copy of the new keys).
-func (rp *replicaPart) sortedKeys() []string {
+func (rp *replicaPart) sortedKeys() []replicaKey {
 	if rp.sorted == len(rp.keys) {
 		return rp.keys
 	}
 	tail := rp.keys[rp.sorted:]
-	sort.Strings(tail)
-	if h := rp.sorted; h > 0 && tail[0] < rp.keys[h-1] {
-		tail = append([]string(nil), tail...)
+	slices.SortFunc(tail, func(a, b replicaKey) int { return strings.Compare(a.key, b.key) })
+	if h := rp.sorted; h > 0 && tail[0].key < rp.keys[h-1].key {
+		tail = append([]replicaKey(nil), tail...)
 		for w := len(rp.keys) - 1; len(tail) > 0; w-- {
-			if t := tail[len(tail)-1]; h == 0 || rp.keys[h-1] < t {
+			if t := tail[len(tail)-1]; h == 0 || rp.keys[h-1].key < t.key {
 				rp.keys[w], tail = t, tail[:len(tail)-1]
 			} else {
 				rp.keys[w] = rp.keys[h-1]
@@ -496,21 +507,21 @@ func visibleAt(vs []cc.Version, snap cc.Timestamp) (cc.Version, bool) {
 func (rp *replicaPart) scan(lo, hi []byte, snap cc.Timestamp, fn func(k, v []byte) bool) {
 	keys := rp.sortedKeys()
 	if lo != nil {
-		keys = keys[sort.Search(len(keys), func(i int) bool { return keys[i] >= string(lo) }):]
+		keys = keys[sort.Search(len(keys), func(i int) bool { return keys[i].key >= string(lo) }):]
 	}
 	// Taken for the duration: a callback that scans this part again gets a
 	// buffer of its own.
 	kbuf := rp.kbuf
 	rp.kbuf = nil
-	for _, ks := range keys {
-		if hi != nil && ks >= string(hi) {
+	for _, e := range keys {
+		if hi != nil && e.key >= string(hi) {
 			break
 		}
-		v, ok := visibleAt(*rp.vers[ks], snap)
+		v, ok := visibleAt(*e.vers, snap)
 		if !ok || v.Deleted {
 			continue
 		}
-		kbuf = append(kbuf[:0], ks...)
+		kbuf = append(kbuf[:0], e.key...)
 		if !fn(kbuf, v.Val) {
 			break
 		}

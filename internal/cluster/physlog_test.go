@@ -67,7 +67,7 @@ func TestCrashTornTailRecovered(t *testing.T) {
 					t.Fatalf("restart discarded %d tail bytes, want %d",
 						node.Log.TornDiscards-before, torn)
 				}
-				if _, err := node.Log.Iter().All(); err != nil {
+				if _, err := node.Log.Iter().All(nil); err != nil {
 					t.Fatalf("log not cleanly truncated: %v", err)
 				}
 

@@ -697,7 +697,7 @@ func (m *Master) reconcile() {
 				if m.epoch != epoch {
 					return
 				}
-				recs, err := n.Log.Iter().All()
+				recs, err := n.Log.Iter().All(nil)
 				if err != nil {
 					continue
 				}

@@ -378,7 +378,11 @@ func (o *Sort) Close(p *sim.Proc) {
 // GroupAgg is a blocking hash aggregation: COUNT(*) and SUM(SumCol) per
 // distinct GroupCol value, emitted as batches over the derived schema
 // [group, count int64, sum float64]. The hash table is typed by the group
-// column (no interface-keyed map on the aggregation path).
+// column (no interface-keyed map on the aggregation path). Like Sort and
+// HashJoin it re-opens warm: the group batches, the derived schema and the
+// index maps keep their storage across Opens while the child's first batch
+// carries the same schema. The output schema follows that first batch, as
+// an exchange's workers may each hand up a schema of their own.
 type GroupAgg struct {
 	Child     Operator
 	Node      *hw.Node
@@ -387,9 +391,13 @@ type GroupAgg struct {
 	CPUPerRow time.Duration
 	Vector    int
 
+	in     *table.Schema // the child schema groups was derived from
 	groups *table.Batch
 	out    *table.Batch
 	pos    int
+	intIdx map[int64]int
+	strIdx map[string]int
+	fltIdx map[float64]int
 }
 
 // Open drains the child and builds the hash table. Group rows accumulate
@@ -401,13 +409,14 @@ func (o *GroupAgg) Open(p *sim.Proc) error {
 	if err := o.Child.Open(p); err != nil {
 		return err
 	}
-	o.groups, o.out, o.pos = nil, nil, 0
-	var (
-		intIdx map[int64]int
-		strIdx map[string]int
-		fltIdx map[float64]int
-	)
-	for {
+	o.pos = 0
+	if o.groups != nil {
+		o.groups.Reset()
+	}
+	clear(o.intIdx)
+	clear(o.strIdx)
+	clear(o.fltIdx)
+	for first := true; ; first = false {
 		batch, err := o.Child.Next(p)
 		if err != nil {
 			return err
@@ -416,27 +425,8 @@ func (o *GroupAgg) Open(p *sim.Proc) error {
 			break
 		}
 		o.Node.Compute(p, time.Duration(batch.Len())*o.CPUPerRow)
-		if o.groups == nil {
-			gcol := batch.Schema.Columns[o.GroupCol]
-			schema := &table.Schema{
-				Name:    batch.Schema.Name + ".group",
-				KeyCols: 1,
-				Columns: []table.Column{
-					{Name: gcol.Name, Type: gcol.Type},
-					{Name: "count", Type: table.ColInt64},
-					{Name: "sum", Type: table.ColFloat64},
-				},
-			}
-			o.groups = table.NewBatch(schema)
-			o.out = table.NewBatch(schema)
-			switch gcol.Type {
-			case table.ColInt64:
-				intIdx = make(map[int64]int)
-			case table.ColString:
-				strIdx = make(map[string]int)
-			case table.ColFloat64:
-				fltIdx = make(map[float64]int)
-			}
+		if first && batch.Schema != o.in {
+			o.derive(batch.Schema)
 		}
 		gtype := batch.Schema.Columns[o.GroupCol].Type
 		for i := 0; i < batch.Len(); i++ {
@@ -444,33 +434,28 @@ func (o *GroupAgg) Open(p *sim.Proc) error {
 			var seen bool
 			switch gtype {
 			case table.ColInt64:
-				idx, seen = intIdx[batch.Int(o.GroupCol, i)]
+				idx, seen = o.intIdx[batch.Int(o.GroupCol, i)]
 			case table.ColString:
-				idx, seen = strIdx[string(batch.Bytes(o.GroupCol, i))]
+				idx, seen = o.strIdx[string(batch.Bytes(o.GroupCol, i))]
 			case table.ColFloat64:
-				idx, seen = fltIdx[batch.Float(o.GroupCol, i)]
+				idx, seen = o.fltIdx[batch.Float(o.GroupCol, i)]
 			}
 			if !seen {
 				idx = o.groups.Len()
+				o.groups.AppendZero()
 				switch gtype {
 				case table.ColInt64:
 					v := batch.Int(o.GroupCol, i)
-					intIdx[v] = idx
-					if err := o.groups.AppendRow(table.Row{v, int64(0), 0.0}); err != nil {
-						return err
-					}
+					o.intIdx[v] = idx
+					o.groups.SetInt(0, idx, v)
 				case table.ColString:
-					v := batch.String(o.GroupCol, i)
-					strIdx[v] = idx
-					if err := o.groups.AppendRow(table.Row{v, int64(0), 0.0}); err != nil {
-						return err
-					}
+					v := batch.Bytes(o.GroupCol, i)
+					o.strIdx[string(v)] = idx
+					o.groups.SetBytes(0, idx, v)
 				case table.ColFloat64:
 					v := batch.Float(o.GroupCol, i)
-					fltIdx[v] = idx
-					if err := o.groups.AppendRow(table.Row{v, int64(0), 0.0}); err != nil {
-						return err
-					}
+					o.fltIdx[v] = idx
+					o.groups.SetFloat(0, idx, v)
 				}
 			}
 			o.groups.SetInt(1, idx, o.groups.Int(1, idx)+1)
@@ -485,6 +470,42 @@ func (o *GroupAgg) Open(p *sim.Proc) error {
 		}
 	}
 	return nil
+}
+
+// derive binds the group batches to the [group, count, sum] schema over
+// child schema in.
+func (o *GroupAgg) derive(in *table.Schema) {
+	gcol := in.Columns[o.GroupCol]
+	schema := &table.Schema{
+		Name:    in.Name + ".group",
+		KeyCols: 1,
+		Columns: []table.Column{
+			{Name: gcol.Name, Type: gcol.Type},
+			{Name: "count", Type: table.ColInt64},
+			{Name: "sum", Type: table.ColFloat64},
+		},
+	}
+	if o.groups == nil {
+		o.groups, o.out = table.NewBatch(schema), table.NewBatch(schema)
+	} else {
+		o.groups.Init(schema)
+		o.out.Init(schema)
+	}
+	o.in = in
+	switch gcol.Type {
+	case table.ColInt64:
+		if o.intIdx == nil {
+			o.intIdx = make(map[int64]int)
+		}
+	case table.ColString:
+		if o.strIdx == nil {
+			o.strIdx = make(map[string]int)
+		}
+	case table.ColFloat64:
+		if o.fltIdx == nil {
+			o.fltIdx = make(map[float64]int)
+		}
+	}
 }
 
 // Next streams the aggregated groups.
@@ -504,9 +525,11 @@ func (o *GroupAgg) Next(p *sim.Proc) (*table.Batch, error) {
 	return o.out, nil
 }
 
-// Close releases state.
+// Close releases the groups, keeping their storage for the next Open.
 func (o *GroupAgg) Close(p *sim.Proc) {
-	o.groups, o.out = nil, nil
+	if o.groups != nil {
+		o.groups.Reset()
+	}
 	o.Child.Close(p)
 }
 

@@ -158,6 +158,10 @@ func FigHTAP(pre Preset) (FigHTAPResult, error) {
 			stockSchema := dep.Schemas[tpcc.TStock]
 			for q := 0; q < htapStreams; q++ {
 				env.Spawn(fmt.Sprintf("analytics-%d", q), func(p *sim.Proc) {
+					// One plan per stream, re-opened warm by every query.
+					stock := &chbench.SessionScan{Table: tpcc.TStock, Schema: stockSchema, Vector: htapVector}
+					agg := &exec.GroupAgg{Child: stock, Node: home.HW,
+						GroupCol: 0, SumCol: 3, CPUPerRow: htapCPUPerRow, Vector: htapVector}
 					for !stop {
 						var err error
 						if mode == HTAPParallel {
@@ -178,10 +182,8 @@ func FigHTAP(pre Preset) (FigHTAPResult, error) {
 							// follower stores, not just every other one.
 							// Co-located keeps the default mix.
 							sess.PreferFollower = mode == HTAPOffloaded
-							scan := &chbench.SessionScan{Sess: sess, Table: tpcc.TStock,
-								Schema: stockSchema, Vector: htapVector}
-							_, err = exec.Drain(p, &exec.GroupAgg{Child: scan, Node: home.HW,
-								GroupCol: 0, SumCol: 3, CPUPerRow: htapCPUPerRow, Vector: htapVector})
+							stock.Sess = sess
+							_, err = exec.Drain(p, agg)
 							sess.Abort(p)
 						}
 						if err == nil && !stop && p.Now() >= warm {

@@ -82,6 +82,34 @@ func (b *Batch) Int(col, i int) int64 { return b.cols[col].ints[i] }
 // SetInt overwrites column col of row i.
 func (b *Batch) SetInt(col, i int, v int64) { b.cols[col].ints[i] = v }
 
+// AppendZero appends a row of zero values (0, 0.0 and empty strings), for a
+// caller that fills it in with the setters.
+func (b *Batch) AppendZero() {
+	for c := range b.Schema.Columns {
+		v := &b.cols[c]
+		switch b.Schema.Columns[c].Type {
+		case ColInt64:
+			v.ints = append(v.ints, 0)
+		case ColFloat64:
+			v.floats = append(v.floats, 0)
+		case ColString:
+			end := uint32(len(b.arena))
+			v.off = append(v.off, end, end)
+		}
+	}
+	b.n++
+}
+
+// SetBytes overwrites string column col of row i with a copy of s. The copy
+// goes to the end of the arena; the bytes it replaces are reclaimed at the
+// next Reset.
+func (b *Batch) SetBytes(col, i int, s []byte) {
+	start := uint32(len(b.arena))
+	b.arena = append(b.arena, s...)
+	off := b.cols[col].off
+	off[2*i], off[2*i+1] = start, uint32(len(b.arena))
+}
+
 // Float returns column col of row i (column type must be ColFloat64).
 func (b *Batch) Float(col, i int) float64 { return b.cols[col].floats[i] }
 

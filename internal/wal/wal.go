@@ -815,16 +815,19 @@ func (it *Iterator) Next(rec *Record) bool {
 // Err returns the decode error that stopped iteration, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// All drains the iterator into a slice (recovery's analysis input).
-func (it *Iterator) All() ([]Record, error) {
+// All drains the iterator, appending its records to dst (recovery's
+// analysis input): pass nil for a new slice, or a slice kept from an earlier
+// read to refill its storage. The records alias the log's write-once bytes.
+func (it *Iterator) All(dst []Record) ([]Record, error) {
 	n := 0
 	for _, s := range it.segs[it.si:] {
 		n += len(s.ends) // one per frame; a partly read segment over-counts
 	}
-	recs := make([]Record, 0, n+1) // +1: the slot the final Next finds no record for
+	recs := slices.Grow(dst, n+1) // +1: the slot the final Next finds no record for
 	for {
 		recs = append(recs, Record{})
 		if !it.Next(&recs[len(recs)-1]) {
+			recs[len(recs)-1] = Record{} // a failed decode may have filled it in part
 			return recs[:len(recs)-1], it.err
 		}
 	}
@@ -857,7 +860,7 @@ type Decision struct {
 // failure (torn tail not yet truncated by Restart) fails recovery, as does
 // a record for a partition absent from targets.
 func Recover(p *sim.Proc, it *Iterator, targets map[uint64]Target) (redone, undone int, err error) {
-	recs, err := it.All()
+	recs, err := it.All(nil)
 	if err != nil {
 		return 0, 0, err
 	}

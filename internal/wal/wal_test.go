@@ -230,7 +230,7 @@ func TestLogBytesWriteOnce(t *testing.T) {
 	}
 	flush()
 	read := func() []Record {
-		recs, err := l.Iter().All()
+		recs, err := l.Iter().All(nil)
 		if err != nil {
 			t.Fatalf("iterate: %d records, %v", len(recs), err)
 		}
@@ -244,7 +244,7 @@ func TestLogBytesWriteOnce(t *testing.T) {
 	}
 	hold := func() (hs []held) {
 		keep := func(what string, b []byte) { hs = append(hs, held{what, b, bytes.Clone(b)}) }
-		recs, _ := l.Iter().All() // up to the first damaged frame
+		recs, _ := l.Iter().All(nil) // up to the first damaged frame
 		for _, r := range recs {
 			keep(fmt.Sprintf("iterator record %d key", r.LSN), r.Key)
 			keep(fmt.Sprintf("iterator record %d after", r.LSN), r.After)
@@ -380,7 +380,7 @@ func TestPhysicalRoundTrip(t *testing.T) {
 	if len(l.segs) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(l.segs))
 	}
-	got, err := l.Iter().All()
+	got, err := l.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestCheckpointAndTruncateRecyclesSegments(t *testing.T) {
 	if l.RetainedBytes() >= before {
 		t.Fatal("truncate kept old segments")
 	}
-	recs, err := l.Iter().All()
+	recs, err := l.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestPinBeforeFencesTruncation(t *testing.T) {
 	// Frames 3..6 are flushed but unshipped: fence them.
 	l.PinBefore(3)
 	l.TruncateBefore(ck)
-	recs, err := l.Iter().All()
+	recs, err := l.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestPinBeforeFencesTruncation(t *testing.T) {
 	// pending truncation work becomes reclaimable.
 	l.PinBefore(ck)
 	l.TruncateBefore(ck)
-	recs, err = l.Iter().All()
+	recs, err = l.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestTruncateBeforeExactPinBoundary(t *testing.T) {
 	const pin = 4
 	l.PinBefore(pin)
 	l.TruncateBefore(last) // checkpoint wants everything below `last` gone
-	recs, err := l.Iter().All()
+	recs, err := l.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestCrashDiscardsUnflushedBytes(t *testing.T) {
 	if discarded := l.Restart(); discarded != 0 {
 		t.Fatalf("clean crash discarded %d bytes on restart", discarded)
 	}
-	recs, err := l.Iter().All()
+	recs, err := l.Iter().All(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if discarded := l.Restart(); discarded != torn {
 			t.Fatalf("keep=%d: restart discarded %d bytes, want %d", keep, discarded, torn)
 		}
-		recs, err := l.Iter().All()
+		recs, err := l.Iter().All(nil)
 		if err != nil {
 			t.Fatalf("keep=%d: log not clean after torn-tail truncation: %v", keep, err)
 		}
@@ -694,7 +694,7 @@ func TestBitFlipTailTruncated(t *testing.T) {
 			t.Fatalf("flip=%d: restart discarded %d bytes, want %d (CRC must reject the flipped frame)",
 				flip, discarded, frameLen)
 		}
-		recs, err := l.Iter().All()
+		recs, err := l.Iter().All(nil)
 		if err != nil {
 			t.Fatalf("flip=%d: log not clean after bit-flip truncation: %v", flip, err)
 		}
@@ -860,7 +860,7 @@ func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 		// Crash-state disk image: txn 6's partial install is present.
 		tr.Put(p, k(2), []byte("doomed"), 0)
 		tr.Put(p, k(4), []byte("scribble"), 0)
-		recs, err := l.Iter().All()
+		recs, err := l.Iter().All(nil)
 		if err != nil {
 			t.Error(err)
 			return
