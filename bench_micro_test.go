@@ -8,6 +8,7 @@ import (
 	"wattdb/internal/btree"
 	"wattdb/internal/buffer"
 	"wattdb/internal/cc"
+	"wattdb/internal/cluster"
 	"wattdb/internal/exec"
 	"wattdb/internal/hw"
 	"wattdb/internal/keycodec"
@@ -713,5 +714,89 @@ func BenchmarkTableScanBatch(b *testing.B) {
 	})
 	if err := env.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkCheckpointScan measures one fuzzy checkpoint (cluster.CheckpointNode)
+// on a follower whose log retains a history of 4 096 frames (x1) or 32 768
+// (x8) — its first ship wrapper keeps it from recycling any of them — with 60
+// new frames of committed updates before each checkpoint. The checkpoint
+// catches its kept transaction table up on the frames since the last one and
+// folds the recovery bases from the last redo point on, so ns/op and
+// allocs/op are the same at both lengths.
+func BenchmarkCheckpointScan(b *testing.B) {
+	for _, x := range []int{1, 8} {
+		b.Run(fmt.Sprintf("retained=x%d", x), func(b *testing.B) {
+			env := sim.NewEnv(1)
+			defer env.Close()
+			cfg := cluster.DefaultConfig()
+			cfg.Nodes, cfg.DataReplicas = 2, 1
+			c := cluster.New(env, cfg)
+			c.Nodes[1].HW.ForceActive()
+			schema := &table.Schema{
+				ID: 1, Name: "kv", KeyCols: 1,
+				Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
+			}
+			mid := keycodec.Int64Key(100)
+			if _, err := c.Master.CreateTable(schema, table.Physiological, []cluster.RangeSpec{
+				{High: mid, Owner: c.Nodes[0]}, {Low: mid, Owner: c.Nodes[1]},
+			}); err != nil {
+				b.Fatal(err)
+			}
+			env.Spawn("load", func(p *sim.Proc) {
+				i := int64(0)
+				if err := c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
+					if i == 200 {
+						return nil, nil, false
+					}
+					row := table.Row{i, "v"}
+					key, _ := schema.Key(row)
+					payload, _ := schema.EncodeRow(row)
+					i++
+					return key, payload, true
+				}); err != nil {
+					b.Error(err)
+				}
+			})
+			if err := env.Run(); err != nil {
+				b.Fatal(err)
+			}
+			c.SetupReplicationDrain() // node 0's base images: node 1's first wrappers
+			n := c.Nodes[1]
+			var part uint64
+			for id := range n.Parts {
+				part = uint64(id)
+			}
+			val := table.EncodeValue(cc.Version{TS: 1, Val: []byte("v")})
+			txn := cc.TxnID(1 << 40)
+			commits := func(k int) { // three frames each
+				for ; k > 0; k-- {
+					txn++
+					key := keycodec.Int64Key(100 + int64(txn%100))
+					n.Log.Append(wal.Record{Txn: txn, Type: wal.RecUpdate, Part: part, Key: key, After: val})
+					n.Log.Append(wal.Record{Txn: txn, Type: wal.RecInsert, Part: part, Key: key, After: val})
+					n.Log.Append(wal.Record{Txn: txn, Type: wal.RecCommit})
+				}
+			}
+			env.Spawn("bench", func(p *sim.Proc) {
+				commits(4096 * x / 3)
+				if _, err := c.CheckpointNode(p, n, 0); err != nil { // the first reads it all
+					b.Error(err)
+					return
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					commits(20)
+					if st, err := c.CheckpointNode(p, n, 0); err != nil || st.EndLSN == 0 {
+						b.Errorf("checkpoint %+v: %v", st, err)
+						return
+					}
+				}
+			})
+			if err := env.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

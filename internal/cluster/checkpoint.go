@@ -3,7 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"wattdb/internal/cc"
@@ -22,12 +23,16 @@ import (
 //  1. Flush walk: a second clock-ring cursor writes dirty frames back in
 //     small batches (buffer.FlushDirtyBatch), sleeping between batches.
 //  2. Begin record: RecCkptBegin marks the analysis instant.
-//  3. Atomic scan (one simulation instant, no time charged): derive each
+//  3. Atomic scan (one simulation instant, no time charged): catch the
+//     node's kept transaction table up on the frames appended since the
+//     last read (logFold; a restart, a wipe, a rewritten frame or a
+//     truncation makes the next read take the whole log once), derive each
 //     hosted partition's redo low-water mark — the minimum of the begin
 //     LSN, the recLSNs of its still-dirty pages, and the first LSNs of
 //     unresolved transactions touching it — and refresh the partition
 //     recovery bases with the latest committed image of every key whose
-//     image falls below that mark. The refresh only adds already-durable
+//     image falls below that mark, reading the log from the previous scan's
+//     redo point on: every image below it was folded then. The refresh only adds already-durable
 //     committed information to the (durably modeled) base store, so a crash
 //     at any step leaves restart correct: replay from the previous
 //     checkpoint re-applies the refreshed keys' source records last in LSN
@@ -37,8 +42,9 @@ import (
 //     torn or unmatched pairs, falling back to the previous complete one).
 //  5. Truncation: recycle log segments below the minimum of the global redo
 //     point and the retention floors (master-state replay, follower
-//     wrappers, replica durability); the log's own PinBefore fence guards
-//     unshipped frames on top of that.
+//     wrappers, replica durability), dropping the kept transaction table
+//     if anything went (the next scan reads what is left); the log's own
+//     PinBefore fence guards unshipped frames on top of that.
 //
 // Restart then replays each hosted partition from its recorded redo point,
 // in parallel — one simulation process per partition over a shared analysis
@@ -135,37 +141,86 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 		return st, nil
 	}
 	st.Truncated = floor
-	n.Log.TruncateBefore(floor)
+	n.truncate(floor)
 	n.Checkpoints++
 	return st, nil
 }
 
-// ckptScan is the checkpoint's analysis instant: one wal.Analysis of the
-// retained log — the transaction table restart replays by — and the buffer
-// pool's dirty-page table, charging no simulated time. It returns the
-// encoded-payload checkpoint and the truncation floor, or nil when the log
-// is unreadable (a concurrent crash).
+// logFold is what the checkpoints and the coordinator's reconcile keep of
+// one node's log between their reads: the transaction table, the replicated
+// coordinator history on it and its lowest ship wrapper, caught up on the
+// frames appended since the last read (readLog), plus the window of the
+// recovery-base fold (refreshBases).
+type logFold struct {
+	gen   uint64        // the log generation the fold was read in (wal.Log.Gen)
+	next  uint64        // the LSN the next catch-up reads from
+	a     *wal.Analysis // the transaction table
+	coord *coordHistory // as an election folds it, over no decision known before
+	ship  uint64        // the lowest RecShip wrapper's LSN (noFloor: none)
+
+	// baseFrom is the last scan's global redo point: every base image below it
+	// was folded then (0: fold the whole log). hosted is the partition set it
+	// was folded for.
+	baseFrom uint64
+	hosted   []table.PartID
+	decoded  int // frames decoded, both folds together
+}
+
+// readLog catches n's logFold up on the frames appended since the last read,
+// reading the whole retained log instead when there is no fold yet or the
+// log's generation has moved on (a crash, a restart, a wipe, a rewritten
+// frame). A frame that no longer decodes drops the fold: the next read starts
+// over.
+func (n *DataNode) readLog() (*logFold, error) {
+	f := n.fold
+	if f == nil || f.gen != n.Log.Gen() {
+		f = &logFold{gen: n.Log.Gen(), a: wal.NewAnalysis(nil), ship: noFloor,
+			coord: foldCoord(nil, map[cc.TxnID]*txnDecision{})}
+	}
+	n.fold = nil
+	it := n.Log.IterFrom(f.next)
+	for rec := (wal.Record{}); it.Next(&rec); f.decoded++ {
+		f.a.Add(&rec)
+		f.coord.add(&rec)
+		if rec.Type == wal.RecShip {
+			f.ship = min(f.ship, rec.LSN)
+		}
+	}
+	if it.Err() != nil {
+		return nil, it.Err()
+	}
+	f.next, n.fold = n.Log.TailLSN(), f
+	return f, nil
+}
+
+// truncate recycles n's log below floor. A cut drops the fold, and the next
+// read starts over on what is left: the cut segments end inside some
+// transaction's records, whose row a read of the rest builds differently,
+// and a log that truncates is short — about what the fold would read from
+// the last redo point anyway. A replicated log, whose reads grew with the
+// run, is not cut above its first wrapper.
+func (n *DataNode) truncate(floor uint64) {
+	if n.Log.TruncateBefore(floor) {
+		n.fold = nil
+	}
+}
+
+// ckptScan is the checkpoint's analysis instant: the node's transaction
+// table, caught up on its log (readLog), and the buffer pool's dirty-page
+// table, charging no simulated time. It returns the encoded-payload
+// checkpoint and the truncation floor, or nil when the log is unreadable (a
+// frame rotted and not yet scrubbed).
 //
 // A transaction in flight pins the redo point at its first LSN — unless its
 // first record predates the last restart (deadBelow): such a transaction
 // died with a crash, its effects were never replayed into the fresh
 // partitions, and it will never resolve, so it must not pin retention
 // forever.
-//
-// The log read fills n.ckptRecs' storage and is cleared on return, so no
-// record left in it keeps a truncated segment alive. Nothing below keeps a
-// *Record past the call: the analysis, the coordinator fold and the floors
-// are local, and refreshBases clones what the bases keep.
 func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) {
-	recs, err := n.Log.Iter().All(n.ckptRecs[:0])
-	defer func() {
-		clear(recs)
-		n.ckptRecs = recs[:0]
-	}()
+	f, err := n.readLog()
 	if err != nil {
 		return nil, 0
 	}
-	a := wal.NewAnalysis(recs)
 	// An in-flight transaction pins the redo point of every partition it
 	// touched, and the GLOBAL redo point even when it touched no hosted
 	// partition (a bare prepare vote): its records — the prepare in
@@ -173,8 +228,8 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 	// restart.
 	ck := &wal.Checkpoint{Begin: begin, Redo: begin}
 	partTxnMin := make(map[uint64]uint64) // partition -> min in-flight first LSN
-	for _, id := range a.InFlightSince(n.deadBelow) {
-		t := a.Txn(id)
+	for _, id := range f.a.InFlightSince(n.deadBelow) {
+		t := f.a.Txn(id)
 		ck.Txns = append(ck.Txns, wal.CkptTxn{Txn: id, First: t.First})
 		ck.Redo = min(ck.Redo, t.First)
 		for _, part := range t.Parts {
@@ -186,11 +241,7 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 
 	// Per-partition redo low-water marks over the hosted set.
 	dirty := n.Pool.DirtyRecLSNs()
-	ids := make([]table.PartID, 0, len(n.Parts))
-	for id := range n.Parts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Sorted(maps.Keys(n.Parts))
 	redoOf := make(map[uint64]uint64, len(ids))
 	for _, id := range ids {
 		redo := begin
@@ -207,25 +258,30 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 		ck.Redo = min(ck.Redo, redo)
 	}
 
-	c.refreshBases(n, recs, a, redoOf)
-
-	// Truncation floor: global redo capped by the retention floors. The
-	// coordinator history on this log matters only while an election may
-	// read it here — on the seated leader and on the anchor; anywhere else
-	// it predates the anchor's term-opening snapshot. It is folded as the
-	// election folds it: on one log LSN order is sequence order, both being
-	// append order (a rebuild re-appends in order, too).
-	floor := ck.Redo
-	if m := c.Master; m.rep != nil && (n == m.Node || n == m.rep.anchor) {
-		floor = min(floor, foldCoord(recs, map[cc.TxnID]*txnDecision{}).floor())
+	if !slices.Equal(ids, f.hosted) {
+		f.baseFrom, f.hosted = 0, ids
 	}
-	if wf := wrapperRetentionFloor(recs); wf < floor {
-		floor = wf
+	c.refreshBases(n, f, redoOf)
+	f.baseFrom = ck.Redo
+
+	// Truncation floor: global redo capped by the retention floors — the
+	// lowest wrapper, and the coordinator history on this log while an
+	// election may read it here: on the seated leader and on the anchor;
+	// anywhere else it predates the anchor's term-opening snapshot. It is
+	// folded as the election folds it: on one log LSN order is sequence
+	// order, both being append order (a rebuild re-appends in order, too).
+	// In the follower role this log IS some origin's rebuild source, and its
+	// full wrapper history must outlive any local checkpoint. (This
+	// conservatively blocks most recycling on nodes that follow a busy
+	// origin — the RTO bound comes from redo-point replay skipping, not from
+	// physical recycling, which fig3's housekeeping demonstrates on
+	// unreplicated configurations.)
+	floor := min(ck.Redo, f.ship)
+	if m := c.Master; m.rep != nil && (n == m.Node || n == m.rep.anchor) {
+		floor = min(floor, f.coord.floor())
 	}
 	if c.drep != nil {
-		if df := c.replicaDurableFloor(n); df < floor {
-			floor = df
-		}
+		floor = min(floor, c.replicaDurableFloor(n))
 	}
 	return ck, floor
 }
@@ -234,43 +290,47 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 // record falls below its partition's redo point into the in-memory recovery
 // base (modeled durable, like the bulk-load and adoption images), so replay
 // can skip everything below the redo point. Images come from RecBase records
-// and the DML of the analysis's winners — the transactions a restart would
+// and the DML of the table's winners — the transactions a restart would
 // redo; prepare-time images are excluded — a resolved in-doubt branch re-logs
 // its roll-forward as ordinary committed DML (closeInDoubt), and an
 // unresolved one pins the redo point above itself.
-func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, a *wal.Analysis, redoOf map[uint64]uint64) {
+//
+// The fold reads the log from the last scan's global redo point on: every
+// image below it that was a key's newest then was folded then, and no later
+// record lies below it. It reads the whole log when the fold has no such
+// point — its first scan, and the first after a restart, a rewritten frame,
+// a truncation or an image the log does not hold (addBase) — and when the
+// hosted partition set has changed. The window meets no damaged frame: the
+// fold has read every frame in it, in this log generation, and log bytes are
+// write-once.
+func (c *Cluster) refreshBases(n *DataNode, f *logFold, redoOf map[uint64]uint64) {
 	type img struct {
 		lsn uint64
 		val []byte
 	}
 	latest := make(map[uint64]map[string]img)
-	note := func(part uint64, key []byte, lsn uint64, val []byte) {
-		if _, hosted := redoOf[part]; !hosted {
-			return
+	it := n.Log.IterFrom(f.baseFrom)
+	for r := (wal.Record{}); it.Next(&r); f.decoded++ {
+		switch r.Type {
+		case wal.RecUpdate, wal.RecInsert, wal.RecDelete:
+			if !f.a.Winner(r.Txn) {
+				continue
+			}
+		case wal.RecBase:
+		default:
+			continue
 		}
-		m := latest[part]
+		if _, hosted := redoOf[r.Part]; !hosted {
+			continue
+		}
+		m := latest[r.Part]
 		if m == nil {
 			m = make(map[string]img)
-			latest[part] = m
+			latest[r.Part] = m
 		}
-		m[string(key)] = img{lsn: lsn, val: val} // forward scan: later wins
+		m[string(r.Key)] = img{lsn: r.LSN, val: r.After} // forward scan: later wins
 	}
-	for i := range recs {
-		r := &recs[i]
-		switch r.Type {
-		case wal.RecBase:
-			note(r.Part, r.Key, r.LSN, r.After)
-		case wal.RecUpdate, wal.RecInsert, wal.RecDelete:
-			if a.Winner(r.Txn) {
-				note(r.Part, r.Key, r.LSN, r.After)
-			}
-		}
-	}
-	parts := make([]uint64, 0, len(latest))
-	for part := range latest {
-		parts = append(parts, part)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
+	parts := slices.Sorted(maps.Keys(latest))
 	for _, part := range parts {
 		redo := redoOf[part]
 		id := table.PartID(part)
@@ -281,11 +341,7 @@ func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, a *wal.Analysis, 
 		for i := range pairs {
 			idx[string(pairs[i].key)] = i
 		}
-		keys := make([]string, 0, len(latest[part]))
-		for k := range latest[part] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := slices.Sorted(maps.Keys(latest[part]))
 		for _, k := range keys {
 			im := latest[part][k]
 			if im.lsn >= redo {
@@ -310,21 +366,6 @@ func (c *Cluster) refreshBases(n *DataNode, recs []wal.Record, a *wal.Analysis, 
 
 // noFloor means "no retention requirement" for the floor helpers below.
 const noFloor = ^uint64(0)
-
-// wrapperRetentionFloor returns the lowest retained RecShip wrapper LSN: in
-// the follower role this log IS some origin's rebuild source, and its full
-// wrapper history must outlive any local checkpoint. (This conservatively
-// blocks most recycling on nodes that follow a busy origin — the RTO bound
-// comes from redo-point replay skipping, not from physical recycling, which
-// fig3's housekeeping demonstrates on unreplicated configurations.)
-func wrapperRetentionFloor(recs []wal.Record) uint64 {
-	for i := range recs {
-		if recs[i].Type == wal.RecShip {
-			return recs[i].LSN // records arrive in LSN order: first is lowest
-		}
-	}
-	return noFloor
-}
 
 // replicaDurableFloor returns the lowest LSN the origin must retain for its
 // follower resyncs: one past the weakest follower's replica-durable

@@ -69,11 +69,14 @@ func (n *DataNode) Down() bool { return n.crashed }
 // addBase appends a record image to a partition's recovery base. Under data
 // replication the image is also logged as a RecBase record, so the base rides
 // the shipped stream and a replica can rebuild the partition from log frames
-// alone (Append encodes immediately; key/val are borrowed).
+// alone (Append encodes immediately; key/val are borrowed). An image the log
+// does not hold sends the next checkpoint's base fold back to the whole log.
 func (n *DataNode) addBase(id table.PartID, key, val []byte) {
 	pair := basePair{key: bytes.Clone(key), val: bytes.Clone(val)}
 	if n.cluster.drep != nil {
 		pair.lsn = n.Log.Append(wal.Record{Type: wal.RecBase, Part: uint64(id), Key: key, After: val})
+	} else if n.fold != nil {
+		n.fold.baseFrom = 0
 	}
 	n.bases[id] = append(n.bases[id], pair)
 }
@@ -240,7 +243,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// each (ascending transaction ID for determinism): a known decision rolls
 	// the branch forward at the decided timestamp, an unknown transaction is
 	// presumed aborted.
-	recs, err := n.Log.Iter().All(nil)
+	recs, err := n.Log.Iter().All()
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: node %d log scan: %w", n.ID, err)
 	}
@@ -344,8 +347,9 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	if c.Master.rep != nil {
 		// A follower of the seated leader is about to be resynced: give it —
 		// and the leader's own log — a fresh coordinator snapshot, so the
-		// catalog record that pins the leader's log (masterRetentionFloor)
-		// is never older than its ship set's last restart.
+		// catalog record that pins the leader's log (the checkpoint's
+		// coordinator floor, ckptScan's f.coord.floor()) is never older than
+		// its ship set's last restart.
 		if m := c.Master; !m.down && !m.Node.Down() {
 			if l := m.Node.ship.link(n); l != nil && l.stale {
 				m.logSnapshot()

@@ -150,7 +150,7 @@ func commitWindow(t *testing.T) (start, end time.Duration) {
 // restart must resolve against the coordinator. The trace is decoded from
 // the log's physical bytes and analysed like the restart's own pass.
 func hasInDoubtTrace(n *DataNode) bool {
-	recs, _ := n.Log.Iter().All(nil)
+	recs, _ := n.Log.Iter().All()
 	return len(wal.NewAnalysis(recs).InDoubt()) > 0
 }
 

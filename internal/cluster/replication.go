@@ -552,7 +552,8 @@ func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64
 // coordHistory is the one reading of a copy of the replicated coordinator
 // records: what an election seats from it (electFrom), each part with the
 // LSN of the record that carries it, so a checkpoint keeps exactly those
-// records of the log that holds them (ckptScan).
+// records of the log that holds them (ckptScan, over the history each log
+// keeps in its logFold).
 type coordHistory struct {
 	tables    map[string]coordTable // the newest decodable catalog snapshot of each table
 	lease     cc.Timestamp          // the lease ceiling: the highest grant
@@ -577,39 +578,43 @@ type coordTable struct {
 func foldCoord(recs []wal.Record, decisions map[cc.TxnID]*txnDecision) *coordHistory {
 	h := &coordHistory{tables: make(map[string]coordTable), decisions: decisions}
 	for i := range recs {
-		rec := &recs[i]
-		if !wal.MasterRecord(rec) {
-			continue
-		}
-		switch rec.Type {
-		case wal.RecMState:
-			if st, err := wal.DecodeMasterTable(rec.After); err == nil {
-				h.tables[st.Name] = coordTable{st, rec.LSN}
-			}
-		case wal.RecMLease:
-			if rec.TS >= h.lease {
-				h.lease, h.leaseLSN = rec.TS, rec.LSN
-			}
-		case wal.RecDecision:
-			if _, known := decisions[rec.Txn]; known {
-				continue
-			}
-			nodes, err := wal.DecodeMasterParticipants(rec.After)
-			if err != nil {
-				continue
-			}
-			out := make(map[int]bool, len(nodes))
-			for _, id := range nodes {
-				out[id] = true
-			}
-			decisions[rec.Txn] = &txnDecision{ts: rec.TS, outstanding: out, lsn: rec.LSN}
-		case wal.RecMAck:
-			if node, err := wal.DecodeMasterAck(rec.After); err == nil {
-				dropAck(decisions, rec.Txn, node)
-			}
-		}
+		h.add(&recs[i])
 	}
 	return h
+}
+
+// add folds the record that follows every record folded so far.
+func (h *coordHistory) add(rec *wal.Record) {
+	if !wal.MasterRecord(rec) {
+		return
+	}
+	switch rec.Type {
+	case wal.RecMState:
+		if st, err := wal.DecodeMasterTable(rec.After); err == nil {
+			h.tables[st.Name] = coordTable{st, rec.LSN}
+		}
+	case wal.RecMLease:
+		if rec.TS >= h.lease {
+			h.lease, h.leaseLSN = rec.TS, rec.LSN
+		}
+	case wal.RecDecision:
+		if _, known := h.decisions[rec.Txn]; known {
+			return
+		}
+		nodes, err := wal.DecodeMasterParticipants(rec.After)
+		if err != nil {
+			return
+		}
+		out := make(map[int]bool, len(nodes))
+		for _, id := range nodes {
+			out[id] = true
+		}
+		h.decisions[rec.Txn] = &txnDecision{ts: rec.TS, outstanding: out, lsn: rec.LSN}
+	case wal.RecMAck:
+		if node, err := wal.DecodeMasterAck(rec.After); err == nil {
+			dropAck(h.decisions, rec.Txn, node)
+		}
+	}
 }
 
 // floor returns the lowest LSN of a record the history was read from: cut
@@ -652,7 +657,8 @@ func (m *Master) awaitAvailable(p *sim.Proc) {
 }
 
 // reconcile probes, shortly after an election, the live participants of
-// every rebuilt decision: a branch the participant's log analysis shows
+// every rebuilt decision: a branch the participant's transaction table —
+// the one its checkpoints keep, caught up on its log (readLog) — shows
 // resolved (wal.Analysis.Resolved) is acked, draining entries whose original
 // acks were in flight — or unforced and lost — when the old leader died. A
 // branch never prepared is judged on the whole log and acked at once. The
@@ -697,11 +703,11 @@ func (m *Master) reconcile() {
 				if m.epoch != epoch {
 					return
 				}
-				recs, err := n.Log.Iter().All(nil)
+				f, err := n.readLog()
 				if err != nil {
 					continue
 				}
-				switch resolved, at := wal.NewAnalysis(recs).Resolved(id); {
+				switch resolved, at := f.a.Resolved(id); {
 				case resolved && at == 0: // never prepared here
 					m.ackDecision(id, nid)
 				case resolved:

@@ -12,8 +12,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"wattdb/internal/cc"
@@ -335,7 +336,17 @@ func (o *Sort) Open(p *sim.Proc) error {
 			levels++
 		}
 		o.Node.Compute(p, time.Duration(n*levels)*o.CPUPerRow)
-		sort.SliceStable(o.perm, func(i, j int) bool { return o.Less(o.acc, o.perm[i], o.perm[j]) })
+		// perm starts as the identity, so the row index as the tie-break
+		// keeps equal rows in input order: a stable sort.
+		slices.SortFunc(o.perm, func(i, j int) int {
+			switch {
+			case o.Less(o.acc, i, j):
+				return -1
+			case o.Less(o.acc, j, i):
+				return 1
+			}
+			return cmp.Compare(i, j)
+		})
 	}
 	return nil
 }

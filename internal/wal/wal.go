@@ -14,7 +14,9 @@ package wal
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"sort"
 
 	"wattdb/internal/cc"
 	"wattdb/internal/hw"
@@ -200,6 +202,13 @@ type Log struct {
 	// failure knows its device write never completed.
 	down  bool
 	epoch uint64
+
+	// gen changes whenever a retained frame may read otherwise than when a
+	// reader last read it: a crash or Restart cuts the tail, a wipe empties
+	// the log, a rewrite patches or damages a frame. Appends and
+	// TruncateBefore keep it: what a reader took from the frames they leave
+	// is still true.
+	gen uint64
 
 	// pin is the truncation fence set by PinBefore: records with LSN >= pin
 	// are retained regardless of what TruncateBefore asks for (0 = no fence).
@@ -393,6 +402,7 @@ func (l *Log) CrashTorn(keep, flip int) (lost, torn int) {
 
 func (l *Log) crash(keep, flip int) (lost, torn int) {
 	l.epoch++
+	l.gen++
 	l.down = true
 	l.flushing = false
 	lost = int(l.nextLSN - 1 - l.flushedLSN)
@@ -468,6 +478,7 @@ func (l *Log) Restart() int {
 		return 0
 	}
 	l.down = false
+	l.gen++
 	prevFlushed := l.flushedLSN
 	discarded := 0
 	lastValid := uint64(0)
@@ -547,6 +558,7 @@ func (l *Log) ClearLostDurable() { l.lostDurable = false }
 // LostDurable is set so the restart path knows local recovery is impossible.
 func (l *Log) WipeDisk() {
 	l.epoch++ // fence any in-flight flush: its device write hit a dead medium
+	l.gen++
 	l.segs = nil
 	l.forceNew = false
 	l.flushing = false
@@ -615,6 +627,7 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 		return false
 	}
 	copy(s.rewrite()[start:end], frame)
+	l.gen++
 	return true
 }
 
@@ -653,6 +666,7 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 	s, start, end := l.locate(lsn)
 	bit := pick % ((end - start - frameHeaderSize) * 8)
 	s.rewrite()[start+frameHeaderSize+bit/8] ^= 1 << (bit % 8)
+	l.gen++
 	return lsn
 }
 
@@ -744,8 +758,9 @@ func (l *Log) Checkpoint(p *sim.Proc) uint64 {
 // and are durable (after a checkpoint made them obsolete, e.g. when a moved
 // segment's history is no longer needed). Reclamation is segment-at-a-time:
 // a segment holding any record >= lsn is kept entirely, so RetainedBytes
-// stays the exact byte length of the surviving segments.
-func (l *Log) TruncateBefore(lsn uint64) {
+// stays the exact byte length of the surviving segments. It reports whether
+// it recycled any.
+func (l *Log) TruncateBefore(lsn uint64) bool {
 	cut := 0
 	for cut < len(l.segs) {
 		s := l.segs[cut]
@@ -758,6 +773,7 @@ func (l *Log) TruncateBefore(lsn uint64) {
 		cut++
 	}
 	l.segs = l.segs[cut:]
+	return cut > 0
 }
 
 // RetainedBytes returns the exact byte length of the retained log segments
@@ -787,7 +803,29 @@ type Iterator struct {
 
 // Iter returns an iterator over the log's records, decoded from the
 // segment bytes in LSN order.
-func (l *Log) Iter() *Iterator { return &Iterator{segs: l.segs} }
+func (l *Log) Iter() *Iterator { return l.IterFrom(0) }
+
+// IterFrom returns an iterator over the log's records at or above lsn: a
+// reader that keeps what it took from the log decodes only the frames
+// appended since its last read, and reads everything again once Gen has
+// moved on. With no record at or above lsn it starts past the last frame,
+// where a crashed log's torn bytes still stop it with an error.
+func (l *Log) IterFrom(lsn uint64) *Iterator {
+	it := &Iterator{segs: l.segs}
+	if len(l.segs) == 0 {
+		return it
+	}
+	it.si = min(sort.Search(len(l.segs), func(i int) bool { return l.segs[i].lastLSN() >= lsn }), len(l.segs)-1)
+	s := l.segs[it.si]
+	if i := int(min(max(lsn, s.firstLSN), s.lastLSN()+1) - s.firstLSN); i > 0 {
+		it.off = s.ends[i-1]
+	}
+	return it
+}
+
+// Gen returns the log's generation: a reader that kept what it took from the
+// frames may go on from where it stopped as long as Gen has not changed.
+func (l *Log) Gen() uint64 { return l.gen }
 
 // Next decodes the next record into rec and reports whether there was one.
 func (it *Iterator) Next(rec *Record) bool {
@@ -815,15 +853,15 @@ func (it *Iterator) Next(rec *Record) bool {
 // Err returns the decode error that stopped iteration, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// All drains the iterator, appending its records to dst (recovery's
-// analysis input): pass nil for a new slice, or a slice kept from an earlier
-// read to refill its storage. The records alias the log's write-once bytes.
-func (it *Iterator) All(dst []Record) ([]Record, error) {
+// All drains the iterator into a new slice: a restart's whole recovered log,
+// which its analysis keeps for the replay. The records alias the log's
+// write-once bytes.
+func (it *Iterator) All() ([]Record, error) {
 	n := 0
 	for _, s := range it.segs[it.si:] {
 		n += len(s.ends) // one per frame; a partly read segment over-counts
 	}
-	recs := slices.Grow(dst, n+1) // +1: the slot the final Next finds no record for
+	recs := make([]Record, 0, n+1) // +1: the slot the final Next finds no record for
 	for {
 		recs = append(recs, Record{})
 		if !it.Next(&recs[len(recs)-1]) {
@@ -851,96 +889,110 @@ type Decision struct {
 	TS cc.Timestamp
 }
 
-// Recover replays the log against targets (keyed by partition ID): redo all
-// operations of committed transactions in LSN order, then undo losers in
-// reverse order using before images. Both passes are idempotent, matching
-// the paper's requirement that "the log file is needed to reconstruct
-// partitions and to perform appropriate UNDO and REDO operations".
-// The records are decoded from the iterator's segment bytes; a decode
-// failure (torn tail not yet truncated by Restart) fails recovery, as does
-// a record for a partition absent from targets.
+// Recover replays the log against targets (keyed by partition ID), one
+// partition after another in ascending ID order, each as a restart replays
+// it (ReplayPartition, from the log head). The records are decoded from the
+// iterator's segment bytes; a decode failure (torn tail not yet truncated by
+// Restart) fails recovery, as does a base or DML record for a partition
+// absent from targets.
 func Recover(p *sim.Proc, it *Iterator, targets map[uint64]Target) (redone, undone int, err error) {
-	recs, err := it.All(nil)
+	recs, err := it.All()
 	if err != nil {
 		return 0, 0, err
 	}
-	st, err := NewAnalysis(recs).apply(p, func(part uint64) (Target, bool, error) {
-		tgt, ok := targets[part]
-		if !ok {
-			return nil, false, fmt.Errorf("wal: recovery for unknown partition %d", part)
+	for i := range recs {
+		if _, ok := targets[recs[i].Part]; !ok && (recs[i].Type == RecBase || isDML(recs[i].Type)) {
+			return 0, 0, fmt.Errorf("wal: recovery for unknown partition %d", recs[i].Part)
 		}
-		return tgt, true, nil
-	}, 0)
-	return st.Redone, st.Undone, err
+	}
+	a := NewAnalysis(recs)
+	for _, part := range slices.Sorted(maps.Keys(targets)) {
+		st, err := a.ReplayPartition(p, part, 0, targets[part])
+		redone, undone = redone+st.Redone, undone+st.Undone
+		if err != nil {
+			return redone, undone, err
+		}
+	}
+	return redone, undone, nil
 }
 
-// Analysis is the one analysis pass over a log read: the records and the
-// transaction table built from them in a single scan, as in ARIES. Every
-// reader of transaction outcomes asks it — restart (which transactions are
-// in doubt, which win the replay, which outstanding coordinator decisions
-// the log already closed), the fuzzy checkpoint (which transactions pin the
-// redo point, whose images refresh the recovery bases) and the coordinator's
-// post-election reconciliation — so the checkpoint's redo point and the
-// restart's replay can never disagree about a transaction. One Analysis
-// feeds every per-partition replay of a restart, so concurrent partition
-// replays (one sim proc each) never repeat the scan.
+// Analysis is a log's transaction table, as in ARIES, built record by record
+// (Add) in LSN order. Every reader of transaction outcomes asks it — restart
+// (which transactions are in doubt, which win the replay, which outstanding
+// coordinator decisions the log already closed), the fuzzy checkpoint (which
+// transactions pin the redo point, whose images refresh the recovery bases)
+// and the coordinator's post-election reconciliation — so the checkpoint's
+// redo point and the restart's replay can never disagree about a
+// transaction. A restart builds one from its whole recovered log
+// (NewAnalysis), which keeps the records for the replay and feeds every
+// per-partition replay, so concurrent partition replays (one sim proc each)
+// never repeat the scan. A live log's checkpoints and reconciliation keep
+// one between reads instead and add only the frames appended since
+// (IterFrom).
 //
 // Records with Txn 0 belong to no transaction (bases, ship wrappers,
 // checkpoint and coordinator records) and have no row.
 type Analysis struct {
 	recs      []Record
 	txns      map[cc.TxnID]*TxnEntry
+	open      map[cc.TxnID]*TxnEntry // the rows in flight (InFlightSince)
 	decisions map[cc.TxnID]Decision
 }
 
 // TxnEntry is one transaction's row in the transaction table.
 type TxnEntry struct {
-	First     uint64    // LSN of its first DML or prepare record (0: none)
-	End       uint64    // LSN of its last commit or abort record (0: none)
-	Parts     []uint64  // partitions its DML and prepare images touched
-	Images    []*Record // its prepare-time redo images, in LSN order
-	Prepared  bool      // a prepare vote is logged
-	Committed bool      // a commit record is logged (End != 0 without it: aborted)
+	First     uint64   // LSN of its first DML or prepare record (0: none)
+	End       uint64   // LSN of its last commit or abort record (0: none)
+	Parts     []uint64 // partitions its DML and prepare images touched
+	Images    []Record // its prepare-time redo images, in LSN order
+	Prepared  bool     // a prepare vote is logged
+	Committed bool     // a commit record is logged (End != 0 without it: aborted)
 }
 
-// NewAnalysis scans recs once and builds the transaction table.
+// NewAnalysis builds the transaction table of recs and keeps them for the
+// replay.
 func NewAnalysis(recs []Record) *Analysis {
-	a := &Analysis{recs: recs, txns: make(map[cc.TxnID]*TxnEntry), decisions: make(map[cc.TxnID]Decision)}
-	row := func(id cc.TxnID) *TxnEntry {
-		t := a.txns[id]
-		if t == nil {
-			t = &TxnEntry{}
-			a.txns[id] = t
-		}
-		return t
-	}
+	a := &Analysis{recs: recs, txns: make(map[cc.TxnID]*TxnEntry), open: make(map[cc.TxnID]*TxnEntry),
+		decisions: make(map[cc.TxnID]Decision)}
 	for i := range recs {
-		r := &recs[i]
-		if r.Txn == 0 {
-			continue
-		}
-		switch r.Type {
-		case RecCommit, RecAbort:
-			t := row(r.Txn)
-			t.End, t.Committed = r.LSN, t.Committed || r.Type == RecCommit
-		case RecUpdate, RecInsert, RecDelete, RecPrepare, RecPrepDML, RecPrepDel:
-			t := row(r.Txn)
-			if t.First == 0 {
-				t.First = r.LSN
-			}
-			switch r.Type {
-			case RecPrepare:
-				t.Prepared = true
-				continue
-			case RecPrepDML, RecPrepDel:
-				t.Images = append(t.Images, r)
-			}
-			if !slices.Contains(t.Parts, r.Part) {
-				t.Parts = append(t.Parts, r.Part)
-			}
-		}
+		a.Add(&recs[i])
 	}
 	return a
+}
+
+// Add enters the record that follows every record added so far into the
+// table. A prepare image keeps the record's slices, which alias the log's
+// write-once bytes as every log reader's do.
+func (a *Analysis) Add(r *Record) {
+	if r.Txn == 0 {
+		return
+	}
+	switch r.Type {
+	case RecCommit, RecAbort, RecUpdate, RecInsert, RecDelete, RecPrepare, RecPrepDML, RecPrepDel:
+	default:
+		return
+	}
+	t := a.txns[r.Txn]
+	if t == nil {
+		t = &TxnEntry{}
+		a.txns[r.Txn] = t
+	}
+	switch r.Type {
+	case RecCommit, RecAbort:
+		t.End, t.Committed = r.LSN, t.Committed || r.Type == RecCommit
+		delete(a.open, r.Txn) // nothing reopens it: First is set once, End only rises
+		return
+	case RecPrepare:
+		t.Prepared = true
+	case RecPrepDML, RecPrepDel:
+		t.Images = append(t.Images, *r)
+	}
+	if t.First == 0 {
+		t.First, a.open[r.Txn] = r.LSN, t
+	}
+	if r.Type != RecPrepare && !slices.Contains(t.Parts, r.Part) {
+		t.Parts = append(t.Parts, r.Part)
+	}
 }
 
 // Txn returns id's row of the transaction table, nil when the log holds
@@ -994,12 +1046,15 @@ func (a *Analysis) Resolved(id cc.TxnID) (bool, uint64) {
 // LSN of each, so every record a later restart could roll forward or undo
 // stays above the point its replay starts from.
 func (a *Analysis) InFlightSince(lsn uint64) []cc.TxnID {
-	return a.sorted(func(t *TxnEntry) bool { return t.First != 0 && t.First >= lsn && t.End < t.First })
+	return a.sorted(func(t *TxnEntry) bool { return t.First >= lsn })
 }
 
+// sorted lists, ascending, the transactions in flight that keep accepts.
+// Only the rows in flight are looked at, so a checkpoint's question costs
+// what is in flight, not the whole table.
 func (a *Analysis) sorted(keep func(t *TxnEntry) bool) []cc.TxnID {
 	var ids []cc.TxnID
-	for id, t := range a.txns {
+	for id, t := range a.open {
 		if keep(t) {
 			ids = append(ids, id)
 		}
@@ -1017,6 +1072,8 @@ type ReplayStats struct {
 	MinApplied     uint64 // lowest LSN applied (0 = nothing applied)
 }
 
+func isDML(t RecType) bool { return t == RecUpdate || t == RecInsert || t == RecDelete }
+
 func (s *ReplayStats) count(r *Record, redo bool) {
 	if redo {
 		s.Redone++
@@ -1030,22 +1087,14 @@ func (s *ReplayStats) count(r *Record, redo bool) {
 }
 
 // ReplayPartition replays one partition's records from its checkpoint redo
-// low-water mark: every record below from is covered by the refreshed
-// recovery base and skipped, so replay work is bounded by the delta since
-// the checkpoint instead of the full retained history. from = 0 replays
+// low-water mark: redo the winners' operations in LSN order, then undo the
+// losers' in reverse order using before images. Both passes are idempotent,
+// matching the paper's requirement that "the log file is needed to
+// reconstruct partitions and to perform appropriate UNDO and REDO
+// operations". Every record below from is covered by the refreshed recovery
+// base and skipped, so replay work is bounded by the delta since the
+// checkpoint instead of the full retained history. from = 0 replays
 // everything (no checkpoint, or a partition the checkpoint never saw).
-func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (ReplayStats, error) {
-	return a.apply(p, func(pt uint64) (Target, bool, error) {
-		if pt != part {
-			return nil, false, nil
-		}
-		return tgt, true, nil
-	}, from)
-}
-
-// apply is the replay engine shared by Recover and the per-partition
-// restart path. resolve maps a partition to its target (or skips it); from
-// is the redo start point.
 //
 // The redo filter is sound because a checkpoint lets nothing fall below
 // the redo point uncovered: a key whose latest committed image (DML or
@@ -1054,10 +1103,7 @@ func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (
 // Analysis found in flight (InFlightSince) pins the redo point at its first
 // LSN — the same transaction table this replay reads — so every record a
 // restart could need to roll forward, or undo, sits at or above from.
-func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, error), from uint64) (st ReplayStats, err error) {
-	isDML := func(t RecType) bool { return t == RecUpdate || t == RecInsert || t == RecDelete }
-	isPrep := func(t RecType) bool { return t == RecPrepDML || t == RecPrepDel }
-
+func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (st ReplayStats, err error) {
 	// Redo winners forward. Base images redo unconditionally (Txn = 0; a
 	// bulk-load base precedes any DML on its keys, and a segment-adoption
 	// base — which may supersede older DML — lands at its append position,
@@ -1069,54 +1115,22 @@ func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, e
 	// prepare images are redundant and skipped.
 	for i := range a.recs {
 		r := &a.recs[i]
-		if r.LSN < from {
+		if r.LSN < from || r.Part != part {
 			continue
 		}
-		if r.Type == RecBase {
-			tgt, ok, rerr := resolve(r.Part)
-			if rerr != nil {
-				return st, rerr
-			}
-			if !ok {
-				continue
-			}
-			if err = tgt.RecoveryPut(p, r.Key, r.After); err != nil {
-				return st, err
-			}
-			st.count(r, true)
-			continue
-		}
-		if isPrep(r.Type) {
-			d, decided := a.decisions[r.Txn]
+		switch d, decided := a.decisions[r.Txn]; {
+		case r.Type == RecBase:
+			err = tgt.RecoveryPut(p, r.Key, r.After)
+		case r.Type == RecPrepDML || r.Type == RecPrepDel:
 			if !decided || a.committed(r.Txn) {
 				continue
 			}
-			tgt, ok, rerr := resolve(r.Part)
-			if rerr != nil {
-				return st, rerr
-			}
-			if !ok {
-				continue
-			}
-			if err = tgt.RecoveryInstall(p, r.Key, r.After, d.TS, r.Type == RecPrepDel); err != nil {
-				return st, err
-			}
-			st.count(r, true)
+			err = tgt.RecoveryInstall(p, r.Key, r.After, d.TS, r.Type == RecPrepDel)
+		case !isDML(r.Type) || !a.Winner(r.Txn):
 			continue
-		}
-		if !isDML(r.Type) || !a.Winner(r.Txn) {
-			continue
-		}
-		tgt, ok, rerr := resolve(r.Part)
-		if rerr != nil {
-			return st, rerr
-		}
-		if !ok {
-			continue
-		}
-		if r.After != nil {
+		case r.After != nil:
 			err = tgt.RecoveryPut(p, r.Key, r.After)
-		} else {
+		default:
 			err = tgt.RecoveryDelete(p, r.Key)
 		}
 		if err != nil {
@@ -1132,14 +1146,7 @@ func (a *Analysis) apply(p *sim.Proc, resolve func(part uint64) (Target, bool, e
 	// partition, so there is nothing to undo there either.
 	for i := len(a.recs) - 1; i >= 0; i-- {
 		r := &a.recs[i]
-		if !isDML(r.Type) || a.Winner(r.Txn) || r.LSN < from {
-			continue
-		}
-		tgt, ok, rerr := resolve(r.Part)
-		if rerr != nil {
-			return st, rerr
-		}
-		if !ok {
+		if !isDML(r.Type) || a.Winner(r.Txn) || r.LSN < from || r.Part != part {
 			continue
 		}
 		if r.Before != nil {
