@@ -52,10 +52,13 @@ intent-timeouts:
 	$(GO) test -run '^TestNoIntentTimeoutFaultFree$$' ./internal/tpcc
 
 ## vet: static analysis of the root module and of bench/, a module of its own
-## that the root's ./... never reaches
+## that the root's ./... never reaches, and their formatting: it fails if
+## gofmt -l lists any of their files (.bench_build/'s unpacked copies aside)
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' ! -path './.bench_build/*' | xargs $$($(GO) env GOROOT)/bin/gofmt -l); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 ## loc: non-test Go code lines (blank and comment-only lines skipped) per
 ## package and in total, bench/ excluded — the ruler for "same behaviour from

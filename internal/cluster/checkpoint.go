@@ -25,8 +25,9 @@ import (
 //  2. Begin record: RecCkptBegin marks the analysis instant.
 //  3. Atomic scan (one simulation instant, no time charged): catch the
 //     node's kept transaction table up on the frames appended since the
-//     last read (logFold; a restart, a wipe, a rewritten frame or a
-//     truncation makes the next read take the whole log once), derive each
+//     last read (logFold; after a crash, a wipe, a rewritten frame or a
+//     truncation the next read takes the whole log once — after a crash
+//     that read is the restart's), derive each
 //     hosted partition's redo low-water mark — the minimum of the begin
 //     LSN, the recLSNs of its still-dirty pages, and the first LSNs of
 //     unresolved transactions touching it — and refresh the partition
@@ -38,18 +39,23 @@ import (
 //     checkpoint re-applies the refreshed keys' source records last in LSN
 //     order and converges to the same values.
 //  4. End record: RecCkptEnd carries the encoded redo table; the checkpoint
-//     counts only once this record is durable (wal.LastCheckpoint ignores
-//     torn or unmatched pairs, falling back to the previous complete one).
+//     counts only once this record is durable (a restart's table reads
+//     only what survived, and wal.Analysis.LastCheckpoint ignores torn or
+//     unmatched pairs, falling back to the previous complete one).
 //  5. Truncation: recycle log segments below the minimum of the global redo
 //     point and the retention floors (master-state replay, follower
 //     wrappers, replica durability), dropping the kept transaction table
 //     if anything went (the next scan reads what is left); the log's own
 //     PinBefore fence guards unshipped frames on top of that.
 //
-// Restart then replays each hosted partition from its recorded redo point,
-// in parallel — one simulation process per partition over a shared analysis
-// pass (wal.Analysis) — and reports the replay work (RecoveryStats) so the
-// chaos oracle can assert the O(delta-since-checkpoint) bound.
+// Restart reads its recovered log once, into the node's transaction table
+// (readLog), which also finds the newest complete checkpoint; it then
+// replays each hosted partition from its recorded redo point up to where
+// that table has read, in parallel — one simulation process per partition —
+// and reports the replay work (RecoveryStats) so the chaos oracle can assert
+// the O(delta-since-checkpoint) bound. The table stays the node's, and the
+// first checkpoint after the restart catches it up on the frames appended
+// since.
 
 // ckptBatchPause is the sleep between flush-walk batches, letting foreground
 // traffic run ahead of the checkpointer.
@@ -81,9 +87,9 @@ type RecoveryStats struct {
 // CheckpointNode takes one fuzzy checkpoint on n: flush walk, begin record,
 // atomic redo scan with base refresh, end record, redo-point-aware log
 // truncation. Every step is a crash point ("ckpt.*"); a node that crashes
-// mid-checkpoint simply aborts — the torn pair is invisible to
-// wal.LastCheckpoint and the next restart falls back to the previous complete
-// checkpoint. Returns the work done; a nil error with EndLSN 0 means the
+// mid-checkpoint simply aborts — the torn pair is invisible to the restart's
+// table (wal.Analysis.LastCheckpoint), which falls back to the previous
+// complete checkpoint. Returns the work done; a nil error with EndLSN 0 means the
 // checkpoint did not complete.
 func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (CheckpointStats, error) {
 	var st CheckpointStats
@@ -146,15 +152,14 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 	return st, nil
 }
 
-// logFold is what the checkpoints and the coordinator's reconcile keep of
-// one node's log between their reads: the transaction table, the replicated
-// coordinator history on it and its lowest ship wrapper, caught up on the
-// frames appended since the last read (readLog), plus the window of the
-// recovery-base fold (refreshBases).
+// logFold is what a node keeps of its log between reads — a restart's,
+// its checkpoints' and the coordinator's reconcile: the transaction table,
+// the replicated coordinator history on it and its lowest ship wrapper,
+// caught up on the frames appended since the last read (readLog), plus the
+// window of the recovery-base fold (refreshBases).
 type logFold struct {
 	gen   uint64        // the log generation the fold was read in (wal.Log.Gen)
-	next  uint64        // the LSN the next catch-up reads from
-	a     *wal.Analysis // the transaction table
+	a     *wal.Analysis // the transaction table; its Next is where the next catch-up reads from
 	coord *coordHistory // as an election folds it, over no decision known before
 	ship  uint64        // the lowest RecShip wrapper's LSN (noFloor: none)
 
@@ -174,11 +179,11 @@ type logFold struct {
 func (n *DataNode) readLog() (*logFold, error) {
 	f := n.fold
 	if f == nil || f.gen != n.Log.Gen() {
-		f = &logFold{gen: n.Log.Gen(), a: wal.NewAnalysis(nil), ship: noFloor,
+		f = &logFold{gen: n.Log.Gen(), a: wal.NewAnalysis(), ship: noFloor,
 			coord: foldCoord(nil, map[cc.TxnID]*txnDecision{})}
 	}
 	n.fold = nil
-	it := n.Log.IterFrom(f.next)
+	it := n.Log.IterFrom(f.a.Next())
 	for rec := (wal.Record{}); it.Next(&rec); f.decoded++ {
 		f.a.Add(&rec)
 		f.coord.add(&rec)
@@ -189,7 +194,7 @@ func (n *DataNode) readLog() (*logFold, error) {
 	if it.Err() != nil {
 		return nil, it.Err()
 	}
-	f.next, n.fold = n.Log.TailLSN(), f
+	n.fold = f
 	return f, nil
 }
 

@@ -71,7 +71,11 @@ func TestCheckpointPowerFailSweep(t *testing.T) {
 			t.Fatal("initial checkpoint did not complete")
 		}
 	})
-	ck0 := node.Log.LastCheckpoint()
+	_, tab, err := wholeLog(node.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck0 := tab.LastCheckpoint()
 	if ck0 == nil {
 		t.Fatal("complete checkpoint invisible to LastCheckpoint")
 	}
@@ -113,7 +117,7 @@ func TestCheckpointPowerFailSweep(t *testing.T) {
 			// The crashed round's pair is torn (or, for the late steps,
 			// already durable): restart must have used a complete
 			// checkpoint either way, never a half-written one.
-			if ck := node.Log.LastCheckpoint(); ck == nil || ck.Begin < ck0.Begin {
+			if ck := node.fold.a.LastCheckpoint(); ck == nil || ck.Begin < ck0.Begin {
 				t.Fatalf("step %d: checkpoint regressed: %+v (had begin %d)", step, ck, ck0.Begin)
 			}
 			if !node.LastRecovery.Checkpointed {
@@ -171,7 +175,7 @@ func TestCoordFloorKeepsElection(t *testing.T) {
 	for _, rec := range history {
 		m.logMaster(nil, rec, true) // setup path: durable on the leader and every follower
 	}
-	full, err := leader.Log.Iter().All()
+	full, _, err := wholeLog(leader.Log)
 	if err != nil {
 		t.Fatal(err)
 	}

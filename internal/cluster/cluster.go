@@ -27,8 +27,6 @@ type Config struct {
 	Nodes       int
 	Cal         hw.Calibration
 	LockTimeout time.Duration
-	// VectorSize is the record batch size for remote operators.
-	VectorSize int
 	// MasterReplicas, when positive, makes the coordinator a replicated
 	// state machine (see replication.go) whose records ship on the seated
 	// leader's log stream — so it implies log shipping with at least that
@@ -49,7 +47,6 @@ func DefaultConfig() Config {
 		Nodes:       10,
 		Cal:         hw.TestCalibration(),
 		LockTimeout: 2 * time.Second,
-		VectorSize:  256,
 	}
 }
 

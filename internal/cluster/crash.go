@@ -157,19 +157,26 @@ func (c *Cluster) doCrash(n *DataNode, tear, flip int) int {
 // RestartNode boots a crashed node and recovers its partitions: pay the
 // boot time, CRC-scan the durable log bytes (truncating any torn or
 // bit-rotted tail a power failure left mid-device-write), rebuild every
-// lost partition from its recovery base, build one wal.Analysis of the
-// durable log, resolve its in-doubt transactions against the coordinator
-// (roll forward from the prepare-time log or roll back under presumed
-// abort), replay the log through that analysis (REDO winners, UNDO losers)
-// — each hosted partition from its last-checkpoint redo point, in parallel
-// — then atomically swap the rebuilt partitions into the master's partition
-// table and the node's registry, and ack the coordinator decisions the
-// analysis shows closed. It returns the replay counts; n.LastRecovery
-// records the full RTO breakdown.
+// lost partition from its recovery base, read the recovered log once into
+// the node's kept transaction table (readLog, which also finds the newest
+// complete checkpoint), resolve its in-doubt transactions against the
+// coordinator (roll forward from the prepare-time log or roll back under
+// presumed abort), replay each hosted partition from its last-checkpoint
+// redo point up to where the table has read (REDO winners, UNDO losers), in
+// parallel, then atomically swap the rebuilt partitions into the master's
+// partition table and the node's registry, and ack the coordinator
+// decisions the table shows closed. The table stays the node's: the next
+// checkpoint catches it up on what the restart appended. It returns the
+// replay counts; n.LastRecovery records the full RTO breakdown.
 func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err error) {
 	if !n.crashed {
 		return 0, 0, fmt.Errorf("cluster: restart of node %d, which is not crashed", n.ID)
 	}
+	defer func() {
+		if err != nil {
+			n.fold = nil // it may hold verdicts no closing record backs
+		}
+	}()
 	started := p.Now()
 	n.HW.PowerOn(p)
 	// Salvage the damaged log's readable frames before Restart's byte scan
@@ -201,13 +208,6 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// log record with the crash's volatile tail and must be re-logged
 	// (repairBaseLog).
 	recoverFloor := n.Log.FlushedLSN()
-	// The newest complete checkpoint bounds the replay: each hosted
-	// partition starts at its recorded redo low-water mark, with everything
-	// below covered by the refreshed recovery bases. A rebuilt log holds no
-	// checkpoint records (they never ship), so a rebuild falls back to full
-	// replay of the reconstructed history — which is exactly right, since
-	// the rebuilt bases are the shipped originals, not refreshed ones.
-	ck := n.Log.LastCheckpoint()
 	// A reviving node may complete a stalled election: its durable log (just
 	// recovered or rebuilt) is valid election input even though the node is
 	// still mid-restart — and stays so while the in-doubt resolution below
@@ -234,24 +234,32 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 			}
 		}
 	}
-	// One analysis pass decodes the durable log from its segment bytes
-	// (Restart already truncated any damaged tail) and builds the transaction
-	// table that the in-doubt resolution, the replay and the outstanding-
-	// decision acks below all read. In-doubt resolution: a transaction with a
-	// durable prepare vote but no local commit or abort record was cut down
-	// between its vote and its commit record; the coordinator is queried for
-	// each (ascending transaction ID for determinism): a known decision rolls
-	// the branch forward at the decided timestamp, an unknown transaction is
+	// The one read of the recovered log (Restart already truncated any
+	// damaged tail; the crash moved the log's generation, so the node's
+	// table starts over): the transaction table that the in-doubt
+	// resolution, the replay and the outstanding-decision acks below all
+	// read, and the newest complete checkpoint, which bounds the replay —
+	// each hosted partition starts at its recorded redo low-water mark, with
+	// everything below covered by the refreshed recovery bases. A rebuilt
+	// log holds no checkpoint records (they never ship), so a rebuild falls
+	// back to full replay of the reconstructed history — which is exactly
+	// right, since the rebuilt bases are the shipped originals, not
+	// refreshed ones. In-doubt resolution: a transaction with a durable
+	// prepare vote but no local commit or abort record was cut down between
+	// its vote and its commit record; the coordinator is queried for each
+	// (ascending transaction ID for determinism): a known decision rolls the
+	// branch forward at the decided timestamp, an unknown transaction is
 	// presumed aborted.
-	recs, err := n.Log.Iter().All()
+	f, err := n.readLog()
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: node %d log scan: %w", n.ID, err)
 	}
-	a := wal.NewAnalysis(recs)
+	a, ck := f.a, f.a.LastCheckpoint()
 	inDoubt := c.resolveInDoubt(p, n, a)
 	// Replay hosted partitions in parallel: one simulation process per
-	// partition over the shared analysis, each starting at its checkpoint
-	// redo point (0 — the recovery base — when no checkpoint covers it).
+	// partition, each reading the log from its checkpoint redo point (0 —
+	// the recovery base — when no checkpoint covers it) against the shared
+	// table.
 	// Records for partitions that no longer exist (fully migrated away,
 	// dropped replicas) simply match no replay and are skipped: their data
 	// lives elsewhere now. Spawn order, the merge below, and error selection
@@ -272,7 +280,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	}
 	p.Fork("recover", len(n.lostParts), func(rp *sim.Proc, i int) {
 		old := n.lostParts[i]
-		stats[i], errs[i] = a.ReplayPartition(rp, uint64(old.ID), froms[i], replaced[old])
+		stats[i], errs[i] = a.ReplayPartition(rp, n.Log.IterFrom(froms[i]), uint64(old.ID), replaced[old])
 	})
 	for i := range stats {
 		if errs[i] != nil && err == nil {
@@ -333,8 +341,8 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// may prepare here meanwhile.
 	n.deadBelow = n.Log.TailLSN()
 	n.crashed = false
-	// Decisions still charged to this node whose branches the analysed log
-	// shows resolved are acked with the in-doubt ones after the epilogue
+	// Decisions still charged to this node whose branches the table shows
+	// resolved are acked with the in-doubt ones after the epilogue
 	// (ackResolved): the node died between its commit record's force and the
 	// ack (a replicated branch waits for a follower in between), or the ack
 	// was in flight — or unforced and lost — when a leader died, and the

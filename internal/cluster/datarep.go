@@ -31,7 +31,7 @@ import (
 //     retained (ScrubPass).
 //   - Read scaling: read-only snapshot gets/scans below a follower's applied
 //     horizon are served from its replica store without touching the origin
-//     (session.go followerGet/followerScanPart).
+//     (Session.Get, and Session.Scan through followerScanPart).
 //   - Coordinator failover: the leader's forced records use the same ship pass
 //     and the same durability predicate (replication.go logMaster), and an
 //     election replays the wrappers the dead leader's followers hold.

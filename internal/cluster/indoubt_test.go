@@ -150,8 +150,8 @@ func commitWindow(t *testing.T) (start, end time.Duration) {
 // restart must resolve against the coordinator. The trace is decoded from
 // the log's physical bytes and analysed like the restart's own pass.
 func hasInDoubtTrace(n *DataNode) bool {
-	recs, _ := n.Log.Iter().All()
-	return len(wal.NewAnalysis(recs).InDoubt()) > 0
+	_, a, _ := wholeLog(n.Log)
+	return len(a.InDoubt()) > 0
 }
 
 // TestCommitCrashAnywhere sweeps a power failure of each participant across
@@ -732,7 +732,8 @@ func TestPrepareDuringRestartEpiloguePinsCheckpoint(t *testing.T) {
 			return
 		}
 		pinned := false
-		for _, tx := range a.Log.LastCheckpoint().Txns {
+		_, tab, _ := wholeLog(a.Log)
+		for _, tx := range tab.LastCheckpoint().Txns {
 			pinned = pinned || tx.Txn == s.Txn.ID
 		}
 		if !pinned {

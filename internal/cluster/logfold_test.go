@@ -18,9 +18,10 @@ import (
 // TestLogFoldMatchesWholeLogRead drives one node's log through random
 // appends, commits, aborts, prepares, flushes, checkpoints, truncations and
 // crash + restart. After every step the node's kept fold, caught up, must
-// answer Txn, Winner, InDoubt, Resolved and InFlightSince exactly as
-// wal.NewAnalysis of the whole retained log does, and the recovery bases must
-// be what the whole-log base fold (refFoldBases) makes of every checkpoint.
+// answer Txn, Winner, InDoubt, Resolved, InFlightSince and LastCheckpoint
+// exactly as a table built by Add over the whole retained log does, and the
+// recovery bases must be what the whole-log base fold (refFoldBases) makes of
+// every checkpoint.
 func TestLogFoldMatchesWholeLogRead(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkLogFold(t, seed) })
@@ -46,7 +47,7 @@ func checkLogFold(t *testing.T, seed int64) {
 	var scanned []wal.Record // what the checkpoint's scan reads
 	c.Point = func(pn *DataNode, name string) {
 		if pn == n && name == "ckpt.begin" {
-			scanned, _ = n.Log.Iter().All()
+			scanned, _, _ = wholeLog(n.Log)
 		}
 	}
 
@@ -97,10 +98,11 @@ func checkLogFold(t *testing.T, seed int64) {
 				if err != nil || st.EndLSN == 0 {
 					t.Fatalf("step %d: checkpoint %+v: %v", step, st, err)
 				}
-				refFoldBases(ref, scanned, n.Log.LastCheckpoint())
+				_, tab, _ := wholeLog(n.Log)
+				refFoldBases(ref, scanned, tab.LastCheckpoint())
 			case k < 94:
 				head, tail := uint64(1), n.Log.TailLSN()
-				if recs, _ := n.Log.Iter().All(); len(recs) > 0 {
+				if recs, _, _ := wholeLog(n.Log); len(recs) > 0 {
 					head = recs[0].LSN
 				}
 				n.truncate(head + uint64(rng.Int63n(int64(tail-head+1))))
@@ -115,11 +117,11 @@ func checkLogFold(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			all, err := n.Log.Iter().All()
+			_, whole, err := wholeLog(n.Log)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameTable(t, step, f.a, wal.NewAnalysis(all), ids, n.deadBelow)
+			sameTable(t, step, f.a, whole, ids, n.deadBelow)
 			if !reflect.DeepEqual(n.bases, ref) {
 				t.Fatalf("step %d: recovery bases differ from the whole-log fold", step)
 			}
@@ -153,6 +155,22 @@ func sameTable(t *testing.T, step int, got, want *wal.Analysis, ids []cc.TxnID, 
 			t.Fatalf("step %d: in flight since %d: %v, want %v", step, since, g, w)
 		}
 	}
+	if g, w := got.LastCheckpoint(), want.LastCheckpoint(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("step %d: last checkpoint %+v, want %+v", step, g, w)
+	}
+}
+
+// wholeLog reads l's whole retained log, up to the first damaged frame: its
+// records, and the transaction table Add builds of them.
+func wholeLog(l *wal.Log) ([]wal.Record, *wal.Analysis, error) {
+	var recs []wal.Record
+	a := wal.NewAnalysis()
+	it := l.Iter()
+	for r := (wal.Record{}); it.Next(&r); {
+		recs = append(recs, r)
+		a.Add(&r)
+	}
+	return recs, a, it.Err()
 }
 
 // refFoldBases is the base fold over the whole log a checkpoint's scan read:
@@ -160,7 +178,10 @@ func sameTable(t *testing.T, step int, got, want *wal.Analysis, ids []cc.TxnID, 
 // partition the checkpoint covers, folded into that partition's base when it
 // lies below the partition's redo point.
 func refFoldBases(bases map[table.PartID][]basePair, recs []wal.Record, ck *wal.Checkpoint) {
-	a := wal.NewAnalysis(recs)
+	a := wal.NewAnalysis()
+	for i := range recs {
+		a.Add(&recs[i])
+	}
 	redoOf := make(map[uint64]uint64)
 	for _, cp := range ck.Parts {
 		redoOf[cp.ID] = cp.Redo
@@ -206,11 +227,16 @@ func refFoldBases(bases map[table.PartID][]basePair, recs []wal.Record, ck *wal.
 	}
 }
 
-// TestCheckpointReadsOnlyItsDelta: once the first checkpoint after a restart
-// has read the whole log, the next one decodes the frames appended since the
-// last read and, for the base fold, those from the previous checkpoint's redo
-// point on — nothing below it. Its count is the same whether the retained
-// history below is one or eight times as long.
+// TestCheckpointReadsOnlyItsDelta: a restart reads its recovered log once,
+// into the transaction table the node keeps — decoding each retained frame
+// exactly once, with no second whole-log read for the checkpoint or the
+// replay's records. The first checkpoint after it catches that table up on
+// the frames appended since the restart's read; only its base fold reads
+// from the log head, having no earlier redo point. The next checkpoint
+// decodes the frames appended since the last read and, for the base fold,
+// those from the previous checkpoint's redo point on — nothing below it. Its
+// count is the same whether the retained history below is one or eight
+// times as long.
 func TestCheckpointReadsOnlyItsDelta(t *testing.T) {
 	run := func(history int) (full, delta int) {
 		w := newIndoubtWorldWith(t, 4, func(cfg *Config) { cfg.DataReplicas = 1 })
@@ -232,7 +258,8 @@ func TestCheckpointReadsOnlyItsDelta(t *testing.T) {
 			if st, err := c.CheckpointNode(p, n, 0); err != nil || st.EndLSN == 0 {
 				t.Fatalf("checkpoint %+v: %v", st, err)
 			}
-			return n.Log.LastCheckpoint()
+			_, tab, _ := wholeLog(n.Log)
+			return tab.LastCheckpoint()
 		}
 		w.env.Spawn("run", func(p *sim.Proc) {
 			for k := 0; k < 200*history; k++ {
@@ -241,12 +268,34 @@ func TestCheckpointReadsOnlyItsDelta(t *testing.T) {
 			n.Log.Flush(p, n.Log.TailLSN()-1)
 			c.CrashNode(n)
 			mustRestart(t, p, c, n)
-			ck := checkpoint(p) // the first after the restart reads everything
-			full = n.fold.decoded
+			f := n.fold
+			if f == nil || f.gen != n.Log.Gen() {
+				t.Fatal("the restart's transaction table is not the one the node keeps")
+			}
+			recs, _, _ := wholeLog(n.Log)
+			head, read := recs[0].LSN, 0
+			for _, r := range recs {
+				if r.LSN < f.a.Next() {
+					read++
+				}
+			}
+			if f.decoded != read || read < 600*history {
+				t.Fatalf("history x%d: the restart decoded %d frames, want each of the %d it read once", history, f.decoded, read)
+			}
+			restartNext := f.a.Next()
+			ck := checkpoint(p)
+			if n.fold != f {
+				t.Fatal("the first checkpoint after the restart did not catch the restart's table up")
+			}
+			full = f.decoded
+			if want := read + int(ck.Begin-restartNext+1) + int(ck.Begin-head+1); full != want {
+				t.Errorf("history x%d: the restart and the first checkpoint decoded %d frames, want %d: the restart's %d, the %d appended since and the base fold's %d from the head",
+					history, full, want, read, ck.Begin-restartNext+1, ck.Begin-head+1)
+			}
 			for k := 0; k < 20; k++ {
 				commit(k)
 			}
-			before, next := n.fold.decoded, n.fold.next
+			before, next := f.decoded, f.a.Next()
 			ck2 := checkpoint(p)
 			delta = n.fold.decoded - before
 			if want := int(ck2.Begin-next+1) + int(ck2.Begin-ck.Redo+1); delta != want {
@@ -261,10 +310,11 @@ func TestCheckpointReadsOnlyItsDelta(t *testing.T) {
 	}
 	full1, delta1 := run(1)
 	full8, delta8 := run(8)
-	// Both folds of the first checkpoint read the whole log: seven times the
-	// shorter history's 600 frames more, twice over.
+	// The restart's read and the first checkpoint's base fold both read the
+	// whole log: seven times the shorter history's 600 frames more, twice
+	// over.
 	if full8-full1 < 2*7*600 {
-		t.Fatalf("the first checkpoint after a restart decoded %d frames over the longer history, %d over the shorter: the history was not retained", full8, full1)
+		t.Fatalf("the restart and the first checkpoint after it decoded %d frames over the longer history, %d over the shorter: the history was not retained", full8, full1)
 	}
 	if delta1 != delta8 {
 		t.Fatalf("the next checkpoint decoded %d frames over one history, %d over one eight times as long", delta1, delta8)
@@ -288,7 +338,7 @@ func TestReconcileReadsTheKeptTable(t *testing.T) {
 		if st, err := c.CheckpointNode(p, w.n2, 0); err != nil || st.EndLSN == 0 {
 			t.Errorf("checkpoint %+v: %v", st, err)
 		}
-		kept, next, decoded = w.n2.fold, w.n2.fold.next, w.n2.fold.decoded
+		kept, next, decoded = w.n2.fold, w.n2.fold.a.Next(), w.n2.fold.decoded
 	})
 	if err := w.env.Run(); err != nil {
 		t.Fatal(err)
@@ -305,7 +355,7 @@ func TestReconcileReadsTheKeptTable(t *testing.T) {
 				t.Errorf("setup: down=%v, %d decisions outstanding after the election, want 1",
 					c.Master.down, c.Master.InDoubtDecisionCount())
 			}
-			if w.n2.fold != kept || kept.next != next {
+			if w.n2.fold != kept || kept.a.Next() != next {
 				t.Error("setup: participant 2's log was read between its checkpoint and the reconcile")
 			}
 		})
@@ -323,7 +373,7 @@ func TestReconcileReadsTheKeptTable(t *testing.T) {
 	if w.n2.fold != kept {
 		t.Fatal("the reconcile read participant 2's log anew instead of catching its kept table up")
 	}
-	if got, want := kept.decoded-decoded, int(kept.next-next); kept.next <= next || got != want {
-		t.Fatalf("the reconcile decoded %d frames catching up from LSN %d to %d, want %d", got, next, kept.next, want)
+	if got, want := kept.decoded-decoded, int(kept.a.Next()-next); kept.a.Next() <= next || got != want {
+		t.Fatalf("the reconcile decoded %d frames catching up from LSN %d to %d, want %d", got, next, kept.a.Next(), want)
 	}
 }

@@ -85,22 +85,15 @@ func EncodeCheckpoint(dst []byte, c *Checkpoint) []byte {
 // DecodeCheckpoint parses one checkpoint payload occupying the whole of
 // buf. Decoded slices are copies, not aliases.
 func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
-	if len(buf) < ckptHeaderSize {
-		return nil, fmt.Errorf("wal: checkpoint payload truncated (%d bytes)", len(buf))
+	nParts, nTxns, err := checkpointCounts(buf)
+	if err != nil {
+		return nil, err
 	}
 	c := &Checkpoint{
 		Begin: binary.LittleEndian.Uint64(buf[0:8]),
 		Redo:  binary.LittleEndian.Uint64(buf[8:16]),
 	}
-	nParts := int(binary.LittleEndian.Uint32(buf[16:20]))
-	nTxns := int(binary.LittleEndian.Uint32(buf[20:24]))
-	if nParts > maxCkptEntries || nTxns > maxCkptEntries {
-		return nil, fmt.Errorf("wal: implausible checkpoint entry counts (%d parts, %d txns)", nParts, nTxns)
-	}
 	body := buf[ckptHeaderSize:]
-	if want := 16 * (nParts + nTxns); len(body) != want {
-		return nil, fmt.Errorf("wal: checkpoint body length %d, want %d", len(body), want)
-	}
 	if nParts > 0 {
 		c.Parts = make([]CkptPart, nParts)
 		for i := range c.Parts {
@@ -119,6 +112,23 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
+// checkpointCounts checks that buf is one whole checkpoint payload and
+// returns its entry counts.
+func checkpointCounts(buf []byte) (nParts, nTxns int, err error) {
+	if len(buf) < ckptHeaderSize {
+		return 0, 0, fmt.Errorf("wal: checkpoint payload truncated (%d bytes)", len(buf))
+	}
+	nParts = int(binary.LittleEndian.Uint32(buf[16:20]))
+	nTxns = int(binary.LittleEndian.Uint32(buf[20:24]))
+	if nParts > maxCkptEntries || nTxns > maxCkptEntries {
+		return 0, 0, fmt.Errorf("wal: implausible checkpoint entry counts (%d parts, %d txns)", nParts, nTxns)
+	}
+	if want := 16 * (nParts + nTxns); len(buf)-ckptHeaderSize != want {
+		return 0, 0, fmt.Errorf("wal: checkpoint body length %d, want %d", len(buf)-ckptHeaderSize, want)
+	}
+	return nParts, nTxns, nil
+}
+
 // PartRedo returns the redo low-water mark recorded for partition id, or 0
 // (replay from the log head) when the payload does not mention it — a
 // partition adopted after the checkpoint has all of its records above the
@@ -132,34 +142,16 @@ func (c *Checkpoint) PartRedo(id uint64) uint64 {
 	return 0
 }
 
-// LastCheckpoint returns the newest complete, durable checkpoint: the
-// RecCkptEnd record with the highest LSN whose payload decodes and whose
-// matching RecCkptBegin record is still retained. A checkpoint whose end
-// record was torn off by a crash (or has not been flushed) is invisible
-// here, so restart falls back to the previous complete pair — or to a full
-// replay when none exists. Nil when the log holds no complete checkpoint.
-func (l *Log) LastCheckpoint() *Checkpoint {
-	var (
-		best      *Checkpoint
-		begins    = map[uint64]bool{}
-		pendBegin uint64
-	)
-	l.VisitFrames(func(rec *Record, frame []byte) bool {
-		if rec.LSN > l.flushedLSN {
-			return false // the unflushed tail would not survive a crash
-		}
-		switch rec.Type {
-		case RecCkptBegin:
-			begins[rec.LSN] = true
-			pendBegin = rec.LSN
-		case RecCkptEnd:
-			ck, err := DecodeCheckpoint(rec.After) // a copy: best outlives the walk
-			if err != nil || !begins[ck.Begin] || ck.Begin != pendBegin {
-				return true // torn/corrupt payload or unmatched pair: ignore
-			}
-			best = ck
-		}
-		return true
-	})
-	return best
+// LastCheckpoint returns the newest complete checkpoint the table has read:
+// the last RecCkptEnd record with a well-formed payload whose begin LSN
+// (Part) is the RecCkptBegin read last before it, decoded now. A begin
+// without an end does not hide the pair before it, nor does an end that
+// names an older begin or carries a torn payload. Nil when the table has
+// read no complete pair. A restart's table reads only what survived the
+// crash, so a checkpoint whose end record was torn off, or never flushed, is
+// invisible to it: the restart falls back to the previous complete pair, or
+// to a full replay when none exists.
+func (a *Analysis) LastCheckpoint() *Checkpoint {
+	ck, _ := DecodeCheckpoint(a.ckEnd) // a kept payload decodes; nil fails
+	return ck
 }

@@ -178,19 +178,29 @@ func DecodeFrame(buf []byte, r *Record) error {
 	return nil
 }
 
-// ValidPrefix returns the byte length of the longest prefix of buf that
-// parses as whole, CRC-valid record frames — the truncation point recovery
-// uses when a power failure leaves a torn or corrupt log tail. Exposed for
-// the torn-tail fuzzer.
-func ValidPrefix(buf []byte) int {
+// scanFrames reads buf frame by frame as Restart reads a segment after a
+// power failure: a frame counts when it passes its CRC, decodes to exactly
+// one record and, once a frame has counted (after > 0 on entry, or a frame
+// before it in buf), carries an LSN above the one before it. It appends the
+// end offset of every frame that counts to ends and stops at the first one
+// that does not — the torn or corrupt tail, if buf has one, starts at the
+// last offset appended (0 if none). It returns the extended ends and the
+// LSNs of the first and the last frame that counted (0 and after when none
+// did).
+func scanFrames(buf []byte, ends []int, after uint64) (_ []int, first, last uint64) {
 	var rec Record
-	off := 0
-	for off < len(buf) {
+	last = after
+	for off := 0; off < len(buf); {
 		n, err := decodeFrame(buf[off:], &rec)
-		if err != nil {
+		if err != nil || last > 0 && rec.LSN <= last {
 			break
 		}
+		if off == 0 {
+			first = rec.LSN
+		}
 		off += n
+		ends = append(ends, off)
+		last = rec.LSN
 	}
-	return off
+	return ends, first, last
 }

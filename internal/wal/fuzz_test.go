@@ -86,9 +86,9 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // FuzzTornTailRecovery feeds the frame scanner the physical crash states
 // recovery must survive: a run of valid frames followed by an arbitrary tail
 // — a torn prefix of the next frame, garbage, or a bit-flipped copy of a
-// complete frame. ValidPrefix (the truncation point Restart uses) must never
-// panic, must keep every intact leading frame, and must consume nothing but
-// whole frames.
+// complete frame. Restart's frame scan (scanFrames, whose valid prefix is
+// the truncation point) must never panic, must keep every intact leading
+// frame, and must consume nothing but whole frames.
 func FuzzTornTailRecovery(f *testing.F) {
 	frame := func(recs ...Record) []byte {
 		var buf []byte
@@ -114,40 +114,57 @@ func FuzzTornTailRecovery(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, valid []byte, tail []byte, flip int) {
 		// Only a frame-aligned valid part models a durable prefix.
-		valid = valid[:ValidPrefix(valid)]
+		valid = valid[:validPrefix(valid)]
 		if flip >= 0 && len(tail) > 0 {
 			tail = bytes.Clone(tail)
 			bit := flip % (len(tail) * 8)
 			tail[bit/8] ^= 1 << (bit % 8)
 		}
 		buf := append(bytes.Clone(valid), tail...)
-		vp := ValidPrefix(buf)
+		vp := validPrefix(buf)
 		if vp < len(valid) {
 			t.Fatalf("truncation lost intact frames: valid prefix %d < %d", vp, len(valid))
 		}
 		if vp > len(buf) {
 			t.Fatalf("valid prefix %d over-reads %d-byte log", vp, len(buf))
 		}
-		// The accepted prefix must decode as whole frames, exactly to vp.
+		// The accepted prefix must decode as whole frames of ascending LSNs,
+		// exactly to vp.
 		var rec Record
+		var last uint64
 		off := 0
 		for off < vp {
 			n, err := decodeFrame(buf[off:], &rec)
 			if err != nil {
 				t.Fatalf("accepted prefix fails to decode at %d: %v", off, err)
 			}
+			if last > 0 && rec.LSN <= last {
+				t.Fatalf("accepted prefix goes back from LSN %d to %d at %d", last, rec.LSN, off)
+			}
 			off += n
+			last = rec.LSN
 		}
 		if off != vp {
 			t.Fatalf("frames consume %d bytes, valid prefix says %d", off, vp)
 		}
-		// Maximality: the truncation point must actually be damage.
+		// Maximality: the truncation point must actually be damage — a frame
+		// that does not decode, or whose LSN does not ascend.
 		if vp < len(buf) {
-			if _, err := decodeFrame(buf[vp:], &rec); err == nil {
+			if _, err := decodeFrame(buf[vp:], &rec); err == nil && (last == 0 || rec.LSN > last) {
 				t.Fatalf("valid frame at %d beyond the reported prefix %d", vp, vp)
 			}
 		}
 	})
+}
+
+// validPrefix is the byte length of the frames at the front of buf that
+// Restart's scan keeps: where it truncates a segment holding buf.
+func validPrefix(buf []byte) int {
+	ends, _, _ := scanFrames(buf, nil, 0)
+	if len(ends) == 0 {
+		return 0
+	}
+	return ends[len(ends)-1]
 }
 
 // FuzzCheckpointCodec checks the checkpoint payload codec both ways: an
@@ -322,7 +339,7 @@ func FuzzAnalysisMatchesReference(f *testing.F) {
 			}
 		}
 
-		a := NewAnalysis(recs)
+		a := tableOf(recs)
 		if got := a.InDoubt(); !slices.Equal(got, wantInDoubt) {
 			t.Fatalf("in doubt = %v, want %v", got, wantInDoubt)
 		}

@@ -155,14 +155,14 @@ func FuzzMasterTornTailRecovery(f *testing.F) {
 	f.Add([]byte{}, frame(rDec), 3)
 
 	f.Fuzz(func(t *testing.T, valid []byte, tail []byte, flip int) {
-		valid = valid[:ValidPrefix(valid)]
+		valid = valid[:validPrefix(valid)]
 		if flip >= 0 && len(tail) > 0 {
 			tail = bytes.Clone(tail)
 			bit := flip % (len(tail) * 8)
 			tail[bit/8] ^= 1 << (bit % 8)
 		}
 		buf := append(bytes.Clone(valid), tail...)
-		vp := ValidPrefix(buf)
+		vp := validPrefix(buf)
 		if vp < len(valid) {
 			t.Fatalf("truncation lost intact frames: valid prefix %d < %d", vp, len(valid))
 		}

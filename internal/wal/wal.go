@@ -483,36 +483,26 @@ func (l *Log) Restart() int {
 	discarded := 0
 	lastValid := uint64(0)
 	keep := 0
-	var rec Record
-scan:
 	for i, s := range l.segs {
-		off := 0
-		s.ends = s.ends[:0]
-		first := true
-		for off < len(s.buf) {
-			n, err := decodeFrame(s.buf[off:], &rec)
-			if err == nil && lastValid > 0 && rec.LSN <= lastValid {
-				err = fmt.Errorf("wal: LSN %d not above %d", rec.LSN, lastValid)
-			}
-			if err != nil {
-				// Torn/corrupt tail: truncate here and drop everything after.
-				discarded += len(s.buf) - off
-				s.buf = s.buf[:off:off] // write-once: the next append reallocates
-				for _, t := range l.segs[i+1:] {
-					discarded += len(t.buf)
-				}
-				keep = i + 1
-				break scan
-			}
-			if first {
-				s.firstLSN = rec.LSN
-				first = false
-			}
-			off += n
-			s.ends = append(s.ends, off)
-			lastValid = rec.LSN
+		var first uint64
+		s.ends, first, lastValid = scanFrames(s.buf, s.ends[:0], lastValid)
+		if len(s.ends) > 0 {
+			s.firstLSN = first
 		}
 		keep = i + 1
+		off := 0
+		if len(s.ends) > 0 {
+			off = s.ends[len(s.ends)-1]
+		}
+		if off < len(s.buf) {
+			// Torn/corrupt tail: truncate here and drop everything after.
+			discarded += len(s.buf) - off
+			s.buf = s.buf[:off:off] // write-once: the next append reallocates
+			for _, t := range l.segs[i+1:] {
+				discarded += len(t.buf)
+			}
+			break
+		}
 	}
 	l.segs = l.segs[:keep]
 	// Drop segments the truncation emptied entirely.
@@ -789,11 +779,12 @@ func (l *Log) RetainedBytes() int64 {
 // Iterator walks the log's encoded segments, decoding one record per Next.
 // Each record's Key, Before and After alias the segment and stay valid after
 // later appends, rewrites and cuts, so callers may hold the records across
-// simulated time (a restart keeps its wal.Analysis through the partition
-// replays). It covers every retained byte — durable frames and, on a live
-// log, the appended-but-unflushed tail. Iteration stops at a torn or corrupt
-// frame (possible only on a crashed log that has not been through Restart);
-// Err reports whether the walk ended at damage rather than the clean end.
+// simulated time (a replay keeps its losers' records for the undo pass). It
+// covers every retained byte — durable frames and, on a live log, the
+// appended-but-unflushed tail. Iteration stops at a torn or corrupt frame
+// (possible only on a crashed log that has not been through Restart); Err
+// reports whether the walk ended at damage rather than the clean end. A copy
+// of an Iterator reads on from where the original stood.
 type Iterator struct {
 	segs []*logSegment
 	si   int
@@ -853,24 +844,6 @@ func (it *Iterator) Next(rec *Record) bool {
 // Err returns the decode error that stopped iteration, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// All drains the iterator into a new slice: a restart's whole recovered log,
-// which its analysis keeps for the replay. The records alias the log's
-// write-once bytes.
-func (it *Iterator) All() ([]Record, error) {
-	n := 0
-	for _, s := range it.segs[it.si:] {
-		n += len(s.ends) // one per frame; a partly read segment over-counts
-	}
-	recs := make([]Record, 0, n+1) // +1: the slot the final Next finds no record for
-	for {
-		recs = append(recs, Record{})
-		if !it.Next(&recs[len(recs)-1]) {
-			recs[len(recs)-1] = Record{} // a failed decode may have filled it in part
-			return recs[:len(recs)-1], it.err
-		}
-	}
-}
-
 // Target is the recovery interface to a partition: raw Put/Delete of
 // encoded tree values, bypassing concurrency control. RecoveryInstall
 // additionally rolls forward a prepare-time redo image, whose raw payload
@@ -889,25 +862,27 @@ type Decision struct {
 	TS cc.Timestamp
 }
 
-// Recover replays the log against targets (keyed by partition ID), one
-// partition after another in ascending ID order, each as a restart replays
-// it (ReplayPartition, from the log head). The records are decoded from the
-// iterator's segment bytes; a decode failure (torn tail not yet truncated by
-// Restart) fails recovery, as does a base or DML record for a partition
-// absent from targets.
+// Recover replays the log against targets (keyed by partition ID): it reads
+// the iterator into a transaction table, then replays one partition after
+// another in ascending ID order, each as a restart replays it
+// (ReplayPartition), over a copy of the iterator rewound to where it started.
+// A decode failure (torn tail not yet truncated by Restart) fails recovery,
+// as does a base or DML record for a partition absent from targets.
 func Recover(p *sim.Proc, it *Iterator, targets map[uint64]Target) (redone, undone int, err error) {
-	recs, err := it.All()
-	if err != nil {
+	head := *it
+	a := NewAnalysis()
+	for rec := (Record{}); it.Next(&rec); {
+		if _, ok := targets[rec.Part]; !ok && (rec.Type == RecBase || isDML(rec.Type)) {
+			return 0, 0, fmt.Errorf("wal: recovery for unknown partition %d", rec.Part)
+		}
+		a.Add(&rec)
+	}
+	if err := it.Err(); err != nil {
 		return 0, 0, err
 	}
-	for i := range recs {
-		if _, ok := targets[recs[i].Part]; !ok && (recs[i].Type == RecBase || isDML(recs[i].Type)) {
-			return 0, 0, fmt.Errorf("wal: recovery for unknown partition %d", recs[i].Part)
-		}
-	}
-	a := NewAnalysis(recs)
 	for _, part := range slices.Sorted(maps.Keys(targets)) {
-		st, err := a.ReplayPartition(p, part, 0, targets[part])
+		replay := head
+		st, err := a.ReplayPartition(p, &replay, part, targets[part])
 		redone, undone = redone+st.Redone, undone+st.Undone
 		if err != nil {
 			return redone, undone, err
@@ -923,20 +898,23 @@ func Recover(p *sim.Proc, it *Iterator, targets map[uint64]Target) (redone, undo
 // transactions pin the redo point, whose images refresh the recovery bases)
 // and the coordinator's post-election reconciliation — so the checkpoint's
 // redo point and the restart's replay can never disagree about a
-// transaction. A restart builds one from its whole recovered log
-// (NewAnalysis), which keeps the records for the replay and feeds every
-// per-partition replay, so concurrent partition replays (one sim proc each)
-// never repeat the scan. A live log's checkpoints and reconciliation keep
-// one between reads instead and add only the frames appended since
-// (IterFrom).
+// transaction. It keeps no records: a node keeps one table between its reads
+// and adds only the frames appended since (IterFrom from Next), and a
+// restart builds its table in the one read of its recovered log that also
+// finds the newest complete checkpoint (LastCheckpoint); each partition
+// replay then reads the log again from its own redo point, up to where the
+// table has read.
 //
 // Records with Txn 0 belong to no transaction (bases, ship wrappers,
 // checkpoint and coordinator records) and have no row.
 type Analysis struct {
-	recs      []Record
+	next      uint64 // one past the last LSN added (0: none)
 	txns      map[cc.TxnID]*TxnEntry
 	open      map[cc.TxnID]*TxnEntry // the rows in flight (InFlightSince)
 	decisions map[cc.TxnID]Decision
+
+	ckBegin uint64 // the last RecCkptBegin added
+	ckEnd   []byte // the newest complete checkpoint's payload (LastCheckpoint; nil: none)
 }
 
 // TxnEntry is one transaction's row in the transaction table.
@@ -949,21 +927,28 @@ type TxnEntry struct {
 	Committed bool     // a commit record is logged (End != 0 without it: aborted)
 }
 
-// NewAnalysis builds the transaction table of recs and keeps them for the
-// replay.
-func NewAnalysis(recs []Record) *Analysis {
-	a := &Analysis{recs: recs, txns: make(map[cc.TxnID]*TxnEntry), open: make(map[cc.TxnID]*TxnEntry),
+// NewAnalysis returns an empty transaction table.
+func NewAnalysis() *Analysis {
+	return &Analysis{txns: make(map[cc.TxnID]*TxnEntry), open: make(map[cc.TxnID]*TxnEntry),
 		decisions: make(map[cc.TxnID]Decision)}
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a
 }
 
 // Add enters the record that follows every record added so far into the
-// table. A prepare image keeps the record's slices, which alias the log's
-// write-once bytes as every log reader's do.
+// table. A prepare image keeps the record's slices, and the newest complete
+// checkpoint its end record's payload; both alias the log's write-once bytes
+// as every log reader's do.
 func (a *Analysis) Add(r *Record) {
+	a.next = r.LSN + 1
+	switch r.Type {
+	case RecCkptBegin:
+		a.ckBegin = r.LSN
+		return
+	case RecCkptEnd:
+		if _, _, err := checkpointCounts(r.After); err == nil && a.ckBegin != 0 && r.Part == a.ckBegin {
+			a.ckEnd = r.After
+		}
+		return
+	}
 	if r.Txn == 0 {
 		return
 	}
@@ -994,6 +979,10 @@ func (a *Analysis) Add(r *Record) {
 		t.Parts = append(t.Parts, r.Part)
 	}
 }
+
+// Next returns the LSN after the last record added: where the table's next
+// read of the log goes on (0 when nothing was added, i.e. the log head).
+func (a *Analysis) Next() uint64 { return a.next }
 
 // Txn returns id's row of the transaction table, nil when the log holds
 // none of its records.
@@ -1086,24 +1075,26 @@ func (s *ReplayStats) count(r *Record, redo bool) {
 	}
 }
 
-// ReplayPartition replays one partition's records from its checkpoint redo
-// low-water mark: redo the winners' operations in LSN order, then undo the
-// losers' in reverse order using before images. Both passes are idempotent,
-// matching the paper's requirement that "the log file is needed to
-// reconstruct partitions and to perform appropriate UNDO and REDO
-// operations". Every record below from is covered by the refreshed recovery
-// base and skipped, so replay work is bounded by the delta since the
-// checkpoint instead of the full retained history. from = 0 replays
-// everything (no checkpoint, or a partition the checkpoint never saw).
+// ReplayPartition replays one partition's records from where it starts
+// reading it — its checkpoint redo low-water mark, IterFrom(redo) — up to
+// where the table has read the log (Next): redo the winners' operations in
+// LSN order, then undo the losers' in reverse order using before images.
+// Both passes are idempotent, matching the paper's requirement that "the log
+// file is needed to reconstruct partitions and to perform appropriate UNDO
+// and REDO operations". Every record below the redo point is covered by the
+// refreshed recovery base and never read, so replay work is bounded by the
+// delta since the checkpoint instead of the full retained history. An
+// iterator from the log head replays everything (no checkpoint, or a
+// partition the checkpoint never saw).
 //
-// The redo filter is sound because a checkpoint lets nothing fall below
-// the redo point uncovered: a key whose latest committed image (DML or
-// base record) sits below was absorbed into the in-memory recovery base
-// the restart pre-applies, and every transaction the checkpoint's own
-// Analysis found in flight (InFlightSince) pins the redo point at its first
-// LSN — the same transaction table this replay reads — so every record a
-// restart could need to roll forward, or undo, sits at or above from.
-func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (st ReplayStats, err error) {
+// Starting at the redo point is sound because a checkpoint lets nothing fall
+// below it uncovered: a key whose latest committed image (DML or base
+// record) sits below was absorbed into the in-memory recovery base the
+// restart pre-applies, and every transaction the checkpoint's own Analysis
+// found in flight (InFlightSince) pins the redo point at its first LSN — the
+// same transaction table this replay reads — so every record a restart could
+// need to roll forward, or undo, sits at or above it.
+func (a *Analysis) ReplayPartition(p *sim.Proc, it *Iterator, part uint64, tgt Target) (st ReplayStats, err error) {
 	// Redo winners forward. Base images redo unconditionally (Txn = 0; a
 	// bulk-load base precedes any DML on its keys, and a segment-adoption
 	// base — which may supersede older DML — lands at its append position,
@@ -1112,10 +1103,12 @@ func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (
 	// rolled-forward in-doubt branch) installs its prepare-time images at
 	// the decided timestamp; when the commit record is durable the
 	// preceding phase-two records already carry the final values, so the
-	// prepare images are redundant and skipped.
-	for i := range a.recs {
-		r := &a.recs[i]
-		if r.LSN < from || r.Part != part {
+	// prepare images are redundant and skipped. The losers' records are kept
+	// for the undo pass.
+	end := a.next
+	var losers []Record
+	for r := (Record{}); it.Next(&r) && r.LSN < end; {
+		if r.Part != part {
 			continue
 		}
 		switch d, decided := a.decisions[r.Txn]; {
@@ -1126,7 +1119,10 @@ func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (
 				continue
 			}
 			err = tgt.RecoveryInstall(p, r.Key, r.After, d.TS, r.Type == RecPrepDel)
-		case !isDML(r.Type) || !a.Winner(r.Txn):
+		case !isDML(r.Type):
+			continue
+		case !a.Winner(r.Txn):
+			losers = append(losers, r)
 			continue
 		case r.After != nil:
 			err = tgt.RecoveryPut(p, r.Key, r.After)
@@ -1136,19 +1132,19 @@ func (a *Analysis) ReplayPartition(p *sim.Proc, part, from uint64, tgt Target) (
 		if err != nil {
 			return st, err
 		}
-		st.count(r, true)
+		st.count(&r, true)
+	}
+	if err := it.Err(); err != nil {
+		return st, err
 	}
 	// Undo losers backward (anything neither committed locally nor decided
 	// committed by the coordinator). Prepare-time images are never undone:
 	// nothing was installed before the commit point, so there is nothing to
-	// compensate. A loser below the redo filter is a dead one from before
-	// an earlier restart — its effects were never replayed into the fresh
+	// compensate. A loser below the redo point is a dead one from before an
+	// earlier restart — its effects were never replayed into the fresh
 	// partition, so there is nothing to undo there either.
-	for i := len(a.recs) - 1; i >= 0; i-- {
-		r := &a.recs[i]
-		if !isDML(r.Type) || a.Winner(r.Txn) || r.LSN < from || r.Part != part {
-			continue
-		}
+	for i := len(losers) - 1; i >= 0; i-- {
+		r := &losers[i]
 		if r.Before != nil {
 			err = tgt.RecoveryPut(p, r.Key, r.Before)
 		} else {

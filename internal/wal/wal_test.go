@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,25 @@ func logOf(env *sim.Env, recs []Record) *Log {
 		l.Append(recs[i])
 	}
 	return l
+}
+
+// readAll decodes every retained record of l, up to the first damaged frame.
+func readAll(l *Log) ([]Record, error) {
+	var recs []Record
+	it := l.Iter()
+	for r := (Record{}); it.Next(&r); {
+		recs = append(recs, r)
+	}
+	return recs, it.Err()
+}
+
+// tableOf adds recs, in order, to a new transaction table.
+func tableOf(recs []Record) *Analysis {
+	a := NewAnalysis()
+	for i := range recs {
+		a.Add(&recs[i])
+	}
+	return a
 }
 
 func TestAppendAssignsLSNs(t *testing.T) {
@@ -230,7 +250,7 @@ func TestLogBytesWriteOnce(t *testing.T) {
 	}
 	flush()
 	read := func() []Record {
-		recs, err := l.Iter().All()
+		recs, err := readAll(l)
 		if err != nil {
 			t.Fatalf("iterate: %d records, %v", len(recs), err)
 		}
@@ -244,7 +264,7 @@ func TestLogBytesWriteOnce(t *testing.T) {
 	}
 	hold := func() (hs []held) {
 		keep := func(what string, b []byte) { hs = append(hs, held{what, b, bytes.Clone(b)}) }
-		recs, _ := l.Iter().All() // up to the first damaged frame
+		recs, _ := readAll(l) // up to the first damaged frame
 		for _, r := range recs {
 			keep(fmt.Sprintf("iterator record %d key", r.LSN), r.Key)
 			keep(fmt.Sprintf("iterator record %d after", r.LSN), r.After)
@@ -380,7 +400,7 @@ func TestPhysicalRoundTrip(t *testing.T) {
 	if len(l.segs) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(l.segs))
 	}
-	got, err := l.Iter().All()
+	got, err := readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +464,7 @@ func TestCheckpointAndTruncateRecyclesSegments(t *testing.T) {
 	if l.RetainedBytes() >= before {
 		t.Fatal("truncate kept old segments")
 	}
-	recs, err := l.Iter().All()
+	recs, err := readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +499,7 @@ func TestPinBeforeFencesTruncation(t *testing.T) {
 	// Frames 3..6 are flushed but unshipped: fence them.
 	l.PinBefore(3)
 	l.TruncateBefore(ck)
-	recs, err := l.Iter().All()
+	recs, err := readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +515,7 @@ func TestPinBeforeFencesTruncation(t *testing.T) {
 	// pending truncation work becomes reclaimable.
 	l.PinBefore(ck)
 	l.TruncateBefore(ck)
-	recs, err = l.Iter().All()
+	recs, err = readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +528,8 @@ func TestPinBeforeFencesTruncation(t *testing.T) {
 // checkpoints: only a complete, durable RecCkptBegin/RecCkptEnd pair counts.
 // A crash between begin and end — or one that tears or fails to flush the
 // end record — must fall back to the previous complete checkpoint, never to
-// the half-written one.
+// the half-written one. Each check is what a restart finds: the log crashes
+// and restarts, and a transaction table reads what it recovered.
 func TestLastCheckpointTornPairFallback(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -519,7 +540,17 @@ func TestLastCheckpointTornPairFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.LastCheckpoint() != nil {
+	restarted := func() *Checkpoint {
+		t.Helper()
+		l.Crash()
+		l.Restart()
+		recs, err := readAll(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tableOf(recs).LastCheckpoint()
+	}
+	if restarted() != nil {
 		t.Fatal("empty log reported a checkpoint")
 	}
 	l.Append(Record{Type: RecInsert, Txn: 1, Key: []byte("a"), After: []byte("1")})
@@ -529,7 +560,7 @@ func TestLastCheckpointTornPairFallback(t *testing.T) {
 	e1 := l.Append(Record{Type: RecCkptEnd, Part: b1,
 		After: EncodeCheckpoint(nil, &Checkpoint{Begin: b1, Redo: b1, Parts: []CkptPart{{ID: 7, Redo: b1}}})})
 	force(e1)
-	ck := l.LastCheckpoint()
+	ck := restarted()
 	if ck == nil || ck.Begin != b1 || ck.PartRedo(7) != b1 {
 		t.Fatalf("complete pair not found: %+v", ck)
 	}
@@ -537,14 +568,14 @@ func TestLastCheckpointTornPairFallback(t *testing.T) {
 	// A dangling begin (crash before the end record) must not advance it.
 	b2 := l.Append(Record{Type: RecCkptBegin})
 	force(b2)
-	if ck := l.LastCheckpoint(); ck == nil || ck.Begin != b1 {
+	if ck := restarted(); ck == nil || ck.Begin != b1 {
 		t.Fatalf("dangling begin advanced the checkpoint: %+v", ck)
 	}
 
 	// An end record with a torn (undecodable) payload is ignored.
 	bad := l.Append(Record{Type: RecCkptEnd, Part: b2, After: []byte{1, 2, 3}})
 	force(bad)
-	if ck := l.LastCheckpoint(); ck == nil || ck.Begin != b1 {
+	if ck := restarted(); ck == nil || ck.Begin != b1 {
 		t.Fatalf("torn end payload advanced the checkpoint: %+v", ck)
 	}
 
@@ -553,20 +584,21 @@ func TestLastCheckpointTornPairFallback(t *testing.T) {
 	stale := l.Append(Record{Type: RecCkptEnd, Part: b1,
 		After: EncodeCheckpoint(nil, &Checkpoint{Begin: b1, Redo: b1})})
 	force(stale)
-	if ck := l.LastCheckpoint(); ck == nil || ck.Begin != b1 {
+	if ck := restarted(); ck == nil || ck.Begin != b1 {
 		t.Fatalf("stale end advanced the checkpoint: %+v", ck)
 	}
 
 	// A complete second pair is invisible while its end record sits in the
-	// unflushed tail (a crash now would tear it off the platter)...
-	e2 := l.Append(Record{Type: RecCkptEnd, Part: b2,
-		After: EncodeCheckpoint(nil, &Checkpoint{Begin: b2, Redo: b2, Parts: []CkptPart{{ID: 7, Redo: b2}}})})
-	if ck := l.LastCheckpoint(); ck == nil || ck.Begin != b1 {
-		t.Fatalf("unflushed end already visible: %+v", ck)
+	// unflushed tail (the crash tears it off the platter)...
+	e2 := Record{Type: RecCkptEnd, Part: b2,
+		After: EncodeCheckpoint(nil, &Checkpoint{Begin: b2, Redo: b2, Parts: []CkptPart{{ID: 7, Redo: b2}}})}
+	l.Append(e2)
+	if ck := restarted(); ck == nil || ck.Begin != b1 {
+		t.Fatalf("unflushed end survived the crash: %+v", ck)
 	}
 	// ...and wins once durable.
-	force(e2)
-	if ck := l.LastCheckpoint(); ck == nil || ck.Begin != b2 || ck.PartRedo(7) != b2 {
+	force(l.Append(e2))
+	if ck := restarted(); ck == nil || ck.Begin != b2 || ck.PartRedo(7) != b2 {
 		t.Fatalf("durable second pair not selected: %+v", ck)
 	}
 }
@@ -591,7 +623,7 @@ func TestTruncateBeforeExactPinBoundary(t *testing.T) {
 	const pin = 4
 	l.PinBefore(pin)
 	l.TruncateBefore(last) // checkpoint wants everything below `last` gone
-	recs, err := l.Iter().All()
+	recs, err := readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +656,7 @@ func TestCrashDiscardsUnflushedBytes(t *testing.T) {
 	if discarded := l.Restart(); discarded != 0 {
 		t.Fatalf("clean crash discarded %d bytes on restart", discarded)
 	}
-	recs, err := l.Iter().All()
+	recs, err := readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +689,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if discarded := l.Restart(); discarded != torn {
 			t.Fatalf("keep=%d: restart discarded %d bytes, want %d", keep, discarded, torn)
 		}
-		recs, err := l.Iter().All()
+		recs, err := readAll(l)
 		if err != nil {
 			t.Fatalf("keep=%d: log not clean after torn-tail truncation: %v", keep, err)
 		}
@@ -694,7 +726,7 @@ func TestBitFlipTailTruncated(t *testing.T) {
 			t.Fatalf("flip=%d: restart discarded %d bytes, want %d (CRC must reject the flipped frame)",
 				flip, discarded, frameLen)
 		}
-		recs, err := l.Iter().All()
+		recs, err := readAll(l)
 		if err != nil {
 			t.Fatalf("flip=%d: log not clean after bit-flip truncation: %v", flip, err)
 		}
@@ -860,17 +892,17 @@ func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 		// Crash-state disk image: txn 6's partial install is present.
 		tr.Put(p, k(2), []byte("doomed"), 0)
 		tr.Put(p, k(4), []byte("scribble"), 0)
-		recs, err := l.Iter().All()
+		recs, err := readAll(l)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		a := NewAnalysis(recs)
+		a := tableOf(recs)
 		if got := a.InDoubt(); !slices.Equal(got, []cc.TxnID{5, 6}) {
 			t.Errorf("in doubt = %v, want [5 6]", got)
 		}
 		a.Decide(5, Decision{TS: 77})
-		st, err := a.ReplayPartition(p, 1, 0, treeTarget{tr})
+		st, err := a.ReplayPartition(p, l.Iter(), 1, treeTarget{tr})
 		if err != nil {
 			t.Error(err)
 			return
@@ -893,6 +925,112 @@ func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingTarget records every call a replay makes, in order.
+type recordingTarget struct{ calls []string }
+
+func (r *recordingTarget) RecoveryPut(_ *sim.Proc, key, val []byte) error {
+	r.calls = append(r.calls, fmt.Sprintf("put %s=%s", key, val))
+	return nil
+}
+
+func (r *recordingTarget) RecoveryDelete(_ *sim.Proc, key []byte) error {
+	r.calls = append(r.calls, fmt.Sprintf("delete %s", key))
+	return nil
+}
+
+func (r *recordingTarget) RecoveryInstall(_ *sim.Proc, key, val []byte, ts cc.Timestamp, deleted bool) error {
+	r.calls = append(r.calls, fmt.Sprintf("install %s=%s at %d deleted=%v", key, val, ts, deleted))
+	return nil
+}
+
+// TestReplayPartitionCallOrder pins every call a partition replay makes, in
+// order, and its ReplayStats, for a replay that starts inside the log: the
+// records below its start are never applied, the redo pass applies bases,
+// winners and a decided in-doubt branch's images in LSN order, the undo pass
+// rolls the losers back newest first — a loser with three images of one key
+// ends at its oldest before image — and nothing appended after the table's
+// read is replayed.
+func TestReplayPartitionCallOrder(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	l.SetSegmentBytes(128) // the replay crosses segments
+	b := func(s string) []byte { return []byte(s) }
+	recs := []Record{
+		{Type: RecBase, Part: 1, Key: b("k0"), After: b("b0")}, // below the start
+		{Type: RecInsert, Txn: 1, Part: 1, Key: b("k1"), After: b("w1")},
+		{Type: RecCommit, Txn: 1},
+		{Type: RecBase, Part: 1, Key: b("kb"), After: b("base")}, // the replay starts here
+		{Type: RecUpdate, Txn: 2, Part: 1, Key: b("ka"), Before: b("a0"), After: b("a1")},
+		{Type: RecUpdate, Txn: 3, Part: 1, Key: b("kl"), Before: b("l0"), After: b("l1")},
+		{Type: RecUpdate, Txn: 2, Part: 2, Key: b("kx"), Before: b("x0"), After: b("x1")}, // another partition
+		{Type: RecUpdate, Txn: 3, Part: 1, Key: b("kl"), Before: b("l1"), After: b("l2")},
+		{Type: RecDelete, Txn: 2, Part: 1, Key: b("kd"), Before: b("d0")},
+		{Type: RecCommit, Txn: 2},
+		{Type: RecPrepDML, Txn: 4, Part: 1, Key: b("kp"), After: b("p1")},
+		{Type: RecPrepDel, Txn: 4, Part: 1, Key: b("kq")},
+		{Type: RecPrepare, Txn: 4},
+		{Type: RecDelete, Txn: 3, Part: 1, Key: b("kl"), Before: b("l2")},
+		{Type: RecInsert, Txn: 3, Part: 1, Key: b("kn"), After: b("n1")},
+		{Type: RecPrepDML, Txn: 5, Part: 1, Key: b("kz"), After: b("z1")},
+		{Type: RecPrepare, Txn: 5},
+		{Type: RecUpdate, Txn: 5, Part: 1, Key: b("ky"), Before: b("y0"), After: b("y1")},
+	}
+	for i := range recs {
+		recs[i].LSN = l.Append(recs[i])
+	}
+	const from = 4
+	a := NewAnalysis()
+	it := l.Iter()
+	for r := (Record{}); it.Next(&r); {
+		a.Add(&r)
+	}
+	a.Decide(4, Decision{TS: 77})
+	// Appended after the table's read: no replay may apply them.
+	l.Append(Record{Type: RecBase, Part: 1, Key: b("late"), After: b("base")})
+	l.Append(Record{Type: RecInsert, Txn: 6, Part: 1, Key: b("late6"), After: b("v")})
+	l.Append(Record{Type: RecCommit, Txn: 6})
+
+	want := []string{
+		"put kb=base",
+		"put ka=a1",
+		"delete kd",
+		"install kp=p1 at 77 deleted=false",
+		"install kq= at 77 deleted=true",
+		"put ky=y0",
+		"delete kn",
+		"put kl=l2",
+		"put kl=l1",
+		"put kl=l0",
+	}
+	var wantSt ReplayStats
+	for _, lsn := range []uint64{4, 5, 9, 11, 12} {
+		wantSt.Redone++
+		wantSt.Bytes += recs[lsn-1].FrameSize()
+	}
+	for _, lsn := range []uint64{18, 15, 14, 8, 6} {
+		wantSt.Undone++
+		wantSt.Bytes += recs[lsn-1].FrameSize()
+	}
+	wantSt.MinApplied = from
+	tgt := &recordingTarget{}
+	var st ReplayStats
+	var err error
+	env.Spawn("replay", func(p *sim.Proc) { st, err = a.ReplayPartition(p, l.IterFrom(from), 1, tgt) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tgt.calls, want) {
+		t.Fatalf("replay calls:\n  %s\nwant:\n  %s", strings.Join(tgt.calls, "\n  "), strings.Join(want, "\n  "))
+	}
+	if st != wantSt {
+		t.Fatalf("replay stats %+v, want %+v", st, wantSt)
 	}
 }
 
