@@ -27,13 +27,13 @@ import (
 //     node's kept transaction table up on the frames appended since the
 //     last read (logFold; after a crash, a wipe, a rewritten frame or a
 //     truncation the next read takes the whole log once — after a crash
-//     that read is the restart's), derive each
-//     hosted partition's redo low-water mark — the minimum of the begin
-//     LSN, the recLSNs of its still-dirty pages, and the first LSNs of
-//     unresolved transactions touching it — and refresh the partition
-//     recovery bases with the latest committed image of every key whose
-//     image falls below that mark, reading the log from the previous scan's
-//     redo point on: every image below it was folded then. The refresh only adds already-durable
+//     that read is the restart's), derive each hosted partition's redo
+//     low-water mark — the minimum of the begin LSN, the recLSNs of its
+//     still-dirty pages, and the first LSNs of unresolved transactions
+//     touching it — and refresh the partition recovery bases with the
+//     latest committed image of every key whose image falls below that
+//     mark, reading the log from the previous scan's redo point on: every
+//     image below it was folded then. The refresh only adds already-durable
 //     committed information to the (durably modeled) base store, so a crash
 //     at any step leaves restart correct: replay from the previous
 //     checkpoint re-applies the refreshed keys' source records last in LSN
@@ -89,8 +89,8 @@ type RecoveryStats struct {
 // truncation. Every step is a crash point ("ckpt.*"); a node that crashes
 // mid-checkpoint simply aborts — the torn pair is invisible to the restart's
 // table (wal.Analysis.LastCheckpoint), which falls back to the previous
-// complete checkpoint. Returns the work done; a nil error with EndLSN 0 means the
-// checkpoint did not complete.
+// complete checkpoint. Returns the work done; a nil error with EndLSN 0
+// means the checkpoint did not complete.
 func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (CheckpointStats, error) {
 	var st CheckpointStats
 	if n.crashed || n.diskLost || n.Log.Down() {

@@ -180,13 +180,12 @@ func DecodeFrame(buf []byte, r *Record) error {
 
 // scanFrames reads buf frame by frame as Restart reads a segment after a
 // power failure: a frame counts when it passes its CRC, decodes to exactly
-// one record and, once a frame has counted (after > 0 on entry, or a frame
-// before it in buf), carries an LSN above the one before it. It appends the
-// end offset of every frame that counts to ends and stops at the first one
-// that does not — the torn or corrupt tail, if buf has one, starts at the
-// last offset appended (0 if none). It returns the extended ends and the
-// LSNs of the first and the last frame that counted (0 and after when none
-// did).
+// one record, and carries an LSN above the last one counted (after, for the
+// first frame of buf) unless that is 0. It appends the end offset of every
+// frame that counts to ends and stops at the first one that does not — the
+// torn or corrupt tail, if buf has one, starts at the last offset appended
+// (0 if none). It returns the extended ends and the LSNs of the first and
+// the last frame that counted (0 and after when none did).
 func scanFrames(buf []byte, ends []int, after uint64) (_ []int, first, last uint64) {
 	var rec Record
 	last = after

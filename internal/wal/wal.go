@@ -1075,10 +1075,11 @@ func (s *ReplayStats) count(r *Record, redo bool) {
 	}
 }
 
-// ReplayPartition replays one partition's records from where it starts
-// reading it — its checkpoint redo low-water mark, IterFrom(redo) — up to
-// where the table has read the log (Next): redo the winners' operations in
-// LSN order, then undo the losers' in reverse order using before images.
+// ReplayPartition replays one partition's records, reading the log through
+// it — from the partition's checkpoint redo low-water mark, IterFrom(redo) —
+// up to where the table has read the log (Next): redo the winners'
+// operations in LSN order, then undo the losers' in reverse order using
+// before images.
 // Both passes are idempotent, matching the paper's requirement that "the log
 // file is needed to reconstruct partitions and to perform appropriate UNDO
 // and REDO operations". Every record below the redo point is covered by the
