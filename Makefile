@@ -1,7 +1,7 @@
 GO ?= go
 
 # Hot-path micro-benchmarks run by bench-micro.
-BENCH_PATTERN ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan|BenchmarkCheckpointScan
+BENCH_PATTERN ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan|BenchmarkCheckpointScan|BenchmarkFollowerRestart
 
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25
@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench cover fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -30,6 +30,15 @@ test-race:
 ## bench/ is a module of its own, so `go test ./...` at the root never sees them
 test-bench:
 	cd bench && $(GO) test ./...
+
+## cover: which paths the tier-1 suite exercises — go test ./... with every
+## internal package instrumented whichever package's tests reach it, then
+## the per-function coverage (go tool cover -func); the profile stays in
+## .bench_build/cover.out for go tool cover -html (~45 s)
+cover:
+	@mkdir -p .bench_build
+	$(GO) test -coverpkg=./internal/... -coverprofile=.bench_build/cover.out ./...
+	$(GO) tool cover -func=.bench_build/cover.out
 
 ## fig3: the paper's MVCC-vs-locking figure at benchmark scale, once, with its
 ## shape assertions (MVCC out-runs MGL-RX at 0 / 50 / 100 % updates while half

@@ -727,57 +727,11 @@ func BenchmarkTableScanBatch(b *testing.B) {
 func BenchmarkCheckpointScan(b *testing.B) {
 	for _, x := range []int{1, 8} {
 		b.Run(fmt.Sprintf("retained=x%d", x), func(b *testing.B) {
-			env := sim.NewEnv(1)
+			env, c := replicatedPair(b)
 			defer env.Close()
-			cfg := cluster.DefaultConfig()
-			cfg.Nodes, cfg.DataReplicas = 2, 1
-			c := cluster.New(env, cfg)
-			c.Nodes[1].HW.ForceActive()
-			schema := &table.Schema{
-				ID: 1, Name: "kv", KeyCols: 1,
-				Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
-			}
-			mid := keycodec.Int64Key(100)
-			if _, err := c.Master.CreateTable(schema, table.Physiological, []cluster.RangeSpec{
-				{High: mid, Owner: c.Nodes[0]}, {Low: mid, Owner: c.Nodes[1]},
-			}); err != nil {
-				b.Fatal(err)
-			}
-			env.Spawn("load", func(p *sim.Proc) {
-				i := int64(0)
-				if err := c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
-					if i == 200 {
-						return nil, nil, false
-					}
-					row := table.Row{i, "v"}
-					key, _ := schema.Key(row)
-					payload, _ := schema.EncodeRow(row)
-					i++
-					return key, payload, true
-				}); err != nil {
-					b.Error(err)
-				}
-			})
-			if err := env.Run(); err != nil {
-				b.Fatal(err)
-			}
 			c.SetupReplicationDrain() // node 0's base images: node 1's first wrappers
 			n := c.Nodes[1]
-			var part uint64
-			for id := range n.Parts {
-				part = uint64(id)
-			}
-			val := table.EncodeValue(cc.Version{TS: 1, Val: []byte("v")})
-			txn := cc.TxnID(1 << 40)
-			commits := func(k int) { // three frames each
-				for ; k > 0; k-- {
-					txn++
-					key := keycodec.Int64Key(100 + int64(txn%100))
-					n.Log.Append(wal.Record{Txn: txn, Type: wal.RecUpdate, Part: part, Key: key, After: val})
-					n.Log.Append(wal.Record{Txn: txn, Type: wal.RecInsert, Part: part, Key: key, After: val})
-					n.Log.Append(wal.Record{Txn: txn, Type: wal.RecCommit})
-				}
-			}
+			commits := commitAppender(n)
 			env.Spawn("bench", func(p *sim.Proc) {
 				commits(4096 * x / 3)
 				if _, err := c.CheckpointNode(p, n, 0); err != nil { // the first reads it all
@@ -798,5 +752,103 @@ func BenchmarkCheckpointScan(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkFollowerRestart measures one power failure and restart
+// (cluster.CrashNode, cluster.RestartNode) of node 1, whose log holds node
+// 0's shipped stream of 4 096 committed-update frames (x1) or 32 768 (x8),
+// wrapped and durable, beside its own bulk-load base images. The restart reads
+// its own log, and its two resyncs each walk an origin's retained log and the
+// follower's whole copy of it, and the one from node 0 ships that origin's
+// log again, so ns/op and allocs/op grow with the history — the cost replica
+// images (ROADMAP item 5) are to bound. Every op restarts a cluster of its
+// own, built with the timer stopped.
+func BenchmarkFollowerRestart(b *testing.B) {
+	for _, x := range []int{1, 8} {
+		b.Run(fmt.Sprintf("retained=x%d", x), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				env, c := replicatedPair(b)
+				commitAppender(c.Nodes[0])(4096 * x / 3)
+				c.SetupReplicationDrain() // node 0's whole log: node 1's wrappers
+				f := c.Nodes[1]
+				b.StartTimer()
+				env.Spawn("restart", func(p *sim.Proc) {
+					c.CrashNode(f)
+					if _, _, err := c.RestartNode(p, f); err != nil {
+						b.Error(err)
+					}
+				})
+				if err := env.Run(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				env.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// replicatedPair is the two-node cluster of the log benchmarks: each node
+// follows the other (DataReplicas 1), and a kv table of 200 rows, split at key
+// 100 between node 0 and node 1, is bulk-loaded and not yet shipped.
+func replicatedPair(b *testing.B) (*sim.Env, *cluster.Cluster) {
+	env := sim.NewEnv(1)
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes, cfg.DataReplicas = 2, 1
+	c := cluster.New(env, cfg)
+	c.Nodes[1].HW.ForceActive()
+	schema := &table.Schema{
+		ID: 1, Name: "kv", KeyCols: 1,
+		Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
+	}
+	mid := keycodec.Int64Key(100)
+	if _, err := c.Master.CreateTable(schema, table.Physiological, []cluster.RangeSpec{
+		{High: mid, Owner: c.Nodes[0]}, {Low: mid, Owner: c.Nodes[1]},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	env.Spawn("load", func(p *sim.Proc) {
+		i := int64(0)
+		if err := c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
+			if i == 200 {
+				return nil, nil, false
+			}
+			row := table.Row{i, "v"}
+			key, _ := schema.Key(row)
+			payload, _ := schema.EncodeRow(row)
+			i++
+			return key, payload, true
+		}); err != nil {
+			b.Error(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return env, c
+}
+
+// commitAppender returns a function that appends k committed transactions to
+// n's log, three frames each: an update and an insert of one key of n's
+// partition in replicatedPair, and the commit.
+func commitAppender(n *cluster.DataNode) func(k int) {
+	var part uint64
+	for id := range n.Parts {
+		part = uint64(id)
+	}
+	val := table.EncodeValue(cc.Version{TS: 1, Val: []byte("v")})
+	txn := cc.TxnID(1 << 40)
+	return func(k int) {
+		for ; k > 0; k-- {
+			txn++
+			key := keycodec.Int64Key(100*int64(n.ID) + int64(txn%100))
+			n.Log.Append(wal.Record{Txn: txn, Type: wal.RecUpdate, Part: part, Key: key, After: val})
+			n.Log.Append(wal.Record{Txn: txn, Type: wal.RecInsert, Part: part, Key: key, After: val})
+			n.Log.Append(wal.Record{Txn: txn, Type: wal.RecCommit})
+		}
 	}
 }

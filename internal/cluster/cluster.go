@@ -170,7 +170,7 @@ type DataNode struct {
 	Locks   *cc.LockManager
 	cluster *Cluster
 
-	diskRR int // round-robin over data disks for new segments
+	diskRR int // nextDataDisk's round-robin position
 
 	// Commits registers every commit with a branch on this node from its
 	// commit point until that branch is forced, with or without replication:
@@ -243,11 +243,17 @@ func (n *DataNode) Deps() table.Deps {
 // this node's data disks.
 func (n *DataNode) NewSegment(p *sim.Proc) (*storage.Segment, error) {
 	seg := storage.NewSegment(n.cluster.NextSegID(), n.cluster.Cal.PageSize, n.cluster.Cal.SegmentPages)
+	n.cluster.registerSegment(seg, n, n.nextDataDisk())
+	return seg, nil
+}
+
+// nextDataDisk picks the data disk for a segment arriving on this node —
+// allocated, adopted or moved here — round-robin over the node's data disks.
+func (n *DataNode) nextDataDisk() *hw.Disk {
 	disks := n.HW.DataDisks()
 	disk := disks[n.diskRR%len(disks)]
 	n.diskRR++
-	n.cluster.registerSegment(seg, n, disk)
-	return seg, nil
+	return disk
 }
 
 // Pager implements table.PagerFactory: buffered access through this node's
@@ -265,10 +271,7 @@ func (n *DataNode) DropSegment(p *sim.Proc, id storage.SegID) {
 // AdoptShippedSegment homes an arriving segment locally (physiological
 // migration target side).
 func (n *DataNode) AdoptShippedSegment(seg *storage.Segment) {
-	disks := n.HW.DataDisks()
-	disk := disks[n.diskRR%len(disks)]
-	n.diskRR++
-	n.cluster.registerSegment(seg, n, disk)
+	n.cluster.registerSegment(seg, n, n.nextDataDisk())
 }
 
 // nodeBackend implements buffer.Backend and buffer.Allocator with full disk

@@ -264,7 +264,7 @@ func TestForceShipTargetOnUnshippedFrame(t *testing.T) {
 		tc.env.After(5*time.Millisecond, func() {
 			// Long before the origin's 21.75 ms force returns, the follower
 			// holds the frame durably.
-			held, _ := durableShippedFrames(f, origin.ID)
+			held, _ := streamCopy(f, origin.ID, f.Log.FlushedLSN())
 			shipped = held.get(own) != nil && origin.Log.FlushedLSN() < own
 		})
 		if !c.forceShip(p, origin, own, 0, false) {
@@ -285,7 +285,7 @@ func TestForceShipTargetOnUnshippedFrame(t *testing.T) {
 		if c.forceShip(p, origin, lost, 0, false) {
 			t.Error("a wait without park survived the origin's power failure")
 		}
-		if held, _ := durableShippedFrames(f, origin.ID); held.get(lost) == nil || origin.Log.FlushedLSN() >= lost {
+		if held, _ := streamCopy(f, origin.ID, f.Log.FlushedLSN()); held.get(lost) == nil || origin.Log.FlushedLSN() >= lost {
 			t.Error("setup: the crash did not leave the follower holding a frame the origin lost")
 		}
 		p.Sleep(time.Second)

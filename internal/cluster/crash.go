@@ -15,7 +15,7 @@ import (
 )
 
 // This file implements node power failure and restart as first-class
-// cluster operations (previously only scripted inside recovery tests).
+// cluster operations.
 //
 // Crash model. A power failure destroys everything volatile on the node:
 // the buffer pool (dirty pages included), the lock table, MVCC version
@@ -180,11 +180,22 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	started := p.Now()
 	n.HW.PowerOn(p)
 	// Salvage the damaged log's readable frames before Restart's byte scan
-	// truncates at the first bad frame: if the restart turns into a rebuild,
-	// the node's own surviving frames merge with the replica copies.
+	// truncates at the first bad frame and destroys every readable frame
+	// behind it (the in-memory offset map survives the power failure model,
+	// as it does for the scrubber's CheckFlushed walk): if the restart turns
+	// into a rebuild, the node's own durable shippable frames — the one
+	// source sure to cover everything it acked locally — merge with the
+	// replica copies. Rot on the node and a destroyed follower disk can each
+	// eat a different part of the stream.
 	var sv frameSet
 	if c.drep != nil {
-		sv = salvageOwnFrames(n)
+		sv, _ = streamCopy(n, n.ID, n.Log.FlushedLSN())
+		for i, frame := range sv.frames {
+			// A copy, for memory: the frames outlive the WipeDisk that
+			// follows and the rebuilt n.bases keep them, while an alias
+			// would pin the whole discarded segment.
+			sv.frames[i] = bytes.Clone(frame)
+		}
 	}
 	n.Log.Restart()
 	// Total durable loss — a wiped disk, or bit rot that ate into acked

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"slices"
 	"sort"
 	"strings"
@@ -52,7 +51,11 @@ import (
 // a frame the origin lost. Every restart opens a new generation and records
 // what survived it (shipState.lineage); followers learn it from the reset
 // marker of their next resync, and until then shippedCopy cuts their copy at
-// the same boundary.
+// the same boundary. Every copy of a stream on a disk — an origin's own
+// shippable frames or a follower's wrappers — is read by one function,
+// streamCopy: the restart's salvage, both sides of a resync, RotEligible and
+// the scrubber, the election and the rebuild. Everyone but the rebuild, which
+// ranks whole copies, reads a follower's copy through shippedCopy.
 
 // shipRetryDelay paces every wait for a usable follower: forceShip's, and a
 // commit decision's while the coordinator is fenced or cut off.
@@ -1056,19 +1059,11 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 	// stopped at the origin's flushed boundary would leave f without those
 	// still above it, for good.
 	_, through := sh.shippable(origin.Log)
-	var frames []shipItem
+	frames, _ := streamCopy(origin, origin.ID, through)
 	var total int64
-	origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		if rec.LSN > through {
-			return false
-		}
-		if !wal.Shippable(rec) {
-			return true
-		}
-		frames = append(frames, shipItem{lsn: rec.LSN, frame: frame})
+	for _, frame := range frames.frames {
 		total += int64(len(frame)) + shipWireOverhead
-		return true
-	})
+	}
 	c.Net.Transfer(p, origin.ID, f.ID, total+shipWireOverhead)
 	if origin.crashed || f.crashed {
 		return
@@ -1092,8 +1087,8 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 		st.applyFrame(lsn, own.frames[i])
 	}
 	l.store = st
-	for _, it := range frames {
-		l.applyToFollower(it.lsn, it.frame)
+	for i, lsn := range frames.lsns {
+		l.applyToFollower(lsn, frames.frames[i])
 	}
 	l.sent = through
 	wl := l.wrapLSN
@@ -1129,25 +1124,42 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 	sh.updatePin(origin.Log)
 }
 
-// durableShippedFrames reads follower f's durable wrapper log directly —
-// even while f is down; its disk is stable storage — and reconstructs the copy
-// it holds of origin's shipped stream, applying the reset markers in log
-// order: a marker drops what f held above its keep-through (everything, after
-// a rebuild — older numberings hold unrelated records at colliding LSNs) and
-// opens its generation. Returns the frames and the generation they are a copy
-// of. The copy is true as of that generation only; against a newer one it may
-// end in a suffix the origin lost — everyone but the rebuild, which ranks whole
-// copies, reads it through shippedCopy.
-func durableShippedFrames(f *DataNode, origin int) (fs frameSet, gen uint64) {
-	flushed := f.Log.FlushedLSN()
-	f.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		if rec.LSN > flushed {
+// streamCopy is the one reader of a copy of a node's shipped stream: the
+// frames of origin's stream that n's log holds through LSN upTo, in origin-LSN
+// order, and the generation the copy belongs to. The log is read directly —
+// even while n is down; its disk is stable storage — and per frame, so a
+// rotted frame the scrubber has not reached yet hides nothing behind it.
+//
+// When n is the origin the copy is its own shippable frames, aliasing its
+// log segments, in its current generation. Otherwise it is what n's RecShip
+// wrappers of origin hold, with the reset markers applied in log order: a
+// marker drops what n held above its keep-through (everything, after a
+// rebuild — older numberings hold unrelated records at colliding LSNs) and
+// opens its generation; a frame of a newer generation whose marker rotted
+// away drops everything before it, and a straggler from an older generation
+// is skipped. Those frames are copies (DecodeShipFrame). A follower's copy is
+// true as of its generation only; against a newer one it may end in a suffix
+// the origin lost — every reader of a follower's copy but the rebuild, which
+// ranks whole copies, reads it through shippedCopy.
+func streamCopy(n *DataNode, origin int, upTo uint64) (fs frameSet, gen uint64) {
+	own := n.ID == origin
+	if own {
+		gen = n.ship.gen
+	}
+	n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+		if rec.LSN > upTo {
 			return false
+		}
+		if own {
+			if wal.Shippable(rec) {
+				fs.put(rec.LSN, frame)
+			}
+			return true
 		}
 		if rec.Type != wal.RecShip || rec.Part != uint64(origin) {
 			return true
 		}
-		sf, err := wal.DecodeShipFrame(rec.After) // copies sf.Frame: fs owns what it keeps
+		sf, err := wal.DecodeShipFrame(rec.After)
 		if err != nil || sf.Gen < gen {
 			return true // damaged, or a straggler from before a restart
 		}
@@ -1166,13 +1178,14 @@ func durableShippedFrames(f *DataNode, origin int) (fs frameSet, gen uint64) {
 	return fs, gen
 }
 
-// shippedCopy is follower f's durable copy of origin's stream as far as it is
-// still true in origin's current generation: durableShippedFrames, cut at the
-// lowest boundary of the origin restarts f has not been resynced past. No
-// frame above it may be used for anything — it is a record the origin lost,
-// at an LSN the origin has since given to another.
+// shippedCopy is node f's durable copy of origin's stream as far as it is
+// still true in origin's current generation: streamCopy through f's flushed
+// boundary, cut at the lowest boundary of the origin restarts f has not been
+// resynced past. No frame above it may be used for anything — it is a record
+// the origin lost, at an LSN the origin has since given to another. The
+// origin's own copy is of the current generation and is never cut.
 func (c *Cluster) shippedCopy(f, origin *DataNode) frameSet {
-	fs, gen := durableShippedFrames(f, origin.ID)
+	fs, gen := streamCopy(f, origin.ID, f.Log.FlushedLSN())
 	fs.keepThrough(origin.ship.keepFrom(gen))
 	return fs
 }
@@ -1204,33 +1217,6 @@ func (c *Cluster) RotEligible(n *DataNode) func(lsn uint64) bool {
 	}
 }
 
-// salvageOwnFrames is the pre-Restart per-frame read of a crashed node's own,
-// possibly damaged log (the in-memory offset map survives the power failure
-// model, mirroring the scrubber's CheckFlushed walk): every durable shippable
-// frame that still decodes, in the log's current numbering, captured before
-// Restart's byte scan truncates at the first damaged frame and destroys every
-// readable frame behind it. Rot on the origin and a destroyed follower disk can
-// each eat a DIFFERENT part of the replicated history; the origin's own
-// readable frames are the one source guaranteed to cover everything it ever
-// acked locally, so a rebuild merges them with the best follower copy instead
-// of discarding them.
-func salvageOwnFrames(n *DataNode) (sv frameSet) {
-	flushed := n.Log.FlushedLSN()
-	n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		if rec.LSN > flushed {
-			return false
-		}
-		if wal.Shippable(rec) {
-			// A copy, for memory: the frames outlive the WipeDisk that
-			// follows and the rebuilt n.bases keep them, while an alias
-			// would pin the whole discarded segment.
-			sv.put(rec.LSN, bytes.Clone(frame))
-		}
-		return true
-	})
-	return sv
-}
-
 // rebuildFromReplicas reconstructs a node's log after total loss of its
 // durable state (a wiped disk, or bit rot that ate into acked history): the
 // node's own salvaged frames and its followers' durable copies of the shipped
@@ -1241,21 +1227,25 @@ func salvageOwnFrames(n *DataNode) (sv frameSet) {
 // reads them. Runs inside RestartNode, right after Log.Restart and before any
 // recovery pass; sv is the pre-Restart salvage (empty after a wiped disk).
 func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
-	// Every follower disk still readable holds a copy of the stream as of some
-	// generation. As far as a copy is still true in the current generation
-	// (keepFrom) it is history, byte-identical in every copy that has it, and
-	// all of it is wanted: a frame a forced commit was acked against is in that
-	// part of the copy of whichever follower was in sync at the time — not
-	// necessarily the newest copy, which may be a resync cut short.
+	// Every copy on offer — the salvage and every follower disk still
+	// readable — holds the stream as of some generation. As far as a copy is
+	// still true in the current generation (keepFrom) it is history,
+	// byte-identical in every copy that has it, and all of it is wanted: a
+	// frame a forced commit was acked against is in that part of the copy of
+	// whichever follower was in sync at the time — not necessarily the newest
+	// copy, which may be a resync cut short. The salvage is in the log's
+	// current numbering and covers everything this node acked locally,
+	// including slices whose only follower copy died with a destroyed disk;
+	// the followers' copies fill its rot holes.
 	//
-	// Beyond that a copy ends in a suffix the origin lost at a restart. With
-	// salvage, the node's own log says what came after and no suffix is wanted.
-	// After a wiped disk one copy is taken whole: of the newest generation on
-	// offer, and among those the longest. Newest first, because an older
-	// copy's suffix — however long — is exactly what a resynced sibling's
-	// marker sealed as lost for the waiters (forceShip); when no sibling was
-	// resynced since, nobody has been told anything about the suffix yet, and
-	// it comes back.
+	// Beyond that a copy ends in a suffix the origin lost at a restart, and one
+	// copy is taken whole. A non-empty salvage is that copy: the node's own log
+	// says what came after, and no follower's suffix is wanted. After a wiped
+	// disk it is the follower copy of the newest generation on offer, and among
+	// those the longest. Newest first, because an older copy's suffix — however
+	// long — is exactly what a resynced sibling's marker sealed as lost for the
+	// waiters (forceShip); when no sibling was resynced since, nobody has been
+	// told anything about the suffix yet, and it comes back.
 	sh := n.ship
 	type held struct {
 		f   *DataNode
@@ -1263,29 +1253,30 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		gen uint64
 	}
 	var copies []held
-	whole := -1
+	whole := -1 // the copy taken whole
+	if sv.len() > 0 {
+		copies, whole = append(copies, held{n, sv, sh.gen}), 0
+	}
 	for _, l := range sh.links {
 		f := l.follower
 		if f.diskLost {
 			continue // wiped too: no stable storage to read
 		}
-		fs, gen := durableShippedFrames(f, n.ID)
-		if sv.len() == 0 && (whole < 0 || gen > copies[whole].gen || gen == copies[whole].gen && fs.max() > copies[whole].fs.max()) {
+		fs, gen := streamCopy(f, n.ID, f.Log.FlushedLSN())
+		if whole < 0 || copies[whole].f != n && (gen > copies[whole].gen || gen == copies[whole].gen && fs.max() > copies[whole].fs.max()) {
 			whole = len(copies)
 		}
 		copies = append(copies, held{f, fs, gen})
 	}
-	// The salvage (when non-empty) is in the log's current numbering and covers
-	// everything this node acked locally — including slices whose only follower
-	// copy died with a destroyed disk; the followers' copies fill its rot holes.
-	frames, from := sv, sh.gen
+	from := sh.gen
 	if whole >= 0 {
 		from = copies[whole].gen
 		copies[0], copies[whole] = copies[whole], copies[0] // merged first
 	}
+	var frames frameSet
 	contributed := make([]int64, len(copies))
 	for i, cp := range copies {
-		if whole < 0 || i > 0 {
+		if i > 0 {
 			cp.fs.keepThrough(sh.keepFrom(cp.gen))
 		}
 		for j, lsn := range cp.fs.lsns {
@@ -1306,7 +1297,7 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 	// phantom tail bases on the next repairBaseLog pass.
 	n.bases = make(map[table.PartID][]basePair)
 	for i, bytes := range contributed {
-		if bytes > 0 {
+		if bytes > 0 && copies[i].f != n {
 			// Read the follower's contribution from its disk, ship it over.
 			copies[i].f.HW.LogDisk().ReadSeq(p, bytes)
 			c.Net.Transfer(p, copies[i].f.ID, n.ID, bytes)
@@ -1321,7 +1312,7 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		if rec.Type == wal.RecBase {
 			// A wiped disk also lost the recovery bases; the shipped
 			// base images restore them. The decoded slices alias frame,
-			// a copy the merge took (salvageOwnFrames, DecodeShipFrame)
+			// a copy the merge took (the salvage, DecodeShipFrame)
 			// so that what the pair keeps pins no discarded segment. It
 			// carries its renumbered append LSN, so repairBaseLog sees it
 			// covered.

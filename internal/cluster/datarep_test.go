@@ -482,7 +482,7 @@ func TestLogMasterRidesEarlierPass(t *testing.T) {
 		if got := f1.Log.Flushes - flushes; got != 1 {
 			t.Errorf("follower log forced %d times, want the one force both waiters share", got)
 		}
-		held, _ := durableShippedFrames(f1, leader.ID)
+		held, _ := streamCopy(f1, leader.ID, f1.Log.FlushedLSN())
 		if !replicated || held.get(masterLSN) == nil {
 			t.Errorf("logMaster returned %v with the record durable on the follower: %v", replicated, held.get(masterLSN) != nil)
 		}
@@ -768,8 +768,8 @@ func TestFollowerAsleepThroughTwoRestarts(t *testing.T) {
 		p.Sleep(time.Second)
 		mustRestart(t, p, c, origin)
 		second = origin.Log.FlushedLSN()
-		old, oldGen := durableShippedFrames(f2, origin.ID)
-		cur, curGen := durableShippedFrames(f1, origin.ID)
+		old, oldGen := streamCopy(f2, origin.ID, f2.Log.FlushedLSN())
+		cur, curGen := streamCopy(f1, origin.ID, f1.Log.FlushedLSN())
 		if origin.ship.gen != 2 || oldGen != 0 || curGen != 2 || first >= second || second >= lost[suffix-1] || old.max() <= cur.max() {
 			t.Fatalf("setup: origin generation %d, boundaries %d and %d, lost suffix through %d; follower 2 holds generation %d through %d, follower 1 generation %d through %d",
 				origin.ship.gen, first, second, lost[suffix-1], oldGen, old.max(), curGen, cur.max())
@@ -799,7 +799,7 @@ func TestFollowerAsleepThroughTwoRestarts(t *testing.T) {
 			}
 			// Raw, with only its own markers applied, its disk now holds exactly
 			// the origin's durable stream.
-			held, gen := durableShippedFrames(f2, origin.ID)
+			held, gen := streamCopy(f2, origin.ID, f2.Log.FlushedLSN())
 			if gen != 2 || origin.ship.link(f2).stale {
 				t.Fatalf("follower 2 after its resync: generation %d, stale=%v", gen, origin.ship.link(f2).stale)
 			}
@@ -877,7 +877,7 @@ func TestReadersStopAtKeepThrough(t *testing.T) {
 		if len(origin.ship.queue) != 0 || origin.Log.FlushedLSN() < lsn {
 			t.Fatalf("setup: %d frames queued, flushed %d of %d", len(origin.ship.queue), origin.Log.FlushedLSN(), lsn)
 		}
-		raw, _ := durableShippedFrames(f1, origin.ID)
+		raw, _ := streamCopy(f1, origin.ID, f1.Log.FlushedLSN())
 		target := lost[3]
 		var mine []byte
 		origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
@@ -1059,7 +1059,7 @@ func TestElectionOverUnflushedCoordinatorRecords(t *testing.T) {
 		})
 		w.env.Spawn("crash", func(p *sim.Proc) {
 			p.Sleep(5 * time.Millisecond)
-			held, _ := durableShippedFrames(f1, leader.ID)
+			held, _ := streamCopy(f1, leader.ID, f1.Log.FlushedLSN())
 			if held.get(before) == nil || held.max() != before || leader.Log.FlushedLSN() >= before {
 				t.Errorf("5 ms in, follower 1 holds the leader's stream through %d (leader flushed %d); want through the data frame at %d — past the ack, short of the snapshot behind it",
 					held.max(), leader.Log.FlushedLSN(), before)
@@ -1082,7 +1082,7 @@ func TestElectionOverUnflushedCoordinatorRecords(t *testing.T) {
 			p.Sleep(time.Second)
 			mustRestart(t, p, c, leader)
 			for _, l := range leader.ship.links {
-				held, _ := durableShippedFrames(l.follower, leader.ID)
+				held, _ := streamCopy(l.follower, leader.ID, l.follower.Log.FlushedLSN())
 				if held.get(before) != nil || held.get(behind) != nil || l.stale {
 					t.Errorf("follower %d after its resync: stale=%v, holds the lost data frame=%v, the held-back one=%v",
 						l.follower.ID, l.stale, held.get(before) != nil, held.get(behind) != nil)
@@ -1296,4 +1296,83 @@ func TestResyncCoversShippedUnflushedFrames(t *testing.T) {
 				origin.ship.link(f1).stale, origin.ship.link(f1).sent, lsn)
 		}
 	})
+}
+
+// TestStreamCopyWrapperBranches reads hand-built wrappers of origin 0 on a
+// follower's log through streamCopy. A wrapper whose payload does not decode
+// is skipped, and so is a straggler of an older generation arriving after a
+// reset marker. When the marker itself rots, the copy keeps nothing from
+// before the next generation's first frame: it cannot tell what the marker
+// kept.
+func TestStreamCopyWrapperBranches(t *testing.T) {
+	type wrapper struct {
+		sf      wal.ShipFrame
+		garbage bool // a payload that does not decode instead of sf's
+		rot     bool // flip a bit of the wrapper's frame once it is durable
+	}
+	data := func(gen, lsn uint64) wrapper {
+		return wrapper{sf: wal.ShipFrame{LSN: lsn, Gen: gen, Frame: []byte(fmt.Sprintf("g%d@%d", gen, lsn))}}
+	}
+	reset := func(gen, keep uint64, rot bool) wrapper {
+		return wrapper{sf: wal.ShipFrame{Gen: gen, Reset: true, Keep: keep}, rot: rot}
+	}
+	for _, tt := range []struct {
+		name     string
+		wrappers []wrapper
+		want     string
+	}{
+		{"an undecodable payload and another origin's wrapper are skipped", []wrapper{
+			data(0, 1), {garbage: true}, {sf: wal.ShipFrame{Origin: 2, LSN: 2, Frame: []byte("other origin")}}, data(0, 2),
+		}, "gen 0: g0@1 g0@2"},
+		{"a marker keeps through its LSN", []wrapper{
+			data(0, 1), data(0, 2), data(0, 3), reset(1, 2, false), data(1, 3), data(1, 4),
+		}, "gen 1: g0@1 g0@2 g1@3 g1@4"},
+		{"a straggler of an older generation is skipped", []wrapper{
+			data(0, 1), data(0, 2), data(0, 3), reset(1, 2, false), data(0, 4), data(1, 3),
+		}, "gen 1: g0@1 g0@2 g1@3"},
+		{"a rotted marker keeps nothing from before the next generation", []wrapper{
+			data(0, 1), data(0, 2), data(0, 3), reset(1, 2, true), data(1, 3), data(1, 4),
+		}, "gen 1: g1@3 g1@4"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			defer env.Close()
+			f := &DataNode{ID: 1, Log: wal.NewLog(env, nil)}
+			var bad []uint64
+			for _, w := range tt.wrappers {
+				payload := []byte("not a ship payload")
+				if !w.garbage {
+					payload = wal.EncodeShipFrame(nil, &w.sf)
+				}
+				lsn := f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(w.sf.Origin), After: payload})
+				if w.rot {
+					bad = append(bad, lsn)
+				}
+			}
+			f.Log.SetupFlush()
+			// FlipFlushedBit rots only frames a replica could repair, which a
+			// wrapper is not: the bit flips in place, in the segment bytes the
+			// walk aliases.
+			f.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+				if slices.Contains(bad, rec.LSN) {
+					frame[len(frame)-1] ^= 1
+				}
+				return true
+			})
+			if got := f.Log.CheckFlushed(); !slices.Equal(got, bad) {
+				t.Fatalf("setup: damaged frames %v, want %v", got, bad)
+			}
+			fs, gen := streamCopy(f, 0, f.Log.FlushedLSN())
+			got := fmt.Sprintf("gen %d:", gen)
+			for i, lsn := range fs.lsns {
+				if want := fmt.Sprintf("@%d", lsn); !bytes.HasSuffix(fs.frames[i], []byte(want)) {
+					t.Fatalf("frame %q held at LSN %d", fs.frames[i], lsn)
+				}
+				got += " " + string(fs.frames[i])
+			}
+			if got != tt.want {
+				t.Fatalf("streamCopy = %q, want %q", got, tt.want)
+			}
+		})
+	}
 }

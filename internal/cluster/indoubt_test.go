@@ -1051,14 +1051,14 @@ func TestOriginLosesShippedCommit(t *testing.T) {
 	// holds reports whether follower f's disk holds frame as origin 0's LSN lsn,
 	// read raw, markers applied and nothing else.
 	holds := func(f *DataNode, lsn uint64, frame []byte) bool {
-		held, _ := durableShippedFrames(f, 0)
+		held, _ := streamCopy(f, 0, f.Log.FlushedLSN())
 		return bytes.Equal(held.get(lsn), frame)
 	}
 	t.Run("plain restart: an error, once a follower is resynced", func(t *testing.T) {
 		tc, err, got := originDiesMidForce(t, 0, func(p *sim.Proc, c *Cluster, resolved func() bool) {
 			origin, f1, f2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
 			lost := origin.Log.TailLSN() - 1
-			held, _ := durableShippedFrames(f1, 0)
+			held, _ := streamCopy(f1, 0, f1.Log.FlushedLSN())
 			frame := held.get(lost)
 			var rec wal.Record
 			if err := wal.DecodeFrame(frame, &rec); err != nil || rec.Type != wal.RecCommit {

@@ -129,9 +129,7 @@ func (m *Master) relocateSegment(p *sim.Proc, owner *DataNode, h *table.SegHandl
 		return abort()
 	}
 	m.cluster.Net.Transfer(p, home.node.ID, dst.ID, bytes)
-	disks := dst.HW.DataDisks()
-	newDisk := disks[dst.diskRR%len(disks)]
-	dst.diskRR++
+	newDisk := dst.nextDataDisk()
 	newDisk.WriteSeq(p, bytes)
 	if migrationAlive(owner, home.node, dst) != nil {
 		return abort()

@@ -389,34 +389,28 @@ func (m *Master) leaderDown() {
 }
 
 // masterCopy reads the replicated coordinator records of the anchor's stream
-// that n's disk holds — n's own log if it is the anchor, else the durable
-// wrappers it keeps as the anchor's follower — and their highest sequence.
-// held is false when n holds no part of the stream at all. The scans are
-// per-frame, so a rotted frame the scrubber has not reached yet cannot hide
-// the records behind it. Nothing is copied: the records alias n's log
-// segments or the frames of shippedCopy.
+// that n's disk holds — shippedCopy, which is n's own log if it is the anchor,
+// else the durable wrappers it keeps as the anchor's follower — in stream
+// order, and their highest sequence. held is false when n holds no part of
+// the stream at all; the anchor's own copy counts as held whatever it holds.
+// Nothing is copied: the records alias the frames of the copy.
+//
+// The copy stops at n's flushed boundary, and for the anchor that loses
+// nothing an election could want: while one runs, every coordinator record on
+// the anchor's log is flushed. Either the anchor is down (an election reads no
+// down node's copy), or it is being revived from its durable log, or it is up
+// and has not led since its last restart — leadership moves only by election,
+// and an election needs its leader down.
 func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held bool) {
-	add := func(rec *wal.Record) {
-		if wal.MasterRecord(rec) {
-			recs = append(recs, *rec)
-			maxSeq = max(maxSeq, rec.Part)
-		}
-	}
-	if n == m.rep.anchor {
-		n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-			add(rec)
-			return true
-		})
-		return recs, maxSeq, true
-	}
 	fs := m.cluster.shippedCopy(n, m.rep.anchor)
 	var rec wal.Record
 	for _, frame := range fs.frames {
-		if wal.DecodeFrame(frame, &rec) == nil {
-			add(&rec)
+		if wal.DecodeFrame(frame, &rec) == nil && wal.MasterRecord(&rec) {
+			recs = append(recs, rec)
+			maxSeq = max(maxSeq, rec.Part)
 		}
 	}
-	return recs, maxSeq, fs.len() > 0
+	return recs, maxSeq, fs.len() > 0 || n == m.rep.anchor
 }
 
 // CoordAhead returns a lease or decision record of n's stream that n's own log
@@ -516,10 +510,12 @@ func (m *Master) tryElect() {
 // The catalog and partition tables come from the newest replicated snapshot
 // of each table, the decision map from decision/ack records, and the oracle
 // resumes at the replicated lease ceiling — strictly above anything the old
-// leader issued (foldCoord). Non-blocking: routing flips in one instant.
+// leader issued (foldCoord). recs come in stream order, which is sequence
+// order: on one stream both are append order (a rebuild re-appends in order,
+// too), as the checkpoint's fold of the same records relies on (ckptScan).
+// Non-blocking: routing flips in one instant.
 func (m *Master) electFrom(candidate *DataNode, recs []wal.Record, maxSeq uint64) {
 	r := m.rep
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Part < recs[j].Part })
 	// The decision map is NOT reset: every in-memory ack corresponds to a
 	// participant branch durably closed (commit record or roll-forward
 	// flushed), so existing entries are strictly fresher than the log's, and

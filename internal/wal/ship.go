@@ -25,8 +25,8 @@ import (
 // origin and must never be read again. Keep-through 0 is the wholesale reset
 // of a rebuild after total durable loss, which renumbers the origin's log from
 // LSN 1: nothing the follower held is addressable any more. Followers retain
-// whatever they were shipped; every reader of their wrappers applies the
-// markers in log order (cluster/datarep.go, durableShippedFrames).
+// whatever they were shipped; their wrappers have one reader, which applies
+// the markers in log order (cluster/datarep.go, streamCopy).
 //
 // Wire format (all little-endian):
 //
@@ -85,9 +85,10 @@ func EncodeShipFrame(dst []byte, f *ShipFrame) []byte {
 }
 
 // DecodeShipFrame parses one ship payload occupying the whole of buf.
-// Frame is a copy, not an alias, for memory: a replica store seeded from a
-// follower's wrappers and the bases a rebuild restores keep frames past the
-// truncation of the wrapper's segment, which an alias would keep alive whole.
+// Frame is a copy, not an alias, for memory: the frames streamCopy reads from
+// a follower's wrappers seed replica stores and the bases a rebuild restores,
+// and both keep them past the truncation of the wrapper's segment, which an
+// alias would keep alive whole.
 func DecodeShipFrame(buf []byte) (*ShipFrame, error) {
 	if len(buf) < shipHeaderSize {
 		return nil, fmt.Errorf("wal: ship payload truncated (%d bytes)", len(buf))
