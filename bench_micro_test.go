@@ -756,39 +756,47 @@ func BenchmarkCheckpointScan(b *testing.B) {
 }
 
 // BenchmarkFollowerRestart measures one power failure and restart
-// (cluster.CrashNode, cluster.RestartNode) of node 1, whose log holds node
-// 0's shipped stream of 4 096 committed-update frames (x1) or 32 768 (x8),
-// wrapped and durable, beside its own bulk-load base images. The restart reads
-// its own log, and its two resyncs each walk an origin's retained log and the
+// (cluster.CrashNode, cluster.RestartNode) of a node of a two-node ring in
+// which node 0's log holds 4 096 committed-update frames (x1) or 32 768 (x8),
+// shipped to node 1, wrapped and durable there, beside each node's own
+// bulk-load base images. The follower case restarts node 1: it reads its own
+// log, and its two resyncs each walk an origin's retained log and the
 // follower's whole copy of it, and the one from node 0 ships that origin's
 // log again, so ns/op and allocs/op grow with the history — the cost replica
-// images (ROADMAP item 5) are to bound. Every op restarts a cluster of its
-// own, built with the timer stopped.
+// images (ROADMAP item 5) are to bound. The origin case restarts node 0, whose
+// restart also takes the salvage of its own shipped stream (the frames a
+// rebuild would merge) and re-ships its log to node 1. Every op restarts a
+// cluster of its own, built with the timer stopped.
 func BenchmarkFollowerRestart(b *testing.B) {
-	for _, x := range []int{1, 8} {
-		b.Run(fmt.Sprintf("retained=x%d", x), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				env, c := replicatedPair(b)
-				commitAppender(c.Nodes[0])(4096 * x / 3)
-				c.SetupReplicationDrain() // node 0's whole log: node 1's wrappers
-				f := c.Nodes[1]
-				b.StartTimer()
-				env.Spawn("restart", func(p *sim.Proc) {
-					c.CrashNode(f)
-					if _, _, err := c.RestartNode(p, f); err != nil {
-						b.Error(err)
+	for _, restart := range []struct {
+		name string
+		node int
+	}{{"follower", 1}, {"origin", 0}} {
+		for _, x := range []int{1, 8} {
+			b.Run(fmt.Sprintf("restart=%s/retained=x%d", restart.name, x), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					env, c := replicatedPair(b)
+					commitAppender(c.Nodes[0])(4096 * x / 3)
+					c.SetupReplicationDrain() // node 0's whole log: node 1's wrappers
+					n := c.Nodes[restart.node]
+					b.StartTimer()
+					env.Spawn("restart", func(p *sim.Proc) {
+						c.CrashNode(n)
+						if _, _, err := c.RestartNode(p, n); err != nil {
+							b.Error(err)
+						}
+					})
+					if err := env.Run(); err != nil {
+						b.Fatal(err)
 					}
-				})
-				if err := env.Run(); err != nil {
-					b.Fatal(err)
+					b.StopTimer()
+					env.Close()
+					b.StartTimer()
 				}
-				b.StopTimer()
-				env.Close()
-				b.StartTimer()
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -47,7 +47,6 @@ func main() {
 	// Policy: scale out over 80% CPU, in under 25%; redistribution moves
 	// the upper half of the busiest node's warehouses.
 	policy := cluster.DefaultPolicy()
-	policy.Enabled = true
 	policy.OnScaleOut = func(p *sim.Proc, n *cluster.DataNode) {
 		fmt.Printf("t=%4.0fs: scale-OUT to node %d, moving warehouses 3-4\n", p.Now().Seconds(), n.ID)
 		for _, tbl := range tpcc.PartitionedTables() {

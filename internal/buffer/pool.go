@@ -52,7 +52,7 @@ type Frame struct {
 	recLSN uint64
 
 	// gen increments every time the frame is recycled for a new page, so
-	// holders that block (FlushSegment, FlushAll) can detect that the
+	// holders that block (FlushSegment) can detect that the
 	// *Frame they remembered now buffers someone else's page.
 	gen uint64
 	// clockPos is the frame's slot in the clock ring, -1 when unlinked.
@@ -396,32 +396,21 @@ func (bp *Pool) drop(f *Frame) {
 // FlushSegment writes back every dirty frame of seg and drops all of the
 // segment's frames from the pool. Called before a segment is shipped so the
 // durable bytes are complete ("flushed to disk", Sect. 4.3 Logging).
-type flushTarget struct {
-	f   *Frame
-	gen uint64
-}
-
-// sortFlushTargets orders write-backs by page ID: each flush performs
-// simulated disk I/O, so the map-iteration order the targets were collected
-// in would otherwise leak into the virtual clock.
-func sortFlushTargets(ts []flushTarget) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i].f.ID, ts[j].f.ID
-		if a.Seg != b.Seg {
-			return a.Seg < b.Seg
-		}
-		return a.Page < b.Page
-	})
-}
-
 func (bp *Pool) FlushSegment(p *sim.Proc, seg storage.SegID) error {
-	var targets []flushTarget
+	type target struct {
+		f   *Frame
+		gen uint64
+	}
+	var targets []target
 	for id, f := range bp.frames {
 		if id.Seg == seg {
-			targets = append(targets, flushTarget{f, f.gen})
+			targets = append(targets, target{f, f.gen})
 		}
 	}
-	sortFlushTargets(targets) // deterministic write-back order
+	// Write back in page order: each flush performs simulated disk I/O, so
+	// the map-iteration order the targets were collected in would otherwise
+	// leak into the virtual clock.
+	sort.Slice(targets, func(i, j int) bool { return targets[i].f.ID.Page < targets[j].f.ID.Page })
 	for _, t := range targets {
 		f := t.f
 		if f.dead || f.gen != t.gen {
@@ -442,36 +431,6 @@ func (bp *Pool) FlushSegment(p *sim.Proc, seg storage.SegID) error {
 		if err := bp.evict(p, f); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// FlushAll writes back every dirty unpinned frame (checkpoint helper).
-func (bp *Pool) FlushAll(p *sim.Proc) error {
-	var targets []flushTarget
-	for _, f := range bp.frames {
-		if f.dirty {
-			targets = append(targets, flushTarget{f, f.gen})
-		}
-	}
-	sortFlushTargets(targets) // deterministic write-back order
-	for _, t := range targets {
-		f := t.f
-		if f.dead || f.gen != t.gen || !f.dirty || f.state != frameIdle || f.pins > 0 {
-			continue
-		}
-		f.state = frameFlushing
-		if bp.walFlush != nil {
-			bp.walFlush(p, f.Data.LSN())
-		}
-		if err := bp.backend.WritePage(p, f.ID, f.Data); err != nil {
-			return err
-		}
-		bp.stats.Flushes++
-		f.dirty = false
-		f.recLSN = 0
-		f.state = frameIdle
-		f.cond.Fire()
 	}
 	return nil
 }

@@ -288,9 +288,13 @@ func TestBTreeOverBufferPool(t *testing.T) {
 		if c, _ := tr.Count(p); c != n {
 			t.Fatalf("count = %d", c)
 		}
-		// Everything must survive a full flush + reload through the pool.
-		if err := pool.FlushAll(p); err != nil {
-			t.Fatal(err)
+		// Everything must survive a full write-back lap + reload through the
+		// pool: the checkpointer's flush walk, driven until it reports done.
+		for done := false; !done; {
+			var err error
+			if _, done, err = pool.FlushDirtyBatch(p, 8); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := 0; i < n; i += 37 {
 			v, ok, err := tr.Get(p, keycodec.Int64Key(int64(i)))

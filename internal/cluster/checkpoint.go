@@ -43,10 +43,11 @@ import (
 //     only what survived, and wal.Analysis.LastCheckpoint ignores torn or
 //     unmatched pairs, falling back to the previous complete one).
 //  5. Truncation: recycle log segments below the minimum of the global redo
-//     point and the retention floors (master-state replay, follower
-//     wrappers, replica durability), dropping the kept transaction table
-//     if anything went (the next scan reads what is left); the log's own
-//     PinBefore fence guards unshipped frames on top of that.
+//     point and the retention floors — master-state replay and follower
+//     wrappers as the scan found them, replica durability as it stands at
+//     the cut — dropping the kept transaction table if anything went (the
+//     next scan reads what is left). That floor is the one retention rule:
+//     the log recycles exactly what it is handed.
 //
 // Restart reads its recovered log once, into the node's transaction table
 // (readLog), which also finds the newest complete checkpoint; it then
@@ -93,7 +94,7 @@ type RecoveryStats struct {
 // means the checkpoint did not complete.
 func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (CheckpointStats, error) {
 	var st CheckpointStats
-	if n.crashed || n.diskLost || n.Log.Down() {
+	if n.crashed || n.diskLost {
 		return st, nil
 	}
 	if batch <= 0 {
@@ -118,7 +119,7 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 			break
 		}
 		p.Sleep(ckptBatchPause)
-		if n.crashed || n.Log.Down() {
+		if n.crashed {
 			return st, nil
 		}
 	}
@@ -139,15 +140,14 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 		return st, nil
 	}
 	n.Log.Flush(p, end)
-	if n.crashed || n.Log.Down() || n.Log.FlushedLSN() < end {
+	if n.crashed || n.Log.FlushedLSN() < end {
 		return st, nil
 	}
 	st.Redo, st.EndLSN = ck.Redo, end
 	if !c.point(n, "ckpt.durable") { // truncation pending
 		return st, nil
 	}
-	st.Truncated = floor
-	n.truncate(floor)
+	st.Truncated = n.truncate(floor)
 	n.Checkpoints++
 	return st, nil
 }
@@ -198,16 +198,23 @@ func (n *DataNode) readLog() (*logFold, error) {
 	return f, nil
 }
 
-// truncate recycles n's log below floor. A cut drops the fold, and the next
-// read starts over on what is left: the cut segments end inside some
-// transaction's records, whose row a read of the rest builds differently,
-// and a log that truncates is short — about what the fold would read from
-// the last redo point anyway. A replicated log, whose reads grew with the
-// run, is not cut above its first wrapper.
-func (n *DataNode) truncate(floor uint64) {
+// truncate recycles n's log below floor, capped by the replica-durable floor
+// as it stands now, and returns the point it handed to TruncateBefore. The
+// cap is read here, after the checkpoint's end record is durable, and not at
+// its scan: a follower that went stale during the end record's force must
+// floor this cut, since its resync re-ships the whole retained log.
+//
+// A cut drops the fold, and the next read starts over on what is left: the
+// cut segments end inside some transaction's records, whose row a read of
+// the rest builds differently, and a log that truncates is short — about
+// what the fold would read from the last redo point anyway. A replicated
+// log, whose reads grew with the run, is not cut above its first wrapper.
+func (n *DataNode) truncate(floor uint64) uint64 {
+	floor = min(floor, n.replicaDurableFloor())
 	if n.Log.TruncateBefore(floor) {
 		n.fold = nil
 	}
+	return floor
 }
 
 // ckptScan is the checkpoint's analysis instant: the node's transaction
@@ -280,13 +287,11 @@ func (c *Cluster) ckptScan(n *DataNode, begin uint64) (*wal.Checkpoint, uint64) 
 	// conservatively blocks most recycling on nodes that follow a busy
 	// origin — the RTO bound comes from redo-point replay skipping, not from
 	// physical recycling, which fig3's housekeeping demonstrates on
-	// unreplicated configurations.)
+	// unreplicated configurations.) The replica-durable floor joins at the
+	// cut (truncate), not here.
 	floor := min(ck.Redo, f.ship)
 	if m := c.Master; m.rep != nil && (n == m.Node || n == m.rep.anchor) {
 		floor = min(floor, f.coord.floor())
-	}
-	if c.drep != nil {
-		floor = min(floor, c.replicaDurableFloor(n))
 	}
 	return ck, floor
 }
@@ -374,14 +379,19 @@ const noFloor = ^uint64(0)
 
 // replicaDurableFloor returns the lowest LSN the origin must retain for its
 // follower resyncs: one past the weakest follower's replica-durable
-// watermark. Frames this log has flushed below every follower's durable
-// watermark are permanent on each of their wrapper logs (a resync keeps and
-// seeds from those), but a frame above any follower's watermark may still have
-// to be re-shipped to it from this log. A stale follower resyncs from the whole
-// retained log, so it floors retention completely (the ship pin does too —
-// this keeps the checkpoint honest even about the request it hands down).
-func (c *Cluster) replicaDurableFloor(n *DataNode) uint64 {
+// watermark (noFloor without replication). Frames this log has flushed below
+// every follower's durable watermark are permanent on each of their wrapper
+// logs (a resync keeps and seeds from those), but a frame above any
+// follower's watermark may still have to be re-shipped to it from this log —
+// every frame still queued lies above it, since durable <= sent < the first
+// queued LSN. A stale follower resyncs from the whole retained log, so it
+// floors retention completely. Nothing else fences the origin's log: this
+// floor, read at the cut (truncate), is the whole replication half of it.
+func (n *DataNode) replicaDurableFloor() uint64 {
 	floor := uint64(noFloor)
+	if n.ship == nil {
+		return floor
+	}
 	for _, l := range n.ship.links {
 		d := l.durable
 		if l.stale {

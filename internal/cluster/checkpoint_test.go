@@ -230,3 +230,75 @@ func TestCoordFloorKeepsElection(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleFollowerAtCutKeepsLog: the replica-durable floor is read at the
+// checkpoint's cut, not at its scan. Node 0's only follower, node 1, loses
+// power at node 0's "ckpt.end" point — after the scan, while the end record
+// is being forced — so it goes stale in the window between the two, and the
+// resync its restart runs re-ships node 0's whole retained log: that
+// checkpoint must recycle nothing. Once the resync has run, the next
+// checkpoint recycles. Node 0 follows node 2, which ships nothing, and no
+// coordinator history is replicated, so neither the wrapper floor nor the
+// coordinator floor hides the result.
+func TestStaleFollowerAtCutKeepsLog(t *testing.T) {
+	tc := newRepClusterWith(t, table.Physiological, 3, 40, func(cfg *Config) { cfg.DataReplicas = 1 })
+	defer tc.env.Close()
+	c := tc.c
+	origin, follower := c.Nodes[0], c.Nodes[1]
+	if l := origin.ship.link(follower); l == nil || len(origin.ship.links) != 1 {
+		t.Fatal("node 1 is not node 0's only follower")
+	}
+	origin.Log.SetSegmentBytes(256) // a few records per segment: every cut shows
+	writes := func(p *sim.Proc, round int) {
+		for k := int64(0); k < 20; k++ { // node 0's half of the keys
+			tc.put(t, p, origin, k, fmt.Sprintf("r%d-%d", round, k))
+		}
+	}
+	head := func() uint64 { // the first LSN the origin's log retains
+		recs, _, err := wholeLog(origin.Log)
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("origin log: %d records, %v", len(recs), err)
+		}
+		return recs[0].LSN
+	}
+	checkpoint := func(p *sim.Proc) (st CheckpointStats, before, after uint64) {
+		t.Helper()
+		before = head()
+		st, err := c.CheckpointNode(p, origin, 0)
+		if err != nil || st.EndLSN == 0 {
+			t.Fatalf("checkpoint %+v: %v", st, err)
+		}
+		return st, before, head()
+	}
+	tc.run(t, func(p *sim.Proc) {
+		writes(p, 0)
+		hit := false
+		c.Point = func(n *DataNode, name string) {
+			if n == origin && name == "ckpt.end" && !hit {
+				hit = true
+				c.CrashNode(follower)
+			}
+		}
+		st, before, after := checkpoint(p)
+		c.Point = nil
+		if !hit || !follower.Down() {
+			t.Fatal("the follower did not crash at the origin's ckpt.end")
+		}
+		if after != before {
+			t.Fatalf("checkpoint with a stale follower cut at %d: log head %d -> %d, want nothing recycled",
+				st.Truncated, before, after)
+		}
+		if _, _, err := c.RestartNode(p, follower); err != nil {
+			t.Fatal(err)
+		}
+		if l := origin.ship.link(follower); l.stale {
+			t.Fatal("the follower's restart did not resync it")
+		}
+		writes(p, 1)
+		st, before, after = checkpoint(p)
+		if after <= before {
+			t.Fatalf("checkpoint after the resync cut at %d: log head %d -> %d, want segments recycled",
+				st.Truncated, before, after)
+		}
+	})
+}

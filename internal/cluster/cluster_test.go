@@ -365,7 +365,6 @@ func TestMonitorPolicyScalesOut(t *testing.T) {
 	c := New(env, cfg)
 	defer env.Close()
 	policy := DefaultPolicy()
-	policy.Enabled = true
 	scaledTo := -1
 	policy.OnScaleOut = func(p *sim.Proc, n *DataNode) { scaledTo = n.ID }
 	c.Master.StartMonitor(2*time.Second, policy)
@@ -701,7 +700,7 @@ func TestMonitorCountsRefusedScaleIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var victim *DataNode
-	policy := &Policy{HighCPU: 2, LowCPU: 1, Enabled: true, OnScaleIn: func(_ *sim.Proc, n *DataNode) { victim = n }}
+	policy := &Policy{HighCPU: 2, LowCPU: 1, OnScaleIn: func(_ *sim.Proc, n *DataNode) { victim = n }}
 	mon := c.Master.StartMonitor(time.Second, policy)
 	if err := env.RunUntil(1500 * time.Millisecond); err != nil {
 		t.Fatal(err)

@@ -186,16 +186,13 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// into a rebuild, the node's own durable shippable frames — the one
 	// source sure to cover everything it acked locally — merge with the
 	// replica copies. Rot on the node and a destroyed follower disk can each
-	// eat a different part of the stream.
+	// eat a different part of the stream. The salvage aliases the segments:
+	// log bytes are write-once, so neither Restart's cut nor a WipeDisk
+	// changes what it holds, and only a rebuild reads it — which copies what
+	// it keeps (rebuildFromReplicas).
 	var sv frameSet
 	if c.drep != nil {
 		sv, _ = streamCopy(n, n.ID, n.Log.FlushedLSN())
-		for i, frame := range sv.frames {
-			// A copy, for memory: the frames outlive the WipeDisk that
-			// follows and the rebuilt n.bases keep them, while an alias
-			// would pin the whole discarded segment.
-			sv.frames[i] = bytes.Clone(frame)
-		}
 	}
 	n.Log.Restart()
 	// Total durable loss — a wiped disk, or bit rot that ate into acked

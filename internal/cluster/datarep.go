@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"slices"
 	"sort"
 	"strings"
@@ -565,9 +566,6 @@ func (c *Cluster) enableDataReplication(replicas int) {
 			}
 			sh.queue = append(sh.queue, shipItem{lsn: rec.LSN, frame: frame, vis: vis,
 				flushFirst: rec.Type == wal.RecMState})
-			if len(sh.queue) == 1 {
-				sh.updatePin(node.Log)
-			}
 		})
 	}
 }
@@ -580,23 +578,6 @@ func (sh *shipState) link(f *DataNode) *shipLink {
 		}
 	}
 	return nil
-}
-
-// updatePin advances the log's truncation fence: everything unshipped (or
-// everything, while any follower awaits a resync from the retained log) is
-// pinned against TruncateBefore.
-func (sh *shipState) updatePin(l *wal.Log) {
-	for _, k := range sh.links {
-		if k.stale {
-			l.PinBefore(1) // a resync re-ships the whole retained log
-			return
-		}
-	}
-	if len(sh.queue) > 0 {
-		l.PinBefore(sh.queue[0].lsn)
-		return
-	}
-	l.PinBefore(l.TailLSN())
 }
 
 // applyToFollower delivers one origin frame over the link: a RecShip wrapper
@@ -771,7 +752,6 @@ func (c *Cluster) sendQueued(p *sim.Proc, origin *DataNode) ([]shipMark, bool) {
 	}
 	// No receiver: every follower is stale or down. The queue is kept for
 	// whoever comes back in sync first.
-	sh.updatePin(origin.Log)
 	return marks, true
 }
 
@@ -1023,7 +1003,6 @@ func (c *Cluster) setupDrain(n *DataNode) {
 		l.durable = l.sent
 	}
 	sh.queue = nil
-	sh.updatePin(n.Log)
 }
 
 // resyncFollower brings the follower f of link l back in sync with its origin:
@@ -1121,7 +1100,6 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 		keep++
 	}
 	sh.queue = q[keep:]
-	sh.updatePin(origin.Log)
 }
 
 // streamCopy is the one reader of a copy of a node's shipped stream: the
@@ -1311,13 +1289,13 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		nl := n.Log.Append(rec) // Append renumbers
 		if rec.Type == wal.RecBase {
 			// A wiped disk also lost the recovery bases; the shipped
-			// base images restore them. The decoded slices alias frame,
-			// a copy the merge took (the salvage, DecodeShipFrame)
-			// so that what the pair keeps pins no discarded segment. It
-			// carries its renumbered append LSN, so repairBaseLog sees it
-			// covered.
+			// base images restore them. The pair keeps a copy, for memory:
+			// the decoded slices alias frame, which may lie in a segment
+			// the wipe discarded (the salvage aliases the old log), and an
+			// alias would keep that whole segment alive. It carries its
+			// renumbered append LSN, so repairBaseLog sees it covered.
 			id := table.PartID(rec.Part)
-			n.bases[id] = append(n.bases[id], basePair{key: rec.Key, val: rec.After, lsn: nl})
+			n.bases[id] = append(n.bases[id], basePair{key: bytes.Clone(rec.Key), val: bytes.Clone(rec.After), lsn: nl})
 		}
 	}
 	last := n.Log.TailLSN() - 1
@@ -1398,9 +1376,7 @@ func (c *Cluster) crashShipState(n *DataNode) {
 	for _, l := range n.inbound {
 		l.store = nil
 		l.stale = true
-		l.origin.ship.updatePin(l.origin.Log)
 	}
-	sh.updatePin(n.Log)
 }
 
 // DestroyDisk power-fails a node AND destroys its log medium: segments,

@@ -14,7 +14,6 @@ import (
 type Policy struct {
 	HighCPU float64 // paper: 0.8
 	LowCPU  float64
-	Enabled bool
 	// OnScaleOut/OnScaleIn, when set, perform the data redistribution for
 	// a policy decision (the experiment harness wires these to
 	// MigrateRange calls appropriate for its tables).
@@ -39,12 +38,10 @@ type Monitor struct {
 	// it still held data, or followed a live origin's log (DataNode.PowerOff).
 	// The victim stays active, and a later tick may pick it again.
 	RefusedScaleIns int
-
-	// OnSample, when set, receives every collected sample.
-	OnSample func(at time.Duration, util map[int]float64)
 }
 
-// StartMonitor spawns the monitoring process on the master.
+// StartMonitor spawns the monitoring process on the master. A nil policy
+// only collects the reports: nothing scales.
 func (m *Master) StartMonitor(interval time.Duration, policy *Policy) *Monitor {
 	mon := &Monitor{master: m, interval: interval, policy: policy}
 	m.cluster.Env.Spawn("monitor", func(p *sim.Proc) {
@@ -69,10 +66,7 @@ func (mon *Monitor) tick(p *sim.Proc) {
 		}
 		util[n.ID] = n.HW.CPUUtilization()
 	}
-	if mon.OnSample != nil {
-		mon.OnSample(p.Now(), util)
-	}
-	if mon.policy == nil || !mon.policy.Enabled || mon.inDecision {
+	if mon.policy == nil || mon.inDecision {
 		return
 	}
 	avg := mon.meanUtil(util)

@@ -15,7 +15,7 @@ import (
 // partition starts at that partition's redo low-water mark instead of the
 // log head — the refreshed bases stand in for everything older — and
 // TruncateBefore may recycle all segments below the global redo point
-// (subject to the ship pin and the master/wrapper retention floors).
+// (subject to the master, wrapper and replica-durable retention floors).
 //
 // Wire format (all little-endian):
 //

@@ -210,12 +210,6 @@ type Log struct {
 	// is still true.
 	gen uint64
 
-	// pin is the truncation fence set by PinBefore: records with LSN >= pin
-	// are retained regardless of what TruncateBefore asks for (0 = no fence).
-	// The data-replication layer pins its shipped watermark here so
-	// acked-but-unshipped history is never recycled.
-	pin uint64
-
 	// onAppend, when set, observes every record the moment Append frames it.
 	// The frame aliases the segment buffer and stays valid after the call.
 	onAppend func(rec Record, frame []byte)
@@ -285,12 +279,6 @@ func (l *Log) Append(rec Record) uint64 {
 // segment buffer and stays valid after the call, so the hook may keep it;
 // rec's Key, Before and After are the appender's own slices.
 func (l *Log) SetAppendHook(fn func(rec Record, frame []byte)) { l.onAppend = fn }
-
-// PinBefore sets the truncation fence: every record with LSN >= lsn is
-// retained no matter what TruncateBefore asks for. The replication layer
-// advances the fence as history ships to followers, so a checkpoint can
-// never recycle acked-but-unshipped frames. lsn = 0 clears the fence.
-func (l *Log) PinBefore(lsn uint64) { l.pin = lsn }
 
 // FlushedLSN returns the highest durable LSN.
 func (l *Log) FlushedLSN() uint64 { return l.flushedLSN }
@@ -555,7 +543,6 @@ func (l *Log) WipeDisk() {
 	l.flushedLSN = 0
 	l.nextLSN = 1
 	l.pendingBytes = 0
-	l.pin = 0
 	l.lostDurable = true
 	l.flushedSig.Fire()
 }
@@ -730,9 +717,6 @@ func Shippable(rec *Record) bool {
 	return rec.Type != RecDecision || MasterRecord(rec)
 }
 
-// Down reports whether the log's node is power-failed.
-func (l *Log) Down() bool { return l.down }
-
 // Checkpoint seals the active segment, appends a checkpoint record (opening
 // a fresh segment), and flushes through it — so a following TruncateBefore
 // can recycle every segment written before the checkpoint. It returns the
@@ -745,20 +729,19 @@ func (l *Log) Checkpoint(p *sim.Proc) uint64 {
 }
 
 // TruncateBefore recycles whole segments whose records all have LSN < lsn
-// and are durable (after a checkpoint made them obsolete, e.g. when a moved
-// segment's history is no longer needed). Reclamation is segment-at-a-time:
-// a segment holding any record >= lsn is kept entirely, so RetainedBytes
-// stays the exact byte length of the surviving segments. It reports whether
-// it recycled any.
+// and are durable: a segment ending at lsn-1 goes, one ending at lsn stays.
+// Reclamation is segment-at-a-time: a segment holding any record >= lsn is
+// kept entirely, so RetainedBytes stays the exact byte length of the
+// surviving segments. It reports whether it recycled any. The log keeps no
+// retention rule of its own: the caller's lsn is the whole decision (the
+// checkpoint's floor, which covers every follower's replica-durable
+// watermark).
 func (l *Log) TruncateBefore(lsn uint64) bool {
 	cut := 0
 	for cut < len(l.segs) {
 		s := l.segs[cut]
 		if len(s.ends) == 0 || s.lastLSN() >= lsn || s.lastLSN() > l.flushedLSN {
 			break
-		}
-		if l.pin > 0 && s.lastLSN() >= l.pin {
-			break // unshipped history: fenced by PinBefore
 		}
 		cut++
 	}

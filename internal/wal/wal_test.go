@@ -477,53 +477,6 @@ func TestCheckpointAndTruncateRecyclesSegments(t *testing.T) {
 	}
 }
 
-// TestPinBeforeFencesTruncation pins the replication contract on checkpoint
-// truncation: history the shipper has not replicated yet (LSN >= the pin)
-// must survive a checkpoint's TruncateBefore, or a disk loss on the replica
-// that was still waiting for those frames would lose acked commits. Once the
-// shipper advances the pin past the old segments, the same truncation
-// reclaims them.
-func TestPinBeforeFencesTruncation(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	l := NewLog(env, &countingDevice{})
-	l.SetSegmentBytes(1) // seal after every record: one segment per LSN
-	for i := 0; i < 6; i++ {
-		l.Append(Record{Type: RecInsert, Txn: 1, Key: []byte{byte('a' + i)}, After: []byte("v")})
-	}
-	var ck uint64
-	env.Spawn("ck", func(p *sim.Proc) { ck = l.Checkpoint(p) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Frames 3..6 are flushed but unshipped: fence them.
-	l.PinBefore(3)
-	l.TruncateBefore(ck)
-	recs, err := readAll(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 || recs[0].LSN > 3 {
-		t.Fatalf("truncation dropped unshipped history: first retained LSN %v", recs)
-	}
-	for _, r := range recs[:len(recs)-1] {
-		if r.LSN >= 3 && r.Type != RecInsert {
-			t.Fatalf("fenced record %d lost its payload: %+v", r.LSN, r)
-		}
-	}
-	// Shipping catches up: the pin advances past the old segments and the
-	// pending truncation work becomes reclaimable.
-	l.PinBefore(ck)
-	l.TruncateBefore(ck)
-	recs, err = readAll(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Type != RecCheckpoint {
-		t.Fatalf("records after pin release + truncate: %d", len(recs))
-	}
-}
-
 // TestLastCheckpointTornPairFallback pins the crash contract of fuzzy
 // checkpoints: only a complete, durable RecCkptBegin/RecCkptEnd pair counts.
 // A crash between begin and end — or one that tears or fails to flush the
@@ -603,11 +556,10 @@ func TestLastCheckpointTornPairFallback(t *testing.T) {
 	}
 }
 
-// TestTruncateBeforeExactPinBoundary pins the off-by-one contract between
-// the shipper's fence and checkpoint truncation: PinBefore(p) means "LSNs
-// >= p are not replicated yet", so a segment ending exactly at p-1 is
-// reclaimable while one ending exactly at p must survive.
-func TestTruncateBeforeExactPinBoundary(t *testing.T) {
+// TestTruncateBeforeExactBoundary pins TruncateBefore's off-by-one contract:
+// TruncateBefore(lsn) recycles what lies wholly below lsn, so a segment
+// ending exactly at lsn-1 goes while one ending exactly at lsn survives.
+func TestTruncateBeforeExactBoundary(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	l := NewLog(env, &countingDevice{})
@@ -620,19 +572,20 @@ func TestTruncateBeforeExactPinBoundary(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	const pin = 4
-	l.PinBefore(pin)
-	l.TruncateBefore(last) // checkpoint wants everything below `last` gone
+	const cut = 4
+	if !l.TruncateBefore(cut) {
+		t.Fatal("truncation recycled nothing")
+	}
 	recs, err := readAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
-		t.Fatal("truncation emptied the log")
+	if len(recs) != int(last-cut+1) || recs[0].LSN != cut {
+		t.Fatalf("retained %d records, want exactly LSNs %d..%d (cut-1 recycled, cut kept)", len(recs), cut, last)
 	}
-	// LSN pin-1 = 3 sits in a segment wholly below the fence: reclaimed.
-	if first := recs[0].LSN; first != pin {
-		t.Fatalf("first retained LSN = %d, want exactly the pin %d (pin-1 reclaimable, pin fenced)", first, pin)
+	// Nothing lies wholly below the first retained LSN: a second call is a no-op.
+	if l.TruncateBefore(cut) {
+		t.Fatal("second truncation at the same point recycled again")
 	}
 }
 
