@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench cover fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench cover fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick golden bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -164,10 +164,23 @@ chaos-tpcc:
 ## chaos-quick: a short crash-anywhere sweep of both workloads (CI gate): KV
 ## seeds 1-16 run all 16 fault mixes, TPC-C seeds 1-8 the first eight. Every
 ## seed runs twice and fails if the two state hashes differ (-rerun): a
-## determinism regression fails the gate even when every invariant holds
+## determinism regression fails the gate even when every invariant holds.
+## Each sweep is diffed against its golden record in internal/chaos/testdata
+## (-golden) and fails on any seed whose scheme, verdict or hash moved; a
+## change that moves hashes on purpose rewrites the records with UPDATE=1 and
+## commits them
+GOLDEN = internal/chaos/testdata
+
 chaos-quick:
-	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 16 -duration 25s
-	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 8 -duration 20s
+	$(GO) run ./cmd/wattdb-chaos -rerun -seeds 16 -duration 25s -golden $(GOLDEN)/golden-kv.txt $(if $(UPDATE),-update)
+	$(GO) run ./cmd/wattdb-chaos -rerun -tpcc -seeds 8 -duration 20s -golden $(GOLDEN)/golden-tpcc.txt $(if $(UPDATE),-update)
+
+## golden: both full sweeps, seeds 1-25 at the default 45 s window, against
+## their golden records (about 2 minutes; not part of check) — the file-diff
+## form of chaos-diff-all, with no second tree to build. UPDATE=1 rewrites them
+golden:
+	$(GO) run ./cmd/wattdb-chaos -seeds 25 -golden $(GOLDEN)/golden-kv-sweep.txt $(if $(UPDATE),-update)
+	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 25 -golden $(GOLDEN)/golden-tpcc-sweep.txt $(if $(UPDATE),-update)
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
 ## tests + the ledger's tests + the Fig 3 and Fig 7 shape gates + the

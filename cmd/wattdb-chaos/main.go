@@ -6,6 +6,8 @@
 //	wattdb-chaos -tpcc -seeds 10    # TPC-C workload + warehouse-invariant oracle
 //	wattdb-chaos -seeds 6 -rerun    # every seed twice: the two state hashes must match
 //	wattdb-chaos -tpcc -seeds 10 -cpuprofile cpu.out   # CPU profile of the whole sweep
+//	wattdb-chaos -seeds 16 -duration 25s -golden internal/chaos/testdata/golden-kv.txt   # fail on any moved hash
+//	wattdb-chaos -seeds 16 -duration 25s -golden internal/chaos/testdata/golden-kv.txt -update   # rewrite the record
 //
 // The seed picks the run's fault mix (chaos.MixOf): seed mod 16 names the
 // fault families — coordinator, disk, checkpoint, HTAP — the run turns up
@@ -13,6 +15,13 @@
 // consecutive seeds run every combination. Every run prints its seed, scheme,
 // verdict, final state hash and mix; a failing seed reproduces bit-for-bit
 // from the line it prints.
+//
+// With -golden the sweep is checked against a golden record: one
+// "seed=N scheme=S VERDICT hash=H" line per seed, in seed order. Any line that
+// differs from the file — a moved hash, a new verdict, a seed missing on
+// either side — is printed with its seed and fails the command; -update
+// rewrites the file from the sweep instead. A change that moves a hash on
+// purpose commits the rewritten file, and its diff names every seed moved.
 package main
 
 import (
@@ -36,7 +45,13 @@ func main() {
 	verbose := flag.Bool("v", false, "print the fault schedule of every run")
 	rerun := flag.Bool("rerun", false, "run every seed twice and fail it when the two state hashes differ")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to `file`")
+	goldenFile := flag.String("golden", "", "diff every seed's scheme, verdict and state hash against the golden record in `file`")
+	update := flag.Bool("update", false, "with -golden: rewrite the golden record from this sweep instead of diffing")
 	flag.Parse()
+	if *update && *goldenFile == "" {
+		fmt.Fprintln(os.Stderr, "-update needs -golden")
+		os.Exit(2)
+	}
 
 	// exit ends the command, flushing the CPU profile first when one is
 	// being written.
@@ -85,6 +100,7 @@ func main() {
 	}
 
 	failures := 0
+	var record []string // the golden line of every seed run
 	start := time.Now()
 	for _, s := range runSeeds {
 		scheme, err := pick(s)
@@ -100,6 +116,7 @@ func main() {
 		rep, err := run(cfg)
 		if err != nil {
 			fmt.Printf("seed=%-4d scheme=%-13s ERROR: %v\n", s, scheme, err)
+			record = append(record, fmt.Sprintf("seed=%d scheme=%s ERROR", s, scheme))
 			failures++
 			continue
 		}
@@ -118,6 +135,7 @@ func main() {
 			failures++
 		}
 		fmt.Printf("seed=%-4d scheme=%-13s %s hash=%s mix=%s%s\n", s, scheme, status, rep.StateHash, chaos.MixOf(s), counters(rep))
+		record = append(record, fmt.Sprintf("seed=%d scheme=%s %s hash=%s", s, scheme, status, rep.StateHash))
 		if *verbose || !rep.Passed() {
 			for _, f := range rep.Faults {
 				fmt.Printf("    %s\n", f)
@@ -139,10 +157,63 @@ func main() {
 		}
 	}
 	fmt.Printf("%d/%d runs passed (%.1fs wall)\n", len(runSeeds)-failures, len(runSeeds), time.Since(start).Seconds())
+	if *goldenFile != "" {
+		if *update {
+			err := os.WriteFile(*goldenFile, []byte(strings.Join(record, "\n")+"\n"), 0o644)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				exit(2)
+			}
+			fmt.Printf("golden %s: wrote %d seeds\n", *goldenFile, len(record))
+		} else {
+			want, err := os.ReadFile(*goldenFile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				exit(2)
+			}
+			diffs := diffGolden(strings.Split(strings.TrimSpace(string(want)), "\n"), record)
+			for _, d := range diffs {
+				fmt.Printf("golden %s: %s\n", *goldenFile, d)
+			}
+			fmt.Printf("golden %s: %d differing, %d run\n", *goldenFile, len(diffs), len(record))
+			if len(diffs) > 0 {
+				failures++
+			}
+		}
+	}
 	if failures > 0 {
 		exit(1)
 	}
 	exit(0)
+}
+
+// diffGolden compares a sweep's golden lines with the record's, seed by seed
+// (the line's first field), and returns one message per seed that differs or
+// is on one side only, in the record's order and then the sweep's.
+func diffGolden(want, got []string) []string {
+	seedOf := func(line string) string { seed, _, _ := strings.Cut(line, " "); return seed }
+	have := make(map[string]string, len(got))
+	for _, line := range got {
+		have[seedOf(line)] = line
+	}
+	var diffs []string
+	known := make(map[string]bool, len(want))
+	for _, line := range want {
+		seed := seedOf(line)
+		known[seed] = true
+		switch g, ok := have[seed]; {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("%s: recorded %q, not run", seed, line))
+		case g != line:
+			diffs = append(diffs, fmt.Sprintf("%s: recorded %q, got %q", seed, line, g))
+		}
+	}
+	for _, line := range got {
+		if seed := seedOf(line); !known[seed] {
+			diffs = append(diffs, fmt.Sprintf("%s: got %q, not recorded", seed, line))
+		}
+	}
+	return diffs
 }
 
 // counters renders every counter of the report but the two the line opens

@@ -345,12 +345,11 @@ func (c *Cluster) refreshBases(n *DataNode, f *logFold, redoOf map[uint64]uint64
 		redo := redoOf[part]
 		id := table.PartID(part)
 		pairs := n.bases[id]
-		// Index by key of LAST occurrence — restart applies pairs in order,
-		// so the final pair for a key is the one that wins.
-		idx := make(map[string]int, len(pairs))
-		for i := range pairs {
-			idx[string(pairs[i].key)] = i
-		}
+		// Indexed by key of LAST occurrence — restart applies pairs in
+		// order, so the final pair for a key is the one that wins. The index
+		// is kept between checkpoints: this fold costs what the new images
+		// do, not what the whole base does.
+		idx := n.baseIndex(id)
 		keys := slices.Sorted(maps.Keys(latest[part]))
 		for _, k := range keys {
 			im := latest[part][k]

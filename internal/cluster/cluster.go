@@ -192,6 +192,11 @@ type DataNode struct {
 	reviving  bool                        // inside RestartNode, durable log already recovered or rebuilt
 	lostParts []*table.Partition          // partitions to rebuild on restart, in ID order
 	bases     map[table.PartID][]basePair // recovery bases (bulk-load and adopted images)
+	// baseIdx indexes a partition's recovery base by key: the position of
+	// the key's last pair, the one a restart applies last. A partition's
+	// index is built by the first checkpoint that refreshes its base and
+	// kept from then on by every change to it (baseIndex).
+	baseIdx map[table.PartID]map[string]int
 
 	// Fuzzy-checkpoint bookkeeping (see checkpoint.go).
 	deadBelow    uint64        // restart tail fence: unresolved txns below never resolve

@@ -113,8 +113,8 @@ func TestForcedShipLandsOnAllFollowersAtOnce(t *testing.T) {
 			t.Fatal("origin reported dead")
 		}
 		st1, st2 := origin.ship.link(f1).store, origin.ship.link(f2).store
-		if st1.frames.max() != lsn || st2.frames.max() != lsn {
-			t.Fatalf("applied through %d and %d, want %d on both followers", st1.frames.max(), st2.frames.max(), lsn)
+		if st1.applied != lsn || st2.applied != lsn {
+			t.Fatalf("applied through %d and %d, want %d on both followers", st1.applied, st2.applied, lsn)
 		}
 		if got1, got2 := f1.Log.Flushes-flushes1, f2.Log.Flushes-flushes2; got1 != 1 || got2 != 0 {
 			t.Fatalf("forced pass flushed follower 1 %d times and follower 2 %d times, want 1 and 0", got1, got2)

@@ -79,6 +79,29 @@ func (n *DataNode) addBase(id table.PartID, key, val []byte) {
 		n.fold.baseFrom = 0
 	}
 	n.bases[id] = append(n.bases[id], pair)
+	if idx := n.baseIdx[id]; idx != nil {
+		idx[string(key)] = len(n.bases[id]) - 1
+	}
+}
+
+// baseIndex returns the index of partition id's recovery base by key (see
+// DataNode.baseIdx), building it on first use: a base that no checkpoint
+// refreshes — a run without checkpoints, an unreplicated migration's
+// adoptions — never pays for one.
+func (n *DataNode) baseIndex(id table.PartID) map[string]int {
+	idx := n.baseIdx[id]
+	if idx == nil {
+		pairs := n.bases[id]
+		idx = make(map[string]int, len(pairs))
+		for i := range pairs {
+			idx[string(pairs[i].key)] = i
+		}
+		if n.baseIdx == nil {
+			n.baseIdx = make(map[table.PartID]map[string]int)
+		}
+		n.baseIdx[id] = idx
+	}
+	return idx
 }
 
 // CrashNode power-fails a node instantly (no orderly shutdown) — including

@@ -56,7 +56,13 @@ import (
 // shippable frames or a follower's wrappers — is read by one function,
 // streamCopy: the restart's salvage, both sides of a resync, RotEligible and
 // the scrubber, the election and the rebuild. Everyone but the rebuild, which
-// ranks whole copies, reads a follower's copy through shippedCopy.
+// ranks whole copies, reads a follower's copy through shippedCopy. Every copy
+// is read in place: its frames alias the log segments that hold them (log
+// bytes are write-once), and what is kept past a read — a replica store's
+// versions, seeded from a follower's own wrappers or fed by shipping from the
+// origin's segments — keeps aliasing them. A replica store keeps no frames of
+// its own: the scrubber's repair source is the ship queue, then a follower's
+// durable copy.
 
 // shipRetryDelay paces every wait for a usable follower: forceShip's, and a
 // commit decision's while the coordinator is fenced or cut off.
@@ -272,9 +278,12 @@ type stagedRep struct {
 	ver  cc.Version
 }
 
-// frameSet is a copy of (part of) one origin's shipped stream: raw frames in
-// ascending origin-LSN order. Streams arrive in that order, so building one is
-// appends; a resync's overlap with what is already held replaces in place.
+// frameSet is (part of) one origin's shipped stream as one log holds it: raw
+// frames in ascending origin-LSN order, each aliasing the log segment it was
+// read from. streamCopy sizes both slices once, from the log's frame count
+// (Log.FramesThrough), so building one is appends into place; a copy's
+// overlap with what it already holds replaces in place. Each reader builds
+// its own: a resync parks in a transfer while another reads.
 type frameSet struct {
 	lsns   []uint64
 	frames [][]byte
@@ -323,13 +332,17 @@ func (fs *frameSet) keepThrough(lsn uint64) {
 
 // repStore is a follower's in-memory replica of one origin's partitions,
 // built by applying the origin's shipped frames in log order. It is wiped by
-// a crash (DRAM) and re-seeded by resync.
+// a crash (DRAM) and re-seeded by resync. It keeps no frames, only the
+// newest LSN it applied: what it installs aliases the frames where they lie —
+// the origin's segments for a delivery, the follower's own wrapper segments
+// for a resync's seed — and a frame is read back, for the scrubber or an
+// election, from a durable copy on a disk (streamCopy).
 //
 // pending is not a wal.Analysis: it is staged one delivery at a time,
 // between frames, and held in DRAM until the commit or abort frame arrives —
-// not a batch pass over a log read. Its entries alias retained frames.
+// not a batch pass over a log read. Its entries alias the frames.
 type repStore struct {
-	frames  frameSet // raw frame retention, through the newest applied: scrub repair source
+	applied uint64 // origin LSN of the newest frame applied: deliveries at or below are duplicates
 	pending map[cc.TxnID][]stagedRep
 	spare   [][]stagedRep // emptied staging lists, reused by later transactions
 	parts   map[table.PartID]*replicaPart
@@ -357,20 +370,19 @@ func (st *repStore) part(id table.PartID) *replicaPart {
 	return rp
 }
 
-// applyFrame processes one shipped origin frame: retain the raw bytes, buffer
-// DML under its transaction, promote on commit, drop on abort, and install
-// base images immediately (they are logged before any DML on their keys).
-// The frame is retained verbatim, and everything the store keeps of the
-// decoded record points into it.
+// applyFrame processes one shipped origin frame: buffer DML under its
+// transaction, promote on commit, drop on abort, and install base images
+// immediately (they are logged before any DML on their keys). Everything the
+// store keeps of the decoded record points into frame.
 func (st *repStore) applyFrame(lsn uint64, frame []byte) {
-	if lsn <= st.frames.max() {
+	if lsn <= st.applied {
 		return // duplicate delivery (resync overlap)
 	}
 	var rec wal.Record
 	if wal.DecodeFrame(frame, &rec) != nil {
 		return // never shipped: drains and resyncs skip damaged frames
 	}
-	st.frames.put(lsn, frame)
+	st.applied = lsn
 	switch rec.Type {
 	case wal.RecBase:
 		if v, err := table.DecodeValue(rec.After); err == nil {
@@ -582,7 +594,7 @@ func (sh *shipState) link(f *DataNode) *shipLink {
 
 // applyToFollower delivers one origin frame over the link: a RecShip wrapper
 // on the follower's log (Part carries the origin ID) and an immediate
-// replica-store apply, which retains frame.
+// replica-store apply, whose versions alias frame.
 func (l *shipLink) applyToFollower(lsn uint64, frame []byte) {
 	sh := l.origin.ship
 	// Append copies the payload into the follower's log segment, so one buffer
@@ -1115,15 +1127,22 @@ func (c *Cluster) resyncFollower(p *sim.Proc, l *shipLink) {
 // rebuild — older numberings hold unrelated records at colliding LSNs) and
 // opens its generation; a frame of a newer generation whose marker rotted
 // away drops everything before it, and a straggler from an older generation
-// is skipped. Those frames are copies (DecodeShipFrame). A follower's copy is
-// true as of its generation only; against a newer one it may end in a suffix
-// the origin lost — every reader of a follower's copy but the rebuild, which
-// ranks whole copies, reads it through shippedCopy.
+// is skipped. Those frames alias the wrappers' payloads (DecodeShipFrame). A
+// follower's copy is true as of its generation only; against a newer one it
+// may end in a suffix the origin lost — every reader of a follower's copy but
+// the rebuild, which ranks whole copies, reads it through shippedCopy.
+//
+// Nothing is copied and nothing grows: both slices are sized once, to the
+// log's frame count through upTo, so a copy of any length costs the same
+// handful of allocations.
 func streamCopy(n *DataNode, origin int, upTo uint64) (fs frameSet, gen uint64) {
 	own := n.ID == origin
 	if own {
 		gen = n.ship.gen
 	}
+	held := n.Log.FramesThrough(upTo)
+	fs.lsns, fs.frames = make([]uint64, 0, held), make([][]byte, 0, held)
+	var sf wal.ShipFrame
 	n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
 		if rec.LSN > upTo {
 			return false
@@ -1137,8 +1156,7 @@ func streamCopy(n *DataNode, origin int, upTo uint64) (fs frameSet, gen uint64) 
 		if rec.Type != wal.RecShip || rec.Part != uint64(origin) {
 			return true
 		}
-		sf, err := wal.DecodeShipFrame(rec.After)
-		if err != nil || sf.Gen < gen {
+		if wal.DecodeShipFrame(rec.After, &sf) != nil || sf.Gen < gen {
 			return true // damaged, or a straggler from before a restart
 		}
 		switch {
@@ -1171,11 +1189,11 @@ func (c *Cluster) shippedCopy(f, origin *DataNode) frameSet {
 // RotEligible returns a predicate over origin n's acked frames marking those
 // a chaos bit-rot fault may damage without exceeding the redundancy budget:
 // only frames with a durable, still-true copy on a follower whose disk medium
-// is intact qualify. In-memory repair sources (the origin's ship
-// queue, follower replica stores) are deliberately excluded — a crash
-// schedule can erase every one of them before the scrubber runs, and rotting
-// a frame whose last durable copy is the origin's own models unrecoverable
-// media loss, not repairable decay.
+// is intact qualify — the copy scrubNode repairs from. The one in-memory
+// repair source, the origin's ship queue, is deliberately excluded — a crash
+// schedule can erase it before the scrubber runs, and rotting a frame whose
+// last durable copy is the origin's own models unrecoverable media loss, not
+// repairable decay. Each follower's copy is read once, in place.
 func (c *Cluster) RotEligible(n *DataNode) func(lsn uint64) bool {
 	var copies []frameSet
 	if c.drep != nil {
@@ -1251,7 +1269,11 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		from = copies[whole].gen
 		copies[0], copies[whole] = copies[whole], copies[0] // merged first
 	}
-	var frames frameSet
+	size := 0 // at most every frame of every copy
+	for _, cp := range copies {
+		size += cp.fs.len()
+	}
+	frames := frameSet{lsns: make([]uint64, 0, size), frames: make([][]byte, 0, size)}
 	contributed := make([]int64, len(copies))
 	for i, cp := range copies {
 		if i > 0 {
@@ -1274,6 +1296,7 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 	// log IS the new base truth, and stale in-memory pairs would re-append as
 	// phantom tail bases on the next repairBaseLog pass.
 	n.bases = make(map[table.PartID][]basePair)
+	n.baseIdx = nil
 	for i, bytes := range contributed {
 		if bytes > 0 && copies[i].f != n {
 			// Read the follower's contribution from its disk, ship it over.
@@ -1290,9 +1313,10 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv frameSet) {
 		if rec.Type == wal.RecBase {
 			// A wiped disk also lost the recovery bases; the shipped
 			// base images restore them. The pair keeps a copy, for memory:
-			// the decoded slices alias frame, which may lie in a segment
-			// the wipe discarded (the salvage aliases the old log), and an
-			// alias would keep that whole segment alive. It carries its
+			// the decoded slices alias frame, which lies in a segment the
+			// wipe discarded (the salvage aliases the old log) or in a
+			// follower's wrapper segment (every copy is read in place), and
+			// an alias would keep that whole segment alive. It carries its
 			// renumbered append LSN, so repairBaseLog sees it covered.
 			id := table.PartID(rec.Part)
 			n.bases[id] = append(n.bases[id], basePair{key: bytes.Clone(rec.Key), val: bytes.Clone(rec.After), lsn: nl})
@@ -1391,6 +1415,7 @@ func (c *Cluster) DestroyDisk(n *DataNode) {
 	c.CrashNode(n)
 	n.Log.WipeDisk()
 	n.bases = make(map[table.PartID][]basePair)
+	n.baseIdx = nil
 	n.diskLost = true
 	if c.drep != nil {
 		c.drep.DiskLosses++
@@ -1415,15 +1440,17 @@ func (c *Cluster) ScrubPass(p *sim.Proc) int {
 }
 
 // scrubNode repairs every bit-rotted frame of one node's acked history.
-// Repair sources, in order: the node's own ship queue (the append-time clone
-// is pristine and covers flushed-but-unshipped frames), a live in-sync
-// follower's replica store, and finally any follower's durable wrapper log —
-// readable even while that follower is down or stale, since its disk is
-// stable storage. A stale follower's copy is read through shippedCopy: above
-// the boundary of an origin restart it holds a different record at the same
-// LSN, one that decodes (PatchFrame checks CRC and LSN, not identity).
+// Repair sources, in order: the node's own ship queue (the append-time alias
+// is pristine and covers flushed-but-unshipped frames), then any follower's
+// durable wrapper log — readable even while that follower is down or stale,
+// since its disk is stable storage. RotEligible rots only frames such a copy
+// holds. Each follower's copy is read at most once a pass, in place, through
+// shippedCopy: above the boundary of an origin restart a stale follower holds
+// a different record at the same LSN, one that decodes (PatchFrame checks CRC
+// and LSN, not identity).
 func (c *Cluster) scrubNode(p *sim.Proc, n *DataNode) int {
 	repaired := 0
+	var copies []*frameSet // per link, read on first need
 	for _, lsn := range n.Log.CheckFlushed() {
 		var frame []byte
 		for _, it := range n.ship.queue {
@@ -1433,16 +1460,19 @@ func (c *Cluster) scrubNode(p *sim.Proc, n *DataNode) int {
 			}
 		}
 		if frame == nil {
-			for _, l := range n.ship.links {
+			if copies == nil {
+				copies = make([]*frameSet, len(n.ship.links))
+			}
+			for i, l := range n.ship.links {
 				f := l.follower
-				if !f.crashed && !l.stale && l.store != nil {
-					frame = l.store.frames.get(lsn)
+				if f.diskLost {
+					continue
 				}
-				if frame == nil && !f.diskLost {
+				if copies[i] == nil {
 					fs := c.shippedCopy(f, n)
-					frame = fs.get(lsn)
+					copies[i] = &fs
 				}
-				if frame != nil {
+				if frame = copies[i].get(lsn); frame != nil {
 					// Request + frame response from the follower's copy.
 					c.Net.Transfer(p, n.ID, f.ID, 32)
 					c.Net.Transfer(p, f.ID, n.ID, int64(len(frame))+shipWireOverhead)

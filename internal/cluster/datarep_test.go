@@ -270,7 +270,7 @@ func TestForcedCommitHealsStaleFollowers(t *testing.T) {
 		if fl := origin.Log.FlushedLSN(); l.durable < fl {
 			t.Errorf("follower %d durable=%d, below the origin's flushed boundary %d", f.ID, l.durable, fl)
 		}
-		if st := l.store; st == nil || st.frames.len() == 0 {
+		if st := l.store; st == nil || st.applied == 0 {
 			t.Errorf("follower %d replica store not re-seeded by the heal", f.ID)
 		}
 	}
@@ -730,7 +730,7 @@ func mustRestart(t *testing.T, p *sim.Proc, c *Cluster, nodes ...*DataNode) {
 func lastReset(f *DataNode, origin int) (marker *wal.ShipFrame) {
 	f.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
 		if rec.Type == wal.RecShip && rec.Part == uint64(origin) {
-			if sf, err := wal.DecodeShipFrame(rec.After); err == nil && sf.Reset {
+			if sf := new(wal.ShipFrame); wal.DecodeShipFrame(rec.After, sf) == nil && sf.Reset {
 				marker = sf
 			}
 		}
@@ -1260,8 +1260,8 @@ func TestApplyStreamAllocs(t *testing.T) {
 	if perFrame := allocs / frames; perFrame > 0.1 {
 		t.Fatalf("applying %d frames to a warm store allocates %.0f objects, %.2f per frame; want amortised growth only (< 0.1)", frames, allocs, perFrame)
 	}
-	if got := st.frames.len(); got != 8*frames {
-		t.Fatalf("store retains %d frames, want %d", got, 8*frames)
+	if got, want := st.applied, firsts[5]+frames-1; got != want {
+		t.Fatalf("store applied through %d, want every frame through %d", got, want)
 	}
 	if v, ok := st.parts[3].get(ik(7), ts); !ok || v.TS == 0 {
 		t.Fatalf("key 7 unreadable at the newest snapshot: %v %v", v, ok)
@@ -1284,14 +1284,14 @@ func TestResyncCoversShippedUnflushedFrames(t *testing.T) {
 	tc.run(t, func(p *sim.Proc) {
 		lsn := origin.Log.Append(wal.Record{Txn: 1 << 40, Type: wal.RecAbort})
 		origin.Log.Kick()
-		if !c.shipQueued(p, origin, false) || origin.ship.link(f2).store.frames.get(lsn) == nil || len(origin.ship.queue) != 0 {
+		if !c.shipQueued(p, origin, false) || origin.ship.link(f2).store.applied < lsn || len(origin.ship.queue) != 0 {
 			t.Fatalf("setup: the pass did not deliver the frame to follower 2 and pop it (%d queued)", len(origin.ship.queue))
 		}
 		c.resyncFollower(p, origin.ship.link(f1))
 		if origin.Log.FlushedLSN() >= lsn {
 			t.Fatal("setup: the origin's flush finished before the resync")
 		}
-		if origin.ship.link(f1).stale || origin.ship.link(f1).store.frames.get(lsn) == nil || origin.ship.link(f1).sent < lsn {
+		if origin.ship.link(f1).stale || origin.ship.link(f1).store.applied < lsn || origin.ship.link(f1).sent < lsn {
 			t.Fatalf("after its resync follower 1 (stale=%v, sent through %d) lacks the frame at %d that was shipped and popped ahead of the origin's flush",
 				origin.ship.link(f1).stale, origin.ship.link(f1).sent, lsn)
 		}
@@ -1373,6 +1373,93 @@ func TestStreamCopyWrapperBranches(t *testing.T) {
 			if got != tt.want {
 				t.Fatalf("streamCopy = %q, want %q", got, tt.want)
 			}
+		})
+	}
+}
+
+// TestStreamCopyAllocs: a copy of a follower's shipped stream is read in
+// place and sized once from the log's frame count, so copying eight times
+// the history allocates the same objects — none per frame.
+func TestStreamCopyAllocs(t *testing.T) {
+	allocs := func(commits int) (float64, int) {
+		tc := newRepClusterWith(t, table.Physiological, 2, 100, func(cfg *Config) { cfg.DataReplicas = 1 })
+		defer tc.env.Close()
+		c := tc.c
+		origin, f := c.Nodes[0], c.Nodes[1]
+		var part uint64
+		for id := range origin.Parts {
+			part = uint64(id)
+		}
+		val := table.EncodeValue(cc.Version{TS: 1, Val: []byte("v")})
+		for i := 0; i < commits; i++ {
+			txn := cc.TxnID(1<<40 + i)
+			origin.Log.Append(wal.Record{Txn: txn, Type: wal.RecUpdate, Part: part, Key: ik(int64(i % 50)), After: val})
+			origin.Log.Append(wal.Record{Txn: txn, Type: wal.RecCommit})
+		}
+		c.SetupReplicationDrain() // the whole stream: wrappers on f's log, durable
+		held := 0
+		n := testing.AllocsPerRun(10, func() {
+			fs, _ := streamCopy(f, origin.ID, f.Log.FlushedLSN())
+			held = fs.len()
+		})
+		if held < 2*commits {
+			t.Fatalf("follower's copy holds %d frames, want at least the %d appended", held, 2*commits)
+		}
+		return n, held
+	}
+	small, n := allocs(500)
+	large, m := allocs(4000)
+	if small != large {
+		t.Fatalf("streamCopy of %d frames allocates %.0f objects, of %d frames %.0f: want the same", n, small, m, large)
+	}
+}
+
+// TestScrubRepairsFromDurableCopy: with the origin's only follower crashed or
+// stale, no replica store can serve a repair, and the frame is long gone from
+// the origin's ship queue. A rotted data frame must still be repaired — from
+// the follower's durable wrappers, the copy RotEligible vouches for.
+func TestScrubRepairsFromDurableCopy(t *testing.T) {
+	for _, follower := range []string{"crashed", "stale"} {
+		t.Run(follower, func(t *testing.T) {
+			tc := newRepClusterWith(t, table.Physiological, 3, 100, func(cfg *Config) { cfg.DataReplicas = 1 })
+			defer tc.env.Close()
+			c := tc.c
+			c.SetupReplicationDrain()
+			origin := c.Nodes[0]
+			f := origin.ship.links[0].follower
+			tc.run(t, func(p *sim.Proc) {
+				for k := int64(0); k < 10; k++ {
+					tc.put(t, p, origin, k, fmt.Sprintf("new-%d", k))
+				}
+				if follower == "crashed" {
+					c.CrashNode(f)
+				} else {
+					origin.ship.links[0].stale = true
+				}
+				var target uint64
+				origin.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
+					if rec.Type == wal.RecUpdate && rec.LSN <= origin.Log.FlushedLSN() {
+						target = rec.LSN
+					}
+					return true
+				})
+				if target == 0 || len(origin.ship.queue) != 0 {
+					t.Fatalf("setup: durable update at LSN %d, %d frames still queued", target, len(origin.ship.queue))
+				}
+				if !c.RotEligible(origin)(target) {
+					t.Fatalf("setup: LSN %d has no durable copy on the follower", target)
+				}
+				if got := origin.Log.FlipFlushedBit(3, func(lsn uint64) bool { return lsn == target }); got != target {
+					t.Fatalf("setup: rot landed on LSN %d, want %d", got, target)
+				}
+				before := c.drep.ScrubRepairs
+				if n := c.scrubNode(p, origin); n != 1 || c.drep.ScrubRepairs != before+1 {
+					t.Fatalf("the scrubber repaired %d frames, want 1", n)
+				}
+				if bad := origin.Log.CheckFlushed(); len(bad) != 0 {
+					t.Fatalf("frames %v still damaged after the scrub", bad)
+				}
+			})
 		})
 	}
 }

@@ -417,20 +417,28 @@ func (m *Master) masterCopy(n *DataNode) (recs []wal.Record, maxSeq uint64, held
 // has not flushed and a follower of n holds durably, if there is one: what a
 // power failure of n now leaves for an election to adopt (tryElect). The
 // follower is an in-sync one whose log is flushed through its last wrapper,
-// so every frame its replica store holds of n's current generation is
-// durable there; the candidates are the few above n's flushed boundary. The
-// record aliases the store's frame.
+// so every frame of n's current generation it was sent is durable there; the
+// candidates are the frames of n's own log above n's flushed boundary, up to
+// that follower's sent mark. They are the frames the follower holds there:
+// CoordAhead is asked of a live node only, in its current generation, whose
+// log holds exactly what it shipped. The newest such record is returned,
+// aliasing n's log.
 func (c *Cluster) CoordAhead(n *DataNode) (ahead wal.Record, ok bool) {
 	if c.drep == nil {
 		return ahead, false
 	}
 	for _, l := range n.ship.links {
-		if st := l.store; st != nil && !l.stale && l.follower.Log.FlushedLSN() >= l.wrapLSN {
-			for i := st.frames.len() - 1; i >= 0 && st.frames.lsns[i] > n.Log.FlushedLSN(); i-- {
-				if wal.DecodeFrame(st.frames.frames[i], &ahead) == nil && (ahead.Type == wal.RecDecision || ahead.Type == wal.RecMLease) {
-					return ahead, true
-				}
+		if l.store == nil || l.stale || l.follower.Log.FlushedLSN() < l.wrapLSN {
+			continue
+		}
+		it := n.Log.IterFrom(n.Log.FlushedLSN() + 1)
+		for rec := (wal.Record{}); it.Next(&rec) && rec.LSN <= l.sent; {
+			if rec.Type == wal.RecDecision || rec.Type == wal.RecMLease {
+				ahead, ok = rec, true
 			}
+		}
+		if ok {
+			return ahead, true
 		}
 	}
 	return wal.Record{}, false

@@ -26,7 +26,9 @@ import (
 // of a rebuild after total durable loss, which renumbers the origin's log from
 // LSN 1: nothing the follower held is addressable any more. Followers retain
 // whatever they were shipped; their wrappers have one reader, which applies
-// the markers in log order (cluster/datarep.go, streamCopy).
+// the markers in log order (cluster/datarep.go, streamCopy). That reader
+// reads the stream in place: a decoded frame aliases its wrapper's bytes in
+// the follower's log segment, which are write-once like every log byte.
 //
 // Wire format (all little-endian):
 //
@@ -84,47 +86,51 @@ func EncodeShipFrame(dst []byte, f *ShipFrame) []byte {
 	return dst
 }
 
-// DecodeShipFrame parses one ship payload occupying the whole of buf.
-// Frame is a copy, not an alias, for memory: the frames streamCopy reads from
-// a follower's wrappers seed replica stores and the bases a rebuild restores,
-// and both keep them past the truncation of the wrapper's segment, which an
-// alias would keep alive whole.
-func DecodeShipFrame(buf []byte) (*ShipFrame, error) {
+// DecodeShipFrame parses one ship payload occupying the whole of buf into f,
+// overwriting every field. f.Frame aliases buf, its capacity capped at its
+// length, so an append to it reallocates instead of writing into buf. An alias
+// is all any reader needs: buf is a RecShip wrapper's payload in a follower's
+// log segment, and log bytes are write-once. Nothing that keeps a frame needs
+// a copy either: a rebuild re-appends the frames (Log.Append copies them) and
+// clones the base pairs it keeps, and a replica store seeded by a resync
+// aliases the follower's wrapper segments, which the wrapper floor keeps, as a
+// store fed by shipping aliases the origin's.
+func DecodeShipFrame(buf []byte, f *ShipFrame) error {
 	if len(buf) < shipHeaderSize {
-		return nil, fmt.Errorf("wal: ship payload truncated (%d bytes)", len(buf))
+		return fmt.Errorf("wal: ship payload truncated (%d bytes)", len(buf))
 	}
-	f := &ShipFrame{
+	*f = ShipFrame{
 		Origin: binary.LittleEndian.Uint32(buf[0:4]),
 		LSN:    binary.LittleEndian.Uint64(buf[4:12]),
 		Gen:    binary.LittleEndian.Uint64(buf[12:20]),
 	}
 	flags := buf[20]
 	if flags&^(shipFlagReset|shipFlagFrame|shipFlagKeep) != 0 {
-		return nil, fmt.Errorf("wal: unknown ship flags %#x", flags)
+		return fmt.Errorf("wal: unknown ship flags %#x", flags)
 	}
 	f.Reset = flags&shipFlagReset != 0
 	if flags&shipFlagKeep != 0 {
 		if !f.Reset || f.LSN == 0 {
-			return nil, fmt.Errorf("wal: keep-through on a data payload, or an empty one")
+			return fmt.Errorf("wal: keep-through on a data payload, or an empty one")
 		}
 		f.Keep, f.LSN = f.LSN, 0
 	}
 	n := int(binary.LittleEndian.Uint32(buf[21:25]))
 	body := buf[shipHeaderSize:]
 	if n < 0 || len(body) != n {
-		return nil, fmt.Errorf("wal: ship frame length %d over %d body bytes", n, len(body))
+		return fmt.Errorf("wal: ship frame length %d over %d body bytes", n, len(body))
 	}
 	if flags&shipFlagFrame != 0 {
-		f.Frame = append([]byte{}, body...)
+		f.Frame = body[:n:n]
 	} else if n != 0 {
-		return nil, fmt.Errorf("wal: %d frame bytes on a payload flagged frame=nil", n)
+		return fmt.Errorf("wal: %d frame bytes on a payload flagged frame=nil", n)
 	}
 	if f.Reset {
 		if f.Frame != nil || f.LSN != 0 {
-			return nil, fmt.Errorf("wal: reset marker carrying a frame or LSN")
+			return fmt.Errorf("wal: reset marker carrying a frame or LSN")
 		}
 	} else if f.Frame == nil {
-		return nil, fmt.Errorf("wal: ship payload with neither frame nor reset")
+		return fmt.Errorf("wal: ship payload with neither frame nor reset")
 	}
-	return f, nil
+	return nil
 }

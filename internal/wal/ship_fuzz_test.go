@@ -12,8 +12,8 @@ import (
 func TestShipResetKeepThrough(t *testing.T) {
 	for _, keep := range []uint64{0, 1, 41, 1 << 40} {
 		in := &ShipFrame{Origin: 3, Gen: 7, Reset: true, Keep: keep}
-		out, err := DecodeShipFrame(EncodeShipFrame(nil, in))
-		if err != nil {
+		out := &ShipFrame{Frame: []byte("stale"), LSN: 5} // every field is overwritten
+		if err := DecodeShipFrame(EncodeShipFrame(nil, in), out); err != nil {
 			t.Fatalf("keep %d: %v", keep, err)
 		}
 		if out.Origin != 3 || out.Gen != 7 || !out.Reset || out.Keep != keep || out.LSN != 0 || out.Frame != nil {
@@ -30,13 +30,15 @@ func TestShipResetKeepThrough(t *testing.T) {
 		"keep-through on a data payload": {Origin: 1, Gen: 1, LSN: 9, Keep: 5, Frame: []byte("f")},
 		"LSN on a reset marker":          {Origin: 1, Gen: 1, Reset: true, LSN: 9},
 	} {
-		if sf, err := DecodeShipFrame(EncodeShipFrame(nil, bad)); err == nil {
+		var sf ShipFrame
+		if err := DecodeShipFrame(EncodeShipFrame(nil, bad), &sf); err == nil {
 			t.Errorf("%s decoded: %+v", name, sf)
 		}
 	}
 	zeroKeep := EncodeShipFrame(nil, &ShipFrame{Origin: 1, Gen: 1, Reset: true})
 	zeroKeep[20] |= shipFlagKeep
-	if sf, err := DecodeShipFrame(zeroKeep); err == nil {
+	var sf ShipFrame
+	if err := DecodeShipFrame(zeroKeep, &sf); err == nil {
 		t.Errorf("a flagged keep-through of zero decoded: %+v", sf)
 	}
 }
@@ -45,7 +47,9 @@ func TestShipResetKeepThrough(t *testing.T) {
 // survive encode/decode exactly — origin, LSN, generation, the reset flag with
 // its keep-through, and the frame bytes including the nil-versus-empty
 // distinction (a nil frame is only legal on a reset marker; an empty non-nil
-// frame is a real, zero-payload frame the follower must still store).
+// frame is a real, zero-payload frame the follower must still store) — and
+// that the decoded frame is the payload read in place: it aliases the
+// encoding, and appending to it cannot write into the encoding.
 func FuzzShipRoundTrip(f *testing.F) {
 	f.Add(uint32(1), uint64(42), uint64(0), false, []byte("frame-bytes"))
 	f.Add(uint32(3), uint64(0), uint64(2), true, []byte(nil))
@@ -62,8 +66,9 @@ func FuzzShipRoundTrip(f *testing.F) {
 		} else if in.Frame == nil {
 			in.Frame = []byte{}
 		}
-		out, err := DecodeShipFrame(EncodeShipFrame(nil, in))
-		if err != nil {
+		enc := EncodeShipFrame(nil, in)
+		out := new(ShipFrame)
+		if err := DecodeShipFrame(enc, out); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if out.Origin != in.Origin || out.LSN != in.LSN || out.Gen != in.Gen || out.Reset != in.Reset || out.Keep != in.Keep {
@@ -76,19 +81,16 @@ func FuzzShipRoundTrip(f *testing.F) {
 			t.Fatalf("frame bytes = %x, want %x", out.Frame, in.Frame)
 		}
 		if len(in.Frame) > 0 {
-			// Decoded slices must be copies: scribbling over the encoding
-			// must not reach through to the decoded frame (followers retain
-			// decoded frames long after the wire buffer is reused).
-			enc := EncodeShipFrame(nil, in)
-			out2, err := DecodeShipFrame(enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
+			// The frame is read in place: it aliases the payload, and its
+			// capacity ends with it, so an append reallocates rather than
+			// writing into the encoding (log bytes are write-once).
+			if &out.Frame[0] != &enc[shipHeaderSize] {
+				t.Fatal("decoded frame does not alias the payload")
 			}
-			for i := range enc {
-				enc[i] = ^enc[i]
-			}
-			if !bytes.Equal(out2.Frame, in.Frame) {
-				t.Fatal("decoded frame aliases the wire buffer")
+			before := bytes.Clone(enc)
+			grown := append(out.Frame, 0xAA)
+			if !bytes.Equal(enc, before) || &grown[0] == &enc[shipHeaderSize] {
+				t.Fatal("appending to the decoded frame wrote into the encoding")
 			}
 		}
 	})
@@ -108,8 +110,8 @@ func FuzzShipDecodeNoPanic(f *testing.F) {
 	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 9, Gen: 3, Reset: true, Keep: 1204, Frame: []byte("payload")}))
 	f.Add(EncodeShipFrame(nil, &ShipFrame{Origin: 2, LSN: 7, Gen: 1, Keep: 5, Frame: []byte("payload")}))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		sf, err := DecodeShipFrame(buf)
-		if err != nil {
+		sf := new(ShipFrame)
+		if DecodeShipFrame(buf, sf) != nil {
 			return
 		}
 		if sf.Reset && (sf.Frame != nil || sf.LSN != 0) {
@@ -166,6 +168,7 @@ func FuzzShipTornTailRecovery(f *testing.F) {
 			t.Fatalf("valid prefix %d over-reads %d-byte log", vp, len(buf))
 		}
 		var rec, inner Record
+		var sf ShipFrame
 		off := 0
 		for off < vp {
 			n, err := decodeFrame(buf[off:], &rec)
@@ -173,8 +176,7 @@ func FuzzShipTornTailRecovery(f *testing.F) {
 				t.Fatalf("accepted prefix fails to decode at %d: %v", off, err)
 			}
 			if rec.Type == RecShip {
-				sf, err := DecodeShipFrame(rec.After)
-				if err != nil {
+				if err := DecodeShipFrame(rec.After, &sf); err != nil {
 					t.Fatalf("intact RecShip payload rejected: %v", err)
 				}
 				if !sf.Reset {

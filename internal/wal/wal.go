@@ -676,6 +676,20 @@ func (l *Log) VisitFrames(fn func(rec *Record, frame []byte) bool) {
 	})
 }
 
+// FramesThrough returns how many retained frames carry an LSN at or below
+// upTo, damaged ones included, from the segments' offset maps alone: a reader
+// that keeps some of those frames sizes its slices once from it.
+func (l *Log) FramesThrough(upTo uint64) int {
+	n := 0
+	for _, s := range l.segs {
+		if upTo < s.firstLSN {
+			break
+		}
+		n += int(min(upTo-s.firstLSN+1, uint64(len(s.ends))))
+	}
+	return n
+}
+
 // locate finds the segment holding lsn and its frame's bounds in the
 // segment's buffer; s is nil when no retained segment holds lsn.
 func (l *Log) locate(lsn uint64) (s *logSegment, start, end int) {

@@ -589,6 +589,42 @@ func TestTruncateBeforeExactBoundary(t *testing.T) {
 	}
 }
 
+// TestFramesThrough pins the frame count readers size their slices from: the
+// retained frames at or below an LSN, across segment boundaries, and none of
+// those a truncation recycled.
+func TestFramesThrough(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	l.SetSegmentBytes(128) // several segments
+	var last uint64
+	for i := 0; i < 40; i++ {
+		last = l.Append(Record{Type: RecInsert, Txn: 1, Key: []byte{byte(i)}, After: []byte("value")})
+	}
+	env.Spawn("flush", func(p *sim.Proc) { l.Flush(p, last) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, upTo := range []uint64{0, 1, 7, last - 1, last, last + 5} {
+		if got, want := l.FramesThrough(upTo), int(min(upTo, last)); got != want {
+			t.Errorf("FramesThrough(%d) = %d, want %d", upTo, got, want)
+		}
+	}
+	if !l.TruncateBefore(20) {
+		t.Fatal("setup: truncation recycled nothing")
+	}
+	recs, err := readAll(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := recs[0].LSN
+	for _, upTo := range []uint64{first - 1, first, last} {
+		if got, want := l.FramesThrough(upTo), int(upTo-first+1); got != want {
+			t.Errorf("after truncation below %d: FramesThrough(%d) = %d, want %d", first, upTo, got, want)
+		}
+	}
+}
+
 // TestCrashDiscardsUnflushedBytes pins the crash fence on the byte log: the
 // unflushed tail is gone, the durable prefix decodes, and LSNs continue
 // above the durable boundary after restart.
