@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"wattdb/internal/sim"
 	"wattdb/internal/storage"
@@ -63,6 +64,8 @@ type Tree struct {
 	// curFree recycles scan cursors (with their stack/scratch/batch
 	// buffers) so repeated scans allocate nothing.
 	curFree *Cursor
+	// cell is the scratch slice a put builds its leaf cell in (leafCell).
+	cell []byte
 }
 
 // Serialize enables writer mutual exclusion for trees whose pager can block
@@ -138,12 +141,20 @@ func (t *Tree) setRoot(no storage.PageNo) {
 // keys >= separator, and the first cell's separator is treated as -infinity
 // during descent.
 
-func leafCell(key, val []byte) []byte {
-	c := make([]byte, 2+len(key)+len(val))
-	binary.LittleEndian.PutUint16(c, uint16(len(key)))
-	copy(c[2:], key)
-	copy(c[2+len(key):], val)
-	return c
+// appendLeafCell appends the leaf cell of (key, val) to dst.
+func appendLeafCell(dst, key, val []byte) []byte {
+	dst = slices.Grow(dst, 2+len(key)+len(val))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = append(dst, key...)
+	return append(dst, val...)
+}
+
+// leafCell builds the leaf cell of (key, val) in the tree's scratch slice.
+// The cell is valid until the next put builds one: a page copies it before
+// anything can block, and split clones it first.
+func (t *Tree) leafCell(key, val []byte) []byte {
+	t.cell = appendLeafCell(t.cell[:0], key, val)
+	return t.cell
 }
 
 func innerCell(key []byte, child storage.PageNo) []byte {
@@ -269,7 +280,7 @@ func (t *Tree) PutLocked(p *sim.Proc, key, val []byte, lsn uint64) (replaced boo
 			return false, err
 		}
 		pg.Init(storage.PageLeaf)
-		pg.InsertCellAt(0, leafCell(key, val))
+		pg.InsertCellAt(0, t.leafCell(key, val))
 		pg.SetLSN(lsn)
 		rel()
 		t.setRoot(no)
@@ -356,7 +367,7 @@ func (t *Tree) putInto(p *sim.Proc, no storage.PageNo, key, val []byte, lsn uint
 	i, exact := search(wpg, key)
 	wpg.SetLSN(lsn)
 	if exact {
-		if wpg.ReplaceCellAt(i, leafCell(key, val)) {
+		if wpg.ReplaceCellAt(i, t.leafCell(key, val)) {
 			return true, nil, 0, nil
 		}
 		// No room for the bigger value: delete and fall through to a
@@ -364,7 +375,7 @@ func (t *Tree) putInto(p *sim.Proc, no storage.PageNo, key, val []byte, lsn uint
 		wpg.DeleteCellAt(i)
 		replaced = true
 	}
-	cell := leafCell(key, val)
+	cell := t.leafCell(key, val)
 	if wpg.InsertCellAt(i, cell) {
 		return replaced, nil, 0, nil
 	}

@@ -55,7 +55,7 @@ func (t *Tree) BulkLoad(p *sim.Proc, fillFraction float64, next func() (key, val
 			return fmt.Errorf("btree: bulk load keys not strictly ascending")
 		}
 		lastKey = bytes.Clone(key)
-		cell := leafCell(key, val)
+		cell := appendLeafCell(nil, key, val)
 		if cur != nil && curBytes+len(cell)+4 > budget {
 			flush()
 		}

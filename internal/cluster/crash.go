@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wattdb/internal/btree"
@@ -39,9 +40,10 @@ import (
 // every branch is fully durable before the coordinator decides: prepare
 // logs the branch's redo images with its vote (one force), the coordinator
 // forces a decision record before any participant installs, and RestartNode
-// resolves prepared-but-undecided branches against the coordinator —
-// rolling forward from the prepare-time log at the decided timestamp, or
-// rolling back under presumed abort when no decision exists. Single-node
+// resolves prepared-but-undecided branches against the coordinator — it
+// logs the prepare-time images as committed DML at the decided timestamp,
+// or an abort record under presumed abort when no decision exists, and its
+// replay then redoes them like any other commit. Single-node
 // transactions need no vote: the commit record is the decision, and a crash
 // inside the window rolls them back (the caller never saw an ack).
 
@@ -183,23 +185,19 @@ func (c *Cluster) doCrash(n *DataNode, tear, flip int) int {
 // lost partition from its recovery base, read the recovered log once into
 // the node's kept transaction table (readLog, which also finds the newest
 // complete checkpoint), resolve its in-doubt transactions against the
-// coordinator (roll forward from the prepare-time log or roll back under
-// presumed abort), replay each hosted partition from its last-checkpoint
-// redo point up to where the table has read (REDO winners, UNDO losers), in
-// parallel, then atomically swap the rebuilt partitions into the master's
-// partition table and the node's registry, and ack the coordinator
-// decisions the table shows closed. The table stays the node's: the next
-// checkpoint catches it up on what the restart appended. It returns the
-// replay counts; n.LastRecovery records the full RTO breakdown.
+// coordinator and log and force their closing records (closeInDoubt: the
+// prepare images as committed DML, or an abort under presumed abort),
+// catch the table up on them, replay each hosted partition from its
+// last-checkpoint redo point up to where the table has read (REDO winners,
+// UNDO losers), in parallel, then atomically swap the rebuilt partitions
+// into the master's partition table and the node's registry, and ack the
+// coordinator decisions the table shows closed. The table stays the node's:
+// the next checkpoint catches it up on what the restart appended. It
+// returns the replay counts; n.LastRecovery records the full RTO breakdown.
 func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err error) {
 	if !n.crashed {
 		return 0, 0, fmt.Errorf("cluster: restart of node %d, which is not crashed", n.ID)
 	}
-	defer func() {
-		if err != nil {
-			n.fold = nil // it may hold verdicts no closing record backs
-		}
-	}()
 	started := p.Now()
 	n.HW.PowerOn(p)
 	// Salvage the damaged log's readable frames before Restart's byte scan
@@ -275,18 +273,26 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// log holds no checkpoint records (they never ship), so a rebuild falls
 	// back to full replay of the reconstructed history — which is exactly
 	// right, since the rebuilt bases are the shipped originals, not
-	// refreshed ones. In-doubt resolution: a transaction with a durable
-	// prepare vote but no local commit or abort record was cut down between
-	// its vote and its commit record; the coordinator is queried for each
-	// (ascending transaction ID for determinism): a known decision rolls the
-	// branch forward at the decided timestamp, an unknown transaction is
-	// presumed aborted.
+	// refreshed ones.
+	//
+	// In-doubt resolution comes before the replay: a transaction with a
+	// durable prepare vote but no local commit or abort record was cut down
+	// between its vote and its commit record. The coordinator is queried for
+	// each (ascending transaction ID for determinism), and closeInDoubt logs
+	// and forces the answer — the branch's prepare images as committed DML
+	// at the decided timestamp under a commit record, or an abort record
+	// under presumed abort. A second readLog catches the table up on those
+	// records, so the replay below redoes the rolled-forward branch like any
+	// other commit and never reads a prepare image.
 	f, err := n.readLog()
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: node %d log scan: %w", n.ID, err)
 	}
+	inDoubt := c.resolveInDoubt(p, n, f.a, targets)
+	if f, err = n.readLog(); err != nil {
+		return 0, 0, fmt.Errorf("cluster: node %d log scan: %w", n.ID, err)
+	}
 	a, ck := f.a, f.a.LastCheckpoint()
-	inDoubt := c.resolveInDoubt(p, n, a)
 	// Replay hosted partitions in parallel: one simulation process per
 	// partition, each reading the log from its checkpoint redo point (0 —
 	// the recovery base — when no checkpoint covers it) against the shared
@@ -328,7 +334,6 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	if err != nil {
 		return redone, undone, err
 	}
-	c.closeInDoubt(p, n, a, targets, inDoubt)
 
 	// Swap-in. No blocking calls below: routing flips from the dead
 	// partitions to the recovered ones in one simulation instant.
@@ -377,10 +382,13 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 	// (ackResolved): the node died between its commit record's force and the
 	// ack (a replicated branch waits for a follower in between), or the ack
 	// was in flight — or unforced and lost — when a leader died, and the
-	// rebuilt decision map still lists them.
+	// rebuilt decision map still lists them. The table shows the in-doubt
+	// ones resolved too, by the records closeInDoubt logged: each is acked
+	// once.
+	acks := inDoubt
 	for _, id := range c.Master.outstandingDecisionsFor(n.ID) {
-		if resolved, _ := a.Resolved(id); resolved {
-			inDoubt = append(inDoubt, id)
+		if resolved, _ := a.Resolved(id); resolved && !slices.Contains(inDoubt, id) {
+			acks = append(acks, id)
 		}
 	}
 	if c.Master.rep != nil {
@@ -411,7 +419,7 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 		}
 		n.diskLost = false
 	}
-	c.ackResolved(n, inDoubt, n.Log.FlushedLSN())
+	c.ackResolved(n, acks, n.Log.FlushedLSN())
 	n.LastRecovery = RecoveryStats{
 		Checkpointed: ck != nil,
 		Redo:         minRedo,
@@ -427,10 +435,10 @@ func (c *Cluster) RestartNode(p *sim.Proc, n *DataNode) (redone, undone int, err
 
 // resolveInDoubt queries the coordinator for each of the analysis's in-doubt
 // transactions (ascending transaction ID so the network charges are
-// deterministic) and records every commit verdict in the analysis, which
-// the WAL replay then rolls forward. The in-doubt list feeds closeInDoubt
-// after the replay succeeded.
-func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis) []cc.TxnID {
+// deterministic) and hands the verdicts to closeInDoubt, which logs them. It
+// returns the in-doubt list, which the restart acks once the closing records
+// are durable.
+func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis, targets map[uint64]wal.Target) []cc.TxnID {
 	inDoubt := a.InDoubt()
 	if len(inDoubt) > 0 {
 		// Under replication an in-doubt query must wait out a coordinator
@@ -439,6 +447,7 @@ func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis) []cc
 		// re-replicate verdicts the dead leader never shipped.
 		c.Master.awaitAvailable(p)
 	}
+	verdicts := make(map[cc.TxnID]cc.Timestamp, len(inDoubt))
 	for _, id := range inDoubt {
 		if n != c.Master.Node {
 			// The coordinator query is a metadata round trip to the master.
@@ -446,22 +455,24 @@ func (c *Cluster) resolveInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis) []cc
 			c.Net.Transfer(p, c.Master.Node.ID, n.ID, 32)
 		}
 		if ts, ok := c.Master.InDoubtDecision(id); ok {
-			a.Decide(id, wal.Decision{TS: ts})
+			verdicts[id] = ts
 		}
 	}
+	c.closeInDoubt(p, n, a, targets, inDoubt, verdicts)
 	return inDoubt
 }
 
-// closeInDoubt makes the in-doubt resolution locally durable, so a later
-// crash replays it without the coordinator (whose presumed-abort state may
-// have been forgotten by then): a rolled-forward branch re-logs its prepare
-// images as ordinary committed DML under its commit record, a rolled-back
-// branch logs an abort record, and one force covers everything. The
-// coordinator is acked later (ackResolved).
-func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis, targets map[uint64]wal.Target, inDoubt []cc.TxnID) {
+// closeInDoubt logs the in-doubt resolution before the restart replays, so
+// the replay — and every later one, which no longer needs the coordinator
+// (whose presumed-abort state may have been forgotten by then) — redoes it
+// as ordinary committed work: a branch with a verdict re-logs its prepare
+// images as committed DML at the decided timestamp under its commit record,
+// a branch without one logs an abort record, and one force covers
+// everything. The coordinator is acked later (ackResolved).
+func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis, targets map[uint64]wal.Target, inDoubt []cc.TxnID, verdicts map[cc.TxnID]cc.Timestamp) {
 	var maxLSN uint64
 	for _, id := range inDoubt {
-		d, committed := a.Decision(id)
+		ts, committed := verdicts[id]
 		if !committed {
 			maxLSN = n.Log.Append(wal.Record{Txn: id, Type: wal.RecAbort})
 			continue
@@ -475,10 +486,10 @@ func (c *Cluster) closeInDoubt(p *sim.Proc, n *DataNode, a *wal.Analysis, target
 			switch r.Type {
 			case wal.RecPrepDML:
 				maxLSN = n.Log.Append(wal.Record{Txn: id, Type: wal.RecUpdate, Part: r.Part,
-					Key: r.Key, After: table.EncodeValue(cc.Version{TS: d.TS, Val: r.After})})
+					Key: r.Key, After: table.EncodeValue(cc.Version{TS: ts, Val: r.After})})
 			case wal.RecPrepDel:
 				maxLSN = n.Log.Append(wal.Record{Txn: id, Type: wal.RecDelete, Part: r.Part,
-					Key: r.Key, After: table.EncodeValue(cc.Version{TS: d.TS, Deleted: true})})
+					Key: r.Key, After: table.EncodeValue(cc.Version{TS: ts, Deleted: true})})
 			}
 		}
 		maxLSN = n.Log.Append(wal.Record{Txn: id, Type: wal.RecCommit})

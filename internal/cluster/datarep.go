@@ -415,9 +415,10 @@ func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 		st.spare = append(st.spare, staged[:0])
 	}
 	// Prepare images (RecPrepDML/RecPrepDel) carry raw payloads without a
-	// commit timestamp: they are retained for rebuild (where the normal
-	// in-doubt recovery path stamps them) but never installed here — the
-	// deciding commit re-ships ordinary DML with the final values.
+	// commit timestamp and are never installed, here or by any replay: a
+	// committed branch ships ordinary DML with the final values — from its
+	// phase two, or from the restart that closed it in doubt. The images
+	// stay in the stream for a rebuilt node's own in-doubt resolution.
 }
 
 // replicaPart mirrors one partition's full committed version history: a key

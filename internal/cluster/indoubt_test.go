@@ -1796,3 +1796,61 @@ func TestReconcileWaitsForDurableCommit(t *testing.T) {
 		t.Fatalf("%d decisions outstanding after the roll-forward", n)
 	}
 }
+
+// TestInDoubtRollForwardDelete: a distributed transaction deletes a key on
+// participant 1, which power-fails at commit.decided — acknowledged, not
+// installed. The restart rolls the branch forward from its prepare-time
+// delete image: the key reads not-found, and a vacuum above the clock
+// removes its tombstone, as it would a live commit's.
+func TestInDoubtRollForwardDelete(t *testing.T) {
+	w := newIndoubtWorld(t)
+	defer w.env.Close()
+	w.c.Point = func(n *DataNode, name string) {
+		if n == w.n1 && name == "commit.decided" {
+			w.c.CrashNode(n)
+		}
+	}
+	acked := false
+	w.env.Spawn("commit", func(p *sim.Proc) {
+		s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+		p2, _ := kvSchema().EncodeRow(table.Row{idRight, "new"})
+		if err := s.Delete(p, "kv", ik(idLeft)); err != nil {
+			t.Errorf("delete left: %v", err)
+			return
+		}
+		if err := s.Put(p, "kv", ik(idRight), p2); err != nil {
+			t.Errorf("put right: %v", err)
+			return
+		}
+		acked = s.Commit(p) == nil
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !acked || !w.n1.Down() {
+		t.Fatalf("acked=%v, participant 1 down=%v: want an acknowledged commit with participant 1 down", acked, w.n1.Down())
+	}
+	if !hasInDoubtTrace(w.n1) {
+		t.Fatal("participant 1's durable log holds no prepared-but-undecided branch")
+	}
+	w.c.Point = nil
+	removed := -1
+	w.env.Spawn("restart", func(p *sim.Proc) {
+		if _, _, err := w.c.RestartNode(p, w.n1); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.c.Nodes[0])
+		if _, ok, err := s.Get(p, "kv", ik(idLeft)); err != nil || ok {
+			t.Errorf("deleted key after the restart: ok=%v err=%v, want not found", ok, err)
+		}
+		s.Abort(p)
+		removed = vacuumAbove(t, p, w.c, w.n1)
+	})
+	if err := w.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 {
+		t.Fatalf("vacuum removed %d tombstones, want 1", removed)
+	}
+}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"wattdb/internal/cc"
@@ -265,4 +267,83 @@ func TestCommitRecordOnDeadLogIsNotDurable(t *testing.T) {
 		}
 		tc.c.Master.Oracle.Abort(txn)
 	})
+}
+
+// vacuumAbove vacuums every partition n hosts, in ID order, at a watermark
+// above the oracle's clock, and returns the tombstones removed.
+func vacuumAbove(t *testing.T, p *sim.Proc, c *Cluster, n *DataNode) int {
+	t.Helper()
+	wm := c.Master.Oracle.Clock() + 1
+	removed := 0
+	for _, id := range slices.Sorted(maps.Keys(n.Parts)) {
+		r, err := n.Parts[id].Vacuum(p, wm)
+		if err != nil {
+			t.Errorf("vacuum of partition %d: %v", id, err)
+		}
+		removed += r
+	}
+	return removed
+}
+
+// TestReplayedTombstoneIsVacuumed: a committed delete leaves a tombstone
+// that a vacuum above the clock removes, whether the node kept running or
+// crashed and restarted in between — the restart registers the tombstone it
+// reinstalls, from the replayed delete record or, once a checkpoint folded
+// the delete into the recovery base, from the base image.
+func TestReplayedTombstoneIsVacuumed(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		crash, checkpoint bool
+	}{
+		{"no-crash", false, false},
+		{"replayed", true, false},
+		{"from-base", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newIndoubtWorld(t)
+			defer w.env.Close()
+			var delLSN uint64
+			w.env.Spawn("delete", func(p *sim.Proc) {
+				s := w.c.Master.Begin(p, cc.SnapshotIsolation, w.n1)
+				if err := s.Delete(p, "kv", ik(idLeft)); err != nil {
+					t.Errorf("delete: %v", err)
+					return
+				}
+				if err := s.Commit(p); err != nil {
+					t.Errorf("commit: %v", err)
+				}
+				delLSN = w.n1.Log.FlushedLSN()
+			})
+			if err := w.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			removed := -1
+			w.env.Spawn("crash-vacuum", func(p *sim.Proc) {
+				if tc.checkpoint {
+					if _, err := w.c.CheckpointNode(p, w.n1, 0); err != nil {
+						t.Errorf("checkpoint: %v", err)
+						return
+					}
+				}
+				if tc.crash {
+					w.c.CrashNode(w.n1)
+					if _, _, err := w.c.RestartNode(p, w.n1); err != nil {
+						t.Errorf("restart: %v", err)
+						return
+					}
+					if rec := w.n1.LastRecovery; tc.checkpoint && (!rec.Checkpointed || rec.Redo <= delLSN) {
+						t.Errorf("restart replayed from %d (checkpointed=%v), want a redo point above the delete at %d",
+							rec.Redo, rec.Checkpointed, delLSN)
+					}
+				}
+				removed = vacuumAbove(t, p, w.c, w.n1)
+			})
+			if err := w.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if removed != 1 {
+				t.Fatalf("vacuum removed %d tombstones, want 1", removed)
+			}
+		})
+	}
 }

@@ -596,7 +596,8 @@ func (s *Session) mergedScan(p *sim.Proc, e *RangeEntry, lo, hi []byte, fn func(
 //     participant that crashes before or during its install in phase 2 (the
 //     "commit.decided" crash point marks the first instant) is in doubt: its
 //     branch is fully durable (prepare-time DML images forced with its vote),
-//     and RestartNode rolls it forward from the log at the decided timestamp.
+//     and RestartNode logs those images as committed DML at the decided
+//     timestamp, then replays them like any other commit.
 //   - A single-node transaction needs no vote: its commit record is the
 //     decision, so a crash inside the window simply loses the unflushed
 //     tail and the restart rolls the transaction back — the caller saw an

@@ -340,7 +340,8 @@ func (pt *Partition) splitSeg(p *sim.Proc, h *SegHandle, key []byte) error {
 // MVCC watermark (no snapshot can see the record anymore) and garbage
 // collects version chains. It returns the number of tombstones removed.
 // Vacuum removal is not logged: redoing an old delete just reinstalls a
-// tombstone, which a later vacuum removes again.
+// tombstone, and the replay registers it (RecoveryPut), so a later vacuum
+// removes it again.
 func (pt *Partition) Vacuum(p *sim.Proc, watermark cc.Timestamp) (int, error) {
 	if err := pt.down(); err != nil {
 		return 0, err
@@ -386,34 +387,26 @@ func (pt *Partition) Vacuum(p *sim.Proc, watermark cc.Timestamp) (int, error) {
 	return removed, nil
 }
 
-// RecoveryPut implements wal.Target: raw install bypassing CC.
+// RecoveryPut implements wal.Target: raw install bypassing CC. A tombstone
+// is registered for vacuum, as a live commit registers it.
 func (pt *Partition) RecoveryPut(p *sim.Proc, key, val []byte) error {
-	if v, err := DecodeValue(val); err == nil {
+	v, err := DecodeValue(val)
+	if err == nil {
 		pt.RaiseHistoryFloor(v.TS)
 	}
-	_, err := pt.treePut(p, key, val, 0)
-	return err
+	if _, err := pt.treePut(p, key, val, 0); err != nil {
+		return err
+	}
+	if v.Deleted {
+		pt.tombs[string(key)] = struct{}{}
+	}
+	return nil
 }
 
 // RecoveryDelete implements wal.Target.
 func (pt *Partition) RecoveryDelete(p *sim.Proc, key []byte) error {
 	_, err := pt.treeDelete(p, key, 0)
 	return err
-}
-
-// RecoveryInstall implements wal.Target: roll forward a prepare-time redo
-// image at the coordinator-decided commit timestamp. Deletes install as
-// tombstones (registered for vacuum), exactly as a live commit would.
-func (pt *Partition) RecoveryInstall(p *sim.Proc, key, val []byte, ts cc.Timestamp, deleted bool) error {
-	v := cc.Version{TS: ts, Deleted: deleted, Val: bytes.Clone(val)}
-	pt.RaiseHistoryFloor(ts)
-	if _, err := pt.treePut(p, key, EncodeValue(v), 0); err != nil {
-		return err
-	}
-	if deleted {
-		pt.tombs[string(key)] = struct{}{}
-	}
-	return nil
 }
 
 // DetachSegment removes mini-partition h from live service, keeping it as a

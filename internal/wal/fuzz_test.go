@@ -378,12 +378,29 @@ func FuzzAnalysisMatchesReference(f *testing.F) {
 				t.Fatalf("txn %d prepare images at %v, want %v", id, got, images[id])
 			}
 		}
-		// A coordinator verdict turns an in-doubt transaction into a winner.
-		for _, id := range wantInDoubt {
-			a.Decide(id, Decision{TS: 9})
-			if !a.Winner(id) {
-				t.Fatalf("decided txn %d is no winner", id)
+		// A coordinator verdict reaches the table only as the closing
+		// records a restart logs: DML and a commit record make the in-doubt
+		// transaction a winner, resolved at its commit; an abort record
+		// resolves it as a loser.
+		for i, id := range wantInDoubt {
+			commit := i%2 == 0
+			if commit {
+				a.Add(&Record{LSN: a.Next(), Type: RecUpdate, Txn: id, Part: 1})
 			}
+			closing := Record{LSN: a.Next(), Type: RecAbort, Txn: id}
+			if commit {
+				closing.Type = RecCommit
+			}
+			a.Add(&closing)
+			if a.Winner(id) != commit {
+				t.Fatalf("txn %d closed by %v: winner = %v", id, closing.Type, a.Winner(id))
+			}
+			if resolved, at := a.Resolved(id); !resolved || at != closing.LSN {
+				t.Fatalf("txn %d closed at %d: resolved = %v at %d", id, closing.LSN, resolved, at)
+			}
+		}
+		if got := a.InDoubt(); len(got) != 0 {
+			t.Fatalf("in doubt after closing = %v, want none", got)
 		}
 	})
 }

@@ -89,8 +89,8 @@ func (t RecType) String() string {
 // fully encoded tree values (opaque to the log), so redo/undo are simple
 // Put/Delete calls. Prepare-time DML records (RecPrepDML/RecPrepDel) instead
 // carry the raw staged payload: the commit timestamp is unknown until the
-// coordinator decides, so recovery stamps it while rolling the branch
-// forward.
+// coordinator decides, so a restart that rolls the branch forward stamps it
+// as it logs the branch's closing DML. No replay applies a prepare image.
 //
 // Append encodes the record immediately, so callers may pass slices they
 // keep mutating afterwards — the log never aliases caller memory. The other
@@ -842,21 +842,12 @@ func (it *Iterator) Next(rec *Record) bool {
 func (it *Iterator) Err() error { return it.err }
 
 // Target is the recovery interface to a partition: raw Put/Delete of
-// encoded tree values, bypassing concurrency control. RecoveryInstall
-// additionally rolls forward a prepare-time redo image, whose raw payload
-// must be stamped with the coordinator-decided commit timestamp before it
-// becomes a tree value.
+// encoded tree values, bypassing concurrency control. A replay only ever
+// hands it logged DML and base images; a prepare image, whose raw payload
+// carries no commit timestamp, never reaches it.
 type Target interface {
 	RecoveryPut(p *sim.Proc, key, val []byte) error
 	RecoveryDelete(p *sim.Proc, key []byte) error
-	RecoveryInstall(p *sim.Proc, key, val []byte, ts cc.Timestamp, deleted bool) error
-}
-
-// Decision is a coordinator's verdict for a prepared (in-doubt)
-// transaction: roll forward at TS, or — when no decision exists at the
-// coordinator — presumed abort (the transaction simply has no entry).
-type Decision struct {
-	TS cc.Timestamp
 }
 
 // Recover replays the log against targets (keyed by partition ID): it reads
@@ -900,15 +891,16 @@ func Recover(p *sim.Proc, it *Iterator, targets map[uint64]Target) (redone, undo
 // restart builds its table in the one read of its recovered log that also
 // finds the newest complete checkpoint (LastCheckpoint); each partition
 // replay then reads the log again from its own redo point, up to where the
-// table has read.
+// table has read. The table holds only what the log says: a coordinator
+// verdict reaches it as the closing records a restart logs for an in-doubt
+// branch, never as a side entry.
 //
 // Records with Txn 0 belong to no transaction (bases, ship wrappers,
 // checkpoint and coordinator records) and have no row.
 type Analysis struct {
-	next      uint64 // one past the last LSN added (0: none)
-	txns      map[cc.TxnID]*TxnEntry
-	open      map[cc.TxnID]*TxnEntry // the rows in flight (InFlightSince)
-	decisions map[cc.TxnID]Decision
+	next uint64 // one past the last LSN added (0: none)
+	txns map[cc.TxnID]*TxnEntry
+	open map[cc.TxnID]*TxnEntry // the rows in flight (InFlightSince)
 
 	ckBegin uint64 // the last RecCkptBegin added
 	ckEnd   []byte // the newest complete checkpoint's payload (LastCheckpoint; nil: none)
@@ -926,8 +918,7 @@ type TxnEntry struct {
 
 // NewAnalysis returns an empty transaction table.
 func NewAnalysis() *Analysis {
-	return &Analysis{txns: make(map[cc.TxnID]*TxnEntry), open: make(map[cc.TxnID]*TxnEntry),
-		decisions: make(map[cc.TxnID]Decision)}
+	return &Analysis{txns: make(map[cc.TxnID]*TxnEntry), open: make(map[cc.TxnID]*TxnEntry)}
 }
 
 // Add enters the record that follows every record added so far into the
@@ -985,25 +976,9 @@ func (a *Analysis) Next() uint64 { return a.next }
 // none of its records.
 func (a *Analysis) Txn(id cc.TxnID) *TxnEntry { return a.txns[id] }
 
-// Decide records the coordinator's commit verdict for an in-doubt
-// transaction: the replay rolls it forward at d.TS. An in-doubt transaction
-// never decided is presumed aborted.
-func (a *Analysis) Decide(id cc.TxnID, d Decision) { a.decisions[id] = d }
-
-// Decision returns the verdict Decide recorded for id.
-func (a *Analysis) Decision(id cc.TxnID) (Decision, bool) {
-	d, ok := a.decisions[id]
-	return d, ok
-}
-
-// Winner reports whether the replay redoes id: committed in this log, or
-// decided committed by the coordinator.
+// Winner reports whether the replay redoes id: a commit record for it is in
+// this log.
 func (a *Analysis) Winner(id cc.TxnID) bool {
-	_, decided := a.decisions[id]
-	return decided || a.committed(id)
-}
-
-func (a *Analysis) committed(id cc.TxnID) bool {
 	t := a.txns[id]
 	return t != nil && t.Committed
 }
@@ -1029,7 +1004,7 @@ func (a *Analysis) Resolved(id cc.TxnID) (bool, uint64) {
 // InFlightSince lists, ascending, the transactions in flight whose first
 // DML or prepare record is at or above lsn: no commit or abort record
 // follows that first record. A checkpoint pins its redo point at the first
-// LSN of each, so every record a later restart could roll forward or undo
+// LSN of each, so every record a later restart could close in doubt or undo
 // stays above the point its replay starts from.
 func (a *Analysis) InFlightSince(lsn uint64) []cc.TxnID {
 	return a.sorted(func(t *TxnEntry) bool { return t.First >= lsn })
@@ -1075,8 +1050,10 @@ func (s *ReplayStats) count(r *Record, redo bool) {
 // ReplayPartition replays one partition's records, reading the log through
 // it — from the partition's checkpoint redo low-water mark, IterFrom(redo) —
 // up to where the table has read the log (Next): redo the winners'
-// operations in LSN order, then undo the losers' in reverse order using
-// before images.
+// operations (transactions with a commit record in the log) in LSN order,
+// then undo the losers' in reverse order using before images. An in-doubt
+// branch is no special case: the restart logs its closing records — DML and
+// commit, or abort — before the replay, and the table reads them.
 // Both passes are idempotent, matching the paper's requirement that "the log
 // file is needed to reconstruct partitions and to perform appropriate UNDO
 // and REDO operations". Every record below the redo point is covered by the
@@ -1091,32 +1068,25 @@ func (s *ReplayStats) count(r *Record, redo bool) {
 // restart pre-applies, and every transaction the checkpoint's own Analysis
 // found in flight (InFlightSince) pins the redo point at its first LSN — the
 // same transaction table this replay reads — so every record a restart could
-// need to roll forward, or undo, sits at or above it.
+// need to close an in-doubt branch, or undo, sits at or above it.
 func (a *Analysis) ReplayPartition(p *sim.Proc, it *Iterator, part uint64, tgt Target) (st ReplayStats, err error) {
 	// Redo winners forward. Base images redo unconditionally (Txn = 0; a
 	// bulk-load base precedes any DML on its keys, and a segment-adoption
 	// base — which may supersede older DML — lands at its append position,
 	// so pure LSN order converges every key to its latest committed value).
-	// A decided-commit transaction without a local commit record (a
-	// rolled-forward in-doubt branch) installs its prepare-time images at
-	// the decided timestamp; when the commit record is durable the
-	// preceding phase-two records already carry the final values, so the
-	// prepare images are redundant and skipped. The losers' records are kept
-	// for the undo pass.
+	// Prepare images are never applied: a committed branch's values are the
+	// DML logged under its commit record — by its phase two, or by the
+	// restart that rolled it forward. The losers' records are kept for the
+	// undo pass.
 	end := a.next
 	var losers []Record
 	for r := (Record{}); it.Next(&r) && r.LSN < end; {
 		if r.Part != part {
 			continue
 		}
-		switch d, decided := a.decisions[r.Txn]; {
+		switch {
 		case r.Type == RecBase:
 			err = tgt.RecoveryPut(p, r.Key, r.After)
-		case r.Type == RecPrepDML || r.Type == RecPrepDel:
-			if !decided || a.committed(r.Txn) {
-				continue
-			}
-			err = tgt.RecoveryInstall(p, r.Key, r.After, d.TS, r.Type == RecPrepDel)
 		case !isDML(r.Type):
 			continue
 		case !a.Winner(r.Txn):
@@ -1135,10 +1105,9 @@ func (a *Analysis) ReplayPartition(p *sim.Proc, it *Iterator, part uint64, tgt T
 	if err := it.Err(); err != nil {
 		return st, err
 	}
-	// Undo losers backward (anything neither committed locally nor decided
-	// committed by the coordinator). Prepare-time images are never undone:
-	// nothing was installed before the commit point, so there is nothing to
-	// compensate. A loser below the redo point is a dead one from before an
+	// Undo losers backward (anything without a commit record in this log).
+	// Prepare-time images are never undone: nothing was installed before
+	// the commit point, so there is nothing to compensate. A loser below the redo point is a dead one from before an
 	// earlier restart — its effects were never replayed into the fresh
 	// partition, so there is nothing to undo there either.
 	for i := len(losers) - 1; i >= 0; i-- {

@@ -770,17 +770,6 @@ func (tt treeTarget) RecoveryDelete(p *sim.Proc, key []byte) error {
 	return err
 }
 
-func (tt treeTarget) RecoveryInstall(p *sim.Proc, key, val []byte, ts cc.Timestamp, deleted bool) error {
-	if deleted {
-		_, err := tt.tr.Delete(p, key, 0)
-		return err
-	}
-	// Tests install the raw payload; the timestamp stamping is exercised
-	// through the partition implementation.
-	_, err := tt.tr.Put(p, key, val, 0)
-	return err
-}
-
 func TestRecoveryRedoesWinnersUndoesLosers(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -855,10 +844,12 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 }
 
 // TestRecoverPartialInDoubtBothDirections replays a log holding two
-// prepared-but-undecided transactions: one decided committed by the
-// coordinator (rolled forward from its prepare-time images at the decided
-// timestamp), one unknown (presumed aborted: its images are ignored and its
-// partially installed phase-two record is undone).
+// prepared branches that a restart closed in doubt before replaying, as
+// RestartNode does: one the coordinator decided committed (its prepare
+// images re-logged as committed DML, stamped, under a commit record), one
+// it did not know (an abort record under presumed abort). The replay
+// redoes the first through its closing DML only, never applies a prepare
+// image, and undoes the second's partially installed phase-two record.
 func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -890,7 +881,18 @@ func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 		if got := a.InDoubt(); !slices.Equal(got, []cc.TxnID{5, 6}) {
 			t.Errorf("in doubt = %v, want [5 6]", got)
 		}
-		a.Decide(5, Decision{TS: 77})
+		// The closing records, then the table's catch-up on them.
+		l.Append(Record{Type: RecUpdate, Txn: 5, Part: 1, Key: k(1), After: []byte("fwd@77")})
+		l.Append(Record{Type: RecDelete, Txn: 5, Part: 1, Key: k(2)})
+		l.Append(Record{Type: RecCommit, Txn: 5})
+		l.Append(Record{Type: RecAbort, Txn: 6})
+		it := l.IterFrom(a.Next())
+		for r := (Record{}); it.Next(&r); {
+			a.Add(&r)
+		}
+		if got := a.InDoubt(); len(got) != 0 {
+			t.Errorf("in doubt after closing = %v, want none", got)
+		}
 		st, err := a.ReplayPartition(p, l.Iter(), 1, treeTarget{tr})
 		if err != nil {
 			t.Error(err)
@@ -899,14 +901,14 @@ func TestRecoverPartialInDoubtBothDirections(t *testing.T) {
 		if st.Redone != 2 || st.Undone != 1 {
 			t.Errorf("redone=%d undone=%d, want 2,1", st.Redone, st.Undone)
 		}
-		if v, ok, _ := tr.Get(p, k(1)); !ok || string(v) != "fwd" {
-			t.Errorf("k1 = %q, %v (decided commit must roll forward)", v, ok)
+		if v, ok, _ := tr.Get(p, k(1)); !ok || string(v) != "fwd@77" {
+			t.Errorf("k1 = %q, %v (the closing DML must roll the branch forward)", v, ok)
 		}
 		if _, ok, _ := tr.Get(p, k(2)); ok {
-			t.Error("k2 survived a rolled-forward prepare-time delete")
+			t.Error("k2 survived a rolled-forward delete")
 		}
 		if _, ok, _ := tr.Get(p, k(3)); ok {
-			t.Error("k3 installed from an undecided prepare image (presumed abort violated)")
+			t.Error("k3 installed from a prepare image (presumed abort violated)")
 		}
 		if v, ok, _ := tr.Get(p, k(4)); !ok || string(v) != "orig" {
 			t.Errorf("k4 = %q, %v (presumed abort must undo the partial install)", v, ok)
@@ -930,18 +932,14 @@ func (r *recordingTarget) RecoveryDelete(_ *sim.Proc, key []byte) error {
 	return nil
 }
 
-func (r *recordingTarget) RecoveryInstall(_ *sim.Proc, key, val []byte, ts cc.Timestamp, deleted bool) error {
-	r.calls = append(r.calls, fmt.Sprintf("install %s=%s at %d deleted=%v", key, val, ts, deleted))
-	return nil
-}
-
 // TestReplayPartitionCallOrder pins every call a partition replay makes, in
 // order, and its ReplayStats, for a replay that starts inside the log: the
-// records below its start are never applied, the redo pass applies bases,
-// winners and a decided in-doubt branch's images in LSN order, the undo pass
-// rolls the losers back newest first — a loser with three images of one key
-// ends at its oldest before image — and nothing appended after the table's
-// read is replayed.
+// records below its start are never applied, the redo pass applies bases and
+// winners in LSN order — an in-doubt branch closed by logged DML and a
+// commit record is one of them, through that DML and never its prepare
+// images — the undo pass rolls the losers back newest first — a loser with
+// three images of one key ends at its oldest before image — and nothing
+// appended after the table's read is replayed.
 func TestReplayPartitionCallOrder(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -967,6 +965,10 @@ func TestReplayPartitionCallOrder(t *testing.T) {
 		{Type: RecPrepDML, Txn: 5, Part: 1, Key: b("kz"), After: b("z1")},
 		{Type: RecPrepare, Txn: 5},
 		{Type: RecUpdate, Txn: 5, Part: 1, Key: b("ky"), Before: b("y0"), After: b("y1")},
+		// txn 4's closing records, as a restart logs them from its verdict.
+		{Type: RecUpdate, Txn: 4, Part: 1, Key: b("kp"), After: b("p1@77")},
+		{Type: RecDelete, Txn: 4, Part: 1, Key: b("kq"), After: b("dead@77")},
+		{Type: RecCommit, Txn: 4},
 	}
 	for i := range recs {
 		recs[i].LSN = l.Append(recs[i])
@@ -977,7 +979,6 @@ func TestReplayPartitionCallOrder(t *testing.T) {
 	for r := (Record{}); it.Next(&r); {
 		a.Add(&r)
 	}
-	a.Decide(4, Decision{TS: 77})
 	// Appended after the table's read: no replay may apply them.
 	l.Append(Record{Type: RecBase, Part: 1, Key: b("late"), After: b("base")})
 	l.Append(Record{Type: RecInsert, Txn: 6, Part: 1, Key: b("late6"), After: b("v")})
@@ -987,8 +988,8 @@ func TestReplayPartitionCallOrder(t *testing.T) {
 		"put kb=base",
 		"put ka=a1",
 		"delete kd",
-		"install kp=p1 at 77 deleted=false",
-		"install kq= at 77 deleted=true",
+		"put kp=p1@77",
+		"put kq=dead@77",
 		"put ky=y0",
 		"delete kn",
 		"put kl=l2",
@@ -996,7 +997,7 @@ func TestReplayPartitionCallOrder(t *testing.T) {
 		"put kl=l0",
 	}
 	var wantSt ReplayStats
-	for _, lsn := range []uint64{4, 5, 9, 11, 12} {
+	for _, lsn := range []uint64{4, 5, 9, 19, 20} {
 		wantSt.Redone++
 		wantSt.Bytes += recs[lsn-1].FrameSize()
 	}
