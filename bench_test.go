@@ -19,7 +19,7 @@ func quick() experiments.Preset { return experiments.Quick() }
 // five operator placements. Metrics: records/s per configuration.
 func BenchmarkFig1RecordThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(5000, 1)
+		res, err := experiments.Fig1(quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func BenchmarkFig1RecordThroughput(b *testing.B) {
 // the sort local vs offloaded, across concurrency levels.
 func BenchmarkFig2SortOffloading(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(800, []int{1, 10, 100}, 1)
+		res, err := experiments.Fig2(quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func BenchmarkFig2SortOffloading(b *testing.B) {
 // storage under MVCC vs MGL-RX while 50% of records move.
 func BenchmarkFig3MVCCvsLocking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(5000, []int{0, 50, 100}, 1)
+		res, err := experiments.Fig3(quick())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,56 +36,37 @@ func main() {
 	}
 	pre.Seed = *seed
 
-	run := func(name string, fn func() (fmt.Stringer, error)) {
+	matched := false
+	for _, e := range []struct {
+		name string
+		fn   func(experiments.Preset) (fmt.Stringer, error)
+	}{
+		{"fig1", stringer(experiments.Fig1)},
+		{"fig2", stringer(experiments.Fig2)},
+		{"fig3", stringer(experiments.Fig3)},
+		{"fig6", stringer(experiments.Fig6)},
+		{"fig7", stringer(experiments.Fig7)},
+		{"fig8", stringer(experiments.Fig8)},
+	} {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		matched = true
 		start := time.Now()
-		res, err := fn()
+		res, err := e.fn(pre)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", e.name, err)
 		}
 		fmt.Println(res.String())
-		fmt.Printf("[%s completed in %.1fs wall time]\n\n", name, time.Since(start).Seconds())
-	}
-
-	all := *exp == "all"
-	matched := false
-	if all || *exp == "fig1" {
-		matched = true
-		rows := 20000
-		if pre.Name == "quick" {
-			rows = 5000
-		}
-		run("fig1", func() (fmt.Stringer, error) { return experiments.Fig1(rows, pre.Seed) })
-	}
-	if all || *exp == "fig2" {
-		matched = true
-		rows, levels := 2000, []int{1, 10, 100, 1000}
-		if pre.Name == "quick" {
-			rows, levels = 1000, []int{1, 10, 100, 400}
-		}
-		run("fig2", func() (fmt.Stringer, error) { return experiments.Fig2(rows, levels, pre.Seed) })
-	}
-	if all || *exp == "fig3" {
-		matched = true
-		records, ratios := 20000, []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-		if pre.Name == "quick" {
-			records, ratios = 5000, []int{0, 25, 50, 75, 100}
-		}
-		run("fig3", func() (fmt.Stringer, error) { return experiments.Fig3(records, ratios, pre.Seed) })
-	}
-	if all || *exp == "fig6" {
-		matched = true
-		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(pre) })
-	}
-	if all || *exp == "fig7" {
-		matched = true
-		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(pre) })
-	}
-	if all || *exp == "fig8" {
-		matched = true
-		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(pre) })
+		fmt.Printf("[%s completed in %.1fs wall time]\n\n", e.name, time.Since(start).Seconds())
 	}
 	if !matched {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+}
+
+// stringer adapts a figure's typed result to fmt.Stringer.
+func stringer[R fmt.Stringer](fig func(experiments.Preset) (R, error)) func(experiments.Preset) (fmt.Stringer, error) {
+	return func(pre experiments.Preset) (fmt.Stringer, error) { return fig(pre) }
 }

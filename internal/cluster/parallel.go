@@ -58,14 +58,3 @@ func (m *Master) PartitionPlans(txn *cc.Txn, tableName string, gather *DataNode,
 	}
 	return plans, nil
 }
-
-// ParallelScan builds the full scatter-gather plan for tableName: one
-// node-placed subplan per range entry (see PartitionPlans) merged by an
-// exec.Exchange gathering on gather.
-func (m *Master) ParallelScan(txn *cc.Txn, tableName string, gather *DataNode, vector int, wrap func(scan exec.Operator, owner *DataNode) exec.Operator) (*exec.Exchange, error) {
-	plans, err := m.PartitionPlans(txn, tableName, gather, vector, wrap)
-	if err != nil {
-		return nil, err
-	}
-	return &exec.Exchange{Plans: plans, Env: m.cluster.Env}, nil
-}

@@ -41,11 +41,13 @@ func TestTimelineDeterministic(t *testing.T) {
 // TestFig1Deterministic pins the operator micro-benchmark: identical seeds
 // must reproduce the exact throughput numbers.
 func TestFig1Deterministic(t *testing.T) {
-	r1, err := Fig1(300, 42)
+	pre := tiny()
+	pre.Seed = 42
+	r1, err := Fig1(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Fig1(300, 42)
+	r2, err := Fig1(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,13 @@ func TestFig1Deterministic(t *testing.T) {
 // included: identical seeds must reproduce the exact throughput and storage
 // numbers.
 func TestFig3Deterministic(t *testing.T) {
-	r1, err := Fig3(150, []int{0, 100}, 42)
+	pre := tiny()
+	pre.Seed = 42
+	r1, err := Fig3(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Fig3(150, []int{0, 100}, 42)
+	r2, err := Fig3(pre)
 	if err != nil {
 		t.Fatal(err)
 	}

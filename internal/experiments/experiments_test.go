@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"wattdb/internal/sim"
-	"wattdb/internal/table"
 )
 
 // tiny returns a preset small enough for unit tests: a sub-minute observed
 // window over a few hundred records.
 func tiny() Preset {
 	return Preset{
-		Name:                 "tiny",
+		Fig1Rows:             300,
+		Fig3Rows:             150,
+		Fig3UpdatePcts:       []int{0, 100},
 		Warehouses:           2,
 		DistrictsPerW:        2,
 		CustomersPerDistrict: 20,
@@ -35,7 +36,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // configurations produce positive throughput, and the local scan beats the
 // single-record remote plan (the paper's headline collapse).
 func TestFig1Smoke(t *testing.T) {
-	res, err := Fig1(300, 1)
+	res, err := Fig1(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestFig1Smoke(t *testing.T) {
 // TestFig3Smoke runs the MVCC-vs-locking study at a tiny scale: both modes
 // commit work and report sane storage percentages.
 func TestFig3Smoke(t *testing.T) {
-	res, err := Fig3(150, []int{0, 100}, 1)
+	res, err := Fig3(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,9 @@ func TestFig3Smoke(t *testing.T) {
 // this scale one 2 s lock-timeout stall is a tenth of a run, and other seeds
 // show one (ROADMAP item 2), so the seed is part of the test.
 func TestFig3Shape(t *testing.T) {
-	res, err := Fig3(1000, []int{0, 50, 100}, 1)
+	pre := Quick()
+	pre.Fig3Rows = 1000
+	res, err := Fig3(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,6 @@ func TestFig6Smoke(t *testing.T) {
 			}
 		}
 	}
-	_ = table.Physical
 }
 
 // TestFig7Shape gates the normal bar of Fig 7, the one the paper draws as

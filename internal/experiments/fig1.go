@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"wattdb/internal/cc"
-	"wattdb/internal/cluster"
 	"wattdb/internal/exec"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
@@ -29,48 +27,16 @@ type Fig1Result struct {
 // next(); remote project over vectorised operators; and vectorised with an
 // asynchronous buffering operator. Expected shape: ~40 k / ~34 k / <1 k /
 // ~24 k / ~30 k records per second.
-func Fig1(rows int, seed int64) (Fig1Result, error) {
-	env := sim.NewEnv(seed)
-	defer env.Close()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = 2
-	cfg.Cal.BufferFrames = 8192 // table fits: measure the operator path, not cold reads
-	c := cluster.New(env, cfg)
-	c.Nodes[1].HW.ForceActive()
-
-	schema := &table.Schema{
-		ID: 1, Name: "scan_table", KeyCols: 1,
-		Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
-	}
-	if _, err := c.Master.CreateTable(schema, table.Physiological,
-		[]cluster.RangeSpec{{Owner: c.Nodes[0]}}); err != nil {
-		return Fig1Result{}, err
-	}
-	var loadErr error
-	env.Spawn("load", func(p *sim.Proc) {
-		i := 0
-		loadErr = c.Master.BulkLoad(p, "scan_table", func() ([]byte, []byte, bool) {
-			if i >= rows {
-				return nil, nil, false
-			}
-			row := table.Row{int64(i), "0123456789012345678901234567890123456789"}
-			key, _ := schema.Key(row)
-			payload, _ := schema.EncodeRow(row)
-			i++
-			return key, payload, true
-		})
-	})
-	if err := env.Run(); err != nil {
-		return Fig1Result{}, err
-	}
-	if loadErr != nil {
-		return Fig1Result{}, loadErr
-	}
-	tm, err := c.Master.Table("scan_table")
+func Fig1(pre Preset) (Fig1Result, error) {
+	// The table fits the buffer: measure the operator path, not cold reads.
+	mt, err := newMicroTable(pre.Seed, 8192, table.Physiological, pre.Fig1Rows,
+		"0123456789012345678901234567890123456789")
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	entry := tm.Entries()[0]
+	env, c := mt.env, mt.c
+	defer env.Close()
+	entry := mt.tm.Entries()[0]
 	cal := c.Cal
 
 	scan := func(vector int) *exec.TableScan {
@@ -159,5 +125,3 @@ func (r Fig1Result) String() string {
 	}
 	return b.String()
 }
-
-var _ = time.Second

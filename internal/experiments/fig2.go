@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wattdb/internal/cc"
-	"wattdb/internal/cluster"
 	"wattdb/internal/exec"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
@@ -31,45 +30,16 @@ type Fig2Result struct {
 // At low concurrency local execution wins (no network); as concurrency
 // grows, the loaded node's CPU and sort workspace saturate and offloading
 // overtakes (Fig. 2's crossover).
-func Fig2(rows int, levels []int, seed int64) (Fig2Result, error) {
+func Fig2(pre Preset) (Fig2Result, error) {
+	rows := pre.Fig2Rows
 	run := func(concurrent int, offload bool) (float64, error) {
-		env := sim.NewEnv(seed)
+		mt, err := newMicroTable(pre.Seed, 8192, table.Physiological, rows, "payload-payload-payload-payload")
+		if err != nil {
+			return 0, err
+		}
+		env, c := mt.env, mt.c
 		defer env.Close()
-		cfg := cluster.DefaultConfig()
-		cfg.Nodes = 2
-		cfg.Cal.BufferFrames = 8192
-		c := cluster.New(env, cfg)
-		c.Nodes[1].HW.ForceActive()
-		schema := &table.Schema{
-			ID: 1, Name: "t", KeyCols: 1,
-			Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
-		}
-		if _, err := c.Master.CreateTable(schema, table.Physiological,
-			[]cluster.RangeSpec{{Owner: c.Nodes[0]}}); err != nil {
-			return 0, err
-		}
-		var loadErr error
-		env.Spawn("load", func(p *sim.Proc) {
-			i := 0
-			loadErr = c.Master.BulkLoad(p, "t", func() ([]byte, []byte, bool) {
-				if i >= rows {
-					return nil, nil, false
-				}
-				row := table.Row{int64(i), "payload-payload-payload-payload"}
-				key, _ := schema.Key(row)
-				payload, _ := schema.EncodeRow(row)
-				i++
-				return key, payload, true
-			})
-		})
-		if err := env.Run(); err != nil {
-			return 0, err
-		}
-		if loadErr != nil {
-			return 0, loadErr
-		}
-		tm, _ := c.Master.Table("t")
-		part := tm.Entries()[0].Part
+		part := mt.tm.Entries()[0].Part
 		cal := c.Cal
 		// Per-node sort workspace: enough for ~16 concurrent sorts; beyond
 		// that, sorts spill with growing pass counts.
@@ -126,7 +96,7 @@ func Fig2(rows int, levels []int, seed int64) (Fig2Result, error) {
 	}
 
 	var res Fig2Result
-	for _, n := range levels {
+	for _, n := range pre.Fig2Levels {
 		local, err := run(n, false)
 		if err != nil {
 			return res, err

@@ -32,45 +32,16 @@ type Fig3Result struct {
 // moved to another partition, across read/update mixes. Expected shape:
 // MVCC's advantage grows from ~15% (read-only) to ~90% (all updates), at
 // the price of higher storage for retained versions.
-func Fig3(records int, ratios []int, seed int64) (Fig3Result, error) {
+func Fig3(pre Preset) (Fig3Result, error) {
+	records := pre.Fig3Rows
 	run := func(mode cc.Mode, updatePct int) (perMin float64, storagePct float64, err error) {
-		env := sim.NewEnv(seed)
+		mt, err := newMicroTable(pre.Seed, 1024, table.Logical, records, "value-value-value-value-value-value")
+		if err != nil {
+			return 0, 0, err
+		}
+		env, c, schema, tm := mt.env, mt.c, mt.schema, mt.tm
 		defer env.Close()
-		cfg := cluster.DefaultConfig()
-		cfg.Nodes = 2
-		cfg.Cal.BufferFrames = 1024
-		c := cluster.New(env, cfg)
-		c.Nodes[1].HW.ForceActive()
 		c.Master.MoveMode = mode
-		schema := &table.Schema{
-			ID: 1, Name: "t", KeyCols: 1,
-			Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
-		}
-		if _, err := c.Master.CreateTable(schema, table.Logical,
-			[]cluster.RangeSpec{{Owner: c.Nodes[0]}}); err != nil {
-			return 0, 0, err
-		}
-		var loadErr error
-		env.Spawn("load", func(p *sim.Proc) {
-			i := 0
-			loadErr = c.Master.BulkLoad(p, "t", func() ([]byte, []byte, bool) {
-				if i >= records {
-					return nil, nil, false
-				}
-				row := table.Row{int64(i), "value-value-value-value-value-value"}
-				key, _ := schema.Key(row)
-				payload, _ := schema.EncodeRow(row)
-				i++
-				return key, payload, true
-			})
-		})
-		if err := env.Run(); err != nil {
-			return 0, 0, err
-		}
-		if loadErr != nil {
-			return 0, 0, loadErr
-		}
-		tm, _ := c.Master.Table("t")
 
 		storageNow := func() int64 {
 			var total int64
@@ -177,7 +148,7 @@ func Fig3(records int, ratios []int, seed int64) (Fig3Result, error) {
 	}
 
 	var res Fig3Result
-	for _, pct := range ratios {
+	for _, pct := range pre.Fig3UpdatePcts {
 		mvccTA, mvccSt, err := run(cc.SnapshotIsolation, pct)
 		if err != nil {
 			return res, fmt.Errorf("fig3 mvcc %d%%: %w", pct, err)

@@ -81,29 +81,9 @@ func FigHTAP(pre Preset) (FigHTAPResult, error) {
 			n.HW.ForceActive()
 		}
 
-		tcfg := tpcc.Config{
-			Warehouses:           pre.Warehouses,
-			DistrictsPerW:        pre.DistrictsPerW,
-			CustomersPerDistrict: pre.CustomersPerDistrict,
-			Items:                pre.Items,
-			InitialOrdersPerDist: pre.InitialOrdersPerDist,
-			Seed:                 pre.Seed,
-		}
-		W := pre.Warehouses
-		dep, err := tpcc.Deploy(c.Master, tcfg, table.Physiological, []tpcc.WarehouseRange{
-			{FromW: 1, ToW: W / 2, Owner: c.Nodes[0]},
-			{FromW: W/2 + 1, ToW: W, Owner: c.Nodes[1]},
-		}, c.Nodes)
+		dep, err := loadTPCC(c, pre, table.Physiological)
 		if err != nil {
 			return FigHTAPRow{}, err
-		}
-		var loadErr error
-		env.Spawn("load", func(p *sim.Proc) { loadErr = dep.Load(p) })
-		if err := env.Run(); err != nil {
-			return FigHTAPRow{}, err
-		}
-		if loadErr != nil {
-			return FigHTAPRow{}, loadErr
 		}
 		c.SetupReplicationDrain()
 
@@ -166,15 +146,15 @@ func FigHTAP(pre Preset) (FigHTAPResult, error) {
 						var err error
 						if mode == HTAPParallel {
 							txn := c.Master.Oracle.Begin(cc.SnapshotIsolation)
-							var ex exec.Operator
-							ex, err = c.Master.ParallelScan(txn, tpcc.TStock, home, htapVector,
+							var plans []exec.Operator
+							plans, err = c.Master.PartitionPlans(txn, tpcc.TStock, home, htapVector,
 								func(scan exec.Operator, owner *cluster.DataNode) exec.Operator {
 									return &exec.Project{Child: scan, Node: owner.HW,
 										Cols: []int{0, 3}, CPUPerRow: htapCPUPerRow}
 								})
 							if err == nil {
-								_, err = exec.Drain(p, &exec.GroupAgg{Child: ex, Node: home.HW,
-									GroupCol: 0, SumCol: 1, CPUPerRow: htapCPUPerRow, Vector: htapVector})
+								_, err = exec.Drain(p, &exec.GroupAgg{Child: &exec.Exchange{Plans: plans, Env: env},
+									Node: home.HW, GroupCol: 0, SumCol: 1, CPUPerRow: htapCPUPerRow, Vector: htapVector})
 							}
 						} else {
 							sess := c.Master.Begin(p, cc.SnapshotIsolation, home)

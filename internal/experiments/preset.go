@@ -12,9 +12,16 @@ import (
 	"wattdb/internal/hw"
 )
 
-// Preset bundles the scale knobs of an experiment run.
+// Preset bundles the scale knobs of an experiment run: every figure reads
+// its scale from here, so a preset states each figure's size once.
 type Preset struct {
-	Name string
+	// Figs. 1–3: the micro-benchmark table's size, Fig. 2's concurrency
+	// levels and Fig. 3's update percentages.
+	Fig1Rows       int
+	Fig2Rows       int
+	Fig2Levels     []int
+	Fig3Rows       int
+	Fig3UpdatePcts []int
 
 	// TPC-C scale.
 	Warehouses           int
@@ -47,7 +54,11 @@ type Preset struct {
 // Shapes hold; absolute numbers are proportionally smaller than Paper's.
 func Quick() Preset {
 	return Preset{
-		Name:                 "quick",
+		Fig1Rows:             5000,
+		Fig2Rows:             800,
+		Fig2Levels:           []int{1, 10, 100},
+		Fig3Rows:             5000,
+		Fig3UpdatePcts:       []int{0, 50, 100},
 		Warehouses:           4,
 		DistrictsPerW:        4,
 		CustomersPerDistrict: 60,
@@ -68,7 +79,11 @@ func Quick() Preset {
 // (the paper's testbed sits around 600 qps before rebalancing).
 func Paper() Preset {
 	return Preset{
-		Name:                 "paper",
+		Fig1Rows:             20000,
+		Fig2Rows:             2000,
+		Fig2Levels:           []int{1, 10, 100, 1000},
+		Fig3Rows:             20000,
+		Fig3UpdatePcts:       []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
 		Warehouses:           16,
 		DistrictsPerW:        10,
 		CustomersPerDistrict: 120,

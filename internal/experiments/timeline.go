@@ -61,29 +61,9 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 	c := cluster.New(env, cfg)
 	c.Nodes[1].HW.ForceActive()
 
-	tcfg := tpcc.Config{
-		Warehouses:           pre.Warehouses,
-		DistrictsPerW:        pre.DistrictsPerW,
-		CustomersPerDistrict: pre.CustomersPerDistrict,
-		Items:                pre.Items,
-		InitialOrdersPerDist: pre.InitialOrdersPerDist,
-		Seed:                 pre.Seed,
-	}
-	W := pre.Warehouses
-	dep, err := tpcc.Deploy(c.Master, tcfg, o.Scheme, []tpcc.WarehouseRange{
-		{FromW: 1, ToW: W / 2, Owner: c.Nodes[0]},
-		{FromW: W/2 + 1, ToW: W, Owner: c.Nodes[1]},
-	}, c.Nodes)
+	dep, err := loadTPCC(c, pre, o.Scheme)
 	if err != nil {
 		return TimelineResult{}, err
-	}
-	var loadErr error
-	env.Spawn("load", func(p *sim.Proc) { loadErr = dep.Load(p) })
-	if err := env.Run(); err != nil {
-		return TimelineResult{}, err
-	}
-	if loadErr != nil {
-		return TimelineResult{}, loadErr
 	}
 
 	origin := pre.Warmup // rebalance trigger (t=0 of the plots)
@@ -188,6 +168,7 @@ func RunTimeline(o TimelineOpts) (TimelineResult, error) {
 
 		// Migrate the upper half of each node's warehouses: 50% of all
 		// records, to the two new nodes.
+		W := pre.Warehouses
 		q1 := keycodec.Int64Key(int64(W/4 + 1))
 		q2 := keycodec.Int64Key(int64(W/2 + 1))
 		q3 := keycodec.Int64Key(int64(3*W/4 + 1))
