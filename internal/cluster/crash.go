@@ -6,11 +6,9 @@ import (
 	"slices"
 	"sort"
 
-	"wattdb/internal/btree"
 	"wattdb/internal/buffer"
 	"wattdb/internal/cc"
 	"wattdb/internal/sim"
-	"wattdb/internal/storage"
 	"wattdb/internal/table"
 	"wattdb/internal/wal"
 )
@@ -523,17 +521,4 @@ func (c *Cluster) ackResolved(n *DataNode, ids []cc.TxnID, lsn uint64) {
 	for _, id := range ids {
 		c.Master.AckInDoubt(id, n.ID)
 	}
-}
-
-// captureAdoptedBase records the image of a freshly adopted segment as part
-// of dst's recovery base for the partition. The segment was flushed before
-// shipping, so its durable image is consistent right now; the walk uses a
-// zero-cost memory pager so the capture cannot be interrupted by another
-// failure.
-func captureAdoptedBase(p *sim.Proc, dst *DataNode, partID table.PartID, clone *storage.Segment) {
-	tree := btree.New(btree.MemPager{Seg: clone}, clone.TreeRoot, nil)
-	_ = tree.Scan(p, nil, nil, func(k, v []byte) bool {
-		dst.addBase(partID, k, v)
-		return true
-	})
 }

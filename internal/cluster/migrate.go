@@ -9,7 +9,6 @@ import (
 	"wattdb/internal/sim"
 	"wattdb/internal/storage"
 	"wattdb/internal/table"
-	"wattdb/internal/wal"
 )
 
 // MigrateRange rebalances all records of tableName with keys in [lo, hi)
@@ -648,11 +647,10 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 		return abortMove(mover, nil, err)
 	}
 
-	// (3) Movement acts as a checkpoint: commit records are durable and
-	// the segment's pages are flushed, so "additional logging is not
-	// required".
-	srcOwner.Log.Checkpoint(p)
-	srcOwner.Log.Append(wal.Record{Txn: mover.Txn.ID, Type: wal.RecSegMove, Part: uint64(src.ID)})
+	// (3) Movement acts as a checkpoint: the source's log tail, commit
+	// records included, is durable and the segment's pages are flushed, so
+	// "additional logging is not required".
+	srcOwner.Log.Flush(p, srcOwner.Log.TailLSN()-1)
 	if err := srcOwner.Pool.FlushSegment(p, h.Seg.ID); err != nil {
 		return abortMove(mover, nil, err)
 	}
@@ -683,12 +681,13 @@ func (m *Master) moveSegment(p *sim.Proc, tm *TableMeta, e *RangeEntry, h *table
 	// points at it, so new transactions route there now. The adopted image
 	// becomes part of the target's recovery base (the flush in step 3 made
 	// it consistent), mirroring the checkpoint role movement plays for
-	// logging. Adoption, base capture, and the source-side detach below are
-	// free of blocking calls, so no failure can interleave with them.
-	if _, err := dstPart.AdoptSegment(clone); err != nil {
+	// logging: the adoption's walk of the image hands each record to the
+	// base and registers each tombstone for vacuum. Adoption and the
+	// source-side detach below are free of blocking calls, so no failure
+	// can interleave with them.
+	if _, err := dstPart.AdoptSegment(p, clone, func(k, v []byte) { dst.addBase(dstPart.ID, k, v) }); err != nil {
 		return abortMove(mover, clone, err)
 	}
-	captureAdoptedBase(p, dst, dstPart.ID, clone)
 
 	// (6) Source detaches the segment but keeps it as a ghost for old
 	// readers; unlock so queued writers retry (and get redirected). The

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"time"
 
 	"wattdb/internal/cc"
 	"wattdb/internal/keycodec"
@@ -259,7 +260,7 @@ func TestCommitRecordOnDeadLogIsNotDurable(t *testing.T) {
 	defer tc.env.Close()
 	n := tc.c.Nodes[1]
 	tc.run(t, func(p *sim.Proc) {
-		n.Log.Flush(p, n.Log.Append(wal.Record{Type: wal.RecCheckpoint}))
+		n.Log.Flush(p, n.Log.Append(wal.Record{Type: wal.RecCkptBegin}))
 		txn := tc.c.Master.Oracle.Begin(cc.SnapshotIsolation)
 		tc.c.CrashNode(n)
 		if _, durable := appendCommitRecord(p, n, txn); durable {
@@ -283,6 +284,55 @@ func vacuumAbove(t *testing.T, p *sim.Proc, c *Cluster, n *DataNode) int {
 		removed += r
 	}
 	return removed
+}
+
+// TestAdoptedTombstoneIsVacuumed: a physiological move carries a committed
+// delete's tombstone to the destination, which registers it for vacuum on
+// adoption; the source drops its own entry for the moved range. So a vacuum
+// above the clock removes it at the destination, and the key then reads
+// absent there rather than deleted.
+func TestAdoptedTombstoneIsVacuumed(t *testing.T) {
+	tc := newTestCluster(t, table.Physiological, 3, 200)
+	defer tc.env.Close()
+	src, dst := tc.c.Nodes[0], tc.c.Nodes[2]
+	srcRemoved, dstRemoved := -1, -1
+	state := table.LookupLive
+	tc.env.Spawn("test", func(p *sim.Proc) {
+		s := tc.c.Master.Begin(p, cc.SnapshotIsolation, src)
+		if err := s.Delete(p, "kv", ik(10)); err != nil {
+			t.Errorf("delete: %v", err)
+			return
+		}
+		if err := s.Commit(p); err != nil {
+			t.Errorf("commit: %v", err)
+			return
+		}
+		if err := tc.c.Master.MigrateRange(p, "kv", nil, ik(100), dst); err != nil {
+			t.Errorf("migrate: %v", err)
+			return
+		}
+		srcRemoved = vacuumAbove(t, p, tc.c, src)
+		dstRemoved = vacuumAbove(t, p, tc.c, dst)
+		txn := tc.c.Master.Oracle.Begin(cc.SnapshotIsolation)
+		defer tc.c.Master.Oracle.Abort(txn)
+		var err error
+		if _, state, err = tc.tm.entries[0].Part.Lookup(p, txn, ik(10)); err != nil {
+			t.Errorf("lookup: %v", err)
+		}
+	})
+	// The ghost-drop process polls while old snapshots may read the ghost.
+	if err := tc.env.RunUntil(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if tc.tm.entries[0].Owner != dst {
+		t.Fatalf("moved range owned by node %d, want %d", tc.tm.entries[0].Owner.ID, dst.ID)
+	}
+	if srcRemoved != 0 || dstRemoved != 1 {
+		t.Errorf("vacuum removed %d tombstones at the source and %d at the destination, want 0 and 1", srcRemoved, dstRemoved)
+	}
+	if state != table.LookupAbsent {
+		t.Errorf("key 10 reads lookup state %d at the destination after the vacuum, want LookupAbsent (%d)", state, table.LookupAbsent)
+	}
 }
 
 // TestReplayedTombstoneIsVacuumed: a committed delete leaves a tombstone

@@ -416,7 +416,7 @@ func TestDetachAdoptMovesMiniPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = moveTS
-		if _, err := dst.AdoptSegment(clone); err != nil {
+		if _, err := dst.AdoptSegment(p, clone, nil); err != nil {
 			t.Fatal(err)
 		}
 

@@ -429,10 +429,25 @@ func (pt *Partition) DetachSegment(h *SegHandle, moveTS cc.Timestamp) error {
 // AdoptSegment incorporates a shipped mini-partition into this partition:
 // "as soon as segments arrive at the new node, they are incorporated in its
 // index and the new node overtakes query processing" (Sect. 5.2). The
-// partition's own bounds widen if needed.
-func (pt *Partition) AdoptSegment(seg *storage.Segment) (*SegHandle, error) {
+// partition's own bounds widen if needed. It walks the adopted image once,
+// free of simulated time: each tombstone is registered for vacuum, as the
+// source drops its own entries for a range that moved away, and each record
+// goes to visit (when non-nil) in key order.
+func (pt *Partition) AdoptSegment(p *sim.Proc, seg *storage.Segment, visit func(key, val []byte)) (*SegHandle, error) {
 	if pt.Scheme != Physiological {
 		return nil, fmt.Errorf("table: AdoptSegment on %v partition", pt.Scheme)
+	}
+	image := btree.New(btree.MemPager{Seg: seg}, seg.TreeRoot, nil)
+	if err := image.Scan(p, nil, nil, func(key, val []byte) bool {
+		if v, err := DecodeValue(val); err == nil && v.Deleted {
+			pt.tombs[string(key)] = struct{}{}
+		}
+		if visit != nil {
+			visit(key, val)
+		}
+		return true
+	}); err != nil {
+		return nil, err
 	}
 	h := &SegHandle{
 		Seg:   seg,

@@ -32,8 +32,6 @@ const (
 	RecDelete
 	RecCommit
 	RecAbort
-	RecCheckpoint
-	RecSegMove  // segment ownership transferred (movement checkpoint)
 	RecPrepare  // two-phase commit prepare vote
 	RecPrepDML  // prepare-time redo image of a staged write (After = raw payload)
 	RecPrepDel  // prepare-time redo image of a staged delete
@@ -79,8 +77,8 @@ const (
 
 // String returns the type's display name.
 func (t RecType) String() string {
-	return [...]string{"update", "insert", "delete", "commit", "abort", "checkpoint",
-		"segmove", "prepare", "prepdml", "prepdel", "decision",
+	return [...]string{"update", "insert", "delete", "commit", "abort",
+		"prepare", "prepdml", "prepdel", "decision",
 		"mstate", "mlease", "mack", "base", "ship",
 		"ckptbegin", "ckptend"}[t]
 }
@@ -183,7 +181,6 @@ type Log struct {
 	device   Device
 	segs     []*logSegment
 	segBytes int
-	forceNew bool // seal the active segment before the next append
 	nextLSN  uint64
 
 	flushedLSN   uint64
@@ -255,14 +252,13 @@ func (l *Log) Append(rec Record) uint64 {
 	rec.LSN = l.nextLSN
 	l.nextLSN++
 	var s *logSegment
-	if n := len(l.segs); n > 0 && !l.forceNew && len(l.segs[n-1].buf) < l.segBytes {
+	if n := len(l.segs); n > 0 && len(l.segs[n-1].buf) < l.segBytes {
 		s = l.segs[n-1]
 	} else {
 		// Sized once for its whole life: a segment seals at segBytes plus
 		// whatever the frame crossing the line overshoots by.
 		s = &logSegment{firstLSN: rec.LSN, buf: make([]byte, 0, l.segBytes+segSlack)}
 		l.segs = append(l.segs, s)
-		l.forceNew = false
 	}
 	start := len(s.buf)
 	s.buf = appendFrame(s.buf, &rec)
@@ -538,7 +534,6 @@ func (l *Log) WipeDisk() {
 	l.epoch++ // fence any in-flight flush: its device write hit a dead medium
 	l.gen++
 	l.segs = nil
-	l.forceNew = false
 	l.flushing = false
 	l.flushedLSN = 0
 	l.nextLSN = 1
@@ -729,17 +724,6 @@ func Shippable(rec *Record) bool {
 		return false
 	}
 	return rec.Type != RecDecision || MasterRecord(rec)
-}
-
-// Checkpoint seals the active segment, appends a checkpoint record (opening
-// a fresh segment), and flushes through it — so a following TruncateBefore
-// can recycle every segment written before the checkpoint. It returns the
-// checkpoint LSN.
-func (l *Log) Checkpoint(p *sim.Proc) uint64 {
-	l.forceNew = true
-	lsn := l.Append(Record{Type: RecCheckpoint})
-	l.Flush(p, lsn)
-	return lsn
 }
 
 // TruncateBefore recycles whole segments whose records all have LSN < lsn

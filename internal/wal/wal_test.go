@@ -445,38 +445,6 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-func TestCheckpointAndTruncateRecyclesSegments(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	l := NewLog(env, &countingDevice{})
-	l.Append(Record{Type: RecInsert, Txn: 1, Key: []byte("a"), After: []byte("1")})
-	l.Append(Record{Type: RecCommit, Txn: 1})
-	var ck uint64
-	env.Spawn("ck", func(p *sim.Proc) { ck = l.Checkpoint(p) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if l.FlushedLSN() != ck {
-		t.Fatal("checkpoint did not flush")
-	}
-	before := l.RetainedBytes()
-	l.TruncateBefore(ck)
-	if l.RetainedBytes() >= before {
-		t.Fatal("truncate kept old segments")
-	}
-	recs, err := readAll(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Type != RecCheckpoint {
-		t.Fatalf("records after truncate: %d", len(recs))
-	}
-	// RetainedBytes is exact: the surviving segment holds one framed record.
-	if l.RetainedBytes() != recs[0].FrameSize() {
-		t.Fatalf("retained %d bytes, want exactly %d", l.RetainedBytes(), recs[0].FrameSize())
-	}
-}
-
 // TestLastCheckpointTornPairFallback pins the crash contract of fuzzy
 // checkpoints: only a complete, durable RecCkptBegin/RecCkptEnd pair counts.
 // A crash between begin and end — or one that tears or fails to flush the
