@@ -9,7 +9,7 @@ SEEDS ?= 25
 # Paired benchmark ledger runs (make ledger-pair PARENT=<rev>).
 PAIRS ?= 10
 
-.PHONY: all build test test-race test-bench cover fig3 fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick golden bench-quick bench-micro bench-analytics check
+.PHONY: all build test test-race test-bench cover figs fig7 intent-timeouts vet loc ledger-pair ledger-seeds chaos-diff chaos-diff-all chaos chaos-tpcc chaos-quick golden bench-quick bench-micro bench-analytics check
 
 all: check
 
@@ -40,12 +40,15 @@ cover:
 	$(GO) test -coverpkg=./internal/... -coverprofile=.bench_build/cover.out ./...
 	$(GO) tool cover -func=.bench_build/cover.out
 
-## fig3: the paper's MVCC-vs-locking figure at benchmark scale, once, with its
-## shape assertions (MVCC out-runs MGL-RX at 0 / 50 / 100 % updates while half
-## the table moves, and pays in storage) — the first figure behind the gate
-## (~1 s); internal/experiments' TestFig3Shape is the same claim at test scale
-fig3:
-	$(GO) test -bench='BenchmarkFig3MVCCvsLocking' -benchtime=1x -run '^$$' .
+## figs: the micro-benchmark figures at the Quick preset, once each, with
+## their shape assertions (~6 s): Fig 1 (a single-record remote scan collapses
+## below a tenth of the local scan, and vectorising recovers at least 5x),
+## Fig 2 (at concurrency 1 the local sort beats the offloaded one, at the top
+## level offloading wins) and Fig 3 (MVCC out-runs MGL-RX at 0 / 50 / 100 %
+## updates while half the table moves, and pays in storage);
+## internal/experiments' TestFig3Shape is Fig 3's claim at test scale
+figs:
+	$(GO) test -bench='BenchmarkFig[123]' -benchtime=1x -run '^$$' .
 
 ## fig7: the Fig 7 normal bar behind its gate (~2 s): a transaction spends at
 ## most 5.5 ms in the engine and under 1 ms of it in lock and intent waits
@@ -183,9 +186,9 @@ golden:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 25 -golden $(GOLDEN)/golden-tpcc-sweep.txt $(if $(UPDATE),-update)
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
-## tests + the ledger's tests + the Fig 3 and Fig 7 shape gates + the
+## tests + the ledger's tests + the Fig 1-3 and Fig 7 shape gates + the
 ## intent-timeout gate + a short crash-anywhere chaos sweep of both workloads)
-check: build vet test-race test-bench fig3 fig7 intent-timeouts chaos-quick
+check: build vet test-race test-bench figs fig7 intent-timeouts chaos-quick
 
 ## bench-quick: regenerate every paper figure once at CI scale
 bench-quick:

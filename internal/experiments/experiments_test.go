@@ -138,6 +138,38 @@ func TestFig6Smoke(t *testing.T) {
 	}
 }
 
+// TestFig8Smoke runs the helper-node study at a tiny scale: both runs
+// finish their move, commit transactions and report finite, positive watts,
+// and the helpers draw extra watts over the first 20 s of the rebalance —
+// BenchmarkFig8Helpers' claim, which holds at this scale too.
+func TestFig8Smoke(t *testing.T) {
+	res, err := Fig8(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tl := range []struct {
+		name string
+		r    TimelineResult
+	}{{"plain", res.Plain}, {"helped", res.Helped}} {
+		if tl.r.Commits == 0 || tl.r.MigrationTook <= 0 {
+			t.Errorf("%s: %d commits, migration took %v", tl.name, tl.r.Commits, tl.r.MigrationTook)
+		}
+		if len(tl.r.Watts) == 0 {
+			t.Errorf("%s: no power samples", tl.name)
+		}
+		for _, b := range tl.r.Watts {
+			if !finite(b.Mean) || b.Mean <= 0 {
+				t.Errorf("%s: non-positive power sample %+v", tl.name, b)
+			}
+		}
+	}
+	plainW := MeanOver(res.Plain.Watts, 0, 20*time.Second)
+	helpedW := MeanOver(res.Helped.Watts, 0, 20*time.Second)
+	if helpedW <= plainW {
+		t.Errorf("helpers draw no extra power during the rebalance: %.1f W against %.1f W", helpedW, plainW)
+	}
+}
+
 // TestFig7Shape gates the normal bar of Fig 7, the one the paper draws as
 // the baseline its rebalancing bars rise from: a transaction spends at most
 // 5.5 ms in the engine, and under 1 ms of it waiting for locks and write

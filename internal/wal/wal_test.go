@@ -551,6 +551,14 @@ func TestTruncateBeforeExactBoundary(t *testing.T) {
 	if len(recs) != int(last-cut+1) || recs[0].LSN != cut {
 		t.Fatalf("retained %d records, want exactly LSNs %d..%d (cut-1 recycled, cut kept)", len(recs), cut, last)
 	}
+	// RetainedBytes is exact: the surviving segments hold these frames only.
+	var want int64
+	for i := range recs {
+		want += recs[i].FrameSize()
+	}
+	if l.RetainedBytes() != want {
+		t.Fatalf("retained %d bytes, want exactly %d", l.RetainedBytes(), want)
+	}
 	// Nothing lies wholly below the first retained LSN: a second call is a no-op.
 	if l.TruncateBefore(cut) {
 		t.Fatal("second truncation at the same point recycled again")
