@@ -1,7 +1,7 @@
 GO ?= go
 
 # Hot-path micro-benchmarks run by bench-micro.
-BENCH_PATTERN ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan|BenchmarkCheckpointScan|BenchmarkFollowerRestart
+BENCH_PATTERN ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkDecodeProjected|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan|BenchmarkCheckpointScan|BenchmarkFollowerRestart
 
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25

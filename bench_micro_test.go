@@ -15,6 +15,7 @@ import (
 	"wattdb/internal/sim"
 	"wattdb/internal/storage"
 	"wattdb/internal/table"
+	"wattdb/internal/tpcc"
 	"wattdb/internal/wal"
 )
 
@@ -642,6 +643,58 @@ func BenchmarkChangedSince(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(vs.RecentCommits()), "recent-set")
+}
+
+// BenchmarkDecodeProjected measures the analytics scan's decode of one
+// order_line row into a warm batch (ns/op is per row): whole, and projected
+// to (ol_number, ol_amount) as the Q1-style aggregate's scan decodes it. The
+// projected walk still steps over every column, so it checks the same
+// truncation and trailing-byte errors; it copies two values instead of nine.
+func BenchmarkDecodeProjected(b *testing.B) {
+	schema := tpcc.Schemas()[tpcc.TOrderLine]
+	const rows = 1024
+	payloads := make([][]byte, rows)
+	for i := range payloads {
+		enc, err := schema.EncodeRow(table.Row{int64(1 + i%4), int64(1 + i%10), int64(i), int64(1 + i%15),
+			int64(i * 7 % 1000), int64(1 + i%4), int64(5), float64(i%9999) / 100, fmt.Sprintf("dist-info-%014d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads[i] = enc
+	}
+	for _, bc := range []struct {
+		name string
+		cols []int
+	}{
+		{"cols=all", nil},
+		{"cols=ol_number,ol_amount", []int{3, 7}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			out := schema
+			if bc.cols != nil {
+				var err error
+				if out, err = schema.Project(bc.cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+			batch := table.NewBatch(out)
+			for _, payload := range payloads { // warm the batch to its full size
+				if err := schema.AppendDecodedCols(batch, payload, bc.cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%rows == 0 {
+					batch.Reset()
+				}
+				if err := schema.AppendDecodedCols(batch, payloads[i%rows], bc.cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTableScanBatch measures the full operator stack — TableScan over

@@ -43,10 +43,15 @@ func main() {
 	env.Spawn("app", func(p *sim.Proc) {
 		// Insert 1000 accounts in one transaction.
 		s := c.Master.Begin(p, cc.SnapshotIsolation, c.Nodes[0])
+		acct := table.NewBatch(schema)
 		for i := 0; i < 1000; i++ {
-			row := table.Row{int64(i), fmt.Sprintf("owner-%03d", i), 100.0}
-			key, _ := schema.Key(row)
-			payload, _ := schema.EncodeRow(row)
+			acct.Reset()
+			acct.AppendZero()
+			acct.SetInt(0, 0, int64(i))
+			acct.SetBytes(1, 0, fmt.Appendf(nil, "owner-%03d", i))
+			acct.SetFloat(2, 0, 100.0)
+			key, _ := schema.AppendKey(nil, acct, 0)
+			payload, _ := schema.AppendEncoded(nil, acct, 0)
 			if err := s.Put(p, "accounts", key, payload); err != nil {
 				log.Fatal(err)
 			}

@@ -2,6 +2,8 @@ package chbench
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,10 +280,10 @@ func checkSuite(t *testing.T, ref *refData, run func(name string) []table.Row) {
 	requireGroups(t, "undelivered", gotU, wantU)
 }
 
-// maxWarmAllocs bounds what draining a warm tree allocates. Measured: 2 for
-// carrier-revenue, which merges (the scans' declared ordering), and 0 for
-// every other query, the two that sort included (slices.SortFunc over the
-// permutation allocates nothing); a cold drain allocates 168 to 758.
+// maxWarmAllocs bounds what draining a warm tree allocates. Measured: 0 for
+// every query, carrier-revenue's merge included (each scan derives its
+// declared ordering once) and the two that sort (slices.SortFunc over the
+// permutation allocates nothing); a cold drain allocates 76 to 476.
 const maxWarmAllocs = 2
 
 // TestSuiteReusesPlans: a Query hands out the same operator trees again once
@@ -422,5 +424,43 @@ func TestOffloadedSuiteUsesFollowerReads(t *testing.T) {
 	}
 	if _, _, followerReads, _ := c.ReplicationStats(); followerReads == 0 {
 		t.Fatal("offloaded suite never hit a follower replica")
+	}
+}
+
+// TestScanOrderingFollowsProjection: a session scan declares the key prefix
+// its projection keeps, in projected positions, computed once per scan; and
+// a merge join over a scan whose projection drops a join-key column refuses
+// to open.
+func TestScanOrderingFollowsProjection(t *testing.T) {
+	schemas := tpcc.Schemas()
+	for _, tc := range []struct {
+		cols []int
+		want []int
+	}{
+		{nil, []int{0, 1, 2, 3}},                  // every column
+		{[]int{0, 1, 2, 3, 7}, []int{0, 1, 2, 3}}, // the whole key
+		{[]int{0, 1, 2, 7}, []int{0, 1, 2}},       // drops ol_number
+		{[]int{0, 2, 3, 7}, []int{0}},             // drops ol_d_id
+		{[]int{3, 7}, nil},                        // drops ol_w_id
+	} {
+		s := &SessionScan{Table: tpcc.TOrderLine, Schema: schemas[tpcc.TOrderLine], Cols: tc.cols}
+		if got := s.Ordering(); !slices.Equal(got, tc.want) {
+			t.Errorf("cols %v: ordering %v, want %v", tc.cols, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.Ordering() }); n != 0 {
+			t.Errorf("cols %v: Ordering allocates %.0f objects per call", tc.cols, n)
+		}
+	}
+
+	// Join order lines to orders on (w, o): the order_line projection drops
+	// ol_d_id, so its scan is ordered by ol_w_id alone.
+	mj := &exec.MergeJoin{
+		Left:     &SessionScan{Table: tpcc.TOrderLine, Schema: schemas[tpcc.TOrderLine], Cols: []int{0, 2, 7}},
+		Right:    &SessionScan{Table: tpcc.TOrders, Schema: schemas[tpcc.TOrders], Cols: []int{0, 2}},
+		LeftKeys: []int{0, 1}, RightKeys: []int{0, 1},
+	}
+	err := mj.Open(nil)
+	if err == nil || !strings.Contains(err.Error(), "left input not ordered by join keys [0 1] (declares [0])") {
+		t.Fatalf("merge join over a scan that drops a join-key column: Open = %v, want the not-ordered error", err)
 	}
 }

@@ -13,7 +13,6 @@ package exec
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"time"
 
@@ -33,10 +32,15 @@ import (
 // Until then the batch belongs to the consumer, which may read it through
 // the typed column accessors and may also mutate it in place (Filter
 // compacts passing rows to the front, Limit truncates); producers must not
-// assume a returned batch comes back intact. An operator that holds batches
-// across Next calls (e.g. the asynchronous Buffer) must take a deep copy
-// with Batch.CopyFrom. Strings read via Batch.Bytes alias the batch's arena
-// and follow the same lifetime.
+// assume a returned batch comes back intact. A blocking producer (GroupAgg,
+// chbench's session scan) hands out a window (Batch.Window) of the rows it
+// accumulated rather than a copy: a handed-out window holds rows its
+// producer never reads again, so the consumer's in-place mutations touch
+// nothing the producer still needs, and appending to a window reallocates
+// instead of writing into the producer's storage. An operator that holds
+// batches across Next calls (e.g. the asynchronous Buffer) must take a deep
+// copy with Batch.CopyFrom. Strings read via Batch.Bytes alias the batch's
+// arena and follow the same lifetime.
 //
 // Parallel lifetimes: operators that run producers concurrently (Buffer,
 // Exchange) deep-copy every batch into a recycled free list before it
@@ -152,7 +156,7 @@ func (o *Project) Next(p *sim.Proc) (*table.Batch, error) {
 	}
 	o.Node.Compute(p, time.Duration(batch.Len())*o.CPUPerRow)
 	if o.out == nil {
-		schema, err := projectedSchema(batch.Schema, o.Cols)
+		schema, err := batch.Schema.Project(o.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -165,18 +169,6 @@ func (o *Project) Next(p *sim.Proc) (*table.Batch, error) {
 
 // Close closes the child.
 func (o *Project) Close(p *sim.Proc) { o.Child.Close(p) }
-
-// projectedSchema derives the output schema of a projection.
-func projectedSchema(src *table.Schema, cols []int) (*table.Schema, error) {
-	out := &table.Schema{Name: src.Name + ".project", KeyCols: 1}
-	for _, c := range cols {
-		if c < 0 || c >= len(src.Columns) {
-			return nil, fmt.Errorf("exec: project column %d out of range", c)
-		}
-		out.Columns = append(out.Columns, src.Columns[c])
-	}
-	return out, nil
-}
 
 // Filter is a pipelining operator keeping rows for which Pred returns true.
 // Pred receives the batch and a row index and reads columns through the
@@ -404,7 +396,7 @@ type GroupAgg struct {
 
 	in     *table.Schema // the child schema groups was derived from
 	groups *table.Batch
-	out    *table.Batch
+	out    table.Batch // a window of groups
 	pos    int
 	intIdx map[int64]int
 	strIdx map[string]int
@@ -497,10 +489,9 @@ func (o *GroupAgg) derive(in *table.Schema) {
 		},
 	}
 	if o.groups == nil {
-		o.groups, o.out = table.NewBatch(schema), table.NewBatch(schema)
+		o.groups = table.NewBatch(schema)
 	} else {
 		o.groups.Init(schema)
-		o.out.Init(schema)
 	}
 	o.in = in
 	switch gcol.Type {
@@ -519,21 +510,15 @@ func (o *GroupAgg) derive(in *table.Schema) {
 	}
 }
 
-// Next streams the aggregated groups.
+// Next streams the aggregated groups as windows of the groups batch.
 func (o *GroupAgg) Next(p *sim.Proc) (*table.Batch, error) {
 	if o.groups == nil || o.pos >= o.groups.Len() {
 		return nil, nil
 	}
-	end := o.pos + o.Vector
-	if end > o.groups.Len() {
-		end = o.groups.Len()
-	}
-	o.out.Reset()
-	for i := o.pos; i < end; i++ {
-		o.out.AppendFrom(o.groups, i)
-	}
+	end := min(o.pos+o.Vector, o.groups.Len())
+	o.out.Window(o.groups, o.pos, end)
 	o.pos = end
-	return o.out, nil
+	return &o.out, nil
 }
 
 // Close releases the groups, keeping their storage for the next Open.

@@ -1,5 +1,7 @@
 package exec
 
+import "slices"
+
 // Ordered is implemented by operators whose output is sorted. Ordering
 // returns the ascending column indexes (in the operator's *output* schema)
 // that the emitted rows are ordered by, most significant first; nil means
@@ -50,17 +52,15 @@ func (o *Sort) Ordering() []int { return o.OrderBy }
 // at the first ordering column the projection drops — later ordering columns
 // only tie-break within groups of the dropped one, so they no longer
 // describe a global order.
-func (o *Project) Ordering() []int {
-	child := OrderingOf(o.Child)
+func (o *Project) Ordering() []int { return ProjectOrdering(OrderingOf(o.Child), o.Cols) }
+
+// ProjectOrdering returns the prefix of ordering that a projection to cols
+// keeps, remapped to output positions: it stops at the first ordering column
+// cols drops.
+func ProjectOrdering(ordering, cols []int) []int {
 	var out []int
-	for _, oc := range child {
-		pos := -1
-		for j, c := range o.Cols {
-			if c == oc {
-				pos = j
-				break
-			}
-		}
+	for _, oc := range ordering {
+		pos := slices.Index(cols, oc)
 		if pos < 0 {
 			break
 		}

@@ -68,6 +68,11 @@ func Fig3(pre Preset) (Fig3Result, error) {
 			w := w
 			env.Spawn(fmt.Sprintf("client-%d", w), func(p *sim.Proc) {
 				rng := env.Rand
+				// Every update writes the row (0, "updated-by-<w>").
+				upd := table.NewBatch(schema)
+				upd.AppendZero()
+				upd.SetBytes(1, 0, fmt.Appendf(nil, "updated-by-%d", w))
+				payload, _ := schema.AppendEncoded(nil, upd, 0)
 				for !moveDone {
 					s := c.Master.Begin(p, mode, c.Nodes[0])
 					update := rng.Intn(100) < updatePct
@@ -75,8 +80,6 @@ func Fig3(pre Preset) (Fig3Result, error) {
 					for i := 0; i < 4; i++ {
 						k := keycodec.Int64Key(int64(rng.Intn(records)))
 						if update {
-							row := table.Row{int64(0), fmt.Sprintf("updated-by-%d", w)}
-							payload, _ := schema.EncodeRow(row)
 							if err := s.Put(p, "t", k, payload); err != nil {
 								ok = false
 								break

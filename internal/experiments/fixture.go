@@ -45,14 +45,17 @@ func (mt *microTable) load(scheme table.Scheme, rows int, payload string) error 
 	}
 	var loadErr error
 	mt.env.Spawn("load", func(p *sim.Proc) {
+		row := table.NewBatch(mt.schema)
+		row.AppendZero()
+		row.SetBytes(1, 0, []byte(payload))
 		i := 0
 		loadErr = m.BulkLoad(p, "t", func() ([]byte, []byte, bool) {
 			if i >= rows {
 				return nil, nil, false
 			}
-			row := table.Row{int64(i), payload}
-			key, _ := mt.schema.Key(row)
-			enc, _ := mt.schema.EncodeRow(row)
+			row.SetInt(0, 0, int64(i))
+			key, _ := mt.schema.AppendKey(nil, row, 0)
+			enc, _ := mt.schema.AppendEncoded(nil, row, 0)
 			i++
 			return key, enc, true
 		})

@@ -139,9 +139,10 @@ func FigHTAP(pre Preset) (FigHTAPResult, error) {
 			for q := 0; q < htapStreams; q++ {
 				env.Spawn(fmt.Sprintf("analytics-%d", q), func(p *sim.Proc) {
 					// One plan per stream, re-opened warm by every query.
-					stock := &chbench.SessionScan{Table: tpcc.TStock, Schema: stockSchema, Vector: htapVector}
+					stock := &chbench.SessionScan{Table: tpcc.TStock, Schema: stockSchema, Vector: htapVector,
+						Cols: []int{0, 3}} // s_w_id, s_ytd
 					agg := &exec.GroupAgg{Child: stock, Node: home.HW,
-						GroupCol: 0, SumCol: 3, CPUPerRow: htapCPUPerRow, Vector: htapVector}
+						GroupCol: 0, SumCol: 1, CPUPerRow: htapCPUPerRow, Vector: htapVector}
 					for !stop {
 						var err error
 						if mode == HTAPParallel {

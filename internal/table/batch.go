@@ -18,12 +18,18 @@ import (
 // A Batch is bound to its Schema by Init (or the first AppendDecoded /
 // AppendRow through NewBatch). All accessors take (column, row) positions;
 // they do not bounds-check beyond what slice indexing provides.
+//
+// A batch made by Window aliases a range of another batch's rows instead of
+// owning storage. Nothing done to it afterwards writes outside those rows:
+// its vectors' capacity ends where the range ends, so appends reallocate,
+// and Reset or Init drops the aliases instead of refilling them.
 type Batch struct {
 	Schema *Schema
 
-	n     int
-	cols  []colVec
-	arena []byte
+	n      int
+	cols   []colVec
+	arena  []byte
+	window bool
 }
 
 // colVec is one column's storage; exactly one field is used, selected by
@@ -44,6 +50,9 @@ func NewBatch(s *Schema) *Batch {
 // Init binds b to s, resetting any previous contents. Rebinding to the same
 // schema keeps the column vectors' capacity.
 func (b *Batch) Init(s *Schema) {
+	if b.window {
+		b.unalias()
+	}
 	if b.Schema == s && b.cols != nil {
 		b.Reset()
 		return
@@ -61,16 +70,77 @@ func (b *Batch) Init(s *Schema) {
 	b.arena = b.arena[:0]
 }
 
-// Reset empties the batch, keeping all backing storage for reuse.
+// Reset empties the batch, keeping all backing storage for reuse. A window
+// owns no storage: Reset drops its aliases instead.
 func (b *Batch) Reset() {
+	if b.window {
+		b.unalias()
+		return
+	}
 	for i := range b.cols {
-		c := &b.cols[i]
-		c.ints = c.ints[:0]
-		c.floats = c.floats[:0]
-		c.off = c.off[:0]
+		b.cols[i].cut(0, false)
 	}
 	b.n = 0
 	b.arena = b.arena[:0]
+}
+
+// Window makes b alias rows [lo, hi) of src, with no copy: b takes src's
+// schema, and row i of b is row lo+i of src. Every vector's capacity is
+// capped at the window's end and the arena's at its length, so appending to
+// b reallocates rather than writing into src's storage. b stays valid until
+// src is reset or refilled. Blocking operators hand out windows of the rows
+// they accumulated instead of copying them into an output batch.
+func (b *Batch) Window(src *Batch, lo, hi int) {
+	b.Schema = src.Schema
+	if cap(b.cols) >= len(src.cols) {
+		b.cols = b.cols[:len(src.cols)]
+	} else {
+		b.cols = make([]colVec, len(src.cols))
+	}
+	for c := range src.cols {
+		sv, dv := &src.cols[c], &b.cols[c]
+		*dv = colVec{}
+		switch src.Schema.Columns[c].Type {
+		case ColInt64:
+			dv.ints = sv.ints[lo:hi:hi]
+		case ColFloat64:
+			dv.floats = sv.floats[lo:hi:hi]
+		case ColString:
+			dv.off = sv.off[2*lo : 2*hi : 2*hi]
+		}
+	}
+	b.arena = src.arena[:len(src.arena):len(src.arena)]
+	b.n = hi - lo
+	b.window = true
+}
+
+// unalias drops a window's references to its source's storage.
+func (b *Batch) unalias() {
+	for i := range b.cols {
+		b.cols[i] = colVec{}
+	}
+	b.arena = nil
+	b.n = 0
+	b.window = false
+}
+
+// cut drops the column's entries past row n. A window gives up the capacity
+// past n too, so a later append reallocates instead of reusing rows of the
+// window's source.
+func (v *colVec) cut(n int, window bool) {
+	v.ints = cutTo(v.ints, n, window)
+	v.floats = cutTo(v.floats, n, window)
+	v.off = cutTo(v.off, 2*n, window)
+}
+
+func cutTo[T any](s []T, n int, window bool) []T {
+	switch {
+	case len(s) <= n:
+		return s
+	case window:
+		return s[:n:n]
+	}
+	return s[:n]
 }
 
 // Len returns the number of rows.
@@ -193,16 +263,7 @@ func (b *Batch) AppendRow(row Row) error {
 // committed row count after a failed append.
 func (b *Batch) rollback(arenaLen int) {
 	for c := range b.cols {
-		v := &b.cols[c]
-		if len(v.ints) > b.n {
-			v.ints = v.ints[:b.n]
-		}
-		if len(v.floats) > b.n {
-			v.floats = v.floats[:b.n]
-		}
-		if len(v.off) > 2*b.n {
-			v.off = v.off[:2*b.n]
-		}
+		b.cols[c].cut(b.n, b.window)
 	}
 	b.arena = b.arena[:arenaLen]
 }
@@ -292,16 +353,7 @@ func (b *Batch) Truncate(n int) {
 		return
 	}
 	for c := range b.cols {
-		v := &b.cols[c]
-		if len(v.ints) > n {
-			v.ints = v.ints[:n]
-		}
-		if len(v.floats) > n {
-			v.floats = v.floats[:n]
-		}
-		if len(v.off) > 2*n {
-			v.off = v.off[:2*n]
-		}
+		b.cols[c].cut(n, b.window)
 	}
 	b.n = n
 }
@@ -342,27 +394,45 @@ func (b *Batch) WireBytes() int64 {
 // appends it to b. It is the executor's decode-into path: refilling a warm
 // batch allocates nothing.
 func (s *Schema) AppendDecoded(b *Batch, buf []byte) error {
+	return s.AppendDecodedCols(b, buf, nil)
+}
+
+// AppendDecodedCols is AppendDecoded keeping only the columns listed in
+// cols, which must be ascending positions in s; b's schema must be
+// s.Project(cols). nil cols keeps every column. The walk still checks every
+// column of the row, so a truncated row or trailing bytes fail with the
+// error the full decode gives, leaving b at its previous length.
+func (s *Schema) AppendDecodedCols(b *Batch, buf []byte, cols []int) error {
 	if b.Schema == nil {
 		b.Init(s)
 	}
 	arenaLen := len(b.arena)
+	j := 0 // b's column for the next kept column of s
 	for c := range s.Columns {
 		col := &s.Columns[c]
-		v := &b.cols[c]
+		var v *colVec // nil: step over the column
+		if cols == nil || j < len(cols) && cols[j] == c {
+			v = &b.cols[j]
+			j++
+		}
 		switch col.Type {
 		case ColInt64:
 			if len(buf) < 8 {
 				b.rollback(arenaLen)
 				return fmt.Errorf("table %s: truncated row at col %s", s.Name, col.Name)
 			}
-			v.ints = append(v.ints, int64(binary.LittleEndian.Uint64(buf)))
+			if v != nil {
+				v.ints = append(v.ints, int64(binary.LittleEndian.Uint64(buf)))
+			}
 			buf = buf[8:]
 		case ColFloat64:
 			if len(buf) < 8 {
 				b.rollback(arenaLen)
 				return fmt.Errorf("table %s: truncated row at col %s", s.Name, col.Name)
 			}
-			v.floats = append(v.floats, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+			if v != nil {
+				v.floats = append(v.floats, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+			}
 			buf = buf[8:]
 		case ColString:
 			if len(buf) < 2 {
@@ -375,9 +445,11 @@ func (s *Schema) AppendDecoded(b *Batch, buf []byte) error {
 				b.rollback(arenaLen)
 				return fmt.Errorf("table %s: truncated string at col %s", s.Name, col.Name)
 			}
-			start := uint32(len(b.arena))
-			b.arena = append(b.arena, buf[:n]...)
-			v.off = append(v.off, start, uint32(len(b.arena)))
+			if v != nil {
+				start := uint32(len(b.arena))
+				b.arena = append(b.arena, buf[:n]...)
+				v.off = append(v.off, start, uint32(len(b.arena)))
+			}
 			buf = buf[n:]
 		}
 	}

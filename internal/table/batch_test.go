@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -219,5 +220,140 @@ func TestBatchRefillZeroAlloc(t *testing.T) {
 	refill() // warm vectors and arena
 	if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
 		t.Fatalf("warm batch refill allocates %v objects/run, want 0", allocs)
+	}
+}
+
+// encodedRows encodes every row of b, so two snapshots compare by value.
+func encodedRows(t *testing.T, b *Batch) [][]byte {
+	t.Helper()
+	rows := make([][]byte, b.Len())
+	for i := range rows {
+		enc, err := b.Schema.AppendEncoded(nil, b, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = enc
+	}
+	return rows
+}
+
+// TestWindowNeverWritesSource: a window aliases rows [lo, hi) of its source
+// without a copy, and nothing done to the window afterwards writes into the
+// source's rows: resetting it, re-initialising it (to the same schema or
+// another), appending to it in every form, or setting the bytes of a row it
+// appended. Moving rows in place (Filter's compaction) touches only the
+// window's own rows, and truncating it (Limit) touches none, not even when
+// the window is appended to afterwards.
+func TestWindowNeverWritesSource(t *testing.T) {
+	s := testSchema()
+	other := &Schema{Name: "other", KeyCols: 1, Columns: []Column{{"s", ColString}, {"i", ColInt64}}}
+	const lo, hi = 2, 5
+	extra := Row{int64(-1), int64(-2), "appended-row", -3.5}
+	extraEnc, _ := s.EncodeRow(extra)
+	otherEnc, _ := other.EncodeRow(Row{"other-row", int64(7)})
+
+	cases := []struct {
+		name string
+		op   func(t *testing.T, w *Batch)
+		// own reports whether the op may rewrite the window's own rows.
+		own bool
+	}{
+		{"Reset+AppendRow", func(t *testing.T, w *Batch) {
+			w.Reset()
+			if w.Len() != 0 {
+				t.Fatalf("Len after Reset = %d", w.Len())
+			}
+			for i := 0; i < hi-lo+1; i++ {
+				if err := w.AppendRow(extra); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, false},
+		{"Init same schema+AppendDecoded", func(t *testing.T, w *Batch) {
+			w.Init(s)
+			if err := s.AppendDecoded(w, extraEnc); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"Init other schema+AppendDecoded", func(t *testing.T, w *Batch) {
+			w.Init(other)
+			if err := other.AppendDecoded(w, otherEnc); err != nil {
+				t.Fatal(err)
+			}
+			if w.String(0, 0) != "other-row" || w.Int(1, 0) != 7 {
+				t.Fatal("re-initialised window reads wrong")
+			}
+		}, false},
+		{"AppendZero+SetBytes", func(t *testing.T, w *Batch) {
+			w.AppendZero()
+			w.SetBytes(2, w.Len()-1, []byte("set-on-appended-row"))
+			w.SetInt(0, w.Len()-1, -9)
+			if w.String(2, hi-lo) != "set-on-appended-row" {
+				t.Fatal("SetBytes on an appended row reads wrong")
+			}
+		}, false},
+		{"AppendFrom", func(t *testing.T, w *Batch) {
+			src := NewBatch(s)
+			if err := src.AppendRow(extra); err != nil {
+				t.Fatal(err)
+			}
+			w.AppendFrom(src, 0)
+		}, false},
+		{"AppendBatch", func(t *testing.T, w *Batch) {
+			src := NewBatch(s)
+			for i := 0; i < 3; i++ {
+				if err := src.AppendRow(extra); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.AppendBatch(src)
+		}, false},
+		{"Truncate+AppendRow", func(t *testing.T, w *Batch) {
+			w.Truncate(1)
+			if err := w.AppendRow(extra); err != nil {
+				t.Fatal(err)
+			}
+			if w.Len() != 2 || w.Int(0, 1) != -1 {
+				t.Fatal("append after Truncate reads wrong")
+			}
+		}, false},
+		{"MoveRow+Truncate", func(t *testing.T, w *Batch) {
+			w.MoveRow(0, 2)
+			w.Truncate(1)
+			if w.Int(0, 0) != lo+2 || w.String(2, 0) != "row-4" {
+				t.Fatal("compacted window reads wrong")
+			}
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := NewBatch(s)
+			for i := 0; i < 7; i++ {
+				if err := src.AppendRow(Row{int64(i), int64(i % 3), fmt.Sprintf("row-%d", i), float64(i) / 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := encodedRows(t, src)
+			w := &Batch{}
+			w.Window(src, lo, hi)
+			if w.Len() != hi-lo {
+				t.Fatalf("window Len = %d, want %d", w.Len(), hi-lo)
+			}
+			for i, row := range encodedRows(t, w) {
+				if !bytes.Equal(row, before[lo+i]) {
+					t.Fatalf("window row %d differs from source row %d", i, lo+i)
+				}
+			}
+			tc.op(t, w)
+			after := encodedRows(t, src)
+			for i := range before {
+				if tc.own && i >= lo && i < hi {
+					continue
+				}
+				if !bytes.Equal(after[i], before[i]) {
+					t.Errorf("source row %d changed", i)
+				}
+			}
+		})
 	}
 }

@@ -199,6 +199,21 @@ func (s *Schema) DecodeRow(buf []byte) (Row, error) {
 	return b.Row(0), nil
 }
 
+// Project returns the schema of the listed columns of s, in the listed
+// order: the output schema of a projection or of a scan that decodes only
+// those columns. It is an executor-internal schema (never stored); KeyCols
+// is nominal.
+func (s *Schema) Project(cols []int) (*Schema, error) {
+	out := &Schema{Name: s.Name + ".project", KeyCols: 1}
+	for _, c := range cols {
+		if c < 0 || c >= len(s.Columns) {
+			return nil, fmt.Errorf("table %s: project column %d out of range", s.Name, c)
+		}
+		out.Columns = append(out.Columns, s.Columns[c])
+	}
+	return out, nil
+}
+
 // FixedWireBytes returns the fixed-width wire footprint of one encoded row:
 // 8 bytes framing, 8 per numeric column, and 2 (the length header) per
 // string column. String payload bytes are accounted separately by
